@@ -240,11 +240,7 @@ def _cmd_path(args) -> int:
         raise CliError(f"method {args.method!r} has no penalty path")
     table = tables.read_interval_csv(args.train, response=args.response)
     spec = models.MethodSpec.from_name(args.method, 1.0, None, args.alpha)
-    view = tables.to_center_range(table)
-    if args.component == "range":
-        X, y = view.halfranges_X, view.halfranges_y
-    else:
-        X, y = view.centers_X, view.centers_y
+    X, y = tables.to_center_range(table).design(args.component)
     grid = selection.make_lambda_grid(X, y, spec.effective_alpha, args.n_lambdas)
     path = selection.coefficient_path(table, spec, grid, component=args.component)
     with open(args.out, "w", newline="", encoding="utf-8") as fh:

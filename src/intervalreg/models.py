@@ -33,7 +33,7 @@ from .solvers import (
     fit_ridge,
     predict_linear,
 )
-from .tables import IntervalTable, predictor_bounds, to_center_range
+from .tables import IntervalTable, to_center_range
 
 FAMILIES = ("cm", "crm")
 PENALTIES = ("none", "ridge", "lasso", "elastic_net")
@@ -358,8 +358,7 @@ def _align(table: IntervalTable, model: FittedModel) -> IntervalTable:
             f"input has unexpected columns: {', '.join(sorted(extras))}"
         )
     idx = [table.variable_names.index(n) for n in model.predictor_names]
-    rows = tuple(tuple(row[j] for j in idx) for row in table.rows)
-    return IntervalTable(model.predictor_names, rows)
+    return IntervalTable(model.predictor_names, table.lower[:, idx], table.upper[:, idx])
 
 
 def predict(model: FittedModel, table: IntervalTable) -> IntervalPrediction:
@@ -370,7 +369,7 @@ def predict(model: FittedModel, table: IntervalTable) -> IntervalPrediction:
     performed.
     """
     aligned = _align(table, model)
-    X_lo, X_hi = predictor_bounds(aligned)
+    X_lo, X_hi = aligned.lower, aligned.upper
     if model.spec.family == "cm":
         lower = predict_linear(model.center_coeffs, X_lo)
         upper = predict_linear(model.center_coeffs, X_hi)

@@ -162,11 +162,7 @@ def cross_validate(
     if not 2 <= k <= n:
         raise ValueError(f"need 2 <= k <= n folds, got k={k}, n={n}")
     if grid is None:
-        view = to_center_range(table)
-        if component == "range":
-            X, y = view.halfranges_X, view.halfranges_y
-        else:
-            X, y = view.centers_X, view.centers_y
+        X, y = to_center_range(table).design(component)
         grid = make_lambda_grid(X, y, spec.effective_alpha, n_points)
 
     rng = np.random.default_rng(seed)
@@ -292,10 +288,7 @@ def coefficient_path(
     if component not in ("center", "range"):
         raise ValueError(f"component must be 'center' or 'range', got {component!r}")
     view = to_center_range(table)
-    if component == "center":
-        X, y = view.centers_X, view.centers_y
-    else:
-        X, y = view.halfranges_X, view.halfranges_y
+    X, y = view.design(component)
     problem = DesignProblem(X, y)
     alpha = spec.effective_alpha
     intercepts = np.empty(len(grid))

@@ -1,10 +1,10 @@
 """Interval-valued data tables.
 
-The atomic cell is a closed real interval [lower, upper].  A table is a
-named grid of such cells with at most one column designated as the
-response.  This module also provides the midpoint / half-range transform
-used by every regression method in the package, aggregation of a classic
-(single-valued) table into an interval table, and CSV input/output.
+The atomic cell is a closed real interval [lower, upper].  A table keeps
+its cells in two (rows x variables) endpoint arrays, with at most one
+column designated as the response.  This module also provides the
+midpoint / half-range transform used by every regression method, classic
+to interval table aggregation, and CSV input/output.
 
 CSV layout: two columns per interval variable, suffixed ``_lo`` and
 ``_hi`` (e.g. ``Y_lo,Y_hi,X1_lo,X1_hi``).  UTF-8, comma separated, one
@@ -14,7 +14,7 @@ header line, decimal point ``.``.
 from __future__ import annotations
 
 import csv
-from dataclasses import dataclass, field
+from dataclasses import dataclass, replace
 from math import isfinite
 from typing import Sequence
 
@@ -41,6 +41,30 @@ def _check_name(name: str) -> str:
     return name
 
 
+def _cell_problem(lo: float, hi: float) -> TableError | None:
+    """The error describing why [lo, hi] is not a valid cell, or None."""
+    if not (isfinite(lo) and isfinite(hi)):
+        return TableError(f"interval endpoints must be finite, got [{lo}, {hi}]")
+    if lo > hi:
+        return IntervalOrderError(f"interval lower bound exceeds upper: [{lo}, {hi}]")
+    if not (isfinite((lo + hi) / 2.0) and isfinite((hi - lo) / 2.0)):
+        return TableError(f"interval midpoint or half-range overflows: [{lo}, {hi}]")
+    return None
+
+
+def _first(mask: np.ndarray) -> tuple[int, int] | None:
+    """(row, column) of the first set entry of a 2-D mask in row-major order."""
+    return divmod(int(mask.argmax()), mask.shape[1]) if mask.any() else None
+
+
+def _first_bad_cell(lower: np.ndarray, upper: np.ndarray) -> tuple[int, int, TableError] | None:
+    """Row, column and error of the first cell that :func:`_cell_problem` rejects."""
+    with np.errstate(all="ignore"):
+        ok = np.isfinite((lower + upper) / 2.0) & np.isfinite((upper - lower) / 2.0)
+    bad = _first(~(ok & (lower <= upper)))
+    return None if bad is None else (*bad, _cell_problem(float(lower[bad]), float(upper[bad])))
+
+
 @dataclass(frozen=True)
 class Interval:
     """A closed real interval [lower, upper]; degenerate (lower == upper) is legal."""
@@ -49,12 +73,10 @@ class Interval:
     upper: float
 
     def __post_init__(self):
-        lo = float(self.lower)
-        hi = float(self.upper)
-        if not (isfinite(lo) and isfinite(hi)):
-            raise TableError(f"interval endpoints must be finite, got [{lo}, {hi}]")
-        if lo > hi:
-            raise IntervalOrderError(f"interval lower bound exceeds upper: [{lo}, {hi}]")
+        lo, hi = float(self.lower), float(self.upper)
+        problem = _cell_problem(lo, hi)
+        if problem is not None:
+            raise problem
         object.__setattr__(self, "lower", lo)
         object.__setattr__(self, "upper", hi)
 
@@ -70,37 +92,38 @@ class Interval:
         return f"[{self.lower}, {self.upper}]"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class IntervalTable:
     """Named interval columns, optionally with one designated response.
 
-    ``variable_names`` keeps the source column order; ``rows`` is an
-    n x (number of variables) grid of :class:`Interval`.  A table with
-    ``response_name=None`` is predictor-only (prediction input,
-    aggregation output).  Instances are immutable and safe to share.
+    ``variable_names`` keeps the source column order; ``lower`` and
+    ``upper`` are read-only n x (number of variables) float64 arrays of
+    cell endpoints, each cell ordered with a finite midpoint and half-range.
+    A table with ``response_name=None`` is predictor-only (prediction
+    input, aggregation output).  Immutable, safe to share, equal only to itself.
     """
 
     variable_names: tuple[str, ...]
-    rows: tuple[tuple[Interval, ...], ...]
+    lower: np.ndarray
+    upper: np.ndarray
     response_name: str | None = None
 
     def __post_init__(self):
         names = tuple(_check_name(n) for n in self.variable_names)
         if len(set(names)) != len(names):
             raise TableError(f"duplicate variable names in {names}")
-        rows = tuple(tuple(r) for r in self.rows)
-        if not rows:
+        lower = np.array(self.lower, dtype=np.float64, order="C")
+        upper = np.array(self.upper, dtype=np.float64, order="C")
+        if lower.shape != upper.shape or lower.shape[1:] != (len(names),):
+            raise TableError(f"lower and upper need the same shape (rows, {len(names)})")
+        if not lower.shape[0]:
             raise TableError("table needs at least one row")
         if not names:
             raise TableError("table needs at least one variable")
-        for i, row in enumerate(rows):
-            if len(row) != len(names):
-                raise TableError(
-                    f"row {i} has {len(row)} cells, expected {len(names)}"
-                )
-            for cell in row:
-                if not isinstance(cell, Interval):
-                    raise TableError(f"row {i} contains a non-interval cell: {cell!r}")
+        bad = _first_bad_cell(lower, upper)
+        if bad is not None:
+            i, j, problem = bad
+            raise type(problem)(f"variable {names[j]!r}, row {i}: {problem}")
         if self.response_name is not None:
             if self.response_name not in names:
                 raise TableError(
@@ -108,12 +131,28 @@ class IntervalTable:
                 )
             if len(names) < 2:
                 raise TableError("a table with a response needs at least one predictor")
+        lower.flags.writeable = False
+        upper.flags.writeable = False
         object.__setattr__(self, "variable_names", names)
-        object.__setattr__(self, "rows", rows)
+        object.__setattr__(self, "lower", lower)
+        object.__setattr__(self, "upper", upper)
+
+    @classmethod
+    def from_rows(
+        cls, variable_names: Sequence[str], rows: Sequence[Sequence[Interval]],
+        response_name: str | None = None,
+    ) -> "IntervalTable":
+        """Build a table from rows of :class:`Interval` cells."""
+        width = len(variable_names)
+        for i, row in enumerate(rows):
+            if len(row) != width:
+                raise TableError(f"row {i} has {len(row)} cells, expected {width}")
+        ends = np.reshape([[(c.lower, c.upper) for c in r] for r in rows], (len(rows), width, 2))
+        return cls(variable_names, ends[..., 0], ends[..., 1], response_name)
 
     @property
     def n_rows(self) -> int:
-        return len(self.rows)
+        return self.lower.shape[0]
 
     @property
     def predictor_names(self) -> tuple[str, ...]:
@@ -121,19 +160,19 @@ class IntervalTable:
 
     def with_response(self, name: str) -> "IntervalTable":
         """Return the same table with ``name`` designated as the response."""
-        return IntervalTable(self.variable_names, self.rows, response_name=name)
+        return replace(self, response_name=name)
 
     def column(self, name: str) -> tuple[Interval, ...]:
         try:
             j = self.variable_names.index(name)
         except ValueError:
             raise TableError(f"no variable named {name!r}") from None
-        return tuple(row[j] for row in self.rows)
+        return tuple(map(Interval, self.lower[:, j].tolist(), self.upper[:, j].tolist()))
 
     def take(self, indices: Sequence[int]) -> "IntervalTable":
         """Row subset in the given order (used by cross-validation folds)."""
-        picked = tuple(self.rows[int(i)] for i in indices)
-        return IntervalTable(self.variable_names, picked, self.response_name)
+        idx = np.asarray(indices, dtype=np.intp)
+        return replace(self, lower=self.lower[idx], upper=self.upper[idx])
 
     def response_intervals(self) -> tuple[Interval, ...]:
         if self.response_name is None:
@@ -155,49 +194,66 @@ class CenterRangeView:
     centers_y: np.ndarray
     halfranges_X: np.ndarray
     halfranges_y: np.ndarray
-    predictor_names: tuple[str, ...] = field(default=())
+    predictor_names: tuple[str, ...] = ()
 
     def __post_init__(self):
         for arr in (self.centers_X, self.centers_y, self.halfranges_X, self.halfranges_y):
             arr.flags.writeable = False
 
-
-def _predictor_indices(table: IntervalTable) -> list[int]:
-    return [j for j, n in enumerate(table.variable_names) if n != table.response_name]
+    def design(self, component: str) -> tuple[np.ndarray, np.ndarray]:
+        """``(X, y)`` of one regression: half-ranges for ``"range"``, else midpoints."""
+        if component == "range":
+            return self.halfranges_X, self.halfranges_y
+        return self.centers_X, self.centers_y
 
 
 def to_center_range(table: IntervalTable) -> CenterRangeView:
     """Split a table into midpoint and half-range design matrices."""
     if table.response_name is None:
         raise TableError("center/range view needs a designated response")
-    pred_idx = _predictor_indices(table)
-    resp_idx = table.variable_names.index(table.response_name)
-    n, p = table.n_rows, len(pred_idx)
-    cx = np.empty((n, p))
-    rx = np.empty((n, p))
-    cy = np.empty(n)
-    ry = np.empty(n)
-    for i, row in enumerate(table.rows):
-        for k, j in enumerate(pred_idx):
-            cx[i, k] = row[j].midpoint
-            rx[i, k] = row[j].half_range
-        cy[i] = row[resp_idx].midpoint
-        ry[i] = row[resp_idx].half_range
-    return CenterRangeView(cx, cy, rx, ry, predictor_names=table.predictor_names)
+    X_lo, X_hi = predictor_bounds(table)
+    y_lo, y_hi = response_bounds(table)
+    return CenterRangeView(
+        (X_lo + X_hi) / 2.0, (y_lo + y_hi) / 2.0,
+        (X_hi - X_lo) / 2.0, (y_hi - y_lo) / 2.0,
+        predictor_names=table.predictor_names,
+    )
 
 
 def predictor_bounds(table: IntervalTable) -> tuple[np.ndarray, np.ndarray]:
     """Lower and upper endpoint matrices of the predictor columns (n x p)."""
-    pred_idx = _predictor_indices(table)
-    lo = np.array([[row[j].lower for j in pred_idx] for row in table.rows])
-    hi = np.array([[row[j].upper for j in pred_idx] for row in table.rows])
-    return lo, hi
+    pred = [j for j, n in enumerate(table.variable_names) if n != table.response_name]
+    return np.take(table.lower, pred, axis=1), np.take(table.upper, pred, axis=1)
 
 
 def response_bounds(table: IntervalTable) -> tuple[np.ndarray, np.ndarray]:
     """Lower and upper endpoint vectors of the response column."""
-    col = table.response_intervals()
-    return np.array([c.lower for c in col]), np.array([c.upper for c in col])
+    if table.response_name is None:
+        raise TableError("table has no designated response")
+    j = table.variable_names.index(table.response_name)
+    return table.lower[:, j].copy(), table.upper[:, j].copy()
+
+
+# ---------------------------------------------------------------------------
+# Cell parsing shared by aggregation and the CSV reader
+# ---------------------------------------------------------------------------
+
+def _float_or_none(cell) -> float | None:
+    try:
+        return float(cell)
+    except (TypeError, ValueError):
+        return None
+
+
+def _parse_grid(records: Sequence[Sequence], width: int, cols: list[int]):
+    """Index k of the first record without ``width`` cells, records[:k] as an object
+    grid, and ``float()`` of its ``cols``, NaN where that fails (the cast reads None as NaN)."""
+    k = next((i for i, rec in enumerate(records) if len(rec) != width), len(records))
+    cells = np.array(records[:k], dtype=object).reshape(k, width)
+    try:
+        return k, cells, cells[:, cols].astype(float)
+    except (TypeError, ValueError):
+        return k, cells, np.frompyfunc(_float_or_none, 1, 1)(cells[:, cols]).astype(float)
 
 
 # ---------------------------------------------------------------------------
@@ -228,159 +284,115 @@ def aggregate_classic(
         raise TableError(f"unknown concept column {concept!r}")
     if value_columns is None:
         value_columns = [c for c in columns if c != concept]
-    else:
-        value_columns = list(value_columns)
-        for c in value_columns:
-            if c not in columns:
-                raise TableError(f"unknown value column {c!r}")
+    value_columns = list(value_columns)
+    for c in value_columns:
+        if c not in columns:
+            raise TableError(f"unknown value column {c!r}")
     if not value_columns:
         raise TableError("no value columns to aggregate")
     if not rows:
         raise TableError("classic table is empty")
 
-    concept_idx = columns.index(concept)
     value_idx = [columns.index(c) for c in value_columns]
+    k, cells, values = _parse_grid(rows, len(columns), value_idx)
+    bad = _first(~np.isfinite(values))
+    if bad is not None:
+        i, c = bad
+        cell = cells[i, value_idx[c]]
+        if _float_or_none(cell) is None:
+            raise TableError(f"non-numeric cell in column {value_columns[c]!r}, row {i}: {cell!r}")
+        raise TableError(f"non-finite cell in column {value_columns[c]!r}, row {i}")
+    if k < len(rows):
+        raise TableError(f"row {k} has {len(rows[k])} cells, expected {len(columns)}")
 
-    order: list = []
-    groups: dict = {}
-    for i, row in enumerate(rows):
-        if len(row) != len(columns):
-            raise TableError(f"row {i} has {len(row)} cells, expected {len(columns)}")
-        key = row[concept_idx]
-        if key not in groups:
-            groups[key] = []
-            order.append(key)
-        parsed = []
-        for c, j in zip(value_columns, value_idx):
-            try:
-                v = float(row[j])
-            except (TypeError, ValueError):
-                raise TableError(
-                    f"non-numeric cell in column {c!r}, row {i}: {row[j]!r}"
-                ) from None
-            if not isfinite(v):
-                raise TableError(f"non-finite cell in column {c!r}, row {i}")
-            parsed.append(v)
-        groups[key].append(parsed)
-
-    out_rows = []
-    for key in order:
-        block = np.asarray(groups[key])
-        out_rows.append(
-            tuple(Interval(lo, hi) for lo, hi in zip(block.min(axis=0), block.max(axis=0)))
-        )
-    return IntervalTable(tuple(value_columns), tuple(out_rows))
+    groups: dict = {}  # concept value -> output row, in order of first appearance
+    group = [groups.setdefault(key, len(groups)) for key in cells[:, columns.index(concept)]]
+    lower = np.full((len(groups), len(value_columns)), np.inf)
+    upper = -lower
+    np.minimum.at(lower, group, values)
+    np.maximum.at(upper, group, values)
+    return IntervalTable(tuple(value_columns), lower, upper)
 
 
 # ---------------------------------------------------------------------------
 # CSV input/output
 # ---------------------------------------------------------------------------
 
-def _parse_header(header: Sequence[str]) -> tuple[list[str], dict[str, list[int]]]:
-    """Map `name_lo`/`name_hi` column pairs to variable names in file order."""
+def _parse_header(header: Sequence[str]) -> tuple[list[str], list[int], list[int]]:
+    """Variable names in file order and the indices of their `_lo`/`_hi` columns."""
     seen: dict[str, list[int | None]] = {}
-    order: list[str] = []
-    for idx, col in enumerate(header):
-        col = col.strip()
-        if col.endswith("_lo"):
-            name, slot = col[:-3], 0
-        elif col.endswith("_hi"):
-            name, slot = col[:-3], 1
-        else:
-            raise CsvFormatError(
-                f"column {col!r} has neither `_lo` nor `_hi` suffix"
-            )
+    for idx, col in enumerate(c.strip() for c in header):
+        name, suffix = col[:-3], col[-3:]
+        if suffix not in ("_lo", "_hi"):
+            raise CsvFormatError(f"column {col!r} has neither `_lo` nor `_hi` suffix")
         if not name:
             raise CsvFormatError(f"column {col!r} has an empty variable name")
-        if name not in seen:
-            seen[name] = [None, None]
-            order.append(name)
-        if seen[name][slot] is not None:
+        slots = seen.setdefault(name, [None, None])
+        if slots[suffix == "_hi"] is not None:
             raise CsvFormatError(f"duplicate column for variable {name!r}")
-        seen[name][slot] = idx
-    for name in order:
-        lo_idx, hi_idx = seen[name]
-        if lo_idx is None:
-            raise CsvFormatError(f"variable {name!r} is missing its `_lo` column")
-        if hi_idx is None:
-            raise CsvFormatError(f"variable {name!r} is missing its `_hi` column")
-    return order, {n: [seen[n][0], seen[n][1]] for n in order}
+        slots[suffix == "_hi"] = idx
+    for name, slots in seen.items():
+        for idx, suffix in zip(slots, ("_lo", "_hi")):
+            if idx is None:
+                raise CsvFormatError(f"variable {name!r} is missing its `{suffix}` column")
+    return list(seen), [s[0] for s in seen.values()], [s[1] for s in seen.values()]
 
 
 def read_interval_csv(path, response: str | None = None) -> IntervalTable:
     """Read an interval table from a `_lo`/`_hi` paired CSV file.
 
     ``response`` optionally designates the response variable; prediction
-    inputs may leave it unset.
+    inputs may leave it unset.  Errors name the first faulty record by its
+    number after the header, counting the blank records that are skipped.
     """
     with open(path, newline="", encoding="utf-8") as fh:
         reader = csv.reader(fh)
-        try:
-            header = next(reader)
-        except StopIteration:
-            raise CsvFormatError(f"{path}: file is empty") from None
-        order, slots = _parse_header(header)
-        rows = []
-        for lineno, rec in enumerate(reader, start=1):
-            if not rec or all(not c.strip() for c in rec):
-                continue
-            if len(rec) != len(header):
-                raise CsvFormatError(
-                    f"{path}: row {lineno} has {len(rec)} cells, expected {len(header)}"
-                )
-            cells = []
-            for name in order:
-                lo_idx, hi_idx = slots[name]
-                try:
-                    lo = float(rec[lo_idx])
-                    hi = float(rec[hi_idx])
-                except ValueError:
-                    raise CsvFormatError(
-                        f"{path}: non-numeric cell for variable {name!r}, row {lineno}"
-                    ) from None
-                try:
-                    cells.append(Interval(lo, hi))
-                except IntervalOrderError:
-                    raise IntervalOrderError(
-                        f"{path}: variable {name!r}, row {lineno}: "
-                        f"lower bound {lo} exceeds upper bound {hi}"
-                    ) from None
-                except TableError as exc:
-                    raise CsvFormatError(
-                        f"{path}: variable {name!r}, row {lineno}: {exc}"
-                    ) from None
-            rows.append(tuple(cells))
-    if not rows:
+        header = next(reader, None)
+        if header is None:
+            raise CsvFormatError(f"{path}: file is empty")
+        order, lo_cols, hi_cols = _parse_header(header)
+        numbered = [(n, rec) for n, rec in enumerate(reader, start=1) if any(map(str.strip, rec))]
+    if not numbered:
         raise CsvFormatError(f"{path}: no data rows")
-    return IntervalTable(tuple(order), tuple(rows), response_name=response)
+    linenos, records = zip(*numbered)
+    k, cells, values = _parse_grid(records, len(header), lo_cols + hi_cols)
+    lower, upper = np.hsplit(values, 2)
+    bad = _first_bad_cell(lower, upper)
+    if bad is not None:
+        i, j, problem = bad
+        where = f"variable {order[j]!r}, row {linenos[i]}"
+        if None in (_float_or_none(cells[i, lo_cols[j]]), _float_or_none(cells[i, hi_cols[j]])):
+            raise CsvFormatError(f"{path}: non-numeric cell for {where}")
+        if isinstance(problem, IntervalOrderError):
+            lo, hi = float(lower[i, j]), float(upper[i, j])
+            raise IntervalOrderError(f"{path}: {where}: lower bound {lo} exceeds upper bound {hi}")
+        raise CsvFormatError(f"{path}: {where}: {problem}")
+    if k < len(records):
+        raise CsvFormatError(
+            f"{path}: row {linenos[k]} has {len(records[k])} cells, expected {len(header)}"
+        )
+    return IntervalTable(tuple(order), lower, upper, response_name=response)
 
 
 def write_interval_csv(table: IntervalTable, path) -> None:
     """Write a table in the paired `_lo`/`_hi` CSV layout.
 
     The response designation is not part of the file format; it is chosen
-    again when the file is read.
+    again when the file is read.  Endpoints round-trip exactly.
     """
+    pairs = np.stack((table.lower, table.upper), axis=2).reshape(table.n_rows, -1)
     with open(path, "w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh)
-        header: list[str] = []
-        for name in table.variable_names:
-            header += [f"{name}_lo", f"{name}_hi"]
-        writer.writerow(header)
-        for row in table.rows:
-            rec: list[str] = []
-            for cell in row:
-                rec += [repr(cell.lower), repr(cell.upper)]
-            writer.writerow(rec)
+        writer.writerow([f"{n}_{end}" for n in table.variable_names for end in ("lo", "hi")])
+        writer.writerows(pairs.tolist())
 
 
 def read_classic_csv(path) -> tuple[list[str], list[list[str]]]:
     """Read a classic CSV as (header, raw string rows); parsing happens later."""
     with open(path, newline="", encoding="utf-8") as fh:
         reader = csv.reader(fh)
-        try:
-            header = [c.strip() for c in next(reader)]
-        except StopIteration:
-            raise CsvFormatError(f"{path}: file is empty") from None
-        rows = [rec for rec in reader if rec and any(c.strip() for c in rec)]
-    return header, rows
+        header = next(reader, None)
+        if header is None:
+            raise CsvFormatError(f"{path}: file is empty")
+        rows = [rec for rec in reader if any(map(str.strip, rec))]
+    return [c.strip() for c in header], rows

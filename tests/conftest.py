@@ -29,9 +29,17 @@ def make_cardio_table() -> IntervalTable:
     rows = tuple(
         tuple(Interval(lo, hi) for lo, hi in row) for row in CARDIO_ROWS
     )
-    return IntervalTable(
+    return IntervalTable.from_rows(
         ("Pulse", "Systolic", "Diastolic"), rows, response_name="Pulse"
     )
+
+
+def assert_same_table(got: IntervalTable, want: IntervalTable) -> None:
+    """Names, response and every endpoint equal exactly."""
+    assert got.variable_names == want.variable_names
+    assert got.response_name == want.response_name
+    assert np.array_equal(got.lower, want.lower)
+    assert np.array_equal(got.upper, want.upper)
 
 
 @pytest.fixture
@@ -62,14 +70,8 @@ def random_interval_table(
         centers_y = rng.normal(size=n)
         halfranges_y = rng.uniform(0.0, 1.0, size=n)
     names = tuple(f"X{j + 1}" for j in range(p)) + ("Y",)
-    rows = []
-    for i in range(n):
-        cells = [
-            Interval(centers_X[i, j] - halfranges_X[i, j],
-                     centers_X[i, j] + halfranges_X[i, j])
-            for j in range(p)
-        ]
-        cells.append(Interval(centers_y[i] - halfranges_y[i],
-                              centers_y[i] + halfranges_y[i]))
-        rows.append(tuple(cells))
-    return IntervalTable(names, tuple(rows), response_name="Y")
+    centers = np.column_stack([centers_X, centers_y])
+    halfranges = np.column_stack([halfranges_X, halfranges_y])
+    return IntervalTable(
+        names, centers - halfranges, centers + halfranges, response_name="Y"
+    )

@@ -357,7 +357,7 @@ def test_criterion5f_degenerate_interval_reduction():
         values = rng.uniform(-8.0, 8.0, size=(n, p + 1))
         rows = tuple(tuple(Interval(v, v) for v in row) for row in values)
         names = tuple(f"X{j + 1}" for j in range(p)) + ("Y",)
-        table = IntervalTable(names, rows, response_name="Y")
+        table = IntervalTable.from_rows(names, rows, response_name="Y")
         crm = predict(fit(table, MethodSpec("crm")), table)
         cm = predict(fit(table, MethodSpec("cm")), table)
         assert np.array_equal(crm.lower, cm.lower)
@@ -408,11 +408,10 @@ def test_criterion6_aggregation():
         for r, key in enumerate(order):
             grp = table_vals[[i for i, k in enumerate(table_keys) if k == key]]
             for c in range(grp.shape[1]):
-                cell = agg.rows[r][c]
                 worst = max(
                     worst,
-                    abs(cell.lower - grp[:, c].min()),
-                    abs(cell.upper - grp[:, c].max()),
+                    abs(agg.lower[r, c] - grp[:, c].min()),
+                    abs(agg.upper[r, c] - grp[:, c].max()),
                 )
     check(
         "criterion 6",

@@ -117,6 +117,18 @@ class TestFit:
         )
         assert hashlib.sha256(cardio_csv.read_bytes()).hexdigest() == before
 
+    def test_overflowing_cell_exits_1_naming_row_and_variable(self, capsys, tmp_path):
+        train = tmp_path / "huge.csv"
+        train.write_text(
+            "Y_lo,Y_hi,X_lo,X_hi\n1,2,3,4\n2,3,4,5\n3,5,1e308,1.7e308\n4,6,7,8\n"
+        )
+        code, _, err = run(
+            capsys, "fit", "--method", "cm", "--train", str(train),
+            "--response", "Y", "--model-out", str(tmp_path / "m"),
+        )
+        assert code == 1
+        assert f"error: {train}: variable 'X', row 3: interval midpoint" in err
+
     def test_singular_design_exits_2(self, capsys, tmp_path):
         bad = tmp_path / "bad.csv"
         bad.write_text(

@@ -113,7 +113,7 @@ class TestCenterRangeMethod:
         rows = tuple(
             tuple(Interval(v, v) for v in row) for row in values
         )
-        table = IntervalTable(("Y", "X1", "X2"), rows, response_name="Y")
+        table = IntervalTable.from_rows(("Y", "X1", "X2"), rows, response_name="Y")
         crm = predict(fit(table, MethodSpec("crm")), table)
         cm = predict(fit(table, MethodSpec("cm")), table)
         assert np.array_equal(crm.lower, crm.upper)
@@ -201,10 +201,7 @@ class TestShrinkageVariants:
 class TestPredictValidation:
     def test_missing_column_named(self, cardio):
         model = fit(cardio, MethodSpec("cm"))
-        smaller = IntervalTable(
-            ("Systolic",),
-            tuple((row[1],) for row in cardio.rows),
-        )
+        smaller = IntervalTable(("Systolic",), cardio.lower[:, [1]], cardio.upper[:, [1]])
         with pytest.raises(SchemaMismatch, match="Diastolic"):
             predict(model, smaller)
 
@@ -212,7 +209,8 @@ class TestPredictValidation:
         model = fit(cardio, MethodSpec("cm"))
         extra = IntervalTable(
             ("Systolic", "Diastolic", "Weight"),
-            tuple((row[1], row[2], Interval(0, 1)) for row in cardio.rows),
+            np.column_stack([cardio.lower[:, 1:], np.zeros(cardio.n_rows)]),
+            np.column_stack([cardio.upper[:, 1:], np.ones(cardio.n_rows)]),
         )
         with pytest.raises(SchemaMismatch, match="Weight"):
             predict(model, extra)
@@ -221,8 +219,7 @@ class TestPredictValidation:
         model = fit(cardio, MethodSpec("cm"))
         pred_with = predict(model, cardio)
         no_response = IntervalTable(
-            ("Systolic", "Diastolic"),
-            tuple((row[1], row[2]) for row in cardio.rows),
+            ("Systolic", "Diastolic"), cardio.lower[:, 1:], cardio.upper[:, 1:]
         )
         pred_without = predict(model, no_response)
         assert np.array_equal(pred_with.lower, pred_without.lower)
@@ -230,8 +227,7 @@ class TestPredictValidation:
     def test_predictor_order_is_model_order(self, cardio):
         model = fit(cardio, MethodSpec("cm"))
         swapped = IntervalTable(
-            ("Diastolic", "Systolic"),
-            tuple((row[2], row[1]) for row in cardio.rows),
+            ("Diastolic", "Systolic"), cardio.lower[:, [2, 1]], cardio.upper[:, [2, 1]]
         )
         pred = predict(model, swapped)
         assert np.array_equal(pred.lower, predict(model, cardio).lower)
@@ -276,8 +272,7 @@ class TestSerialization:
                     )
             table = random_interval_table(rng, 5, 2)
             renamed = IntervalTable(
-                ("Systolic", "Diastolic"),
-                tuple(row[:2] for row in table.rows),
+                ("Systolic", "Diastolic"), table.lower[:, :2], table.upper[:, :2]
             )
             assert np.array_equal(
                 predict(back, renamed).lower, predict(model, renamed).lower
@@ -319,7 +314,7 @@ class TestSerialization:
             "center.n_sweeps: 0",
         ])
         model = deserialize(text)
-        table = IntervalTable(("X",), ((Interval(3.0, 5.0),),))
+        table = IntervalTable.from_rows(("X",), ((Interval(3.0, 5.0),),))
         pred = predict(model, table)
         assert pred.lower[0] == 1 + 2 * 3.0
         assert pred.upper[0] == 1 + 2 * 5.0

@@ -15,7 +15,7 @@ from intervalreg import (
 )
 from intervalreg.tables import predictor_bounds, response_bounds
 
-from conftest import DATA_DIR, make_cardio_table, random_interval_table
+from conftest import DATA_DIR, assert_same_table, make_cardio_table, random_interval_table
 
 
 class TestInterval:
@@ -28,6 +28,10 @@ class TestInterval:
             Interval(float("nan"), 1.0)
         with pytest.raises(TableError):
             Interval(0.0, float("inf"))
+
+    def test_overflowing_midpoint_rejected(self):
+        with pytest.raises(TableError, match="overflows"):
+            Interval(1e308, 1.7e308)
 
     def test_degenerate_is_legal(self):
         iv = Interval(3.5, 3.5)
@@ -43,23 +47,48 @@ class TestInterval:
 class TestIntervalTable:
     def test_duplicate_names_rejected(self):
         with pytest.raises(TableError):
-            IntervalTable(("A", "A"), ((Interval(0, 1), Interval(0, 1)),))
+            IntervalTable.from_rows(("A", "A"), ((Interval(0, 1), Interval(0, 1)),))
 
     def test_ragged_rows_rejected(self):
-        with pytest.raises(TableError):
-            IntervalTable(("A", "B"), ((Interval(0, 1),),))
+        with pytest.raises(TableError, match="row 0 has 1 cells, expected 2"):
+            IntervalTable.from_rows(("A", "B"), ((Interval(0, 1),),))
 
     def test_empty_rejected(self):
         with pytest.raises(TableError):
-            IntervalTable(("A",), ())
+            IntervalTable.from_rows(("A",), ())
 
     def test_unknown_response_rejected(self):
         with pytest.raises(TableError):
-            IntervalTable(("A",), ((Interval(0, 1),),), response_name="Z")
+            IntervalTable.from_rows(("A",), ((Interval(0, 1),),), response_name="Z")
 
     def test_response_needs_a_predictor(self):
         with pytest.raises(TableError):
-            IntervalTable(("A",), ((Interval(0, 1),),), response_name="A")
+            IntervalTable.from_rows(("A",), ((Interval(0, 1),),), response_name="A")
+
+    def test_bad_cell_names_variable_and_row(self):
+        lower = np.array([[0.0, 1.0], [3.0, 2.0], [0.0, np.nan]])
+        upper = np.array([[1.0, 2.0], [3.0, 1.0], [1.0, 1.0]])
+        with pytest.raises(IntervalOrderError, match=r"variable 'B', row 1: .*exceeds"):
+            IntervalTable(("A", "B"), lower, upper)
+
+    @pytest.mark.parametrize("lo, hi", [(1e308, 1.7e308), (-1e308, 1e308)])
+    def test_overflowing_midpoint_or_half_range_names_variable_and_row(self, lo, hi):
+        lower = np.array([[0.0, 1.0], [lo, 2.0]])
+        upper = np.array([[1.0, 2.0], [hi, 3.0]])
+        with pytest.raises(TableError, match=r"variable 'A', row 1: .*overflows"):
+            IntervalTable(("A", "B"), lower, upper)
+
+    def test_endpoint_shapes_checked(self):
+        with pytest.raises(TableError, match="shape"):
+            IntervalTable(("A", "B"), np.zeros((3, 2)), np.zeros((3, 1)))
+
+    def test_endpoints_are_read_only_copies(self):
+        lower, upper = np.zeros((2, 2)), np.ones((2, 2))
+        table = IntervalTable(("A", "B"), lower, upper)
+        lower[0, 0] = -5.0
+        assert table.lower[0, 0] == 0.0
+        with pytest.raises(ValueError):
+            table.upper[0, 0] = 9.0
 
     def test_predictor_names_keep_order(self, cardio):
         assert cardio.predictor_names == ("Systolic", "Diastolic")
@@ -67,11 +96,18 @@ class TestIntervalTable:
     def test_take_selects_rows(self, cardio):
         sub = cardio.take([2, 0])
         assert sub.n_rows == 2
-        assert sub.rows[0] == cardio.rows[2]
-        assert sub.rows[1] == cardio.rows[0]
+        assert np.array_equal(sub.lower, cardio.lower[[2, 0]])
+        assert np.array_equal(sub.upper, cardio.upper[[2, 0]])
 
 
 class TestCenterRange:
+    def test_design_picks_component(self, cardio):
+        view = to_center_range(cardio)
+        X, y = view.design("center")
+        assert X is view.centers_X and y is view.centers_y
+        X, y = view.design("range")
+        assert X is view.halfranges_X and y is view.halfranges_y
+
     def test_cardio_first_row(self, cardio):
         view = to_center_range(cardio)
         assert view.centers_y[0] == 56.0
@@ -85,7 +121,7 @@ class TestCenterRange:
         rows = tuple(
             (Interval(v, v), Interval(2 * v, 2 * v)) for v in (1.0, 2.0, 3.0)
         )
-        table = IntervalTable(("Y", "X1"), rows, response_name="Y")
+        table = IntervalTable.from_rows(("Y", "X1"), rows, response_name="Y")
         view = to_center_range(table)
         assert np.array_equal(view.centers_y, [1.0, 2.0, 3.0])
         assert np.array_equal(view.halfranges_y, np.zeros(3))
@@ -100,7 +136,7 @@ class TestCenterRange:
             tuple(Interval(lo[i, j], hi[i, j]) for j in range(3))
             for i in range(20)
         )
-        table = IntervalTable(("Y", "X1", "X2"), rows, response_name="Y")
+        table = IntervalTable.from_rows(("Y", "X1", "X2"), rows, response_name="Y")
         view = to_center_range(table)
         x_lo, x_hi = predictor_bounds(table)
         assert np.array_equal(view.centers_X - view.halfranges_X, x_lo)
@@ -123,20 +159,19 @@ class TestAggregateClassic:
     def test_singleton_group(self):
         out = aggregate_classic(["g", "v"], [["a", "3.5"]], "g")
         assert out.n_rows == 1
-        assert out.rows[0][0] == Interval(3.5, 3.5)
+        assert (out.lower[0, 0], out.upper[0, 0]) == (3.5, 3.5)
 
     def test_min_max_over_group(self):
         rows = [["s", "1"], ["s", "10"], ["s", "3"]]
         out = aggregate_classic(["g", "fold"], rows, "g")
-        assert out.rows[0][0] == Interval(1, 10)
+        assert (out.lower[0, 0], out.upper[0, 0]) == (1, 10)
 
     def test_rows_ordered_by_first_appearance(self):
         rows = [["b", "1"], ["a", "2"], ["b", "3"], ["c", "4"], ["a", "5"]]
         out = aggregate_classic(["g", "v"], rows, "g")
         assert out.n_rows == 3
-        assert out.rows[0][0] == Interval(1, 3)   # b
-        assert out.rows[1][0] == Interval(2, 5)   # a
-        assert out.rows[2][0] == Interval(4, 4)   # c
+        assert out.lower[:, 0].tolist() == [1, 2, 4]   # b, a, c
+        assert out.upper[:, 0].tolist() == [3, 5, 4]
 
     def test_matches_brute_force_on_random_tables(self):
         rng = np.random.default_rng(23)
@@ -154,14 +189,14 @@ class TestAggregateClassic:
             for r, key in enumerate(seen):
                 grp = vals[[i for i in range(n) if keys[i] == key]]
                 for c in range(3):
-                    assert out.rows[r][c] == Interval(grp[:, c].min(), grp[:, c].max())
+                    assert out.lower[r, c] == grp[:, c].min()
+                    assert out.upper[r, c] == grp[:, c].max()
 
     def test_output_intervals_ordered(self):
         rng = np.random.default_rng(5)
         rows = [[str(rng.integers(3)), repr(float(rng.normal()))] for _ in range(40)]
         out = aggregate_classic(["k", "v"], rows, "k")
-        for row in out.rows:
-            assert row[0].lower <= row[0].upper
+        assert np.all(out.lower <= out.upper)
 
     def test_unknown_concept_column(self):
         with pytest.raises(TableError, match="concept"):
@@ -187,7 +222,8 @@ class TestIntervalCsv:
         table = read_interval_csv(path)
         assert table.variable_names == ("Y", "X1")
         assert table.n_rows == 1
-        assert table.rows[0] == (Interval(44, 68), Interval(90, 100))
+        assert table.lower.tolist() == [[44, 90]]
+        assert table.upper.tolist() == [[68, 100]]
 
     def test_reversed_bounds_error_names_row_and_column(self, tmp_path):
         path = tmp_path / "t.csv"
@@ -219,6 +255,31 @@ class TestIntervalCsv:
         with pytest.raises(CsvFormatError, match="non-numeric"):
             read_interval_csv(path)
 
+    @pytest.mark.parametrize("cell", ["nan,2", "1,inf"])
+    def test_non_finite_cell_names_variable_and_row(self, tmp_path, cell):
+        path = tmp_path / "t.csv"
+        path.write_text(f"Y_lo,Y_hi,X_lo,X_hi\n1,2,3,4\n1,2,{cell}\n")
+        with pytest.raises(CsvFormatError, match=r"'X', row 2: .*finite"):
+            read_interval_csv(path)
+
+    def test_overflowing_cell_names_variable_and_row(self, tmp_path):
+        path = tmp_path / "t.csv"
+        path.write_text("Y_lo,Y_hi,X_lo,X_hi\n1,2,3,4\n1,2,1e308,1.7e308\n")
+        with pytest.raises(CsvFormatError, match=r"t.csv: variable 'X', row 2: .*overflows"):
+            read_interval_csv(path)
+
+    def test_first_faulty_record_wins(self, tmp_path):
+        path = tmp_path / "t.csv"
+        path.write_text("Y_lo,Y_hi,X_lo,X_hi\n2,1,3,4\n1,2,oops,4\n")
+        with pytest.raises(IntervalOrderError, match=r"'Y', row 1: lower bound 2.0"):
+            read_interval_csv(path)
+
+    def test_blank_lines_count_in_record_numbers(self, tmp_path):
+        path = tmp_path / "t.csv"
+        path.write_text("Y_lo,Y_hi,X_lo,X_hi\n1,2,3,4\n\n,,,\n1,2,4,3\n")
+        with pytest.raises(IntervalOrderError, match=r"'X', row 4: lower bound 4.0"):
+            read_interval_csv(path)
+
     def test_round_trip_preserves_everything(self, tmp_path):
         rng = np.random.default_rng(3)
         for i in range(5):
@@ -226,11 +287,11 @@ class TestIntervalCsv:
             path = tmp_path / f"t{i}.csv"
             write_interval_csv(table, path)
             back = read_interval_csv(path, response="Y")
-            assert back == table
+            assert_same_table(back, table)
 
     def test_cardio_file_matches_fixture(self):
         table = read_interval_csv(DATA_DIR / "cardio.csv", response="Pulse")
-        assert table == make_cardio_table()
+        assert_same_table(table, make_cardio_table())
 
 
 def test_read_classic_csv(tmp_path):
