@@ -257,11 +257,13 @@ def _cmd_path(args) -> int:
 
 
 def _cmd_aggregate(args) -> int:
-    columns, rows = tables.read_classic_csv(args.input)
+    columns, rows, numbers = tables.read_classic_csv(args.input)
     value_columns = None
     if args.columns is not None:
         value_columns = [c.strip() for c in args.columns.split(",") if c.strip()]
-    result = tables.aggregate_classic(columns, rows, args.concept, value_columns)
+    result = tables.aggregate_classic(
+        columns, rows, args.concept, value_columns, source=(args.input, numbers)
+    )
     tables.write_interval_csv(result, args.output)
     print(f"aggregated {len(rows)} rows into {result.n_rows} concept rows")
     return 0

@@ -86,11 +86,11 @@ class MethodSpec:
         if self.penalty not in PENALTIES:
             raise ValueError(f"penalty must be one of {PENALTIES}, got {self.penalty!r}")
         if self.penalty == "none":
-            if self.lambda_center != 0.0 or self.lambda_range is not None:
-                raise ValueError("lambda is only meaningful with a penalty")
-            if self.alpha is not None:
-                raise ValueError("alpha is only meaningful for the elastic net")
+            if self.lambda_center != 0.0 or self.lambda_range is not None or self.alpha is not None:
+                raise ValueError(f"method {self.name!r} takes no penalty parameters")
             return
+        if self.penalty != "elastic_net" and self.alpha is not None:
+            raise ValueError(f"method {self.name!r} does not take alpha")
         if not (isfinite(self.lambda_center) and self.lambda_center >= 0.0):
             raise ValueError(f"lambda_center must be >= 0, got {self.lambda_center}")
         if self.lambda_range is not None:
@@ -103,8 +103,6 @@ class MethodSpec:
                 raise ValueError("elastic net needs alpha")
             if not (0.0 <= self.alpha <= 1.0):
                 raise ValueError(f"alpha must lie in [0, 1], got {self.alpha}")
-        elif self.alpha is not None:
-            raise ValueError("alpha is only meaningful for the elastic net")
 
     @classmethod
     def from_name(
@@ -121,12 +119,6 @@ class MethodSpec:
             raise ValueError(
                 f"unknown method {name!r}; choose from {', '.join(METHOD_NAMES)}"
             ) from None
-        if penalty == "none":
-            if lambda_center != 0.0 or lambda_range is not None or alpha is not None:
-                raise ValueError(f"method {name!r} takes no penalty parameters")
-            return cls(family)
-        if penalty != "elastic_net" and alpha is not None:
-            raise ValueError(f"method {name!r} does not take alpha")
         return cls(family, penalty, lambda_center, lambda_range, alpha)
 
     @property
@@ -346,8 +338,8 @@ def fit(
 # Prediction
 # ---------------------------------------------------------------------------
 
-def _align(table: IntervalTable, model: FittedModel) -> IntervalTable:
-    """Reduce a table to the model's predictors, in model order."""
+def _align(table: IntervalTable, model: FittedModel) -> tuple[np.ndarray, np.ndarray]:
+    """Lower and upper endpoint matrices of the model's predictors, in model order."""
     available = set(table.variable_names)
     for name in model.predictor_names:
         if name not in available:
@@ -358,7 +350,7 @@ def _align(table: IntervalTable, model: FittedModel) -> IntervalTable:
             f"input has unexpected columns: {', '.join(sorted(extras))}"
         )
     idx = [table.variable_names.index(n) for n in model.predictor_names]
-    return IntervalTable(model.predictor_names, table.lower[:, idx], table.upper[:, idx])
+    return np.take(table.lower, idx, axis=1), np.take(table.upper, idx, axis=1)
 
 
 def predict(model: FittedModel, table: IntervalTable) -> IntervalPrediction:
@@ -368,8 +360,7 @@ def predict(model: FittedModel, table: IntervalTable) -> IntervalPrediction:
     matching the model is allowed and ignored).  No endpoint clamping is
     performed.
     """
-    aligned = _align(table, model)
-    X_lo, X_hi = aligned.lower, aligned.upper
+    X_lo, X_hi = _align(table, model)
     if model.spec.family == "cm":
         lower = predict_linear(model.center_coeffs, X_lo)
         upper = predict_linear(model.center_coeffs, X_hi)

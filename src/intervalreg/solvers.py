@@ -22,8 +22,8 @@ in the common convention that divides the squared loss by 2n corresponds
 to ``2 * n * lambda`` here for the L1 term and ``n * lambda`` for the L2
 term.
 
-Linear systems are solved by an in-house Cholesky factorization so that
-rank deficiency is reported with the offending pivot.
+Linear systems are solved by LAPACK's Cholesky factorization; a
+rank-deficient Gram matrix is reported with its first failing pivot.
 """
 
 from __future__ import annotations
@@ -162,29 +162,33 @@ class CoefficientSet:
 def solve_spd(gram: np.ndarray, rhs: np.ndarray) -> np.ndarray:
     """Solve ``gram @ x = rhs`` for a symmetric positive definite matrix.
 
-    Cholesky factorization; a pivot below ``PIVOT_RTOL`` times the largest
-    diagonal entry raises :class:`SingularDesign` with the pivot index.
+    LAPACK Cholesky factorization; the first pivot (``diag(L)**2``) not above
+    ``PIVOT_RTOL`` times the largest diagonal entry raises :class:`SingularDesign`.
     """
     g = np.asarray(gram, dtype=float)
-    rhs = np.asarray(rhs, dtype=float)
-    k = g.shape[0]
-    threshold = PIVOT_RTOL * float(np.max(np.diag(g))) if k else 0.0
-    L = np.zeros_like(g)
-    for j in range(k):
-        pivot = g[j, j] - L[j, :j] @ L[j, :j]
-        if not pivot > threshold:
-            raise SingularDesign(j, float(pivot))
-        L[j, j] = math.sqrt(pivot)
-        if j + 1 < k:
-            L[j + 1 :, j] = (g[j + 1 :, j] - L[j + 1 :, :j] @ L[j, :j]) / L[j, j]
-    # forward then backward substitution
-    z = np.zeros(k)
-    for i in range(k):
-        z[i] = (rhs[i] - L[i, :i] @ z[:i]) / L[i, i]
-    x = np.zeros(k)
-    for i in range(k - 1, -1, -1):
-        x[i] = (z[i] - L[i + 1 :, i] @ x[i + 1 :]) / L[i, i]
-    return x
+    threshold = PIVOT_RTOL * float(np.max(np.diag(g))) if len(g) else 0.0
+    try:
+        L = np.linalg.cholesky(g)
+    except np.linalg.LinAlgError:
+        raise _failed_pivot(g, threshold) from None
+    bad = np.flatnonzero(~(np.diag(L) ** 2 > threshold))
+    if bad.size:
+        raise SingularDesign(int(bad[0]), float(L[bad[0], bad[0]] ** 2))
+    return np.linalg.solve(L.T, np.linalg.solve(L, rhs))
+
+
+def _failed_pivot(g: np.ndarray, threshold: float) -> SingularDesign:
+    """The pivot LAPACK stopped at without naming it: pivot m ends the leading
+    (m+1)-block, so factor growing blocks until one fails or ends too small."""
+    L = g[:0, :0]
+    for m in range(len(g)):  # the last block is ``g`` itself, which fails
+        try:
+            L = np.linalg.cholesky(g[: m + 1, : m + 1])
+        except np.linalg.LinAlgError:  # pivot m is the Schur complement
+            w = np.linalg.solve(L, g[:m, m]) if m else g[:0, m]
+            return SingularDesign(m, float(g[m, m] - w @ w))
+        if not L[m, m] ** 2 > threshold:
+            return SingularDesign(m, float(L[m, m] ** 2))
 
 
 def _standardize(X: np.ndarray, scale: bool) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -252,7 +256,7 @@ def coordinate_descent(
     tol: float,
     max_iter: int,
     beta0: np.ndarray | None = None,
-) -> tuple[np.ndarray, bool, int, list[float]]:
+) -> tuple[np.ndarray, bool, int]:
     """Cyclic coordinate descent for the centered, slope-only problem.
 
     Minimizes ``sum((yc - Xs b)^2) + lam*(alpha*sum|b| + (1-alpha)*sum b^2)``
@@ -274,9 +278,8 @@ def coordinate_descent(
     conditioned problems to a handful of sweeps.  Convergence is still
     certified only by a full cycle within ``tol``.
 
-    Returns ``(beta, converged, n_sweeps, objective_history)``; the
-    history holds the objective after each sweep (full or narrowed) and
-    is non-increasing.
+    Returns ``(beta, converged, n_sweeps)``.  Sweeps never raise the
+    objective; it is evaluated only to accept or reject a restricted solve.
     """
     p = Xs.shape[1]
     beta = np.zeros(p) if beta0 is None else np.asarray(beta0, dtype=float).copy()
@@ -336,7 +339,6 @@ def coordinate_descent(
         return True
 
     everything = range(p)
-    history: list[float] = []
     converged = False
     sweeps = 0
     while sweeps < max_iter:
@@ -344,7 +346,6 @@ def coordinate_descent(
         max_delta = sweep(everything)
         if not math.isfinite(max_delta):
             raise NonFiniteEncountered(f"coordinate descent diverged at sweep {sweeps}")
-        history.append(objective())
         if max_delta <= tol:
             converged = True
             break
@@ -358,7 +359,6 @@ def coordinate_descent(
                 raise NonFiniteEncountered(
                     f"coordinate descent diverged at sweep {sweeps}"
                 )
-            history.append(objective())
             if max_delta <= tol:
                 break
             new_active = np.flatnonzero(beta)
@@ -366,7 +366,7 @@ def coordinate_descent(
                 active = new_active
                 if len(active):
                     try_restricted_solve(active)
-    return beta, converged, sweeps, history
+    return beta, converged, sweeps
 
 
 def fit_elastic_net(
@@ -399,7 +399,7 @@ def fit_elastic_net(
                 f"warm start has {warm_start.p} coefficients, problem has {problem.p}"
             )
         beta0 = warm_start.betas * scales  # back to the standardized scale
-    beta_std, converged, sweeps, _ = coordinate_descent(
+    beta_std, converged, sweeps = coordinate_descent(
         Xs, yc, penalty.lam, penalty.alpha, tol, max_iter, beta0=beta0
     )
     if not np.isfinite(beta_std).all():

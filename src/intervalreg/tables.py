@@ -265,6 +265,7 @@ def aggregate_classic(
     rows: Sequence[Sequence],
     concept: str,
     value_columns: Sequence[str] | None = None,
+    source: tuple[str, Sequence[int]] | None = None,
 ) -> IntervalTable:
     """Group a classic (single-valued) table and summarize columns as intervals.
 
@@ -278,6 +279,8 @@ def aggregate_classic(
     rows : cell grid; value-column cells must parse as decimal numbers.
     concept : name of the grouping column (string or numeric values).
     value_columns : columns to aggregate; defaults to all except ``concept``.
+    source : ``(path, record numbers)`` from :func:`read_classic_csv`; row
+        errors then name the file and record, not the 0-based row index.
     """
     columns = list(columns)
     if concept not in columns:
@@ -293,17 +296,19 @@ def aggregate_classic(
     if not rows:
         raise TableError("classic table is empty")
 
+    path, numbers = source or (None, range(len(rows)))
+    at = "" if path is None else f"{path}: "
     value_idx = [columns.index(c) for c in value_columns]
     k, cells, values = _parse_grid(rows, len(columns), value_idx)
     bad = _first(~np.isfinite(values))
     if bad is not None:
         i, c = bad
-        cell = cells[i, value_idx[c]]
+        cell, where = cells[i, value_idx[c]], f"column {value_columns[c]!r}, row {numbers[i]}"
         if _float_or_none(cell) is None:
-            raise TableError(f"non-numeric cell in column {value_columns[c]!r}, row {i}: {cell!r}")
-        raise TableError(f"non-finite cell in column {value_columns[c]!r}, row {i}")
+            raise TableError(f"{at}non-numeric cell in {where}: {cell!r}")
+        raise TableError(f"{at}non-finite cell in {where}")
     if k < len(rows):
-        raise TableError(f"row {k} has {len(rows[k])} cells, expected {len(columns)}")
+        raise TableError(f"{at}row {numbers[k]} has {len(rows[k])} cells, expected {len(columns)}")
 
     groups: dict = {}  # concept value -> output row, in order of first appearance
     group = [groups.setdefault(key, len(groups)) for key in cells[:, columns.index(concept)]]
@@ -338,6 +343,19 @@ def _parse_header(header: Sequence[str]) -> tuple[list[str], list[int], list[int
     return list(seen), [s[0] for s in seen.values()], [s[1] for s in seen.values()]
 
 
+def _read_records(path) -> tuple[list[str], np.ndarray, list[list[str]]]:
+    """Header, numbers and cells of a CSV file's non-blank records; records are
+    numbered from 1 after the header, counting the skipped blank ones."""
+    with open(path, newline="", encoding="utf-8") as fh:
+        reader = csv.reader(fh)
+        header = next(reader, None)
+        if header is None:
+            raise CsvFormatError(f"{path}: file is empty")
+        records = list(reader)
+    keep = [any(map(str.strip, rec)) for rec in records]
+    return header, np.flatnonzero(keep) + 1, [rec for rec, k in zip(records, keep) if k]
+
+
 def read_interval_csv(path, response: str | None = None) -> IntervalTable:
     """Read an interval table from a `_lo`/`_hi` paired CSV file.
 
@@ -345,16 +363,10 @@ def read_interval_csv(path, response: str | None = None) -> IntervalTable:
     inputs may leave it unset.  Errors name the first faulty record by its
     number after the header, counting the blank records that are skipped.
     """
-    with open(path, newline="", encoding="utf-8") as fh:
-        reader = csv.reader(fh)
-        header = next(reader, None)
-        if header is None:
-            raise CsvFormatError(f"{path}: file is empty")
-        order, lo_cols, hi_cols = _parse_header(header)
-        numbered = [(n, rec) for n, rec in enumerate(reader, start=1) if any(map(str.strip, rec))]
-    if not numbered:
+    header, linenos, records = _read_records(path)
+    order, lo_cols, hi_cols = _parse_header(header)
+    if not records:
         raise CsvFormatError(f"{path}: no data rows")
-    linenos, records = zip(*numbered)
     k, cells, values = _parse_grid(records, len(header), lo_cols + hi_cols)
     lower, upper = np.hsplit(values, 2)
     bad = _first_bad_cell(lower, upper)
@@ -387,12 +399,8 @@ def write_interval_csv(table: IntervalTable, path) -> None:
         writer.writerows(pairs.tolist())
 
 
-def read_classic_csv(path) -> tuple[list[str], list[list[str]]]:
-    """Read a classic CSV as (header, raw string rows); parsing happens later."""
-    with open(path, newline="", encoding="utf-8") as fh:
-        reader = csv.reader(fh)
-        header = next(reader, None)
-        if header is None:
-            raise CsvFormatError(f"{path}: file is empty")
-        rows = [rec for rec in reader if any(map(str.strip, rec))]
-    return [c.strip() for c in header], rows
+def read_classic_csv(path) -> tuple[list[str], list[list[str]], np.ndarray]:
+    """Read a classic CSV as (header, raw string rows, their record numbers);
+    parsing happens later, in :func:`aggregate_classic`."""
+    header, numbers, rows = _read_records(path)
+    return [c.strip() for c in header], rows, numbers

@@ -327,6 +327,23 @@ class TestAggregateCommand:
         assert [float(v) for v in rows[1]] == [1.0, 10.0, 0.5, 0.75]
         assert [float(v) for v in rows[2]] == [2.0, 3.0, 0.25, 0.5]
 
+    def test_errors_name_the_file_and_record(self, capsys, tmp_path):
+        classic = tmp_path / "classic.csv"
+        classic.write_text("k,v,w\na,1,2\n\nb,x,3\n")
+        code, _, err = run(
+            capsys, "aggregate", "--input", str(classic), "--concept", "k",
+            "--output", str(tmp_path / "x.csv"),
+        )
+        assert code == 1
+        assert err == f"error: {classic}: non-numeric cell in column 'v', row 3: 'x'\n"
+        classic.write_text("k,v,w\na,1,2\n\nb,3\n")
+        code, _, err = run(
+            capsys, "aggregate", "--input", str(classic), "--concept", "k",
+            "--output", str(tmp_path / "x.csv"),
+        )
+        assert code == 1
+        assert err == f"error: {classic}: row 3 has 2 cells, expected 3\n"
+
     def test_unknown_concept_exits_1(self, capsys, tmp_path):
         classic = tmp_path / "classic.csv"
         classic.write_text("state,v\nAK,1\n")

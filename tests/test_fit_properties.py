@@ -1,0 +1,117 @@
+"""Property tests of fitting, serialization, prediction repair and CV."""
+
+import numpy as np
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from intervalreg import (
+    IntervalPrediction,
+    IntervalTable,
+    MethodSpec,
+    cross_validate,
+    deserialize,
+    fit,
+    serialize,
+    swap_violations,
+)
+from intervalreg.models import METHOD_NAMES
+
+from conftest import random_interval_table
+
+SETTINGS = settings(max_examples=25, deadline=None)
+
+
+@st.composite
+def fitting_problems(draw):
+    """A random table with signal and a spec of any method that can fit it."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    p = draw(st.integers(1, 4))
+    table = random_interval_table(rng, draw(st.integers(p + 3, 25)), p)
+    name = draw(st.sampled_from(sorted(METHOD_NAMES)))
+    if METHOD_NAMES[name][1] == "none":
+        return table, MethodSpec.from_name(name)
+    lam = draw(st.floats(0.01, 20.0))
+    alpha = draw(st.floats(0.1, 0.9)) if name.startswith("net") else None
+    return table, MethodSpec.from_name(name, lam, None, alpha)
+
+
+def coefficients(model):
+    parts = [model.center_coeffs]
+    if model.range_coeffs is not None:
+        parts.append(model.range_coeffs)
+    return np.concatenate([[c.intercept, *c.betas] for c in parts])
+
+
+def close(a, b):
+    return np.allclose(a, b, rtol=1e-6, atol=1e-8)
+
+
+@SETTINGS
+@given(fitting_problems(), st.data())
+def test_fit_is_invariant_to_row_order(problem, data):
+    table, spec = problem
+    perm = data.draw(st.permutations(range(table.n_rows)))
+    a = fit(table, spec, tol=1e-10)
+    b = fit(table.take(perm), spec, tol=1e-10)
+    assert close(coefficients(a), coefficients(b))
+
+
+@SETTINGS
+@given(fitting_problems(), st.floats(-100.0, 100.0))
+def test_shifting_the_response_moves_only_the_center_intercept(problem, shift):
+    table, spec = problem
+    y = table.variable_names.index(table.response_name)
+    offset = np.zeros(len(table.variable_names))
+    offset[y] = shift
+    shifted = IntervalTable(
+        table.variable_names, table.lower + offset, table.upper + offset, table.response_name
+    )
+    a = fit(table, spec, tol=1e-10)
+    b = fit(shifted, spec, tol=1e-10)
+    moved = coefficients(a)
+    moved[0] += shift
+    assert close(coefficients(b), moved)
+
+
+@SETTINGS
+@given(fitting_problems())
+def test_serialize_then_deserialize_is_the_identity(problem):
+    model = fit(*problem)
+    text = serialize(model)
+    back = deserialize(text)
+    assert serialize(back) == text
+    assert back.spec == model.spec
+    assert back.predictor_names == model.predictor_names
+    assert back.response_name == model.response_name
+    assert back.empty_support == model.empty_support
+    assert coefficients(back).tobytes() == coefficients(model).tobytes()
+
+
+FINITE = st.floats(-1e300, 1e300, allow_nan=False)
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.lists(st.tuples(FINITE, FINITE), min_size=1, max_size=20))
+def test_swap_violations_is_idempotent(pairs):
+    lower, upper = np.array(pairs).T
+    once = swap_violations(IntervalPrediction.from_bounds(lower, upper))
+    twice = swap_violations(once)
+    assert once.ordering_violations == twice.ordering_violations == 0
+    assert twice.lower.tobytes() == once.lower.tobytes()
+    assert twice.upper.tobytes() == once.upper.tobytes()
+
+
+@settings(max_examples=10, deadline=None)
+@given(
+    st.integers(0, 2**32 - 1),
+    st.sampled_from(["ridge-crm", "lasso-cm", "net-crm"]),
+    st.integers(0, 2**16),
+)
+def test_cross_validation_is_deterministic_given_its_seed(table_seed, name, seed):
+    table = random_interval_table(np.random.default_rng(table_seed), 15, 3)
+    spec = MethodSpec.from_name(name, 1.0, None, 0.5 if name.startswith("net") else None)
+    a, b = (cross_validate(table, spec, k=3, seed=seed, n_points=8) for _ in range(2))
+    assert a.grid.values == b.grid.values
+    assert a.mean_loss.tobytes() == b.mean_loss.tobytes()
+    assert a.std_error.tobytes() == b.std_error.tobytes()
+    assert (a.lambda_min, a.lambda_1se, a.nonzero) == (b.lambda_min, b.lambda_1se, b.nonzero)

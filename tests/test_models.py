@@ -53,8 +53,10 @@ class TestMethodSpec:
         assert (spec.family, spec.penalty, spec.alpha) == ("crm", "elastic_net", 0.4)
         with pytest.raises(ValueError):
             MethodSpec.from_name("pls")
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match=r"^method 'cm' takes no penalty parameters$"):
             MethodSpec.from_name("cm", 1.0)
+        with pytest.raises(ValueError, match=r"^method 'lasso-cm' does not take alpha$"):
+            MethodSpec.from_name("lasso-cm", -1.0, None, 0.5)
 
 
 class TestCenterMethod:

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from intervalreg.solvers import (
+    PIVOT_RTOL,
     CoefficientSet,
     DesignProblem,
     PenaltySpec,
@@ -23,6 +24,20 @@ def standardized(X, y):
     scales = np.sqrt((Xc**2).mean(axis=0))
     scales = np.where(scales == 0, 1.0, scales)
     return Xc / scales, y - y.mean()
+
+
+def reference_singular_pivot(gram):
+    """Index of the first pivot an unblocked Cholesky loop rejects, or None."""
+    k = gram.shape[0]
+    threshold = PIVOT_RTOL * np.max(np.diag(gram))
+    L = np.zeros_like(gram)
+    for j in range(k):
+        pivot = gram[j, j] - L[j, :j] @ L[j, :j]
+        if not pivot > threshold:
+            return j
+        L[j, j] = np.sqrt(pivot)
+        L[j + 1 :, j] = (gram[j + 1 :, j] - L[j + 1 :, :j] @ L[j, :j]) / L[j, j]
+    return None
 
 
 def kkt_violations(problem, coeffs, lam, alpha):
@@ -134,6 +149,43 @@ class TestSolveSpd:
     def test_zero_matrix_is_singular(self):
         with pytest.raises(SingularDesign):
             solve_spd(np.zeros((2, 2)), np.zeros(2))
+
+    def test_pivot_index_matches_an_unblocked_cholesky_loop(self):
+        rng = np.random.default_rng(21)
+        for _ in range(300):
+            k = int(rng.integers(1, 9))
+            A = rng.normal(size=(int(rng.integers(1, 12)), k)) * rng.uniform(0.1, 10.0, size=k)
+            for j in np.flatnonzero(rng.random(k) < 0.3):  # exact linear dependencies
+                A[:, j] = A[:, :j] @ rng.integers(-2, 3, size=j) if j else 0.0
+            gram = A.T @ A
+            want = reference_singular_pivot(gram)
+            if want is None:
+                x = solve_spd(gram, np.ones(k))
+                assert np.allclose(gram @ x, np.ones(k), rtol=1e-6, atol=1e-6)
+                continue
+            with pytest.raises(SingularDesign) as err:
+                solve_spd(gram, np.ones(k))
+            assert err.value.pivot_index == want
+
+    def test_repeated_column_fails_at_its_second_copy(self):
+        rng = np.random.default_rng(8)
+        a, b, c = rng.normal(size=(3, 7))
+        A = np.column_stack([a, b, a, c])
+        with pytest.raises(SingularDesign) as err:
+            solve_spd(A.T @ A, np.ones(4))
+        assert err.value.pivot_index == 2
+
+    def test_negative_pivot_reports_index_and_value(self):
+        with pytest.raises(SingularDesign) as err:
+            solve_spd(np.array([[1.0, 2.0], [2.0, 1.0]]), np.ones(2))
+        assert err.value.pivot_index == 1
+        assert err.value.pivot == pytest.approx(-3.0, rel=1e-12)
+
+    def test_tiny_positive_pivot_is_below_the_relative_threshold(self):
+        with pytest.raises(SingularDesign) as err:
+            solve_spd(np.diag([1.0, 1e-13, 2.0]), np.ones(3))
+        assert err.value.pivot_index == 1
+        assert err.value.pivot == pytest.approx(1e-13, rel=1e-12)
 
 
 class TestRidge:
@@ -252,7 +304,15 @@ class TestElasticNet:
             Xs, yc = standardized(X, y)
             lam = float(rng.uniform(0.0, 30.0))
             alpha = float(rng.uniform(0.0, 1.0))
-            _, _, _, history = coordinate_descent(Xs, yc, lam, alpha, 1e-9, 5000)
+            _, _, n_sweeps = coordinate_descent(Xs, yc, lam, alpha, 1e-9, 5000)
+            # the iterate after k sweeps is the one returned with max_iter=k
+            history = []
+            for k in range(1, n_sweeps + 1):
+                beta, _, _ = coordinate_descent(Xs, yc, lam, alpha, 1e-9, k)
+                history.append(
+                    np.sum((yc - Xs @ beta) ** 2)
+                    + lam * (alpha * np.abs(beta).sum() + (1.0 - alpha) * beta @ beta)
+                )
             diffs = np.diff(np.asarray(history))
             assert np.all(diffs <= 1e-9 * max(abs(history[0]), 1.0))
 

@@ -297,6 +297,7 @@ class TestIntervalCsv:
 def test_read_classic_csv(tmp_path):
     path = tmp_path / "c.csv"
     path.write_text("state,v\nAK,1.5\nAL,2.5\n\n")
-    columns, rows = read_classic_csv(path)
+    columns, rows, numbers = read_classic_csv(path)
     assert columns == ["state", "v"]
     assert rows == [["AK", "1.5"], ["AL", "2.5"]]
+    assert numbers.tolist() == [1, 2]
