@@ -9,6 +9,7 @@ evaluation indexes, and classic-table aggregation.
 from .metrics import EvalReport, ZeroVariance, evaluate, format_report, report_csv_row
 from .models import (
     FittedModel,
+    GridFit,
     IntervalPrediction,
     MethodSpec,
     ModelFormatError,
@@ -16,6 +17,7 @@ from .models import (
     VersionMismatch,
     deserialize,
     fit,
+    fit_grid,
     predict,
     serialize,
     swap_violations,
@@ -41,6 +43,7 @@ from .solvers import (
     fit_elastic_net,
     fit_ols,
     fit_ridge,
+    fit_ridge_path,
     predict_linear,
 )
 from .tables import (

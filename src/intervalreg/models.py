@@ -19,6 +19,7 @@ repaired (see :func:`swap_violations` for the opt-in fix).
 
 from __future__ import annotations
 
+from collections.abc import Sequence
 from dataclasses import dataclass
 from math import isfinite
 
@@ -30,10 +31,10 @@ from .solvers import (
     PenaltySpec,
     fit_elastic_net,
     fit_ols,
-    fit_ridge,
+    fit_ridge_path,
     predict_linear,
 )
-from .tables import IntervalTable, to_center_range
+from .tables import CenterRangeView, IntervalTable, to_center_range
 
 FAMILIES = ("cm", "crm")
 PENALTIES = ("none", "ridge", "lasso", "elastic_net")
@@ -225,48 +226,58 @@ def swap_violations(prediction: IntervalPrediction) -> IntervalPrediction:
 # Fitting
 # ---------------------------------------------------------------------------
 
-def _fit_design(
+def fit_design(
     X: np.ndarray,
     y: np.ndarray,
     spec: MethodSpec,
-    lam: float,
-    tol: float,
-    max_iter: int,
-    standardize: bool,
+    lams: Sequence[float],
+    tol: float = 1e-7,
+    max_iter: int = 100_000,
+    standardize: bool = True,
     column_mask: np.ndarray | None = None,
     warm: CoefficientSet | None = None,
-) -> CoefficientSet:
-    """Fit one design with the spec's solver, optionally on a column subset.
+) -> list[CoefficientSet]:
+    """Fit one design with the spec's solver at each weight of a descending grid.
 
-    Columns outside ``column_mask`` get a coefficient of exactly 0.0.
-    ``warm`` seeds coordinate descent from a previous fit of the same
-    design (closed-form solvers ignore it).
+    Ridge solves every weight from one Gram matrix; lasso and elastic-net
+    fits warm-start coordinate descent down the grid, the first one from
+    ``warm`` (a previous fit of the same design); an unpenalized spec gets
+    its one least-squares fit at every weight.  Columns outside
+    ``column_mask`` get a coefficient of exactly 0.0.
     """
     p = X.shape[1]
     if column_mask is None:
         column_mask = np.ones(p, dtype=bool)
     if not column_mask.any():
-        return CoefficientSet(float(np.mean(y)), np.zeros(p))
-    Xsub = X[:, column_mask]
-    problem = DesignProblem(Xsub, y)
+        return [CoefficientSet(float(np.mean(y)), np.zeros(p)) for _ in lams]
+    problem = DesignProblem(X[:, column_mask], y)
     if spec.penalty == "none":
-        sub = fit_ols(problem)
+        subs = [fit_ols(problem)] * len(lams)
     elif spec.penalty == "ridge":
-        sub = fit_ridge(problem, lam, standardize=standardize)
+        subs = fit_ridge_path(problem, lams, standardize=standardize)
     else:
-        warm_sub = None
+        subs = []
+        previous = None
         if warm is not None and warm.p == p:
-            warm_sub = CoefficientSet(warm.intercept, warm.betas[column_mask])
-        sub = fit_elastic_net(
-            problem,
-            PenaltySpec(lam, spec.effective_alpha),
-            tol=tol,
-            max_iter=max_iter,
-            standardize=standardize,
-            warm_start=warm_sub,
-        )
+            previous = CoefficientSet(warm.intercept, warm.betas[column_mask])
+        for lam in lams:
+            previous = fit_elastic_net(
+                problem,
+                PenaltySpec(lam, spec.effective_alpha),
+                tol=tol,
+                max_iter=max_iter,
+                standardize=standardize,
+                warm_start=previous,
+            )
+            subs.append(previous)
     if column_mask.all():
-        return sub
+        return subs
+    return [_scatter(sub, column_mask) for sub in subs]
+
+
+def _scatter(sub: CoefficientSet, column_mask: np.ndarray) -> CoefficientSet:
+    """Coefficients of a column-subset fit on the full predictor set (0.0 elsewhere)."""
+    p = column_mask.shape[0]
     betas = np.zeros(p)
     betas[column_mask] = sub.betas
     means = scales = None
@@ -279,6 +290,105 @@ def _fit_design(
         sub.intercept, betas, means=means, scales=scales,
         converged=sub.converged, n_sweeps=sub.n_sweeps,
     )
+
+
+def _range_masks(
+    spec: MethodSpec, halfranges_X: np.ndarray, centers: Sequence[CoefficientSet]
+) -> list[np.ndarray]:
+    """Columns the half-range regression may use, one mask per center fit.
+
+    Constant half-range columns carry no range signal and would make the
+    unpenalized Gram singular (degenerate intervals).  Under lasso and
+    elastic net the range support is also nested in the center support.
+    """
+    informative = np.ptp(halfranges_X, axis=0) > 0.0
+    if not spec.selects_variables:
+        return [informative] * len(centers)
+    return [c.support() & informative for c in centers]
+
+
+@dataclass(frozen=True, eq=False)
+class GridFit:
+    """One method's coefficients at every weight of a penalty grid.
+
+    ``centers`` holds the midpoint fits and ``ranges`` the half-range fits
+    (``None`` for cm families), one per grid weight.
+    """
+
+    centers: tuple[CoefficientSet, ...]
+    ranges: tuple[CoefficientSet, ...] | None = None
+
+    def predict_bounds(
+        self, X_lo: np.ndarray, X_hi: np.ndarray
+    ) -> tuple[np.ndarray, np.ndarray]:
+        """Predicted (lower, upper) endpoints, ``(m, k)`` for k grid weights.
+
+        The same rule as :func:`predict`, with one matrix product per
+        endpoint (cm) or per design (crm) covering the whole grid.
+        """
+        b0, B = _stack(self.centers)
+        if self.ranges is None:
+            return b0 + X_lo @ B, b0 + X_hi @ B
+        r0, R = _stack(self.ranges)
+        y_center = b0 + ((X_lo + X_hi) / 2.0) @ B
+        y_range = r0 + ((X_hi - X_lo) / 2.0) @ R
+        return y_center - y_range, y_center + y_range
+
+
+def _stack(coeffs: Sequence[CoefficientSet]) -> tuple[np.ndarray, np.ndarray]:
+    """Intercepts ``(k,)`` and slopes ``(p, k)`` of k coefficient sets."""
+    return (
+        np.array([c.intercept for c in coeffs]),
+        np.column_stack([c.betas for c in coeffs]),
+    )
+
+
+def fit_grid(
+    view: CenterRangeView,
+    spec: MethodSpec,
+    lambdas: Sequence[float],
+    range_lambdas: Sequence[float] | None = None,
+    tol: float = 1e-7,
+    max_iter: int = 100_000,
+    standardize: bool = True,
+    warm_start: FittedModel | None = None,
+) -> GridFit:
+    """Fit a method at every weight of a descending penalty grid.
+
+    The midpoint regression is fitted at each of ``lambdas``; for crm the
+    half-range regression at each of ``range_lambdas`` (default: the same
+    weights), on the predictors with non-constant half-ranges and, under
+    lasso / elastic net, in the center support at that weight.  Only the
+    spec's family, penalty and alpha are used.  Every design is
+    built once: ridge solves all weights from one Gram matrix, and
+    lasso / elastic-net fits are warm-started down the grid, the first
+    from ``warm_start`` (a model fit on the same predictors).
+    """
+    if range_lambdas is None:
+        range_lambdas = lambdas
+    warm_center = warm_range = None
+    if warm_start is not None and warm_start.predictor_names == view.predictor_names:
+        warm_center = warm_start.center_coeffs
+        warm_range = warm_start.range_coeffs
+    centers = fit_design(
+        view.centers_X, view.centers_y, spec, lambdas,
+        tol, max_iter, standardize, warm=warm_center,
+    )
+    if spec.family == "cm":
+        return GridFit(tuple(centers))
+    masks = _range_masks(spec, view.halfranges_X, centers)
+    ranges: list[CoefficientSet] = []
+    start = 0
+    for i in range(1, len(masks) + 1):  # one fit_design per run of equal masks
+        if i < len(masks) and np.array_equal(masks[i], masks[start]):
+            continue
+        ranges += fit_design(
+            view.halfranges_X, view.halfranges_y, spec, range_lambdas[start:i],
+            tol, max_iter, standardize, column_mask=masks[start],
+            warm=ranges[-1] if ranges else warm_range,
+        )
+        start = i
+    return GridFit(tuple(centers), tuple(ranges))
 
 
 def fit(
@@ -295,6 +405,8 @@ def fit(
     penalized fits; it has no effect on unpenalized ones.  ``warm_start``
     seeds coordinate descent from another model fit on the same table
     (same family), which speeds fits along a descending penalty grid.
+    This is :func:`fit_grid` at the one point ``(lambda_center,
+    lambda_range)``.
     """
     view = to_center_range(table)
     n, p = view.centers_X.shape
@@ -302,35 +414,16 @@ def fit(
         raise ValueError(
             f"unpenalized fit needs more rows than free parameters: n={n}, p+1={p + 1}"
         )
-    warm_center = warm_range = None
-    if warm_start is not None and warm_start.predictor_names == view.predictor_names:
-        warm_center = warm_start.center_coeffs
-        warm_range = warm_start.range_coeffs
-    center = _fit_design(
-        view.centers_X, view.centers_y, spec, spec.lambda_center,
-        tol, max_iter, standardize, warm=warm_center,
+    fits = fit_grid(
+        view, spec, (spec.lambda_center,), (spec.effective_lambda_range,),
+        tol, max_iter, standardize, warm_start,
     )
+    center = fits.centers[0]
     if spec.family == "cm":
-        return FittedModel(
-            spec, view.predictor_names, table.response_name, center
-        )
-
-    # half-range regression; constant columns carry no range signal and
-    # would make the unpenalized Gram singular (degenerate intervals)
-    informative = np.ptp(view.halfranges_X, axis=0) > 0.0
-    empty_support = False
-    if spec.selects_variables:
-        mask = center.support() & informative
-        empty_support = not center.support().any()
-    else:
-        mask = informative
-    rng = _fit_design(
-        view.halfranges_X, view.halfranges_y, spec, spec.effective_lambda_range,
-        tol, max_iter, standardize, column_mask=mask, warm=warm_range,
-    )
+        return FittedModel(spec, view.predictor_names, table.response_name, center)
     return FittedModel(
-        spec, view.predictor_names, table.response_name, center, rng,
-        empty_support=empty_support,
+        spec, view.predictor_names, table.response_name, center, fits.ranges[0],
+        empty_support=spec.selects_variables and not center.support().any(),
     )
 
 
@@ -370,14 +463,6 @@ def predict(model: FittedModel, table: IntervalTable) -> IntervalPrediction:
     y_center = predict_linear(model.center_coeffs, centers)
     y_range = predict_linear(model.range_coeffs, halfranges)
     return IntervalPrediction.from_bounds(y_center - y_range, y_center + y_range)
-
-
-def predict_components(
-    model: FittedModel, table: IntervalTable
-) -> tuple[np.ndarray, np.ndarray]:
-    """Predicted (midpoint, half-range) pairs, for component-wise scoring."""
-    pred = predict(model, table)
-    return (pred.lower + pred.upper) / 2.0, (pred.upper - pred.lower) / 2.0
 
 
 # ---------------------------------------------------------------------------

@@ -2,11 +2,16 @@
 
 Cross-validation shuffles row indices with a seeded PCG64 generator
 (``numpy.random.default_rng``), so a fixed seed makes the whole
-procedure reproducible.  The held-out loss is the mean of squared lower
-and upper endpoint errors, ``(RMSE_L^2 + RMSE_U^2) / 2``; for
-center-and-range methods one shared lambda drives both the midpoint and
-the half-range fit (independent range selection is available through
-``component="range"``).
+procedure reproducible.  Each fold fits the whole lambda grid once from
+its training rows (:func:`~intervalreg.models.fit_grid`) and scores
+every lambda on its held-out rows with one matrix product per endpoint.
+The held-out loss is the mean of squared lower and upper endpoint
+errors, ``(RMSE_L^2 + RMSE_U^2) / 2``; for center-and-range methods one
+shared lambda drives both the midpoint and the half-range fit
+(independent range selection is available through
+``component="range"``).  Coefficient paths fit one design along the
+grid with the same routine as the folds
+(:func:`~intervalreg.models.fit_design`).
 """
 
 from __future__ import annotations
@@ -16,23 +21,9 @@ from math import isfinite, sqrt
 
 import numpy as np
 
-from .models import (
-    FittedModel,
-    MethodSpec,
-    fit,
-    predict,
-    predict_components,
-)
-from .solvers import (
-    SUPPORT_TOL,
-    CoefficientSet,
-    DesignProblem,
-    PenaltySpec,
-    fit_elastic_net,
-    fit_ridge,
-    lasso_lambda_max,
-)
-from .tables import IntervalTable, response_bounds, to_center_range
+from .models import GridFit, MethodSpec, fit_design, fit_grid
+from .solvers import SUPPORT_TOL, lasso_lambda_max
+from .tables import IntervalTable, predictor_bounds, response_bounds, to_center_range
 
 COMPONENTS = ("interval", "center", "range")
 
@@ -110,25 +101,17 @@ class CvResult:
             raise ValueError("lambda_1se must be >= lambda_min")
 
 
-def _spec_with_lambda(spec: MethodSpec, lam: float) -> MethodSpec:
-    return MethodSpec(
-        spec.family, spec.penalty, lambda_center=lam, lambda_range=None,
-        alpha=spec.alpha,
-    )
-
-
-def _holdout_loss(
-    model: FittedModel, test: IntervalTable, component: str
-) -> float:
-    y_lo, y_hi = response_bounds(test)
+def _fold_losses(fits: GridFit, test: IntervalTable, component: str) -> np.ndarray:
+    """Held-out loss of every grid weight on one fold's test rows."""
+    lower, upper = fits.predict_bounds(*predictor_bounds(test))
+    y_lo, y_hi = (v[:, None] for v in response_bounds(test))
     if component == "interval":
-        pred = predict(model, test)
-        return float(np.mean(((y_lo - pred.lower) ** 2 + (y_hi - pred.upper) ** 2) / 2.0))
-    y_center, y_range = (y_lo + y_hi) / 2.0, (y_hi - y_lo) / 2.0
-    p_center, p_range = predict_components(model, test)
-    if component == "center":
-        return float(np.mean((y_center - p_center) ** 2))
-    return float(np.mean((y_range - p_range) ** 2))
+        loss = ((y_lo - lower) ** 2 + (y_hi - upper) ** 2) / 2.0
+    elif component == "center":
+        loss = ((y_lo + y_hi) / 2.0 - (lower + upper) / 2.0) ** 2
+    else:
+        loss = ((y_hi - y_lo) / 2.0 - (upper - lower) / 2.0) ** 2
+    return loss.mean(axis=0)
 
 
 def cross_validate(
@@ -145,10 +128,15 @@ def cross_validate(
     """k-fold cross-validation of the penalty weight for one method.
 
     Rows are shuffled by a generator seeded with ``seed`` and split into k
-    near-equal folds; each grid lambda is fit on k-1 folds and scored on
-    the held-out one.  ``k=None`` means 10 folds, reduced to n on small
-    tables.  ``lambda_min`` minimizes the mean loss and ``lambda_1se`` is
-    the largest lambda within one standard error of that minimum.
+    near-equal folds.  Each fold builds its training view once and fits
+    the whole grid from it with :func:`~intervalreg.models.fit_grid`
+    (ridge: one Gram matrix; lasso / elastic net: warm-started down the
+    grid), then scores every lambda on its held-out rows with one matrix
+    product per endpoint.  Only the family, penalty and alpha of ``spec``
+    are used; one shared lambda drives the midpoint and half-range fits.
+    ``k=None`` means 10 folds, reduced to n on small tables.
+    ``lambda_min`` minimizes the mean loss and ``lambda_1se`` is the
+    largest lambda within one standard error of that minimum.
     ``component`` switches the held-out loss between the full interval
     (default), midpoints only, or half-ranges only.
     """
@@ -175,16 +163,9 @@ def cross_validate(
             raise ValueError(f"fold {fi} has zero test rows")
         mask = np.ones(n, dtype=bool)
         mask[test_idx] = False
-        train = table.take(np.flatnonzero(mask))
-        test = table.take(test_idx)
-        warm = None  # chained down the descending grid, reset per fold
-        for li, lam in enumerate(grid.values):
-            model = fit(
-                table=train, spec=_spec_with_lambda(spec, lam),
-                tol=tol, max_iter=max_iter, warm_start=warm,
-            )
-            warm = model
-            losses[fi, li] = _holdout_loss(model, test, component)
+        train = to_center_range(table.take(np.flatnonzero(mask)))
+        fits = fit_grid(train, spec, grid.values, tol=tol, max_iter=max_iter)
+        losses[fi] = _fold_losses(fits, table.take(test_idx), component)
 
     mean_loss = losses.mean(axis=0)
     std_error = losses.std(axis=0, ddof=1) / sqrt(k)
@@ -279,9 +260,11 @@ def coefficient_path(
     """Coefficients along a descending grid, warm-started between points.
 
     ``component`` picks the design: midpoints (default) or half-ranges.
-    Each lasso / elastic-net fit starts from the previous (larger-lambda)
-    solution; ridge points use the closed form.  Support restriction does
-    not apply here, the path is the plain per-design solution.
+    The design is fitted by :func:`~intervalreg.models.fit_design`: each
+    lasso / elastic-net fit starts from the previous (larger-lambda)
+    solution, and ridge points share one Gram matrix.  Support
+    restriction does not apply here, the path is the plain per-design
+    solution.
     """
     if spec.penalty == "none":
         raise ValueError("coefficient paths need a penalized method")
@@ -289,20 +272,7 @@ def coefficient_path(
         raise ValueError(f"component must be 'center' or 'range', got {component!r}")
     view = to_center_range(table)
     X, y = view.design(component)
-    problem = DesignProblem(X, y)
-    alpha = spec.effective_alpha
-    intercepts = np.empty(len(grid))
-    coefs = np.empty((len(grid), X.shape[1]))
-    previous: CoefficientSet | None = None
-    for i, lam in enumerate(grid.values):
-        if spec.penalty == "ridge":
-            c = fit_ridge(problem, lam)
-        else:
-            c = fit_elastic_net(
-                problem, PenaltySpec(lam, alpha),
-                tol=tol, max_iter=max_iter, warm_start=previous,
-            )
-            previous = c
-        intercepts[i] = c.intercept
-        coefs[i] = c.betas
+    fits = fit_design(X, y, spec, grid.values, tol=tol, max_iter=max_iter)
+    intercepts = np.array([c.intercept for c in fits])
+    coefs = np.array([c.betas for c in fits])
     return CoefficientPath(grid, intercepts, coefs, view.predictor_names)

@@ -4,7 +4,8 @@ Three fitting routines over a dense design matrix without intercept
 column:
 
 * ``fit_ols``         least squares via the normal equations,
-* ``fit_ridge``       closed form ``(X'X + lambda*I) b = X'y``,
+* ``fit_ridge``       closed form ``(X'X + lambda*I) b = X'y``, for one
+  weight or (``fit_ridge_path``) a grid of weights sharing one ``X'X``,
 * ``fit_elastic_net`` cyclic coordinate descent with soft-thresholding;
   ``alpha=1`` is the lasso, ``alpha=0`` matches ridge.
 
@@ -29,6 +30,7 @@ rank-deficient Gram matrix is reported with its first failing pivot.
 from __future__ import annotations
 
 import math
+from collections.abc import Sequence
 from dataclasses import dataclass
 
 import numpy as np
@@ -50,14 +52,18 @@ class SolverError(Exception):
 
 
 class SingularDesign(SolverError):
-    """Rank-deficient Gram matrix; ``pivot_index`` is the failing column."""
+    """Rank-deficient Gram matrix; ``pivot_index`` is the failing column.
+
+    The message states the broken rule rather than ``pivot``, whose value
+    is rounding noise that differs between LAPACK builds.
+    """
 
     def __init__(self, pivot_index: int, pivot: float):
         self.pivot_index = pivot_index
         self.pivot = pivot
         super().__init__(
             f"Gram matrix is numerically singular at pivot {pivot_index} "
-            f"(value {pivot:.3e})"
+            f"(pivot at most {PIVOT_RTOL:g} of the largest diagonal entry)"
         )
 
 
@@ -231,21 +237,37 @@ def fit_ols(problem: DesignProblem) -> CoefficientSet:
 
 
 def fit_ridge(problem: DesignProblem, lam: float, standardize: bool = True) -> CoefficientSet:
-    """Closed-form ridge with an unpenalized intercept.
+    """Closed-form ridge with an unpenalized intercept, at one weight.
+
+    The one-weight case of :func:`fit_ridge_path`; ``lam=0`` reproduces
+    :func:`fit_ols`.
+    """
+    return fit_ridge_path(problem, (lam,), standardize)[0]
+
+
+def fit_ridge_path(
+    problem: DesignProblem, lams: Sequence[float], standardize: bool = True
+) -> list[CoefficientSet]:
+    """Closed-form ridge at each penalty weight in ``lams``.
 
     Solves ``(Xs'Xs + lam*I) b = Xs'(y - mean(y))`` on centered (and, by
     default, unit-variance) predictors, which is exactly the minimizer of
     the augmented problem with the intercept left out of the penalty.
-    ``lam=0`` reproduces :func:`fit_ols`.
+    The standardization, ``Xs'Xs`` and ``Xs'(y - mean(y))`` are formed
+    once; each weight costs one ``p x p`` solve.
     """
-    if not (math.isfinite(lam) and lam >= 0.0):
-        raise ValueError(f"lambda must be finite and >= 0, got {lam}")
+    for lam in lams:
+        if not (math.isfinite(lam) and lam >= 0.0):
+            raise ValueError(f"lambda must be finite and >= 0, got {lam}")
     Xs, means, scales = _standardize(problem.X, scale=standardize)
     y_mean = problem.y.mean()
-    yc = problem.y - y_mean
-    gram = Xs.T @ Xs + lam * np.eye(problem.p)
-    beta_std = solve_spd(gram, Xs.T @ yc)
-    return _back_transform(beta_std, y_mean, means, scales)
+    gram = Xs.T @ Xs
+    rhs = Xs.T @ (problem.y - y_mean)
+    eye = np.eye(problem.p)
+    return [
+        _back_transform(solve_spd(gram + lam * eye, rhs), y_mean, means, scales)
+        for lam in lams
+    ]
 
 
 def coordinate_descent(

@@ -141,7 +141,10 @@ class TestFit:
             "--response", "Y", "--model-out", str(tmp_path / "m"),
         )
         assert code == 2
-        assert "singular" in err.lower()
+        assert err == (
+            "error: Gram matrix is numerically singular at pivot 2 "
+            "(pivot at most 1e-12 of the largest diagonal entry)\n"
+        )
 
 
 class TestPredictEvaluate:

@@ -11,8 +11,12 @@ from intervalreg import (
     cross_validate,
     deserialize,
     fit,
+    fit_grid,
+    make_lambda_grid,
+    predict,
     serialize,
     swap_violations,
+    to_center_range,
 )
 from intervalreg.models import METHOD_NAMES
 
@@ -85,6 +89,67 @@ def test_serialize_then_deserialize_is_the_identity(problem):
     assert back.response_name == model.response_name
     assert back.empty_support == model.empty_support
     assert coefficients(back).tobytes() == coefficients(model).tobytes()
+
+
+@st.composite
+def degenerate_problems(draw):
+    """A table of single-point cells and a pair of (crm, cm) specs with one penalty."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    p = draw(st.integers(1, 4))
+    table = random_interval_table(rng, draw(st.integers(p + 3, 25)), p)
+    points = (table.lower + table.upper) / 2.0
+    table = IntervalTable(table.variable_names, points, points, table.response_name)
+    name = draw(st.sampled_from(sorted(n for n in METHOD_NAMES if n.endswith("crm"))))
+    if METHOD_NAMES[name][1] == "none":
+        return table, MethodSpec.from_name(name), MethodSpec.from_name("cm")
+    lam = draw(st.floats(0.01, 20.0))
+    alpha = draw(st.floats(0.1, 0.9)) if name.startswith("net") else None
+    cm_name = name[: -len("crm")] + "cm"
+    return (
+        table,
+        MethodSpec.from_name(name, lam, None, alpha),
+        MethodSpec.from_name(cm_name, lam, None, alpha),
+    )
+
+
+@SETTINGS
+@given(degenerate_problems())
+def test_on_degenerate_intervals_crm_predicts_what_cm_predicts(problem):
+    table, crm, cm = problem
+    got = predict(fit(table, crm), table)
+    want = predict(fit(table, cm), table)
+    assert np.array_equal(got.lower, got.upper)
+    assert np.array_equal(got.lower, want.lower)
+    assert np.array_equal(got.upper, want.upper)
+
+
+@st.composite
+def selecting_problems(draw):
+    """A table (possibly wider than tall) and a lasso-crm or net-crm spec."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    p = draw(st.integers(1, 8))
+    table = random_interval_table(rng, draw(st.integers(4, 20)), p)
+    name = draw(st.sampled_from(["lasso-crm", "net-crm"]))
+    alpha = draw(st.floats(0.1, 0.9)) if name == "net-crm" else None
+    return table, MethodSpec.from_name(name, draw(st.floats(0.01, 50.0)), None, alpha)
+
+
+def assert_nested(center, rng):
+    assert not np.any(rng.betas[~center.support()] != 0.0)
+
+
+@SETTINGS
+@given(selecting_problems())
+def test_range_support_is_nested_in_center_support(problem):
+    table, spec = problem
+    model = fit(table, spec)
+    assert_nested(model.center_coeffs, model.range_coeffs)
+    view = to_center_range(table)
+    grid = make_lambda_grid(view.centers_X, view.centers_y, spec.effective_alpha, 12)
+    fits = fit_grid(view, spec, grid.values)
+    assert len(fits.centers) == len(fits.ranges) == len(grid)
+    for center, rng in zip(fits.centers, fits.ranges):
+        assert_nested(center, rng)
 
 
 FINITE = st.floats(-1e300, 1e300, allow_nan=False)

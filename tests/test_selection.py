@@ -2,16 +2,28 @@ import numpy as np
 import pytest
 
 from intervalreg import (
+    IntervalTable,
     LambdaGrid,
     MethodSpec,
     ZeroVarianceResponse,
     alpha_sweep,
     coefficient_path,
     cross_validate,
+    fit,
     make_lambda_grid,
+    predict,
 )
-from intervalreg.solvers import DesignProblem, PenaltySpec, fit_elastic_net, fit_ols
-from intervalreg.tables import to_center_range
+from intervalreg.solvers import (
+    SUPPORT_TOL,
+    DesignProblem,
+    PenaltySpec,
+    SingularDesign,
+    fit_elastic_net,
+    fit_ols,
+    fit_ridge,
+    fit_ridge_path,
+)
+from intervalreg.tables import response_bounds, to_center_range
 
 from conftest import make_cardio_table, random_interval_table
 
@@ -142,6 +154,26 @@ class TestCrossValidate:
                 hits += 1
         assert hits >= 8
 
+    def test_terminal_zero_on_a_duplicated_column_raises_like_fit_ridge(self):
+        base = random_interval_table(np.random.default_rng(50), 20, 3)
+        columns = [0, 1, 2, 0, 3]  # X1 repeated as the fourth predictor
+        table = IntervalTable(
+            ("X1", "X2", "X3", "X4", "Y"),
+            base.lower[:, columns], base.upper[:, columns], response_name="Y",
+        )
+        problem = DesignProblem(*to_center_range(table).design("center"))
+        with pytest.raises(SingularDesign) as want:
+            fit_ridge(problem, 0.0)
+        assert want.value.pivot_index == 3
+        grid = LambdaGrid((10.0, 1.0, 0.1, 0.0))
+        with pytest.raises(SingularDesign) as got:
+            fit_ridge_path(problem, grid.values)
+        assert got.value.pivot_index == want.value.pivot_index
+        for name in ("ridge-cm", "ridge-crm"):
+            with pytest.raises(SingularDesign) as got:
+                cross_validate(table, MethodSpec.from_name(name, 1.0), grid, k=4, seed=0)
+            assert got.value.pivot_index == want.value.pivot_index
+
     def test_component_losses_run(self):
         table = make_cardio_table()
         grid = self.small_grid(table, n=6)
@@ -223,3 +255,75 @@ class TestCoefficientPath:
         assert path.nonzero[0] == 0
         ols = fit_ols(DesignProblem(view.halfranges_X, view.halfranges_y))
         assert np.max(np.abs(path.coefficients[-1] - ols.betas)) <= 1e-2
+
+
+def reference_cross_validate(table, spec, grid, k, seed, component):
+    """The per-(fold, lambda) loop: a warm-started ``fit`` then ``predict`` per weight.
+
+    Kept as a reference for the per-fold grid fit of ``cross_validate``.
+    """
+    n = table.n_rows
+    folds = np.array_split(np.random.default_rng(seed).permutation(n), k)
+    losses = np.empty((k, len(grid)))
+    for fi, test_idx in enumerate(folds):
+        mask = np.ones(n, dtype=bool)
+        mask[test_idx] = False
+        train = table.take(np.flatnonzero(mask))
+        test = table.take(test_idx)
+        y_lo, y_hi = response_bounds(test)
+        warm = None
+        for li, lam in enumerate(grid.values):
+            warm = fit(
+                train,
+                MethodSpec(spec.family, spec.penalty, lambda_center=lam, alpha=spec.alpha),
+                warm_start=warm,
+            )
+            pred = predict(warm, test)
+            if component == "interval":
+                loss = ((y_lo - pred.lower) ** 2 + (y_hi - pred.upper) ** 2) / 2.0
+            elif component == "center":
+                loss = ((y_lo + y_hi) / 2.0 - (pred.lower + pred.upper) / 2.0) ** 2
+            else:
+                loss = ((y_hi - y_lo) / 2.0 - (pred.upper - pred.lower) / 2.0) ** 2
+            losses[fi, li] = np.mean(loss)
+    # nonzero counts: the old per-weight path of the whole table's design
+    problem = DesignProblem(*to_center_range(table).design(component))
+    nonzero, previous = [], None
+    for lam in grid.values:
+        if spec.penalty == "ridge":
+            c = fit_ridge(problem, lam)
+        else:
+            c = previous = fit_elastic_net(
+                problem, PenaltySpec(lam, spec.effective_alpha), warm_start=previous
+            )
+        nonzero.append(int(np.sum(np.abs(c.betas) > SUPPORT_TOL)))
+    return losses.mean(axis=0), losses.std(axis=0, ddof=1) / np.sqrt(k), tuple(nonzero)
+
+
+REFERENCE_TABLES = {
+    "cardio": make_cardio_table,
+    "tall": lambda: random_interval_table(np.random.default_rng(48), 40, 5),
+    "wide": lambda: random_interval_table(np.random.default_rng(49), 12, 9),
+}
+
+
+class TestCrossValidateMatchesPerFitLoop:
+    @pytest.mark.parametrize("table_name", sorted(REFERENCE_TABLES))
+    @pytest.mark.parametrize(
+        "name", ["ridge-cm", "lasso-cm", "net-cm", "ridge-crm", "lasso-crm", "net-crm"]
+    )
+    def test_curves_and_choices_match(self, name, table_name):
+        table = REFERENCE_TABLES[table_name]()
+        spec = MethodSpec.from_name(name, 1.0, None, 0.5 if name.startswith("net") else None)
+        for component in ("interval", "center", "range"):
+            got = cross_validate(table, spec, k=5, seed=13, n_points=15, component=component)
+            mean_loss, std_error, nonzero = reference_cross_validate(
+                table, spec, got.grid, 5, 13, component
+            )
+            np.testing.assert_allclose(got.mean_loss, mean_loss, rtol=1e-12, atol=0)
+            np.testing.assert_allclose(got.std_error, std_error, rtol=1e-12, atol=0)
+            i_min = int(np.argmin(mean_loss))
+            i_1se = int(np.flatnonzero(mean_loss <= mean_loss[i_min] + std_error[i_min])[0])
+            assert got.lambda_min == got.grid.values[i_min]
+            assert got.lambda_1se == got.grid.values[i_1se]
+            assert got.nonzero == nonzero

@@ -11,6 +11,7 @@ from intervalreg.solvers import (
     fit_elastic_net,
     fit_ols,
     fit_ridge,
+    fit_ridge_path,
     lasso_lambda_max,
     predict_linear,
     solve_spd,
@@ -235,6 +236,27 @@ class TestRidge:
             predict_linear(a, X_new), predict_linear(b, X_new * D),
             rtol=1e-10, atol=1e-10,
         )
+
+
+    def test_path_matches_one_weight_fits(self):
+        rng = np.random.default_rng(22)
+        X = rng.normal(size=(30, 6)) * rng.uniform(0.1, 10.0, size=6)
+        y = X @ rng.normal(size=6) + rng.normal(size=30)
+        problem = DesignProblem(X, y)
+        lams = np.append(np.geomspace(1e3, 1e-3, 24), 0.0)
+        for standardize in (True, False):
+            path = fit_ridge_path(problem, lams, standardize=standardize)
+            assert len(path) == len(lams)
+            for lam, coeffs in zip(lams, path):
+                one = fit_ridge(problem, lam, standardize=standardize)
+                np.testing.assert_allclose(coeffs.betas, one.betas, rtol=1e-13, atol=0)
+                assert coeffs.intercept == pytest.approx(one.intercept, rel=1e-13, abs=0)
+
+    def test_path_rejects_a_bad_weight(self):
+        problem = DesignProblem(np.eye(3), np.ones(3))
+        for bad in (-1.0, float("inf"), float("nan")):
+            with pytest.raises(ValueError, match="lambda must be finite"):
+                fit_ridge_path(problem, (1.0, bad))
 
 
 class TestElasticNet:
