@@ -114,6 +114,13 @@ def _print_coefficients(model: models.FittedModel) -> None:
               "range model is intercept-only")
 
 
+def _warn_nonconverged(count: int) -> None:
+    if count:
+        print(f"warning: {count} coordinate-descent fit(s) stopped at the sweep "
+              "limit without converging; their last iterates were used",
+              file=sys.stderr)
+
+
 def _cmd_fit(args) -> int:
     table = tables.read_interval_csv(args.train, response=args.response)
     penalty = models.METHOD_NAMES[args.method][1]
@@ -136,6 +143,7 @@ def _cmd_fit(args) -> int:
         if args.seed is None:
             raise CliError("--lambda cv requires an explicit --seed")
         result = selection.cross_validate(table, spec, k=args.folds, seed=args.seed)
+        _warn_nonconverged(result.nonconverged)
         chosen = result.lambda_1se if args.one_se else result.lambda_min
         print(f"lambda selected by {result.folds}-fold cv (seed {args.seed}): "
               f"{chosen:.17g}")
@@ -212,6 +220,7 @@ def _cmd_cv(args) -> int:
                         format(alpha, ".17g"), format(lam, ".17g"),
                         format(loss, ".17g"), format(se, ".17g"), nz,
                     ])
+        _warn_nonconverged(sum(cv.nonconverged for _, cv in sweep.per_alpha))
         print(f"best alpha: {sweep.alpha:.17g}")
         print(f"best lambda: {sweep.lam:.17g}")
         return 0
@@ -230,6 +239,7 @@ def _cmd_cv(args) -> int:
                 format(lam, ".17g"), format(loss, ".17g"),
                 format(se, ".17g"), nz,
             ])
+    _warn_nonconverged(result.nonconverged)
     print(f"lambda_min: {result.lambda_min:.17g}")
     print(f"lambda_1se: {result.lambda_1se:.17g}")
     return 0
@@ -240,9 +250,11 @@ def _cmd_path(args) -> int:
         raise CliError(f"method {args.method!r} has no penalty path")
     table = tables.read_interval_csv(args.train, response=args.response)
     spec = models.MethodSpec.from_name(args.method, 1.0, None, args.alpha)
-    X, y = tables.to_center_range(table).design(args.component)
+    view = tables.to_center_range(table)
+    X, y = view.design(args.component)
     grid = selection.make_lambda_grid(X, y, spec.effective_alpha, args.n_lambdas)
-    path = selection.coefficient_path(table, spec, grid, component=args.component)
+    path = selection.coefficient_path(view, spec, grid, component=args.component)
+    _warn_nonconverged(path.nonconverged)
     with open(args.out, "w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh)
         writer.writerow(["lambda", "intercept", *path.predictor_names])

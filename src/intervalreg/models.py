@@ -318,6 +318,11 @@ class GridFit:
     centers: tuple[CoefficientSet, ...]
     ranges: tuple[CoefficientSet, ...] | None = None
 
+    @property
+    def nonconverged(self) -> int:
+        """Fits that stopped at ``max_iter`` sweeps (``converged=False``)."""
+        return sum(not c.converged for c in (*self.centers, *(self.ranges or ())))
+
     def predict_bounds(
         self, X_lo: np.ndarray, X_hi: np.ndarray
     ) -> tuple[np.ndarray, np.ndarray]:

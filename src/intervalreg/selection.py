@@ -23,7 +23,13 @@ import numpy as np
 
 from .models import GridFit, MethodSpec, fit_design, fit_grid
 from .solvers import SUPPORT_TOL, lasso_lambda_max
-from .tables import IntervalTable, predictor_bounds, response_bounds, to_center_range
+from .tables import (
+    CenterRangeView,
+    IntervalTable,
+    predictor_bounds,
+    response_bounds,
+    to_center_range,
+)
 
 COMPONENTS = ("interval", "center", "range")
 
@@ -83,7 +89,11 @@ def make_lambda_grid(X: np.ndarray, y: np.ndarray, alpha: float, n_points: int =
 
 @dataclass(frozen=True, eq=False)
 class CvResult:
-    """Per-lambda cross-validation curve and the two chosen weights."""
+    """Per-lambda cross-validation curve and the two chosen weights.
+
+    ``nonconverged`` counts the fits that stopped at ``max_iter`` sweeps:
+    the fold fits behind the curve plus the path points behind ``nonzero``.
+    """
 
     grid: LambdaGrid
     mean_loss: np.ndarray
@@ -93,6 +103,7 @@ class CvResult:
     seed: int
     folds: int
     nonzero: tuple[int, ...]
+    nonconverged: int = 0
 
     def __post_init__(self):
         if len(self.mean_loss) != len(self.grid) or len(self.std_error) != len(self.grid):
@@ -149,8 +160,9 @@ def cross_validate(
         k = 10 if n >= 10 else n
     if not 2 <= k <= n:
         raise ValueError(f"need 2 <= k <= n folds, got k={k}, n={n}")
+    view = to_center_range(table)
     if grid is None:
-        X, y = to_center_range(table).design(component)
+        X, y = view.design(component)
         grid = make_lambda_grid(X, y, spec.effective_alpha, n_points)
 
     rng = np.random.default_rng(seed)
@@ -158,6 +170,7 @@ def cross_validate(
     folds = np.array_split(perm, k)
 
     losses = np.empty((k, len(grid)))
+    nonconverged = 0
     for fi, test_idx in enumerate(folds):
         if len(test_idx) == 0:
             raise ValueError(f"fold {fi} has zero test rows")
@@ -165,6 +178,7 @@ def cross_validate(
         mask[test_idx] = False
         train = to_center_range(table.take(np.flatnonzero(mask)))
         fits = fit_grid(train, spec, grid.values, tol=tol, max_iter=max_iter)
+        nonconverged += fits.nonconverged
         losses[fi] = _fold_losses(fits, table.take(test_idx), component)
 
     mean_loss = losses.mean(axis=0)
@@ -177,11 +191,12 @@ def cross_validate(
 
     path_component = "range" if component == "range" else "center"
     path = coefficient_path(
-        table, spec, grid, component=path_component, tol=tol, max_iter=max_iter
+        view, spec, grid, component=path_component, tol=tol, max_iter=max_iter
     )
     return CvResult(
         grid, mean_loss, std_error, lambda_min, lambda_1se,
         seed=seed, folds=k, nonzero=path.nonzero,
+        nonconverged=nonconverged + path.nonconverged,
     )
 
 
@@ -235,12 +250,17 @@ def alpha_sweep(
 
 @dataclass(frozen=True, eq=False)
 class CoefficientPath:
-    """Per-lambda coefficients of one design, on the original predictor scale."""
+    """Per-lambda coefficients of one design, on the original predictor scale.
+
+    ``nonconverged`` counts the points whose fit stopped at ``max_iter``
+    sweeps.
+    """
 
     grid: LambdaGrid
     intercepts: np.ndarray          # (len(grid),)
     coefficients: np.ndarray        # (len(grid), p)
     predictor_names: tuple[str, ...]
+    nonconverged: int = 0
 
     @property
     def nonzero(self) -> tuple[int, ...]:
@@ -250,7 +270,7 @@ class CoefficientPath:
 
 
 def coefficient_path(
-    table: IntervalTable,
+    table: IntervalTable | CenterRangeView,
     spec: MethodSpec,
     grid: LambdaGrid,
     component: str = "center",
@@ -264,15 +284,20 @@ def coefficient_path(
     lasso / elastic-net fit starts from the previous (larger-lambda)
     solution, and ridge points share one Gram matrix.  Support
     restriction does not apply here, the path is the plain per-design
-    solution.
+    solution.  ``table`` may be given as its center/range view
+    (:func:`~intervalreg.tables.to_center_range`) by a caller that
+    already built it.
     """
     if spec.penalty == "none":
         raise ValueError("coefficient paths need a penalized method")
     if component not in ("center", "range"):
         raise ValueError(f"component must be 'center' or 'range', got {component!r}")
-    view = to_center_range(table)
+    view = table if isinstance(table, CenterRangeView) else to_center_range(table)
     X, y = view.design(component)
     fits = fit_design(X, y, spec, grid.values, tol=tol, max_iter=max_iter)
     intercepts = np.array([c.intercept for c in fits])
     coefs = np.array([c.betas for c in fits])
-    return CoefficientPath(grid, intercepts, coefs, view.predictor_names)
+    return CoefficientPath(
+        grid, intercepts, coefs, view.predictor_names,
+        nonconverged=sum(not c.converged for c in fits),
+    )

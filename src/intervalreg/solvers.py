@@ -23,6 +23,12 @@ in the common convention that divides the squared loss by 2n corresponds
 to ``2 * n * lambda`` here for the L1 term and ``n * lambda`` for the L2
 term.
 
+A :class:`DesignProblem` standardizes its design and forms the Gram
+matrix ``Xs'Xs``, ``Xs'yc`` and ``yc'yc`` once per ``standardize``
+setting (:meth:`DesignProblem.standardized`); every ridge weight and
+every coordinate-descent fit of that design reuses them, so a penalty
+grid forms one Gram matrix per design, not one per weight.
+
 Linear systems are solved by LAPACK's Cholesky factorization; a
 rank-deficient Gram matrix is reported with its first failing pivot.
 """
@@ -31,7 +37,8 @@ from __future__ import annotations
 
 import math
 from collections.abc import Sequence
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 
@@ -71,12 +78,32 @@ class NonFiniteEncountered(SolverError):
     """Coordinate descent produced a non-finite value."""
 
 
+class Standardized(NamedTuple):
+    """A design on its standardized scale, with the sums every fit reads.
+
+    ``Xs = (X - means) / scales``, ``yc = y - y_mean``, ``gram = Xs'Xs``,
+    ``q = Xs'yc``, ``y_ss = yc'yc`` and ``gram_diag = diag(gram)``; the
+    arrays are read-only.
+    """
+
+    Xs: np.ndarray
+    means: np.ndarray
+    scales: np.ndarray
+    y_mean: float
+    yc: np.ndarray
+    gram: np.ndarray
+    q: np.ndarray
+    y_ss: float
+    gram_diag: np.ndarray
+
+
 @dataclass(frozen=True, eq=False)
 class DesignProblem:
     """An unweighted regression problem: X (n x p, no intercept column), y (n)."""
 
     X: np.ndarray
     y: np.ndarray
+    _standardized: dict = field(default_factory=dict, init=False, repr=False)
 
     def __post_init__(self):
         X = np.asarray(self.X, dtype=float)
@@ -106,6 +133,28 @@ class DesignProblem:
     @property
     def p(self) -> int:
         return self.X.shape[1]
+
+    def standardized(self, scale: bool = True) -> Standardized:
+        """Centered (and, when ``scale``, unit-variance) design and its Gram.
+
+        Computed on first use for each ``scale`` and cached, so every fit
+        of this problem shares one standardization and one ``Xs'Xs``.
+        """
+        cached = self._standardized.get(scale)
+        if cached is None:
+            Xs, means, scales = _standardize(self.X, scale)
+            y_mean = self.y.mean()
+            yc = self.y - y_mean
+            gram = Xs.T @ Xs
+            cached = Standardized(
+                Xs, means, scales, y_mean, yc, gram, Xs.T @ yc, float(yc @ yc),
+                np.diag(gram).copy(),
+            )
+            for value in cached:
+                if isinstance(value, np.ndarray):
+                    value.flags.writeable = False
+            self._standardized[scale] = cached
+        return cached
 
 
 @dataclass(frozen=True)
@@ -253,26 +302,28 @@ def fit_ridge_path(
     Solves ``(Xs'Xs + lam*I) b = Xs'(y - mean(y))`` on centered (and, by
     default, unit-variance) predictors, which is exactly the minimizer of
     the augmented problem with the intercept left out of the penalty.
-    The standardization, ``Xs'Xs`` and ``Xs'(y - mean(y))`` are formed
-    once; each weight costs one ``p x p`` solve.
+    The standardization, ``Xs'Xs`` and ``Xs'(y - mean(y))`` come from the
+    problem's cache (:meth:`DesignProblem.standardized`); each weight
+    costs one ``p x p`` solve.
     """
     for lam in lams:
         if not (math.isfinite(lam) and lam >= 0.0):
             raise ValueError(f"lambda must be finite and >= 0, got {lam}")
-    Xs, means, scales = _standardize(problem.X, scale=standardize)
-    y_mean = problem.y.mean()
-    gram = Xs.T @ Xs
-    rhs = Xs.T @ (problem.y - y_mean)
+    std = problem.standardized(standardize)
     eye = np.eye(problem.p)
     return [
-        _back_transform(solve_spd(gram + lam * eye, rhs), y_mean, means, scales)
+        _back_transform(
+            solve_spd(std.gram + lam * eye, std.q), std.y_mean, std.means, std.scales
+        )
         for lam in lams
     ]
 
 
 def coordinate_descent(
-    Xs: np.ndarray,
-    yc: np.ndarray,
+    gram: np.ndarray,
+    q: np.ndarray,
+    y_ss: float,
+    gram_diag: np.ndarray,
     lam: float,
     alpha: float,
     tol: float,
@@ -287,9 +338,12 @@ def coordinate_descent(
         b_j <- S(sum_i x_ij r_i^(j), lam*alpha/2) / (sum_i x_ij^2 + lam*(1-alpha))
 
     where ``r^(j)`` is the partial residual excluding j and
-    ``S(z, g) = sign(z) * max(|z| - g, 0)``.  Gradients are maintained
-    through the precomputed Gram matrix, so an untouched coordinate costs
-    O(1); after each full cycle the sweep narrows to the nonzero set
+    ``S(z, g) = sign(z) * max(|z| - g, 0)``.  The design enters only
+    through ``gram = Xs'Xs``, ``q = Xs'yc``, ``y_ss = yc'yc`` and
+    ``gram_diag = diag(gram)``, which the caller forms once per design
+    (:meth:`DesignProblem.standardized`) and shares across a penalty grid.
+    Gradients are maintained through ``gram``, so an untouched coordinate
+    costs O(1); after each full cycle the sweep narrows to the nonzero set
     until it stabilizes, then the full cycle re-checks every coordinate.
     Convergence is a full cycle whose largest coefficient change is at
     most ``tol``.
@@ -303,15 +357,15 @@ def coordinate_descent(
     Returns ``(beta, converged, n_sweeps)``.  Sweeps never raise the
     objective; it is evaluated only to accept or reject a restricted solve.
     """
-    p = Xs.shape[1]
+    p = q.shape[0]
     beta = np.zeros(p) if beta0 is None else np.asarray(beta0, dtype=float).copy()
-    gram = Xs.T @ Xs
-    q = Xs.T @ yc
-    y_ss = float(yc @ yc)
-    denom = np.diag(gram) + lam * (1.0 - alpha)
+    ridge = lam * (1.0 - alpha)
     thresh = lam * alpha / 2.0
     grad = q - gram @ beta  # grad[j] = sum_i x_ij r_i at the current beta
-    gram_diag = np.diag(gram).copy()
+    # the per-coordinate loop reads plain floats and row views, not numpy scalars
+    denom = (gram_diag + ridge).tolist()
+    diag = gram_diag.tolist()
+    rows = list(gram)
 
     def objective() -> float:
         rss = y_ss - 2.0 * float(beta @ q) + float(beta @ (gram @ beta))
@@ -323,17 +377,18 @@ def coordinate_descent(
         nonlocal grad
         max_delta = 0.0
         for j in indices:
-            if denom[j] <= 0.0:
+            dj = denom[j]
+            if dj <= 0.0:
                 continue  # zero-variance column under pure lasso: keep b_j = 0
-            bj = beta[j]
-            rho = grad[j] + gram_diag[j] * bj  # partial residual correlation
+            bj = beta.item(j)
+            rho = grad.item(j) + diag[j] * bj  # partial residual correlation
             if thresh > 0.0:
                 mag = abs(rho) - thresh
-                bnew = math.copysign(mag, rho) / denom[j] if mag > 0.0 else 0.0
+                bnew = math.copysign(mag, rho) / dj if mag > 0.0 else 0.0
             else:
-                bnew = rho / denom[j]
+                bnew = rho / dj
             if bnew != bj:
-                grad -= gram[j] * (bnew - bj)
+                grad -= rows[j] * (bnew - bj)
                 beta[j] = bnew
                 delta = abs(bnew - bj)
                 if delta > max_delta:
@@ -344,7 +399,9 @@ def coordinate_descent(
         """Solve the sign-fixed problem on ``active`` exactly; commit if valid."""
         nonlocal grad
         signs = np.sign(beta[active])
-        sub = gram[np.ix_(active, active)] + lam * (1.0 - alpha) * np.eye(len(active))
+        sub = gram[active][:, active]
+        if ridge != 0.0:
+            sub = sub + ridge * np.eye(len(active))
         try:
             solution = solve_spd(sub, q[active] - thresh * signs)
         except SingularDesign:
@@ -374,9 +431,10 @@ def coordinate_descent(
         active = np.flatnonzero(beta)
         if len(active):
             try_restricted_solve(active)
+        indices = active.tolist()
         while sweeps < max_iter and 0 < len(active) < p:
             sweeps += 1
-            max_delta = sweep(active)
+            max_delta = sweep(indices)
             if not math.isfinite(max_delta):
                 raise NonFiniteEncountered(
                     f"coordinate descent diverged at sweep {sweeps}"
@@ -386,6 +444,7 @@ def coordinate_descent(
             new_active = np.flatnonzero(beta)
             if len(new_active) < len(active):
                 active = new_active
+                indices = active.tolist()
                 if len(active):
                     try_restricted_solve(active)
     return beta, converged, sweeps
@@ -411,23 +470,23 @@ def fit_elastic_net(
         raise ValueError(f"tol must be positive, got {tol}")
     if max_iter < 1:
         raise ValueError(f"max_iter must be >= 1, got {max_iter}")
-    Xs, means, scales = _standardize(problem.X, scale=standardize)
-    y_mean = problem.y.mean()
-    yc = problem.y - y_mean
+    std = problem.standardized(standardize)
     beta0 = None
     if warm_start is not None:
         if warm_start.p != problem.p:
             raise ValueError(
                 f"warm start has {warm_start.p} coefficients, problem has {problem.p}"
             )
-        beta0 = warm_start.betas * scales  # back to the standardized scale
+        beta0 = warm_start.betas * std.scales  # back to the standardized scale
     beta_std, converged, sweeps = coordinate_descent(
-        Xs, yc, penalty.lam, penalty.alpha, tol, max_iter, beta0=beta0
+        std.gram, std.q, std.y_ss, std.gram_diag, penalty.lam, penalty.alpha,
+        tol, max_iter, beta0=beta0,
     )
     if not np.isfinite(beta_std).all():
         raise NonFiniteEncountered("coordinate descent produced non-finite coefficients")
     return _back_transform(
-        beta_std, y_mean, means, scales, converged=converged, n_sweeps=sweeps
+        beta_std, std.y_mean, std.means, std.scales,
+        converged=converged, n_sweeps=sweeps,
     )
 
 

@@ -1,10 +1,12 @@
 import csv
+import functools
 import hashlib
+import re
 
 import numpy as np
 import pytest
 
-from intervalreg import MethodSpec, serialize
+from intervalreg import MethodSpec, selection, serialize
 from intervalreg.cli import main
 from intervalreg.models import FittedModel
 from intervalreg.solvers import CoefficientSet
@@ -310,6 +312,47 @@ class TestPathCommand:
         assert len(rows) == 16
         top = [float(v) for v in rows[1][2:]]
         assert max(abs(v) for v in top) <= 1e-10
+
+
+class TestNonConvergedWarning:
+    """cv, path and fit --lambda cv say so when a fit hit the sweep limit."""
+
+    COMMANDS = {
+        "cv": ["cv", "--method", "lasso-cm", "--folds", "5", "--seed", "3",
+               "--n-lambdas", "12", "--out", "out.csv"],
+        "sweep": ["cv", "--method", "net-cm", "--folds", "5", "--seed", "3",
+                  "--alpha-grid", "0.5,1", "--n-lambdas", "6", "--out", "out.csv"],
+        "path": ["path", "--method", "lasso-cm", "--n-lambdas", "12", "--out", "out.csv"],
+        "fit": ["fit", "--method", "lasso-cm", "--lambda", "cv", "--seed", "7",
+                "--model-out", "out.model"],
+    }
+
+    def run_command(self, capsys, tmp_path, cardio_csv, command):
+        argv = [str(tmp_path / a) if a.startswith("out.") else a
+                for a in self.COMMANDS[command]]
+        return run(capsys, *argv, "--train", str(cardio_csv), "--response", "Pulse")
+
+    @pytest.mark.parametrize("command", ["cv", "sweep", "path", "fit"])
+    def test_one_warning_line_when_a_fit_stops_at_max_iter(
+        self, capsys, monkeypatch, tmp_path, cardio_csv, command
+    ):
+        code, out, err = self.run_command(capsys, tmp_path, cardio_csv, command)
+        assert code == 0 and err == ""
+        for name in ("cross_validate", "coefficient_path"):
+            monkeypatch.setattr(
+                selection, name, functools.partial(getattr(selection, name), max_iter=1)
+            )
+        code, capped_out, err = self.run_command(capsys, tmp_path, cardio_csv, command)
+        assert code == 0
+        lines = err.splitlines()
+        assert len(lines) == 1
+        assert re.fullmatch(
+            r"warning: [1-9]\d* coordinate-descent fit\(s\) stopped at the sweep limit "
+            r"without converging; their last iterates were used", lines[0]
+        )
+        # the same stdout lines, with the capped fits' numbers in them
+        strip = functools.partial(re.sub, r"-?\d[\d.e+-]*", "#")
+        assert strip(capped_out) == strip(out)
 
 
 class TestAggregateCommand:

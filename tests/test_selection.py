@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from intervalreg import models, selection
 from intervalreg import (
     IntervalTable,
     LambdaGrid,
@@ -255,6 +256,84 @@ class TestCoefficientPath:
         assert path.nonzero[0] == 0
         ols = fit_ols(DesignProblem(view.halfranges_X, view.halfranges_y))
         assert np.max(np.abs(path.coefficients[-1] - ols.betas)) <= 1e-2
+
+
+class TestNonConvergedFits:
+    """CV and paths count the coordinate-descent fits that hit ``max_iter``."""
+
+    @staticmethod
+    def record_convergence(monkeypatch):
+        flags = []
+        original = models.fit_elastic_net
+
+        def recording(*args, **kwargs):
+            coeffs = original(*args, **kwargs)
+            flags.append(coeffs.converged)
+            return coeffs
+
+        monkeypatch.setattr(models, "fit_elastic_net", recording)
+        return flags
+
+    @pytest.mark.parametrize("name", ["lasso-cm", "net-crm"])
+    def test_cv_counts_every_fit_stopped_at_max_iter(self, monkeypatch, name):
+        table = random_interval_table(np.random.default_rng(48), 20, 6)
+        spec = MethodSpec.from_name(name, 1.0, None, 0.5 if name == "net-crm" else None)
+        flags = self.record_convergence(monkeypatch)
+        result = cross_validate(table, spec, k=5, seed=1, n_points=12, max_iter=1)
+        assert result.nonconverged == flags.count(False) > 0
+        flags.clear()
+        assert cross_validate(table, spec, k=5, seed=1, n_points=12).nonconverged == 0
+        assert flags and all(flags)
+
+    def test_path_counts_every_point_stopped_at_max_iter(self, monkeypatch):
+        table = random_interval_table(np.random.default_rng(49), 20, 6)
+        view = to_center_range(table)
+        grid = make_lambda_grid(view.centers_X, view.centers_y, 1.0, 12)
+        flags = self.record_convergence(monkeypatch)
+        spec = MethodSpec("cm", "lasso", lambda_center=1.0)
+        path = coefficient_path(table, spec, grid, max_iter=1)
+        assert len(flags) == len(grid)
+        assert path.nonconverged == flags.count(False) > 0
+        assert coefficient_path(table, spec, grid).nonconverged == 0
+        ridge = MethodSpec("cm", "ridge", lambda_center=1.0)
+        assert coefficient_path(table, ridge, grid, max_iter=1).nonconverged == 0
+
+
+class TestViewsBuiltOnce:
+    @staticmethod
+    def count_views(monkeypatch):
+        calls = []
+        original = selection.to_center_range
+
+        def counting(table):
+            calls.append(table.n_rows)
+            return original(table)
+
+        monkeypatch.setattr(selection, "to_center_range", counting)
+        return calls
+
+    def test_cv_builds_one_whole_table_view(self, monkeypatch):
+        table = random_interval_table(np.random.default_rng(50), 15, 4)
+        calls = self.count_views(monkeypatch)
+        spec = MethodSpec("crm", "lasso", lambda_center=1.0)
+        grid = cross_validate(table, spec, k=5, seed=2, n_points=10).grid
+        assert sorted(calls) == [12] * 5 + [15]
+        calls.clear()
+        cross_validate(table, spec, grid, k=5, seed=2)
+        assert sorted(calls) == [12] * 5 + [15]
+
+    def test_path_accepts_the_view_it_would_build(self, monkeypatch):
+        table = random_interval_table(np.random.default_rng(51), 15, 4)
+        view = to_center_range(table)
+        grid = make_lambda_grid(view.halfranges_X, view.halfranges_y, 1.0, 10)
+        spec = MethodSpec("crm", "lasso", lambda_center=1.0)
+        from_table = coefficient_path(table, spec, grid, component="range")
+        calls = self.count_views(monkeypatch)
+        from_view = coefficient_path(view, spec, grid, component="range")
+        assert calls == []
+        assert from_view.coefficients.tobytes() == from_table.coefficients.tobytes()
+        assert from_view.intercepts.tobytes() == from_table.intercepts.tobytes()
+        assert from_view.predictor_names == from_table.predictor_names
 
 
 def reference_cross_validate(table, spec, grid, k, seed, component):

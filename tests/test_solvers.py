@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -7,6 +9,7 @@ from intervalreg.solvers import (
     DesignProblem,
     PenaltySpec,
     SingularDesign,
+    _standardize,
     coordinate_descent,
     fit_elastic_net,
     fit_ols,
@@ -27,6 +30,12 @@ def standardized(X, y):
     return Xc / scales, y - y.mean()
 
 
+def covariance_sums(Xs, yc):
+    """``(gram, q, y_ss, gram_diag)`` of a standardized design, as coordinate_descent takes them."""
+    gram = Xs.T @ Xs
+    return gram, Xs.T @ yc, float(yc @ yc), np.diag(gram).copy()
+
+
 def reference_singular_pivot(gram):
     """Index of the first pivot an unblocked Cholesky loop rejects, or None."""
     k = gram.shape[0]
@@ -39,6 +48,90 @@ def reference_singular_pivot(gram):
         L[j, j] = np.sqrt(pivot)
         L[j + 1 :, j] = (gram[j + 1 :, j] - L[j + 1 :, :j] @ L[j, :j]) / L[j, j]
     return None
+
+
+def reference_coordinate_descent(Xs, yc, lam, alpha, tol, max_iter, beta0=None):
+    """Coordinate descent as it was before the Gram moved into DesignProblem.
+
+    It forms ``Xs'Xs``, ``Xs'yc`` and ``yc'yc`` itself, indexes numpy
+    scalars per coordinate and slices the restricted Gram with ``np.ix_``.
+    """
+    p = Xs.shape[1]
+    beta = np.zeros(p) if beta0 is None else np.asarray(beta0, dtype=float).copy()
+    gram = Xs.T @ Xs
+    q = Xs.T @ yc
+    y_ss = float(yc @ yc)
+    denom = np.diag(gram) + lam * (1.0 - alpha)
+    thresh = lam * alpha / 2.0
+    grad = q - gram @ beta
+    gram_diag = np.diag(gram).copy()
+
+    def objective():
+        rss = y_ss - 2.0 * float(beta @ q) + float(beta @ (gram @ beta))
+        return rss + lam * (
+            alpha * float(np.abs(beta).sum()) + (1.0 - alpha) * float(beta @ beta)
+        )
+
+    def sweep(indices):
+        nonlocal grad
+        max_delta = 0.0
+        for j in indices:
+            if denom[j] <= 0.0:
+                continue
+            bj = beta[j]
+            rho = grad[j] + gram_diag[j] * bj
+            if thresh > 0.0:
+                mag = abs(rho) - thresh
+                bnew = math.copysign(mag, rho) / denom[j] if mag > 0.0 else 0.0
+            else:
+                bnew = rho / denom[j]
+            if bnew != bj:
+                grad -= gram[j] * (bnew - bj)
+                beta[j] = bnew
+                delta = abs(bnew - bj)
+                if delta > max_delta:
+                    max_delta = delta
+        return max_delta
+
+    def try_restricted_solve(active):
+        nonlocal grad
+        signs = np.sign(beta[active])
+        sub = gram[np.ix_(active, active)] + lam * (1.0 - alpha) * np.eye(len(active))
+        try:
+            solution = solve_spd(sub, q[active] - thresh * signs)
+        except SingularDesign:
+            return False
+        if np.any(solution * signs < 0.0):
+            return False
+        before = objective()
+        saved = beta[active].copy()
+        beta[active] = solution
+        if objective() > before:
+            beta[active] = saved
+            return False
+        grad = q - gram @ beta
+        return True
+
+    converged = False
+    sweeps = 0
+    while sweeps < max_iter:
+        sweeps += 1
+        if sweep(range(p)) <= tol:
+            converged = True
+            break
+        active = np.flatnonzero(beta)
+        if len(active):
+            try_restricted_solve(active)
+        while sweeps < max_iter and 0 < len(active) < p:
+            sweeps += 1
+            if sweep(active) <= tol:
+                break
+            new_active = np.flatnonzero(beta)
+            if len(new_active) < len(active):
+                active = new_active
+                if len(active):
+                    try_restricted_solve(active)
+    return beta, converged, sweeps
 
 
 def kkt_violations(problem, coeffs, lam, alpha):
@@ -72,6 +165,59 @@ class TestDesignProblem:
     def test_rejects_shape_mismatch(self):
         with pytest.raises(ValueError):
             DesignProblem(np.ones((3, 2)), np.ones(4))
+
+    @pytest.mark.parametrize("scale", [True, False])
+    def test_standardized_is_a_cached_fresh_standardization(self, scale):
+        rng = np.random.default_rng(23)
+        X = rng.normal(size=(9, 4)) * [1.0, 3.0, 0.1, 0.0]  # last column constant
+        y = rng.normal(size=9)
+        problem = DesignProblem(X, y)
+        std = problem.standardized(scale)
+        assert problem.standardized(scale) is std
+        assert problem.standardized(not scale) is not std
+        Xs, means, scales = _standardize(problem.X, scale)
+        yc = problem.y - problem.y.mean()
+        for got, want in [
+            (std.Xs, Xs), (std.means, means), (std.scales, scales),
+            (std.yc, yc), (std.gram, Xs.T @ Xs), (std.q, Xs.T @ yc),
+            (std.gram_diag, np.diag(Xs.T @ Xs)),
+        ]:
+            assert got.tobytes() == want.tobytes()
+        assert std.y_mean == problem.y.mean()
+        assert std.y_ss == float(yc @ yc)
+
+    def test_standardized_arrays_are_read_only(self):
+        rng = np.random.default_rng(24)
+        std = DesignProblem(rng.normal(size=(6, 3)), rng.normal(size=6)).standardized()
+        for value in std:
+            if isinstance(value, np.ndarray):
+                assert not value.flags.writeable
+                with pytest.raises(ValueError):
+                    value[0] = 1.0
+
+    def test_repeated_fits_on_one_problem_are_identical(self):
+        rng = np.random.default_rng(25)
+        X = rng.normal(size=(8, 12))
+        y = X[:, :3] @ [1.0, -2.0, 0.5] + rng.normal(size=8)
+        problem = DesignProblem(X, y)
+        lams = (5.0, 1.0, 0.0)
+        for standardize in (True, False):
+            first = [fit_elastic_net(problem, PenaltySpec(lam, 0.7), standardize=standardize)
+                     for lam in lams]
+            ridge = fit_ridge_path(problem, lams[:2], standardize=standardize)
+            again = [fit_elastic_net(problem, PenaltySpec(lam, 0.7), standardize=standardize)
+                     for lam in lams]
+            fresh = [fit_elastic_net(DesignProblem(X, y), PenaltySpec(lam, 0.7),
+                                     standardize=standardize) for lam in lams]
+            for a, b, c in zip(first, again, fresh):
+                assert a.betas.tobytes() == b.betas.tobytes() == c.betas.tobytes()
+                assert a.intercept == b.intercept == c.intercept
+                assert a.n_sweeps == b.n_sweeps == c.n_sweeps
+            ridge_again = fit_ridge_path(problem, lams[:2], standardize=standardize)
+            ridge_fresh = fit_ridge_path(DesignProblem(X, y), lams[:2], standardize=standardize)
+            for a, b, c in zip(ridge, ridge_again, ridge_fresh):
+                assert a.betas.tobytes() == b.betas.tobytes() == c.betas.tobytes()
+                assert a.intercept == b.intercept == c.intercept
 
     def test_penalty_spec_bounds(self):
         with pytest.raises(ValueError):
@@ -324,19 +470,49 @@ class TestElasticNet:
             X = rng.normal(size=(25, 6))
             y = rng.normal(size=25)
             Xs, yc = standardized(X, y)
+            sums = covariance_sums(Xs, yc)
             lam = float(rng.uniform(0.0, 30.0))
             alpha = float(rng.uniform(0.0, 1.0))
-            _, _, n_sweeps = coordinate_descent(Xs, yc, lam, alpha, 1e-9, 5000)
+            _, _, n_sweeps = coordinate_descent(*sums, lam, alpha, 1e-9, 5000)
             # the iterate after k sweeps is the one returned with max_iter=k
             history = []
             for k in range(1, n_sweeps + 1):
-                beta, _, _ = coordinate_descent(Xs, yc, lam, alpha, 1e-9, k)
+                beta, _, _ = coordinate_descent(*sums, lam, alpha, 1e-9, k)
                 history.append(
                     np.sum((yc - Xs @ beta) ** 2)
                     + lam * (alpha * np.abs(beta).sum() + (1.0 - alpha) * beta @ beta)
                 )
             diffs = np.diff(np.asarray(history))
             assert np.all(diffs <= 1e-9 * max(abs(history[0]), 1.0))
+
+    def test_matches_the_pre_change_loop_bit_for_bit(self):
+        rng = np.random.default_rng(26)
+        cases = 0
+        for shape in [(8, 14), (10, 15), (30, 6), (12, 4)]:  # p > n and n > p
+            for alpha in (0.0, 0.3, 1.0):
+                for max_iter in (1, 2, 5, 2000):
+                    n, p = shape
+                    X = rng.normal(size=(n, p)) * rng.uniform(0.1, 10.0, size=p)
+                    X[:, rng.integers(p)] = rng.normal()  # a zero-variance column
+                    y = X[:, :3] @ rng.uniform(-2.0, 2.0, size=3) + rng.normal(size=n)
+                    Xs, yc = standardized(X, y)
+                    sums = covariance_sums(Xs, yc)
+                    lam_max = 2.0 * np.max(np.abs(Xs.T @ yc)) / max(alpha, 1e-3)
+                    warm = None
+                    for frac in (1.1, 0.5, 0.1, 0.01, 1e-3, 0.0):
+                        lam = frac * lam_max
+                        for beta0 in (None, warm, rng.normal(size=p)):
+                            want = reference_coordinate_descent(
+                                Xs, yc, lam, alpha, 1e-7, max_iter, beta0=beta0
+                            )
+                            got = coordinate_descent(
+                                *sums, lam, alpha, 1e-7, max_iter, beta0=beta0
+                            )
+                            assert got[0].tobytes() == want[0].tobytes()
+                            assert got[1:] == want[1:]
+                            cases += 1
+                        warm = want[0]
+        assert cases == 4 * 3 * 4 * 6 * 3
 
     def test_penalty_value_non_increasing_in_lambda(self):
         rng = np.random.default_rng(13)
