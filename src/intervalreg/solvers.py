@@ -31,6 +31,9 @@ grid forms one Gram matrix per design, not one per weight.
 
 Linear systems are solved by LAPACK's Cholesky factorization; a
 rank-deficient Gram matrix is reported with its first failing pivot.
+Coordinate descent's restricted solves instead use one eigendecomposition
+per active set and design, which also yields the null vectors it steps
+along on singular sets (:func:`coordinate_descent`).
 """
 
 from __future__ import annotations
@@ -83,7 +86,9 @@ class Standardized(NamedTuple):
 
     ``Xs = (X - means) / scales``, ``yc = y - y_mean``, ``gram = Xs'Xs``,
     ``q = Xs'yc``, ``y_ss = yc'yc`` and ``gram_diag = diag(gram)``; the
-    arrays are read-only.
+    arrays are read-only.  ``factors`` caches the factorizations of the
+    sub-Grams that coordinate descent meets, keyed by active set, for every
+    fit of this design (:func:`coordinate_descent`).
     """
 
     Xs: np.ndarray
@@ -95,6 +100,7 @@ class Standardized(NamedTuple):
     q: np.ndarray
     y_ss: float
     gram_diag: np.ndarray
+    factors: dict
 
 
 @dataclass(frozen=True, eq=False)
@@ -138,7 +144,8 @@ class DesignProblem:
         """Centered (and, when ``scale``, unit-variance) design and its Gram.
 
         Computed on first use for each ``scale`` and cached, so every fit
-        of this problem shares one standardization and one ``Xs'Xs``.
+        of this problem shares one standardization, one ``Xs'Xs`` and the
+        factorizations of its active sets (``factors``).
         """
         cached = self._standardized.get(scale)
         if cached is None:
@@ -148,7 +155,7 @@ class DesignProblem:
             gram = Xs.T @ Xs
             cached = Standardized(
                 Xs, means, scales, y_mean, yc, gram, Xs.T @ yc, float(yc @ yc),
-                np.diag(gram).copy(),
+                np.diag(gram).copy(), {},
             )
             for value in cached:
                 if isinstance(value, np.ndarray):
@@ -329,6 +336,7 @@ def coordinate_descent(
     tol: float,
     max_iter: int,
     beta0: np.ndarray | None = None,
+    factors: dict | None = None,
 ) -> tuple[np.ndarray, bool, int]:
     """Cyclic coordinate descent for the centered, slope-only problem.
 
@@ -346,41 +354,61 @@ def coordinate_descent(
     costs O(1); after each full cycle the sweep narrows to the nonzero set
     until it stabilizes, then the full cycle re-checks every coordinate.
     Convergence is a full cycle whose largest coefficient change is at
-    most ``tol``.
+    most ``tol``.  A coordinate whose column is constant is set to exactly
+    0 when the L1 term is its only penalty (``gram_diag[j] == 0``,
+    ``lam*(1-alpha) == 0 < lam*alpha``), and kept when it is unpenalized.
 
     Once the nonzero set stabilizes, the sign-fixed restricted problem is
-    a plain quadratic; its exact solve is applied whenever it keeps the
-    signs and lowers the objective, which cuts the slow tail of ill-
-    conditioned problems to a handful of sweeps.  Convergence is still
-    certified only by a full cycle within ``tol``.
+    a plain quadratic, which cuts the slow tail of ill-conditioned problems
+    to a handful of sweeps.  Each active set's sub-Gram is factored once,
+    by ``eigh``, into ``factors`` (a dict keyed by the active indices;
+    :func:`fit_elastic_net` passes the design's
+    :attr:`Standardized.factors`, so every weight of a grid shares it); the
+    ridge term only shifts its eigenvalues.  A set is singular when its
+    smallest shifted eigenvalue is at most ``PIVOT_RTOL`` of its largest
+    shifted diagonal entry.  On a nonsingular set the exact solution is
+    committed when it keeps the signs and does not raise the objective.
+    Under an L1 term, a solution that flips signs is a descent direction
+    instead: the sign-fixed objective falls along the segment to it and
+    equals the objective up to the first sign change (the active-set step
+    of Osborne, Presnell & Turlach, IMA J. Numer. Anal. 2000).  On a
+    singular lasso set the quadratic part is flat along the null vector
+    ``v``, so the objective changes along it only through the L1 term,
+    with slope ``lam*alpha * sign(b)'v``, and the descending sign of ``v``
+    is the direction.  Either way the iterate moves until its first
+    coefficient reaches 0, that coefficient is set to exactly 0, and the
+    solve is retried on the smaller set.  A stable singular set in the
+    active-set loop is retried after every sweep, so a fit cannot creep
+    along a null direction.  A lasso solution with at most rank(Xs)
+    nonzeros exists (Tibshirani, "The lasso problem and uniqueness", EJS
+    2013), and these steps reach one.  Convergence is still certified only
+    by a full cycle within ``tol``.
 
     Returns ``(beta, converged, n_sweeps)``.  Sweeps never raise the
-    objective; it is evaluated only to accept or reject a restricted solve.
+    objective; its change is evaluated only to accept or reject a
+    restricted solve or step.
     """
     p = q.shape[0]
     beta = np.zeros(p) if beta0 is None else np.asarray(beta0, dtype=float).copy()
     ridge = lam * (1.0 - alpha)
     thresh = lam * alpha / 2.0
+    null_steps = ridge == 0.0 and thresh > 0.0
+    factors = {} if factors is None else factors
     grad = q - gram @ beta  # grad[j] = sum_i x_ij r_i at the current beta
     # the per-coordinate loop reads plain floats and row views, not numpy scalars
     denom = (gram_diag + ridge).tolist()
     diag = gram_diag.tolist()
     rows = list(gram)
 
-    def objective() -> float:
-        rss = y_ss - 2.0 * float(beta @ q) + float(beta @ (gram @ beta))
-        return rss + lam * (
-            alpha * float(np.abs(beta).sum()) + (1.0 - alpha) * float(beta @ beta)
-        )
-
     def sweep(indices) -> float:
         nonlocal grad
         max_delta = 0.0
         for j in indices:
             dj = denom[j]
-            if dj <= 0.0:
-                continue  # zero-variance column under pure lasso: keep b_j = 0
+            if dj <= 0.0 and thresh == 0.0:
+                continue  # unpenalized zero-variance column: every b_j fits equally well
             bj = beta.item(j)
+            # a zero-variance column has rho = 0, so the L1 term alone sets b_j = 0
             rho = grad.item(j) + diag[j] * bj  # partial residual correlation
             if thresh > 0.0:
                 mag = abs(rho) - thresh
@@ -395,27 +423,89 @@ def coordinate_descent(
                     max_delta = delta
         return max_delta
 
-    def try_restricted_solve(active: np.ndarray) -> bool:
-        """Solve the sign-fixed problem on ``active`` exactly; commit if valid."""
+    def factor(active: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray, float, int]:
+        """``(sub, w, V, top, nullity)``: the active sub-Gram, ``sub = V diag(w) V'``
+        with ``w`` ascending (factored once per active set), its largest
+        diagonal entry, and how many eigenvalues of ``sub + ridge*I`` count
+        as 0 (at most ``PIVOT_RTOL`` of ``top + ridge``)."""
+        key = active.tobytes()
+        found = factors.get(key)
+        if found is None:
+            sub = gram[active][:, active]
+            found = factors[key] = (sub, *np.linalg.eigh(sub), float(np.max(np.diag(sub))))
+        sub, w, V, top = found
+        return sub, w, V, top, int(np.count_nonzero(w + ridge <= PIVOT_RTOL * (top + ridge)))
+
+    def commit(active: np.ndarray, sub: np.ndarray, values: np.ndarray,
+               curvature: float = 0.0) -> bool:
+        """Set ``beta[active] = values`` unless that raises the objective.
+
+        ``values`` keep the signs of ``beta[active]`` or are 0, so the L1
+        term changes by ``signs'step``; the change is formed from the step
+        itself, since the rounding of two whole objective values can exceed
+        a short step's decrease.  A step in a null space, along which the
+        singularity rule counts curvature up to ``curvature`` as 0, may rise
+        by what that curvature allows: ``|Xs step|^2 <= curvature*|step|^2``
+        in the quadratic term and ``2*|Xs step|*|r|`` in the linear one.
+        """
         nonlocal grad
-        signs = np.sign(beta[active])
-        sub = gram[active][:, active]
-        if ridge != 0.0:
-            sub = sub + ridge * np.eye(len(active))
-        try:
-            solution = solve_spd(sub, q[active] - thresh * signs)
-        except SingularDesign:
-            return False
-        if np.any(solution * signs < 0.0):
-            return False
-        before = objective()
-        saved = beta[active].copy()
-        beta[active] = solution
-        if objective() > before:
-            beta[active] = saved
-            return False
+        b = beta[active]
+        step = values - b
+        change = (
+            float(step @ (sub @ step)) - 2.0 * float(step @ grad[active])
+            + 2.0 * thresh * float(np.sign(b) @ step) + ridge * float(step @ (b + values))
+        )
+        if change > 0.0:
+            bound = curvature * float(step @ step)
+            rss = y_ss - float(beta @ q) - float(beta @ grad)
+            if change > bound + 2.0 * math.sqrt(bound * max(rss, 0.0)):
+                return False
+        beta[active] = values
         grad = q - gram @ beta
         return True
+
+    def first_zero(b: np.ndarray, direction: np.ndarray) -> np.ndarray | None:
+        """``b`` moved along ``direction`` until its first coefficient reaches 0,
+        which is set to exactly 0; None if none moves toward 0."""
+        toward = np.flatnonzero(b * direction < 0.0)
+        if not toward.size:
+            return None
+        t = -b[toward] / direction[toward]
+        first = int(np.argmin(t))
+        moved = b + t[first] * direction
+        moved[toward[first]] = 0.0
+        return moved
+
+    def restricted_solve(active: np.ndarray) -> np.ndarray:
+        """Solve the sign-fixed problem on ``active`` exactly; commit if valid.
+
+        Under an L1 term, a solution that flips signs or a singular lasso
+        set gives a descent direction instead: the iterate steps along it to
+        the first zero and the solve is retried on the smaller set.
+        Returns the nonzero set afterwards.
+        """
+        while len(active):
+            sub, w, V, top, nullity = factor(active)
+            b = beta[active]
+            signs = np.sign(b)
+            if not nullity:
+                solution = V @ ((V.T @ (q[active] - thresh * signs)) / (w + ridge))
+                if not np.any(solution * signs < 0.0):
+                    commit(active, sub, solution)
+                    break
+                if thresh == 0.0:
+                    break  # without an L1 term, 0 is no boundary of the problem
+                moved, curvature = first_zero(b, solution - b), 0.0
+            elif null_steps:
+                v = V[:, 0]  # the objective's slope along v is lam*alpha*signs'v
+                moved = first_zero(b, -v if signs @ v > 0.0 else v)
+                curvature = PIVOT_RTOL * top
+            else:
+                break
+            if moved is None or not commit(active, sub, moved, curvature):
+                break
+            active = np.flatnonzero(beta)
+        return active
 
     everything = range(p)
     converged = False
@@ -428,9 +518,7 @@ def coordinate_descent(
         if max_delta <= tol:
             converged = True
             break
-        active = np.flatnonzero(beta)
-        if len(active):
-            try_restricted_solve(active)
+        active = restricted_solve(np.flatnonzero(beta))
         indices = active.tolist()
         while sweeps < max_iter and 0 < len(active) < p:
             sweeps += 1
@@ -442,12 +530,55 @@ def coordinate_descent(
             if max_delta <= tol:
                 break
             new_active = np.flatnonzero(beta)
-            if len(new_active) < len(active):
-                active = new_active
+            # a shrunk set is solved again, and a stable singular one stepped again
+            if len(new_active) < len(active) or (null_steps and factor(active)[-1]):
+                active = restricted_solve(new_active)
                 indices = active.tolist()
-                if len(active):
-                    try_restricted_solve(active)
     return beta, converged, sweeps
+
+
+def duality_gap(
+    gram: np.ndarray,
+    q: np.ndarray,
+    y_ss: float,
+    beta: np.ndarray,
+    lam: float,
+    alpha: float,
+) -> float:
+    """Duality gap of ``beta`` in :func:`coordinate_descent`'s problem.
+
+    The primal is ``P(b) = |yc - Xs b|^2 + lam*(alpha*|b|_1 + (1-alpha)*|b|^2)``,
+    read from ``gram = Xs'Xs``, ``q = Xs'yc`` and ``y_ss = yc'yc``.  With
+    ``t = lam*alpha/2`` and ``mu = lam*(1-alpha)`` its Fenchel dual is
+
+        D(theta) = y_ss - |yc - theta|^2 - sum_j (|Xs_j'theta| - t)_+^2 / mu,
+
+    which for ``mu = 0`` is the constraint ``max_j |Xs_j'theta| <= t``
+    instead of the sum.  The dual point is the residual ``r = yc - Xs b``,
+    rescaled to be feasible: ``theta = c*r`` with ``c = 1`` when ``mu > 0``
+    and ``c = min(1, t / max_j |Xs_j'r|)`` otherwise (Ndiaye et al., "Gap
+    Safe screening rules for sparsity enforcing penalties", JMLR 2017).
+    ``P(b) - D(theta) >= P(b) - min P >= 0`` up to rounding, and it is 0 at
+    the minimizer; divide by ``P(b)`` for a relative gap.  Without any
+    penalty (``lam = 0``) only ``Xs'r = 0`` is feasible, so the gap is then
+    the residual sum of squares unless ``Xs'r`` is exactly 0.
+    """
+    b = np.asarray(beta, dtype=float)
+    ridge = lam * (1.0 - alpha)
+    thresh = lam * alpha / 2.0
+    gram_b = gram @ b
+    grad = q - gram_b  # Xs'r
+    penalty = lam * (alpha * float(np.abs(b).sum()) + (1.0 - alpha) * float(b @ b))
+    if ridge > 0.0:
+        c = 1.0
+        conjugate = float(np.sum(np.maximum(np.abs(grad) - thresh, 0.0) ** 2)) / ridge
+    else:
+        top = float(np.max(np.abs(grad), initial=0.0))
+        c = 1.0 if top <= thresh else thresh / top
+        conjugate = 0.0
+    # P - D expanded so that y_ss cancels exactly where c = 1
+    rss = y_ss - 2.0 * float(q @ b) + float(b @ gram_b)
+    return penalty + conjugate - 2.0 * c * float(b @ grad) + (1.0 - c) ** 2 * rss
 
 
 def fit_elastic_net(
@@ -480,7 +611,7 @@ def fit_elastic_net(
         beta0 = warm_start.betas * std.scales  # back to the standardized scale
     beta_std, converged, sweeps = coordinate_descent(
         std.gram, std.q, std.y_ss, std.gram_diag, penalty.lam, penalty.alpha,
-        tol, max_iter, beta0=beta0,
+        tol, max_iter, beta0=beta0, factors=std.factors,
     )
     if not np.isfinite(beta_std).all():
         raise NonFiniteEncountered("coordinate descent produced non-finite coefficients")
