@@ -54,8 +54,10 @@ from .tables import (
     IntervalTable,
     TableError,
     aggregate_classic,
+    aggregate_classic_csv,
     read_classic_csv,
     read_interval_csv,
+    response_bounds,
     to_center_range,
     write_interval_csv,
 )

@@ -182,7 +182,7 @@ def _cmd_evaluate(args) -> int:
     model = _load_model(args.model)
     table = tables.read_interval_csv(args.test, response=model.response_name)
     pred = models.predict(model, table)
-    report = metrics.evaluate(table.response_intervals(), pred)
+    report = metrics.evaluate(tables.response_bounds(table), pred)
     if args.csv:
         print(metrics.report_csv_row(model.spec.name, report))
     else:
@@ -269,15 +269,12 @@ def _cmd_path(args) -> int:
 
 
 def _cmd_aggregate(args) -> int:
-    columns, rows, numbers = tables.read_classic_csv(args.input)
     value_columns = None
     if args.columns is not None:
         value_columns = [c.strip() for c in args.columns.split(",") if c.strip()]
-    result = tables.aggregate_classic(
-        columns, rows, args.concept, value_columns, source=(args.input, numbers)
-    )
+    result, n_records = tables.aggregate_classic_csv(args.input, args.concept, value_columns)
     tables.write_interval_csv(result, args.output)
-    print(f"aggregated {len(rows)} rows into {result.n_rows} concept rows")
+    print(f"aggregated {n_records} rows into {result.n_rows} concept rows")
     return 0
 
 

@@ -10,12 +10,10 @@ the correlation.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Sequence
 
 import numpy as np
 
 from .models import IntervalPrediction
-from .tables import Interval
 
 
 class ZeroVariance(ValueError):
@@ -48,20 +46,21 @@ def _r_squared(observed: np.ndarray, predicted: np.ndarray, side: str) -> float:
     return min(r * r, 1.0)
 
 
-def evaluate(observed: Sequence[Interval], predicted: IntervalPrediction) -> EvalReport:
+def evaluate(observed: tuple[np.ndarray, np.ndarray], predicted: IntervalPrediction) -> EvalReport:
     """Score predictions against observed intervals.
 
+    ``observed`` is the pair of lower and upper endpoint vectors of the
+    response, as :func:`~intervalreg.tables.response_bounds` returns it.
     Needs at least two rows (the correlations are meaningless on one);
     raises :class:`ZeroVariance` instead of returning a silent NaN when
     an endpoint series is constant.
     """
-    n = len(observed)
+    y_lo, y_hi = (np.asarray(ends, dtype=float) for ends in observed)
+    n = len(y_lo)
     if n != predicted.n:
         raise ValueError(f"{n} observed intervals but {predicted.n} predictions")
     if n < 2:
         raise ValueError("evaluation needs at least two rows")
-    y_lo = np.array([iv.lower for iv in observed])
-    y_hi = np.array([iv.upper for iv in observed])
     return EvalReport(
         rmse_l=_rmse(y_lo, predicted.lower),
         rmse_u=_rmse(y_hi, predicted.upper),

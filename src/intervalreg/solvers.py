@@ -254,8 +254,12 @@ def _failed_pivot(g: np.ndarray, threshold: float) -> SingularDesign:
 
 
 def _standardize(X: np.ndarray, scale: bool) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Center columns; divide by population standard deviation when ``scale``."""
-    means = X.mean(axis=0)
+    """Center columns; divide by population standard deviation when ``scale``.
+
+    A constant column (``max == min``) is centered on its value, so it reads
+    exactly 0 and keeps scale 1 even where its mean rounds off the constant.
+    """
+    means = np.where(X.max(axis=0) == X.min(axis=0), X[0], X.mean(axis=0))
     Xc = X - means
     if scale:
         scales = np.sqrt((Xc**2).mean(axis=0))

@@ -8,13 +8,17 @@ to interval table aggregation, and CSV input/output.
 
 CSV layout: two columns per interval variable, suffixed ``_lo`` and
 ``_hi`` (e.g. ``Y_lo,Y_hi,X1_lo,X1_hi``).  UTF-8, comma separated, one
-header line, decimal point ``.``.
+header line, decimal point ``.``.  The readers parse a well-formed file
+in bulk with ``np.loadtxt`` and fall back to the csv module, record by
+record, for every other file; only that reader raises errors, so they
+name the faulty record.
 """
 
 from __future__ import annotations
 
 import csv
 from dataclasses import dataclass, replace
+from itertools import islice
 from math import isfinite
 from typing import Sequence
 
@@ -174,11 +178,6 @@ class IntervalTable:
         idx = np.asarray(indices, dtype=np.intp)
         return replace(self, lower=self.lower[idx], upper=self.upper[idx])
 
-    def response_intervals(self) -> tuple[Interval, ...]:
-        if self.response_name is None:
-            raise TableError("table has no designated response")
-        return self.column(self.response_name)
-
 
 @dataclass(frozen=True, eq=False)
 class CenterRangeView:
@@ -260,6 +259,32 @@ def _parse_grid(records: Sequence[Sequence], width: int, cols: list[int]):
 # Classic-table aggregation
 # ---------------------------------------------------------------------------
 
+def _value_columns(columns: list[str], concept: str, value_columns) -> list[str]:
+    """The checked value columns of a classic table; all but ``concept`` by default."""
+    if concept not in columns:
+        raise TableError(f"unknown concept column {concept!r}")
+    if value_columns is None:
+        value_columns = [c for c in columns if c != concept]
+    value_columns = list(value_columns)
+    for c in value_columns:
+        if c not in columns:
+            raise TableError(f"unknown value column {c!r}")
+    if not value_columns:
+        raise TableError("no value columns to aggregate")
+    return value_columns
+
+
+def _group_bounds(keys, values: np.ndarray, value_columns: list[str]) -> IntervalTable:
+    """``[min, max]`` of each value column per distinct key, keys in order of first appearance."""
+    groups: dict = {}  # concept value -> output row
+    group = [groups.setdefault(key, len(groups)) for key in keys]
+    lower = np.full((len(groups), len(value_columns)), np.inf)
+    upper = -lower
+    np.minimum.at(lower, group, values)
+    np.maximum.at(upper, group, values)
+    return IntervalTable(tuple(value_columns), lower, upper)
+
+
 def aggregate_classic(
     columns: Sequence[str],
     rows: Sequence[Sequence],
@@ -283,16 +308,7 @@ def aggregate_classic(
         errors then name the file and record, not the 0-based row index.
     """
     columns = list(columns)
-    if concept not in columns:
-        raise TableError(f"unknown concept column {concept!r}")
-    if value_columns is None:
-        value_columns = [c for c in columns if c != concept]
-    value_columns = list(value_columns)
-    for c in value_columns:
-        if c not in columns:
-            raise TableError(f"unknown value column {c!r}")
-    if not value_columns:
-        raise TableError("no value columns to aggregate")
+    value_columns = _value_columns(columns, concept, value_columns)
     if not rows:
         raise TableError("classic table is empty")
 
@@ -309,14 +325,7 @@ def aggregate_classic(
         raise TableError(f"{at}non-finite cell in {where}")
     if k < len(rows):
         raise TableError(f"{at}row {numbers[k]} has {len(rows[k])} cells, expected {len(columns)}")
-
-    groups: dict = {}  # concept value -> output row, in order of first appearance
-    group = [groups.setdefault(key, len(groups)) for key in cells[:, columns.index(concept)]]
-    lower = np.full((len(groups), len(value_columns)), np.inf)
-    upper = -lower
-    np.minimum.at(lower, group, values)
-    np.maximum.at(upper, group, values)
-    return IntervalTable(tuple(value_columns), lower, upper)
+    return _group_bounds(cells[:, columns.index(concept)], values, value_columns)
 
 
 # ---------------------------------------------------------------------------
@@ -356,13 +365,78 @@ def _read_records(path) -> tuple[list[str], np.ndarray, list[list[str]]]:
     return header, np.flatnonzero(keep) + 1, [rec for rec, k in zip(records, keep) if k]
 
 
+#: Characters that leave a file to the exact reader: csv quoting, record ends
+#: other than ``\n``, NUL (which the csv module rejects before Python 3.11), and
+#: ``\x1c``-``\x1f``, which numpy strips around a number as whitespace but
+#: ``float()`` does not.
+_EXACT_ONLY = ('"', "\r", "\0", "\x1c", "\x1d", "\x1e", "\x1f")
+
+
+def _bulk_lines(path) -> list[str]:
+    """Header and body lines of a file that the bulk parse may read.
+
+    Raises OSError or ValueError for a file that cannot be read, has no
+    body line, holds a character of ``_EXACT_ONLY`` or a line longer than
+    the csv module's field limit; the exact reader reads or rejects those.
+    """
+    with open(path, newline="", encoding="utf-8") as fh:
+        text = fh.read()
+    if any(ch in text for ch in _EXACT_ONLY):
+        raise ValueError("not a plain CSV file")
+    lines = text.split("\n")
+    if not lines[-1]:
+        lines.pop()  # the newline that ends the last record
+    if len(lines) < 2 or max(map(len, lines)) > csv.field_size_limit():
+        raise ValueError("no body line, or a line over the field limit")
+    return lines
+
+
+def _bulk_values(lines: list[str], usecols=None) -> np.ndarray:
+    """float64 cells of the body lines in one ``np.loadtxt`` pass.
+
+    Raises ValueError if a used cell does not parse or loadtxt skips a
+    (blank) line.  Without ``usecols``, loadtxt also checks that every line
+    has as many cells as the first.
+    """
+    values = np.loadtxt(
+        lines, delimiter=",", comments=None, skiprows=1, usecols=usecols, ndmin=2
+    )
+    if len(values) != len(lines) - 1:
+        raise ValueError("a blank record")
+    return values
+
+
+def _read_interval_bulk(path, response: str | None) -> IntervalTable:
+    lines = _bulk_lines(path)
+    header = lines[0].split(",")
+    order, lo_cols, hi_cols = _parse_header(header)
+    values = _bulk_values(lines)
+    del lines  # free the text before the table copies the values
+    if values.shape[1] != len(header):
+        raise ValueError("record width differs from the header")
+    return IntervalTable(tuple(order), values[:, lo_cols], values[:, hi_cols], response)
+
+
 def read_interval_csv(path, response: str | None = None) -> IntervalTable:
     """Read an interval table from a `_lo`/`_hi` paired CSV file.
 
     ``response`` optionally designates the response variable; prediction
     inputs may leave it unset.  Errors name the first faulty record by its
     number after the header, counting the blank records that are skipped.
+
+    A well-formed file of unquoted, LF-terminated records is parsed in one
+    ``np.loadtxt`` pass.  Any other file, and any file with a fault, is read
+    record by record through the csv module, which alone raises the errors.
     """
+    try:
+        return _read_interval_bulk(path, response)
+    except (OSError, ValueError):
+        pass  # the exact reader reads the file or raises its error
+    return _read_interval_exact(path, response)
+
+
+def _read_interval_exact(path, response: str | None) -> IntervalTable:
+    """:func:`read_interval_csv` record by record, through the csv module."""
     header, linenos, records = _read_records(path)
     order, lo_cols, hi_cols = _parse_header(header)
     if not records:
@@ -404,3 +478,34 @@ def read_classic_csv(path) -> tuple[list[str], list[list[str]], np.ndarray]:
     parsing happens later, in :func:`aggregate_classic`."""
     header, numbers, rows = _read_records(path)
     return [c.strip() for c in header], rows, numbers
+
+
+def _aggregate_bulk(path, concept: str, value_columns) -> tuple[IntervalTable, int]:
+    lines = _bulk_lines(path)
+    columns = [c.strip() for c in lines[0].split(",")]
+    value_columns = _value_columns(columns, concept, value_columns)
+    if any(ln.count(",") != len(columns) - 1 for ln in islice(lines, 1, None)):
+        raise ValueError("record width differs from the header")
+    values = _bulk_values(lines, [columns.index(c) for c in value_columns])
+    c = columns.index(concept)
+    keys = [ln.split(",", c + 1)[c] for ln in islice(lines, 1, None)]
+    return _group_bounds(keys, values, value_columns), len(keys)
+
+
+def aggregate_classic_csv(
+    path, concept: str, value_columns: Sequence[str] | None = None
+) -> tuple[IntervalTable, int]:
+    """:func:`aggregate_classic` of a classic CSV file, and its number of records.
+
+    A well-formed file is parsed in bulk: ``np.loadtxt`` reads the value
+    columns and the concept keys are split from the lines.  Any other file,
+    and any file with a fault, goes through :func:`read_classic_csv`, whose
+    errors name the file and record.
+    """
+    try:
+        return _aggregate_bulk(path, concept, value_columns)
+    except (OSError, ValueError):
+        pass  # the exact reader reads the file or raises its error
+    columns, rows, numbers = read_classic_csv(path)
+    table = aggregate_classic(columns, rows, concept, value_columns, source=(path, numbers))
+    return table, len(rows)

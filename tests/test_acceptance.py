@@ -27,7 +27,7 @@ from intervalreg.solvers import (
     fit_elastic_net,
     fit_ridge,
 )
-from intervalreg.tables import to_center_range
+from intervalreg.tables import response_bounds, to_center_range
 
 from conftest import make_cardio_table, random_interval_table
 from test_metrics import naive_indexes
@@ -44,7 +44,7 @@ def check(criterion: str, ok: bool, detail: str) -> None:
 def cardio_indexes(spec: MethodSpec):
     table = make_cardio_table()
     model = fit(table, spec)
-    report = evaluate(table.response_intervals(), predict(model, table))
+    report = evaluate(response_bounds(table), predict(model, table))
     return report.rmse_l, report.rmse_u, report.r2_l, report.r2_u
 
 
@@ -443,8 +443,7 @@ def test_criterion7_metrics_oracle():
         y_hi = y_lo + rng.uniform(0.1, 3.0, size=n)
         p_lo = y_lo + rng.normal(scale=0.8, size=n)
         p_hi = y_hi + rng.normal(scale=0.8, size=n)
-        observed = [Interval(a, b) for a, b in zip(y_lo, y_hi)]
-        report = evaluate(observed, IntervalPrediction.from_bounds(p_lo, p_hi))
+        report = evaluate((y_lo, y_hi), IntervalPrediction.from_bounds(p_lo, p_hi))
         ref = naive_indexes(y_lo.tolist(), y_hi.tolist(), p_lo.tolist(), p_hi.tolist())
         got = (report.rmse_l, report.rmse_u, report.r2_l, report.r2_u)
         worst = max(worst, max(abs(g - r) for g, r in zip(got, ref)))

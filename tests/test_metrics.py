@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from intervalreg import Interval, ZeroVariance, evaluate, format_report, report_csv_row
+from intervalreg import ZeroVariance, evaluate, format_report, report_csv_row
 from intervalreg.models import IntervalPrediction
 
 
@@ -24,14 +24,15 @@ def naive_indexes(y_lo, y_hi, p_lo, p_hi):
     return rmse(y_lo, p_lo), rmse(y_hi, p_hi), r2(y_lo, p_lo), r2(y_hi, p_hi)
 
 
-def intervals(lo, hi):
-    return [Interval(a, b) for a, b in zip(lo, hi)]
+def bounds(lo, hi):
+    """Observed endpoints as ``evaluate`` takes them."""
+    return np.asarray(lo, dtype=float), np.asarray(hi, dtype=float)
 
 
 def test_perfect_fit():
     lo = np.array([1.0, 2.0, 3.0])
     hi = np.array([2.0, 4.0, 6.0])
-    report = evaluate(intervals(lo, hi), IntervalPrediction.from_bounds(lo, hi))
+    report = evaluate(bounds(lo, hi), IntervalPrediction.from_bounds(lo, hi))
     assert report.rmse_l == 0.0
     assert report.rmse_u == 0.0
     assert report.r2_l == 1.0
@@ -40,7 +41,7 @@ def test_perfect_fit():
 
 
 def test_hand_computed_three_rows():
-    observed = intervals([0.0, 1.0, 2.0], [1.0, 3.0, 5.0])
+    observed = bounds([0.0, 1.0, 2.0], [1.0, 3.0, 5.0])
     pred = IntervalPrediction.from_bounds(
         np.array([0.0, 2.0, 4.0]), np.array([1.0, 4.0, 7.0])
     )
@@ -62,7 +63,7 @@ def test_matches_naive_reference_on_random_data():
         p_hi = y_hi + rng.normal(scale=0.5, size=n)
         try:
             report = evaluate(
-                intervals(y_lo, y_hi), IntervalPrediction.from_bounds(p_lo, p_hi)
+                bounds(y_lo, y_hi), IntervalPrediction.from_bounds(p_lo, p_hi)
             )
         except ZeroVariance:
             continue  # possible only for n == 2 with a degenerate draw
@@ -79,10 +80,10 @@ def test_r2_affine_invariance():
     y_hi = y_lo + rng.uniform(0.5, 1.5, size=25)
     p_lo = rng.normal(size=25)
     p_hi = p_lo + rng.uniform(0.5, 1.5, size=25)
-    base = evaluate(intervals(y_lo, y_hi), IntervalPrediction.from_bounds(p_lo, p_hi))
+    base = evaluate(bounds(y_lo, y_hi), IntervalPrediction.from_bounds(p_lo, p_hi))
     for a, b in ((2.0, 1.0), (-3.0, 0.5), (0.1, -7.0)):
         mapped = evaluate(
-            intervals(y_lo, y_hi),
+            bounds(y_lo, y_hi),
             IntervalPrediction.from_bounds(a * p_lo + b, a * p_hi + b),
         )
         assert mapped.r2_l == pytest.approx(base.r2_l, rel=1e-9)
@@ -97,7 +98,7 @@ def test_rmse_shift_recomputation():
     p_hi = y_hi + rng.normal(size=15)
     delta = 0.75
     shifted = evaluate(
-        intervals(y_lo, y_hi),
+        bounds(y_lo, y_hi),
         IntervalPrediction.from_bounds(p_lo + delta, p_hi + delta),
     )
     expected = math.sqrt(np.mean((y_lo - p_lo - delta) ** 2))
@@ -106,29 +107,29 @@ def test_rmse_shift_recomputation():
 
 
 def test_zero_variance_is_an_error_not_nan():
-    y = intervals([1.0, 2.0, 3.0], [2.0, 3.0, 4.0])
+    y = bounds([1.0, 2.0, 3.0], [2.0, 3.0, 4.0])
     constant = IntervalPrediction.from_bounds(np.full(3, 5.0), np.full(3, 6.0))
-    with pytest.raises(ZeroVariance):
+    with pytest.raises(ZeroVariance, match="predicted lower endpoints are constant"):
         evaluate(y, constant)
-    flat = intervals([1.0, 1.0, 1.0], [2.0, 3.0, 4.0])
+    flat = bounds([1.0, 1.0, 1.0], [2.0, 3.0, 4.0])
     varying = IntervalPrediction.from_bounds(
         np.array([1.0, 2.0, 3.0]), np.array([2.0, 3.0, 4.0])
     )
-    with pytest.raises(ZeroVariance):
+    with pytest.raises(ZeroVariance, match="observed lower endpoints are constant"):
         evaluate(flat, varying)
 
 
 def test_length_mismatch_and_minimum_rows():
-    y = intervals([1.0, 2.0], [2.0, 3.0])
+    y = bounds([1.0, 2.0], [2.0, 3.0])
     pred = IntervalPrediction.from_bounds(np.array([1.0]), np.array([2.0]))
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="2 observed intervals but 1 predictions"):
         evaluate(y, pred)
-    with pytest.raises(ValueError):
-        evaluate(y[:1], pred)
+    with pytest.raises(ValueError, match="at least two rows"):
+        evaluate((y[0][:1], y[1][:1]), pred)
 
 
 def test_report_rendering():
-    y = intervals([1.0, 2.0, 3.0], [2.0, 4.0, 6.0])
+    y = bounds([1.0, 2.0, 3.0], [2.0, 4.0, 6.0])
     pred = IntervalPrediction.from_bounds(
         np.array([1.1, 1.9, 3.2]), np.array([2.1, 3.8, 6.1])
     )

@@ -198,6 +198,22 @@ class TestDesignProblem:
         assert std.y_mean == problem.y.mean()
         assert std.y_ss == float(yc @ yc)
 
+    @pytest.mark.parametrize("seed", range(5))
+    def test_constant_columns_are_zero_variance_whatever_their_mean_rounds_to(self, seed):
+        # ten rows of 0.1 have a column mean of 0.09999999999999999, not 0.1
+        rng = np.random.default_rng(seed)
+        X = np.column_stack([rng.normal(size=10), np.full(10, 0.1), np.full(10, 0.5)])
+        y = rng.normal(size=10) * 10 + 100
+        problem = DesignProblem(X, y)
+        for scale in (True, False):
+            std = problem.standardized(scale)
+            assert np.all(std.Xs[:, 1:] == 0.0)
+            assert std.scales[1:].tolist() == [1.0, 1.0]
+            assert std.means[1:].tolist() == [0.1, 0.5]
+            assert std.gram_diag[1:].tolist() == [0.0, 0.0]
+        for coeffs in (fit_ridge(problem, 1.0), fit_elastic_net(problem, PenaltySpec(1.0, 0.5))):
+            assert coeffs.betas[1:].tolist() == [0.0, 0.0]
+
     def test_standardized_arrays_are_read_only(self):
         rng = np.random.default_rng(24)
         std = DesignProblem(rng.normal(size=(6, 3)), rng.normal(size=6)).standardized()
