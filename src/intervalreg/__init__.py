@@ -37,14 +37,11 @@ from .solvers import (
     CoefficientSet,
     DesignProblem,
     NonFiniteEncountered,
-    PenaltySpec,
     SingularDesign,
     SolverError,
     fit_elastic_net,
-    fit_ols,
     fit_ridge,
     fit_ridge_path,
-    predict_linear,
 )
 from .tables import (
     CenterRangeView,

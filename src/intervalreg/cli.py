@@ -171,7 +171,7 @@ def _cmd_predict(args) -> int:
     print(f"ordering violations: {pred.ordering_violations}")
     out = models.swap_violations(pred) if args.clamp else pred
     with open(args.out, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
+        writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(["yhat_lo", "yhat_hi"])
         for lo, hi in zip(out.lower, out.upper):
             writer.writerow([format(lo, ".17g"), format(hi, ".17g")])

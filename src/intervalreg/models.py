@@ -26,13 +26,12 @@ from math import isfinite
 import numpy as np
 
 from .solvers import (
+    DEFAULT_MAX_ITER,
+    DEFAULT_TOL,
     CoefficientSet,
     DesignProblem,
-    PenaltySpec,
     fit_elastic_net,
-    fit_ols,
     fit_ridge_path,
-    predict_linear,
 )
 from .tables import CenterRangeView, IntervalTable, to_center_range
 
@@ -231,18 +230,18 @@ def fit_design(
     y: np.ndarray,
     spec: MethodSpec,
     lams: Sequence[float],
-    tol: float = 1e-7,
-    max_iter: int = 100_000,
+    tol: float = DEFAULT_TOL,
+    max_iter: int = DEFAULT_MAX_ITER,
     standardize: bool = True,
     column_mask: np.ndarray | None = None,
     warm: CoefficientSet | None = None,
 ) -> list[CoefficientSet]:
     """Fit one design with the spec's solver at each weight of a descending grid.
 
-    Ridge solves every weight from one Gram matrix; lasso and elastic-net
-    fits warm-start coordinate descent down the grid, the first one from
-    ``warm`` (a previous fit of the same design); an unpenalized spec gets
-    its one least-squares fit at every weight.  Columns outside
+    Ridge solves every weight from one Gram matrix, and an unpenalized
+    spec is ridge at weight 0 for every weight; lasso and elastic-net fits
+    warm-start coordinate descent down the grid, the first one from
+    ``warm`` (a previous fit of the same design).  Columns outside
     ``column_mask`` get a coefficient of exactly 0.0.
     """
     p = X.shape[1]
@@ -252,7 +251,7 @@ def fit_design(
         return [CoefficientSet(float(np.mean(y)), np.zeros(p)) for _ in lams]
     problem = DesignProblem(X[:, column_mask], y)
     if spec.penalty == "none":
-        subs = [fit_ols(problem)] * len(lams)
+        subs = fit_ridge_path(problem, (0.0,) * len(lams), standardize=standardize)
     elif spec.penalty == "ridge":
         subs = fit_ridge_path(problem, lams, standardize=standardize)
     else:
@@ -263,7 +262,8 @@ def fit_design(
         for lam in lams:
             previous = fit_elastic_net(
                 problem,
-                PenaltySpec(lam, spec.effective_alpha),
+                lam,
+                spec.effective_alpha,
                 tol=tol,
                 max_iter=max_iter,
                 standardize=standardize,
@@ -280,12 +280,10 @@ def _scatter(sub: CoefficientSet, column_mask: np.ndarray) -> CoefficientSet:
     p = column_mask.shape[0]
     betas = np.zeros(p)
     betas[column_mask] = sub.betas
-    means = scales = None
-    if sub.means is not None:
-        means = np.zeros(p)
-        means[column_mask] = sub.means
-        scales = np.ones(p)
-        scales[column_mask] = sub.scales
+    means = np.zeros(p)
+    means[column_mask] = sub.means
+    scales = np.ones(p)
+    scales[column_mask] = sub.scales
     return CoefficientSet(
         sub.intercept, betas, means=means, scales=scales,
         converged=sub.converged, n_sweeps=sub.n_sweeps,
@@ -328,8 +326,11 @@ class GridFit:
     ) -> tuple[np.ndarray, np.ndarray]:
         """Predicted (lower, upper) endpoints, ``(m, k)`` for k grid weights.
 
-        The same rule as :func:`predict`, with one matrix product per
-        endpoint (cm) or per design (crm) covering the whole grid.
+        cm predicts each endpoint from the same endpoint of the predictors;
+        crm predicts the midpoint and half-range from theirs and returns
+        center -/+ range.  One matrix product per endpoint (cm) or per
+        design (crm) covers the whole grid; :func:`predict` is the one-weight
+        case.
         """
         b0, B = _stack(self.centers)
         if self.ranges is None:
@@ -353,8 +354,8 @@ def fit_grid(
     spec: MethodSpec,
     lambdas: Sequence[float],
     range_lambdas: Sequence[float] | None = None,
-    tol: float = 1e-7,
-    max_iter: int = 100_000,
+    tol: float = DEFAULT_TOL,
+    max_iter: int = DEFAULT_MAX_ITER,
     standardize: bool = True,
     warm_start: FittedModel | None = None,
 ) -> GridFit:
@@ -399,15 +400,15 @@ def fit_grid(
 def fit(
     table: IntervalTable,
     spec: MethodSpec,
-    tol: float = 1e-7,
-    max_iter: int = 100_000,
+    tol: float = DEFAULT_TOL,
+    max_iter: int = DEFAULT_MAX_ITER,
     standardize: bool = True,
     warm_start: FittedModel | None = None,
 ) -> FittedModel:
     """Fit an interval regression method on a table with a designated response.
 
-    ``standardize`` controls the internal predictor standardization of
-    penalized fits; it has no effect on unpenalized ones.  ``warm_start``
+    ``standardize`` controls the internal predictor standardization; it
+    changes unpenalized fits only by rounding.  ``warm_start``
     seeds coordinate descent from another model fit on the same table
     (same family), which speeds fits along a descending penalty grid.
     This is :func:`fit_grid` at the one point ``(lambda_center,
@@ -458,16 +459,11 @@ def predict(model: FittedModel, table: IntervalTable) -> IntervalPrediction:
     matching the model is allowed and ignored).  No endpoint clamping is
     performed.
     """
-    X_lo, X_hi = _align(table, model)
-    if model.spec.family == "cm":
-        lower = predict_linear(model.center_coeffs, X_lo)
-        upper = predict_linear(model.center_coeffs, X_hi)
-        return IntervalPrediction.from_bounds(lower, upper)
-    centers = (X_lo + X_hi) / 2.0
-    halfranges = (X_hi - X_lo) / 2.0
-    y_center = predict_linear(model.center_coeffs, centers)
-    y_range = predict_linear(model.range_coeffs, halfranges)
-    return IntervalPrediction.from_bounds(y_center - y_range, y_center + y_range)
+    ranges = None if model.range_coeffs is None else (model.range_coeffs,)
+    lower, upper = GridFit((model.center_coeffs,), ranges).predict_bounds(
+        *_align(table, model)
+    )
+    return IntervalPrediction.from_bounds(lower[:, 0], upper[:, 0])
 
 
 # ---------------------------------------------------------------------------

@@ -22,7 +22,7 @@ from math import isfinite, sqrt
 import numpy as np
 
 from .models import GridFit, MethodSpec, fit_design, fit_grid
-from .solvers import SUPPORT_TOL, lasso_lambda_max
+from .solvers import DEFAULT_MAX_ITER, DEFAULT_TOL, SUPPORT_TOL, DesignProblem
 from .tables import (
     CenterRangeView,
     IntervalTable,
@@ -43,7 +43,6 @@ class LambdaGrid:
     """Strictly descending penalty weights (an optional trailing zero is legal)."""
 
     values: tuple[float, ...]
-    generation: str = "explicit"  # "auto" | "explicit"
 
     def __post_init__(self):
         vals = tuple(float(v) for v in self.values)
@@ -56,8 +55,6 @@ class LambdaGrid:
             raise ValueError("grid must be strictly descending")
         if any(v == 0.0 for v in vals[:-1]):
             raise ValueError("only the terminal grid value may be zero")
-        if self.generation not in ("auto", "explicit"):
-            raise ValueError(f"unknown generation tag {self.generation!r}")
         object.__setattr__(self, "values", vals)
 
     def __len__(self) -> int:
@@ -76,15 +73,15 @@ def make_lambda_grid(X: np.ndarray, y: np.ndarray, alpha: float, n_points: int =
         raise ValueError(f"alpha must lie in [0, 1], got {alpha}")
     if n_points < 2:
         raise ValueError(f"need at least 2 grid points, got {n_points}")
-    X = np.asarray(X, dtype=float)
-    lam_max = lasso_lambda_max(X, y, alpha)
+    problem = DesignProblem(X, y)
+    lam_max = 2.0 * float(np.max(np.abs(problem.standardized().q))) / max(alpha, 0.001)
     if lam_max <= 0.0:
         raise ZeroVarianceResponse(
             "response has no variation around its mean (lambda_max = 0)"
         )
-    eps = 1e-4 if X.shape[0] > X.shape[1] else 1e-2
+    eps = 1e-4 if problem.n > problem.p else 1e-2
     values = np.geomspace(lam_max, eps * lam_max, n_points)
-    return LambdaGrid(tuple(values), generation="auto")
+    return LambdaGrid(tuple(values))
 
 
 @dataclass(frozen=True, eq=False)
@@ -133,8 +130,8 @@ def cross_validate(
     seed: int = 0,
     n_points: int = 100,
     component: str = "interval",
-    tol: float = 1e-7,
-    max_iter: int = 100_000,
+    tol: float = DEFAULT_TOL,
+    max_iter: int = DEFAULT_MAX_ITER,
 ) -> CvResult:
     """k-fold cross-validation of the penalty weight for one method.
 
@@ -274,8 +271,8 @@ def coefficient_path(
     spec: MethodSpec,
     grid: LambdaGrid,
     component: str = "center",
-    tol: float = 1e-7,
-    max_iter: int = 100_000,
+    tol: float = DEFAULT_TOL,
+    max_iter: int = DEFAULT_MAX_ITER,
 ) -> CoefficientPath:
     """Coefficients along a descending grid, warm-started between points.
 

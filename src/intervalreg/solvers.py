@@ -1,11 +1,11 @@
 """Estimators for classic (single-valued) regression problems.
 
-Three fitting routines over a dense design matrix without intercept
+Two fitting routines over a dense design matrix without intercept
 column:
 
-* ``fit_ols``         least squares via the normal equations,
 * ``fit_ridge``       closed form ``(X'X + lambda*I) b = X'y``, for one
-  weight or (``fit_ridge_path``) a grid of weights sharing one ``X'X``,
+  weight or (``fit_ridge_path``) a grid of weights sharing one ``X'X``;
+  ``lambda=0`` is least squares,
 * ``fit_elastic_net`` cyclic coordinate descent with soft-thresholding;
   ``alpha=1`` is the lasso, ``alpha=0`` matches ridge.
 
@@ -15,12 +15,12 @@ The penalized objective is used exactly as written, with no ``1/n`` or
     sum_i (y_i - b0 - sum_j x_ij b_j)^2
         + lambda * (alpha * sum_j |b_j| + (1 - alpha) * sum_j b_j^2)
 
-The intercept is never penalized.  Penalized fits standardize predictors
-internally by default (centered, scaled to unit standard deviation with
-divisor n) and report coefficients back on the original scale; the
-penalty weight therefore refers to standardized coefficients.  A lambda
-in the common convention that divides the squared loss by 2n corresponds
-to ``2 * n * lambda`` here for the L1 term and ``n * lambda`` for the L2
+The intercept is never penalized.  Every fit centers the predictors and,
+by default, scales them to unit standard deviation (divisor n), then
+reports coefficients back on the original scale; the penalty weight
+therefore refers to standardized coefficients.  A lambda in the common
+convention that divides the squared loss by 2n corresponds to
+``2 * n * lambda`` here for the L1 term and ``n * lambda`` for the L2
 term.
 
 A :class:`DesignProblem` standardizes its design and forms the Gram
@@ -164,29 +164,15 @@ class DesignProblem:
         return cached
 
 
-@dataclass(frozen=True)
-class PenaltySpec:
-    """Shrinkage strength ``lam >= 0`` and L1/L2 mix ``alpha`` in [0, 1]."""
-
-    lam: float
-    alpha: float
-
-    def __post_init__(self):
-        if not (math.isfinite(self.lam) and self.lam >= 0.0):
-            raise ValueError(f"lambda must be finite and >= 0, got {self.lam}")
-        if not (0.0 <= self.alpha <= 1.0):
-            raise ValueError(f"alpha must lie in [0, 1], got {self.alpha}")
-
-
 @dataclass(frozen=True, eq=False)
 class CoefficientSet:
     """Fitted coefficients on the original predictor scale.
 
-    ``means``/``scales`` record the internal standardization applied
-    during a penalized fit (``None`` for plain least squares); the
-    standardized-scale slope j is ``betas[j] * scales[j]``.  ``converged``
-    is False only when coordinate descent hit its sweep limit, in which
-    case the best iterate is still returned.
+    ``means``/``scales`` record the internal standardization of the fit
+    (``None`` for an intercept-only set and in model files that predate
+    them); the standardized-scale slope j is ``betas[j] * scales[j]``.
+    ``converged`` is False only when coordinate descent hit its sweep
+    limit, in which case the best iterate is still returned.
     """
 
     intercept: float
@@ -289,18 +275,11 @@ def _back_transform(
 # Estimators
 # ---------------------------------------------------------------------------
 
-def fit_ols(problem: DesignProblem) -> CoefficientSet:
-    """Least squares via the normal equations of the intercept-augmented design."""
-    Xt = np.column_stack([np.ones(problem.n), problem.X])
-    coef = solve_spd(Xt.T @ Xt, Xt.T @ problem.y)
-    return CoefficientSet(coef[0], coef[1:])
-
-
 def fit_ridge(problem: DesignProblem, lam: float, standardize: bool = True) -> CoefficientSet:
     """Closed-form ridge with an unpenalized intercept, at one weight.
 
-    The one-weight case of :func:`fit_ridge_path`; ``lam=0`` reproduces
-    :func:`fit_ols`.
+    The one-weight case of :func:`fit_ridge_path`; ``lam=0`` is least
+    squares.
     """
     return fit_ridge_path(problem, (lam,), standardize)[0]
 
@@ -587,7 +566,8 @@ def duality_gap(
 
 def fit_elastic_net(
     problem: DesignProblem,
-    penalty: PenaltySpec,
+    lam: float,
+    alpha: float,
     tol: float = DEFAULT_TOL,
     max_iter: int = DEFAULT_MAX_ITER,
     standardize: bool = True,
@@ -595,12 +575,17 @@ def fit_elastic_net(
 ) -> CoefficientSet:
     """Elastic-net fit by cyclic coordinate descent.
 
-    ``penalty.alpha=1`` gives the lasso, ``penalty.alpha=0`` the ridge
-    penalty (the result then matches :func:`fit_ridge`).  ``warm_start``
+    ``lam >= 0`` is the shrinkage strength and ``alpha`` in [0, 1] the L1
+    fraction: ``alpha=1`` gives the lasso, ``alpha=0`` the ridge penalty
+    (the result then matches :func:`fit_ridge`).  ``warm_start``
     seeds the slopes from a previous fit of the same design (used along
     regularization paths).  Hitting ``max_iter`` is not an error: the
     best iterate is returned with ``converged=False``.
     """
+    if not (math.isfinite(lam) and lam >= 0.0):
+        raise ValueError(f"lambda must be finite and >= 0, got {lam}")
+    if not (0.0 <= alpha <= 1.0):
+        raise ValueError(f"alpha must lie in [0, 1], got {alpha}")
     if tol <= 0.0:
         raise ValueError(f"tol must be positive, got {tol}")
     if max_iter < 1:
@@ -614,7 +599,7 @@ def fit_elastic_net(
             )
         beta0 = warm_start.betas * std.scales  # back to the standardized scale
     beta_std, converged, sweeps = coordinate_descent(
-        std.gram, std.q, std.y_ss, std.gram_diag, penalty.lam, penalty.alpha,
+        std.gram, std.q, std.y_ss, std.gram_diag, lam, alpha,
         tol, max_iter, beta0=beta0, factors=std.factors,
     )
     if not np.isfinite(beta_std).all():
@@ -623,26 +608,3 @@ def fit_elastic_net(
         beta_std, std.y_mean, std.means, std.scales,
         converged=converged, n_sweeps=sweeps,
     )
-
-
-def predict_linear(coeffs: CoefficientSet, X_new: np.ndarray) -> np.ndarray:
-    """Evaluate ``b0 + X @ betas`` for an m x p matrix."""
-    X = np.asarray(X_new, dtype=float)
-    if X.ndim != 2 or X.shape[1] != coeffs.p:
-        raise ValueError(
-            f"predictor matrix has shape {X.shape}, expected (m, {coeffs.p})"
-        )
-    return coeffs.intercept + X @ coeffs.betas
-
-
-def lasso_lambda_max(X: np.ndarray, y: np.ndarray, alpha: float = 1.0) -> float:
-    """Smallest penalty with an all-zero lasso solution, on standardized predictors.
-
-    ``2 * max_j |sum_i xs_ij (y_i - mean(y))| / max(alpha, 0.001)``; for
-    ``alpha < 1`` the same quantity scaled by ``1/alpha`` (floored at
-    0.001) is the conventional grid top.
-    """
-    Xs, _, _ = _standardize(np.asarray(X, dtype=float), scale=True)
-    yc = np.asarray(y, dtype=float)
-    yc = yc - yc.mean()
-    return 2.0 * float(np.max(np.abs(Xs.T @ yc))) / max(alpha, 0.001)

@@ -468,7 +468,7 @@ def write_interval_csv(table: IntervalTable, path) -> None:
     """
     pairs = np.stack((table.lower, table.upper), axis=2).reshape(table.n_rows, -1)
     with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
+        writer = csv.writer(fh, lineterminator="\n")
         writer.writerow([f"{n}_{end}" for n in table.variable_names for end in ("lo", "hi")])
         writer.writerows(pairs.tolist())
 

@@ -34,6 +34,12 @@ def make_cardio_table() -> IntervalTable:
     )
 
 
+def least_squares(X: np.ndarray, y: np.ndarray) -> tuple[float, np.ndarray]:
+    """``(intercept, slopes)`` of the intercept-augmented fit by ``np.linalg.lstsq``."""
+    coef = np.linalg.lstsq(np.column_stack([np.ones(len(y)), X]), y, rcond=None)[0]
+    return coef[0], coef[1:]
+
+
 def assert_same_table(got: IntervalTable, want: IntervalTable) -> None:
     """Names, response and every endpoint equal exactly."""
     assert got.variable_names == want.variable_names

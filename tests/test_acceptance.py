@@ -23,7 +23,6 @@ from intervalreg import (
 )
 from intervalreg.solvers import (
     DesignProblem,
-    PenaltySpec,
     fit_elastic_net,
     fit_ridge,
 )
@@ -263,7 +262,7 @@ def test_criterion5b_kkt_suite():
             2.0 * np.max(np.abs(X.T @ (y - y.mean()))), 1.0
         )
         problem = DesignProblem(X, y)
-        coeffs = fit_elastic_net(problem, PenaltySpec(lam, alpha), tol=tol)
+        coeffs = fit_elastic_net(problem, lam, alpha, tol=tol)
         viol, scale = kkt_violations(problem, coeffs, lam, alpha)
         worst_ratio = max(worst_ratio, float(np.max(viol / (10.0 * tol * scale))))
     check(
@@ -339,7 +338,7 @@ def test_criterion5e_path_consistency():
         path = coefficient_path(table, spec, grid)
         problem = DesignProblem(view.centers_X, view.centers_y)
         for i, lam in enumerate(grid.values):
-            cold = fit_elastic_net(problem, PenaltySpec(lam, alpha))
+            cold = fit_elastic_net(problem, lam, alpha)
             worst = max(worst, float(np.max(np.abs(path.coefficients[i] - cold.betas))))
     check(
         "criterion 5e",

@@ -131,22 +131,39 @@ class TestFit:
         assert code == 1
         assert f"error: {train}: variable 'X', row 3: interval midpoint" in err
 
-    def test_singular_design_exits_2(self, capsys, tmp_path):
+    @staticmethod
+    def duplicated_column_csv(tmp_path):
         bad = tmp_path / "bad.csv"
         bad.write_text(
             "Y_lo,Y_hi,A_lo,A_hi,B_lo,B_hi\n"
             + "\n".join(f"{i},{i + 1},{i},{i + 2},{i},{i + 2}" for i in range(6))
             + "\n"
         )
+        return bad
+
+    def test_singular_design_exits_2(self, capsys, tmp_path):
+        bad = self.duplicated_column_csv(tmp_path)
         code, _, err = run(
             capsys, "fit", "--method", "cm", "--train", str(bad),
             "--response", "Y", "--model-out", str(tmp_path / "m"),
         )
         assert code == 2
         assert err == (
-            "error: Gram matrix is numerically singular at pivot 2 "
+            "error: Gram matrix is numerically singular at pivot 1 "
             "(pivot at most 1e-12 of the largest diagonal entry)\n"
         )
+
+    def test_unpenalized_fit_fails_like_ridge_at_weight_0(self, capsys, tmp_path):
+        bad = self.duplicated_column_csv(tmp_path)
+        results = [
+            run(
+                capsys, "fit", "--method", method, "--train", str(bad),
+                "--response", "Y", "--model-out", str(tmp_path / "m"), *extra,
+            )
+            for method, extra in (("cm", ()), ("ridge-cm", ("--lambda", "0")))
+        ]
+        assert results[0][0] == results[1][0] == 2
+        assert results[0][2] == results[1][2]
 
 
 class TestPredictEvaluate:

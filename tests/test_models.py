@@ -15,10 +15,10 @@ from intervalreg import (
     swap_violations,
 )
 from intervalreg.models import FittedModel, IntervalPrediction
-from intervalreg.solvers import CoefficientSet, predict_linear
+from intervalreg.solvers import CoefficientSet
 from intervalreg.tables import to_center_range
 
-from conftest import random_interval_table
+from conftest import least_squares, random_interval_table
 
 
 class TestMethodSpec:
@@ -71,8 +71,16 @@ class TestCenterMethod:
     def test_cardio_row2_lower_endpoint(self, cardio):
         model = fit(cardio, MethodSpec("cm"))
         row2 = np.array([[90.0, 70.0]])  # lower endpoints of the second row
-        value = predict_linear(model.center_coeffs, row2)[0]
+        value = (model.center_coeffs.intercept + row2 @ model.center_coeffs.betas)[0]
         assert value == pytest.approx(62.7, abs=0.1)
+
+    def test_zero_slopes_constant_prediction(self):
+        coeffs = CoefficientSet(7.0, np.zeros(3))
+        model = FittedModel(MethodSpec("cm"), ("X1", "X2", "X3"), "Y", coeffs)
+        X = np.random.default_rng(18).normal(size=(6, 3))
+        pred = predict(model, IntervalTable(model.predictor_names, X, X + 1.0))
+        assert np.array_equal(pred.lower, np.full(6, 7.0))
+        assert np.array_equal(pred.upper, np.full(6, 7.0))
 
     def test_nonnegative_slopes_imply_ordered_predictions(self):
         rng = np.random.default_rng(31)
@@ -104,8 +112,8 @@ class TestCenterRangeMethod:
         model = fit(cardio, MethodSpec("crm"))
         pred = predict(model, cardio)
         view = to_center_range(cardio)
-        centers = predict_linear(model.center_coeffs, view.centers_X)
-        halfranges = predict_linear(model.range_coeffs, view.halfranges_X)
+        centers = model.center_coeffs.intercept + view.centers_X @ model.center_coeffs.betas
+        halfranges = model.range_coeffs.intercept + view.halfranges_X @ model.range_coeffs.betas
         assert np.allclose((pred.lower + pred.upper) / 2.0, centers, rtol=1e-12)
         assert np.allclose((pred.upper - pred.lower) / 2.0, halfranges, rtol=1e-12)
 
@@ -127,6 +135,35 @@ class TestCenterRangeMethod:
         table = random_interval_table(rng, 3, 2)
         with pytest.raises(ValueError, match="rows"):
             fit(table, MethodSpec("crm"))
+
+
+class TestLeastSquares:
+    @pytest.mark.parametrize("family", ["cm", "crm"])
+    def test_predictors_far_from_the_origin_match_lstsq(self, family):
+        # midpoints near 1e6 with unit spread: the intercept column is nearly
+        # parallel to the predictors, so the uncentered Gram is singular to
+        # working precision
+        rng = np.random.default_rng(37)
+        n = 30
+        centers_X = 1e6 + rng.normal(size=(n, 2))
+        halfranges_X = rng.uniform(0.5, 1.5, size=(n, 2))
+        centers_y = centers_X @ [1.5, -2.0] + rng.normal(size=n)
+        halfranges_y = halfranges_X @ [0.3, 0.7] + rng.uniform(0.0, 0.5, size=n)
+        table = IntervalTable(
+            ("X1", "X2", "Y"),
+            np.column_stack([centers_X - halfranges_X, centers_y - halfranges_y]),
+            np.column_stack([centers_X + halfranges_X, centers_y + halfranges_y]),
+            response_name="Y",
+        )
+        model = fit(table, MethodSpec(family))
+        fits = [(model.center_coeffs, centers_X, centers_y)]
+        if family == "crm":
+            fits.append((model.range_coeffs, halfranges_X, halfranges_y))
+        for coeffs, X, y in fits:
+            intercept, betas = least_squares(X, y)
+            want = np.r_[intercept, betas]
+            got = np.r_[coeffs.intercept, coeffs.betas]
+            assert np.all(np.abs(got - want) <= 1e-7 * np.abs(want))
 
 
 class TestShrinkageVariants:
@@ -168,7 +205,7 @@ class TestShrinkageVariants:
         view = to_center_range(table)
         assert model.range_coeffs.intercept == pytest.approx(view.halfranges_y.mean())
         pred = predict(model, table)
-        mid = predict_linear(model.center_coeffs, view.centers_X)
+        mid = model.center_coeffs.intercept + view.centers_X @ model.center_coeffs.betas
         assert np.allclose(pred.lower, mid - view.halfranges_y.mean())
 
     def test_ridge_crm_uses_all_columns(self):

@@ -17,16 +17,14 @@ from intervalreg import (
 from intervalreg.solvers import (
     SUPPORT_TOL,
     DesignProblem,
-    PenaltySpec,
     SingularDesign,
     fit_elastic_net,
-    fit_ols,
     fit_ridge,
     fit_ridge_path,
 )
 from intervalreg.tables import response_bounds, to_center_range
 
-from conftest import make_cardio_table, random_interval_table
+from conftest import least_squares, make_cardio_table, random_interval_table
 
 
 class TestLambdaGrid:
@@ -49,7 +47,7 @@ class TestLambdaGrid:
             y = X @ rng.normal(size=5) + rng.normal(size=25)
             grid = make_lambda_grid(X, y, alpha=1.0, n_points=10)
             coeffs = fit_elastic_net(
-                DesignProblem(X, y), PenaltySpec(grid.values[0], 1.0)
+                DesignProblem(X, y), grid.values[0], 1.0
             )
             assert not coeffs.support().any()
             # KKT: every gradient coordinate sits inside the subdifferential
@@ -225,9 +223,9 @@ class TestCoefficientPath:
         grid = make_lambda_grid(view.centers_X, view.centers_y, 1.0, 20)
         spec = MethodSpec("cm", "lasso", lambda_center=1.0)
         path = coefficient_path(table, spec, grid)
-        ols = fit_ols(DesignProblem(view.centers_X, view.centers_y))
-        assert np.max(np.abs(path.coefficients[-1] - ols.betas)) <= 1e-3
-        assert abs(path.intercepts[-1] - ols.intercept) <= 1e-3 * max(abs(ols.intercept), 1.0)
+        intercept, betas = least_squares(view.centers_X, view.centers_y)
+        assert np.max(np.abs(path.coefficients[-1] - betas)) <= 1e-3
+        assert abs(path.intercepts[-1] - intercept) <= 1e-3 * max(abs(intercept), 1.0)
 
     def test_warm_start_matches_cold_start(self):
         rng = np.random.default_rng(47)
@@ -244,7 +242,7 @@ class TestCoefficientPath:
             path = coefficient_path(table, spec, grid)
             problem = DesignProblem(view.centers_X, view.centers_y)
             for i, lam in enumerate(grid.values):
-                cold = fit_elastic_net(problem, PenaltySpec(lam, alpha))
+                cold = fit_elastic_net(problem, lam, alpha)
                 assert np.max(np.abs(path.coefficients[i] - cold.betas)) <= 1e-6
 
     def test_range_component_uses_halfrange_design(self):
@@ -254,8 +252,8 @@ class TestCoefficientPath:
         spec = MethodSpec("crm", "lasso", lambda_center=1.0)
         path = coefficient_path(table, spec, grid, component="range")
         assert path.nonzero[0] == 0
-        ols = fit_ols(DesignProblem(view.halfranges_X, view.halfranges_y))
-        assert np.max(np.abs(path.coefficients[-1] - ols.betas)) <= 1e-2
+        _, betas = least_squares(view.halfranges_X, view.halfranges_y)
+        assert np.max(np.abs(path.coefficients[-1] - betas)) <= 1e-2
 
 
 class TestNonConvergedFits:
@@ -373,7 +371,7 @@ def reference_cross_validate(table, spec, grid, k, seed, component):
             c = fit_ridge(problem, lam)
         else:
             c = previous = fit_elastic_net(
-                problem, PenaltySpec(lam, spec.effective_alpha), warm_start=previous
+                problem, lam, spec.effective_alpha, warm_start=previous
             )
         nonzero.append(int(np.sum(np.abs(c.betas) > SUPPORT_TOL)))
     return losses.mean(axis=0), losses.std(axis=0, ddof=1) / np.sqrt(k), tuple(nonzero)

@@ -8,21 +8,18 @@ from intervalreg.solvers import (
     PIVOT_RTOL,
     CoefficientSet,
     DesignProblem,
-    PenaltySpec,
     SingularDesign,
     _standardize,
     coordinate_descent,
     duality_gap,
     fit_elastic_net,
-    fit_ols,
     fit_ridge,
     fit_ridge_path,
-    lasso_lambda_max,
-    predict_linear,
     solve_spd,
 )
+from intervalreg.selection import make_lambda_grid
 
-from conftest import DATA_DIR
+from conftest import DATA_DIR, least_squares
 
 
 def standardized(X, y):
@@ -32,6 +29,17 @@ def standardized(X, y):
     scales = np.sqrt((Xc**2).mean(axis=0))
     scales = np.where(scales == 0, 1.0, scales)
     return Xc / scales, y - y.mean()
+
+
+def lambda_max(X, y, alpha):
+    """Independent grid top: the all-zero lasso weight over ``max(alpha, 0.001)``."""
+    Xs, yc = standardized(X, y)
+    return 2.0 * float(np.max(np.abs(Xs.T @ yc))) / max(alpha, 0.001)
+
+
+def linear(coeffs, X):
+    """``b0 + X @ betas``, the prediction rule of one coefficient set."""
+    return coeffs.intercept + X @ coeffs.betas
 
 
 def covariance_sums(Xs, yc):
@@ -211,7 +219,7 @@ class TestDesignProblem:
             assert std.scales[1:].tolist() == [1.0, 1.0]
             assert std.means[1:].tolist() == [0.1, 0.5]
             assert std.gram_diag[1:].tolist() == [0.0, 0.0]
-        for coeffs in (fit_ridge(problem, 1.0), fit_elastic_net(problem, PenaltySpec(1.0, 0.5))):
+        for coeffs in (fit_ridge(problem, 1.0), fit_elastic_net(problem, 1.0, 0.5)):
             assert coeffs.betas[1:].tolist() == [0.0, 0.0]
 
     def test_standardized_arrays_are_read_only(self):
@@ -230,16 +238,16 @@ class TestDesignProblem:
         problem = DesignProblem(X, y)
         lams = (5.0, 1.0, 0.0)
         for standardize in (True, False):
-            first = [fit_elastic_net(problem, PenaltySpec(lam, 0.7), standardize=standardize)
+            first = [fit_elastic_net(problem, lam, 0.7, standardize=standardize)
                      for lam in lams]
             ridge = fit_ridge_path(problem, lams[:2], standardize=standardize)
             factored = dict(problem.standardized(standardize).factors)
-            again = [fit_elastic_net(problem, PenaltySpec(lam, 0.7), standardize=standardize)
+            again = [fit_elastic_net(problem, lam, 0.7, standardize=standardize)
                      for lam in lams]
             # the refits meet the same active sets and reuse their factorizations
             assert factored and problem.standardized(standardize).factors.keys() == factored.keys()
             assert all(problem.standardized(standardize).factors[k] is v for k, v in factored.items())
-            fresh = [fit_elastic_net(DesignProblem(X, y), PenaltySpec(lam, 0.7),
+            fresh = [fit_elastic_net(DesignProblem(X, y), lam, 0.7,
                                      standardize=standardize) for lam in lams]
             for a, b, c in zip(first, again, fresh):
                 assert a.betas.tobytes() == b.betas.tobytes() == c.betas.tobytes()
@@ -251,17 +259,22 @@ class TestDesignProblem:
                 assert a.betas.tobytes() == b.betas.tobytes() == c.betas.tobytes()
                 assert a.intercept == b.intercept == c.intercept
 
-    def test_penalty_spec_bounds(self):
-        with pytest.raises(ValueError):
-            PenaltySpec(-1.0, 0.5)
-        with pytest.raises(ValueError):
-            PenaltySpec(1.0, 1.5)
+    def test_elastic_net_rejects_bad_penalty(self):
+        problem = DesignProblem(np.eye(3), np.ones(3))
+        for lam in (-1.0, float("inf"), float("nan")):
+            with pytest.raises(ValueError, match=f"^lambda must be finite and >= 0, got {lam}$"):
+                fit_elastic_net(problem, lam, 0.5)
+        for alpha in (-0.5, 1.5, float("nan")):
+            with pytest.raises(ValueError, match=rf"^alpha must lie in \[0, 1\], got {alpha}$"):
+                fit_elastic_net(problem, 1.0, alpha)
 
 
 class TestOls:
+    """Least squares is ridge at weight 0 (:func:`fit_ridge` with ``lam=0``)."""
+
     def test_constant_response(self):
         problem = DesignProblem(np.array([[1.0], [2.0], [5.0]]), np.full(3, 7.0))
-        coeffs = fit_ols(problem)
+        coeffs = fit_ridge(problem, 0.0)
         assert coeffs.intercept == pytest.approx(7.0, abs=1e-10)
         assert abs(coeffs.betas[0]) < 1e-12
 
@@ -270,7 +283,7 @@ class TestOls:
         for _ in range(10):
             X = rng.normal(size=(6, 3))
             y = rng.normal(size=6)
-            coeffs = fit_ols(DesignProblem(X, y))
+            coeffs = fit_ridge(DesignProblem(X, y), 0.0)
             Xt = np.column_stack([np.ones(6), X])
             oracle = np.linalg.solve(Xt.T @ Xt, Xt.T @ y)
             assert abs(coeffs.intercept - oracle[0]) <= 1e-10
@@ -280,7 +293,7 @@ class TestOls:
         rng = np.random.default_rng(1)
         X = rng.normal(size=(15, 4))
         y = rng.normal(size=15)
-        coeffs = fit_ols(DesignProblem(X, y))
+        coeffs = fit_ridge(DesignProblem(X, y), 0.0)
         Xt = np.column_stack([np.ones(15), X])
         beta = np.concatenate([[coeffs.intercept], coeffs.betas])
         lhs = Xt.T @ Xt @ beta - Xt.T @ y
@@ -290,27 +303,27 @@ class TestOls:
         rng = np.random.default_rng(2)
         X = rng.normal(size=(12, 3))
         y = rng.normal(size=12)
-        coeffs = fit_ols(DesignProblem(X, y))
-        r = y - predict_linear(coeffs, X)
+        coeffs = fit_ridge(DesignProblem(X, y), 0.0)
+        r = y - linear(coeffs, X)
         Xt = np.column_stack([np.ones(12), X])
         assert np.max(np.abs(Xt.T @ r)) <= 1e-8 * max(np.max(np.abs(Xt.T @ y)), 1.0)
 
     def test_singular_design_reports_pivot(self):
         X = np.column_stack([np.arange(5.0), np.arange(5.0)])  # duplicated column
         with pytest.raises(SingularDesign) as err:
-            fit_ols(DesignProblem(X, np.ones(5)))
-        assert err.value.pivot_index == 2  # second copy, after the intercept
+            fit_ridge(DesignProblem(X, np.ones(5)), 0.0)
+        assert err.value.pivot_index == 1  # second copy; the intercept is no column
 
     def test_column_rescaling_leaves_predictions_unchanged(self):
         rng = np.random.default_rng(19)
         X = rng.normal(size=(12, 3))
         y = rng.normal(size=12)
         D = np.array([4.0, 0.25, 10.0])
-        a = fit_ols(DesignProblem(X, y))
-        b = fit_ols(DesignProblem(X * D, y))
+        a = fit_ridge(DesignProblem(X, y), 0.0)
+        b = fit_ridge(DesignProblem(X * D, y), 0.0)
         X_new = rng.normal(size=(6, 3))
         assert np.allclose(
-            predict_linear(a, X_new), predict_linear(b, X_new * D),
+            linear(a, X_new), linear(b, X_new * D),
             rtol=1e-9, atol=1e-9,
         )
 
@@ -372,11 +385,11 @@ class TestRidge:
         rng = np.random.default_rng(4)
         X = rng.normal(size=(10, 3))
         y = rng.normal(size=10)
-        ols = fit_ols(DesignProblem(X, y))
+        intercept, betas = least_squares(X, y)
         for standardize in (True, False):
             ridge = fit_ridge(DesignProblem(X, y), 0.0, standardize=standardize)
-            assert abs(ridge.intercept - ols.intercept) <= 1e-8
-            assert np.max(np.abs(ridge.betas - ols.betas)) <= 1e-8
+            assert abs(ridge.intercept - intercept) <= 1e-8
+            assert np.max(np.abs(ridge.betas - betas)) <= 1e-8
 
     def test_infinite_shrinkage_limit(self):
         rng = np.random.default_rng(5)
@@ -411,7 +424,7 @@ class TestRidge:
         b = fit_ridge(DesignProblem(X * D, y), 3.0, standardize=True)
         X_new = rng.normal(size=(5, 3))
         assert np.allclose(
-            predict_linear(a, X_new), predict_linear(b, X_new * D),
+            linear(a, X_new), linear(b, X_new * D),
             rtol=1e-10, atol=1e-10,
         )
 
@@ -442,10 +455,10 @@ class TestElasticNet:
         rng = np.random.default_rng(8)
         X = rng.normal(size=(12, 4))
         y = rng.normal(size=12)
-        ols = fit_ols(DesignProblem(X, y))
-        net = fit_elastic_net(DesignProblem(X, y), PenaltySpec(0.0, 1.0))
-        assert abs(net.intercept - ols.intercept) <= 1e-6
-        assert np.max(np.abs(net.betas - ols.betas)) <= 1e-6
+        intercept, betas = least_squares(X, y)
+        net = fit_elastic_net(DesignProblem(X, y), 0.0, 1.0)
+        assert abs(net.intercept - intercept) <= 1e-6
+        assert np.max(np.abs(net.betas - betas)) <= 1e-6
 
     def test_alpha_zero_matches_ridge_closed_form(self):
         rng = np.random.default_rng(9)
@@ -456,7 +469,7 @@ class TestElasticNet:
             y = rng.normal(size=n)
             lam = float(rng.uniform(0.1, 20.0))
             ridge = fit_ridge(DesignProblem(X, y), lam)
-            net = fit_elastic_net(DesignProblem(X, y), PenaltySpec(lam, 0.0))
+            net = fit_elastic_net(DesignProblem(X, y), lam, 0.0)
             assert abs(net.intercept - ridge.intercept) <= 1e-6
             assert np.max(np.abs(net.betas - ridge.betas)) <= 1e-6
 
@@ -467,15 +480,15 @@ class TestElasticNet:
             y = X @ rng.normal(size=6) + rng.normal(size=20)
             Xs, yc = standardized(X, y)
             lam_max = 2.0 * np.max(np.abs(Xs.T @ yc))  # independent of the library
-            assert lam_max == pytest.approx(lasso_lambda_max(X, y, 1.0), rel=1e-12)
+            assert lam_max == pytest.approx(make_lambda_grid(X, y, 1.0).values[0], rel=1e-12)
             # exactly at lam_max a last-ulp tie may leave rounding-level
             # coefficients; anything above is exactly zero
-            at_max = fit_elastic_net(DesignProblem(X, y), PenaltySpec(lam_max, 1.0))
+            at_max = fit_elastic_net(DesignProblem(X, y), lam_max, 1.0)
             assert not at_max.support().any()
             assert np.max(np.abs(at_max.betas)) <= 1e-12
             viol, _ = kkt_violations(DesignProblem(X, y), at_max, lam_max, 1.0)
             assert np.max(viol) <= 1e-9 * lam_max
-            above = fit_elastic_net(DesignProblem(X, y), PenaltySpec(1.7 * lam_max, 1.0))
+            above = fit_elastic_net(DesignProblem(X, y), 1.7 * lam_max, 1.0)
             assert np.all(above.betas == 0.0)
             viol, _ = kkt_violations(DesignProblem(X, y), above, 1.7 * lam_max, 1.0)
             assert np.max(viol) == 0.0
@@ -489,9 +502,9 @@ class TestElasticNet:
             X = rng.normal(size=(n, p))
             y = X @ rng.normal(size=p) + rng.normal(size=n)
             alpha = float(rng.choice([0.0, 0.25, 0.5, 0.75, 1.0]))
-            lam = float(rng.uniform(0.0, 2.0) * max(lasso_lambda_max(X, y, max(alpha, 0.5)), 1.0))
+            lam = float(rng.uniform(0.0, 2.0) * max(lambda_max(X, y, max(alpha, 0.5)), 1.0))
             problem = DesignProblem(X, y)
-            coeffs = fit_elastic_net(problem, PenaltySpec(lam, alpha), tol=tol)
+            coeffs = fit_elastic_net(problem, lam, alpha, tol=tol)
             assert coeffs.converged
             viol, scale = kkt_violations(problem, coeffs, lam, alpha)
             assert np.all(viol <= 10.0 * tol * scale)
@@ -507,10 +520,10 @@ class TestElasticNet:
             X = rng.normal(size=(n, p))
             y = X @ rng.normal(size=p) + rng.normal(size=n)
             alpha = float(rng.choice([0.0, 0.4, 1.0]))
-            lam = float(rng.uniform(0.1, 1.0) * lasso_lambda_max(X, y, max(alpha, 0.5)))
+            lam = float(rng.uniform(0.1, 1.0) * lambda_max(X, y, max(alpha, 0.5)))
             problem = DesignProblem(X, y)
             std = problem.standardized()
-            best = fit_elastic_net(problem, PenaltySpec(lam, alpha), tol=1e-10)
+            best = fit_elastic_net(problem, lam, alpha, tol=1e-10)
             optimum = penalized_objective(problem, best.betas * best.scales, lam, alpha)
             for beta in (np.zeros(p), rng.normal(size=p), best.betas * best.scales * 1.1):
                 gap = duality_gap(std.gram, std.q, std.y_ss, beta, lam, alpha)
@@ -595,12 +608,12 @@ class TestElasticNet:
         X[:, 2] = 3.0
         y = 2.0 * X[:, 0] + rng.normal(size=20)
         problem = DesignProblem(X, y)
-        cold = fit_elastic_net(problem, PenaltySpec(5.0, 1.0))
+        cold = fit_elastic_net(problem, 5.0, 1.0)
         assert cold.betas[0] != 0.0 and cold.betas[2] == 0.0
         # far from the solution, and at it but for the constant column
         for start in ([1.0, 0.0, 0.7], [cold.betas[0], 0.0, 0.7]):
             warm = fit_elastic_net(
-                problem, PenaltySpec(5.0, 1.0), warm_start=CoefficientSet(0.0, np.array(start))
+                problem, 5.0, 1.0, warm_start=CoefficientSet(0.0, np.array(start))
             )
             assert warm.converged and warm.betas[2] == 0.0
             assert np.allclose(warm.betas, cold.betas, rtol=0.0, atol=1e-9)
@@ -640,7 +653,7 @@ class TestElasticNet:
             lam_max = 2.0 * np.max(np.abs(problem.standardized().q))
             fit = None
             for lam in np.geomspace(lam_max, 1e-3 * lam_max, 30):
-                fit = fit_elastic_net(problem, PenaltySpec(lam, 1.0), warm_start=fit)
+                fit = fit_elastic_net(problem, lam, 1.0, warm_start=fit)
                 assert fit.converged and fit.n_sweeps <= 50
 
     def test_penalty_value_non_increasing_in_lambda(self):
@@ -648,12 +661,12 @@ class TestElasticNet:
         X = rng.normal(size=(30, 5))
         y = X @ rng.normal(size=5) + rng.normal(size=30)
         for alpha in (1.0, 0.5):
-            lam_max = lasso_lambda_max(X, y, alpha)
+            lam_max = lambda_max(X, y, alpha)
             grid = np.geomspace(lam_max, 1e-3 * lam_max, 10)
             values = []
             l1_norms = []
             for lam in grid:
-                c = fit_elastic_net(DesignProblem(X, y), PenaltySpec(lam, alpha), tol=1e-10)
+                c = fit_elastic_net(DesignProblem(X, y), lam, alpha, tol=1e-10)
                 beta = c.betas * c.scales
                 l1 = np.abs(beta).sum()
                 values.append(alpha * l1 + (1 - alpha) * (beta @ beta))
@@ -668,7 +681,7 @@ class TestElasticNet:
         base = rng.normal(size=(40, 1))
         X = np.column_stack([base, base + 1e-4 * rng.normal(size=(40, 1))])
         y = X @ np.array([1.0, -1.0]) + rng.normal(size=40)
-        coeffs = fit_elastic_net(DesignProblem(X, y), PenaltySpec(0.0, 1.0), max_iter=2)
+        coeffs = fit_elastic_net(DesignProblem(X, y), 0.0, 1.0, max_iter=2)
         assert not coeffs.converged
         assert np.all(np.isfinite(coeffs.betas))
 
@@ -678,14 +691,14 @@ class TestElasticNet:
         y = rng.normal(size=10)
         warm = CoefficientSet(0.0, np.zeros(2))
         with pytest.raises(ValueError):
-            fit_elastic_net(DesignProblem(X, y), PenaltySpec(1.0, 1.0), warm_start=warm)
+            fit_elastic_net(DesignProblem(X, y), 1.0, 1.0, warm_start=warm)
 
     def test_determinism(self):
         rng = np.random.default_rng(16)
         X = rng.normal(size=(20, 5))
         y = rng.normal(size=20)
-        a = fit_elastic_net(DesignProblem(X, y), PenaltySpec(2.0, 0.7))
-        b = fit_elastic_net(DesignProblem(X, y), PenaltySpec(2.0, 0.7))
+        a = fit_elastic_net(DesignProblem(X, y), 2.0, 0.7)
+        b = fit_elastic_net(DesignProblem(X, y), 2.0, 0.7)
         assert a.intercept == b.intercept
         assert np.array_equal(a.betas, b.betas)
 
@@ -698,21 +711,10 @@ class TestLambdaZeroCollapse:
             p = int(rng.integers(1, 6))
             X = rng.normal(size=(n, p))
             y = rng.normal(size=n)
-            ols = fit_ols(DesignProblem(X, y))
+            intercept, betas = least_squares(X, y)
             ridge = fit_ridge(DesignProblem(X, y), 0.0)
-            net = fit_elastic_net(DesignProblem(X, y), PenaltySpec(0.0, 0.3))
+            net = fit_elastic_net(DesignProblem(X, y), 0.0, 0.3)
             for other in (ridge, net):
-                assert abs(other.intercept - ols.intercept) <= 1e-6
-                assert np.max(np.abs(other.betas - ols.betas)) <= 1e-6
+                assert abs(other.intercept - intercept) <= 1e-6
+                assert np.max(np.abs(other.betas - betas)) <= 1e-6
 
-
-class TestPredictLinear:
-    def test_zero_slopes_constant_prediction(self):
-        coeffs = CoefficientSet(7.0, np.zeros(3))
-        X = np.random.default_rng(18).normal(size=(6, 3))
-        assert np.array_equal(predict_linear(coeffs, X), np.full(6, 7.0))
-
-    def test_dimension_mismatch(self):
-        coeffs = CoefficientSet(0.0, np.ones(2))
-        with pytest.raises(ValueError):
-            predict_linear(coeffs, np.ones((3, 4)))

@@ -13,7 +13,7 @@ from intervalreg import (
     to_center_range,
     write_interval_csv,
 )
-from intervalreg.tables import predictor_bounds, response_bounds
+from intervalreg.tables import _read_interval_bulk, predictor_bounds, response_bounds
 
 from conftest import DATA_DIR, assert_same_table, make_cardio_table, random_interval_table
 
@@ -288,6 +288,15 @@ class TestIntervalCsv:
             write_interval_csv(table, path)
             back = read_interval_csv(path, response="Y")
             assert_same_table(back, table)
+
+    def test_written_file_has_lf_ends_and_reads_back_in_bulk(self, tmp_path):
+        # a CR in the file would send it to the record-by-record reader
+        rng = np.random.default_rng(4)
+        table = random_interval_table(rng, 25, 3)
+        path = tmp_path / "t.csv"
+        write_interval_csv(table, path)
+        assert b"\r" not in path.read_bytes()
+        assert_same_table(_read_interval_bulk(path, "Y"), table)
 
     def test_cardio_file_matches_fixture(self):
         table = read_interval_csv(DATA_DIR / "cardio.csv", response="Pulse")
