@@ -159,6 +159,14 @@ def _cmd_fit(args) -> int:
     return 0
 
 
+def _write_csv(path: str, header: list[str], rows) -> None:
+    """Write ``header`` and then ``rows`` to ``path`` as CSV with LF line ends."""
+    with open(path, "w", newline="", encoding="utf-8") as fh:
+        writer = csv.writer(fh, lineterminator="\n")
+        writer.writerow(header)
+        writer.writerows(rows)
+
+
 def _load_model(path: str) -> models.FittedModel:
     with open(path, encoding="utf-8") as fh:
         return models.deserialize(fh.read())
@@ -170,11 +178,9 @@ def _cmd_predict(args) -> int:
     pred = models.predict(model, table)
     print(f"ordering violations: {pred.ordering_violations}")
     out = models.swap_violations(pred) if args.clamp else pred
-    with open(args.out, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(["yhat_lo", "yhat_hi"])
-        for lo, hi in zip(out.lower, out.upper):
-            writer.writerow([format(lo, ".17g"), format(hi, ".17g")])
+    _write_csv(args.out, ["yhat_lo", "yhat_hi"], (
+        [format(lo, ".17g"), format(hi, ".17g")] for lo, hi in zip(out.lower, out.upper)
+    ))
     return 0
 
 
@@ -209,17 +215,14 @@ def _cmd_cv(args) -> int:
             table, family, alphas, k=args.folds, seed=args.seed,
             n_points=args.n_lambdas,
         )
-        with open(args.out, "w", newline="", encoding="utf-8") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(["alpha", "lambda", "mean_loss", "std_error", "nonzero"])
-            for alpha, cv in sweep.per_alpha:
-                for lam, loss, se, nz in zip(
-                    cv.grid.values, cv.mean_loss, cv.std_error, cv.nonzero
-                ):
-                    writer.writerow([
-                        format(alpha, ".17g"), format(lam, ".17g"),
-                        format(loss, ".17g"), format(se, ".17g"), nz,
-                    ])
+        _write_csv(args.out, ["alpha", "lambda", "mean_loss", "std_error", "nonzero"], (
+            [format(alpha, ".17g"), format(lam, ".17g"),
+             format(loss, ".17g"), format(se, ".17g"), nz]
+            for alpha, cv in sweep.per_alpha
+            for lam, loss, se, nz in zip(
+                cv.grid.values, cv.mean_loss, cv.std_error, cv.nonzero
+            )
+        ))
         _warn_nonconverged(sum(cv.nonconverged for _, cv in sweep.per_alpha))
         print(f"best alpha: {sweep.alpha:.17g}")
         print(f"best lambda: {sweep.lam:.17g}")
@@ -229,16 +232,12 @@ def _cmd_cv(args) -> int:
     result = selection.cross_validate(
         table, spec, k=args.folds, seed=args.seed, n_points=args.n_lambdas
     )
-    with open(args.out, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["lambda", "mean_loss", "std_error", "nonzero"])
+    _write_csv(args.out, ["lambda", "mean_loss", "std_error", "nonzero"], (
+        [format(lam, ".17g"), format(loss, ".17g"), format(se, ".17g"), nz]
         for lam, loss, se, nz in zip(
             result.grid.values, result.mean_loss, result.std_error, result.nonzero
-        ):
-            writer.writerow([
-                format(lam, ".17g"), format(loss, ".17g"),
-                format(se, ".17g"), nz,
-            ])
+        )
+    ))
     _warn_nonconverged(result.nonconverged)
     print(f"lambda_min: {result.lambda_min:.17g}")
     print(f"lambda_1se: {result.lambda_1se:.17g}")
@@ -255,15 +254,11 @@ def _cmd_path(args) -> int:
     grid = selection.make_lambda_grid(X, y, spec.effective_alpha, args.n_lambdas)
     path = selection.coefficient_path(view, spec, grid, component=args.component)
     _warn_nonconverged(path.nonconverged)
-    with open(args.out, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["lambda", "intercept", *path.predictor_names])
-        for i, lam in enumerate(grid.values):
-            writer.writerow([
-                format(lam, ".17g"),
-                format(path.intercepts[i], ".17g"),
-                *(format(b, ".17g") for b in path.coefficients[i]),
-            ])
+    _write_csv(args.out, ["lambda", "intercept", *path.predictor_names], (
+        [format(lam, ".17g"), format(path.intercepts[i], ".17g"),
+         *(format(b, ".17g") for b in path.coefficients[i])]
+        for i, lam in enumerate(grid.values)
+    ))
     print(f"wrote {len(grid)} path points for {len(path.predictor_names)} predictors")
     return 0
 

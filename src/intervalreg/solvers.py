@@ -82,20 +82,18 @@ class NonFiniteEncountered(SolverError):
 
 
 class Standardized(NamedTuple):
-    """A design on its standardized scale, with the sums every fit reads.
+    """The sums every fit reads from a design on its standardized scale.
 
-    ``Xs = (X - means) / scales``, ``yc = y - y_mean``, ``gram = Xs'Xs``,
-    ``q = Xs'yc``, ``y_ss = yc'yc`` and ``gram_diag = diag(gram)``; the
-    arrays are read-only.  ``factors`` caches the factorizations of the
+    With ``Xs = (X - means) / scales`` and ``yc = y - y_mean``: ``gram =
+    Xs'Xs``, ``q = Xs'yc``, ``y_ss = yc'yc`` and ``gram_diag = diag(gram)``;
+    the arrays are read-only.  ``factors`` caches the factorizations of the
     sub-Grams that coordinate descent meets, keyed by active set, for every
     fit of this design (:func:`coordinate_descent`).
     """
 
-    Xs: np.ndarray
     means: np.ndarray
     scales: np.ndarray
     y_mean: float
-    yc: np.ndarray
     gram: np.ndarray
     q: np.ndarray
     y_ss: float
@@ -141,7 +139,8 @@ class DesignProblem:
         return self.X.shape[1]
 
     def standardized(self, scale: bool = True) -> Standardized:
-        """Centered (and, when ``scale``, unit-variance) design and its Gram.
+        """The Gram and sums of the centered (and, when ``scale``,
+        unit-variance) design.
 
         Computed on first use for each ``scale`` and cached, so every fit
         of this problem shares one standardization, one ``Xs'Xs`` and the
@@ -154,7 +153,7 @@ class DesignProblem:
             yc = self.y - y_mean
             gram = Xs.T @ Xs
             cached = Standardized(
-                Xs, means, scales, y_mean, yc, gram, Xs.T @ yc, float(yc @ yc),
+                means, scales, y_mean, gram, Xs.T @ yc, float(yc @ yc),
                 np.diag(gram).copy(), {},
             )
             for value in cached:
@@ -334,42 +333,53 @@ def coordinate_descent(
     ``gram_diag = diag(gram)``, which the caller forms once per design
     (:meth:`DesignProblem.standardized`) and shares across a penalty grid.
     Gradients are maintained through ``gram``, so an untouched coordinate
-    costs O(1); after each full cycle the sweep narrows to the nonzero set
-    until it stabilizes, then the full cycle re-checks every coordinate.
+    costs O(1).  Each iteration is one full cycle over every coordinate
+    followed by one exact solve restricted to the nonzero set.
     Convergence is a full cycle whose largest coefficient change is at
     most ``tol``.  A coordinate whose column is constant is set to exactly
     0 when the L1 term is its only penalty (``gram_diag[j] == 0``,
     ``lam*(1-alpha) == 0 < lam*alpha``), and kept when it is unpenalized.
 
-    Once the nonzero set stabilizes, the sign-fixed restricted problem is
-    a plain quadratic, which cuts the slow tail of ill-conditioned problems
-    to a handful of sweeps.  Each active set's sub-Gram is factored once,
+    With its signs fixed, the problem restricted to the nonzero set is a
+    plain quadratic, which cuts the slow tail of ill-conditioned problems
+    to a handful of cycles.  Each active set's sub-Gram is factored once,
     by ``eigh``, into ``factors`` (a dict keyed by the active indices;
     :func:`fit_elastic_net` passes the design's
     :attr:`Standardized.factors`, so every weight of a grid shares it); the
     ridge term only shifts its eigenvalues.  A set is singular when its
     smallest shifted eigenvalue is at most ``PIVOT_RTOL`` of its largest
-    shifted diagonal entry.  On a nonsingular set the exact solution is
-    committed when it keeps the signs and does not raise the objective.
-    Under an L1 term, a solution that flips signs is a descent direction
-    instead: the sign-fixed objective falls along the segment to it and
-    equals the objective up to the first sign change (the active-set step
-    of Osborne, Presnell & Turlach, IMA J. Numer. Anal. 2000).  On a
-    singular lasso set the quadratic part is flat along the null vector
-    ``v``, so the objective changes along it only through the L1 term,
-    with slope ``lam*alpha * sign(b)'v``, and the descending sign of ``v``
-    is the direction.  Either way the iterate moves until its first
-    coefficient reaches 0, that coefficient is set to exactly 0, and the
-    solve is retried on the smaller set.  A stable singular set in the
-    active-set loop is retried after every sweep, so a fit cannot creep
-    along a null direction.  A lasso solution with at most rank(Xs)
-    nonzeros exists (Tibshirani, "The lasso problem and uniqueness", EJS
-    2013), and these steps reach one.  Convergence is still certified only
-    by a full cycle within ``tol``.
+    shifted diagonal entry.  Every step below is committed only if it does
+    not raise the objective, beyond what the curvature counted as 0 allows
+    for a step in a null space.
 
-    Returns ``(beta, converged, n_sweeps)``.  Sweeps never raise the
-    objective; its change is evaluated only to accept or reject a
-    restricted solve or step.
+    * (a) On a nonsingular set the exact solution is committed when it
+      keeps the signs, and without an L1 term whatever its signs (0 is then
+      no boundary of the problem).  Under an L1 term, a solution that
+      flips signs is a descent direction instead: the sign-fixed objective
+      falls along the segment to it and equals the objective up to the
+      first sign change (the active-set step of Osborne, Presnell &
+      Turlach, IMA J. Numer. Anal. 2000).
+    * (b) On a singular set without an L1 term the exact step is taken on
+      the range of the shifted sub-Gram, leaving the null-space components
+      as they are.
+    * On a singular lasso set the quadratic part is flat along the null
+      vector ``v``, so the objective changes along it only through the L1
+      term, with slope ``lam*alpha * sign(b)'v``, and the descending sign
+      of ``v`` is the direction.
+    * A singular set with both an L1 and a ridge term is left as it is.
+
+    Along a descent direction the iterate moves until its first
+    coefficient reaches 0, that coefficient is set to exactly 0, and the
+    solve is retried on the smaller set.  A solve follows every cycle, so a
+    singular set is stepped again after each and a fit cannot creep along
+    a null direction.  A lasso solution with at most rank(Xs) nonzeros
+    exists (Tibshirani, "The lasso problem and uniqueness", EJS 2013), and
+    these steps reach one.  Convergence is still certified only by a full
+    cycle within ``tol``.
+
+    Returns ``(beta, converged, n_sweeps)``, where ``n_sweeps`` counts full
+    cycles.  Cycles never raise the objective; its change is evaluated only
+    to accept or reject a restricted solve or step.
     """
     p = q.shape[0]
     beta = np.zeros(p) if beta0 is None else np.asarray(beta0, dtype=float).copy()
@@ -383,10 +393,10 @@ def coordinate_descent(
     diag = gram_diag.tolist()
     rows = list(gram)
 
-    def sweep(indices) -> float:
+    def sweep() -> float:
         nonlocal grad
         max_delta = 0.0
-        for j in indices:
+        for j in range(p):
             dj = denom[j]
             if dj <= 0.0 and thresh == 0.0:
                 continue  # unpenalized zero-variance column: every b_j fits equally well
@@ -459,13 +469,12 @@ def coordinate_descent(
         moved[toward[first]] = 0.0
         return moved
 
-    def restricted_solve(active: np.ndarray) -> np.ndarray:
+    def restricted_solve(active: np.ndarray) -> None:
         """Solve the sign-fixed problem on ``active`` exactly; commit if valid.
 
         Under an L1 term, a solution that flips signs or a singular lasso
         set gives a descent direction instead: the iterate steps along it to
         the first zero and the solve is retried on the smaller set.
-        Returns the nonzero set afterwards.
         """
         while len(active):
             sub, w, V, top, nullity = factor(active)
@@ -473,50 +482,37 @@ def coordinate_descent(
             signs = np.sign(b)
             if not nullity:
                 solution = V @ ((V.T @ (q[active] - thresh * signs)) / (w + ridge))
-                if not np.any(solution * signs < 0.0):
+                # without an L1 term, 0 is no boundary of the problem
+                if thresh == 0.0 or not np.any(solution * signs < 0.0):
                     commit(active, sub, solution)
-                    break
-                if thresh == 0.0:
-                    break  # without an L1 term, 0 is no boundary of the problem
+                    return
                 moved, curvature = first_zero(b, solution - b), 0.0
             elif null_steps:
                 v = V[:, 0]  # the objective's slope along v is lam*alpha*signs'v
                 moved = first_zero(b, -v if signs @ v > 0.0 else v)
                 curvature = PIVOT_RTOL * top
+            elif thresh == 0.0:  # the exact step on the range of the sub-Gram
+                Vr = V[:, nullity:]
+                step = Vr @ ((Vr.T @ (grad[active] - ridge * b)) / (w[nullity:] + ridge))
+                commit(active, sub, b + step, PIVOT_RTOL * top)
+                return
             else:
-                break
+                return
             if moved is None or not commit(active, sub, moved, curvature):
-                break
+                return
             active = np.flatnonzero(beta)
-        return active
 
-    everything = range(p)
     converged = False
     sweeps = 0
     while sweeps < max_iter:
         sweeps += 1
-        max_delta = sweep(everything)
+        max_delta = sweep()
         if not math.isfinite(max_delta):
             raise NonFiniteEncountered(f"coordinate descent diverged at sweep {sweeps}")
         if max_delta <= tol:
             converged = True
             break
-        active = restricted_solve(np.flatnonzero(beta))
-        indices = active.tolist()
-        while sweeps < max_iter and 0 < len(active) < p:
-            sweeps += 1
-            max_delta = sweep(indices)
-            if not math.isfinite(max_delta):
-                raise NonFiniteEncountered(
-                    f"coordinate descent diverged at sweep {sweeps}"
-                )
-            if max_delta <= tol:
-                break
-            new_active = np.flatnonzero(beta)
-            # a shrunk set is solved again, and a stable singular one stepped again
-            if len(new_active) < len(active) or (null_steps and factor(active)[-1]):
-                active = restricted_solve(new_active)
-                indices = active.tolist()
+        restricted_solve(np.flatnonzero(beta))
     return beta, converged, sweeps
 
 

@@ -162,10 +162,6 @@ class IntervalTable:
     def predictor_names(self) -> tuple[str, ...]:
         return tuple(n for n in self.variable_names if n != self.response_name)
 
-    def with_response(self, name: str) -> "IntervalTable":
-        """Return the same table with ``name`` designated as the response."""
-        return replace(self, response_name=name)
-
     def column(self, name: str) -> tuple[Interval, ...]:
         try:
             j = self.variable_names.index(name)

@@ -331,6 +331,22 @@ class TestPathCommand:
         assert max(abs(v) for v in top) <= 1e-10
 
 
+@pytest.mark.parametrize("argv", [
+    ["cv", "--method", "lasso-cm", "--folds", "5", "--seed", "3", "--n-lambdas", "6"],
+    ["cv", "--method", "net-cm", "--folds", "5", "--seed", "3",
+     "--alpha-grid", "0.5,1", "--n-lambdas", "6"],
+    ["path", "--method", "lasso-cm", "--n-lambdas", "6"],
+])
+def test_cv_and_path_files_end_lines_with_lf(capsys, tmp_path, cardio_csv, argv):
+    out_path = tmp_path / "out.csv"
+    code, _, err = run(capsys, *argv, "--train", str(cardio_csv), "--response", "Pulse",
+                       "--out", str(out_path))
+    assert code == 0, err
+    data = out_path.read_bytes()
+    assert b"\r" not in data
+    assert data.count(b"\n") == len(read_rows(out_path))
+
+
 class TestNonConvergedWarning:
     """cv, path and fit --lambda cv say so when a fit hit the sweep limit."""
 

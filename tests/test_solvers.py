@@ -198,13 +198,14 @@ class TestDesignProblem:
         Xs, means, scales = _standardize(problem.X, scale)
         yc = problem.y - problem.y.mean()
         for got, want in [
-            (std.Xs, Xs), (std.means, means), (std.scales, scales),
-            (std.yc, yc), (std.gram, Xs.T @ Xs), (std.q, Xs.T @ yc),
+            (std.means, means), (std.scales, scales),
+            (std.gram, Xs.T @ Xs), (std.q, Xs.T @ yc),
             (std.gram_diag, np.diag(Xs.T @ Xs)),
         ]:
             assert got.tobytes() == want.tobytes()
         assert std.y_mean == problem.y.mean()
         assert std.y_ss == float(yc @ yc)
+        assert np.all(std.gram[3] == 0.0) and std.q[3] == 0.0
 
     @pytest.mark.parametrize("seed", range(5))
     def test_constant_columns_are_zero_variance_whatever_their_mean_rounds_to(self, seed):
@@ -215,7 +216,7 @@ class TestDesignProblem:
         problem = DesignProblem(X, y)
         for scale in (True, False):
             std = problem.standardized(scale)
-            assert np.all(std.Xs[:, 1:] == 0.0)
+            assert np.all(std.gram[1:] == 0.0) and np.all(std.q[1:] == 0.0)
             assert std.scales[1:].tolist() == [1.0, 1.0]
             assert std.means[1:].tolist() == [0.1, 0.5]
             assert std.gram_diag[1:].tolist() == [0.0, 0.0]
@@ -681,9 +682,31 @@ class TestElasticNet:
         base = rng.normal(size=(40, 1))
         X = np.column_stack([base, base + 1e-4 * rng.normal(size=(40, 1))])
         y = X @ np.array([1.0, -1.0]) + rng.normal(size=40)
-        coeffs = fit_elastic_net(DesignProblem(X, y), 0.0, 1.0, max_iter=2)
+        coeffs = fit_elastic_net(DesignProblem(X, y), 0.0, 1.0, max_iter=1)
         assert not coeffs.converged
         assert np.all(np.isfinite(coeffs.betas))
+
+    def test_unpenalized_wide_design_interpolates_within_three_sweeps(self):
+        # at lambda 0 with p > n the sub-Gram of the nonzero set is singular;
+        # its range step fits y exactly
+        rng = np.random.default_rng(29)
+        for _ in range(20):
+            X = rng.normal(size=(10, 15))
+            y = rng.normal(size=10)
+            coeffs = fit_elastic_net(DesignProblem(X, y), 0.0, 1.0)
+            assert coeffs.converged and coeffs.n_sweeps <= 3
+            assert np.sum((y - linear(coeffs, X)) ** 2) < 1e-20
+
+    def test_unpenalized_near_collinear_design_converges_within_three_sweeps(self):
+        # two columns 1e-4 apart: cycling alone crawls along their difference
+        rng = np.random.default_rng(30)
+        for _ in range(20):
+            base = rng.normal(size=(30, 1))
+            X = np.column_stack([base, base + 1e-4 * rng.normal(size=(30, 1)),
+                                 rng.normal(size=(30, 2))])
+            y = X @ rng.normal(size=4) + rng.normal(size=30)
+            coeffs = fit_elastic_net(DesignProblem(X, y), 0.0, 1.0)
+            assert coeffs.converged and coeffs.n_sweeps <= 3
 
     def test_warm_start_shape_mismatch(self):
         rng = np.random.default_rng(15)
