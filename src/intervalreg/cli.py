@@ -152,6 +152,8 @@ def _cmd_fit(args) -> int:
         spec = models.MethodSpec.from_name(args.method, lam_value, args.lam_range, args.alpha)
 
     model = models.fit(table, spec)
+    _warn_nonconverged(sum(not c.converged for c in (model.center_coeffs, model.range_coeffs)
+                           if c is not None))
     with open(args.model_out, "w", encoding="utf-8") as fh:
         fh.write(models.serialize(model))
     print(f"method: {spec.name}")

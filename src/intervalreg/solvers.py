@@ -33,7 +33,8 @@ Linear systems are solved by LAPACK's Cholesky factorization; a
 rank-deficient Gram matrix is reported with its first failing pivot.
 Coordinate descent's restricted solves instead use one eigendecomposition
 per active set and design, which also yields the null vectors it steps
-along on singular sets (:func:`coordinate_descent`).
+along on singular sets; without an L1 term one solve from the Gram's
+eigendecomposition is the whole fit (:func:`coordinate_descent`).
 """
 
 from __future__ import annotations
@@ -308,6 +309,22 @@ def fit_ridge_path(
     ]
 
 
+def _factor(gram: np.ndarray, factors: dict, active: np.ndarray,
+            ridge: float) -> tuple[np.ndarray, np.ndarray, np.ndarray, float, int]:
+    """``(sub, w, V, top, nullity)``: the sub-Gram of ``active``, ``sub = V diag(w) V'``
+    with ``w`` ascending (factored once per active set into ``factors``), its
+    largest diagonal entry, and how many eigenvalues of ``sub + ridge*I``
+    count as 0 (at most ``PIVOT_RTOL`` of ``top + ridge``)."""
+    key = active.tobytes()
+    found = factors.get(key)
+    if found is None:
+        sub = gram[active][:, active]
+        top = float(np.max(np.diag(sub), initial=0.0))  # 0 when every column is constant
+        found = factors[key] = (sub, *np.linalg.eigh(sub), top)
+    sub, w, V, top = found
+    return sub, w, V, top, int(np.count_nonzero(w + ridge <= PIVOT_RTOL * (top + ridge)))
+
+
 def coordinate_descent(
     gram: np.ndarray,
     q: np.ndarray,
@@ -336,9 +353,12 @@ def coordinate_descent(
     costs O(1).  Each iteration is one full cycle over every coordinate
     followed by one exact solve restricted to the nonzero set.
     Convergence is a full cycle whose largest coefficient change is at
-    most ``tol``.  A coordinate whose column is constant is set to exactly
-    0 when the L1 term is its only penalty (``gram_diag[j] == 0``,
-    ``lam*(1-alpha) == 0 < lam*alpha``), and kept when it is unpenalized.
+    most ``tol``; a constant column (``gram_diag[j] == 0``) gets exactly
+    0.  Without an L1 term (``lam*alpha == 0``) no cycle runs:
+    ``beta`` is the minimum-norm minimizer of the plain quadratic, from the
+    eigendecomposition of the non-constant columns' Gram with 0 along the
+    directions the rule below counts as singular (a constant column keeps
+    ``beta0`` if unpenalized), and ``(beta, True, 0)`` is returned.
 
     With its signs fixed, the problem restricted to the nonzero set is a
     plain quadratic, which cuts the slow tail of ill-conditioned problems
@@ -352,21 +372,16 @@ def coordinate_descent(
     not raise the objective, beyond what the curvature counted as 0 allows
     for a step in a null space.
 
-    * (a) On a nonsingular set the exact solution is committed when it
-      keeps the signs, and without an L1 term whatever its signs (0 is then
-      no boundary of the problem).  Under an L1 term, a solution that
-      flips signs is a descent direction instead: the sign-fixed objective
-      falls along the segment to it and equals the objective up to the
-      first sign change (the active-set step of Osborne, Presnell &
-      Turlach, IMA J. Numer. Anal. 2000).
-    * (b) On a singular set without an L1 term the exact step is taken on
-      the range of the shifted sub-Gram, leaving the null-space components
-      as they are.
+    * On a nonsingular set the exact solution is committed when it keeps
+      the signs.  A solution that flips signs is a descent direction
+      instead: the sign-fixed objective falls along the segment to it and
+      equals the objective up to the first sign change (the active-set
+      step of Osborne, Presnell & Turlach, IMA J. Numer. Anal. 2000).
     * On a singular lasso set the quadratic part is flat along the null
       vector ``v``, so the objective changes along it only through the L1
       term, with slope ``lam*alpha * sign(b)'v``, and the descending sign
       of ``v`` is the direction.
-    * A singular set with both an L1 and a ridge term is left as it is.
+    * A singular set with a ridge term is left as it is.
 
     Along a descent direction the iterate moves until its first
     coefficient reaches 0, that coefficient is set to exactly 0, and the
@@ -385,8 +400,14 @@ def coordinate_descent(
     beta = np.zeros(p) if beta0 is None else np.asarray(beta0, dtype=float).copy()
     ridge = lam * (1.0 - alpha)
     thresh = lam * alpha / 2.0
-    null_steps = ridge == 0.0 and thresh > 0.0
     factors = {} if factors is None else factors
+    if thresh == 0.0:  # a plain quadratic: its minimum-norm minimizer, in one solve
+        beta = np.where(gram_diag + ridge > 0.0, 0.0, beta)  # unpenalized: any value fits
+        active = np.flatnonzero(gram_diag)
+        _, w, V, _, nullity = _factor(gram, factors, active, ridge)
+        Vr = V[:, nullity:]  # directions counted as 0 get coefficient 0
+        beta[active] = Vr @ ((Vr.T @ q[active]) / (w[nullity:] + ridge))
+        return beta, True, 0
     grad = q - gram @ beta  # grad[j] = sum_i x_ij r_i at the current beta
     # the per-coordinate loop reads plain floats and row views, not numpy scalars
     denom = (gram_diag + ridge).tolist()
@@ -397,17 +418,11 @@ def coordinate_descent(
         nonlocal grad
         max_delta = 0.0
         for j in range(p):
-            dj = denom[j]
-            if dj <= 0.0 and thresh == 0.0:
-                continue  # unpenalized zero-variance column: every b_j fits equally well
             bj = beta.item(j)
-            # a zero-variance column has rho = 0, so the L1 term alone sets b_j = 0
+            # a zero-variance column has rho = 0, so the L1 term sets b_j = 0
             rho = grad.item(j) + diag[j] * bj  # partial residual correlation
-            if thresh > 0.0:
-                mag = abs(rho) - thresh
-                bnew = math.copysign(mag, rho) / dj if mag > 0.0 else 0.0
-            else:
-                bnew = rho / dj
+            mag = abs(rho) - thresh
+            bnew = math.copysign(mag, rho) / denom[j] if mag > 0.0 else 0.0
             if bnew != bj:
                 grad -= rows[j] * (bnew - bj)
                 beta[j] = bnew
@@ -415,19 +430,6 @@ def coordinate_descent(
                 if delta > max_delta:
                     max_delta = delta
         return max_delta
-
-    def factor(active: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray, float, int]:
-        """``(sub, w, V, top, nullity)``: the active sub-Gram, ``sub = V diag(w) V'``
-        with ``w`` ascending (factored once per active set), its largest
-        diagonal entry, and how many eigenvalues of ``sub + ridge*I`` count
-        as 0 (at most ``PIVOT_RTOL`` of ``top + ridge``)."""
-        key = active.tobytes()
-        found = factors.get(key)
-        if found is None:
-            sub = gram[active][:, active]
-            found = factors[key] = (sub, *np.linalg.eigh(sub), float(np.max(np.diag(sub))))
-        sub, w, V, top = found
-        return sub, w, V, top, int(np.count_nonzero(w + ridge <= PIVOT_RTOL * (top + ridge)))
 
     def commit(active: np.ndarray, sub: np.ndarray, values: np.ndarray,
                curvature: float = 0.0) -> bool:
@@ -472,30 +474,24 @@ def coordinate_descent(
     def restricted_solve(active: np.ndarray) -> None:
         """Solve the sign-fixed problem on ``active`` exactly; commit if valid.
 
-        Under an L1 term, a solution that flips signs or a singular lasso
-        set gives a descent direction instead: the iterate steps along it to
-        the first zero and the solve is retried on the smaller set.
+        A solution that flips signs, or a singular lasso set, gives a descent
+        direction instead: the iterate steps along it to the first zero and
+        the solve is retried on the smaller set.
         """
         while len(active):
-            sub, w, V, top, nullity = factor(active)
+            sub, w, V, top, nullity = _factor(gram, factors, active, ridge)
             b = beta[active]
             signs = np.sign(b)
             if not nullity:
                 solution = V @ ((V.T @ (q[active] - thresh * signs)) / (w + ridge))
-                # without an L1 term, 0 is no boundary of the problem
-                if thresh == 0.0 or not np.any(solution * signs < 0.0):
+                if not np.any(solution * signs < 0.0):
                     commit(active, sub, solution)
                     return
                 moved, curvature = first_zero(b, solution - b), 0.0
-            elif null_steps:
+            elif ridge == 0.0:
                 v = V[:, 0]  # the objective's slope along v is lam*alpha*signs'v
                 moved = first_zero(b, -v if signs @ v > 0.0 else v)
                 curvature = PIVOT_RTOL * top
-            elif thresh == 0.0:  # the exact step on the range of the sub-Gram
-                Vr = V[:, nullity:]
-                step = Vr @ ((Vr.T @ (grad[active] - ridge * b)) / (w[nullity:] + ridge))
-                commit(active, sub, b + step, PIVOT_RTOL * top)
-                return
             else:
                 return
             if moved is None or not commit(active, sub, moved, curvature):
@@ -576,7 +572,8 @@ def fit_elastic_net(
     (the result then matches :func:`fit_ridge`).  ``warm_start``
     seeds the slopes from a previous fit of the same design (used along
     regularization paths).  Hitting ``max_iter`` is not an error: the
-    best iterate is returned with ``converged=False``.
+    best iterate is returned with ``converged=False``.  Without an L1 term
+    it is one exact, minimum-norm solve with ``n_sweeps == 0``.
     """
     if not (math.isfinite(lam) and lam >= 0.0):
         raise ValueError(f"lambda must be finite and >= 0, got {lam}")

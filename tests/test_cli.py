@@ -6,7 +6,7 @@ import re
 import numpy as np
 import pytest
 
-from intervalreg import MethodSpec, selection, serialize
+from intervalreg import MethodSpec, models, selection, serialize
 from intervalreg.cli import main
 from intervalreg.models import FittedModel
 from intervalreg.solvers import CoefficientSet
@@ -384,6 +384,19 @@ class TestNonConvergedWarning:
             r"without converging; their last iterates were used", lines[0]
         )
         # the same stdout lines, with the capped fits' numbers in them
+        strip = functools.partial(re.sub, r"-?\d[\d.e+-]*", "#")
+        assert strip(capped_out) == strip(out)
+
+    def test_fit_warns_about_its_own_fit(self, capsys, monkeypatch, tmp_path, cardio_csv):
+        argv = ["fit", "--method", "lasso-crm", "--lambda", "1.0", "--train",
+                str(cardio_csv), "--response", "Pulse", "--model-out", str(tmp_path / "m")]
+        code, out, err = run(capsys, *argv)
+        assert code == 0 and err == ""
+        monkeypatch.setattr(models, "fit", functools.partial(models.fit, max_iter=1))
+        code, capped_out, err = run(capsys, *argv)
+        assert code == 0
+        assert err == ("warning: 2 coordinate-descent fit(s) stopped at the sweep limit "
+                       "without converging; their last iterates were used\n")
         strip = functools.partial(re.sub, r"-?\d[\d.e+-]*", "#")
         assert strip(capped_out) == strip(out)
 

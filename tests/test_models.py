@@ -10,12 +10,13 @@ from intervalreg import (
     VersionMismatch,
     deserialize,
     fit,
+    models,
     predict,
     serialize,
     swap_violations,
 )
 from intervalreg.models import FittedModel, IntervalPrediction
-from intervalreg.solvers import CoefficientSet
+from intervalreg.solvers import CoefficientSet, DesignProblem
 from intervalreg.tables import to_center_range
 
 from conftest import least_squares, random_interval_table
@@ -228,6 +229,27 @@ class TestShrinkageVariants:
                            standardize=False)
         assert model.center_coeffs.intercept == pytest.approx(direct.intercept)
         assert np.allclose(model.center_coeffs.betas, direct.betas)
+
+    def test_alpha_zero_grid_shares_one_factorization(self, monkeypatch):
+        # elastic net at alpha 0 is one exact solve per weight, all from the
+        # one eigendecomposition of the design's Gram
+        problems = []
+
+        class Recorded(DesignProblem):
+            def __post_init__(self):
+                super().__post_init__()
+                problems.append(self)
+
+        monkeypatch.setattr(models, "DesignProblem", Recorded)
+        rng = np.random.default_rng(37)
+        X = rng.normal(size=(30, 6))
+        X[:, 2] = 1.5  # a zero-variance column
+        y = X[:, :2] @ [1.0, -2.0] + rng.normal(size=30)
+        spec = MethodSpec("cm", "elastic_net", lambda_center=1.0, alpha=0.0)
+        fits = models.fit_design(X, y, spec, np.geomspace(1e3, 1e-3, 100))
+        assert len(problems) == 1 and len(problems[0].standardized().factors) == 1
+        assert all(f.converged and f.n_sweeps == 0 for f in fits)
+        assert all(f.betas[2] == 0.0 for f in fits)
 
     def test_warm_start_reaches_same_solution(self, cardio):
         big = fit(cardio, MethodSpec("cm", "lasso", lambda_center=50.0))

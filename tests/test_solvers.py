@@ -682,7 +682,9 @@ class TestElasticNet:
         base = rng.normal(size=(40, 1))
         X = np.column_stack([base, base + 1e-4 * rng.normal(size=(40, 1))])
         y = X @ np.array([1.0, -1.0]) + rng.normal(size=40)
-        coeffs = fit_elastic_net(DesignProblem(X, y), 0.0, 1.0, max_iter=1)
+        problem = DesignProblem(X, y)
+        assert fit_elastic_net(problem, 1.0, 1.0).n_sweeps > 1  # an L1 weight: cycles
+        coeffs = fit_elastic_net(problem, 1.0, 1.0, max_iter=1)
         assert not coeffs.converged
         assert np.all(np.isfinite(coeffs.betas))
 
@@ -707,6 +709,52 @@ class TestElasticNet:
             y = X @ rng.normal(size=4) + rng.normal(size=30)
             coeffs = fit_elastic_net(DesignProblem(X, y), 0.0, 1.0)
             assert coeffs.converged and coeffs.n_sweeps <= 3
+
+    @pytest.mark.parametrize("alpha", [1.0, 0.5, 0.0])
+    def test_without_an_l1_term_one_exact_solve_replaces_the_cycles(self, alpha):
+        # two columns 1e-6 apart: at the sweep limit of 100,000, cycling left
+        # some of these fits unconverged after seconds
+        for seed in range(20):
+            rng = np.random.default_rng(seed)
+            base = rng.normal(size=(30, 1))
+            X = np.column_stack([base, base + 1e-6 * rng.normal(size=(30, 1)),
+                                 rng.normal(size=(30, 2))])
+            y = X @ rng.normal(size=4) + rng.normal(size=30)
+            problem = DesignProblem(X, y)
+            coeffs = fit_elastic_net(problem, 0.0, alpha)
+            assert coeffs.converged and coeffs.n_sweeps == 0
+            std = problem.standardized()
+            beta = coeffs.betas * coeffs.scales
+            w, V = np.linalg.eigh(std.gram)
+            kept = V[:, w > PIVOT_RTOL * np.max(std.gram_diag)]
+            scale = np.abs(std.gram) @ np.abs(beta) + np.abs(std.q)
+            assert np.all(np.abs(kept.T @ (std.q - std.gram @ beta)) <= 1e-13 * np.max(scale))
+
+    def test_without_an_l1_term_a_warm_start_changes_no_bit(self):
+        # p > n: every interpolating fit is optimal; the minimum-norm one is returned
+        rng = np.random.default_rng(31)
+        for _ in range(10):
+            problem = DesignProblem(rng.normal(size=(10, 15)), rng.normal(size=10))
+            cold = fit_elastic_net(problem, 0.0, 1.0)
+            warm = fit_elastic_net(
+                problem, 0.0, 1.0, warm_start=CoefficientSet(0.0, rng.normal(size=15))
+            )
+            assert warm.betas.tobytes() == cold.betas.tobytes()
+            assert warm.intercept == cold.intercept
+
+    def test_without_an_l1_term_a_constant_column_keeps_its_start_unless_ridged(self):
+        # its coefficient does not enter the squared loss; a ridge term sets it to 0
+        rng = np.random.default_rng(32)
+        y = rng.normal(size=6)
+        for X in (np.full((6, 2), 3.0), np.column_stack([rng.normal(size=6), np.full(6, 3.0)])):
+            problem = DesignProblem(X, y)
+            start = CoefficientSet(0.0, np.array([1.0, -2.0]))
+            for lam, alpha, kept in ((0.0, 1.0, -2.0), (0.0, 0.0, -2.0), (2.0, 0.0, 0.0)):
+                cold = fit_elastic_net(problem, lam, alpha)
+                warm = fit_elastic_net(problem, lam, alpha, warm_start=start)
+                assert cold.n_sweeps == warm.n_sweeps == 0
+                assert cold.betas[1] == 0.0 and warm.betas[1] == kept
+                assert np.allclose(linear(warm, X), linear(cold, X), rtol=0.0, atol=1e-12)
 
     def test_warm_start_shape_mismatch(self):
         rng = np.random.default_rng(15)
