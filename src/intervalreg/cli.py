@@ -207,11 +207,15 @@ def _parse_float_list(text: str, flag: str) -> list[float]:
 
 
 def _cmd_cv(args) -> int:
-    if models.METHOD_NAMES[args.method][1] == "none":
+    family, penalty = models.METHOD_NAMES[args.method]
+    if penalty == "none":
         raise CliError(f"method {args.method!r} has no penalty weight to cross-validate")
+    if args.alpha_grid is not None and penalty != "elastic_net":
+        raise CliError(f"--alpha-grid needs a net-* method, got {args.method!r}")
+    if args.alpha_grid is not None and args.alpha is not None:
+        raise CliError("--alpha cannot be combined with --alpha-grid")
     table = tables.read_interval_csv(args.train, response=args.response)
     if args.alpha_grid is not None:
-        family = models.METHOD_NAMES[args.method][0]
         alphas = _parse_float_list(args.alpha_grid, "--alpha-grid")
         sweep = selection.alpha_sweep(
             table, family, alphas, k=args.folds, seed=args.seed,

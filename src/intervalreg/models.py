@@ -238,11 +238,11 @@ def fit_design(
 ) -> list[CoefficientSet]:
     """Fit one design with the spec's solver at each weight of a descending grid.
 
-    Ridge solves every weight from one Gram matrix, and an unpenalized
-    spec is ridge at weight 0 for every weight; lasso and elastic-net fits
-    warm-start coordinate descent down the grid, the first one from
-    ``warm`` (a previous fit of the same design).  Columns outside
-    ``column_mask`` get a coefficient of exactly 0.0.
+    Ridge solves every positive weight from one eigendecomposition (the
+    elastic net at alpha 0), and an unpenalized spec is ridge at weight 0
+    for every weight; lasso and elastic-net fits warm-start coordinate
+    descent down the grid, the first from ``warm`` (a fit of this
+    design).  Columns outside ``column_mask`` get a coefficient of exactly 0.0.
     """
     p = X.shape[1]
     if column_mask is None:
@@ -365,9 +365,9 @@ def fit_grid(
     half-range regression at each of ``range_lambdas`` (default: the same
     weights), on the predictors with non-constant half-ranges and, under
     lasso / elastic net, in the center support at that weight.  Only the
-    spec's family, penalty and alpha are used.  Every design is
-    built once: ridge solves all weights from one Gram matrix, and
-    lasso / elastic-net fits are warm-started down the grid, the first
+    spec's family, penalty and alpha are used.  Every design is built
+    once: ridge solves all positive weights from one eigendecomposition,
+    and lasso / elastic-net fits are warm-started down the grid, the first
     from ``warm_start`` (a model fit on the same predictors).
     """
     if range_lambdas is None:

@@ -138,9 +138,9 @@ def cross_validate(
     Rows are shuffled by a generator seeded with ``seed`` and split into k
     near-equal folds.  Each fold builds its training view once and fits
     the whole grid from it with :func:`~intervalreg.models.fit_grid`
-    (ridge: one Gram matrix; lasso / elastic net: warm-started down the
-    grid), then scores every lambda on its held-out rows with one matrix
-    product per endpoint.  Only the family, penalty and alpha of ``spec``
+    (ridge: one eigendecomposition; lasso / elastic net: warm-started
+    down the grid), then scores every lambda on its held-out rows with one
+    matrix product per endpoint.  Only the family, penalty and alpha of ``spec``
     are used; one shared lambda drives the midpoint and half-range fits.
     ``k=None`` means 10 folds, reduced to n on small tables.
     ``lambda_min`` minimizes the mean loss and ``lambda_1se`` is the
@@ -279,7 +279,7 @@ def coefficient_path(
     ``component`` picks the design: midpoints (default) or half-ranges.
     The design is fitted by :func:`~intervalreg.models.fit_design`: each
     lasso / elastic-net fit starts from the previous (larger-lambda)
-    solution, and ridge points share one Gram matrix.  Support
+    solution, and ridge points share one eigendecomposition.  Support
     restriction does not apply here, the path is the plain per-design
     solution.  ``table`` may be given as its center/range view
     (:func:`~intervalreg.tables.to_center_range`) by a caller that

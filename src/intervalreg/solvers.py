@@ -4,10 +4,10 @@ Two fitting routines over a dense design matrix without intercept
 column:
 
 * ``fit_ridge``       closed form ``(X'X + lambda*I) b = X'y``, for one
-  weight or (``fit_ridge_path``) a grid of weights sharing one ``X'X``;
-  ``lambda=0`` is least squares,
+  weight or (``fit_ridge_path``) a grid of weights; ``lambda=0`` is least
+  squares, and a positive weight is the elastic net at ``alpha=0``,
 * ``fit_elastic_net`` cyclic coordinate descent with soft-thresholding;
-  ``alpha=1`` is the lasso, ``alpha=0`` matches ridge.
+  ``alpha=1`` is the lasso, ``alpha=0`` is ridge.
 
 The penalized objective is used exactly as written, with no ``1/n`` or
 ``1/(2n)`` factor:
@@ -29,12 +29,13 @@ setting (:meth:`DesignProblem.standardized`); every ridge weight and
 every coordinate-descent fit of that design reuses them, so a penalty
 grid forms one Gram matrix per design, not one per weight.
 
-Linear systems are solved by LAPACK's Cholesky factorization; a
-rank-deficient Gram matrix is reported with its first failing pivot.
-Coordinate descent's restricted solves instead use one eigendecomposition
-per active set and design, which also yields the null vectors it steps
-along on singular sets; without an L1 term one solve from the Gram's
-eigendecomposition is the whole fit (:func:`coordinate_descent`).
+Least squares (``fit_ridge`` at weight 0) is solved by LAPACK's Cholesky
+factorization; a rank-deficient Gram matrix is reported with its first
+failing pivot.  Every other fit uses one eigendecomposition per active
+set and design, which also yields the null vectors coordinate descent
+steps along on singular sets; without an L1 term, ridge included, one
+solve from the Gram's eigendecomposition is the whole fit
+(:func:`coordinate_descent`).
 """
 
 from __future__ import annotations
@@ -292,19 +293,15 @@ def fit_ridge_path(
     Solves ``(Xs'Xs + lam*I) b = Xs'(y - mean(y))`` on centered (and, by
     default, unit-variance) predictors, which is exactly the minimizer of
     the augmented problem with the intercept left out of the penalty.
-    The standardization, ``Xs'Xs`` and ``Xs'(y - mean(y))`` come from the
-    problem's cache (:meth:`DesignProblem.standardized`); each weight
-    costs one ``p x p`` solve.
+    Weight 0 is least squares by :func:`solve_spd`, which raises
+    :class:`SingularDesign` on a rank-deficient design; a positive weight
+    is :func:`fit_elastic_net` at ``alpha=0``, one minimum-norm solve from
+    the design's cached eigendecomposition (:func:`coordinate_descent`).
     """
-    for lam in lams:
-        if not (math.isfinite(lam) and lam >= 0.0):
-            raise ValueError(f"lambda must be finite and >= 0, got {lam}")
     std = problem.standardized(standardize)
-    eye = np.eye(problem.p)
     return [
-        _back_transform(
-            solve_spd(std.gram + lam * eye, std.q), std.y_mean, std.means, std.scales
-        )
+        _back_transform(solve_spd(std.gram, std.q), std.y_mean, std.means, std.scales)
+        if lam == 0.0 else fit_elastic_net(problem, lam, 0.0, standardize=standardize)
         for lam in lams
     ]
 
@@ -569,7 +566,7 @@ def fit_elastic_net(
 
     ``lam >= 0`` is the shrinkage strength and ``alpha`` in [0, 1] the L1
     fraction: ``alpha=1`` gives the lasso, ``alpha=0`` the ridge penalty
-    (the result then matches :func:`fit_ridge`).  ``warm_start``
+    (:func:`fit_ridge` at a positive weight is this fit).  ``warm_start``
     seeds the slopes from a previous fit of the same design (used along
     regularization paths).  Hitting ``max_iter`` is not an error: the
     best iterate is returned with ``converged=False``.  Without an L1 term

@@ -315,6 +315,26 @@ class TestCvCommand:
         assert rows[0][0] == "alpha"
         assert len(rows) == 1 + 3 * 6
 
+    @pytest.mark.parametrize("method, extra, flag", [
+        ("ridge-cm", [], "--alpha-grid"),
+        ("lasso-crm", [], "--alpha-grid"),
+        ("net-cm", ["--alpha", "0.5"], "--alpha"),
+    ])
+    def test_alpha_grid_rejects_a_method_or_alpha_it_would_ignore(
+        self, capsys, tmp_path, cardio_csv, method, extra, flag
+    ):
+        out_path = tmp_path / "sweep.csv"
+        code, out, err = run(
+            capsys, "cv", "--method", method, "--train", str(cardio_csv),
+            "--response", "Pulse", "--folds", "5", "--seed", "3",
+            "--alpha-grid", "0,0.5,1", "--n-lambdas", "6", *extra,
+            "--out", str(out_path),
+        )
+        assert code == 1
+        assert out == ""
+        assert err.startswith("error: ") and flag + " " in err
+        assert not out_path.exists()
+
 
 class TestPathCommand:
     def test_path_file_shape(self, capsys, tmp_path, cardio_csv):

@@ -443,6 +443,36 @@ class TestRidge:
                 one = fit_ridge(problem, lam, standardize=standardize)
                 np.testing.assert_allclose(coeffs.betas, one.betas, rtol=1e-13, atol=0)
                 assert coeffs.intercept == pytest.approx(one.intercept, rel=1e-13, abs=0)
+                if lam > 0.0:  # a positive weight is the elastic net at alpha 0
+                    net = fit_elastic_net(problem, lam, 0.0, standardize=standardize)
+                    assert coeffs.betas.tobytes() == net.betas.tobytes()
+                    assert coeffs.intercept == net.intercept
+
+    def test_positive_weight_below_the_eigenvalue_rule_returns_the_minimum_norm_fit(self):
+        # a duplicated column at a weight of 1e-14 of the largest standardized
+        # Gram diagonal: the shifted null eigenvalue counts as 0, so that
+        # direction gets coefficient 0 instead of raising SingularDesign
+        for seed in range(5):
+            rng = np.random.default_rng(seed)
+            a, b = rng.normal(size=(2, 12)) * [[3.0], [0.5]]
+            X = np.column_stack([a, a, b])
+            y = X @ np.array([1.0, 1.0, -2.0]) + rng.normal(size=12)
+            Xs, yc = standardized(X, y)
+            gram = Xs.T @ Xs
+            lam = 1e-14 * float(np.max(np.diag(gram)))
+            problem = DesignProblem(X, y)
+            coeffs = fit_ridge(problem, lam)
+            assert coeffs.betas[0] == pytest.approx(coeffs.betas[1], rel=1e-12, abs=0)
+            scales = np.sqrt(((X - X.mean(axis=0)) ** 2).mean(axis=0))
+            bs = coeffs.betas * scales
+            residual = (gram + lam * np.eye(3)) @ bs - Xs.T @ yc
+            assert np.max(np.abs(residual)) <= 1e-12 * np.max(np.abs(Xs.T @ yc))
+            assert coeffs.intercept == pytest.approx(
+                y.mean() - coeffs.betas @ X.mean(axis=0), rel=1e-12, abs=1e-12
+            )
+            with pytest.raises(SingularDesign) as err:
+                fit_ridge(problem, 0.0)
+            assert err.value.pivot_index == 1
 
     def test_path_rejects_a_bad_weight(self):
         problem = DesignProblem(np.eye(3), np.ones(3))
@@ -469,10 +499,15 @@ class TestElasticNet:
             X = rng.normal(size=(n, p))
             y = rng.normal(size=n)
             lam = float(rng.uniform(0.1, 20.0))
-            ridge = fit_ridge(DesignProblem(X, y), lam)
-            net = fit_elastic_net(DesignProblem(X, y), lam, 0.0)
-            assert abs(net.intercept - ridge.intercept) <= 1e-6
-            assert np.max(np.abs(net.betas - ridge.betas)) <= 1e-6
+            net = fit_elastic_net(DesignProblem(X, y), lam, 0.0, standardize=False)
+            # oracle: one dense solve of the intercept-augmented system with the
+            # penalty applied to every slot except the intercept
+            Xt = np.column_stack([np.ones(n), X])
+            pen = lam * np.eye(p + 1)
+            pen[0, 0] = 0.0
+            oracle = np.linalg.solve(Xt.T @ Xt + pen, Xt.T @ y)
+            assert abs(net.intercept - oracle[0]) <= 1e-6
+            assert np.max(np.abs(net.betas - oracle[1:])) <= 1e-6
 
     def test_all_zero_at_lambda_max(self):
         rng = np.random.default_rng(10)
