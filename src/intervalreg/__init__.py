@@ -34,6 +34,7 @@ from .selection import (
     make_lambda_grid,
 )
 from .solvers import (
+    CoefficientGrid,
     CoefficientSet,
     DesignProblem,
     NonFiniteEncountered,

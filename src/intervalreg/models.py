@@ -28,6 +28,8 @@ import numpy as np
 from .solvers import (
     DEFAULT_MAX_ITER,
     DEFAULT_TOL,
+    SUPPORT_TOL,
+    CoefficientGrid,
     CoefficientSet,
     DesignProblem,
     fit_elastic_net,
@@ -226,74 +228,46 @@ def swap_violations(prediction: IntervalPrediction) -> IntervalPrediction:
 # ---------------------------------------------------------------------------
 
 def fit_design(
-    X: np.ndarray,
-    y: np.ndarray,
+    problem: DesignProblem,
     spec: MethodSpec,
     lams: Sequence[float],
     tol: float = DEFAULT_TOL,
     max_iter: int = DEFAULT_MAX_ITER,
     standardize: bool = True,
-    column_mask: np.ndarray | None = None,
     warm: CoefficientSet | None = None,
-) -> list[CoefficientSet]:
+) -> CoefficientGrid:
     """Fit one design with the spec's solver at each weight of a descending grid.
 
-    Ridge solves every positive weight from one eigendecomposition (the
-    elastic net at alpha 0), and an unpenalized spec is ridge at weight 0
-    for every weight; lasso and elastic-net fits warm-start coordinate
-    descent down the grid, the first from ``warm`` (a fit of this
-    design).  Columns outside ``column_mask`` get a coefficient of exactly 0.0.
+    Row i is the fit at ``lams[i]``.  Ridge fits all weights in one solve
+    (:func:`~intervalreg.solvers.fit_ridge_path`); an unpenalized spec is
+    ridge at weight 0.  Lasso and elastic net stack one ``fit_elastic_net``
+    per weight, warm-started down the grid from ``warm`` (a fit of this design).
     """
-    p = X.shape[1]
-    if column_mask is None:
-        column_mask = np.ones(p, dtype=bool)
-    if not column_mask.any():
-        return [CoefficientSet(float(np.mean(y)), np.zeros(p)) for _ in lams]
-    problem = DesignProblem(X[:, column_mask], y)
-    if spec.penalty == "none":
-        subs = fit_ridge_path(problem, (0.0,) * len(lams), standardize=standardize)
-    elif spec.penalty == "ridge":
-        subs = fit_ridge_path(problem, lams, standardize=standardize)
-    else:
-        subs = []
-        previous = None
-        if warm is not None and warm.p == p:
-            previous = CoefficientSet(warm.intercept, warm.betas[column_mask])
-        for lam in lams:
-            previous = fit_elastic_net(
-                problem,
-                lam,
-                spec.effective_alpha,
-                tol=tol,
-                max_iter=max_iter,
-                standardize=standardize,
-                warm_start=previous,
-            )
-            subs.append(previous)
-    if column_mask.all():
-        return subs
-    return [_scatter(sub, column_mask) for sub in subs]
+    if spec.penalty in ("none", "ridge"):
+        return fit_ridge_path(problem, np.zeros(len(lams)) if spec.penalty == "none" else lams,
+                              standardize=standardize)
+    fits = []
+    for lam in lams:
+        warm = fit_elastic_net(problem, lam, spec.effective_alpha, tol=tol, max_iter=max_iter,
+                               standardize=standardize, warm_start=warm)
+        fits.append(warm)
+    return CoefficientGrid.stack(fits)
 
 
-def _scatter(sub: CoefficientSet, column_mask: np.ndarray) -> CoefficientSet:
-    """Coefficients of a column-subset fit on the full predictor set (0.0 elsewhere)."""
-    p = column_mask.shape[0]
-    betas = np.zeros(p)
-    betas[column_mask] = sub.betas
-    means = np.zeros(p)
-    means[column_mask] = sub.means
-    scales = np.ones(p)
-    scales[column_mask] = sub.scales
-    return CoefficientSet(
-        sub.intercept, betas, means=means, scales=scales,
-        converged=sub.converged, n_sweeps=sub.n_sweeps,
-    )
+def _scatter(sub: CoefficientGrid, column_mask: np.ndarray) -> CoefficientGrid:
+    """A fit of the ``column_mask`` columns on all p: slope 0, mean 0, scale 1 elsewhere."""
+    p = len(column_mask)
+    slopes = np.zeros((len(sub), p))
+    slopes[:, column_mask] = sub.slopes
+    means, scales = np.zeros(p), np.ones(p)
+    means[column_mask], scales[column_mask] = sub.means, sub.scales
+    return CoefficientGrid(sub.intercepts, slopes, sub.converged, sub.n_sweeps, means, scales)
 
 
 def _range_masks(
-    spec: MethodSpec, halfranges_X: np.ndarray, centers: Sequence[CoefficientSet]
-) -> list[np.ndarray]:
-    """Columns the half-range regression may use, one mask per center fit.
+    spec: MethodSpec, halfranges_X: np.ndarray, centers: CoefficientGrid
+) -> np.ndarray:
+    """Columns the half-range regression may use, ``(k, p)``: row i for center fit i.
 
     Constant half-range columns carry no range signal and would make the
     unpenalized Gram singular (degenerate intervals).  Under lasso and
@@ -301,25 +275,26 @@ def _range_masks(
     """
     informative = np.ptp(halfranges_X, axis=0) > 0.0
     if not spec.selects_variables:
-        return [informative] * len(centers)
-    return [c.support() & informative for c in centers]
+        return np.broadcast_to(informative, centers.slopes.shape)
+    return (np.abs(centers.slopes) > SUPPORT_TOL) & informative
 
 
 @dataclass(frozen=True, eq=False)
 class GridFit:
-    """One method's coefficients at every weight of a penalty grid.
+    """One method's coefficients at every weight of a penalty grid, as arrays.
 
     ``centers`` holds the midpoint fits and ``ranges`` the half-range fits
-    (``None`` for cm families), one per grid weight.
+    (``None`` for cm families); row i of each is the fit at grid weight i.
     """
 
-    centers: tuple[CoefficientSet, ...]
-    ranges: tuple[CoefficientSet, ...] | None = None
+    centers: CoefficientGrid
+    ranges: CoefficientGrid | None = None
 
     @property
     def nonconverged(self) -> int:
         """Fits that stopped at ``max_iter`` sweeps (``converged=False``)."""
-        return sum(not c.converged for c in (*self.centers, *(self.ranges or ())))
+        grids = (g for g in (self.centers, self.ranges) if g is not None)
+        return sum(int(np.count_nonzero(~g.converged)) for g in grids)
 
     def predict_bounds(
         self, X_lo: np.ndarray, X_hi: np.ndarray
@@ -332,21 +307,13 @@ class GridFit:
         design (crm) covers the whole grid; :func:`predict` is the one-weight
         case.
         """
-        b0, B = _stack(self.centers)
+        c = self.centers
         if self.ranges is None:
-            return b0 + X_lo @ B, b0 + X_hi @ B
-        r0, R = _stack(self.ranges)
-        y_center = b0 + ((X_lo + X_hi) / 2.0) @ B
-        y_range = r0 + ((X_hi - X_lo) / 2.0) @ R
+            return c.intercepts + X_lo @ c.slopes.T, c.intercepts + X_hi @ c.slopes.T
+        r = self.ranges
+        y_center = c.intercepts + ((X_lo + X_hi) / 2.0) @ c.slopes.T
+        y_range = r.intercepts + ((X_hi - X_lo) / 2.0) @ r.slopes.T
         return y_center - y_range, y_center + y_range
-
-
-def _stack(coeffs: Sequence[CoefficientSet]) -> tuple[np.ndarray, np.ndarray]:
-    """Intercepts ``(k,)`` and slopes ``(p, k)`` of k coefficient sets."""
-    return (
-        np.array([c.intercept for c in coeffs]),
-        np.column_stack([c.betas for c in coeffs]),
-    )
 
 
 def fit_grid(
@@ -365,36 +332,42 @@ def fit_grid(
     half-range regression at each of ``range_lambdas`` (default: the same
     weights), on the predictors with non-constant half-ranges and, under
     lasso / elastic net, in the center support at that weight.  Only the
-    spec's family, penalty and alpha are used.  Every design is built
-    once: ridge solves all positive weights from one eigendecomposition,
-    and lasso / elastic-net fits are warm-started down the grid, the first
-    from ``warm_start`` (a model fit on the same predictors).
+    spec's family, penalty and alpha are used.  Every design is built once
+    (half-ranges: per run of equal column masks): ridge solves all its
+    weights in one product, and lasso / elastic-net fits are warm-started
+    down the grid, the first from ``warm_start`` (a model fit on the same
+    predictors).
     """
     if range_lambdas is None:
         range_lambdas = lambdas
     warm_center = warm_range = None
     if warm_start is not None and warm_start.predictor_names == view.predictor_names:
-        warm_center = warm_start.center_coeffs
-        warm_range = warm_start.range_coeffs
+        warm_center, warm_range = warm_start.center_coeffs, warm_start.range_coeffs
     centers = fit_design(
-        view.centers_X, view.centers_y, spec, lambdas,
+        DesignProblem(view.centers_X, view.centers_y), spec, lambdas,
         tol, max_iter, standardize, warm=warm_center,
     )
     if spec.family == "cm":
-        return GridFit(tuple(centers))
+        return GridFit(centers)
     masks = _range_masks(spec, view.halfranges_X, centers)
-    ranges: list[CoefficientSet] = []
-    start = 0
-    for i in range(1, len(masks) + 1):  # one fit_design per run of equal masks
-        if i < len(masks) and np.array_equal(masks[i], masks[start]):
+    X, y, p = view.halfranges_X, view.halfranges_y, masks.shape[1]
+    bounds = [0, *(np.flatnonzero((masks[1:] != masks[:-1]).any(axis=1)) + 1), len(masks)]
+    runs: list[CoefficientGrid] = []
+    for start, stop in zip(bounds, bounds[1:]):  # one design per run of equal masks
+        mask, k = masks[start], stop - start
+        if not mask.any():  # no column left: the intercept-only fit
+            runs.append(CoefficientGrid.stack([CoefficientSet(np.mean(y), np.zeros(p))] * k))
             continue
-        ranges += fit_design(
-            view.halfranges_X, view.halfranges_y, spec, range_lambdas[start:i],
-            tol, max_iter, standardize, column_mask=masks[start],
-            warm=ranges[-1] if ranges else warm_range,
-        )
-        start = i
-    return GridFit(tuple(centers), tuple(ranges))
+        warm = runs[-1][-1] if runs else warm_range
+        if warm is not None:
+            warm = CoefficientSet(warm.intercept, warm.betas[mask])
+        sub = fit_design(DesignProblem(X[:, mask], y), spec, range_lambdas[start:stop], tol,
+                         max_iter, standardize, warm)
+        runs.append(sub if mask.all() else _scatter(sub, mask))
+    if len(runs) == 1:
+        return GridFit(centers, runs[0])
+    fields = zip(*((r.intercepts, r.slopes, r.converged, r.n_sweeps) for r in runs))
+    return GridFit(centers, CoefficientGrid(*(np.concatenate(f) for f in fields)))
 
 
 def fit(
@@ -459,10 +432,9 @@ def predict(model: FittedModel, table: IntervalTable) -> IntervalPrediction:
     matching the model is allowed and ignored).  No endpoint clamping is
     performed.
     """
-    ranges = None if model.range_coeffs is None else (model.range_coeffs,)
-    lower, upper = GridFit((model.center_coeffs,), ranges).predict_bounds(
-        *_align(table, model)
-    )
+    grids = (None if c is None else CoefficientGrid.stack([c])
+             for c in (model.center_coeffs, model.range_coeffs))
+    lower, upper = GridFit(*grids).predict_bounds(*_align(table, model))
     return IntervalPrediction.from_bounds(lower[:, 0], upper[:, 0])
 
 

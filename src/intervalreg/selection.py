@@ -3,20 +3,20 @@
 Cross-validation shuffles row indices with a seeded PCG64 generator
 (``numpy.random.default_rng``), so a fixed seed makes the whole
 procedure reproducible.  Each fold fits the whole lambda grid once from
-its training rows (:func:`~intervalreg.models.fit_grid`) and scores
-every lambda on its held-out rows with one matrix product per endpoint.
-The held-out loss is the mean of squared lower and upper endpoint
-errors, ``(RMSE_L^2 + RMSE_U^2) / 2``; for center-and-range methods one
-shared lambda drives both the midpoint and the half-range fit
-(independent range selection is available through
-``component="range"``).  Coefficient paths fit one design along the
-grid with the same routine as the folds
-(:func:`~intervalreg.models.fit_design`).
+its training rows (:func:`~intervalreg.models.fit_grid`, one array row
+per lambda) and scores every lambda on its held-out rows with one matrix
+product per endpoint.  The held-out loss is the mean of squared lower
+and upper endpoint errors, ``(RMSE_L^2 + RMSE_U^2) / 2``; for
+center-and-range methods one shared lambda drives both the midpoint and
+the half-range fit (independent range selection is available through
+``component="range"``).  Coefficient paths fit one design along the grid
+with the same routine as the folds (:func:`~intervalreg.models.fit_design`),
+reusing the design :func:`make_lambda_grid` read the grid's top from.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from math import isfinite, sqrt
 
 import numpy as np
@@ -40,9 +40,11 @@ class ZeroVarianceResponse(ValueError):
 
 @dataclass(frozen=True)
 class LambdaGrid:
-    """Strictly descending penalty weights (an optional trailing zero is legal)."""
+    """Strictly descending penalty weights (an optional trailing zero is legal), and
+    the ``problem`` :func:`make_lambda_grid` read them from, for a path to reuse."""
 
     values: tuple[float, ...]
+    problem: DesignProblem | None = field(default=None, compare=False, repr=False)
 
     def __post_init__(self):
         vals = tuple(float(v) for v in self.values)
@@ -81,7 +83,7 @@ def make_lambda_grid(X: np.ndarray, y: np.ndarray, alpha: float, n_points: int =
         )
     eps = 1e-4 if problem.n > problem.p else 1e-2
     values = np.geomspace(lam_max, eps * lam_max, n_points)
-    return LambdaGrid(tuple(values))
+    return LambdaGrid(tuple(values), problem)
 
 
 @dataclass(frozen=True, eq=False)
@@ -138,7 +140,7 @@ def cross_validate(
     Rows are shuffled by a generator seeded with ``seed`` and split into k
     near-equal folds.  Each fold builds its training view once and fits
     the whole grid from it with :func:`~intervalreg.models.fit_grid`
-    (ridge: one eigendecomposition; lasso / elastic net: warm-started
+    (ridge: every lambda in one solve; lasso / elastic net: warm-started
     down the grid), then scores every lambda on its held-out rows with one
     matrix product per endpoint.  Only the family, penalty and alpha of ``spec``
     are used; one shared lambda drives the midpoint and half-range fits.
@@ -261,9 +263,7 @@ class CoefficientPath:
 
     @property
     def nonzero(self) -> tuple[int, ...]:
-        return tuple(
-            int(np.sum(np.abs(row) > SUPPORT_TOL)) for row in self.coefficients
-        )
+        return tuple(np.count_nonzero(np.abs(self.coefficients) > SUPPORT_TOL, axis=1).tolist())
 
 
 def coefficient_path(
@@ -277,12 +277,13 @@ def coefficient_path(
     """Coefficients along a descending grid, warm-started between points.
 
     ``component`` picks the design: midpoints (default) or half-ranges.
-    The design is fitted by :func:`~intervalreg.models.fit_design`: each
-    lasso / elastic-net fit starts from the previous (larger-lambda)
-    solution, and ridge points share one eigendecomposition.  Support
-    restriction does not apply here, the path is the plain per-design
-    solution.  ``table`` may be given as its center/range view
-    (:func:`~intervalreg.tables.to_center_range`) by a caller that
+    The design is fitted by :func:`~intervalreg.models.fit_design`, whose
+    arrays are the path's: each lasso / elastic-net fit starts from the
+    previous (larger-lambda) solution, and all ridge points are one solve.
+    A ``grid`` from :func:`make_lambda_grid` on this design lends its
+    problem.  Support restriction does not apply here, the path is the
+    plain per-design solution.  ``table`` may be given as its center/range
+    view (:func:`~intervalreg.tables.to_center_range`) by a caller that
     already built it.
     """
     if spec.penalty == "none":
@@ -291,10 +292,11 @@ def coefficient_path(
         raise ValueError(f"component must be 'center' or 'range', got {component!r}")
     view = table if isinstance(table, CenterRangeView) else to_center_range(table)
     X, y = view.design(component)
-    fits = fit_design(X, y, spec, grid.values, tol=tol, max_iter=max_iter)
-    intercepts = np.array([c.intercept for c in fits])
-    coefs = np.array([c.betas for c in fits])
+    problem = grid.problem
+    if problem is None or not (np.array_equal(problem.X, X) and np.array_equal(problem.y, y)):
+        problem = DesignProblem(X, y)
+    fits = fit_design(problem, spec, grid.values, tol=tol, max_iter=max_iter)
     return CoefficientPath(
-        grid, intercepts, coefs, view.predictor_names,
-        nonconverged=sum(not c.converged for c in fits),
+        grid, fits.intercepts, fits.slopes, view.predictor_names,
+        nonconverged=int(np.count_nonzero(~fits.converged)),
     )

@@ -4,8 +4,9 @@ Two fitting routines over a dense design matrix without intercept
 column:
 
 * ``fit_ridge``       closed form ``(X'X + lambda*I) b = X'y``, for one
-  weight or (``fit_ridge_path``) a grid of weights; ``lambda=0`` is least
-  squares, and a positive weight is the elastic net at ``alpha=0``,
+  weight or (``fit_ridge_path``) a whole grid of weights in one solve;
+  ``lambda=0`` is least squares, and a positive weight is the elastic
+  net at ``alpha=0``,
 * ``fit_elastic_net`` cyclic coordinate descent with soft-thresholding;
   ``alpha=1`` is the lasso, ``alpha=0`` is ridge.
 
@@ -33,9 +34,9 @@ Least squares (``fit_ridge`` at weight 0) is solved by LAPACK's Cholesky
 factorization; a rank-deficient Gram matrix is reported with its first
 failing pivot.  Every other fit uses one eigendecomposition per active
 set and design, which also yields the null vectors coordinate descent
-steps along on singular sets; without an L1 term, ridge included, one
-solve from the Gram's eigendecomposition is the whole fit
-(:func:`coordinate_descent`).
+steps along on singular sets.  Without an L1 term the fit is the solve
+``V diag(1/(w + lambda)) V' Xs'yc`` from the Gram's ``V diag(w) V'``
+(*ESL* 2nd ed., eq. 3.47), every ridge weight of a grid in one product.
 """
 
 from __future__ import annotations
@@ -204,6 +205,35 @@ class CoefficientSet:
         return np.abs(self.betas) > tol
 
 
+@dataclass(frozen=True, eq=False)
+class CoefficientGrid:
+    """Fits at k penalty weights as arrays, row i at weight i: ``intercepts``,
+    ``converged`` and ``n_sweeps`` ``(k,)``, original-scale ``slopes`` ``(k, p)``,
+    and the ``means``/``scales`` ``(p,)`` all rows share (None if they share none:
+    intercept-only fits, half-range runs on different columns).  Indexing a row
+    builds its :class:`CoefficientSet`."""
+
+    intercepts: np.ndarray
+    slopes: np.ndarray
+    converged: np.ndarray
+    n_sweeps: np.ndarray
+    means: np.ndarray | None = None
+    scales: np.ndarray | None = None
+
+    @classmethod
+    def stack(cls, sets: Sequence[CoefficientSet]) -> "CoefficientGrid":
+        """The grid whose row i is ``sets[i]``, sets of one standardization."""
+        rows = [(c.intercept, c.betas, c.converged, c.n_sweeps) for c in sets]
+        return cls(*map(np.array, zip(*rows)), sets[0].means, sets[0].scales)
+
+    def __len__(self) -> int:
+        return len(self.intercepts)
+
+    def __getitem__(self, i: int) -> CoefficientSet:
+        return CoefficientSet(self.intercepts[i], self.slopes[i], self.means, self.scales,
+                              bool(self.converged[i]), int(self.n_sweeps[i]))
+
+
 # ---------------------------------------------------------------------------
 # Dense symmetric solve
 # ---------------------------------------------------------------------------
@@ -256,62 +286,53 @@ def _standardize(X: np.ndarray, scale: bool) -> tuple[np.ndarray, np.ndarray, np
     return Xc / scales, means, scales
 
 
-def _back_transform(
-    beta_std: np.ndarray,
-    y_mean: float,
-    means: np.ndarray,
-    scales: np.ndarray,
-    converged: bool = True,
-    n_sweeps: int = 0,
-) -> CoefficientSet:
-    betas = beta_std / scales
-    intercept = y_mean - betas @ means
-    return CoefficientSet(
-        intercept, betas, means=means, scales=scales,
-        converged=converged, n_sweeps=n_sweeps,
-    )
-
-
 # ---------------------------------------------------------------------------
 # Estimators
 # ---------------------------------------------------------------------------
 
 def fit_ridge(problem: DesignProblem, lam: float, standardize: bool = True) -> CoefficientSet:
-    """Closed-form ridge with an unpenalized intercept, at one weight.
-
-    The one-weight case of :func:`fit_ridge_path`; ``lam=0`` is least
-    squares.
-    """
+    """:func:`fit_ridge_path` at the one weight ``lam`` (0 is least squares)."""
     return fit_ridge_path(problem, (lam,), standardize)[0]
 
 
 def fit_ridge_path(
     problem: DesignProblem, lams: Sequence[float], standardize: bool = True
-) -> list[CoefficientSet]:
-    """Closed-form ridge at each penalty weight in ``lams``.
+) -> CoefficientGrid:
+    """Closed-form ridge at every penalty weight in ``lams``, row i at ``lams[i]``.
 
     Solves ``(Xs'Xs + lam*I) b = Xs'(y - mean(y))`` on centered (and, by
     default, unit-variance) predictors, which is exactly the minimizer of
     the augmented problem with the intercept left out of the penalty.
     Weight 0 is least squares by :func:`solve_spd`, which raises
-    :class:`SingularDesign` on a rank-deficient design; a positive weight
-    is :func:`fit_elastic_net` at ``alpha=0``, one minimum-norm solve from
-    the design's cached eigendecomposition (:func:`coordinate_descent`).
+    :class:`SingularDesign` on a rank-deficient design.  All positive
+    weights are one vectorized :func:`_minimum_norm` solve from the design's
+    cached eigendecomposition, each row equal to :func:`fit_elastic_net` at
+    ``alpha=0`` bit for bit; the back-transform runs once.
     """
+    for lam in lams:
+        if not (math.isfinite(lam) and lam >= 0.0):
+            raise ValueError(f"lambda must be finite and >= 0, got {lam}")
+    lams = np.asarray(lams, dtype=float)
     std = problem.standardized(standardize)
-    return [
-        _back_transform(solve_spd(std.gram, std.q), std.y_mean, std.means, std.scales)
-        if lam == 0.0 else fit_elastic_net(problem, lam, 0.0, standardize=standardize)
-        for lam in lams
-    ]
+    beta = np.empty((len(lams), problem.p))
+    positive = lams > 0.0
+    if positive.any():
+        beta[positive] = _minimum_norm(std.gram, std.q, std.gram_diag, std.factors, lams[positive])
+    if not positive.all():
+        beta[~positive] = solve_spd(std.gram, std.q)
+    slopes = beta / std.scales  # intercepts: each row's own dot product, as in fit_elastic_net
+    return CoefficientGrid(std.y_mean - (slopes[:, None, :] @ std.means)[:, 0], slopes,
+                           np.ones(len(lams), dtype=bool), np.zeros(len(lams), dtype=int),
+                           std.means, std.scales)
 
 
-def _factor(gram: np.ndarray, factors: dict, active: np.ndarray,
-            ridge: float) -> tuple[np.ndarray, np.ndarray, np.ndarray, float, int]:
-    """``(sub, w, V, top, nullity)``: the sub-Gram of ``active``, ``sub = V diag(w) V'``
+def _factor(
+    gram: np.ndarray, factors: dict, active: np.ndarray, ridge: float | np.ndarray
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, float, np.ndarray]:
+    """``(sub, w, V, top, null)``: the sub-Gram of ``active``, ``sub = V diag(w) V'``
     with ``w`` ascending (factored once per active set into ``factors``), its
-    largest diagonal entry, and how many eigenvalues of ``sub + ridge*I``
-    count as 0 (at most ``PIVOT_RTOL`` of ``top + ridge``)."""
+    largest diagonal entry, and which eigenvalues of ``sub + ridge*I`` count
+    as 0 (at most ``PIVOT_RTOL`` of ``top + ridge``), per row of a ``(k, 1)`` ``ridge``."""
     key = active.tobytes()
     found = factors.get(key)
     if found is None:
@@ -319,7 +340,20 @@ def _factor(gram: np.ndarray, factors: dict, active: np.ndarray,
         top = float(np.max(np.diag(sub), initial=0.0))  # 0 when every column is constant
         found = factors[key] = (sub, *np.linalg.eigh(sub), top)
     sub, w, V, top = found
-    return sub, w, V, top, int(np.count_nonzero(w + ridge <= PIVOT_RTOL * (top + ridge)))
+    return sub, w, V, top, w + ridge <= PIVOT_RTOL * (top + ridge)
+
+
+def _minimum_norm(gram: np.ndarray, q: np.ndarray, gram_diag: np.ndarray, factors: dict,
+                  ridges: np.ndarray) -> np.ndarray:
+    """Minimum-norm minimizers of ``b'(gram + ridge*I)b - 2q'b``, a row per weight in
+    ``ridges``: ``V diag(1/(w + ridge)) V'q`` over the non-constant columns, 0 in the
+    others and along directions :func:`_factor` counts as 0.  Rows do not depend on k."""
+    active = np.flatnonzero(gram_diag)
+    _, w, V, _, null = _factor(gram, factors, active, ridges[:, None])
+    c = (V.T @ q[active]) / np.where(null, np.inf, w + ridges[:, None])
+    beta = np.zeros((len(ridges), len(q)))
+    beta[:, active] = (V @ c[:, :, None])[:, :, 0]
+    return beta
 
 
 def coordinate_descent(
@@ -351,10 +385,8 @@ def coordinate_descent(
     followed by one exact solve restricted to the nonzero set.
     Convergence is a full cycle whose largest coefficient change is at
     most ``tol``; a constant column (``gram_diag[j] == 0``) gets exactly
-    0.  Without an L1 term (``lam*alpha == 0``) no cycle runs:
-    ``beta`` is the minimum-norm minimizer of the plain quadratic, from the
-    eigendecomposition of the non-constant columns' Gram with 0 along the
-    directions the rule below counts as singular (a constant column keeps
+    0.  Without an L1 term (``lam*alpha == 0``) no cycle runs: ``beta`` is
+    the one-weight :func:`_minimum_norm` solve (a constant column keeps
     ``beta0`` if unpenalized), and ``(beta, True, 0)`` is returned.
 
     With its signs fixed, the problem restricted to the nonzero set is a
@@ -399,12 +431,9 @@ def coordinate_descent(
     thresh = lam * alpha / 2.0
     factors = {} if factors is None else factors
     if thresh == 0.0:  # a plain quadratic: its minimum-norm minimizer, in one solve
-        beta = np.where(gram_diag + ridge > 0.0, 0.0, beta)  # unpenalized: any value fits
-        active = np.flatnonzero(gram_diag)
-        _, w, V, _, nullity = _factor(gram, factors, active, ridge)
-        Vr = V[:, nullity:]  # directions counted as 0 get coefficient 0
-        beta[active] = Vr @ ((Vr.T @ q[active]) / (w[nullity:] + ridge))
-        return beta, True, 0
+        solved = _minimum_norm(gram, q, gram_diag, factors, np.array([ridge]))[0]
+        # an unpenalized constant column fits at any value and keeps its start
+        return np.where(gram_diag + ridge > 0.0, solved, beta), True, 0
     grad = q - gram @ beta  # grad[j] = sum_i x_ij r_i at the current beta
     # the per-coordinate loop reads plain floats and row views, not numpy scalars
     denom = (gram_diag + ridge).tolist()
@@ -476,10 +505,10 @@ def coordinate_descent(
         the solve is retried on the smaller set.
         """
         while len(active):
-            sub, w, V, top, nullity = _factor(gram, factors, active, ridge)
+            sub, w, V, top, null = _factor(gram, factors, active, ridge)
             b = beta[active]
             signs = np.sign(b)
-            if not nullity:
+            if not null.any():
                 solution = V @ ((V.T @ (q[active] - thresh * signs)) / (w + ridge))
                 if not np.any(solution * signs < 0.0):
                     commit(active, sub, solution)
@@ -594,7 +623,6 @@ def fit_elastic_net(
     )
     if not np.isfinite(beta_std).all():
         raise NonFiniteEncountered("coordinate descent produced non-finite coefficients")
-    return _back_transform(
-        beta_std, std.y_mean, std.means, std.scales,
-        converged=converged, n_sweeps=sweeps,
-    )
+    betas = beta_std / std.scales
+    return CoefficientSet(std.y_mean - betas @ std.means, betas, std.means, std.scales,
+                          converged, sweeps)

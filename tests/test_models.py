@@ -16,10 +16,11 @@ from intervalreg import (
     swap_violations,
 )
 from intervalreg.models import FittedModel, IntervalPrediction
-from intervalreg.solvers import CoefficientSet, DesignProblem
-from intervalreg.tables import to_center_range
+from intervalreg.selection import make_lambda_grid
+from intervalreg.solvers import SUPPORT_TOL, CoefficientSet, DesignProblem
+from intervalreg.tables import predictor_bounds, read_interval_csv, to_center_range
 
-from conftest import least_squares, random_interval_table
+from conftest import DATA_DIR, least_squares, random_interval_table
 
 
 class TestMethodSpec:
@@ -246,7 +247,7 @@ class TestShrinkageVariants:
         X[:, 2] = 1.5  # a zero-variance column
         y = X[:, :2] @ [1.0, -2.0] + rng.normal(size=30)
         spec = MethodSpec("cm", "elastic_net", lambda_center=1.0, alpha=0.0)
-        fits = models.fit_design(X, y, spec, np.geomspace(1e3, 1e-3, 100))
+        fits = models.fit_design(models.DesignProblem(X, y), spec, np.geomspace(1e3, 1e-3, 100))
         assert len(problems) == 1 and len(problems[0].standardized().factors) == 1
         assert all(f.converged and f.n_sweeps == 0 for f in fits)
         assert all(f.betas[2] == 0.0 for f in fits)
@@ -257,6 +258,37 @@ class TestShrinkageVariants:
         warm = fit(cardio, spec, warm_start=big)
         cold = fit(cardio, spec)
         assert np.max(np.abs(warm.center_coeffs.betas - cold.center_coeffs.betas)) <= 1e-6
+
+
+class TestGridArrays:
+    @pytest.mark.parametrize(
+        "name", ["ridge-cm", "ridge-crm", "lasso-cm", "lasso-crm", "net-cm", "net-crm"]
+    )
+    def test_grid_columns_match_one_weight_models(self, name):
+        # column i of a grid's predictions is the model fitted at weight i; the
+        # one-weight fits are chained by warm start as the grid is
+        table = read_interval_csv(DATA_DIR / "cardio.csv", response="Pulse")
+        alpha = 0.5 if name.startswith("net") else None
+        view = to_center_range(table)
+        spec = MethodSpec.from_name(name, 1.0, None, alpha)
+        top = make_lambda_grid(view.centers_X, view.centers_y, spec.effective_alpha, 2).values[0]
+        lams = (2.0 * top, 0.3 * top, 0.05 * top, 1e-3 * top, 1e-5 * top)
+        fits = models.fit_grid(view, spec, lams)
+        lower, upper = fits.predict_bounds(*predictor_bounds(table))
+        model = None
+        for i, lam in enumerate(lams):
+            model = fit(table, MethodSpec.from_name(name, lam, None, alpha), warm_start=model)
+            pred = predict(model, table)
+            np.testing.assert_allclose(lower[:, i], pred.lower, rtol=1e-14, atol=0)
+            np.testing.assert_allclose(upper[:, i], pred.upper, rtol=1e-14, atol=0)
+        if not spec.selects_variables or spec.family == "cm":
+            return
+        supports = np.abs(fits.centers.slopes) > SUPPORT_TOL
+        assert not supports[0].any() and supports[-1].any()
+        assert np.all(fits.ranges.slopes[~supports] == 0.0)
+        empty = ~supports.any(axis=1)
+        assert np.all(fits.ranges.slopes[empty] == 0.0)
+        assert np.all(fits.ranges.intercepts[empty] == np.mean(view.halfranges_y))
 
 
 class TestPredictValidation:

@@ -153,6 +153,32 @@ class TestCrossValidate:
                 hits += 1
         assert hits >= 8
 
+    @pytest.mark.parametrize("name", ["ridge-crm", "lasso-cm", "net-crm"])
+    def test_one_design_problem_on_the_whole_table(self, monkeypatch, name):
+        # the grid's top and the path behind ``nonzero`` share one standardized problem
+        problems = []
+
+        class Recorded(DesignProblem):
+            def __post_init__(self):
+                super().__post_init__()
+                problems.append(self)
+
+        monkeypatch.setattr(selection, "DesignProblem", Recorded)
+        monkeypatch.setattr(models, "DesignProblem", Recorded)
+        table = random_interval_table(np.random.default_rng(52), 30, 4)
+        view = to_center_range(table)
+        spec = MethodSpec.from_name(name, 1.0, None, 0.5 if name.startswith("net") else None)
+        result = cross_validate(table, spec, k=5, seed=3, n_points=20)
+        whole = [pr for pr in problems if pr.n == table.n_rows]
+        assert len(whole) == 1 and np.array_equal(whole[0].X, view.centers_X)
+        assert result.grid.problem is whole[0]
+        # folds build their own: one center and (crm) at least one range design each
+        assert len(problems) >= 1 + 5 * (2 if spec.family == "crm" else 1)
+        problems.clear()
+        grid = make_lambda_grid(view.centers_X, view.centers_y, spec.effective_alpha, 20)
+        path = coefficient_path(view, spec, grid)
+        assert len(problems) == 1 and path.nonzero == result.nonzero
+
     def test_terminal_zero_on_a_duplicated_column_raises_like_fit_ridge(self):
         base = random_interval_table(np.random.default_rng(50), 20, 3)
         columns = [0, 1, 2, 0, 3]  # X1 repeated as the fourth predictor

@@ -474,6 +474,44 @@ class TestRidge:
                 fit_ridge(problem, 0.0)
             assert err.value.pivot_index == 1
 
+    @pytest.mark.parametrize("seed", range(12))
+    def test_grid_rows_straddling_the_eigenvalue_rule(self, seed):
+        # a duplicated and a constant column, and weights from far above to far
+        # below PIVOT_RTOL of the largest Gram diagonal: the lowest rows count
+        # the duplicate's null direction as 0 (minimum norm), the others solve it
+        rng = np.random.default_rng(seed)
+        n, p = int(rng.integers(8, 30)), int(rng.integers(2, 7))
+        X = rng.normal(size=(n, p)) * rng.uniform(0.1, 10.0, size=p)
+        X = np.column_stack([X, X[:, 0], np.full(n, rng.normal())])
+        y = X[:, :p] @ rng.normal(size=p) + rng.normal(size=n) + 3.0
+        problem = DesignProblem(X, y)
+        for standardize in (True, False):
+            gram = problem.standardized(standardize).gram
+            top = float(np.max(np.diag(gram)))
+            lams = top * np.geomspace(1e2, 1e-16, 37)
+            grid = fit_ridge_path(problem, lams, standardize=standardize)
+            w = np.linalg.eigh(gram[:-1, :-1])[0]  # the constant column is left out
+            null = [bool(np.any(w + lam <= PIVOT_RTOL * (top + lam))) for lam in lams]
+            assert any(null) and not all(null)
+            for i, lam in enumerate(lams):
+                row = grid[i]
+                net = fit_elastic_net(problem, lam, 0.0, standardize=standardize)
+                assert row.betas.tobytes() == net.betas.tobytes()
+                assert row.intercept == net.intercept
+                assert row.betas[-1] == 0.0
+                if null[i]:  # minimum norm: the copies share their slope
+                    assert row.betas[0] == pytest.approx(row.betas[p], rel=1e-9, abs=0)
+                if null[i] or np.min(w + lam) < 1e-6 * (top + lam):
+                    continue  # oracle's conditioning too poor for a 1e-10 bound
+                if not standardize:  # oracle: the dense intercept-augmented solve
+                    Xt = np.column_stack([np.ones(n), X])
+                    pen = lam * np.eye(p + 3)
+                    pen[0, 0] = 0.0
+                    oracle = np.linalg.solve(Xt.T @ Xt + pen, Xt.T @ y)
+                    got = np.concatenate([[row.intercept], row.betas])
+                    np.testing.assert_allclose(got, oracle, rtol=1e-10,
+                                               atol=1e-10 * np.max(np.abs(oracle)))
+
     def test_path_rejects_a_bad_weight(self):
         problem = DesignProblem(np.eye(3), np.ones(3))
         for bad in (-1.0, float("inf"), float("nan")):
