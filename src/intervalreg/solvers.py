@@ -381,10 +381,19 @@ def coordinate_descent(
     ``gram_diag = diag(gram)``, which the caller forms once per design
     (:meth:`DesignProblem.standardized`) and shares across a penalty grid.
     Gradients are maintained through ``gram``, so an untouched coordinate
-    costs O(1).  Each iteration is one full cycle over every coordinate
-    followed by one exact solve restricted to the nonzero set.
-    Convergence is a full cycle whose largest coefficient change is at
-    most ``tol``; a constant column (``gram_diag[j] == 0``) gets exactly
+    costs O(1).
+
+    Before any cycle, the start's nonzero set (on a warm start, the
+    previous weight's support) is solved exactly as below, and every
+    coordinate's exact update is formed at once from the result.  If none
+    moves a coefficient by more than ``tol``, the fit is certified without
+    a cycle and ``(beta, True, 0)`` is returned (glmnet's "solve the active
+    set, then check all", Friedman, Hastie & Tibshirani, JSS 2010; the
+    check is the KKT check of the strong rules, Tibshirani et al., JRSS-B
+    2012).  Otherwise each iteration is one full cycle over every
+    coordinate followed by one exact solve restricted to the nonzero set,
+    and convergence is a full cycle whose largest coefficient change is at
+    most ``tol``.  A constant column (``gram_diag[j] == 0``) gets exactly
     0.  Without an L1 term (``lam*alpha == 0``) no cycle runs: ``beta`` is
     the one-weight :func:`_minimum_norm` solve (a constant column keeps
     ``beta0`` if unpenalized), and ``(beta, True, 0)`` is returned.
@@ -418,12 +427,13 @@ def coordinate_descent(
     singular set is stepped again after each and a fit cannot creep along
     a null direction.  A lasso solution with at most rank(Xs) nonzeros
     exists (Tibshirani, "The lasso problem and uniqueness", EJS 2013), and
-    these steps reach one.  Convergence is still certified only by a full
-    cycle within ``tol``.
+    these steps reach one.  Convergence is still certified only by the
+    pre-cycle test or a full cycle within ``tol``.
 
     Returns ``(beta, converged, n_sweeps)``, where ``n_sweeps`` counts full
-    cycles.  Cycles never raise the objective; its change is evaluated only
-    to accept or reject a restricted solve or step.
+    cycles (0 when the pre-cycle test certifies the fit).  Cycles never
+    raise the objective; its change is evaluated only to accept or reject
+    a restricted solve or step.
     """
     p = q.shape[0]
     beta = np.zeros(p) if beta0 is None else np.asarray(beta0, dtype=float).copy()
@@ -435,10 +445,6 @@ def coordinate_descent(
         # an unpenalized constant column fits at any value and keeps its start
         return np.where(gram_diag + ridge > 0.0, solved, beta), True, 0
     grad = q - gram @ beta  # grad[j] = sum_i x_ij r_i at the current beta
-    # the per-coordinate loop reads plain floats and row views, not numpy scalars
-    denom = (gram_diag + ridge).tolist()
-    diag = gram_diag.tolist()
-    rows = list(gram)
 
     def sweep() -> float:
         nonlocal grad
@@ -524,6 +530,20 @@ def coordinate_descent(
                 return
             active = np.flatnonzero(beta)
 
+    # a warm start's support is most often the new weight's too: solve on it, and
+    # return it if no exact coordinate step from it moves a coefficient beyond tol
+    restricted_solve(np.flatnonzero(beta))
+    rho = grad + gram_diag * beta
+    denominator = gram_diag + ridge
+    # every exact coordinate update at once; a constant, unridged column gets 0
+    update = np.divide(np.sign(rho) * np.maximum(np.abs(rho) - thresh, 0.0), denominator,
+                       out=np.zeros(p), where=denominator > 0.0)
+    if np.all(np.abs(update - beta) <= tol):
+        return beta, True, 0
+    # the per-coordinate loop reads plain floats and row views, not numpy scalars
+    denom = denominator.tolist()
+    diag = gram_diag.tolist()
+    rows = list(gram)
     converged = False
     sweeps = 0
     while sweeps < max_iter:
@@ -597,7 +617,11 @@ def fit_elastic_net(
     fraction: ``alpha=1`` gives the lasso, ``alpha=0`` the ridge penalty
     (:func:`fit_ridge` at a positive weight is this fit).  ``warm_start``
     seeds the slopes from a previous fit of the same design (used along
-    regularization paths).  Hitting ``max_iter`` is not an error: the
+    regularization paths).  A fit is certified either before any cycle,
+    when no exact coordinate update from the solve on the start's nonzero
+    set moves a coefficient by more than ``tol`` (``n_sweeps == 0``), or by
+    a full cycle that moves none by more than ``tol``
+    (:func:`coordinate_descent`).  Hitting ``max_iter`` is not an error: the
     best iterate is returned with ``converged=False``.  Without an L1 term
     it is one exact, minimum-norm solve with ``n_sweeps == 0``.
     """

@@ -18,6 +18,7 @@ from intervalreg.solvers import (
     SUPPORT_TOL,
     DesignProblem,
     SingularDesign,
+    duality_gap,
     fit_elastic_net,
     fit_ridge,
     fit_ridge_path,
@@ -321,6 +322,34 @@ class TestNonConvergedFits:
         assert coefficient_path(table, spec, grid).nonconverged == 0
         ridge = MethodSpec("cm", "ridge", lambda_center=1.0)
         assert coefficient_path(table, ridge, grid, max_iter=1).nonconverged == 0
+
+
+class TestCertifiedFits:
+    def test_wide_lasso_cv_fits_are_certified_mostly_before_any_cycle(self, monkeypatch):
+        """Every fit of a lasso-cm cv on wide tables has a relative duality gap of at
+        most 1e-12, and most warm starts are certified without a cycle."""
+        records = []
+        original = models.fit_elastic_net
+
+        def recording(problem, lam, alpha, **kwargs):
+            coeffs = original(problem, lam, alpha, **kwargs)
+            records.append((problem.standardized(kwargs["standardize"]), lam, alpha, coeffs))
+            return coeffs
+
+        monkeypatch.setattr(models, "fit_elastic_net", recording)
+        spec = MethodSpec("cm", "lasso", lambda_center=1.0)
+        for seed in range(3):
+            table = random_interval_table(np.random.default_rng(700 + seed), 10, 15)
+            assert cross_validate(table, spec, seed=seed).nonconverged == 0
+        worst = 0.0
+        for std, lam, alpha, coeffs in records:
+            b = coeffs.betas * coeffs.scales
+            primal = std.y_ss - 2.0 * std.q @ b + b @ std.gram @ b + lam * np.abs(b).sum()
+            gap = duality_gap(std.gram, std.q, std.y_ss, b, lam, alpha)
+            worst = max(worst, gap / primal)
+        assert len(records) == 3 * 1100
+        assert worst <= 1e-12
+        assert sum(c.n_sweeps == 0 for *_, c in records) >= 0.8 * len(records)
 
 
 class TestViewsBuiltOnce:

@@ -3,6 +3,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from intervalreg.solvers import (
     PIVOT_RTOL,
@@ -165,6 +167,32 @@ def kkt_violations(problem, coeffs, lam, alpha):
         else:
             viol[j] = max(0.0, abs(grad[j]) - lam * alpha)
     return viol, row_scale
+
+
+@st.composite
+def l1_designs(draw):
+    """``(X, y, alpha)``: a seeded design that may hold a constant and a duplicated
+    column, with an L1 fraction in (0, 1]."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    n, p = draw(st.integers(3, 15)), draw(st.integers(2, 12))
+    X = rng.normal(size=(n, p)) * rng.uniform(0.1, 10.0, size=p)
+    if draw(st.booleans()):
+        X[:, rng.integers(p)] = rng.normal()
+    if draw(st.booleans()):
+        X[:, rng.integers(p)] = X[:, rng.integers(p)]
+    y = X[:, : min(p, 3)] @ rng.uniform(-2.0, 2.0, size=min(p, 3)) + rng.normal(size=n)
+    return X, y, draw(st.floats(0.0, 1.0, exclude_min=True))
+
+
+def exact_coordinate_updates(gram, q, gram_diag, beta, lam, alpha):
+    """Every coordinate's exact update from ``beta``: ``S(rho_j, lam*alpha/2) /
+    (g_jj + ridge)``, 0 where the denominator is 0."""
+    ridge, thresh = lam * (1.0 - alpha), lam * alpha / 2.0
+    rho = q - gram @ beta + gram_diag * beta
+    denominator = gram_diag + ridge
+    shrunk = np.sign(rho) * np.maximum(np.abs(rho) - thresh, 0.0)
+    safe = np.where(denominator > 0.0, denominator, 1.0)
+    return np.where(denominator > 0.0, shrunk / safe, 0.0)
 
 
 def penalized_objective(problem, beta, lam, alpha):
@@ -614,14 +642,18 @@ class TestElasticNet:
             lam = float(rng.uniform(0.0, 30.0))
             alpha = float(rng.uniform(0.0, 1.0))
             _, _, n_sweeps = coordinate_descent(*sums, lam, alpha, 1e-9, 5000)
-            # the iterate after k sweeps is the one returned with max_iter=k
-            history = []
+
+            def objective(beta):
+                return np.sum((yc - Xs @ beta) ** 2) + lam * (
+                    alpha * np.abs(beta).sum() + (1.0 - alpha) * beta @ beta
+                )
+
+            # from the cold start's zeros; the iterate after k sweeps is the one
+            # returned with max_iter=k (a fit certified before any cycle has none)
+            history = [objective(np.zeros(6))]
             for k in range(1, n_sweeps + 1):
                 beta, _, _ = coordinate_descent(*sums, lam, alpha, 1e-9, k)
-                history.append(
-                    np.sum((yc - Xs @ beta) ** 2)
-                    + lam * (alpha * np.abs(beta).sum() + (1.0 - alpha) * beta @ beta)
-                )
+                history.append(objective(beta))
             diffs = np.diff(np.asarray(history))
             assert np.all(diffs <= 1e-9 * max(abs(history[0]), 1.0))
 
@@ -675,6 +707,51 @@ class TestElasticNet:
                             cases += 1
                         warm = want[0]
         assert cases == 4 * 3 * 4 * 6 * 3
+
+    @settings(max_examples=100, deadline=None)
+    @given(l1_designs(), st.integers(0, 2**32 - 1))
+    def test_every_fit_is_certified_down_a_grid(self, design, seed):
+        """Fits warm-started from the previous weight and from a random point are
+        certified: no exact coordinate step moves a coefficient beyond ``tol``, the
+        KKT residuals stay within the bench oracle's ``tol * sum_k |G_jk|`` (plus
+        the ridge term), and the objective is a cold fit's at ``tol=1e-12``, up to
+        what those residuals allow along directions only the ridge term curves."""
+        X, y, alpha = design
+        rng = np.random.default_rng(seed)
+        std = DesignProblem(X, y).standardized()
+        sums = (std.gram, std.q, std.y_ss, std.gram_diag)
+        tol = 1e-7
+        lam_max = 2.0 * float(np.max(np.abs(std.q))) / max(alpha, 1e-3)
+        assume(lam_max > 0.0)  # not every column constant
+        allowed = tol * np.abs(std.gram).sum(axis=1) + 1e-9 * np.max(np.abs(std.q))
+        warm = None
+        for lam in np.geomspace(lam_max, 1e-3 * lam_max, 8):
+            ridge, thresh = lam * (1.0 - alpha), lam * alpha / 2.0
+
+            def objective(beta):
+                return std.y_ss - 2.0 * std.q @ beta + beta @ std.gram @ beta + lam * (
+                    alpha * np.abs(beta).sum() + (1.0 - alpha) * beta @ beta
+                )
+
+            best = objective(coordinate_descent(*sums, lam, alpha, 1e-12, 100_000)[0])
+            fits = [
+                coordinate_descent(*sums, lam, alpha, tol, 100_000, beta0=beta0,
+                                   factors=std.factors)
+                for beta0 in (warm, rng.normal(size=X.shape[1]))
+            ]
+            for beta, converged, _ in fits:
+                assert converged
+                update = exact_coordinate_updates(std.gram, std.q, std.gram_diag, beta, lam, alpha)
+                assert np.all(np.abs(update - beta) <= tol)
+                g = std.q - std.gram @ beta - ridge * beta
+                viol = np.where(beta != 0.0, np.abs(g - thresh * np.sign(beta)),
+                                np.maximum(np.abs(g) - thresh, 0.0))
+                assert np.all(viol <= allowed + tol * ridge)
+                # P is 2*ridge-strongly convex, so P(b) - min P <= |viol|^2 / ridge: a
+                # small ridge leaves room along a duplicated column's split
+                flat = float(viol @ viol) / ridge if ridge > 0.0 else 0.0
+                assert objective(beta) <= best + 1e-12 * abs(best) + flat
+            warm = fits[0][0]
 
     def test_warm_start_clears_a_zero_variance_column(self):
         rng = np.random.default_rng(28)
