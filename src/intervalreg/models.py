@@ -6,11 +6,11 @@ and the center-and-range method (a second regression on half-ranges,
 endpoint predictions center -/+ range), each either unpenalized or with
 a ridge, lasso, or elastic-net fit.
 
-For the penalized center-and-range variants with variable selection
-(lasso, elastic net), the half-range regression is restricted to the
-predictors selected by the midpoint regression: excluded columns get a
-half-range coefficient of exactly zero, so the selected support of the
-range model is always nested in the center model's.
+Both regressions fit their whole design, where a constant predictor (say,
+one of constant half-range width) gets slope exactly 0.  Under lasso and
+elastic net, the half-range columns of the predictors the midpoint
+regression dropped are set to 0, so the range model's support is always
+nested in the center model's.
 
 Endpoint ordering of predictions is not guaranteed; rows with a
 predicted lower bound above the upper bound are counted, never silently
@@ -28,7 +28,6 @@ import numpy as np
 from .solvers import (
     DEFAULT_MAX_ITER,
     DEFAULT_TOL,
-    SUPPORT_TOL,
     CoefficientGrid,
     CoefficientSet,
     DesignProblem,
@@ -254,31 +253,6 @@ def fit_design(
     return CoefficientGrid.stack(fits)
 
 
-def _scatter(sub: CoefficientGrid, column_mask: np.ndarray) -> CoefficientGrid:
-    """A fit of the ``column_mask`` columns on all p: slope 0, mean 0, scale 1 elsewhere."""
-    p = len(column_mask)
-    slopes = np.zeros((len(sub), p))
-    slopes[:, column_mask] = sub.slopes
-    means, scales = np.zeros(p), np.ones(p)
-    means[column_mask], scales[column_mask] = sub.means, sub.scales
-    return CoefficientGrid(sub.intercepts, slopes, sub.converged, sub.n_sweeps, means, scales)
-
-
-def _range_masks(
-    spec: MethodSpec, halfranges_X: np.ndarray, centers: CoefficientGrid
-) -> np.ndarray:
-    """Columns the half-range regression may use, ``(k, p)``: row i for center fit i.
-
-    Constant half-range columns carry no range signal and would make the
-    unpenalized Gram singular (degenerate intervals).  Under lasso and
-    elastic net the range support is also nested in the center support.
-    """
-    informative = np.ptp(halfranges_X, axis=0) > 0.0
-    if not spec.selects_variables:
-        return np.broadcast_to(informative, centers.slopes.shape)
-    return (np.abs(centers.slopes) > SUPPORT_TOL) & informative
-
-
 @dataclass(frozen=True, eq=False)
 class GridFit:
     """One method's coefficients at every weight of a penalty grid, as arrays.
@@ -330,13 +304,13 @@ def fit_grid(
 
     The midpoint regression is fitted at each of ``lambdas``; for crm the
     half-range regression at each of ``range_lambdas`` (default: the same
-    weights), on the predictors with non-constant half-ranges and, under
-    lasso / elastic net, in the center support at that weight.  Only the
-    spec's family, penalty and alpha are used.  Every design is built once
-    (half-ranges: per run of equal column masks): ridge solves all its
-    weights in one product, and lasso / elastic-net fits are warm-started
-    down the grid, the first from ``warm_start`` (a model fit on the same
-    predictors).
+    weights), on the half-range design with, under lasso / elastic net, the
+    columns outside the center support at that weight set to 0 (slope 0,
+    mean 0, scale 1).  Only the spec's family, penalty and alpha are used.
+    Each design (half-ranges: per run of equal supports) is built once:
+    ridge solves all its weights in one product, and lasso / elastic-net
+    fits are warm-started down the grid, the first from ``warm_start`` (a
+    model fit on the same predictors).
     """
     if range_lambdas is None:
         range_lambdas = lambdas
@@ -349,21 +323,20 @@ def fit_grid(
     )
     if spec.family == "cm":
         return GridFit(centers)
-    masks = _range_masks(spec, view.halfranges_X, centers)
-    X, y, p = view.halfranges_X, view.halfranges_y, masks.shape[1]
+    X, y = view.halfranges_X, view.halfranges_y
+    if not spec.selects_variables:
+        return GridFit(centers, fit_design(DesignProblem(X, y), spec, range_lambdas, tol,
+                                           max_iter, standardize, warm_range))
+    masks = centers.slopes != 0.0
     bounds = [0, *(np.flatnonzero((masks[1:] != masks[:-1]).any(axis=1)) + 1), len(masks)]
     runs: list[CoefficientGrid] = []
-    for start, stop in zip(bounds, bounds[1:]):  # one design per run of equal masks
-        mask, k = masks[start], stop - start
-        if not mask.any():  # no column left: the intercept-only fit
-            runs.append(CoefficientGrid.stack([CoefficientSet(np.mean(y), np.zeros(p))] * k))
-            continue
+    for start, stop in zip(bounds, bounds[1:]):  # one design per run of equal supports
+        mask = masks[start]
         warm = runs[-1][-1] if runs else warm_range
-        if warm is not None:
-            warm = CoefficientSet(warm.intercept, warm.betas[mask])
-        sub = fit_design(DesignProblem(X[:, mask], y), spec, range_lambdas[start:stop], tol,
-                         max_iter, standardize, warm)
-        runs.append(sub if mask.all() else _scatter(sub, mask))
+        if warm is not None:  # the columns set to 0 start at 0, so they stay there
+            warm = CoefficientSet(warm.intercept, np.where(mask, warm.betas, 0.0))
+        runs.append(fit_design(DesignProblem(np.where(mask, X, 0.0), y), spec,
+                               range_lambdas[start:stop], tol, max_iter, standardize, warm))
     if len(runs) == 1:
         return GridFit(centers, runs[0])
     fields = zip(*((r.intercepts, r.slopes, r.converged, r.n_sweeps) for r in runs))
@@ -489,16 +462,22 @@ def _parse_vec(text: str, key: str) -> np.ndarray | None:
     if text == "-":
         return None
     try:
-        return np.array([float(tok) for tok in text.split()])
+        values = np.array([float(tok) for tok in text.split()])
     except ValueError:
         raise ModelFormatError(f"malformed numeric list for {key!r}: {text!r}") from None
+    if not np.isfinite(values).all():
+        raise ModelFormatError(f"non-finite number in {key!r}: {text!r}")
+    return values
 
 
-def _parse_float(text: str, key: str) -> float:
+def _parse_number(text: str, key: str, kind: type = float) -> float:
     try:
-        return float(text)
+        value = kind(text)
     except ValueError:
         raise ModelFormatError(f"malformed number for {key!r}: {text!r}") from None
+    if not isfinite(value):
+        raise ModelFormatError(f"non-finite number in {key!r}: {text!r}")
+    return value
 
 
 def _parse_bool(text: str, key: str) -> bool:
@@ -512,12 +491,12 @@ def _parse_bool(text: str, key: str) -> bool:
 def _parse_coeffs(kv: dict[str, str], prefix: str) -> CoefficientSet:
     try:
         return CoefficientSet(
-            intercept=_parse_float(kv[f"{prefix}.intercept"], f"{prefix}.intercept"),
+            intercept=_parse_number(kv[f"{prefix}.intercept"], f"{prefix}.intercept"),
             betas=_parse_vec(kv[f"{prefix}.betas"], f"{prefix}.betas"),
             means=_parse_vec(kv[f"{prefix}.means"], f"{prefix}.means"),
             scales=_parse_vec(kv[f"{prefix}.scales"], f"{prefix}.scales"),
             converged=_parse_bool(kv[f"{prefix}.converged"], f"{prefix}.converged"),
-            n_sweeps=int(kv[f"{prefix}.n_sweeps"]),
+            n_sweeps=_parse_number(kv[f"{prefix}.n_sweeps"], f"{prefix}.n_sweeps", int),
         )
     except KeyError as exc:
         raise ModelFormatError(f"missing field {exc.args[0]!r}") from None
@@ -540,11 +519,11 @@ def deserialize(text: str) -> FittedModel:
         kv[key.strip()] = value.strip()
     try:
         method = kv["method"]
-        alpha = None if kv["alpha"] == "-" else _parse_float(kv["alpha"], "alpha")
-        lam_c = _parse_float(kv["lambda_center"], "lambda_center")
+        alpha = None if kv["alpha"] == "-" else _parse_number(kv["alpha"], "alpha")
+        lam_c = _parse_number(kv["lambda_center"], "lambda_center")
         lam_r = (
             None if kv["lambda_range"] == "-"
-            else _parse_float(kv["lambda_range"], "lambda_range")
+            else _parse_number(kv["lambda_range"], "lambda_range")
         )
         response = kv["response"]
         predictors = tuple(kv["predictors"].split(","))

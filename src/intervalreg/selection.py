@@ -22,7 +22,7 @@ from math import isfinite, sqrt
 import numpy as np
 
 from .models import GridFit, MethodSpec, fit_design, fit_grid
-from .solvers import DEFAULT_MAX_ITER, DEFAULT_TOL, SUPPORT_TOL, DesignProblem
+from .solvers import DEFAULT_MAX_ITER, DEFAULT_TOL, DesignProblem
 from .tables import (
     CenterRangeView,
     IntervalTable,
@@ -251,8 +251,8 @@ def alpha_sweep(
 class CoefficientPath:
     """Per-lambda coefficients of one design, on the original predictor scale.
 
-    ``nonconverged`` counts the points whose fit stopped at ``max_iter``
-    sweeps.
+    ``nonzero`` counts each point's nonzero coefficients, and ``nonconverged``
+    the points whose fit stopped at ``max_iter`` sweeps.
     """
 
     grid: LambdaGrid
@@ -263,7 +263,7 @@ class CoefficientPath:
 
     @property
     def nonzero(self) -> tuple[int, ...]:
-        return tuple(np.count_nonzero(np.abs(self.coefficients) > SUPPORT_TOL, axis=1).tolist())
+        return tuple(np.count_nonzero(self.coefficients, axis=1).tolist())
 
 
 def coefficient_path(

@@ -30,9 +30,10 @@ setting (:meth:`DesignProblem.standardized`); every ridge weight and
 every coordinate-descent fit of that design reuses them, so a penalty
 grid forms one Gram matrix per design, not one per weight.
 
-Least squares (``fit_ridge`` at weight 0) is solved by LAPACK's Cholesky
-factorization; a rank-deficient Gram matrix is reported with its first
-failing pivot.  Every other fit uses one eigendecomposition per active
+A constant column has slope exactly 0 in every fit.  Least squares
+(``fit_ridge`` at weight 0) is solved on the other columns by LAPACK's
+Cholesky factorization; a rank-deficient Gram matrix is reported with its
+first failing pivot.  Every other fit uses one eigendecomposition per active
 set and design, which also yields the null vectors coordinate descent
 steps along on singular sets.  Without an L1 term the fit is the solve
 ``V diag(1/(w + lambda)) V' Xs'yc`` from the Gram's ``V diag(w) V'``
@@ -48,11 +49,6 @@ from typing import NamedTuple
 
 import numpy as np
 
-#: a coefficient whose back-transformed magnitude is below this is
-#: treated as not selected (coordinate descent produces exact zeros,
-#: so this is a safety margin only).
-SUPPORT_TOL = 1e-10
-
 #: relative pivot threshold for declaring a Gram matrix singular.
 PIVOT_RTOL = 1e-12
 
@@ -67,6 +63,7 @@ class SolverError(Exception):
 class SingularDesign(SolverError):
     """Rank-deficient Gram matrix; ``pivot_index`` is the failing column.
 
+    From a fit, the index counts the constant columns the solve leaves out.
     The message states the broken rule rather than ``pivot``, whose value
     is rounding noise that differs between LAPACK builds.
     """
@@ -171,8 +168,8 @@ class CoefficientSet:
     """Fitted coefficients on the original predictor scale.
 
     ``means``/``scales`` record the internal standardization of the fit
-    (``None`` for an intercept-only set and in model files that predate
-    them); the standardized-scale slope j is ``betas[j] * scales[j]``.
+    (``None`` in model files that predate them and in grids whose rows differ
+    in it); the standardized-scale slope j is ``betas[j] * scales[j]``.
     ``converged`` is False only when coordinate descent hit its sweep
     limit, in which case the best iterate is still returned.
     """
@@ -200,9 +197,9 @@ class CoefficientSet:
     def p(self) -> int:
         return self.betas.shape[0]
 
-    def support(self, tol: float = SUPPORT_TOL) -> np.ndarray:
-        """Boolean mask of selected predictors (|beta| above ``tol``)."""
-        return np.abs(self.betas) > tol
+    def support(self) -> np.ndarray:
+        """Boolean mask of selected predictors: the exactly nonzero slopes."""
+        return self.betas != 0.0
 
 
 @dataclass(frozen=True, eq=False)
@@ -210,8 +207,8 @@ class CoefficientGrid:
     """Fits at k penalty weights as arrays, row i at weight i: ``intercepts``,
     ``converged`` and ``n_sweeps`` ``(k,)``, original-scale ``slopes`` ``(k, p)``,
     and the ``means``/``scales`` ``(p,)`` all rows share (None if they share none:
-    intercept-only fits, half-range runs on different columns).  Indexing a row
-    builds its :class:`CoefficientSet`."""
+    half-range runs with different columns set to 0).  Indexing a row builds its
+    :class:`CoefficientSet`."""
 
     intercepts: np.ndarray
     slopes: np.ndarray
@@ -303,7 +300,8 @@ def fit_ridge_path(
     Solves ``(Xs'Xs + lam*I) b = Xs'(y - mean(y))`` on centered (and, by
     default, unit-variance) predictors, which is exactly the minimizer of
     the augmented problem with the intercept left out of the penalty.
-    Weight 0 is least squares by :func:`solve_spd`, which raises
+    A constant column has slope 0 at every weight.  Weight 0 is least
+    squares by :func:`solve_spd` on the other columns, which raises
     :class:`SingularDesign` on a rank-deficient design.  All positive
     weights are one vectorized :func:`_minimum_norm` solve from the design's
     cached eigendecomposition, each row equal to :func:`fit_elastic_net` at
@@ -314,12 +312,16 @@ def fit_ridge_path(
             raise ValueError(f"lambda must be finite and >= 0, got {lam}")
     lams = np.asarray(lams, dtype=float)
     std = problem.standardized(standardize)
-    beta = np.empty((len(lams), problem.p))
+    beta = np.zeros((len(lams), problem.p))
     positive = lams > 0.0
     if positive.any():
         beta[positive] = _minimum_norm(std.gram, std.q, std.gram_diag, std.factors, lams[positive])
     if not positive.all():
-        beta[~positive] = solve_spd(std.gram, std.q)
+        active = np.flatnonzero(std.gram_diag)
+        try:
+            beta[np.ix_(~positive, active)] = solve_spd(std.gram[active][:, active], std.q[active])
+        except SingularDesign as exc:  # the pivot's number among all columns
+            raise SingularDesign(int(active[exc.pivot_index]), exc.pivot) from None
     slopes = beta / std.scales  # intercepts: each row's own dot product, as in fit_elastic_net
     return CoefficientGrid(std.y_mean - (slopes[:, None, :] @ std.means)[:, 0], slopes,
                            np.ones(len(lams), dtype=bool), np.zeros(len(lams), dtype=int),
@@ -395,8 +397,8 @@ def coordinate_descent(
     and convergence is a full cycle whose largest coefficient change is at
     most ``tol``.  A constant column (``gram_diag[j] == 0``) gets exactly
     0.  Without an L1 term (``lam*alpha == 0``) no cycle runs: ``beta`` is
-    the one-weight :func:`_minimum_norm` solve (a constant column keeps
-    ``beta0`` if unpenalized), and ``(beta, True, 0)`` is returned.
+    the one-weight :func:`_minimum_norm` solve, whatever ``beta0``, and
+    ``(beta, True, 0)`` is returned.
 
     With its signs fixed, the problem restricted to the nonzero set is a
     plain quadratic, which cuts the slow tail of ill-conditioned problems
@@ -436,14 +438,12 @@ def coordinate_descent(
     a restricted solve or step.
     """
     p = q.shape[0]
-    beta = np.zeros(p) if beta0 is None else np.asarray(beta0, dtype=float).copy()
     ridge = lam * (1.0 - alpha)
     thresh = lam * alpha / 2.0
     factors = {} if factors is None else factors
     if thresh == 0.0:  # a plain quadratic: its minimum-norm minimizer, in one solve
-        solved = _minimum_norm(gram, q, gram_diag, factors, np.array([ridge]))[0]
-        # an unpenalized constant column fits at any value and keeps its start
-        return np.where(gram_diag + ridge > 0.0, solved, beta), True, 0
+        return _minimum_norm(gram, q, gram_diag, factors, np.array([ridge]))[0], True, 0
+    beta = np.zeros(p) if beta0 is None else np.asarray(beta0, dtype=float).copy()
     grad = q - gram @ beta  # grad[j] = sum_i x_ij r_i at the current beta
 
     def sweep() -> float:

@@ -217,6 +217,16 @@ class TestPredictEvaluate:
         assert float(fields[3]) == pytest.approx(0.3029147, abs=0.001)
         assert float(fields[4]) == pytest.approx(0.5346571, abs=0.001)
 
+    def test_evaluate_rejects_a_non_finite_coefficient(self, capsys, tmp_path, cardio_csv):
+        model = self.fit_model(capsys, tmp_path, cardio_csv)
+        text = model.read_text()
+        model.write_text(re.sub(r"^center\.betas: \S+", "center.betas: nan", text, flags=re.M))
+        code, out, err = run(
+            capsys, "evaluate", "--model", str(model), "--test", str(cardio_csv), "--csv",
+        )
+        assert (code, out) == (1, "")
+        assert err == "error: non-finite number in 'center.betas': 'nan 0.16985117364821131'\n"
+
     def test_evaluate_text_report(self, capsys, tmp_path, cardio_csv):
         model = self.fit_model(capsys, tmp_path, cardio_csv, "crm")
         code, out, err = run(

@@ -180,3 +180,49 @@ def test_cross_validation_is_deterministic_given_its_seed(table_seed, name, seed
     assert a.mean_loss.tobytes() == b.mean_loss.tobytes()
     assert a.std_error.tobytes() == b.std_error.tobytes()
     assert (a.lambda_min, a.lambda_1se, a.nonzero) == (b.lambda_min, b.lambda_1se, b.nonzero)
+
+
+@st.composite
+def constant_column_problems(draw):
+    """``(base, table, jc, jr)``: a random table, and a copy of it whose predictor
+    ``jc`` has a constant midpoint and predictor ``jr`` a constant half-range (0
+    or not); ``jc`` and ``jr`` may be the same predictor."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    p = draw(st.integers(2, 4))
+    base = random_interval_table(rng, draw(st.integers(p + 3, 25)), p)
+    jc, jr = draw(st.integers(0, p - 1)), draw(st.integers(0, p - 1))
+    # multiples of 2**-10 below 8 in magnitude, so endpoints, midpoints and half-ranges are exact
+    center = np.round((base.lower + base.upper) / 2.0 * 1024.0) / 1024.0
+    half = np.round((base.upper - base.lower) / 2.0 * 1024.0) / 1024.0
+    center[:, jc] = draw(st.integers(-20, 20)) / 4.0
+    half[:, jr] = draw(st.sampled_from([0.0, 0.75]))
+    table = IntervalTable(base.variable_names, center - half, center + half, base.response_name)
+    view = to_center_range(table)
+    assert np.ptp(view.centers_X[:, jc]) == np.ptp(view.halfranges_X[:, jr]) == 0.0
+    return base, table, jc, jr
+
+
+@settings(max_examples=15, deadline=None)
+@given(constant_column_problems())
+def test_a_constant_column_has_slope_0_in_every_fit(problem):
+    """Every method, through ``fit`` and ``fit_grid``, at every weight down to 0 and
+    from cold and warm starts (a model of the table before its columns were made
+    constant), gives a constant midpoint or half-range column slope exactly 0."""
+    base, table, jc, jr = problem
+    view = to_center_range(table)
+    for name, (_, penalty) in METHOD_NAMES.items():
+        alpha = 0.5 if name.startswith("net") else None
+        lams = (0.0,) if penalty == "none" else (20.0, 1.0, 0.05, 0.0)
+        spec = MethodSpec.from_name(name, lams[0], None, alpha)
+        fits = []
+        for start in (None, fit(base, spec)):
+            grid = fit_grid(view, spec, lams, warm_start=start)
+            for i in range(len(lams)):
+                fits.append((grid.centers[i], None if grid.ranges is None else grid.ranges[i]))
+            model = start
+            for lam in lams:
+                model = fit(table, MethodSpec.from_name(name, lam, None, alpha), warm_start=model)
+                fits.append((model.center_coeffs, model.range_coeffs))
+        for center, rng in fits:
+            assert center.betas[jc] == 0.0
+            assert rng is None or rng.betas[jr] == 0.0

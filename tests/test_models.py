@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 
@@ -17,7 +19,7 @@ from intervalreg import (
 )
 from intervalreg.models import FittedModel, IntervalPrediction
 from intervalreg.selection import make_lambda_grid
-from intervalreg.solvers import SUPPORT_TOL, CoefficientSet, DesignProblem
+from intervalreg.solvers import CoefficientSet, DesignProblem, fit_elastic_net, fit_ridge
 from intervalreg.tables import predictor_bounds, read_interval_csv, to_center_range
 
 from conftest import DATA_DIR, least_squares, random_interval_table
@@ -283,12 +285,56 @@ class TestGridArrays:
             np.testing.assert_allclose(upper[:, i], pred.upper, rtol=1e-14, atol=0)
         if not spec.selects_variables or spec.family == "cm":
             return
-        supports = np.abs(fits.centers.slopes) > SUPPORT_TOL
+        supports = fits.centers.slopes != 0.0
         assert not supports[0].any() and supports[-1].any()
         assert np.all(fits.ranges.slopes[~supports] == 0.0)
         empty = ~supports.any(axis=1)
         assert np.all(fits.ranges.slopes[empty] == 0.0)
         assert np.all(fits.ranges.intercepts[empty] == np.mean(view.halfranges_y))
+
+
+    @pytest.mark.parametrize("seed", range(4))
+    @pytest.mark.parametrize("name", ["crm", "ridge-crm", "lasso-crm", "net-crm"])
+    def test_half_range_fits_match_the_rule_of_fitting_the_kept_columns_only(self, name, seed):
+        # X2 is degenerate (half-range 0) and X3 has a constant nonzero width; the
+        # grid's center support changes, then empties at its last two weights
+        rng = np.random.default_rng(seed)
+        base = random_interval_table(rng, 30, 5)
+        center = np.round((base.lower + base.upper) / 2.0 * 1024.0) / 1024.0
+        half = np.round((base.upper - base.lower) / 2.0 * 1024.0) / 1024.0
+        half[:, 1], half[:, 2] = 0.0, 0.625
+        table = IntervalTable(base.variable_names, center - half, center + half, "Y")
+        view = to_center_range(table)
+        spec = MethodSpec.from_name(name, 0.0 if name == "crm" else 1.0, None,
+                                    0.5 if name == "net-crm" else None)
+        if spec.penalty == "none":
+            lams = (0.0,)
+        else:
+            top = make_lambda_grid(view.centers_X, view.centers_y, spec.effective_alpha, 2).values[0]
+            lams = tuple(top * f for f in (0.5, 0.1, 0.01, 1e-4, 2.0, 3.0))
+        fits = models.fit_grid(view, spec, lams)
+        X, y = view.halfranges_X, view.halfranges_y
+        masks = np.broadcast_to(np.ptp(X, axis=0) > 0.0, fits.centers.slopes.shape)
+        if spec.selects_variables:
+            masks = masks & (fits.centers.slopes != 0.0)
+            assert len({m.tobytes() for m in masks[:4]}) > 1 and not masks[4:].any()
+        # the rule before constant columns got slope 0 in every solve: fit X[:, mask],
+        # slope 0 elsewhere, and the mean of y alone where the mask is empty
+        want, warm = [], np.zeros(5)
+        for mask, lam in zip(masks, lams):
+            intercept, slopes = float(np.mean(y)), np.zeros(5)
+            if mask.any():
+                problem = DesignProblem(X[:, mask], y)
+                if spec.selects_variables:
+                    start = CoefficientSet(0.0, warm[mask])
+                    sub = fit_elastic_net(problem, lam, spec.effective_alpha, warm_start=start)
+                else:
+                    sub = fit_ridge(problem, lam)
+                intercept, slopes[mask] = sub.intercept, sub.betas
+            want.append(intercept + X @ slopes)
+            warm = slopes
+        got = fits.ranges.intercepts + X @ fits.ranges.slopes.T
+        np.testing.assert_allclose(got, np.column_stack(want), rtol=1e-12, atol=0)
 
 
 class TestPredictValidation:
@@ -379,6 +425,21 @@ class TestSerialization:
         text = serialize(fit(cardio, MethodSpec("cm")))
         broken = text.replace("center.intercept: ", "center.intercept: not-a-number ")
         with pytest.raises(ModelFormatError):
+            deserialize(broken)
+
+    @pytest.mark.parametrize("key, value", [
+        ("center.intercept", "nan"),
+        ("center.betas", "0.5 inf"),
+        ("center.means", "nan 1"),
+        ("range.scales", "1 -inf"),
+        ("center.n_sweeps", "1.5"),
+        ("range.n_sweeps", "many"),
+    ])
+    def test_a_bad_number_is_rejected_by_its_key(self, cardio, key, value):
+        text = serialize(fit(cardio, MethodSpec("crm")))
+        broken = re.sub(rf"^{re.escape(key)}: .*$", f"{key}: {value}", text, flags=re.M)
+        assert broken != text
+        with pytest.raises(ModelFormatError, match=re.escape(f"{key!r}: {value!r}")):
             deserialize(broken)
 
     def test_missing_field(self, cardio):

@@ -15,7 +15,6 @@ from intervalreg import (
     predict,
 )
 from intervalreg.solvers import (
-    SUPPORT_TOL,
     DesignProblem,
     SingularDesign,
     duality_gap,
@@ -283,6 +282,30 @@ class TestCoefficientPath:
         assert np.max(np.abs(path.coefficients[-1] - betas)) <= 1e-2
 
 
+class TestExactSupport:
+    def test_a_predictor_in_large_units_counts_as_selected(self):
+        # X1 is measured in units of 1e-12: its standardized lasso slope is about 2,
+        # its original-scale slope about 2e-12, which a fixed cutoff of 1e-10 dropped
+        rng = np.random.default_rng(60)
+        u, h = rng.normal(size=(30, 3)), rng.uniform(0.5, 1.5, size=(30, 3))
+        units = np.array([1e12, 1.0, 1.0])
+        cy = u @ [2.0, 1.0, -1.0] + 0.1 * rng.normal(size=30)
+        hy = h @ [0.5, 0.3, 0.2] + 0.05 * rng.uniform(size=30)
+        lower = np.column_stack([(u - h) * units, cy - hy])
+        upper = np.column_stack([(u + h) * units, cy + hy])
+        table = IntervalTable(("X1", "X2", "X3", "Y"), lower, upper, response_name="Y")
+        spec = MethodSpec.from_name("lasso-crm", 1.0)
+        model = fit(table, spec)
+        center = model.center_coeffs
+        assert 0.0 < abs(center.betas[0]) < 1e-10 and abs(center.betas[0] * center.scales[0]) > 1.0
+        assert center.support().tolist() == [True, True, True]
+        assert np.all(model.range_coeffs.betas != 0.0)  # X1 is in the range mask too
+        result = cross_validate(table, spec, k=5, seed=0, n_points=20)
+        assert max(result.nonzero) == 3
+        path = coefficient_path(table, spec, result.grid)
+        assert path.nonzero == result.nonzero and path.nonzero[-1] == 3
+
+
 class TestNonConvergedFits:
     """CV and paths count the coordinate-descent fits that hit ``max_iter``."""
 
@@ -428,7 +451,7 @@ def reference_cross_validate(table, spec, grid, k, seed, component):
             c = previous = fit_elastic_net(
                 problem, lam, spec.effective_alpha, warm_start=previous
             )
-        nonzero.append(int(np.sum(np.abs(c.betas) > SUPPORT_TOL)))
+        nonzero.append(int(np.sum(c.betas != 0.0)))
     return losses.mean(axis=0), losses.std(axis=0, ddof=1) / np.sqrt(k), tuple(nonzero)
 
 
