@@ -395,8 +395,9 @@ def coordinate_descent(
     2012).  Otherwise each iteration is one full cycle over every
     coordinate followed by one exact solve restricted to the nonzero set,
     and convergence is a full cycle whose largest coefficient change is at
-    most ``tol``.  A constant column (``gram_diag[j] == 0``) gets exactly
-    0.  Without an L1 term (``lam*alpha == 0``) no cycle runs: ``beta`` is
+    most ``tol`` after which the same test passes (a cycle's last steps can
+    leave an earlier coordinate's exact update beyond ``tol``).  A constant
+    column (``gram_diag[j] == 0``) gets exactly 0.  Without an L1 term (``lam*alpha == 0``) no cycle runs: ``beta`` is
     the one-weight :func:`_minimum_norm` solve, whatever ``beta0``, and
     ``(beta, True, 0)`` is returned.
 
@@ -417,11 +418,12 @@ def coordinate_descent(
       instead: the sign-fixed objective falls along the segment to it and
       equals the objective up to the first sign change (the active-set
       step of Osborne, Presnell & Turlach, IMA J. Numer. Anal. 2000).
-    * On a singular lasso set the quadratic part is flat along the null
-      vector ``v``, so the objective changes along it only through the L1
-      term, with slope ``lam*alpha * sign(b)'v``, and the descending sign
-      of ``v`` is the direction.
-    * A singular set with a ridge term is left as it is.
+    * On a singular set the squared loss is flat along the null vector
+      ``v``, so the objective changes along it only through the penalty,
+      with slope ``2*(lam*alpha/2 * sign(b)'v + ridge * b'v)``, and the
+      descending sign of ``v`` is the direction.  The set is singular only
+      where the ridge term is below ``PIVOT_RTOL`` of the sub-Gram, so its
+      curvature along ``v`` counts as 0 as well.
 
     Along a descent direction the iterate moves until its first
     coefficient reaches 0, that coefficient is set to exactly 0, and the
@@ -520,25 +522,28 @@ def coordinate_descent(
                     commit(active, sub, solution)
                     return
                 moved, curvature = first_zero(b, solution - b), 0.0
-            elif ridge == 0.0:
-                v = V[:, 0]  # the objective's slope along v is lam*alpha*signs'v
-                moved = first_zero(b, -v if signs @ v > 0.0 else v)
-                curvature = PIVOT_RTOL * top
             else:
-                return
+                v = V[:, 0]  # the objective's slope along v, halved
+                moved = first_zero(b, -v if thresh * (signs @ v) + ridge * (b @ v) > 0.0 else v)
+                curvature = PIVOT_RTOL * (top + ridge)
             if moved is None or not commit(active, sub, moved, curvature):
                 return
             active = np.flatnonzero(beta)
 
+    denominator = gram_diag + ridge
+
+    def certified() -> bool:
+        """No exact coordinate update from ``beta`` moves it by more than ``tol``."""
+        rho = grad + gram_diag * beta
+        # every exact coordinate update at once; a constant, unridged column gets 0
+        update = np.divide(np.sign(rho) * np.maximum(np.abs(rho) - thresh, 0.0), denominator,
+                           out=np.zeros(p), where=denominator > 0.0)
+        return bool(np.all(np.abs(update - beta) <= tol))
+
     # a warm start's support is most often the new weight's too: solve on it, and
     # return it if no exact coordinate step from it moves a coefficient beyond tol
     restricted_solve(np.flatnonzero(beta))
-    rho = grad + gram_diag * beta
-    denominator = gram_diag + ridge
-    # every exact coordinate update at once; a constant, unridged column gets 0
-    update = np.divide(np.sign(rho) * np.maximum(np.abs(rho) - thresh, 0.0), denominator,
-                       out=np.zeros(p), where=denominator > 0.0)
-    if np.all(np.abs(update - beta) <= tol):
+    if certified():
         return beta, True, 0
     # the per-coordinate loop reads plain floats and row views, not numpy scalars
     denom = denominator.tolist()
@@ -551,7 +556,7 @@ def coordinate_descent(
         max_delta = sweep()
         if not math.isfinite(max_delta):
             raise NonFiniteEncountered(f"coordinate descent diverged at sweep {sweeps}")
-        if max_delta <= tol:
+        if max_delta <= tol and certified():
             converged = True
             break
         restricted_solve(np.flatnonzero(beta))

@@ -807,6 +807,26 @@ class TestElasticNet:
         stalled = objective(np.array(data["beta_96791"]))
         assert objective(beta) == pytest.approx(stalled, rel=1e-12, abs=0.0)
 
+    def test_a_ridge_term_below_the_eigenvalue_rule_steps_like_the_lasso(self):
+        # one ulp below alpha 1 the ridge term is about 1e-16 of lam, so an active
+        # set of this 3 x 12 design with more than 3 columns counts as singular;
+        # with no null-space step there, four of these fits stopped at 100,000 sweeps
+        rng = np.random.default_rng(52680)
+        X = rng.normal(size=(3, 12)) * rng.uniform(0.1, 10.0, size=12)
+        y = X[:, :3] @ rng.uniform(-2.0, 2.0, size=3) + rng.normal(size=3)
+        std = DesignProblem(X, y).standardized()
+        alpha = 1.0 - 2.0**-53
+        lam_max = 2.0 * float(np.max(np.abs(std.q))) / alpha
+        start = np.random.default_rng(0).normal(size=12)
+        for lam in np.geomspace(lam_max, 1e-3 * lam_max, 8):
+            beta, converged, sweeps = coordinate_descent(
+                std.gram, std.q, std.y_ss, std.gram_diag, lam, alpha, 1e-7, 1000,
+                beta0=start, factors=std.factors,
+            )
+            assert converged and sweeps <= 20
+            update = exact_coordinate_updates(std.gram, std.q, std.gram_diag, beta, lam, alpha)
+            assert np.all(np.abs(update - beta) <= 1e-7)
+
     def test_paths_with_a_duplicated_column_do_not_stall(self):
         # two equal columns make every active set holding both singular; these
         # seeds took 4,043, 2,131 and 8,153 sweeps at their worst weight without
