@@ -41,6 +41,7 @@ from .solvers import (
     SingularDesign,
     SolverError,
     fit_elastic_net,
+    fit_elastic_net_path,
     fit_ridge,
     fit_ridge_path,
 )

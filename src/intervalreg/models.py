@@ -31,7 +31,7 @@ from .solvers import (
     CoefficientGrid,
     CoefficientSet,
     DesignProblem,
-    fit_elastic_net,
+    fit_elastic_net_path,
     fit_ridge_path,
 )
 from .tables import CenterRangeView, IntervalTable, to_center_range
@@ -239,18 +239,17 @@ def fit_design(
 
     Row i is the fit at ``lams[i]``.  Ridge fits all weights in one solve
     (:func:`~intervalreg.solvers.fit_ridge_path`); an unpenalized spec is
-    ridge at weight 0.  Lasso and elastic net stack one ``fit_elastic_net``
-    per weight, warm-started down the grid from ``warm`` (a fit of this design).
+    ridge at weight 0.  Lasso and elastic net are one
+    :func:`~intervalreg.solvers.fit_elastic_net_path` call, warm-started down
+    the grid from ``warm`` (a fit of this design): each run of weights that
+    keeps its warm start's signs is one batched solve, and coordinate descent
+    runs only where the support changes.
     """
     if spec.penalty in ("none", "ridge"):
         return fit_ridge_path(problem, np.zeros(len(lams)) if spec.penalty == "none" else lams,
                               standardize=standardize)
-    fits = []
-    for lam in lams:
-        warm = fit_elastic_net(problem, lam, spec.effective_alpha, tol=tol, max_iter=max_iter,
-                               standardize=standardize, warm_start=warm)
-        fits.append(warm)
-    return CoefficientGrid.stack(fits)
+    return fit_elastic_net_path(problem, lams, spec.effective_alpha, tol, max_iter,
+                                standardize, warm)
 
 
 @dataclass(frozen=True, eq=False)

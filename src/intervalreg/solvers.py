@@ -8,7 +8,9 @@ column:
   ``lambda=0`` is least squares, and a positive weight is the elastic
   net at ``alpha=0``,
 * ``fit_elastic_net`` cyclic coordinate descent with soft-thresholding;
-  ``alpha=1`` is the lasso, ``alpha=0`` is ridge.
+  ``alpha=1`` is the lasso, ``alpha=0`` is ridge.  ``fit_elastic_net_path``
+  fits a whole grid, warm-started down it, and solves every run of weights
+  that keeps its warm start's signs in one product.
 
 The penalized objective is used exactly as written, with no ``1/n`` or
 ``1/(2n)`` factor:
@@ -38,6 +40,10 @@ set and design, which also yields the null vectors coordinate descent
 steps along on singular sets.  Without an L1 term the fit is the solve
 ``V diag(1/(w + lambda)) V' Xs'yc`` from the Gram's ``V diag(w) V'``
 (*ESL* 2nd ed., eq. 3.47), every ridge weight of a grid in one product.
+With an L1 term and fixed signs ``s`` on an active set the fit is the same
+solve of ``Xs'yc - lambda*alpha/2 * s`` there (Osborne, Presnell & Turlach,
+IMA J. Numer. Anal. 2000), so the weights of a grid on which a warm start's
+support and signs hold are one product too.
 """
 
 from __future__ import annotations
@@ -307,9 +313,7 @@ def fit_ridge_path(
     cached eigendecomposition, each row equal to :func:`fit_elastic_net` at
     ``alpha=0`` bit for bit; the back-transform runs once.
     """
-    for lam in lams:
-        if not (math.isfinite(lam) and lam >= 0.0):
-            raise ValueError(f"lambda must be finite and >= 0, got {lam}")
+    _check_weights(lams)
     lams = np.asarray(lams, dtype=float)
     std = problem.standardized(standardize)
     beta = np.zeros((len(lams), problem.p))
@@ -322,10 +326,20 @@ def fit_ridge_path(
             beta[np.ix_(~positive, active)] = solve_spd(std.gram[active][:, active], std.q[active])
         except SingularDesign as exc:  # the pivot's number among all columns
             raise SingularDesign(int(active[exc.pivot_index]), exc.pivot) from None
-    slopes = beta / std.scales  # intercepts: each row's own dot product, as in fit_elastic_net
-    return CoefficientGrid(std.y_mean - (slopes[:, None, :] @ std.means)[:, 0], slopes,
-                           np.ones(len(lams), dtype=bool), np.zeros(len(lams), dtype=int),
-                           std.means, std.scales)
+    slopes = beta / std.scales
+    return CoefficientGrid(_intercepts(std, slopes), slopes, np.ones(len(lams), dtype=bool),
+                           np.zeros(len(lams), dtype=int), std.means, std.scales)
+
+
+def _check_weights(lams: Sequence[float]) -> None:
+    for lam in lams:
+        if not (math.isfinite(lam) and lam >= 0.0):
+            raise ValueError(f"lambda must be finite and >= 0, got {lam}")
+
+
+def _intercepts(std: Standardized, slopes: np.ndarray) -> np.ndarray:
+    """Each row's intercept by its own dot product, as :func:`fit_elastic_net` forms one."""
+    return std.y_mean - (slopes[:, None, :] @ std.means)[:, 0]
 
 
 def _factor(
@@ -352,10 +366,53 @@ def _minimum_norm(gram: np.ndarray, q: np.ndarray, gram_diag: np.ndarray, factor
     others and along directions :func:`_factor` counts as 0.  Rows do not depend on k."""
     active = np.flatnonzero(gram_diag)
     _, w, V, _, null = _factor(gram, factors, active, ridges[:, None])
-    c = (V.T @ q[active]) / np.where(null, np.inf, w + ridges[:, None])
     beta = np.zeros((len(ridges), len(q)))
-    beta[:, active] = (V @ c[:, :, None])[:, :, 0]
+    beta[:, active] = _shifted_solve(V, w, null, q[active], ridges[:, None])
     return beta
+
+
+def _matvec(M: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """``M @ x`` for each row of ``x``: one matrix-vector product per row."""
+    return (M @ x[..., None])[..., 0]
+
+
+def _dot(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """The dot product of each row of ``a`` with the same row of ``b``."""
+    return (a[..., None, :] @ b[..., :, None])[..., 0, 0]
+
+
+def _shifted_solve(V: np.ndarray, w: np.ndarray, null: np.ndarray, rhs: np.ndarray,
+                   ridge: float | np.ndarray) -> np.ndarray:
+    """``V diag(1/(w + ridge)) V' rhs``, 0 along the directions ``null`` marks: the
+    minimizer of ``b'(V diag(w) V' + ridge*I)b - 2 rhs'b``.  A ``(k, 1)`` ``ridge`` and
+    ``(k, a)`` ``rhs`` (or one ``(a,)`` rhs) give a row per weight, each its own
+    products, so a row does not depend on k or on the other rows."""
+    return _matvec(V, _matvec(V.T, rhs) / np.where(null, np.inf, w + ridge))
+
+
+def _step_change(sub: np.ndarray, grad: np.ndarray, b: np.ndarray, values: np.ndarray,
+                 thresh: float | np.ndarray, ridge: float | np.ndarray) -> np.ndarray:
+    """The objective's change when an active set with sub-Gram ``sub`` moves from ``b``
+    (gradient ``grad`` there) to ``values`` that keep its signs or are 0, per row.
+
+    The L1 term changes by ``signs'step``; the change is formed from the step
+    itself, since the rounding of two whole objective values can exceed a short
+    step's decrease."""
+    step = values - b
+    return (_dot(step, _matvec(sub, step)) - 2.0 * _dot(step, grad)
+            + 2.0 * thresh * _dot(np.sign(b), step) + ridge * _dot(step, b + values))
+
+
+def _within_tol(grad: np.ndarray, beta: np.ndarray, gram_diag: np.ndarray,
+                denominator: np.ndarray, thresh: float | np.ndarray,
+                tol: float) -> np.ndarray:
+    """Whether no exact coordinate update from ``beta`` (gradient ``grad``) moves it by
+    more than ``tol``, per row: ``S(grad_j + g_jj b_j, thresh) / denominator_j`` with
+    ``denominator = gram_diag + ridge``, 0 where that is 0 (a constant, unridged column)."""
+    rho = grad + gram_diag * beta
+    update = np.divide(np.sign(rho) * np.maximum(np.abs(rho) - thresh, 0.0), denominator,
+                       out=np.zeros(rho.shape), where=denominator > 0.0)
+    return np.all(np.abs(update - beta) <= tol, axis=-1)
 
 
 def coordinate_descent(
@@ -392,7 +449,8 @@ def coordinate_descent(
     a cycle and ``(beta, True, 0)`` is returned (glmnet's "solve the active
     set, then check all", Friedman, Hastie & Tibshirani, JSS 2010; the
     check is the KKT check of the strong rules, Tibshirani et al., JRSS-B
-    2012).  Otherwise each iteration is one full cycle over every
+    2012; :func:`fit_elastic_net_path` makes it with the same helpers for a
+    whole run of weights at once).  Otherwise each iteration is one full cycle over every
     coordinate followed by one exact solve restricted to the nonzero set,
     and convergence is a full cycle whose largest coefficient change is at
     most ``tol`` after which the same test passes (a cycle's last steps can
@@ -467,24 +525,18 @@ def coordinate_descent(
 
     def commit(active: np.ndarray, sub: np.ndarray, values: np.ndarray,
                curvature: float = 0.0) -> bool:
-        """Set ``beta[active] = values`` unless that raises the objective.
-
-        ``values`` keep the signs of ``beta[active]`` or are 0, so the L1
-        term changes by ``signs'step``; the change is formed from the step
-        itself, since the rounding of two whole objective values can exceed
-        a short step's decrease.  A step in a null space, along which the
-        singularity rule counts curvature up to ``curvature`` as 0, may rise
-        by what that curvature allows: ``|Xs step|^2 <= curvature*|step|^2``
-        in the quadratic term and ``2*|Xs step|*|r|`` in the linear one.
+        """Set ``beta[active] = values`` unless that raises the objective
+        (:func:`_step_change`; ``values`` keep the signs of ``beta[active]`` or
+        are 0).  A step in a null space, along which the singularity rule
+        counts curvature up to ``curvature`` as 0, may rise by what that
+        curvature allows: ``|Xs step|^2 <= curvature*|step|^2`` in the
+        quadratic term and ``2*|Xs step|*|r|`` in the linear one.
         """
         nonlocal grad
         b = beta[active]
-        step = values - b
-        change = (
-            float(step @ (sub @ step)) - 2.0 * float(step @ grad[active])
-            + 2.0 * thresh * float(np.sign(b) @ step) + ridge * float(step @ (b + values))
-        )
+        change = float(_step_change(sub, grad[active], b, values, thresh, ridge))
         if change > 0.0:
+            step = values - b
             bound = curvature * float(step @ step)
             rss = y_ss - float(beta @ q) - float(beta @ grad)
             if change > bound + 2.0 * math.sqrt(bound * max(rss, 0.0)):
@@ -517,7 +569,7 @@ def coordinate_descent(
             b = beta[active]
             signs = np.sign(b)
             if not null.any():
-                solution = V @ ((V.T @ (q[active] - thresh * signs)) / (w + ridge))
+                solution = _shifted_solve(V, w, null, q[active] - thresh * signs, ridge)
                 if not np.any(solution * signs < 0.0):
                     commit(active, sub, solution)
                     return
@@ -533,12 +585,7 @@ def coordinate_descent(
     denominator = gram_diag + ridge
 
     def certified() -> bool:
-        """No exact coordinate update from ``beta`` moves it by more than ``tol``."""
-        rho = grad + gram_diag * beta
-        # every exact coordinate update at once; a constant, unridged column gets 0
-        update = np.divide(np.sign(rho) * np.maximum(np.abs(rho) - thresh, 0.0), denominator,
-                           out=np.zeros(p), where=denominator > 0.0)
-        return bool(np.all(np.abs(update - beta) <= tol))
+        return bool(_within_tol(grad, beta, gram_diag, denominator, thresh, tol))
 
     # a warm start's support is most often the new weight's too: solve on it, and
     # return it if no exact coordinate step from it moves a coefficient beyond tol
@@ -630,21 +677,10 @@ def fit_elastic_net(
     best iterate is returned with ``converged=False``.  Without an L1 term
     it is one exact, minimum-norm solve with ``n_sweeps == 0``.
     """
-    if not (math.isfinite(lam) and lam >= 0.0):
-        raise ValueError(f"lambda must be finite and >= 0, got {lam}")
-    if not (0.0 <= alpha <= 1.0):
-        raise ValueError(f"alpha must lie in [0, 1], got {alpha}")
-    if tol <= 0.0:
-        raise ValueError(f"tol must be positive, got {tol}")
-    if max_iter < 1:
-        raise ValueError(f"max_iter must be >= 1, got {max_iter}")
+    _check_l1_fit(problem, (lam,), alpha, tol, max_iter, warm_start)
     std = problem.standardized(standardize)
     beta0 = None
     if warm_start is not None:
-        if warm_start.p != problem.p:
-            raise ValueError(
-                f"warm start has {warm_start.p} coefficients, problem has {problem.p}"
-            )
         beta0 = warm_start.betas * std.scales  # back to the standardized scale
     beta_std, converged, sweeps = coordinate_descent(
         std.gram, std.q, std.y_ss, std.gram_diag, lam, alpha,
@@ -655,3 +691,111 @@ def fit_elastic_net(
     betas = beta_std / std.scales
     return CoefficientSet(std.y_mean - betas @ std.means, betas, std.means, std.scales,
                           converged, sweeps)
+
+
+def _check_l1_fit(problem: DesignProblem, lams: Sequence[float], alpha: float, tol: float,
+                  max_iter: int, warm_start: CoefficientSet | None) -> None:
+    _check_weights(lams)
+    if not (0.0 <= alpha <= 1.0):
+        raise ValueError(f"alpha must lie in [0, 1], got {alpha}")
+    if tol <= 0.0:
+        raise ValueError(f"tol must be positive, got {tol}")
+    if max_iter < 1:
+        raise ValueError(f"max_iter must be >= 1, got {max_iter}")
+    if warm_start is not None and warm_start.p != problem.p:
+        raise ValueError(f"warm start has {warm_start.p} coefficients, problem has {problem.p}")
+
+
+def fit_elastic_net_path(
+    problem: DesignProblem,
+    lams: Sequence[float],
+    alpha: float,
+    tol: float = DEFAULT_TOL,
+    max_iter: int = DEFAULT_MAX_ITER,
+    standardize: bool = True,
+    warm_start: CoefficientSet | None = None,
+) -> CoefficientGrid:
+    """:func:`fit_elastic_net` at every weight in ``lams``, row i at ``lams[i]``, each
+    warm-started from the fit before it (the first from ``warm_start``).
+
+    Equal bit for bit to that chain of calls, but a run of weights on which
+    the warm start's support and signs hold is one batched solve
+    (:func:`_sign_fixed_rows`): those rows are certified before any cycle,
+    ``converged`` with ``n_sweeps == 0``.  The weight that ends a run is one
+    :func:`fit_elastic_net` call, which cycles or changes the support, and the
+    next run starts from its fit; so is a weight without an L1 term.  Every
+    argument is checked, with :func:`fit_elastic_net`'s messages, before any
+    fit.  A batched row is certified, so it is finite; a non-finite one ends
+    its run, and its weight's fit raises :class:`NonFiniteEncountered`.
+    """
+    _check_l1_fit(problem, lams, alpha, tol, max_iter, warm_start)
+    lams = np.asarray(lams, dtype=float)
+    std = problem.standardized(standardize)
+    k = len(lams)
+    intercepts, slopes = np.zeros(k), np.zeros((k, problem.p))
+    converged, n_sweeps = np.ones(k, dtype=bool), np.zeros(k, dtype=int)
+    warm, i = warm_start, 0
+    while i < k:
+        stop = i
+        if lams[i] * alpha / 2.0 > 0.0:  # without an L1 term the fit is one solve anyway
+            start = np.zeros(problem.p) if warm is None else warm.betas * std.scales
+            rows = _sign_fixed_rows(std, lams[i:], alpha, tol, start)
+            stop += len(rows)
+        if stop > i:
+            slopes[i:stop] = rows / std.scales
+            intercepts[i:stop] = _intercepts(std, slopes[i:stop])
+            warm = CoefficientSet(intercepts[stop - 1], slopes[stop - 1])
+        if stop < k:  # the weight that ends the run, or one without an L1 term
+            warm = fit_elastic_net(problem, float(lams[stop]), alpha, tol, max_iter,
+                                   standardize, warm)
+            intercepts[stop], slopes[stop] = warm.intercept, warm.betas
+            converged[stop], n_sweeps[stop] = warm.converged, warm.n_sweeps
+        i = stop + 1
+    return CoefficientGrid(intercepts, slopes, converged, n_sweeps, std.means, std.scales)
+
+
+def _sign_fixed_rows(std: Standardized, lams: np.ndarray, alpha: float, tol: float,
+                     start: np.ndarray) -> np.ndarray:
+    """The standardized fits at the leading weights of ``lams`` that
+    :func:`coordinate_descent` certifies before any cycle on the support and
+    signs of ``start``, the first weight's warm start; each later weight starts
+    from the fit before it, through the original scale as :func:`fit_elastic_net`
+    hands it on.  Rows are bit for bit those fits, formed as one row each.
+
+    On the active set ``A`` of ``start`` with signs ``s``, every weight's
+    solution is the sign-fixed solve of ``q_A - thresh*s`` (:func:`_shifted_solve`).
+    A weight is kept while it has an L1 term, ``A`` is nonsingular at its
+    ridge term, its solution and its warm start keep the signs ``s`` strictly
+    (so the next weight starts on ``A`` too), the step from its warm start
+    does not raise the objective (:func:`_step_change`) and no exact
+    coordinate update from its solution moves it by more than ``tol``
+    (:func:`_within_tol`).
+    """
+    thresh = lams * alpha / 2.0
+    ridge = lams * (1.0 - alpha)
+    keep = thresh > 0.0
+    betas = np.repeat(start[None], len(lams), axis=0)
+    active = np.flatnonzero(start)
+    if len(active):
+        signs = np.sign(start[active])
+        sub, w, V, _, null = _factor(std.gram, std.factors, active, ridge[:, None])
+        solution = _shifted_solve(V, w, null, std.q[active] - thresh[:, None] * signs,
+                                  ridge[:, None])
+        n = _leading(keep & ~null.any(axis=1) & np.all(solution * signs > 0.0, axis=1))
+        if n == 0:
+            return betas[:0]
+        betas, thresh, ridge = betas[:n], thresh[:n], ridge[:n]
+        betas[:, active] = solution[:n]
+        starts = np.concatenate([start[None], betas[:-1] / std.scales * std.scales])
+        b = starts[:, active]
+        change = _step_change(sub, (std.q - _matvec(std.gram, starts))[:, active], b,
+                              betas[:, active], thresh, ridge)
+        keep = np.all(b * signs > 0.0, axis=1) & ~(change > 0.0)
+    keep &= _within_tol(std.q - _matvec(std.gram, betas), betas, std.gram_diag,
+                        std.gram_diag + ridge[:, None], thresh[:, None], tol)
+    return betas[:_leading(keep)]
+
+
+def _leading(mask: np.ndarray) -> int:
+    """The number of leading True entries of ``mask``."""
+    return len(mask) if mask.all() else int(np.argmin(mask))

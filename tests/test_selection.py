@@ -1,7 +1,9 @@
+import inspect
+
 import numpy as np
 import pytest
 
-from intervalreg import models, selection
+from intervalreg import models, selection, solvers
 from intervalreg import (
     IntervalTable,
     LambdaGrid,
@@ -306,40 +308,51 @@ class TestExactSupport:
         assert path.nonzero == result.nonzero and path.nonzero[-1] == 3
 
 
+def record_grid_rows(monkeypatch):
+    """Every row of the grids ``models.fit_design`` returns, as ``(standardized sums,
+    lambda, alpha, CoefficientSet)``, for cv (folds and path) and paths alike."""
+    rows = []
+    original = models.fit_design
+    signature = inspect.signature(original)
+
+    def recording(*args, **kwargs):
+        grid = original(*args, **kwargs)
+        bound = signature.bind(*args, **kwargs)
+        bound.apply_defaults()
+        a = bound.arguments
+        std = a["problem"].standardized(a["standardize"])
+        alpha = a["spec"].effective_alpha
+        rows.extend((std, lam, alpha, grid[i]) for i, lam in enumerate(a["lams"]))
+        return grid
+
+    monkeypatch.setattr(models, "fit_design", recording)
+    monkeypatch.setattr(selection, "fit_design", recording)
+    return rows
+
+
 class TestNonConvergedFits:
     """CV and paths count the coordinate-descent fits that hit ``max_iter``."""
-
-    @staticmethod
-    def record_convergence(monkeypatch):
-        flags = []
-        original = models.fit_elastic_net
-
-        def recording(*args, **kwargs):
-            coeffs = original(*args, **kwargs)
-            flags.append(coeffs.converged)
-            return coeffs
-
-        monkeypatch.setattr(models, "fit_elastic_net", recording)
-        return flags
 
     @pytest.mark.parametrize("name", ["lasso-cm", "net-crm"])
     def test_cv_counts_every_fit_stopped_at_max_iter(self, monkeypatch, name):
         table = random_interval_table(np.random.default_rng(48), 20, 6)
         spec = MethodSpec.from_name(name, 1.0, None, 0.5 if name == "net-crm" else None)
-        flags = self.record_convergence(monkeypatch)
+        rows = record_grid_rows(monkeypatch)
         result = cross_validate(table, spec, k=5, seed=1, n_points=12, max_iter=1)
+        flags = [c.converged for *_, c in rows]
         assert result.nonconverged == flags.count(False) > 0
-        flags.clear()
+        rows.clear()
         assert cross_validate(table, spec, k=5, seed=1, n_points=12).nonconverged == 0
-        assert flags and all(flags)
+        assert rows and all(c.converged for *_, c in rows)
 
     def test_path_counts_every_point_stopped_at_max_iter(self, monkeypatch):
         table = random_interval_table(np.random.default_rng(49), 20, 6)
         view = to_center_range(table)
         grid = make_lambda_grid(view.centers_X, view.centers_y, 1.0, 12)
-        flags = self.record_convergence(monkeypatch)
+        rows = record_grid_rows(monkeypatch)
         spec = MethodSpec("cm", "lasso", lambda_center=1.0)
         path = coefficient_path(table, spec, grid, max_iter=1)
+        flags = [c.converged for *_, c in rows]
         assert len(flags) == len(grid)
         assert path.nonconverged == flags.count(False) > 0
         assert coefficient_path(table, spec, grid).nonconverged == 0
@@ -351,15 +364,7 @@ class TestCertifiedFits:
     def test_wide_lasso_cv_fits_are_certified_mostly_before_any_cycle(self, monkeypatch):
         """Every fit of a lasso-cm cv on wide tables has a relative duality gap of at
         most 1e-12, and most warm starts are certified without a cycle."""
-        records = []
-        original = models.fit_elastic_net
-
-        def recording(problem, lam, alpha, **kwargs):
-            coeffs = original(problem, lam, alpha, **kwargs)
-            records.append((problem.standardized(kwargs["standardize"]), lam, alpha, coeffs))
-            return coeffs
-
-        monkeypatch.setattr(models, "fit_elastic_net", recording)
+        records = record_grid_rows(monkeypatch)
         spec = MethodSpec("cm", "lasso", lambda_center=1.0)
         for seed in range(3):
             table = random_interval_table(np.random.default_rng(700 + seed), 10, 15)
@@ -373,6 +378,27 @@ class TestCertifiedFits:
         assert len(records) == 3 * 1100
         assert worst <= 1e-12
         assert sum(c.n_sweeps == 0 for *_, c in records) >= 0.8 * len(records)
+
+    def test_most_grid_rows_never_reach_coordinate_descent(self, monkeypatch):
+        """A lasso-cm cv solves most weights of its grids in batched runs: only the
+        weights where the support changes call ``solvers.fit_elastic_net``, and
+        those calls run every cycle the grids report."""
+        rows = record_grid_rows(monkeypatch)
+        calls = []
+        original = solvers.fit_elastic_net
+
+        def recording(*args, **kwargs):
+            calls.append(original(*args, **kwargs))
+            return calls[-1]
+
+        monkeypatch.setattr(solvers, "fit_elastic_net", recording)
+        spec = MethodSpec("cm", "lasso", lambda_center=1.0)
+        table = random_interval_table(np.random.default_rng(700), 10, 15)
+        assert cross_validate(table, spec, seed=0).nonconverged == 0
+        assert len(rows) == 1100
+        sweeps = sum(c.n_sweeps for *_, c in rows)
+        assert sweeps > 0 and sum(c.n_sweeps for c in calls) == sweeps
+        assert 0 < len(calls) <= 0.2 * len(rows)
 
 
 class TestViewsBuiltOnce:

@@ -6,15 +6,18 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from intervalreg import solvers
 from intervalreg.solvers import (
     PIVOT_RTOL,
     CoefficientSet,
     DesignProblem,
+    NonFiniteEncountered,
     SingularDesign,
     _standardize,
     coordinate_descent,
     duality_gap,
     fit_elastic_net,
+    fit_elastic_net_path,
     fit_ridge,
     fit_ridge_path,
     solve_spd,
@@ -960,6 +963,99 @@ class TestElasticNet:
         b = fit_elastic_net(DesignProblem(X, y), 2.0, 0.7)
         assert a.intercept == b.intercept
         assert np.array_equal(a.betas, b.betas)
+
+
+class TestElasticNetPath:
+    @staticmethod
+    def chain(problem, lams, alpha, warm=None, **kwargs):
+        """One warm-started ``fit_elastic_net`` per weight, down the grid."""
+        fits = []
+        for lam in lams:
+            warm = fit_elastic_net(problem, lam, alpha, warm_start=warm, **kwargs)
+            fits.append(warm)
+        return fits
+
+    @staticmethod
+    def assert_rows_equal(path, fits):
+        assert len(path) == len(fits)
+        assert path.intercepts.tobytes() == np.array([c.intercept for c in fits]).tobytes()
+        assert path.slopes.tobytes() == np.array([c.betas for c in fits]).tobytes()
+        assert path.converged.tolist() == [c.converged for c in fits]
+        assert path.n_sweeps.tolist() == [c.n_sweeps for c in fits]
+
+    @settings(max_examples=150, deadline=None)
+    @given(l1_designs(), st.booleans(), st.sampled_from(["cold", "random", "previous"]),
+           st.integers(0, 2**32 - 1))
+    def test_equals_the_chain_of_one_weight_fits(self, design, below_one, start, seed):
+        """Every row, batched or not, is the warm-started one-weight fit bit for bit:
+        down a grid that ends at 0, from a cold, a random and a previous fit's start,
+        with alpha one ulp below 1 (the tiny ridge term that makes sets singular)."""
+        X, y, alpha = design
+        if below_one:
+            alpha = float(np.nextafter(1.0, 0.0))
+        rng = np.random.default_rng(seed)
+        std = DesignProblem(X, y).standardized()
+        lam_max = 2.0 * float(np.max(np.abs(std.q))) / max(alpha, 1e-3)
+        assume(lam_max > 0.0)
+        lams = [*np.geomspace(lam_max, 1e-3 * lam_max, 12), 0.0]
+        warm = None
+        if start == "random":
+            warm = CoefficientSet(0.0, rng.normal(size=X.shape[1]))
+        elif start == "previous":
+            warm = fit_elastic_net(DesignProblem(X, y), 2.0 * lam_max, alpha)
+        fits = self.chain(DesignProblem(X, y), lams, alpha, warm)
+        path = fit_elastic_net_path(DesignProblem(X, y), lams, alpha, warm_start=warm)
+        self.assert_rows_equal(path, fits)
+
+    def test_stopped_fits_and_unstandardized_designs_match_the_chain(self):
+        rng = np.random.default_rng(31)
+        X = rng.normal(size=(12, 9)) * rng.uniform(0.1, 10.0, size=9)
+        y = X[:, :3] @ rng.normal(size=3) + rng.normal(size=12)
+        problem = DesignProblem(X, y)
+        lams = make_lambda_grid(X, y, 0.5, 30).values
+        for standardize in (True, False):
+            for max_iter in (1, 100_000):
+                kwargs = dict(max_iter=max_iter, standardize=standardize)
+                path = fit_elastic_net_path(problem, lams, 0.5, **kwargs)
+                fits = self.chain(DesignProblem(X, y), lams, 0.5, **kwargs)
+                self.assert_rows_equal(path, fits)
+                assert path.converged.all() == (max_iter > 1)
+
+    def test_checks_every_argument_before_any_fit(self, monkeypatch):
+        problem = DesignProblem(np.eye(3), np.ones(3))
+
+        def no_fit(*args):
+            raise AssertionError("a fit ran")
+
+        monkeypatch.setattr(solvers, "_standardize", no_fit)
+        bad = [
+            (((1.0, 0.5, float("nan")), 1.0, {}), "^lambda must be finite and >= 0, got nan$"),
+            (((1.0, -1.0), 1.0, {}), "^lambda must be finite and >= 0, got -1.0$"),
+            (((1.0,), 1.5, {}), r"^alpha must lie in \[0, 1\], got 1.5$"),
+            (((1.0,), 0.5, {"tol": 0.0}), "^tol must be positive, got 0.0$"),
+            (((1.0,), 0.5, {"max_iter": 0}), "^max_iter must be >= 1, got 0$"),
+            (((1.0,), 0.5, {"warm_start": CoefficientSet(0.0, np.zeros(2))}),
+             "^warm start has 2 coefficients, problem has 3$"),
+        ]
+        for (lams, alpha, kwargs), message in bad:
+            with pytest.raises(ValueError, match=message):
+                fit_elastic_net_path(problem, lams, alpha, **kwargs)
+            with pytest.raises(ValueError, match=message):  # the one-weight fit's message
+                fit_elastic_net(problem, lams[-1], alpha, **kwargs)
+
+    def test_a_non_finite_row_raises_like_the_one_weight_fits(self):
+        # a response near the largest float overflows Xs'yc, so every batched row is
+        # non-finite: from zeros and on a warm start's active set
+        X = np.random.default_rng(32).normal(size=(4, 3))
+        y = np.array([1e308, -1e308, 1e308, -1e308])
+        with np.errstate(all="ignore"):
+            problem = DesignProblem(X, y)
+            assert not np.isfinite(problem.standardized().q).all()
+            for warm in (None, CoefficientSet(0.0, np.ones(3))):
+                with pytest.raises(NonFiniteEncountered):
+                    self.chain(problem, (2.0, 1.0), 1.0, warm, max_iter=5)
+                with pytest.raises(NonFiniteEncountered):
+                    fit_elastic_net_path(problem, (2.0, 1.0), 1.0, max_iter=5, warm_start=warm)
 
 
 class TestLambdaZeroCollapse:
