@@ -7,10 +7,11 @@ column:
   weight or (``fit_ridge_path``) a whole grid of weights in one solve;
   ``lambda=0`` is least squares, and a positive weight is the elastic
   net at ``alpha=0``,
-* ``fit_elastic_net`` cyclic coordinate descent with soft-thresholding;
+* ``fit_elastic_net`` exact solves on the active set, entering one
+  coordinate at a time by its soft-thresholded update until no update moves;
   ``alpha=1`` is the lasso, ``alpha=0`` is ridge.  ``fit_elastic_net_path``
   fits a whole grid, warm-started down it, and solves every run of weights
-  that keeps its warm start's signs in one product.
+  that keeps its warm start's signs, or has no L1 term, in one product.
 
 The penalized objective is used exactly as written, with no ``1/n`` or
 ``1/(2n)`` factor:
@@ -176,7 +177,7 @@ class CoefficientSet:
     ``means``/``scales`` record the internal standardization of the fit
     (``None`` in model files that predate them and in grids whose rows differ
     in it); the standardized-scale slope j is ``betas[j] * scales[j]``.
-    ``converged`` is False only when coordinate descent hit its sweep
+    ``converged`` is False only when coordinate descent hit its step
     limit, in which case the best iterate is still returned.
     """
 
@@ -403,16 +404,14 @@ def _step_change(sub: np.ndarray, grad: np.ndarray, b: np.ndarray, values: np.nd
             + 2.0 * thresh * _dot(np.sign(b), step) + ridge * _dot(step, b + values))
 
 
-def _within_tol(grad: np.ndarray, beta: np.ndarray, gram_diag: np.ndarray,
-                denominator: np.ndarray, thresh: float | np.ndarray,
-                tol: float) -> np.ndarray:
-    """Whether no exact coordinate update from ``beta`` (gradient ``grad``) moves it by
-    more than ``tol``, per row: ``S(grad_j + g_jj b_j, thresh) / denominator_j`` with
-    ``denominator = gram_diag + ridge``, 0 where that is 0 (a constant, unridged column)."""
+def _exact_updates(grad: np.ndarray, beta: np.ndarray, gram_diag: np.ndarray,
+                   denominator: np.ndarray, thresh: float | np.ndarray) -> np.ndarray:
+    """Every coordinate's exact update from ``beta`` (gradient ``grad``), per row:
+    ``S(grad_j + g_jj b_j, thresh) / denominator_j`` with ``denominator = gram_diag +
+    ridge``, 0 where that is 0 (a constant, unridged column)."""
     rho = grad + gram_diag * beta
-    update = np.divide(np.sign(rho) * np.maximum(np.abs(rho) - thresh, 0.0), denominator,
-                       out=np.zeros(rho.shape), where=denominator > 0.0)
-    return np.all(np.abs(update - beta) <= tol, axis=-1)
+    return np.divide(np.sign(rho) * np.maximum(np.abs(rho) - thresh, 0.0), denominator,
+                     out=np.zeros(rho.shape), where=denominator > 0.0)
 
 
 def coordinate_descent(
@@ -427,10 +426,11 @@ def coordinate_descent(
     beta0: np.ndarray | None = None,
     factors: dict | None = None,
 ) -> tuple[np.ndarray, bool, int]:
-    """Cyclic coordinate descent for the centered, slope-only problem.
+    """Greedy coordinate steps and exact active-set solves for the centered,
+    slope-only problem.
 
-    Minimizes ``sum((yc - Xs b)^2) + lam*(alpha*sum|b| + (1-alpha)*sum b^2)``
-    with the update
+    Minimizes ``sum((yc - Xs b)^2) + lam*(alpha*sum|b| + (1-alpha)*sum b^2)``.
+    The exact update of coordinate j, the minimizer over ``b_j`` alone, is
 
         b_j <- S(sum_i x_ij r_i^(j), lam*alpha/2) / (sum_i x_ij^2 + lam*(1-alpha))
 
@@ -439,35 +439,31 @@ def coordinate_descent(
     through ``gram = Xs'Xs``, ``q = Xs'yc``, ``y_ss = yc'yc`` and
     ``gram_diag = diag(gram)``, which the caller forms once per design
     (:meth:`DesignProblem.standardized`) and shares across a penalty grid.
-    Gradients are maintained through ``gram``, so an untouched coordinate
-    costs O(1).
 
-    Before any cycle, the start's nonzero set (on a warm start, the
-    previous weight's support) is solved exactly as below, and every
-    coordinate's exact update is formed at once from the result.  If none
-    moves a coefficient by more than ``tol``, the fit is certified without
-    a cycle and ``(beta, True, 0)`` is returned (glmnet's "solve the active
-    set, then check all", Friedman, Hastie & Tibshirani, JSS 2010; the
-    check is the KKT check of the strong rules, Tibshirani et al., JRSS-B
-    2012; :func:`fit_elastic_net_path` makes it with the same helpers for a
-    whole run of weights at once).  Otherwise each iteration is one full cycle over every
-    coordinate followed by one exact solve restricted to the nonzero set,
-    and convergence is a full cycle whose largest coefficient change is at
-    most ``tol`` after which the same test passes (a cycle's last steps can
-    leave an earlier coordinate's exact update beyond ``tol``).  A constant
-    column (``gram_diag[j] == 0``) gets exactly 0.  Without an L1 term (``lam*alpha == 0``) no cycle runs: ``beta`` is
-    the one-weight :func:`_minimum_norm` solve, whatever ``beta0``, and
-    ``(beta, True, 0)`` is returned.
+    The start's nonzero set (on a warm start, the previous weight's
+    support) is first solved exactly as below.  Then one loop repeats: form
+    every coordinate's exact update at once (:func:`_exact_updates`); if none
+    moves a coefficient by more than ``tol`` the fit is converged (glmnet's
+    "solve the active set, then check all", Friedman, Hastie & Tibshirani,
+    JSS 2010; the check is the KKT check of the strong rules, Tibshirani et
+    al., JRSS-B 2012, and :func:`fit_elastic_net_path` makes it with the same
+    helper for a whole run of weights at once); otherwise the coordinate
+    whose update moves furthest takes it (the Gauss-Southwell rule, Nutini
+    et al., ICML 2015) and the nonzero set is solved exactly again.  That
+    test is the one stopping rule; after ``max_iter`` steps the last iterate
+    is returned unconverged.  A constant column (``gram_diag[j] == 0``) gets
+    exactly 0.  Without an L1 term (``lam*alpha == 0``) no step runs:
+    ``beta`` is the one-weight :func:`_minimum_norm` solve, whatever
+    ``beta0``, and ``(beta, True, 0)`` is returned.
 
     With its signs fixed, the problem restricted to the nonzero set is a
-    plain quadratic, which cuts the slow tail of ill-conditioned problems
-    to a handful of cycles.  Each active set's sub-Gram is factored once,
+    plain quadratic.  Each active set's sub-Gram is factored once,
     by ``eigh``, into ``factors`` (a dict keyed by the active indices;
     :func:`fit_elastic_net` passes the design's
     :attr:`Standardized.factors`, so every weight of a grid shares it); the
     ridge term only shifts its eigenvalues.  A set is singular when its
     smallest shifted eigenvalue is at most ``PIVOT_RTOL`` of its largest
-    shifted diagonal entry.  Every step below is committed only if it does
+    shifted diagonal entry.  Every solve below is committed only if it does
     not raise the objective, beyond what the curvature counted as 0 allows
     for a step in a null space.
 
@@ -485,17 +481,14 @@ def coordinate_descent(
 
     Along a descent direction the iterate moves until its first
     coefficient reaches 0, that coefficient is set to exactly 0, and the
-    solve is retried on the smaller set.  A solve follows every cycle, so a
-    singular set is stepped again after each and a fit cannot creep along
-    a null direction.  A lasso solution with at most rank(Xs) nonzeros
-    exists (Tibshirani, "The lasso problem and uniqueness", EJS 2013), and
-    these steps reach one.  Convergence is still certified only by the
-    pre-cycle test or a full cycle within ``tol``.
+    solve is retried on the smaller set.  A lasso solution with at most
+    rank(Xs) nonzeros exists (Tibshirani, "The lasso problem and
+    uniqueness", EJS 2013), and these steps reach one.
 
-    Returns ``(beta, converged, n_sweeps)``, where ``n_sweeps`` counts full
-    cycles (0 when the pre-cycle test certifies the fit).  Cycles never
-    raise the objective; its change is evaluated only to accept or reject
-    a restricted solve or step.
+    Returns ``(beta, converged, n_sweeps)``, where ``n_sweeps`` counts the
+    greedy steps (0 when the first solve passes the test).  Neither a step
+    nor a committed solve raises the objective; its change is evaluated
+    only to accept or reject a restricted solve.
     """
     p = q.shape[0]
     ridge = lam * (1.0 - alpha)
@@ -505,23 +498,6 @@ def coordinate_descent(
         return _minimum_norm(gram, q, gram_diag, factors, np.array([ridge]))[0], True, 0
     beta = np.zeros(p) if beta0 is None else np.asarray(beta0, dtype=float).copy()
     grad = q - gram @ beta  # grad[j] = sum_i x_ij r_i at the current beta
-
-    def sweep() -> float:
-        nonlocal grad
-        max_delta = 0.0
-        for j in range(p):
-            bj = beta.item(j)
-            # a zero-variance column has rho = 0, so the L1 term sets b_j = 0
-            rho = grad.item(j) + diag[j] * bj  # partial residual correlation
-            mag = abs(rho) - thresh
-            bnew = math.copysign(mag, rho) / denom[j] if mag > 0.0 else 0.0
-            if bnew != bj:
-                grad -= rows[j] * (bnew - bj)
-                beta[j] = bnew
-                delta = abs(bnew - bj)
-                if delta > max_delta:
-                    max_delta = delta
-        return max_delta
 
     def commit(active: np.ndarray, sub: np.ndarray, values: np.ndarray,
                curvature: float = 0.0) -> bool:
@@ -583,31 +559,21 @@ def coordinate_descent(
             active = np.flatnonzero(beta)
 
     denominator = gram_diag + ridge
-
-    def certified() -> bool:
-        return bool(_within_tol(grad, beta, gram_diag, denominator, thresh, tol))
-
-    # a warm start's support is most often the new weight's too: solve on it, and
-    # return it if no exact coordinate step from it moves a coefficient beyond tol
-    restricted_solve(np.flatnonzero(beta))
-    if certified():
-        return beta, True, 0
-    # the per-coordinate loop reads plain floats and row views, not numpy scalars
-    denom = denominator.tolist()
-    diag = gram_diag.tolist()
-    rows = list(gram)
-    converged = False
-    sweeps = 0
-    while sweeps < max_iter:
-        sweeps += 1
-        max_delta = sweep()
-        if not math.isfinite(max_delta):
-            raise NonFiniteEncountered(f"coordinate descent diverged at sweep {sweeps}")
-        if max_delta <= tol and certified():
-            converged = True
-            break
+    restricted_solve(np.flatnonzero(beta))  # a warm start's support is most often the new one
+    steps = 0
+    while True:
+        update = _exact_updates(grad, beta, gram_diag, denominator, thresh)
+        move = np.abs(update - beta)
+        j = int(np.argmax(move))  # the first NaN, if any
+        converged = bool(move[j] <= tol)
+        if converged or steps == max_iter:
+            return beta, converged, steps
+        steps += 1
+        if not math.isfinite(move[j]):
+            raise NonFiniteEncountered(f"coordinate descent diverged at sweep {steps}")
+        beta[j] = update[j]
+        grad = q - gram @ beta
         restricted_solve(np.flatnonzero(beta))
-    return beta, converged, sweeps
 
 
 def duality_gap(
@@ -663,19 +629,18 @@ def fit_elastic_net(
     standardize: bool = True,
     warm_start: CoefficientSet | None = None,
 ) -> CoefficientSet:
-    """Elastic-net fit by cyclic coordinate descent.
+    """Elastic-net fit by :func:`coordinate_descent`.
 
     ``lam >= 0`` is the shrinkage strength and ``alpha`` in [0, 1] the L1
     fraction: ``alpha=1`` gives the lasso, ``alpha=0`` the ridge penalty
     (:func:`fit_ridge` at a positive weight is this fit).  ``warm_start``
     seeds the slopes from a previous fit of the same design (used along
-    regularization paths).  A fit is certified either before any cycle,
-    when no exact coordinate update from the solve on the start's nonzero
-    set moves a coefficient by more than ``tol`` (``n_sweeps == 0``), or by
-    a full cycle that moves none by more than ``tol``
-    (:func:`coordinate_descent`).  Hitting ``max_iter`` is not an error: the
-    best iterate is returned with ``converged=False``.  Without an L1 term
-    it is one exact, minimum-norm solve with ``n_sweeps == 0``.
+    regularization paths).  A fit is converged when no exact coordinate
+    update moves a coefficient by more than ``tol``; ``n_sweeps`` counts the
+    greedy steps it took to get there (0 when the solve on the start's
+    nonzero set already passes).  Hitting ``max_iter`` steps is not an
+    error: the last iterate is returned with ``converged=False``.  Without
+    an L1 term it is one exact, minimum-norm solve with ``n_sweeps == 0``.
     """
     _check_l1_fit(problem, (lam,), alpha, tol, max_iter, warm_start)
     std = problem.standardized(standardize)
@@ -718,15 +683,16 @@ def fit_elastic_net_path(
     """:func:`fit_elastic_net` at every weight in ``lams``, row i at ``lams[i]``, each
     warm-started from the fit before it (the first from ``warm_start``).
 
-    Equal bit for bit to that chain of calls, but a run of weights on which
-    the warm start's support and signs hold is one batched solve
-    (:func:`_sign_fixed_rows`): those rows are certified before any cycle,
-    ``converged`` with ``n_sweeps == 0``.  The weight that ends a run is one
-    :func:`fit_elastic_net` call, which cycles or changes the support, and the
-    next run starts from its fit; so is a weight without an L1 term.  Every
-    argument is checked, with :func:`fit_elastic_net`'s messages, before any
-    fit.  A batched row is certified, so it is finite; a non-finite one ends
-    its run, and its weight's fit raises :class:`NonFiniteEncountered`.
+    Equal bit for bit to that chain of calls, but solved in runs of weights,
+    each run in one batched product whose rows pass :func:`coordinate_descent`'s
+    test with no step, ``converged`` with ``n_sweeps == 0``: a run on which the
+    warm start's support and signs hold (:func:`_sign_fixed_rows`), or a run
+    without an L1 term, whose every row is its one :func:`_minimum_norm` solve.
+    The weight that ends an L1 run is one :func:`fit_elastic_net` call, which
+    steps, and the next run starts from its fit.  Every argument is checked,
+    with :func:`fit_elastic_net`'s messages, before any fit.  A batched row is
+    finite; a non-finite one ends its run, and its weight's fit raises
+    :class:`NonFiniteEncountered`.
     """
     _check_l1_fit(problem, lams, alpha, tol, max_iter, warm_start)
     lams = np.asarray(lams, dtype=float)
@@ -736,16 +702,19 @@ def fit_elastic_net_path(
     converged, n_sweeps = np.ones(k, dtype=bool), np.zeros(k, dtype=int)
     warm, i = warm_start, 0
     while i < k:
-        stop = i
-        if lams[i] * alpha / 2.0 > 0.0:  # without an L1 term the fit is one solve anyway
+        if lams[i] * alpha / 2.0 > 0.0:
             start = np.zeros(problem.p) if warm is None else warm.betas * std.scales
             rows = _sign_fixed_rows(std, lams[i:], alpha, tol, start)
-            stop += len(rows)
+        else:  # no L1 term: the warm start does not matter, and each row is one solve
+            run = lams[i:i + _leading(lams[i:] * alpha / 2.0 == 0.0)]
+            rows = _minimum_norm(std.gram, std.q, std.gram_diag, std.factors, run * (1.0 - alpha))
+            rows = rows[:_leading(np.isfinite(rows).all(axis=1))]
+        stop = i + len(rows)
         if stop > i:
             slopes[i:stop] = rows / std.scales
             intercepts[i:stop] = _intercepts(std, slopes[i:stop])
             warm = CoefficientSet(intercepts[stop - 1], slopes[stop - 1])
-        if stop < k:  # the weight that ends the run, or one without an L1 term
+        if stop < k:  # the weight that ends the run
             warm = fit_elastic_net(problem, float(lams[stop]), alpha, tol, max_iter,
                                    standardize, warm)
             intercepts[stop], slopes[stop] = warm.intercept, warm.betas
@@ -757,7 +726,7 @@ def fit_elastic_net_path(
 def _sign_fixed_rows(std: Standardized, lams: np.ndarray, alpha: float, tol: float,
                      start: np.ndarray) -> np.ndarray:
     """The standardized fits at the leading weights of ``lams`` that
-    :func:`coordinate_descent` certifies before any cycle on the support and
+    :func:`coordinate_descent` certifies before any step on the support and
     signs of ``start``, the first weight's warm start; each later weight starts
     from the fit before it, through the original scale as :func:`fit_elastic_net`
     hands it on.  Rows are bit for bit those fits, formed as one row each.
@@ -769,7 +738,7 @@ def _sign_fixed_rows(std: Standardized, lams: np.ndarray, alpha: float, tol: flo
     (so the next weight starts on ``A`` too), the step from its warm start
     does not raise the objective (:func:`_step_change`) and no exact
     coordinate update from its solution moves it by more than ``tol``
-    (:func:`_within_tol`).
+    (:func:`_exact_updates`).
     """
     thresh = lams * alpha / 2.0
     ridge = lams * (1.0 - alpha)
@@ -791,8 +760,9 @@ def _sign_fixed_rows(std: Standardized, lams: np.ndarray, alpha: float, tol: flo
         change = _step_change(sub, (std.q - _matvec(std.gram, starts))[:, active], b,
                               betas[:, active], thresh, ridge)
         keep = np.all(b * signs > 0.0, axis=1) & ~(change > 0.0)
-    keep &= _within_tol(std.q - _matvec(std.gram, betas), betas, std.gram_diag,
-                        std.gram_diag + ridge[:, None], thresh[:, None], tol)
+    update = _exact_updates(std.q - _matvec(std.gram, betas), betas, std.gram_diag,
+                            std.gram_diag + ridge[:, None], thresh[:, None])
+    keep &= np.all(np.abs(update - betas) <= tol, axis=1)
     return betas[:_leading(keep)]
 
 

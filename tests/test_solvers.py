@@ -849,6 +849,28 @@ class TestElasticNet:
                 fit = fit_elastic_net(problem, lam, 1.0, warm_start=fit)
                 assert fit.converged and fit.n_sweeps <= 50
 
+    def test_paths_with_near_duplicate_columns_do_not_stall(self):
+        # a copy of column 0 and a second copy 1e-6 off it; cycling stopped 9, 21
+        # and 14 rows of these paths at 2,000 sweeps, with KKT residuals near 3e-6
+        for seed in (0, 26, 33):
+            rng = np.random.default_rng(seed)
+            X = rng.normal(size=(22, 44))
+            X[:, 1] = X[:, 0]
+            X[:, -1] = X[:, 0] + 1e-6 * rng.normal(size=22)
+            y = X[:, :3] @ rng.normal(size=3) + 0.3 * rng.normal(size=22)
+            lams = make_lambda_grid(X, y, 1.0, 50).values
+            path = fit_elastic_net_path(DesignProblem(X, y), lams, 1.0, max_iter=2000)
+            assert path.converged.all() and path.n_sweeps.max() <= 10
+            # the bench oracle's bound: what a move of tol leaves in the gradient
+            Xs, yc = standardized(X, y)
+            allowed = 1e-7 * np.abs(Xs.T @ Xs).sum(axis=1) + 1e-9 * lams[0]
+            for lam, slopes in zip(lams, path.slopes):
+                b = slopes * path.scales
+                g = Xs.T @ (yc - Xs @ b)
+                viol = np.where(b != 0.0, np.abs(g - lam / 2.0 * np.sign(b)),
+                                np.maximum(np.abs(g) - lam / 2.0, 0.0))
+                assert np.all(viol <= allowed)
+
     def test_penalty_value_non_increasing_in_lambda(self):
         rng = np.random.default_rng(13)
         X = rng.normal(size=(30, 5))
@@ -872,10 +894,12 @@ class TestElasticNet:
     def test_max_iter_flag(self):
         rng = np.random.default_rng(14)
         base = rng.normal(size=(40, 1))
-        X = np.column_stack([base, base + 1e-4 * rng.normal(size=(40, 1))])
-        y = X @ np.array([1.0, -1.0]) + rng.normal(size=40)
+        # a cold fit enters one coordinate per step, and this one needs three
+        X = np.column_stack([base, base + 1e-4 * rng.normal(size=(40, 1)),
+                             rng.normal(size=(40, 2))])
+        y = X @ np.array([1.0, -1.0, 2.0, -0.5]) + rng.normal(size=40)
         problem = DesignProblem(X, y)
-        assert fit_elastic_net(problem, 1.0, 1.0).n_sweeps > 1  # an L1 weight: cycles
+        assert fit_elastic_net(problem, 1.0, 1.0).n_sweeps > 1
         coeffs = fit_elastic_net(problem, 1.0, 1.0, max_iter=1)
         assert not coeffs.converged
         assert np.all(np.isfinite(coeffs.betas))
@@ -1020,6 +1044,27 @@ class TestElasticNetPath:
                 fits = self.chain(DesignProblem(X, y), lams, 0.5, **kwargs)
                 self.assert_rows_equal(path, fits)
                 assert path.converged.all() == (max_iter > 1)
+
+    def test_a_grid_without_an_l1_term_is_one_product(self, monkeypatch):
+        # net-cm --alpha 0, down to weight 0 and on a design with more columns
+        # than rows: every row is its weight's one minimum-norm solve
+        rng = np.random.default_rng(33)
+        for n, p in ((20, 6), (8, 12)):
+            X = rng.normal(size=(n, p)) * rng.uniform(0.1, 10.0, size=p)
+            y = X[:, :3] @ rng.normal(size=3) + rng.normal(size=n)
+            lams = [*make_lambda_grid(X, y, 0.0, 20).values, 0.0]
+            fits = self.chain(DesignProblem(X, y), lams, 0.0)
+            calls = []
+
+            def counted(*args, **kwargs):
+                calls.append(args)
+                return fit_elastic_net(*args, **kwargs)
+
+            monkeypatch.setattr(solvers, "fit_elastic_net", counted)
+            path = fit_elastic_net_path(DesignProblem(X, y), lams, 0.0)
+            monkeypatch.undo()
+            self.assert_rows_equal(path, fits)
+            assert calls == []
 
     def test_checks_every_argument_before_any_fit(self, monkeypatch):
         problem = DesignProblem(np.eye(3), np.ones(3))
