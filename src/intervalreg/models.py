@@ -265,7 +265,7 @@ class GridFit:
 
     @property
     def nonconverged(self) -> int:
-        """Fits that stopped at ``max_iter`` steps (``converged=False``)."""
+        """Fits that stopped without converging (``converged=False``)."""
         grids = (g for g in (self.centers, self.ranges) if g is not None)
         return sum(int(np.count_nonzero(~g.converged)) for g in grids)
 

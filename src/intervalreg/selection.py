@@ -90,7 +90,7 @@ def make_lambda_grid(X: np.ndarray, y: np.ndarray, alpha: float, n_points: int =
 class CvResult:
     """Per-lambda cross-validation curve and the two chosen weights.
 
-    ``nonconverged`` counts the fits that stopped at ``max_iter`` steps:
+    ``nonconverged`` counts the fits that stopped without converging:
     the fold fits behind the curve plus the path points behind ``nonzero``.
     """
 
@@ -252,7 +252,7 @@ class CoefficientPath:
     """Per-lambda coefficients of one design, on the original predictor scale.
 
     ``nonzero`` counts each point's nonzero coefficients, and ``nonconverged``
-    the points whose fit stopped at ``max_iter`` steps.
+    the points whose fit stopped without converging.
     """
 
     grid: LambdaGrid

@@ -178,7 +178,8 @@ class CoefficientSet:
     (``None`` in model files that predate them and in grids whose rows differ
     in it); the standardized-scale slope j is ``betas[j] * scales[j]``.
     ``converged`` is False only when coordinate descent hit its step
-    limit, in which case the best iterate is still returned.
+    limit or took a step that left its iterate unchanged, in which case the
+    last iterate is still returned.
     """
 
     intercept: float
@@ -451,7 +452,10 @@ def coordinate_descent(
     whose update moves furthest takes it (the Gauss-Southwell rule, Nutini
     et al., ICML 2015) and the nonzero set is solved exactly again.  That
     test is the one stopping rule; after ``max_iter`` steps the last iterate
-    is returned unconverged.  A constant column (``gram_diag[j] == 0``) gets
+    is returned unconverged, and so is one that a step left bit for bit
+    where it was, since it would take that same step every time after (a
+    near-duplicate column can enter by just over ``tol`` and be set back to
+    0 by the solve).  A constant column (``gram_diag[j] == 0``) gets
     exactly 0.  Without an L1 term (``lam*alpha == 0``) no step runs:
     ``beta`` is the one-weight :func:`_minimum_norm` solve, whatever
     ``beta0``, and ``(beta, True, 0)`` is returned.
@@ -571,9 +575,12 @@ def coordinate_descent(
         steps += 1
         if not math.isfinite(move[j]):
             raise NonFiniteEncountered(f"coordinate descent diverged at sweep {steps}")
+        before = beta.copy()
         beta[j] = update[j]
         grad = q - gram @ beta
         restricted_solve(np.flatnonzero(beta))
+        if np.array_equal(beta, before):  # the same iterate would take this step again
+            return beta, False, steps
 
 
 def duality_gap(
@@ -638,8 +645,9 @@ def fit_elastic_net(
     regularization paths).  A fit is converged when no exact coordinate
     update moves a coefficient by more than ``tol``; ``n_sweeps`` counts the
     greedy steps it took to get there (0 when the solve on the start's
-    nonzero set already passes).  Hitting ``max_iter`` steps is not an
-    error: the last iterate is returned with ``converged=False``.  Without
+    nonzero set already passes).  Hitting ``max_iter`` steps, or a step
+    that leaves the iterate unchanged, is not an error: the last iterate is
+    returned with ``converged=False``.  Without
     an L1 term it is one exact, minimum-norm solve with ``n_sweeps == 0``.
     """
     _check_l1_fit(problem, (lam,), alpha, tol, max_iter, warm_start)

@@ -398,19 +398,26 @@ class TestNonConvergedWarning:
 
     @pytest.fixture
     def wide_csv(self, tmp_path):
-        """X1..X3 carry the strongest midpoint signal, and their half-ranges make
-        the range lasso at weight 1 drop a coordinate it entered, so it needs
-        more steps than it has columns (seed 1881 is one of four in 20,000
-        whose three half-range columns do so at weights 0.7, 1 and 1.4)."""
-        rng = np.random.default_rng(1881)
-        mixing = np.eye(3) + rng.uniform(-1.0, 1.0, size=(3, 3))
-        ranges = rng.normal(size=(12, 3)) @ mixing
-        range_y = ranges @ rng.uniform(-1.0, 1.0, size=3) + rng.normal(scale=0.2, size=12)
-        centers = rng.normal(size=(12, 6))
-        center_y = centers @ [4.0, -3.5, 3.0, 0.5, -0.4, 0.3] + rng.normal(scale=0.3, size=12)
+        """Orthonormal midpoints, X1..X4 in the model, so a cold midpoint lasso
+        enters X1, X2 and X3 in its first three steps and needs a fourth.  On
+        their half-ranges h1, h2 and h3 = h1 + h2 + u/2 (h1, h2, u orthonormal)
+        the response h1 + 0.9*h2 - 0.2*h3 makes a cold range lasso enter h3
+        first, drop it when h1 and h2 are in, and enter it again with the
+        other sign: four steps on three columns (scaled by 20, so that h3 keeps
+        a nonzero slope at weight 1)."""
+        rng = np.random.default_rng(0)
+
+        def orthonormal(k):
+            Z = rng.normal(size=(12, k))
+            return np.linalg.qr(Z - Z.mean(axis=0))[0]
+
+        centers = 3.0 * orthonormal(6)
+        center_y = centers @ [4.0, -3.5, 3.0, 1.0, 0.0, 0.0] + rng.normal(scale=0.3, size=12)
+        h = orthonormal(6)
+        h[:, 2] = h[:, 0] + h[:, 1] + 0.5 * h[:, 2]
+        half = np.column_stack([h, h[:, 0] + 0.9 * h[:, 1] - 0.2 * h[:, 2]])
+        half = 20.0 * (half - half.min(axis=0))
         mid = np.column_stack([centers, center_y])
-        half = np.column_stack([ranges - ranges.min(axis=0), rng.uniform(size=(12, 3)),
-                                range_y - range_y.min()])
         names = tuple(f"X{j + 1}" for j in range(6)) + ("Y",)
         target = tmp_path / "wide.csv"
         write_interval_csv(IntervalTable(names, mid - half, mid + half, response_name="Y"),
@@ -456,10 +463,14 @@ class TestNonConvergedWarning:
         assert code == 0
         assert err == ("warning: 2 coordinate-descent fit(s) stopped at the sweep limit "
                        "without converging; their last iterates were used\n")
-        # the capped fits hold zeros where the converged ones do not, and the
-        # right-aligned columns pad a number by its width: strip the padding too
+        # a stopped fit prints 0 where the converged one prints a number: every
+        # step ends in an exact solve on its nonzero set, so a stopped fit with
+        # the converged fit's support and signs would be that fit.  The same
+        # lines in the same right-aligned columns, whatever each number's width
         strip = functools.partial(re.sub, r" *-?\d[\d.e+-]*", " #")
         assert strip(capped_out) == strip(out)
+        assert [len(line) for line in capped_out.splitlines()] == [
+            len(line) for line in out.splitlines()]
 
 
 class TestAggregateCommand:

@@ -871,6 +871,24 @@ class TestElasticNet:
                                 np.maximum(np.abs(g) - lam / 2.0, 0.0))
                 assert np.all(viol <= allowed)
 
+    def test_a_step_that_leaves_the_iterate_unchanged_ends_the_fit(self):
+        # a copy of column 0 1e-5 off it: from row 9 on, the step gives the copy
+        # its exact update, just over tol, and the restricted solve sets it back
+        # to 0; the same iterate would take that step again until max_iter
+        rng = np.random.default_rng(4)
+        X = rng.normal(size=(60, 12)) * rng.uniform(0.1, 10.0, size=12)
+        X[:, -1] = X[:, 0] + 1e-5 * rng.normal(size=60)
+        y = X[:, :3] @ rng.uniform(-2.0, 2.0, size=3) + rng.normal(size=60)
+        lams = make_lambda_grid(X, y, 1.0, 40).values
+        problem = DesignProblem(X, y)
+        path = fit_elastic_net_path(problem, lams, 1.0)  # max_iter 100,000
+        assert not path.converged[9] and path.n_sweeps.max() <= 10
+        std = problem.standardized()
+        for lam, slopes in zip(lams, path.slopes):
+            b = slopes * path.scales
+            primal = std.y_ss - 2.0 * std.q @ b + b @ std.gram @ b + lam * np.abs(b).sum()
+            assert duality_gap(std.gram, std.q, std.y_ss, b, lam, 1.0) <= 1e-5 * primal
+
     def test_penalty_value_non_increasing_in_lambda(self):
         rng = np.random.default_rng(13)
         X = rng.normal(size=(30, 5))
