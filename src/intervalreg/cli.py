@@ -116,9 +116,9 @@ def _print_coefficients(model: models.FittedModel) -> None:
 
 def _warn_nonconverged(count: int) -> None:
     if count:
-        print(f"warning: {count} coordinate-descent fit(s) stopped at the sweep "
-              "limit without converging; their last iterates were used",
-              file=sys.stderr)
+        print(f"warning: {count} coordinate-descent fit(s) stopped without converging, "
+              "at the step limit or at a step that left the iterate unchanged; "
+              "their last iterates were used", file=sys.stderr)
 
 
 def _cmd_fit(args) -> int:
@@ -256,8 +256,7 @@ def _cmd_path(args) -> int:
     table = tables.read_interval_csv(args.train, response=args.response)
     spec = models.MethodSpec.from_name(args.method, 1.0, None, args.alpha)
     view = tables.to_center_range(table)
-    X, y = view.design(args.component)
-    grid = selection.make_lambda_grid(X, y, spec.effective_alpha, args.n_lambdas)
+    grid = selection.lambda_grid(view.problem(args.component), spec.effective_alpha, args.n_lambdas)
     path = selection.coefficient_path(view, spec, grid, component=args.component)
     _warn_nonconverged(path.nonconverged)
     _write_csv(args.out, ["lambda", "intercept", *path.predictor_names], (

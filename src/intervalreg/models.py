@@ -306,10 +306,12 @@ def fit_grid(
     weights), on the half-range design with, under lasso / elastic net, the
     columns outside the center support at that weight set to 0 (slope 0,
     mean 0, scale 1).  Only the spec's family, penalty and alpha are used.
-    Each design (half-ranges: per run of equal supports) is built once:
-    ridge solves all its weights in one product, and lasso / elastic-net
-    fits are warm-started down the grid, the first from ``warm_start`` (a
-    model fit on the same predictors).
+    Each design comes from :meth:`~intervalreg.tables.CenterRangeView.problem`
+    (half-ranges: one per distinct support), so every grid fitted on the same
+    view shares its standardizations and factorizations.  Ridge solves all
+    of a design's weights in one product, and lasso / elastic-net fits are
+    warm-started down the grid, the first from ``warm_start`` (a model fit
+    on the same predictors).
     """
     if range_lambdas is None:
         range_lambdas = lambdas
@@ -317,14 +319,12 @@ def fit_grid(
     if warm_start is not None and warm_start.predictor_names == view.predictor_names:
         warm_center, warm_range = warm_start.center_coeffs, warm_start.range_coeffs
     centers = fit_design(
-        DesignProblem(view.centers_X, view.centers_y), spec, lambdas,
-        tol, max_iter, standardize, warm=warm_center,
+        view.problem("center"), spec, lambdas, tol, max_iter, standardize, warm=warm_center,
     )
     if spec.family == "cm":
         return GridFit(centers)
-    X, y = view.halfranges_X, view.halfranges_y
     if not spec.selects_variables:
-        return GridFit(centers, fit_design(DesignProblem(X, y), spec, range_lambdas, tol,
+        return GridFit(centers, fit_design(view.problem("range"), spec, range_lambdas, tol,
                                            max_iter, standardize, warm_range))
     masks = centers.slopes != 0.0
     bounds = [0, *(np.flatnonzero((masks[1:] != masks[:-1]).any(axis=1)) + 1), len(masks)]
@@ -334,7 +334,7 @@ def fit_grid(
         warm = runs[-1][-1] if runs else warm_range
         if warm is not None:  # the columns set to 0 start at 0, so they stay there
             warm = CoefficientSet(warm.intercept, np.where(mask, warm.betas, 0.0))
-        runs.append(fit_design(DesignProblem(np.where(mask, X, 0.0), y), spec,
+        runs.append(fit_design(view.problem("range", mask), spec,
                                range_lambdas[start:stop], tol, max_iter, standardize, warm))
     if len(runs) == 1:
         return GridFit(centers, runs[0])

@@ -2,21 +2,23 @@
 
 Cross-validation shuffles row indices with a seeded PCG64 generator
 (``numpy.random.default_rng``), so a fixed seed makes the whole
-procedure reproducible.  Each fold fits the whole lambda grid once from
-its training rows (:func:`~intervalreg.models.fit_grid`, one array row
-per lambda) and scores every lambda on its held-out rows with one matrix
+procedure reproducible.  A CV run builds the table's center/range view
+once; a fold's training view is a row slice of it, whose designs every
+method of the run (each alpha of :func:`alpha_sweep`) shares.  The fold
+fits each method's whole lambda grid once (:func:`~intervalreg.models.fit_grid`)
+and scores every lambda on its held-out rows with one matrix
 product per endpoint.  The held-out loss is the mean of squared lower
 and upper endpoint errors, ``(RMSE_L^2 + RMSE_U^2) / 2``; for
 center-and-range methods one shared lambda drives both the midpoint and
 the half-range fit (independent range selection is available through
 ``component="range"``).  Coefficient paths fit one design along the grid
 with the same routine as the folds (:func:`~intervalreg.models.fit_design`),
-reusing the design :func:`make_lambda_grid` read the grid's top from.
+on the view's problem that the grid's top was read from.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from math import isfinite, sqrt
 
 import numpy as np
@@ -40,11 +42,9 @@ class ZeroVarianceResponse(ValueError):
 
 @dataclass(frozen=True)
 class LambdaGrid:
-    """Strictly descending penalty weights (an optional trailing zero is legal), and
-    the ``problem`` :func:`make_lambda_grid` read them from, for a path to reuse."""
+    """Strictly descending penalty weights (an optional trailing zero is legal)."""
 
     values: tuple[float, ...]
-    problem: DesignProblem | None = field(default=None, compare=False, repr=False)
 
     def __post_init__(self):
         vals = tuple(float(v) for v in self.values)
@@ -71,19 +71,20 @@ def make_lambda_grid(X: np.ndarray, y: np.ndarray, alpha: float, n_points: int =
     solution when ``alpha=1``.  The bottom is ``eps`` times the top,
     ``eps = 1e-4`` when n > p, else ``1e-2``.
     """
+    return lambda_grid(DesignProblem(X, y), alpha, n_points)
+
+
+def lambda_grid(problem: DesignProblem, alpha: float, n_points: int = 100) -> LambdaGrid:
+    """:func:`make_lambda_grid` of a built problem, read from its cached standardization."""
     if not (0.0 <= alpha <= 1.0):
         raise ValueError(f"alpha must lie in [0, 1], got {alpha}")
     if n_points < 2:
         raise ValueError(f"need at least 2 grid points, got {n_points}")
-    problem = DesignProblem(X, y)
     lam_max = 2.0 * float(np.max(np.abs(problem.standardized().q))) / max(alpha, 0.001)
     if lam_max <= 0.0:
-        raise ZeroVarianceResponse(
-            "response has no variation around its mean (lambda_max = 0)"
-        )
+        raise ZeroVarianceResponse("response has no variation around its mean (lambda_max = 0)")
     eps = 1e-4 if problem.n > problem.p else 1e-2
-    values = np.geomspace(lam_max, eps * lam_max, n_points)
-    return LambdaGrid(tuple(values), problem)
+    return LambdaGrid(tuple(np.geomspace(lam_max, eps * lam_max, n_points)))
 
 
 @dataclass(frozen=True, eq=False)
@@ -111,10 +112,10 @@ class CvResult:
             raise ValueError("lambda_1se must be >= lambda_min")
 
 
-def _fold_losses(fits: GridFit, test: IntervalTable, component: str) -> np.ndarray:
-    """Held-out loss of every grid weight on one fold's test rows."""
-    lower, upper = fits.predict_bounds(*predictor_bounds(test))
-    y_lo, y_hi = (v[:, None] for v in response_bounds(test))
+def _fold_losses(fits: GridFit, test: list[np.ndarray], component: str) -> np.ndarray:
+    """Held-out loss of every grid weight on test rows ``[X_lo, X_hi, y_lo, y_hi]``."""
+    lower, upper = fits.predict_bounds(test[0], test[1])
+    y_lo, y_hi = test[2][:, None], test[3][:, None]
     if component == "interval":
         loss = ((y_lo - lower) ** 2 + (y_hi - upper) ** 2) / 2.0
     elif component == "center":
@@ -122,6 +123,47 @@ def _fold_losses(fits: GridFit, test: IntervalTable, component: str) -> np.ndarr
     else:
         loss = ((y_hi - y_lo) / 2.0 - (upper - lower) / 2.0) ** 2
     return loss.mean(axis=0)
+
+
+def _cv_run(table: IntervalTable, specs: list[MethodSpec], grid: LambdaGrid | None,
+            k: int | None, seed: int, n_points: int, component: str,
+            tol: float = DEFAULT_TOL, max_iter: int = DEFAULT_MAX_ITER) -> list[CvResult]:
+    """One :class:`CvResult` per spec from one set of folds: each fold's view and the
+    problems built on it serve every spec, and are released when the fold ends."""
+    if component not in COMPONENTS:
+        raise ValueError(f"component must be one of {COMPONENTS}, got {component!r}")
+    n = table.n_rows
+    k = min(n, 10) if k is None else k
+    if not 2 <= k <= n:
+        raise ValueError(f"need 2 <= k <= n folds, got k={k}, n={n}")
+    view = to_center_range(table)
+    bounds = (*predictor_bounds(table), *response_bounds(table))
+    grids = [lambda_grid(view.problem(component), s.effective_alpha, n_points)
+             if grid is None else grid for s in specs]
+    folds = np.array_split(np.random.default_rng(seed).permutation(n), k)
+    losses = np.empty((len(specs), k, len(grids[0])))
+    nonconverged = [0] * len(specs)
+    for fi, test_idx in enumerate(folds):
+        train = view.take(np.delete(np.arange(n), test_idx))
+        test = [b[test_idx] for b in bounds]
+        for si, (spec, g) in enumerate(zip(specs, grids)):
+            fits = fit_grid(train, spec, g.values, tol=tol, max_iter=max_iter)
+            nonconverged[si] += fits.nonconverged
+            losses[si, fi] = _fold_losses(fits, test, component)
+
+    results = []
+    for spec, g, fold_losses, stopped in zip(specs, grids, losses, nonconverged):
+        mean_loss = fold_losses.mean(axis=0)
+        std_error = fold_losses.std(axis=0, ddof=1) / sqrt(k)
+        i_min = int(np.argmin(mean_loss))  # ties resolve to the largest lambda
+        i_1se = int(np.flatnonzero(mean_loss <= mean_loss[i_min] + std_error[i_min])[0])
+        path = coefficient_path(view, spec, g, "range" if component == "range" else "center",
+                                tol=tol, max_iter=max_iter)
+        results.append(CvResult(
+            g, mean_loss, std_error, g.values[i_min], g.values[i_1se], seed=seed, folds=k,
+            nonzero=path.nonzero, nonconverged=stopped + path.nonconverged,
+        ))
+    return results
 
 
 def cross_validate(
@@ -138,8 +180,8 @@ def cross_validate(
     """k-fold cross-validation of the penalty weight for one method.
 
     Rows are shuffled by a generator seeded with ``seed`` and split into k
-    near-equal folds.  Each fold builds its training view once and fits
-    the whole grid from it with :func:`~intervalreg.models.fit_grid`
+    near-equal folds.  Each fold's training view is a row slice of the
+    table's, and fits the whole grid with :func:`~intervalreg.models.fit_grid`
     (ridge: every lambda in one solve; lasso / elastic net: warm-started
     down the grid), then scores every lambda on its held-out rows with one
     matrix product per endpoint.  Only the family, penalty and alpha of ``spec``
@@ -152,51 +194,8 @@ def cross_validate(
     """
     if spec.penalty == "none":
         raise ValueError("cross-validation needs a penalized method")
-    if component not in COMPONENTS:
-        raise ValueError(f"component must be one of {COMPONENTS}, got {component!r}")
-    n = table.n_rows
-    if k is None:
-        k = 10 if n >= 10 else n
-    if not 2 <= k <= n:
-        raise ValueError(f"need 2 <= k <= n folds, got k={k}, n={n}")
-    view = to_center_range(table)
-    if grid is None:
-        X, y = view.design(component)
-        grid = make_lambda_grid(X, y, spec.effective_alpha, n_points)
-
-    rng = np.random.default_rng(seed)
-    perm = rng.permutation(n)
-    folds = np.array_split(perm, k)
-
-    losses = np.empty((k, len(grid)))
-    nonconverged = 0
-    for fi, test_idx in enumerate(folds):
-        if len(test_idx) == 0:
-            raise ValueError(f"fold {fi} has zero test rows")
-        mask = np.ones(n, dtype=bool)
-        mask[test_idx] = False
-        train = to_center_range(table.take(np.flatnonzero(mask)))
-        fits = fit_grid(train, spec, grid.values, tol=tol, max_iter=max_iter)
-        nonconverged += fits.nonconverged
-        losses[fi] = _fold_losses(fits, table.take(test_idx), component)
-
-    mean_loss = losses.mean(axis=0)
-    std_error = losses.std(axis=0, ddof=1) / sqrt(k)
-    i_min = int(np.argmin(mean_loss))  # ties resolve to the largest lambda
-    lambda_min = grid.values[i_min]
-    cutoff = mean_loss[i_min] + std_error[i_min]
-    i_1se = int(np.flatnonzero(mean_loss <= cutoff)[0])
-    lambda_1se = grid.values[i_1se]
-
-    path_component = "range" if component == "range" else "center"
-    path = coefficient_path(
-        view, spec, grid, component=path_component, tol=tol, max_iter=max_iter
-    )
-    return CvResult(
-        grid, mean_loss, std_error, lambda_min, lambda_1se,
-        seed=seed, folds=k, nonzero=path.nonzero,
-        nonconverged=nonconverged + path.nonconverged,
-    )
+    return _cv_run(table, [spec], grid, k, seed, n_points, component,
+                   tol=tol, max_iter=max_iter)[0]
 
 
 @dataclass(frozen=True)
@@ -220,31 +219,22 @@ def alpha_sweep(
 ) -> AlphaSweepResult:
     """Cross-validate an elastic net per alpha; return the best (alpha, lambda).
 
-    Ties in mean loss break toward larger alpha, then larger lambda.
+    All alphas share one CV run: the same folds and, on each fold, the same
+    designs, standardizations and factorizations; each alpha's
+    :class:`CvResult` equals :func:`cross_validate` at that alpha.  Ties in
+    mean loss break toward larger alpha, then larger lambda.
     """
     alphas = [float(a) for a in alphas]
     if not alphas:
         raise ValueError("alpha sweep needs at least one alpha")
-    for a in alphas:
-        if not 0.0 <= a <= 1.0:
-            raise ValueError(f"alpha must lie in [0, 1], got {a}")
-    results = []
+    specs = [MethodSpec(family, "elastic_net", alpha=a) for a in alphas]  # checks each alpha
+    results = _cv_run(table, specs, None, k, seed, n_points, component)
     best = None
-    for a in alphas:
-        spec = MethodSpec(family, "elastic_net", alpha=a)
-        cv = cross_validate(
-            table, spec, k=k, seed=seed, n_points=n_points, component=component
-        )
-        i_min = int(np.argmin(cv.mean_loss))
-        cand = (float(cv.mean_loss[i_min]), a, cv.lambda_min)
-        results.append((a, cv))
-        if (
-            best is None
-            or cand[0] < best[0]
-            or (cand[0] == best[0] and (cand[1], cand[2]) > (best[1], best[2]))
-        ):
+    for a, cv in zip(alphas, results):
+        cand = (float(np.min(cv.mean_loss)), a, cv.lambda_min)
+        if best is None or cand[0] < best[0] or (cand[0] == best[0] and cand[1:] > best[1:]):
             best = cand
-    return AlphaSweepResult(best[1], best[2], best[0], tuple(results))
+    return AlphaSweepResult(best[1], best[2], best[0], tuple(zip(alphas, results)))
 
 
 @dataclass(frozen=True, eq=False)
@@ -277,25 +267,21 @@ def coefficient_path(
     """Coefficients along a descending grid, warm-started between points.
 
     ``component`` picks the design: midpoints (default) or half-ranges.
-    The design is fitted by :func:`~intervalreg.models.fit_design`, whose
-    arrays are the path's: each lasso / elastic-net fit starts from the
-    previous (larger-lambda) solution, and all ridge points are one solve.
-    A ``grid`` from :func:`make_lambda_grid` on this design lends its
-    problem.  Support restriction does not apply here, the path is the
-    plain per-design solution.  ``table`` may be given as its center/range
-    view (:func:`~intervalreg.tables.to_center_range`) by a caller that
-    already built it.
+    The view's problem for it (:meth:`~intervalreg.tables.CenterRangeView.problem`)
+    is fitted by :func:`~intervalreg.models.fit_design`, whose arrays are the
+    path's: each lasso / elastic-net fit starts from the previous
+    (larger-lambda) solution, and all ridge points are one solve.  Support
+    restriction does not apply here, the path is the plain per-design
+    solution.  ``table`` may be given as its center/range view
+    (:func:`~intervalreg.tables.to_center_range`) by a caller that already
+    built it, and then shares that view's problem and its factorizations.
     """
     if spec.penalty == "none":
         raise ValueError("coefficient paths need a penalized method")
     if component not in ("center", "range"):
         raise ValueError(f"component must be 'center' or 'range', got {component!r}")
     view = table if isinstance(table, CenterRangeView) else to_center_range(table)
-    X, y = view.design(component)
-    problem = grid.problem
-    if problem is None or not (np.array_equal(problem.X, X) and np.array_equal(problem.y, y)):
-        problem = DesignProblem(X, y)
-    fits = fit_design(problem, spec, grid.values, tol=tol, max_iter=max_iter)
+    fits = fit_design(view.problem(component), spec, grid.values, tol=tol, max_iter=max_iter)
     return CoefficientPath(
         grid, fits.intercepts, fits.slopes, view.predictor_names,
         nonconverged=int(np.count_nonzero(~fits.converged)),

@@ -17,12 +17,14 @@ name the faulty record.
 from __future__ import annotations
 
 import csv
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 from itertools import islice
 from math import isfinite
 from typing import Sequence
 
 import numpy as np
+
+from .solvers import DesignProblem
 
 
 class TableError(ValueError):
@@ -170,7 +172,7 @@ class IntervalTable:
         return tuple(map(Interval, self.lower[:, j].tolist(), self.upper[:, j].tolist()))
 
     def take(self, indices: Sequence[int]) -> "IntervalTable":
-        """Row subset in the given order (used by cross-validation folds)."""
+        """Row subset in the given order."""
         idx = np.asarray(indices, dtype=np.intp)
         return replace(self, lower=self.lower[idx], upper=self.upper[idx])
 
@@ -182,7 +184,8 @@ class CenterRangeView:
     ``centers_X[i, j] = (a_ij + b_ij) / 2`` and
     ``halfranges_X[i, j] = (b_ij - a_ij) / 2``; likewise for the response
     vectors.  Reconstructing ``[c - r, c + r]`` recovers the source
-    endpoints up to floating rounding of the (c, r) pair.
+    endpoints up to floating rounding of the (c, r) pair.  A view builds each
+    regression's problem once (:meth:`problem`); :meth:`take` cuts a fold's rows.
     """
 
     centers_X: np.ndarray
@@ -190,6 +193,7 @@ class CenterRangeView:
     halfranges_X: np.ndarray
     halfranges_y: np.ndarray
     predictor_names: tuple[str, ...] = ()
+    _problems: dict = field(default_factory=dict, init=False, repr=False)
 
     def __post_init__(self):
         for arr in (self.centers_X, self.centers_y, self.halfranges_X, self.halfranges_y):
@@ -200,6 +204,20 @@ class CenterRangeView:
         if component == "range":
             return self.halfranges_X, self.halfranges_y
         return self.centers_X, self.centers_y
+
+    def problem(self, component: str, mask: np.ndarray | None = None) -> DesignProblem:
+        """:meth:`design` as a problem cached on the view, per distinct boolean ``mask``
+        that sets the columns outside it to 0 (a crm support run's half-ranges)."""
+        key = (component == "range", None if mask is None else mask.tobytes())
+        if key not in self._problems:
+            X, y = self.design(component)
+            self._problems[key] = DesignProblem(X if mask is None else np.where(mask, X, 0.0), y)
+        return self._problems[key]
+
+    def take(self, rows: np.ndarray) -> "CenterRangeView":
+        """The view of a row subset, in the given order, with no problem built yet."""
+        arrays = (self.centers_X, self.centers_y, self.halfranges_X, self.halfranges_y)
+        return CenterRangeView(*(a[rows] for a in arrays), self.predictor_names)
 
 
 def to_center_range(table: IntervalTable) -> CenterRangeView:

@@ -379,7 +379,7 @@ def test_cv_and_path_files_end_lines_with_lf(capsys, tmp_path, cardio_csv, argv)
 
 
 class TestNonConvergedWarning:
-    """cv, path and fit --lambda cv say so when a fit hit the sweep limit.
+    """cv, path and fit --lambda cv say so when a fit stopped without converging.
 
     On a seeded table with six predictors, where some grid fits enter more than
     one coordinate and so stop at ``max_iter=1`` (each of cardio's warm-started
@@ -435,7 +435,7 @@ class TestNonConvergedWarning:
     ):
         code, out, err = self.run_command(capsys, tmp_path, wide_csv, command)
         assert code == 0 and err == ""
-        for name in ("cross_validate", "coefficient_path"):
+        for name in ("cross_validate", "_cv_run", "coefficient_path"):
             monkeypatch.setattr(
                 selection, name, functools.partial(getattr(selection, name), max_iter=1)
             )
@@ -444,8 +444,9 @@ class TestNonConvergedWarning:
         lines = err.splitlines()
         assert len(lines) == 1
         assert re.fullmatch(
-            r"warning: [1-9]\d* coordinate-descent fit\(s\) stopped at the sweep limit "
-            r"without converging; their last iterates were used", lines[0]
+            r"warning: [1-9]\d* coordinate-descent fit\(s\) stopped without converging, "
+            r"at the step limit or at a step that left the iterate unchanged; "
+            r"their last iterates were used", lines[0]
         )
         # the same stdout lines, with the capped fits' numbers in them
         strip = functools.partial(re.sub, r"-?\d[\d.e+-]*", "#")
@@ -461,8 +462,9 @@ class TestNonConvergedWarning:
         monkeypatch.setattr(models, "fit", functools.partial(models.fit, max_iter=3))
         code, capped_out, err = run(capsys, *argv)
         assert code == 0
-        assert err == ("warning: 2 coordinate-descent fit(s) stopped at the sweep limit "
-                       "without converging; their last iterates were used\n")
+        assert err == ("warning: 2 coordinate-descent fit(s) stopped without converging, "
+                       "at the step limit or at a step that left the iterate unchanged; "
+                       "their last iterates were used\n")
         # a stopped fit prints 0 where the converged one prints a number: every
         # step ends in an exact solve on its nonzero set, so a stopped fit with
         # the converged fit's support and signs would be that fit.  The same

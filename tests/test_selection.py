@@ -3,7 +3,7 @@ import inspect
 import numpy as np
 import pytest
 
-from intervalreg import models, selection, solvers
+from intervalreg import models, selection, solvers, tables
 from intervalreg import (
     IntervalTable,
     LambdaGrid,
@@ -165,15 +165,13 @@ class TestCrossValidate:
                 super().__post_init__()
                 problems.append(self)
 
-        monkeypatch.setattr(selection, "DesignProblem", Recorded)
-        monkeypatch.setattr(models, "DesignProblem", Recorded)
+        monkeypatch.setattr(tables, "DesignProblem", Recorded)
         table = random_interval_table(np.random.default_rng(52), 30, 4)
         view = to_center_range(table)
         spec = MethodSpec.from_name(name, 1.0, None, 0.5 if name.startswith("net") else None)
         result = cross_validate(table, spec, k=5, seed=3, n_points=20)
         whole = [pr for pr in problems if pr.n == table.n_rows]
         assert len(whole) == 1 and np.array_equal(whole[0].X, view.centers_X)
-        assert result.grid.problem is whole[0]
         # folds build their own: one center and (crm) at least one range design each
         assert len(problems) >= 1 + 5 * (2 if spec.family == "crm" else 1)
         problems.clear()
@@ -230,6 +228,40 @@ class TestAlphaSweep:
         assert sweep.alpha in alphas
         chosen_cv = dict(sweep.per_alpha)[sweep.alpha]
         assert sweep.lam in chosen_cv.grid.values
+
+    @pytest.mark.parametrize("table_name", ["cardio", "wide"])
+    @pytest.mark.parametrize("family", ["cm", "crm"])
+    @pytest.mark.parametrize("component", ["interval", "center", "range"])
+    def test_each_alpha_equals_its_own_cv(self, table_name, family, component):
+        # the alphas share folds, fold problems and their factorizations, bit for bit
+        table = REFERENCE_TABLES[table_name]()
+        alphas = [1.0, 0.0, 0.3, 0.7]
+        sweep = alpha_sweep(table, family, alphas, k=5, seed=6, n_points=12,
+                            component=component)
+        assert [a for a, _ in sweep.per_alpha] == alphas
+        for alpha, got in sweep.per_alpha:
+            spec = MethodSpec(family, "elastic_net", alpha=alpha)
+            want = cross_validate(table, spec, k=5, seed=6, n_points=12, component=component)
+            assert got.grid == want.grid
+            assert got.mean_loss.tobytes() == want.mean_loss.tobytes()
+            assert got.std_error.tobytes() == want.std_error.tobytes()
+            assert (got.lambda_min, got.lambda_1se) == (want.lambda_min, want.lambda_1se)
+            assert got.nonzero == want.nonzero
+            assert got.nonconverged == want.nonconverged
+
+    def test_sweep_builds_each_design_once(self, monkeypatch):
+        # an 11-alpha, 5-fold cm sweep: the whole table's design and one per fold
+        problems = []
+
+        class Recorded(DesignProblem):
+            def __post_init__(self):
+                super().__post_init__()
+                problems.append(self)
+
+        monkeypatch.setattr(tables, "DesignProblem", Recorded)
+        alphas = [round(0.1 * i, 1) for i in range(11)]
+        alpha_sweep(make_cardio_table(), "cm", alphas, k=5, seed=4, n_points=6)
+        assert len(problems) == 6
 
     def test_empty_alpha_list_rejected(self):
         with pytest.raises(ValueError):
@@ -419,10 +451,10 @@ class TestViewsBuiltOnce:
         calls = self.count_views(monkeypatch)
         spec = MethodSpec("crm", "lasso", lambda_center=1.0)
         grid = cross_validate(table, spec, k=5, seed=2, n_points=10).grid
-        assert sorted(calls) == [12] * 5 + [15]
+        assert sorted(calls) == [15]
         calls.clear()
         cross_validate(table, spec, grid, k=5, seed=2)
-        assert sorted(calls) == [12] * 5 + [15]
+        assert sorted(calls) == [15]
 
     def test_path_accepts_the_view_it_would_build(self, monkeypatch):
         table = random_interval_table(np.random.default_rng(51), 15, 4)
