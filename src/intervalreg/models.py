@@ -232,7 +232,6 @@ def fit_design(
     lams: Sequence[float],
     tol: float = DEFAULT_TOL,
     max_iter: int = DEFAULT_MAX_ITER,
-    standardize: bool = True,
     warm: CoefficientSet | None = None,
 ) -> CoefficientGrid:
     """Fit one design with the spec's solver at each weight of a descending grid.
@@ -246,10 +245,8 @@ def fit_design(
     runs only where the support changes.
     """
     if spec.penalty in ("none", "ridge"):
-        return fit_ridge_path(problem, np.zeros(len(lams)) if spec.penalty == "none" else lams,
-                              standardize=standardize)
-    return fit_elastic_net_path(problem, lams, spec.effective_alpha, tol, max_iter,
-                                standardize, warm)
+        return fit_ridge_path(problem, np.zeros(len(lams)) if spec.penalty == "none" else lams)
+    return fit_elastic_net_path(problem, lams, spec.effective_alpha, tol, max_iter, warm)
 
 
 @dataclass(frozen=True, eq=False)
@@ -296,7 +293,6 @@ def fit_grid(
     range_lambdas: Sequence[float] | None = None,
     tol: float = DEFAULT_TOL,
     max_iter: int = DEFAULT_MAX_ITER,
-    standardize: bool = True,
     warm_start: FittedModel | None = None,
 ) -> GridFit:
     """Fit a method at every weight of a descending penalty grid.
@@ -308,7 +304,7 @@ def fit_grid(
     mean 0, scale 1).  Only the spec's family, penalty and alpha are used.
     Each design comes from :meth:`~intervalreg.tables.CenterRangeView.problem`
     (half-ranges: one per distinct support), so every grid fitted on the same
-    view shares its standardizations and factorizations.  Ridge solves all
+    view shares its standardization and factorizations.  Ridge solves all
     of a design's weights in one product, and lasso / elastic-net fits are
     warm-started down the grid, the first from ``warm_start`` (a model fit
     on the same predictors).
@@ -318,14 +314,12 @@ def fit_grid(
     warm_center = warm_range = None
     if warm_start is not None and warm_start.predictor_names == view.predictor_names:
         warm_center, warm_range = warm_start.center_coeffs, warm_start.range_coeffs
-    centers = fit_design(
-        view.problem("center"), spec, lambdas, tol, max_iter, standardize, warm=warm_center,
-    )
+    centers = fit_design(view.problem("center"), spec, lambdas, tol, max_iter, warm_center)
     if spec.family == "cm":
         return GridFit(centers)
     if not spec.selects_variables:
         return GridFit(centers, fit_design(view.problem("range"), spec, range_lambdas, tol,
-                                           max_iter, standardize, warm_range))
+                                           max_iter, warm_range))
     masks = centers.slopes != 0.0
     bounds = [0, *(np.flatnonzero((masks[1:] != masks[:-1]).any(axis=1)) + 1), len(masks)]
     runs: list[CoefficientGrid] = []
@@ -335,7 +329,7 @@ def fit_grid(
         if warm is not None:  # the columns set to 0 start at 0, so they stay there
             warm = CoefficientSet(warm.intercept, np.where(mask, warm.betas, 0.0))
         runs.append(fit_design(view.problem("range", mask), spec,
-                               range_lambdas[start:stop], tol, max_iter, standardize, warm))
+                               range_lambdas[start:stop], tol, max_iter, warm))
     if len(runs) == 1:
         return GridFit(centers, runs[0])
     fields = zip(*((r.intercepts, r.slopes, r.converged, r.n_sweeps) for r in runs))
@@ -347,17 +341,17 @@ def fit(
     spec: MethodSpec,
     tol: float = DEFAULT_TOL,
     max_iter: int = DEFAULT_MAX_ITER,
-    standardize: bool = True,
     warm_start: FittedModel | None = None,
 ) -> FittedModel:
     """Fit an interval regression method on a table with a designated response.
 
-    ``standardize`` controls the internal predictor standardization; it
-    changes unpenalized fits only by rounding.  ``warm_start``
-    seeds coordinate descent from another model fit on the same table
-    (same family), which speeds fits along a descending penalty grid.
-    This is :func:`fit_grid` at the one point ``(lambda_center,
-    lambda_range)``.
+    Every design is fitted on centered, unit-variance predictors and its
+    coefficients reported on the original scale, so rescaling a predictor
+    rescales its slope and leaves the support and predictions unchanged up
+    to rounding.  ``warm_start`` seeds coordinate descent from another model
+    fit on the same table (same family), which speeds fits along a
+    descending penalty grid.  This is :func:`fit_grid` at the one point
+    ``(lambda_center, lambda_range)``.
     """
     view = to_center_range(table)
     n, p = view.centers_X.shape
@@ -365,10 +359,8 @@ def fit(
         raise ValueError(
             f"unpenalized fit needs more rows than free parameters: n={n}, p+1={p + 1}"
         )
-    fits = fit_grid(
-        view, spec, (spec.lambda_center,), (spec.effective_lambda_range,),
-        tol, max_iter, standardize, warm_start,
-    )
+    fits = fit_grid(view, spec, (spec.lambda_center,), (spec.effective_lambda_range,),
+                    tol, max_iter, warm_start)
     center = fits.centers[0]
     if spec.family == "cm":
         return FittedModel(spec, view.predictor_names, table.response_name, center)

@@ -19,19 +19,21 @@ The penalized objective is used exactly as written, with no ``1/n`` or
     sum_i (y_i - b0 - sum_j x_ij b_j)^2
         + lambda * (alpha * sum_j |b_j| + (1 - alpha) * sum_j b_j^2)
 
-The intercept is never penalized.  Every fit centers the predictors and,
-by default, scales them to unit standard deviation (divisor n), then
+The intercept is never penalized.  Every fit centers the predictors and
+scales them to unit standard deviation (divisor n), as glmnet does, then
 reports coefficients back on the original scale; the penalty weight
-therefore refers to standardized coefficients.  A lambda in the common
-convention that divides the squared loss by 2n corresponds to
+therefore refers to standardized coefficients, and a predictor's units
+change only its slope.  There is no switch to turn this off.  A lambda in
+the common convention that divides the squared loss by 2n corresponds to
 ``2 * n * lambda`` here for the L1 term and ``n * lambda`` for the L2
 term.
 
 A :class:`DesignProblem` standardizes its design and forms the Gram
-matrix ``Xs'Xs``, ``Xs'yc`` and ``yc'yc`` once per ``standardize``
-setting (:meth:`DesignProblem.standardized`); every ridge weight and
-every coordinate-descent fit of that design reuses them, so a penalty
-grid forms one Gram matrix per design, not one per weight.
+matrix ``Xs'Xs``, ``Xs'yc`` and ``yc'yc`` once, into one
+:class:`Standardized` (:meth:`DesignProblem.standardized`); every ridge
+weight and every coordinate-descent fit of that design reads its sums and
+factorizations from it, so a penalty grid forms one Gram matrix per
+design, not one per weight.
 
 A constant column has slope exactly 0 in every fit.  Least squares
 (``fit_ridge`` at weight 0) is solved on the other columns by LAPACK's
@@ -89,13 +91,14 @@ class NonFiniteEncountered(SolverError):
 
 
 class Standardized(NamedTuple):
-    """The sums every fit reads from a design on its standardized scale.
+    """A design on its standardized scale, the one input of
+    :func:`coordinate_descent`, :func:`duality_gap` and the solves they share.
 
     With ``Xs = (X - means) / scales`` and ``yc = y - y_mean``: ``gram =
     Xs'Xs``, ``q = Xs'yc``, ``y_ss = yc'yc`` and ``gram_diag = diag(gram)``;
-    the arrays are read-only.  ``factors`` caches the factorizations of the
-    sub-Grams that coordinate descent meets, keyed by active set, for every
-    fit of this design (:func:`coordinate_descent`).
+    :meth:`DesignProblem.standardized` makes these arrays read-only.
+    ``factors`` caches the eigendecompositions of the sub-Grams the solvers
+    meet, keyed by active set (:func:`_factor`), for every fit of this design.
     """
 
     means: np.ndarray
@@ -114,7 +117,7 @@ class DesignProblem:
 
     X: np.ndarray
     y: np.ndarray
-    _standardized: dict = field(default_factory=dict, init=False, repr=False)
+    _standardized: Standardized | None = field(default=None, init=False, repr=False)
 
     def __post_init__(self):
         X = np.asarray(self.X, dtype=float)
@@ -145,17 +148,16 @@ class DesignProblem:
     def p(self) -> int:
         return self.X.shape[1]
 
-    def standardized(self, scale: bool = True) -> Standardized:
-        """The Gram and sums of the centered (and, when ``scale``,
-        unit-variance) design.
+    def standardized(self) -> Standardized:
+        """The Gram and sums of the centered, unit-variance design.
 
-        Computed on first use for each ``scale`` and cached, so every fit
-        of this problem shares one standardization, one ``Xs'Xs`` and the
-        factorizations of its active sets (``factors``).
+        Computed on first use and cached, so every fit of this problem
+        shares one standardization, one ``Xs'Xs`` and the factorizations of
+        its active sets (``factors``).
         """
-        cached = self._standardized.get(scale)
+        cached = self._standardized
         if cached is None:
-            Xs, means, scales = _standardize(self.X, scale)
+            Xs, means, scales = _standardize(self.X)
             y_mean = self.y.mean()
             yc = self.y - y_mean
             gram = Xs.T @ Xs
@@ -166,7 +168,7 @@ class DesignProblem:
             for value in cached:
                 if isinstance(value, np.ndarray):
                     value.flags.writeable = False
-            self._standardized[scale] = cached
+            object.__setattr__(self, "_standardized", cached)
         return cached
 
 
@@ -275,19 +277,16 @@ def _failed_pivot(g: np.ndarray, threshold: float) -> SingularDesign:
             return SingularDesign(m, float(L[m, m] ** 2))
 
 
-def _standardize(X: np.ndarray, scale: bool) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Center columns; divide by population standard deviation when ``scale``.
+def _standardize(X: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Center columns and divide them by their population standard deviation.
 
     A constant column (``max == min``) is centered on its value, so it reads
     exactly 0 and keeps scale 1 even where its mean rounds off the constant.
     """
     means = np.where(X.max(axis=0) == X.min(axis=0), X[0], X.mean(axis=0))
     Xc = X - means
-    if scale:
-        scales = np.sqrt((Xc**2).mean(axis=0))
-        scales = np.where(scales == 0.0, 1.0, scales)
-    else:
-        scales = np.ones(X.shape[1])
+    scales = np.sqrt((Xc**2).mean(axis=0))
+    scales = np.where(scales == 0.0, 1.0, scales)
     return Xc / scales, means, scales
 
 
@@ -295,18 +294,16 @@ def _standardize(X: np.ndarray, scale: bool) -> tuple[np.ndarray, np.ndarray, np
 # Estimators
 # ---------------------------------------------------------------------------
 
-def fit_ridge(problem: DesignProblem, lam: float, standardize: bool = True) -> CoefficientSet:
+def fit_ridge(problem: DesignProblem, lam: float) -> CoefficientSet:
     """:func:`fit_ridge_path` at the one weight ``lam`` (0 is least squares)."""
-    return fit_ridge_path(problem, (lam,), standardize)[0]
+    return fit_ridge_path(problem, (lam,))[0]
 
 
-def fit_ridge_path(
-    problem: DesignProblem, lams: Sequence[float], standardize: bool = True
-) -> CoefficientGrid:
+def fit_ridge_path(problem: DesignProblem, lams: Sequence[float]) -> CoefficientGrid:
     """Closed-form ridge at every penalty weight in ``lams``, row i at ``lams[i]``.
 
-    Solves ``(Xs'Xs + lam*I) b = Xs'(y - mean(y))`` on centered (and, by
-    default, unit-variance) predictors, which is exactly the minimizer of
+    Solves ``(Xs'Xs + lam*I) b = Xs'(y - mean(y))`` on centered,
+    unit-variance predictors, which is exactly the minimizer of
     the augmented problem with the intercept left out of the penalty.
     A constant column has slope 0 at every weight.  Weight 0 is least
     squares by :func:`solve_spd` on the other columns, which raises
@@ -317,11 +314,11 @@ def fit_ridge_path(
     """
     _check_weights(lams)
     lams = np.asarray(lams, dtype=float)
-    std = problem.standardized(standardize)
+    std = problem.standardized()
     beta = np.zeros((len(lams), problem.p))
     positive = lams > 0.0
     if positive.any():
-        beta[positive] = _minimum_norm(std.gram, std.q, std.gram_diag, std.factors, lams[positive])
+        beta[positive] = _minimum_norm(std, lams[positive])
     if not positive.all():
         active = np.flatnonzero(std.gram_diag)
         try:
@@ -345,31 +342,30 @@ def _intercepts(std: Standardized, slopes: np.ndarray) -> np.ndarray:
 
 
 def _factor(
-    gram: np.ndarray, factors: dict, active: np.ndarray, ridge: float | np.ndarray
+    std: Standardized, active: np.ndarray, ridge: float | np.ndarray
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray, float, np.ndarray]:
     """``(sub, w, V, top, null)``: the sub-Gram of ``active``, ``sub = V diag(w) V'``
-    with ``w`` ascending (factored once per active set into ``factors``), its
+    with ``w`` ascending (factored once per active set into ``std.factors``), its
     largest diagonal entry, and which eigenvalues of ``sub + ridge*I`` count
     as 0 (at most ``PIVOT_RTOL`` of ``top + ridge``), per row of a ``(k, 1)`` ``ridge``."""
     key = active.tobytes()
-    found = factors.get(key)
+    found = std.factors.get(key)
     if found is None:
-        sub = gram[active][:, active]
+        sub = std.gram[active][:, active]
         top = float(np.max(np.diag(sub), initial=0.0))  # 0 when every column is constant
-        found = factors[key] = (sub, *np.linalg.eigh(sub), top)
+        found = std.factors[key] = (sub, *np.linalg.eigh(sub), top)
     sub, w, V, top = found
     return sub, w, V, top, w + ridge <= PIVOT_RTOL * (top + ridge)
 
 
-def _minimum_norm(gram: np.ndarray, q: np.ndarray, gram_diag: np.ndarray, factors: dict,
-                  ridges: np.ndarray) -> np.ndarray:
+def _minimum_norm(std: Standardized, ridges: np.ndarray) -> np.ndarray:
     """Minimum-norm minimizers of ``b'(gram + ridge*I)b - 2q'b``, a row per weight in
     ``ridges``: ``V diag(1/(w + ridge)) V'q`` over the non-constant columns, 0 in the
     others and along directions :func:`_factor` counts as 0.  Rows do not depend on k."""
-    active = np.flatnonzero(gram_diag)
-    _, w, V, _, null = _factor(gram, factors, active, ridges[:, None])
-    beta = np.zeros((len(ridges), len(q)))
-    beta[:, active] = _shifted_solve(V, w, null, q[active], ridges[:, None])
+    active = np.flatnonzero(std.gram_diag)
+    _, w, V, _, null = _factor(std, active, ridges[:, None])
+    beta = np.zeros((len(ridges), len(std.q)))
+    beta[:, active] = _shifted_solve(V, w, null, std.q[active], ridges[:, None])
     return beta
 
 
@@ -416,16 +412,12 @@ def _exact_updates(grad: np.ndarray, beta: np.ndarray, gram_diag: np.ndarray,
 
 
 def coordinate_descent(
-    gram: np.ndarray,
-    q: np.ndarray,
-    y_ss: float,
-    gram_diag: np.ndarray,
+    std: Standardized,
     lam: float,
     alpha: float,
     tol: float,
     max_iter: int,
     beta0: np.ndarray | None = None,
-    factors: dict | None = None,
 ) -> tuple[np.ndarray, bool, int]:
     """Greedy coordinate steps and exact active-set solves for the centered,
     slope-only problem.
@@ -436,10 +428,8 @@ def coordinate_descent(
         b_j <- S(sum_i x_ij r_i^(j), lam*alpha/2) / (sum_i x_ij^2 + lam*(1-alpha))
 
     where ``r^(j)`` is the partial residual excluding j and
-    ``S(z, g) = sign(z) * max(|z| - g, 0)``.  The design enters only
-    through ``gram = Xs'Xs``, ``q = Xs'yc``, ``y_ss = yc'yc`` and
-    ``gram_diag = diag(gram)``, which the caller forms once per design
-    (:meth:`DesignProblem.standardized`) and shares across a penalty grid.
+    ``S(z, g) = sign(z) * max(|z| - g, 0)``.  The design is ``std``, whose
+    sums and factorizations every fit of it shares (:class:`Standardized`).
 
     The start's nonzero set (on a warm start, the previous weight's
     support) is first solved exactly as below.  Then one loop repeats: form
@@ -461,13 +451,11 @@ def coordinate_descent(
     ``beta0``, and ``(beta, True, 0)`` is returned.
 
     With its signs fixed, the problem restricted to the nonzero set is a
-    plain quadratic.  Each active set's sub-Gram is factored once,
-    by ``eigh``, into ``factors`` (a dict keyed by the active indices;
-    :func:`fit_elastic_net` passes the design's
-    :attr:`Standardized.factors`, so every weight of a grid shares it); the
-    ridge term only shifts its eigenvalues.  A set is singular when its
-    smallest shifted eigenvalue is at most ``PIVOT_RTOL`` of its largest
-    shifted diagonal entry.  Every solve below is committed only if it does
+    plain quadratic.  Each active set's sub-Gram is factored once, by
+    ``eigh``, into ``std.factors`` (:func:`_factor`), so every weight of a
+    grid shares it; the ridge term only shifts its eigenvalues.  A set is
+    singular when its smallest shifted eigenvalue is at most ``PIVOT_RTOL``
+    of its largest shifted diagonal entry.  Every solve below is committed only if it does
     not raise the objective, beyond what the curvature counted as 0 allows
     for a step in a null space.
 
@@ -494,13 +482,12 @@ def coordinate_descent(
     nor a committed solve raises the objective; its change is evaluated
     only to accept or reject a restricted solve.
     """
-    p = q.shape[0]
+    gram, q, gram_diag = std.gram, std.q, std.gram_diag
     ridge = lam * (1.0 - alpha)
     thresh = lam * alpha / 2.0
-    factors = {} if factors is None else factors
     if thresh == 0.0:  # a plain quadratic: its minimum-norm minimizer, in one solve
-        return _minimum_norm(gram, q, gram_diag, factors, np.array([ridge]))[0], True, 0
-    beta = np.zeros(p) if beta0 is None else np.asarray(beta0, dtype=float).copy()
+        return _minimum_norm(std, np.array([ridge]))[0], True, 0
+    beta = np.zeros(len(q)) if beta0 is None else np.asarray(beta0, dtype=float).copy()
     grad = q - gram @ beta  # grad[j] = sum_i x_ij r_i at the current beta
 
     def commit(active: np.ndarray, sub: np.ndarray, values: np.ndarray,
@@ -518,7 +505,7 @@ def coordinate_descent(
         if change > 0.0:
             step = values - b
             bound = curvature * float(step @ step)
-            rss = y_ss - float(beta @ q) - float(beta @ grad)
+            rss = std.y_ss - float(beta @ q) - float(beta @ grad)
             if change > bound + 2.0 * math.sqrt(bound * max(rss, 0.0)):
                 return False
         beta[active] = values
@@ -545,7 +532,7 @@ def coordinate_descent(
         the solve is retried on the smaller set.
         """
         while len(active):
-            sub, w, V, top, null = _factor(gram, factors, active, ridge)
+            sub, w, V, top, null = _factor(std, active, ridge)
             b = beta[active]
             signs = np.sign(b)
             if not null.any():
@@ -583,19 +570,12 @@ def coordinate_descent(
             return beta, False, steps
 
 
-def duality_gap(
-    gram: np.ndarray,
-    q: np.ndarray,
-    y_ss: float,
-    beta: np.ndarray,
-    lam: float,
-    alpha: float,
-) -> float:
-    """Duality gap of ``beta`` in :func:`coordinate_descent`'s problem.
+def duality_gap(std: Standardized, beta: np.ndarray, lam: float, alpha: float) -> float:
+    """Duality gap of ``beta`` in :func:`coordinate_descent`'s problem on ``std``.
 
     The primal is ``P(b) = |yc - Xs b|^2 + lam*(alpha*|b|_1 + (1-alpha)*|b|^2)``,
-    read from ``gram = Xs'Xs``, ``q = Xs'yc`` and ``y_ss = yc'yc``.  With
-    ``t = lam*alpha/2`` and ``mu = lam*(1-alpha)`` its Fenchel dual is
+    read from ``std.gram = Xs'Xs``, ``std.q = Xs'yc`` and ``std.y_ss = yc'yc``.
+    With ``t = lam*alpha/2`` and ``mu = lam*(1-alpha)`` its Fenchel dual is
 
         D(theta) = y_ss - |yc - theta|^2 - sum_j (|Xs_j'theta| - t)_+^2 / mu,
 
@@ -612,8 +592,8 @@ def duality_gap(
     b = np.asarray(beta, dtype=float)
     ridge = lam * (1.0 - alpha)
     thresh = lam * alpha / 2.0
-    gram_b = gram @ b
-    grad = q - gram_b  # Xs'r
+    gram_b = std.gram @ b
+    grad = std.q - gram_b  # Xs'r
     penalty = lam * (alpha * float(np.abs(b).sum()) + (1.0 - alpha) * float(b @ b))
     if ridge > 0.0:
         c = 1.0
@@ -623,7 +603,7 @@ def duality_gap(
         c = 1.0 if top <= thresh else thresh / top
         conjugate = 0.0
     # P - D expanded so that y_ss cancels exactly where c = 1
-    rss = y_ss - 2.0 * float(q @ b) + float(b @ gram_b)
+    rss = std.y_ss - 2.0 * float(std.q @ b) + float(b @ gram_b)
     return penalty + conjugate - 2.0 * c * float(b @ grad) + (1.0 - c) ** 2 * rss
 
 
@@ -633,7 +613,6 @@ def fit_elastic_net(
     alpha: float,
     tol: float = DEFAULT_TOL,
     max_iter: int = DEFAULT_MAX_ITER,
-    standardize: bool = True,
     warm_start: CoefficientSet | None = None,
 ) -> CoefficientSet:
     """Elastic-net fit by :func:`coordinate_descent`.
@@ -651,14 +630,11 @@ def fit_elastic_net(
     an L1 term it is one exact, minimum-norm solve with ``n_sweeps == 0``.
     """
     _check_l1_fit(problem, (lam,), alpha, tol, max_iter, warm_start)
-    std = problem.standardized(standardize)
+    std = problem.standardized()
     beta0 = None
     if warm_start is not None:
         beta0 = warm_start.betas * std.scales  # back to the standardized scale
-    beta_std, converged, sweeps = coordinate_descent(
-        std.gram, std.q, std.y_ss, std.gram_diag, lam, alpha,
-        tol, max_iter, beta0=beta0, factors=std.factors,
-    )
+    beta_std, converged, sweeps = coordinate_descent(std, lam, alpha, tol, max_iter, beta0)
     if not np.isfinite(beta_std).all():
         raise NonFiniteEncountered("coordinate descent produced non-finite coefficients")
     betas = beta_std / std.scales
@@ -685,7 +661,6 @@ def fit_elastic_net_path(
     alpha: float,
     tol: float = DEFAULT_TOL,
     max_iter: int = DEFAULT_MAX_ITER,
-    standardize: bool = True,
     warm_start: CoefficientSet | None = None,
 ) -> CoefficientGrid:
     """:func:`fit_elastic_net` at every weight in ``lams``, row i at ``lams[i]``, each
@@ -704,7 +679,7 @@ def fit_elastic_net_path(
     """
     _check_l1_fit(problem, lams, alpha, tol, max_iter, warm_start)
     lams = np.asarray(lams, dtype=float)
-    std = problem.standardized(standardize)
+    std = problem.standardized()
     k = len(lams)
     intercepts, slopes = np.zeros(k), np.zeros((k, problem.p))
     converged, n_sweeps = np.ones(k, dtype=bool), np.zeros(k, dtype=int)
@@ -715,7 +690,7 @@ def fit_elastic_net_path(
             rows = _sign_fixed_rows(std, lams[i:], alpha, tol, start)
         else:  # no L1 term: the warm start does not matter, and each row is one solve
             run = lams[i:i + _leading(lams[i:] * alpha / 2.0 == 0.0)]
-            rows = _minimum_norm(std.gram, std.q, std.gram_diag, std.factors, run * (1.0 - alpha))
+            rows = _minimum_norm(std, run * (1.0 - alpha))
             rows = rows[:_leading(np.isfinite(rows).all(axis=1))]
         stop = i + len(rows)
         if stop > i:
@@ -723,8 +698,7 @@ def fit_elastic_net_path(
             intercepts[i:stop] = _intercepts(std, slopes[i:stop])
             warm = CoefficientSet(intercepts[stop - 1], slopes[stop - 1])
         if stop < k:  # the weight that ends the run
-            warm = fit_elastic_net(problem, float(lams[stop]), alpha, tol, max_iter,
-                                   standardize, warm)
+            warm = fit_elastic_net(problem, float(lams[stop]), alpha, tol, max_iter, warm)
             intercepts[stop], slopes[stop] = warm.intercept, warm.betas
             converged[stop], n_sweeps[stop] = warm.converged, warm.n_sweeps
         i = stop + 1
@@ -755,7 +729,7 @@ def _sign_fixed_rows(std: Standardized, lams: np.ndarray, alpha: float, tol: flo
     active = np.flatnonzero(start)
     if len(active):
         signs = np.sign(start[active])
-        sub, w, V, _, null = _factor(std.gram, std.factors, active, ridge[:, None])
+        sub, w, V, _, null = _factor(std, active, ridge[:, None])
         solution = _shifted_solve(V, w, null, std.q[active] - thresh[:, None] * signs,
                                   ridge[:, None])
         n = _leading(keep & ~null.any(axis=1) & np.all(solution * signs > 0.0, axis=1))

@@ -222,17 +222,6 @@ class TestShrinkageVariants:
         spec = MethodSpec("crm", "elastic_net", lambda_center=2.0, alpha=0.7)
         assert serialize(fit(cardio, spec)) == serialize(fit(cardio, spec))
 
-    def test_standardize_off_matches_raw_scale_ridge(self, cardio):
-        from intervalreg.solvers import DesignProblem, fit_ridge
-
-        model = fit(cardio, MethodSpec("cm", "ridge", lambda_center=3.0),
-                    standardize=False)
-        view = to_center_range(cardio)
-        direct = fit_ridge(DesignProblem(view.centers_X, view.centers_y), 3.0,
-                           standardize=False)
-        assert model.center_coeffs.intercept == pytest.approx(direct.intercept)
-        assert np.allclose(model.center_coeffs.betas, direct.betas)
-
     def test_alpha_zero_grid_shares_one_factorization(self, monkeypatch):
         # elastic net at alpha 0 is one exact solve per weight, all from the
         # one eigendecomposition of the design's Gram

@@ -352,7 +352,7 @@ def record_grid_rows(monkeypatch):
         bound = signature.bind(*args, **kwargs)
         bound.apply_defaults()
         a = bound.arguments
-        std = a["problem"].standardized(a["standardize"])
+        std = a["problem"].standardized()
         alpha = a["spec"].effective_alpha
         rows.extend((std, lam, alpha, grid[i]) for i, lam in enumerate(a["lams"]))
         return grid
@@ -405,7 +405,7 @@ class TestCertifiedFits:
         for std, lam, alpha, coeffs in records:
             b = coeffs.betas * coeffs.scales
             primal = std.y_ss - 2.0 * std.q @ b + b @ std.gram @ b + lam * np.abs(b).sum()
-            gap = duality_gap(std.gram, std.q, std.y_ss, b, lam, alpha)
+            gap = duality_gap(std, b, lam, alpha)
             worst = max(worst, gap / primal)
         assert len(records) == 3 * 1100
         assert worst <= 1e-12

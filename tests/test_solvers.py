@@ -6,13 +6,15 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from intervalreg import solvers
+from intervalreg import IntervalTable, MethodSpec, fit, predict, solvers
+from intervalreg.models import METHOD_NAMES
 from intervalreg.solvers import (
     PIVOT_RTOL,
     CoefficientSet,
     DesignProblem,
     NonFiniteEncountered,
     SingularDesign,
+    Standardized,
     _standardize,
     coordinate_descent,
     duality_gap,
@@ -24,16 +26,33 @@ from intervalreg.solvers import (
 )
 from intervalreg.selection import make_lambda_grid
 
-from conftest import DATA_DIR, least_squares
+from conftest import DATA_DIR, least_squares, make_cardio_table, random_interval_table
+
+
+def column_moments(X):
+    """Column means and population standard deviations (1 where that is 0)."""
+    means = X.mean(axis=0)
+    scales = np.sqrt(((X - means) ** 2).mean(axis=0))
+    return means, np.where(scales == 0, 1.0, scales)
 
 
 def standardized(X, y):
     """Independent reconstruction of the internal standardized problem."""
-    means = X.mean(axis=0)
-    Xc = X - means
-    scales = np.sqrt((Xc**2).mean(axis=0))
-    scales = np.where(scales == 0, 1.0, scales)
-    return Xc / scales, y - y.mean()
+    means, scales = column_moments(X)
+    return (X - means) / scales, y - y.mean()
+
+
+def ridge_oracle(X, y, lam):
+    """``(intercept, slopes)`` of ridge at ``lam``: one dense solve of the
+    intercept-augmented system on the standardized columns, with the penalty on
+    every slot except the intercept, mapped back to the original scale."""
+    means, scales = column_moments(X)
+    Xt = np.column_stack([np.ones(len(y)), (X - means) / scales])
+    pen = lam * np.eye(Xt.shape[1])
+    pen[0, 0] = 0.0
+    solution = np.linalg.solve(Xt.T @ Xt + pen, Xt.T @ y)
+    slopes = solution[1:] / scales
+    return solution[0] - slopes @ means, slopes
 
 
 def lambda_max(X, y, alpha):
@@ -47,10 +66,16 @@ def linear(coeffs, X):
     return coeffs.intercept + X @ coeffs.betas
 
 
+def sums_as_standardized(gram, q, y_ss):
+    """Sums formed outside the library as the :class:`Standardized` the solvers take,
+    with an empty factor cache; the solvers read no means, scales or response mean."""
+    p = len(q)
+    return Standardized(np.zeros(p), np.ones(p), 0.0, gram, q, y_ss, np.diag(gram).copy(), {})
+
+
 def covariance_sums(Xs, yc):
-    """``(gram, q, y_ss, gram_diag)`` of a standardized design, as coordinate_descent takes them."""
-    gram = Xs.T @ Xs
-    return gram, Xs.T @ yc, float(yc @ yc), np.diag(gram).copy()
+    """The sums of a standardized design, formed here, as coordinate_descent takes them."""
+    return sums_as_standardized(Xs.T @ Xs, Xs.T @ yc, float(yc @ yc))
 
 
 def reference_singular_pivot(gram):
@@ -217,16 +242,14 @@ class TestDesignProblem:
         with pytest.raises(ValueError):
             DesignProblem(np.ones((3, 2)), np.ones(4))
 
-    @pytest.mark.parametrize("scale", [True, False])
-    def test_standardized_is_a_cached_fresh_standardization(self, scale):
+    def test_standardized_is_a_cached_fresh_standardization(self):
         rng = np.random.default_rng(23)
         X = rng.normal(size=(9, 4)) * [1.0, 3.0, 0.1, 0.0]  # last column constant
         y = rng.normal(size=9)
         problem = DesignProblem(X, y)
-        std = problem.standardized(scale)
-        assert problem.standardized(scale) is std
-        assert problem.standardized(not scale) is not std
-        Xs, means, scales = _standardize(problem.X, scale)
+        std = problem.standardized()
+        assert problem.standardized() is std
+        Xs, means, scales = _standardize(problem.X)
         yc = problem.y - problem.y.mean()
         for got, want in [
             (std.means, means), (std.scales, scales),
@@ -245,12 +268,11 @@ class TestDesignProblem:
         X = np.column_stack([rng.normal(size=10), np.full(10, 0.1), np.full(10, 0.5)])
         y = rng.normal(size=10) * 10 + 100
         problem = DesignProblem(X, y)
-        for scale in (True, False):
-            std = problem.standardized(scale)
-            assert np.all(std.gram[1:] == 0.0) and np.all(std.q[1:] == 0.0)
-            assert std.scales[1:].tolist() == [1.0, 1.0]
-            assert std.means[1:].tolist() == [0.1, 0.5]
-            assert std.gram_diag[1:].tolist() == [0.0, 0.0]
+        std = problem.standardized()
+        assert np.all(std.gram[1:] == 0.0) and np.all(std.q[1:] == 0.0)
+        assert std.scales[1:].tolist() == [1.0, 1.0]
+        assert std.means[1:].tolist() == [0.1, 0.5]
+        assert std.gram_diag[1:].tolist() == [0.0, 0.0]
         for coeffs in (fit_ridge(problem, 1.0), fit_elastic_net(problem, 1.0, 0.5)):
             assert coeffs.betas[1:].tolist() == [0.0, 0.0]
 
@@ -269,27 +291,24 @@ class TestDesignProblem:
         y = X[:, :3] @ [1.0, -2.0, 0.5] + rng.normal(size=8)
         problem = DesignProblem(X, y)
         lams = (5.0, 1.0, 0.0)
-        for standardize in (True, False):
-            first = [fit_elastic_net(problem, lam, 0.7, standardize=standardize)
-                     for lam in lams]
-            ridge = fit_ridge_path(problem, lams[:2], standardize=standardize)
-            factored = dict(problem.standardized(standardize).factors)
-            again = [fit_elastic_net(problem, lam, 0.7, standardize=standardize)
-                     for lam in lams]
-            # the refits meet the same active sets and reuse their factorizations
-            assert factored and problem.standardized(standardize).factors.keys() == factored.keys()
-            assert all(problem.standardized(standardize).factors[k] is v for k, v in factored.items())
-            fresh = [fit_elastic_net(DesignProblem(X, y), lam, 0.7,
-                                     standardize=standardize) for lam in lams]
-            for a, b, c in zip(first, again, fresh):
-                assert a.betas.tobytes() == b.betas.tobytes() == c.betas.tobytes()
-                assert a.intercept == b.intercept == c.intercept
-                assert a.n_sweeps == b.n_sweeps == c.n_sweeps
-            ridge_again = fit_ridge_path(problem, lams[:2], standardize=standardize)
-            ridge_fresh = fit_ridge_path(DesignProblem(X, y), lams[:2], standardize=standardize)
-            for a, b, c in zip(ridge, ridge_again, ridge_fresh):
-                assert a.betas.tobytes() == b.betas.tobytes() == c.betas.tobytes()
-                assert a.intercept == b.intercept == c.intercept
+        first = [fit_elastic_net(problem, lam, 0.7) for lam in lams]
+        ridge = fit_ridge_path(problem, lams[:2])
+        factors = problem.standardized().factors
+        factored = dict(factors)
+        again = [fit_elastic_net(problem, lam, 0.7) for lam in lams]
+        # the refits meet the same active sets and reuse their factorizations
+        assert factored and factors.keys() == factored.keys()
+        assert all(factors[k] is v for k, v in factored.items())
+        fresh = [fit_elastic_net(DesignProblem(X, y), lam, 0.7) for lam in lams]
+        for a, b, c in zip(first, again, fresh):
+            assert a.betas.tobytes() == b.betas.tobytes() == c.betas.tobytes()
+            assert a.intercept == b.intercept == c.intercept
+            assert a.n_sweeps == b.n_sweeps == c.n_sweeps
+        ridge_again = fit_ridge_path(problem, lams[:2])
+        ridge_fresh = fit_ridge_path(DesignProblem(X, y), lams[:2])
+        for a, b, c in zip(ridge, ridge_again, ridge_fresh):
+            assert a.betas.tobytes() == b.betas.tobytes() == c.betas.tobytes()
+            assert a.intercept == b.intercept == c.intercept
 
     def test_elastic_net_rejects_bad_penalty(self):
         problem = DesignProblem(np.eye(3), np.ones(3))
@@ -431,10 +450,9 @@ class TestRidge:
         X = rng.normal(size=(10, 3))
         y = rng.normal(size=10)
         intercept, betas = least_squares(X, y)
-        for standardize in (True, False):
-            ridge = fit_ridge(DesignProblem(X, y), 0.0, standardize=standardize)
-            assert abs(ridge.intercept - intercept) <= 1e-8
-            assert np.max(np.abs(ridge.betas - betas)) <= 1e-8
+        ridge = fit_ridge(DesignProblem(X, y), 0.0)
+        assert abs(ridge.intercept - intercept) <= 1e-8
+        assert np.max(np.abs(ridge.betas - betas)) <= 1e-8
 
     def test_infinite_shrinkage_limit(self):
         rng = np.random.default_rng(5)
@@ -445,34 +463,47 @@ class TestRidge:
         assert coeffs.intercept == pytest.approx(y.mean(), abs=1e-4)
 
     def test_matches_augmented_closed_form_oracle(self):
-        # oracle: one dense solve of the intercept-augmented system with the
-        # penalty applied to every slot except the intercept
         rng = np.random.default_rng(6)
         for _ in range(10):
             X = rng.normal(size=(8, 4))
             y = rng.normal(size=8)
             lam = 2.5
-            coeffs = fit_ridge(DesignProblem(X, y), lam, standardize=False)
-            Xt = np.column_stack([np.ones(8), X])
-            pen = lam * np.eye(5)
-            pen[0, 0] = 0.0
-            oracle = np.linalg.solve(Xt.T @ Xt + pen, Xt.T @ y)
-            assert abs(coeffs.intercept - oracle[0]) <= 1e-9
-            assert np.max(np.abs(coeffs.betas - oracle[1:])) <= 1e-9
+            coeffs = fit_ridge(DesignProblem(X, y), lam)
+            intercept, slopes = ridge_oracle(X, y, lam)
+            assert abs(coeffs.intercept - intercept) <= 1e-9
+            assert np.max(np.abs(coeffs.betas - slopes)) <= 1e-9
 
     def test_standardization_makes_fit_scale_invariant(self):
+        # every method fits on standardized predictors, so the units of one
+        # predictor change its slopes and nothing else: not the center support,
+        # and not a prediction beyond rounding
         rng = np.random.default_rng(7)
-        X = rng.normal(size=(14, 3))
-        y = rng.normal(size=14)
-        D = np.array([2.0, 0.5, 30.0])
-        a = fit_ridge(DesignProblem(X, y), 3.0, standardize=True)
-        b = fit_ridge(DesignProblem(X * D, y), 3.0, standardize=True)
-        X_new = rng.normal(size=(5, 3))
-        assert np.allclose(
-            linear(a, X_new), linear(b, X_new * D),
-            rtol=1e-10, atol=1e-10,
-        )
-
+        tables = [make_cardio_table(), random_interval_table(rng, 30, 6),
+                  random_interval_table(rng, 12, 15)]
+        for table in tables:
+            n, p = table.n_rows, len(table.predictor_names)
+            units = np.ones(len(table.variable_names))
+            j = table.variable_names.index(table.predictor_names[0])
+            for factor in (1e-6, 1e6):
+                units[j] = factor
+                scaled = IntervalTable(table.variable_names, table.lower * units,
+                                       table.upper * units, table.response_name)
+                for name in METHOD_NAMES:
+                    if name in ("cm", "crm"):
+                        lams = (0.0,) if n > p + 1 else ()  # unpenalized needs n > p + 1
+                    else:
+                        lams = (5.0, 0.5, 0.01)
+                    for lam in lams:
+                        spec = MethodSpec.from_name(name, lam, None,
+                                                    0.5 if name.startswith("net") else None)
+                        a, b = fit(table, spec), fit(scaled, spec)
+                        assert (b.center_coeffs.support().tolist()
+                                == a.center_coeffs.support().tolist()), (name, lam, factor)
+                        want, got = predict(a, table), predict(b, scaled)
+                        bound = 1e-10 * max(np.max(np.abs(want.lower)),
+                                            np.max(np.abs(want.upper)))
+                        assert np.max(np.abs(got.lower - want.lower)) <= bound, (name, lam, factor)
+                        assert np.max(np.abs(got.upper - want.upper)) <= bound, (name, lam, factor)
 
     def test_path_matches_one_weight_fits(self):
         rng = np.random.default_rng(22)
@@ -480,17 +511,16 @@ class TestRidge:
         y = X @ rng.normal(size=6) + rng.normal(size=30)
         problem = DesignProblem(X, y)
         lams = np.append(np.geomspace(1e3, 1e-3, 24), 0.0)
-        for standardize in (True, False):
-            path = fit_ridge_path(problem, lams, standardize=standardize)
-            assert len(path) == len(lams)
-            for lam, coeffs in zip(lams, path):
-                one = fit_ridge(problem, lam, standardize=standardize)
-                np.testing.assert_allclose(coeffs.betas, one.betas, rtol=1e-13, atol=0)
-                assert coeffs.intercept == pytest.approx(one.intercept, rel=1e-13, abs=0)
-                if lam > 0.0:  # a positive weight is the elastic net at alpha 0
-                    net = fit_elastic_net(problem, lam, 0.0, standardize=standardize)
-                    assert coeffs.betas.tobytes() == net.betas.tobytes()
-                    assert coeffs.intercept == net.intercept
+        path = fit_ridge_path(problem, lams)
+        assert len(path) == len(lams)
+        for lam, coeffs in zip(lams, path):
+            one = fit_ridge(problem, lam)
+            np.testing.assert_allclose(coeffs.betas, one.betas, rtol=1e-13, atol=0)
+            assert coeffs.intercept == pytest.approx(one.intercept, rel=1e-13, abs=0)
+            if lam > 0.0:  # a positive weight is the elastic net at alpha 0
+                net = fit_elastic_net(problem, lam, 0.0)
+                assert coeffs.betas.tobytes() == net.betas.tobytes()
+                assert coeffs.intercept == net.intercept
 
     def test_positive_weight_below_the_eigenvalue_rule_returns_the_minimum_norm_fit(self):
         # a duplicated column at a weight of 1e-14 of the largest standardized
@@ -529,32 +559,32 @@ class TestRidge:
         X = np.column_stack([X, X[:, 0], np.full(n, rng.normal())])
         y = X[:, :p] @ rng.normal(size=p) + rng.normal(size=n) + 3.0
         problem = DesignProblem(X, y)
-        for standardize in (True, False):
-            gram = problem.standardized(standardize).gram
-            top = float(np.max(np.diag(gram)))
-            lams = top * np.geomspace(1e2, 1e-16, 37)
-            grid = fit_ridge_path(problem, lams, standardize=standardize)
-            w = np.linalg.eigh(gram[:-1, :-1])[0]  # the constant column is left out
-            null = [bool(np.any(w + lam <= PIVOT_RTOL * (top + lam))) for lam in lams]
-            assert any(null) and not all(null)
-            for i, lam in enumerate(lams):
-                row = grid[i]
-                net = fit_elastic_net(problem, lam, 0.0, standardize=standardize)
-                assert row.betas.tobytes() == net.betas.tobytes()
-                assert row.intercept == net.intercept
-                assert row.betas[-1] == 0.0
-                if null[i]:  # minimum norm: the copies share their slope
-                    assert row.betas[0] == pytest.approx(row.betas[p], rel=1e-9, abs=0)
-                if null[i] or np.min(w + lam) < 1e-6 * (top + lam):
-                    continue  # oracle's conditioning too poor for a 1e-10 bound
-                if not standardize:  # oracle: the dense intercept-augmented solve
-                    Xt = np.column_stack([np.ones(n), X])
-                    pen = lam * np.eye(p + 3)
-                    pen[0, 0] = 0.0
-                    oracle = np.linalg.solve(Xt.T @ Xt + pen, Xt.T @ y)
-                    got = np.concatenate([[row.intercept], row.betas])
-                    np.testing.assert_allclose(got, oracle, rtol=1e-10,
-                                               atol=1e-10 * np.max(np.abs(oracle)))
+        gram = problem.standardized().gram
+        top = float(np.max(np.diag(gram)))
+        lams = top * np.geomspace(1e2, 1e-16, 37)
+        grid = fit_ridge_path(problem, lams)
+        w = np.linalg.eigh(gram[:-1, :-1])[0]  # the constant column is left out
+        null = [bool(np.any(w + lam <= PIVOT_RTOL * (top + lam))) for lam in lams]
+        assert any(null) and not all(null)
+        for i, lam in enumerate(lams):
+            row = grid[i]
+            net = fit_elastic_net(problem, lam, 0.0)
+            assert row.betas.tobytes() == net.betas.tobytes()
+            assert row.intercept == net.intercept
+            assert row.betas[-1] == 0.0
+            if null[i]:  # minimum norm: the copies share their slope
+                assert row.betas[0] == pytest.approx(row.betas[p], rel=1e-9, abs=0)
+            if null[i] or np.min(w + lam) < 1e-5 * (top + lam):
+                # a solve at condition c rounds to about 2.2e-16 * c: above 1e5 that
+                # exceeds the 1e-10 bound (the copies' slopes, equal in exact
+                # arithmetic, came out 3.7e-10 apart at condition 3.2e5)
+                continue
+            # the oracle leaves out the constant column, whose slope is 0 above
+            intercept, slopes = ridge_oracle(X[:, :-1], y, lam)
+            oracle = np.concatenate([[intercept], slopes])
+            got = np.concatenate([[row.intercept], row.betas[:-1]])
+            np.testing.assert_allclose(got, oracle, rtol=1e-10,
+                                       atol=1e-10 * np.max(np.abs(oracle)))
 
     def test_path_rejects_a_bad_weight(self):
         problem = DesignProblem(np.eye(3), np.ones(3))
@@ -581,15 +611,10 @@ class TestElasticNet:
             X = rng.normal(size=(n, p))
             y = rng.normal(size=n)
             lam = float(rng.uniform(0.1, 20.0))
-            net = fit_elastic_net(DesignProblem(X, y), lam, 0.0, standardize=False)
-            # oracle: one dense solve of the intercept-augmented system with the
-            # penalty applied to every slot except the intercept
-            Xt = np.column_stack([np.ones(n), X])
-            pen = lam * np.eye(p + 1)
-            pen[0, 0] = 0.0
-            oracle = np.linalg.solve(Xt.T @ Xt + pen, Xt.T @ y)
-            assert abs(net.intercept - oracle[0]) <= 1e-6
-            assert np.max(np.abs(net.betas - oracle[1:])) <= 1e-6
+            net = fit_elastic_net(DesignProblem(X, y), lam, 0.0)
+            intercept, slopes = ridge_oracle(X, y, lam)
+            assert abs(net.intercept - intercept) <= 1e-6
+            assert np.max(np.abs(net.betas - slopes)) <= 1e-6
 
     def test_all_zero_at_lambda_max(self):
         rng = np.random.default_rng(10)
@@ -628,7 +653,7 @@ class TestElasticNet:
             assert np.all(viol <= 10.0 * tol * scale)
             std = problem.standardized()
             beta = coeffs.betas * coeffs.scales
-            gap = duality_gap(std.gram, std.q, std.y_ss, beta, lam, alpha)
+            gap = duality_gap(std, beta, lam, alpha)
             assert abs(gap) <= 1e-10 * penalized_objective(problem, beta, lam, alpha)
 
     def test_duality_gap_bounds_the_distance_to_the_optimum(self):
@@ -644,7 +669,7 @@ class TestElasticNet:
             best = fit_elastic_net(problem, lam, alpha, tol=1e-10)
             optimum = penalized_objective(problem, best.betas * best.scales, lam, alpha)
             for beta in (np.zeros(p), rng.normal(size=p), best.betas * best.scales * 1.1):
-                gap = duality_gap(std.gram, std.q, std.y_ss, beta, lam, alpha)
+                gap = duality_gap(std, beta, lam, alpha)
                 excess = penalized_objective(problem, beta, lam, alpha) - optimum
                 assert gap >= excess - 1e-9 * optimum
 
@@ -657,7 +682,7 @@ class TestElasticNet:
             sums = covariance_sums(Xs, yc)
             lam = float(rng.uniform(0.0, 30.0))
             alpha = float(rng.uniform(0.0, 1.0))
-            _, _, n_sweeps = coordinate_descent(*sums, lam, alpha, 1e-9, 5000)
+            _, _, n_sweeps = coordinate_descent(sums, lam, alpha, 1e-9, 5000)
 
             def objective(beta):
                 return np.sum((yc - Xs @ beta) ** 2) + lam * (
@@ -668,7 +693,7 @@ class TestElasticNet:
             # returned with max_iter=k (a fit certified before any cycle has none)
             history = [objective(np.zeros(6))]
             for k in range(1, n_sweeps + 1):
-                beta, _, _ = coordinate_descent(*sums, lam, alpha, 1e-9, k)
+                beta, _, _ = coordinate_descent(sums, lam, alpha, 1e-9, k)
                 history.append(objective(beta))
             diffs = np.diff(np.asarray(history))
             assert np.all(diffs <= 1e-9 * max(abs(history[0]), 1.0))
@@ -712,9 +737,7 @@ class TestElasticNet:
                             want = reference_coordinate_descent(
                                 Xs, yc, lam, alpha, 1e-7, max_iter, beta0=beta0
                             )
-                            got = coordinate_descent(
-                                *sums, lam, alpha, 1e-7, max_iter, beta0=beta0
-                            )
+                            got = coordinate_descent(sums, lam, alpha, 1e-7, max_iter, beta0)
                             got_obj, want_obj = objective(got[0]), objective(want[0])
                             start = objective(np.zeros(p) if beta0 is None else beta0)
                             assert got_obj <= start * (1.0 + 1e-12)
@@ -741,7 +764,6 @@ class TestElasticNet:
         X, y, alpha = design
         rng = np.random.default_rng(seed)
         std = DesignProblem(X, y).standardized()
-        sums = (std.gram, std.q, std.y_ss, std.gram_diag)
         tol = 1e-7
         lam_max = 2.0 * float(np.max(np.abs(std.q))) / max(alpha, 1e-3)
         assume(lam_max > 0.0)  # not every column constant
@@ -755,12 +777,9 @@ class TestElasticNet:
                     alpha * np.abs(beta).sum() + (1.0 - alpha) * beta @ beta
                 )
 
-            best = objective(coordinate_descent(*sums, lam, alpha, 1e-12, 100_000)[0])
-            fits = [
-                coordinate_descent(*sums, lam, alpha, tol, 100_000, beta0=beta0,
-                                   factors=std.factors)
-                for beta0 in (warm, rng.normal(size=X.shape[1]))
-            ]
+            best = objective(coordinate_descent(std, lam, alpha, 1e-12, 100_000)[0])
+            fits = [coordinate_descent(std, lam, alpha, tol, 100_000, beta0)
+                    for beta0 in (warm, rng.normal(size=X.shape[1]))]
             for beta, converged, _ in fits:
                 assert converged
                 update = exact_coordinate_updates(std.gram, std.q, std.gram_diag, beta, lam, alpha)
@@ -799,8 +818,7 @@ class TestElasticNet:
         gram, q, y_ss = np.array(data["gram"]), np.array(data["q"]), data["y_ss"]
         lam, alpha = data["lam"], data["alpha"]
         beta, converged, sweeps = coordinate_descent(
-            gram, q, y_ss, np.diag(gram).copy(), lam, alpha, 1e-7, 100_000,
-            beta0=np.array(data["beta0"]),
+            sums_as_standardized(gram, q, y_ss), lam, alpha, 1e-7, 100_000, np.array(data["beta0"])
         )
         assert converged and sweeps <= 200
 
@@ -822,10 +840,7 @@ class TestElasticNet:
         lam_max = 2.0 * float(np.max(np.abs(std.q))) / alpha
         start = np.random.default_rng(0).normal(size=12)
         for lam in np.geomspace(lam_max, 1e-3 * lam_max, 8):
-            beta, converged, sweeps = coordinate_descent(
-                std.gram, std.q, std.y_ss, std.gram_diag, lam, alpha, 1e-7, 1000,
-                beta0=start, factors=std.factors,
-            )
+            beta, converged, sweeps = coordinate_descent(std, lam, alpha, 1e-7, 1000, start)
             assert converged and sweeps <= 20
             update = exact_coordinate_updates(std.gram, std.q, std.gram_diag, beta, lam, alpha)
             assert np.all(np.abs(update - beta) <= 1e-7)
@@ -887,7 +902,7 @@ class TestElasticNet:
         for lam, slopes in zip(lams, path.slopes):
             b = slopes * path.scales
             primal = std.y_ss - 2.0 * std.q @ b + b @ std.gram @ b + lam * np.abs(b).sum()
-            assert duality_gap(std.gram, std.q, std.y_ss, b, lam, 1.0) <= 1e-5 * primal
+            assert duality_gap(std, b, lam, 1.0) <= 1e-5 * primal
 
     def test_penalty_value_non_increasing_in_lambda(self):
         rng = np.random.default_rng(13)
@@ -1049,19 +1064,17 @@ class TestElasticNetPath:
         path = fit_elastic_net_path(DesignProblem(X, y), lams, alpha, warm_start=warm)
         self.assert_rows_equal(path, fits)
 
-    def test_stopped_fits_and_unstandardized_designs_match_the_chain(self):
+    def test_stopped_fits_match_the_chain(self):
         rng = np.random.default_rng(31)
         X = rng.normal(size=(12, 9)) * rng.uniform(0.1, 10.0, size=9)
         y = X[:, :3] @ rng.normal(size=3) + rng.normal(size=12)
         problem = DesignProblem(X, y)
         lams = make_lambda_grid(X, y, 0.5, 30).values
-        for standardize in (True, False):
-            for max_iter in (1, 100_000):
-                kwargs = dict(max_iter=max_iter, standardize=standardize)
-                path = fit_elastic_net_path(problem, lams, 0.5, **kwargs)
-                fits = self.chain(DesignProblem(X, y), lams, 0.5, **kwargs)
-                self.assert_rows_equal(path, fits)
-                assert path.converged.all() == (max_iter > 1)
+        for max_iter in (1, 100_000):
+            path = fit_elastic_net_path(problem, lams, 0.5, max_iter=max_iter)
+            fits = self.chain(DesignProblem(X, y), lams, 0.5, max_iter=max_iter)
+            self.assert_rows_equal(path, fits)
+            assert path.converged.all() == (max_iter > 1)
 
     def test_a_grid_without_an_l1_term_is_one_product(self, monkeypatch):
         # net-cm --alpha 0, down to weight 0 and on a design with more columns
