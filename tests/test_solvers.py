@@ -474,6 +474,20 @@ class TestRidge:
             assert np.max(np.abs(coeffs.betas - slopes)) <= 1e-9
 
     def test_standardization_makes_fit_scale_invariant(self):
+        rng = np.random.default_rng(7)
+        X = rng.normal(size=(14, 3))
+        y = rng.normal(size=14)
+        D = np.array([2.0, 0.5, 30.0])
+        a = fit_ridge(DesignProblem(X, y), 3.0)
+        b = fit_ridge(DesignProblem(X * D, y), 3.0)
+        X_new = rng.normal(size=(5, 3))
+        assert np.allclose(
+            linear(a, X_new), linear(b, X_new * D),
+            rtol=1e-10, atol=1e-10,
+        )
+
+    @pytest.mark.parametrize("name", METHOD_NAMES)
+    def test_every_method_fit_is_unit_invariant(self, name):
         # every method fits on standardized predictors, so the units of one
         # predictor change its slopes and nothing else: not the center support,
         # and not a prediction beyond rounding
@@ -484,26 +498,25 @@ class TestRidge:
             n, p = table.n_rows, len(table.predictor_names)
             units = np.ones(len(table.variable_names))
             j = table.variable_names.index(table.predictor_names[0])
+            if name in ("cm", "crm"):
+                lams = (0.0,) if n > p + 1 else ()  # unpenalized needs n > p + 1
+            else:
+                lams = (5.0, 0.5, 0.01)
             for factor in (1e-6, 1e6):
                 units[j] = factor
                 scaled = IntervalTable(table.variable_names, table.lower * units,
                                        table.upper * units, table.response_name)
-                for name in METHOD_NAMES:
-                    if name in ("cm", "crm"):
-                        lams = (0.0,) if n > p + 1 else ()  # unpenalized needs n > p + 1
-                    else:
-                        lams = (5.0, 0.5, 0.01)
-                    for lam in lams:
-                        spec = MethodSpec.from_name(name, lam, None,
-                                                    0.5 if name.startswith("net") else None)
-                        a, b = fit(table, spec), fit(scaled, spec)
-                        assert (b.center_coeffs.support().tolist()
-                                == a.center_coeffs.support().tolist()), (name, lam, factor)
-                        want, got = predict(a, table), predict(b, scaled)
-                        bound = 1e-10 * max(np.max(np.abs(want.lower)),
-                                            np.max(np.abs(want.upper)))
-                        assert np.max(np.abs(got.lower - want.lower)) <= bound, (name, lam, factor)
-                        assert np.max(np.abs(got.upper - want.upper)) <= bound, (name, lam, factor)
+                for lam in lams:
+                    spec = MethodSpec.from_name(name, lam, None,
+                                                0.5 if name.startswith("net") else None)
+                    a, b = fit(table, spec), fit(scaled, spec)
+                    assert (b.center_coeffs.support().tolist()
+                            == a.center_coeffs.support().tolist()), (lam, factor)
+                    want, got = predict(a, table), predict(b, scaled)
+                    bound = 1e-10 * max(np.max(np.abs(want.lower)),
+                                        np.max(np.abs(want.upper)))
+                    assert np.max(np.abs(got.lower - want.lower)) <= bound, (lam, factor)
+                    assert np.max(np.abs(got.upper - want.upper)) <= bound, (lam, factor)
 
     def test_path_matches_one_weight_fits(self):
         rng = np.random.default_rng(22)
