@@ -93,12 +93,12 @@ class MethodSpec:
         if self.penalty != "elastic_net" and self.alpha is not None:
             raise ValueError(f"method {self.name!r} does not take alpha")
         if not (isfinite(self.lambda_center) and self.lambda_center >= 0.0):
-            raise ValueError(f"lambda_center must be >= 0, got {self.lambda_center}")
+            raise ValueError(f"lambda_center must be finite and >= 0, got {self.lambda_center}")
         if self.lambda_range is not None:
             if self.family != "crm":
                 raise ValueError("lambda_range only applies to crm families")
             if not (isfinite(self.lambda_range) and self.lambda_range >= 0.0):
-                raise ValueError(f"lambda_range must be >= 0, got {self.lambda_range}")
+                raise ValueError(f"lambda_range must be finite and >= 0, got {self.lambda_range}")
         if self.penalty == "elastic_net":
             if self.alpha is None:
                 raise ValueError("elastic net needs alpha")
@@ -241,8 +241,9 @@ def fit_design(
     ridge at weight 0.  Lasso and elastic net are one
     :func:`~intervalreg.solvers.fit_elastic_net_path` call, warm-started down
     the grid from ``warm`` (a fit of this design): each run of weights that
-    keeps its warm start's signs is one batched solve, and coordinate descent
-    runs only where the support changes.
+    keeps its warm start's signs is one batched solve, a run that ends where
+    one coordinate enters takes that step and stays batched, and coordinate
+    descent runs only at the other weights where the support changes.
     """
     if spec.penalty in ("none", "ridge"):
         return fit_ridge_path(problem, np.zeros(len(lams)) if spec.penalty == "none" else lams)

@@ -11,7 +11,8 @@ column:
   coordinate at a time by its soft-thresholded update until no update moves;
   ``alpha=1`` is the lasso, ``alpha=0`` is ridge.  ``fit_elastic_net_path``
   fits a whole grid, warm-started down it, and solves every run of weights
-  that keeps its warm start's signs, or has no L1 term, in one product.
+  that keeps its warm start's signs, or has no L1 term, in one product; a
+  run that ends where one coordinate enters hands that step to the next run.
 
 The penalized objective is used exactly as written, with no ``1/n`` or
 ``1/(2n)`` factor:
@@ -671,8 +672,13 @@ def fit_elastic_net_path(
     test with no step, ``converged`` with ``n_sweeps == 0``: a run on which the
     warm start's support and signs hold (:func:`_sign_fixed_rows`), or a run
     without an L1 term, whose every row is its one :func:`_minimum_norm` solve.
-    The weight that ends an L1 run is one :func:`fit_elastic_net` call, which
-    steps, and the next run starts from its fit.  Every argument is checked,
+    Where the weight that ends an L1 run fails only that test, the run hands
+    back the point :func:`coordinate_descent`'s first step reaches there, and
+    the next run starts at the same weight from it: if it keeps that weight's
+    row, the row is the fit, ``converged`` with ``n_sweeps == 1``.  Otherwise
+    the weight is one :func:`fit_elastic_net` call from the fit before it, and
+    the next run starts from its fit; a step is never taken from a handed-back
+    point, so every run keeps a row or makes that call.  Every argument is checked,
     with :func:`fit_elastic_net`'s messages, before any fit.  A batched row is
     finite; a non-finite one ends its run, and its weight's fit raises
     :class:`NonFiniteEncountered`.
@@ -683,11 +689,14 @@ def fit_elastic_net_path(
     k = len(lams)
     intercepts, slopes = np.zeros(k), np.zeros((k, problem.p))
     converged, n_sweeps = np.ones(k, dtype=bool), np.zeros(k, dtype=int)
-    warm, i = warm_start, 0
+    warm, i, stepped = warm_start, 0, None
     while i < k:
-        if lams[i] * alpha / 2.0 > 0.0:
+        entering = None
+        if stepped is not None:  # weight i's first step, taken by the attempt before
+            rows, entering = _sign_fixed_rows(std, lams[i:], alpha, tol, stepped)
+        elif lams[i] * alpha / 2.0 > 0.0:
             start = np.zeros(problem.p) if warm is None else warm.betas * std.scales
-            rows = _sign_fixed_rows(std, lams[i:], alpha, tol, start)
+            rows, entering = _sign_fixed_rows(std, lams[i:], alpha, tol, start)
         else:  # no L1 term: the warm start does not matter, and each row is one solve
             run = lams[i:i + _leading(lams[i:] * alpha / 2.0 == 0.0)]
             rows = _minimum_norm(std, run * (1.0 - alpha))
@@ -697,21 +706,26 @@ def fit_elastic_net_path(
             slopes[i:stop] = rows / std.scales
             intercepts[i:stop] = _intercepts(std, slopes[i:stop])
             warm = CoefficientSet(intercepts[stop - 1], slopes[stop - 1])
-        if stop < k:  # the weight that ends the run
+            n_sweeps[i] = stepped is not None  # the step taken before row i's solve
+        elif stepped is not None:  # a second step is coordinate descent's
+            entering = None
+        if stop < k and entering is None:  # the weight that ends the run
             warm = fit_elastic_net(problem, float(lams[stop]), alpha, tol, max_iter, warm)
             intercepts[stop], slopes[stop] = warm.intercept, warm.betas
             converged[stop], n_sweeps[stop] = warm.converged, warm.n_sweeps
-        i = stop + 1
+            stop += 1
+        i, stepped = stop, entering
     return CoefficientGrid(intercepts, slopes, converged, n_sweeps, std.means, std.scales)
 
 
 def _sign_fixed_rows(std: Standardized, lams: np.ndarray, alpha: float, tol: float,
-                     start: np.ndarray) -> np.ndarray:
+                     start: np.ndarray) -> tuple[np.ndarray, np.ndarray | None]:
     """The standardized fits at the leading weights of ``lams`` that
     :func:`coordinate_descent` certifies before any step on the support and
     signs of ``start``, the first weight's warm start; each later weight starts
     from the fit before it, through the original scale as :func:`fit_elastic_net`
     hands it on.  Rows are bit for bit those fits, formed as one row each.
+    Returns ``(rows, entering)``.
 
     On the active set ``A`` of ``start`` with signs ``s``, every weight's
     solution is the sign-fixed solve of ``q_A - thresh*s`` (:func:`_shifted_solve`).
@@ -721,6 +735,13 @@ def _sign_fixed_rows(std: Standardized, lams: np.ndarray, alpha: float, tol: flo
     does not raise the objective (:func:`_step_change`) and no exact
     coordinate update from its solution moves it by more than ``tol``
     (:func:`_exact_updates`).
+
+    ``entering`` is None unless the first weight not kept fails only that last
+    test with every update finite.  Then :func:`coordinate_descent` at that
+    weight commits the same solve, and its first step gives the coordinate
+    whose update moves furthest that update: ``entering`` is that point, the
+    active-set step of Osborne, Presnell & Turlach (IMA J. Numer. Anal. 2000),
+    on the standardized scale.
     """
     thresh = lams * alpha / 2.0
     ridge = lams * (1.0 - alpha)
@@ -734,7 +755,7 @@ def _sign_fixed_rows(std: Standardized, lams: np.ndarray, alpha: float, tol: flo
                                   ridge[:, None])
         n = _leading(keep & ~null.any(axis=1) & np.all(solution * signs > 0.0, axis=1))
         if n == 0:
-            return betas[:0]
+            return betas[:0], None
         betas, thresh, ridge = betas[:n], thresh[:n], ridge[:n]
         betas[:, active] = solution[:n]
         starts = np.concatenate([start[None], betas[:-1] / std.scales * std.scales])
@@ -744,8 +765,14 @@ def _sign_fixed_rows(std: Standardized, lams: np.ndarray, alpha: float, tol: flo
         keep = np.all(b * signs > 0.0, axis=1) & ~(change > 0.0)
     update = _exact_updates(std.q - _matvec(std.gram, betas), betas, std.gram_diag,
                             std.gram_diag + ridge[:, None], thresh[:, None])
-    keep &= np.all(np.abs(update - betas) <= tol, axis=1)
-    return betas[:_leading(keep)]
+    move = np.abs(update - betas)
+    m = _leading(keep & np.all(move <= tol, axis=1))
+    if m == len(betas) or not (keep[m] and np.isfinite(move[m]).all()):
+        return betas[:m], None
+    entering = betas[m].copy()
+    j = int(np.argmax(move[m]))
+    entering[j] = update[m, j]
+    return betas[:m], entering
 
 
 def _leading(mask: np.ndarray) -> int:

@@ -111,6 +111,20 @@ class TestFit:
         assert float(fields["lambda_center"]) == 5.5
         assert float(fields["lambda_range"]) == 875.906
 
+    @pytest.mark.parametrize("value", ["inf", "nan"])
+    @pytest.mark.parametrize("flag, name", [("--lambda", "lambda_center"),
+                                            ("--lambda-range", "lambda_range")])
+    def test_a_non_finite_weight_exits_1(self, capsys, tmp_path, cardio_csv, flag, name, value):
+        weights = {"--lambda": "1", "--lambda-range": "1", flag: value}
+        code, _, err = run(
+            capsys, "fit", "--method", "ridge-crm", "--train", str(cardio_csv),
+            "--response", "Pulse", *(a for kv in weights.items() for a in kv),
+            "--model-out", str(tmp_path / "m"),
+        )
+        assert code == 1
+        assert err == f"error: {name} must be finite and >= 0, got {value}\n"
+        assert not (tmp_path / "m").exists()
+
     def test_inputs_never_mutated(self, capsys, tmp_path, cardio_csv):
         before = hashlib.sha256(cardio_csv.read_bytes()).hexdigest()
         run(

@@ -1089,6 +1089,60 @@ class TestElasticNetPath:
             self.assert_rows_equal(path, fits)
             assert path.converged.all() == (max_iter > 1)
 
+    @pytest.mark.parametrize("seed", [4, 6, 9, 14])
+    def test_near_duplicate_paths_with_stopped_rows_match_the_chain(self, seed):
+        # a copy of column 0 1e-5 off it: rows whose step leaves the iterate
+        # unchanged, or stop at max_iter, between runs that end on one entering step
+        rng = np.random.default_rng(seed)
+        X = rng.normal(size=(60, 12)) * rng.uniform(0.1, 10.0, size=12)
+        X[:, -1] = X[:, 0] + 1e-5 * rng.normal(size=60)
+        y = X[:, :3] @ rng.uniform(-2.0, 2.0, size=3) + rng.normal(size=60)
+        lams = make_lambda_grid(X, y, 1.0, 40).values
+        for max_iter in (1, 2, solvers.DEFAULT_MAX_ITER):
+            path = fit_elastic_net_path(DesignProblem(X, y), lams, 1.0, max_iter=max_iter)
+            self.assert_rows_equal(path, self.chain(DesignProblem(X, y), lams, 1.0,
+                                                    max_iter=max_iter))
+            assert not path.converged.all()
+
+    @staticmethod
+    def wide_design(seed):
+        rng = np.random.default_rng(seed)
+        X = rng.normal(size=(10, 15))
+        y = X[:, :3] @ rng.normal(size=3) + 0.5 * rng.normal(size=10)
+        return X, y, make_lambda_grid(X, y, 1.0, 100).values
+
+    def test_a_run_end_that_steps_twice_falls_back_to_the_one_weight_fit(self, monkeypatch):
+        # the attempt from the entering step keeps no row at one weight, whose
+        # fit takes a second step
+        X, y, lams = self.wide_design(7)
+        fits = self.chain(DesignProblem(X, y), lams, 1.0)
+        attempts = []
+        original = solvers._sign_fixed_rows
+
+        def recording(std, lams, alpha, tol, start):
+            attempts.append((start, original(std, lams, alpha, tol, start)))
+            return attempts[-1][1]
+
+        monkeypatch.setattr(solvers, "_sign_fixed_rows", recording)
+        path = fit_elastic_net_path(DesignProblem(X, y), lams, 1.0)
+        self.assert_rows_equal(path, fits)
+        assert 2 in path.n_sweeps
+        assert any(start is entering and len(kept) == 0
+                   for (_, (_, entering)), (start, (kept, _)) in zip(attempts, attempts[1:]))
+
+    def test_run_ends_entering_one_coordinate_stay_batched(self, monkeypatch):
+        X, y, lams = self.wide_design(0)
+        calls = []
+
+        def counted(*args, **kwargs):
+            calls.append(args)
+            return fit_elastic_net(*args, **kwargs)
+
+        monkeypatch.setattr(solvers, "fit_elastic_net", counted)
+        path = fit_elastic_net_path(DesignProblem(X, y), lams, 1.0)
+        assert path.converged.all()
+        assert 0 < len(calls) < np.count_nonzero(path.n_sweeps == 1)
+
     def test_a_grid_without_an_l1_term_is_one_product(self, monkeypatch):
         # net-cm --alpha 0, down to weight 0 and on a design with more columns
         # than rows: every row is its weight's one minimum-norm solve
