@@ -48,7 +48,6 @@ from .solvers import (
 from .tables import (
     CenterRangeView,
     CsvFormatError,
-    Interval,
     IntervalOrderError,
     IntervalTable,
     TableError,

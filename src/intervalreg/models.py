@@ -190,36 +190,32 @@ class IntervalPrediction:
 
     lower: np.ndarray
     upper: np.ndarray
-    ordering_violations: int
 
     def __post_init__(self):
-        lo = np.asarray(self.lower, dtype=float).copy()
-        hi = np.asarray(self.upper, dtype=float).copy()
+        lo = np.array(self.lower, dtype=float)
+        hi = np.array(self.upper, dtype=float)
         if lo.shape != hi.shape or lo.ndim != 1:
             raise ValueError("lower and upper must be vectors of equal length")
-        if int(np.sum(lo > hi)) != self.ordering_violations:
-            raise ValueError("ordering_violations inconsistent with the vectors")
         lo.flags.writeable = False
         hi.flags.writeable = False
         object.__setattr__(self, "lower", lo)
         object.__setattr__(self, "upper", hi)
 
-    @classmethod
-    def from_bounds(cls, lower: np.ndarray, upper: np.ndarray) -> "IntervalPrediction":
-        lower = np.asarray(lower, dtype=float)
-        upper = np.asarray(upper, dtype=float)
-        return cls(lower, upper, int(np.sum(lower > upper)))
-
     @property
     def n(self) -> int:
         return self.lower.shape[0]
+
+    @property
+    def ordering_violations(self) -> int:
+        """Rows whose predicted lower bound exceeds the upper."""
+        return int(np.sum(self.lower > self.upper))
 
 
 def swap_violations(prediction: IntervalPrediction) -> IntervalPrediction:
     """Swap endpoints on rows with lower > upper (opt-in repair, off by default)."""
     lo = np.minimum(prediction.lower, prediction.upper)
     hi = np.maximum(prediction.lower, prediction.upper)
-    return IntervalPrediction.from_bounds(lo, hi)
+    return IntervalPrediction(lo, hi)
 
 
 # ---------------------------------------------------------------------------
@@ -400,7 +396,7 @@ def predict(model: FittedModel, table: IntervalTable) -> IntervalPrediction:
     grids = (None if c is None else CoefficientGrid.stack([c])
              for c in (model.center_coeffs, model.range_coeffs))
     lower, upper = GridFit(*grids).predict_bounds(*_align(table, model))
-    return IntervalPrediction.from_bounds(lower[:, 0], upper[:, 0])
+    return IntervalPrediction(lower[:, 0], upper[:, 0])
 
 
 # ---------------------------------------------------------------------------

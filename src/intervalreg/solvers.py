@@ -283,10 +283,19 @@ def _standardize(X: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
 
     A constant column (``max == min``) is centered on its value, so it reads
     exactly 0 and keeps scale 1 even where its mean rounds off the constant.
+    A column whose mean square overflows or falls below the smallest normal
+    double is divided by its largest magnitude before squaring.
     """
     means = np.where(X.max(axis=0) == X.min(axis=0), X[0], X.mean(axis=0))
     Xc = X - means
-    scales = np.sqrt((Xc**2).mean(axis=0))
+    with np.errstate(over="ignore"):
+        mean_sq = (Xc**2).mean(axis=0)
+    scales = np.sqrt(mean_sq)
+    redo = ~(np.isfinite(mean_sq) & (mean_sq >= np.finfo(float).tiny))
+    if redo.any():
+        peak = np.abs(Xc[:, redo]).max(axis=0)
+        peak[peak == 0.0] = 1.0  # a constant column keeps scale 0 here, 1 below
+        scales[redo] = peak * np.sqrt(((Xc[:, redo] / peak) ** 2).mean(axis=0))
     scales = np.where(scales == 0.0, 1.0, scales)
     return Xc / scales, means, scales
 

@@ -71,33 +71,6 @@ def _first_bad_cell(lower: np.ndarray, upper: np.ndarray) -> tuple[int, int, Tab
     return None if bad is None else (*bad, _cell_problem(float(lower[bad]), float(upper[bad])))
 
 
-@dataclass(frozen=True)
-class Interval:
-    """A closed real interval [lower, upper]; degenerate (lower == upper) is legal."""
-
-    lower: float
-    upper: float
-
-    def __post_init__(self):
-        lo, hi = float(self.lower), float(self.upper)
-        problem = _cell_problem(lo, hi)
-        if problem is not None:
-            raise problem
-        object.__setattr__(self, "lower", lo)
-        object.__setattr__(self, "upper", hi)
-
-    @property
-    def midpoint(self) -> float:
-        return (self.lower + self.upper) / 2.0
-
-    @property
-    def half_range(self) -> float:
-        return (self.upper - self.lower) / 2.0
-
-    def __repr__(self) -> str:
-        return f"[{self.lower}, {self.upper}]"
-
-
 @dataclass(frozen=True, eq=False)
 class IntervalTable:
     """Named interval columns, optionally with one designated response.
@@ -143,19 +116,6 @@ class IntervalTable:
         object.__setattr__(self, "lower", lower)
         object.__setattr__(self, "upper", upper)
 
-    @classmethod
-    def from_rows(
-        cls, variable_names: Sequence[str], rows: Sequence[Sequence[Interval]],
-        response_name: str | None = None,
-    ) -> "IntervalTable":
-        """Build a table from rows of :class:`Interval` cells."""
-        width = len(variable_names)
-        for i, row in enumerate(rows):
-            if len(row) != width:
-                raise TableError(f"row {i} has {len(row)} cells, expected {width}")
-        ends = np.reshape([[(c.lower, c.upper) for c in r] for r in rows], (len(rows), width, 2))
-        return cls(variable_names, ends[..., 0], ends[..., 1], response_name)
-
     @property
     def n_rows(self) -> int:
         return self.lower.shape[0]
@@ -163,13 +123,6 @@ class IntervalTable:
     @property
     def predictor_names(self) -> tuple[str, ...]:
         return tuple(n for n in self.variable_names if n != self.response_name)
-
-    def column(self, name: str) -> tuple[Interval, ...]:
-        try:
-            j = self.variable_names.index(name)
-        except ValueError:
-            raise TableError(f"no variable named {name!r}") from None
-        return tuple(map(Interval, self.lower[:, j].tolist(), self.upper[:, j].tolist()))
 
     def take(self, indices: Sequence[int]) -> "IntervalTable":
         """Row subset in the given order."""

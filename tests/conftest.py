@@ -3,7 +3,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from intervalreg import Interval, IntervalTable
+from intervalreg import IntervalTable
 
 DATA_DIR = Path(__file__).parent / "data"
 
@@ -26,11 +26,9 @@ CARDIO_ROWS = [
 
 
 def make_cardio_table() -> IntervalTable:
-    rows = tuple(
-        tuple(Interval(lo, hi) for lo, hi in row) for row in CARDIO_ROWS
-    )
-    return IntervalTable.from_rows(
-        ("Pulse", "Systolic", "Diastolic"), rows, response_name="Pulse"
+    ends = np.array(CARDIO_ROWS, dtype=float)  # (row, variable, lower/upper)
+    return IntervalTable(
+        ("Pulse", "Systolic", "Diastolic"), ends[..., 0], ends[..., 1], response_name="Pulse"
     )
 
 

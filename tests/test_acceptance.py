@@ -11,7 +11,6 @@ import numpy as np
 import pytest
 
 from intervalreg import (
-    Interval,
     IntervalTable,
     MethodSpec,
     aggregate_classic,
@@ -351,9 +350,8 @@ def test_criterion5f_degenerate_interval_reduction():
         p = int(rng.integers(1, 6))
         n = int(rng.integers(p + 3, 25))
         values = rng.uniform(-8.0, 8.0, size=(n, p + 1))
-        rows = tuple(tuple(Interval(v, v) for v in row) for row in values)
         names = tuple(f"X{j + 1}" for j in range(p)) + ("Y",)
-        table = IntervalTable.from_rows(names, rows, response_name="Y")
+        table = IntervalTable(names, values, values, response_name="Y")
         crm = predict(fit(table, MethodSpec("crm")), table)
         cm = predict(fit(table, MethodSpec("cm")), table)
         assert np.array_equal(crm.lower, cm.lower)
@@ -439,7 +437,7 @@ def test_criterion7_metrics_oracle():
         y_hi = y_lo + rng.uniform(0.1, 3.0, size=n)
         p_lo = y_lo + rng.normal(scale=0.8, size=n)
         p_hi = y_hi + rng.normal(scale=0.8, size=n)
-        report = evaluate((y_lo, y_hi), IntervalPrediction.from_bounds(p_lo, p_hi))
+        report = evaluate((y_lo, y_hi), IntervalPrediction(p_lo, p_hi))
         ref = naive_indexes(y_lo.tolist(), y_hi.tolist(), p_lo.tolist(), p_hi.tolist())
         got = (report.rmse_l, report.rmse_u, report.r2_l, report.r2_u)
         worst = max(worst, max(abs(g - r) for g, r in zip(got, ref)))

@@ -125,6 +125,17 @@ class TestFit:
         assert err == f"error: {name} must be finite and >= 0, got {value}\n"
         assert not (tmp_path / "m").exists()
 
+    def test_empty_center_support_prints_a_note(self, capsys, tmp_path, cardio_csv):
+        code, out, err = run(
+            capsys, "fit", "--method", "lasso-crm", "--train", str(cardio_csv),
+            "--response", "Pulse", "--lambda", "1e6", "--model-out", str(tmp_path / "m"),
+        )
+        assert code == 0, err
+        assert out.splitlines()[-1] == (
+            "note: center model selected no variables; range model is intercept-only"
+        )
+        assert "empty_support: true" in (tmp_path / "m").read_text()
+
     def test_inputs_never_mutated(self, capsys, tmp_path, cardio_csv):
         before = hashlib.sha256(cardio_csv.read_bytes()).hexdigest()
         run(
@@ -531,6 +542,29 @@ class TestAggregateCommand:
         assert code == 1
         assert err == f"error: {classic}: row 3 has 2 cells, expected 3\n"
 
+    def test_columns_are_written_in_the_given_order(self, capsys, tmp_path):
+        classic = tmp_path / "classic.csv"
+        classic.write_text("c,a,b\nx,1,10\ny,2,20\nx,3,30\n")
+        out_path = tmp_path / "agg.csv"
+        code, _, err = run(
+            capsys, "aggregate", "--input", str(classic), "--concept", "c",
+            "--columns", " b, a ,", "--output", str(out_path),
+        )
+        assert code == 0, err
+        assert read_rows(out_path) == [["b_lo", "b_hi", "a_lo", "a_hi"],
+                                       ["10.0", "30.0", "1.0", "3.0"],
+                                       ["20.0", "20.0", "2.0", "2.0"]]
+
+    def test_no_value_columns_exits_1(self, capsys, tmp_path):
+        classic = tmp_path / "classic.csv"
+        classic.write_text("c,a\nx,1\n")
+        code, out, err = run(
+            capsys, "aggregate", "--input", str(classic), "--concept", "c",
+            "--columns", ",", "--output", str(tmp_path / "x.csv"),
+        )
+        assert (code, out, err) == (1, "", "error: no value columns to aggregate\n")
+        assert not (tmp_path / "x.csv").exists()
+
     def test_unknown_concept_exits_1(self, capsys, tmp_path):
         classic = tmp_path / "classic.csv"
         classic.write_text("state,v\nAK,1\n")
@@ -540,6 +574,23 @@ class TestAggregateCommand:
         )
         assert code == 1
         assert "nope" in err
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["fit", "--method", "lasso-cm", "--lambda", "abc"],
+     "--lambda must be a number or 'cv', got 'abc'"),
+    (["cv", "--method", "net-cm", "--alpha-grid", "0.5,x", "--folds", "5", "--seed", "1"],
+     "--alpha-grid must be a comma-separated number list, got '0.5,x'"),
+    (["cv", "--method", "cm", "--folds", "5", "--seed", "1"],
+     "method 'cm' has no penalty weight to cross-validate"),
+    (["path", "--method", "crm"], "method 'crm' has no penalty path"),
+])
+def test_a_bad_flag_value_exits_1_with_its_message(capsys, tmp_path, cardio_csv, argv, message):
+    out_flag = "--model-out" if argv[0] == "fit" else "--out"
+    code, out, err = run(capsys, *argv, "--train", str(cardio_csv), "--response", "Pulse",
+                         out_flag, str(tmp_path / "out"))
+    assert (code, out, err) == (1, "", f"error: {message}\n")
+    assert not (tmp_path / "out").exists()
 
 
 def test_unknown_command_exits_1(capsys):

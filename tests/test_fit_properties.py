@@ -159,7 +159,7 @@ FINITE = st.floats(-1e300, 1e300, allow_nan=False)
 @given(st.lists(st.tuples(FINITE, FINITE), min_size=1, max_size=20))
 def test_swap_violations_is_idempotent(pairs):
     lower, upper = np.array(pairs).T
-    once = swap_violations(IntervalPrediction.from_bounds(lower, upper))
+    once = swap_violations(IntervalPrediction(lower, upper))
     twice = swap_violations(once)
     assert once.ordering_violations == twice.ordering_violations == 0
     assert twice.lower.tobytes() == once.lower.tobytes()

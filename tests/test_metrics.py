@@ -32,7 +32,7 @@ def bounds(lo, hi):
 def test_perfect_fit():
     lo = np.array([1.0, 2.0, 3.0])
     hi = np.array([2.0, 4.0, 6.0])
-    report = evaluate(bounds(lo, hi), IntervalPrediction.from_bounds(lo, hi))
+    report = evaluate(bounds(lo, hi), IntervalPrediction(lo, hi))
     assert report.rmse_l == 0.0
     assert report.rmse_u == 0.0
     assert report.r2_l == 1.0
@@ -42,7 +42,7 @@ def test_perfect_fit():
 
 def test_hand_computed_three_rows():
     observed = bounds([0.0, 1.0, 2.0], [1.0, 3.0, 5.0])
-    pred = IntervalPrediction.from_bounds(
+    pred = IntervalPrediction(
         np.array([0.0, 2.0, 4.0]), np.array([1.0, 4.0, 7.0])
     )
     report = evaluate(observed, pred)
@@ -63,7 +63,7 @@ def test_matches_naive_reference_on_random_data():
         p_hi = y_hi + rng.normal(scale=0.5, size=n)
         try:
             report = evaluate(
-                bounds(y_lo, y_hi), IntervalPrediction.from_bounds(p_lo, p_hi)
+                bounds(y_lo, y_hi), IntervalPrediction(p_lo, p_hi)
             )
         except ZeroVariance:
             continue  # possible only for n == 2 with a degenerate draw
@@ -80,11 +80,11 @@ def test_r2_affine_invariance():
     y_hi = y_lo + rng.uniform(0.5, 1.5, size=25)
     p_lo = rng.normal(size=25)
     p_hi = p_lo + rng.uniform(0.5, 1.5, size=25)
-    base = evaluate(bounds(y_lo, y_hi), IntervalPrediction.from_bounds(p_lo, p_hi))
+    base = evaluate(bounds(y_lo, y_hi), IntervalPrediction(p_lo, p_hi))
     for a, b in ((2.0, 1.0), (-3.0, 0.5), (0.1, -7.0)):
         mapped = evaluate(
             bounds(y_lo, y_hi),
-            IntervalPrediction.from_bounds(a * p_lo + b, a * p_hi + b),
+            IntervalPrediction(a * p_lo + b, a * p_hi + b),
         )
         assert mapped.r2_l == pytest.approx(base.r2_l, rel=1e-9)
         assert mapped.r2_u == pytest.approx(base.r2_u, rel=1e-9)
@@ -99,7 +99,7 @@ def test_rmse_shift_recomputation():
     delta = 0.75
     shifted = evaluate(
         bounds(y_lo, y_hi),
-        IntervalPrediction.from_bounds(p_lo + delta, p_hi + delta),
+        IntervalPrediction(p_lo + delta, p_hi + delta),
     )
     expected = math.sqrt(np.mean((y_lo - p_lo - delta) ** 2))
     assert shifted.rmse_l == pytest.approx(expected, rel=1e-12)
@@ -108,11 +108,11 @@ def test_rmse_shift_recomputation():
 
 def test_zero_variance_is_an_error_not_nan():
     y = bounds([1.0, 2.0, 3.0], [2.0, 3.0, 4.0])
-    constant = IntervalPrediction.from_bounds(np.full(3, 5.0), np.full(3, 6.0))
+    constant = IntervalPrediction(np.full(3, 5.0), np.full(3, 6.0))
     with pytest.raises(ZeroVariance, match="predicted lower endpoints are constant"):
         evaluate(y, constant)
     flat = bounds([1.0, 1.0, 1.0], [2.0, 3.0, 4.0])
-    varying = IntervalPrediction.from_bounds(
+    varying = IntervalPrediction(
         np.array([1.0, 2.0, 3.0]), np.array([2.0, 3.0, 4.0])
     )
     with pytest.raises(ZeroVariance, match="observed lower endpoints are constant"):
@@ -121,7 +121,7 @@ def test_zero_variance_is_an_error_not_nan():
 
 def test_length_mismatch_and_minimum_rows():
     y = bounds([1.0, 2.0], [2.0, 3.0])
-    pred = IntervalPrediction.from_bounds(np.array([1.0]), np.array([2.0]))
+    pred = IntervalPrediction(np.array([1.0]), np.array([2.0]))
     with pytest.raises(ValueError, match="2 observed intervals but 1 predictions"):
         evaluate(y, pred)
     with pytest.raises(ValueError, match="at least two rows"):
@@ -130,7 +130,7 @@ def test_length_mismatch_and_minimum_rows():
 
 def test_report_rendering():
     y = bounds([1.0, 2.0, 3.0], [2.0, 4.0, 6.0])
-    pred = IntervalPrediction.from_bounds(
+    pred = IntervalPrediction(
         np.array([1.1, 1.9, 3.2]), np.array([2.1, 3.8, 6.1])
     )
     report = evaluate(y, pred)

@@ -4,7 +4,6 @@ import numpy as np
 import pytest
 
 from intervalreg import (
-    Interval,
     IntervalTable,
     MethodSpec,
     ModelFormatError,
@@ -124,10 +123,7 @@ class TestCenterRangeMethod:
     def test_degenerate_table_reduces_to_cm(self):
         rng = np.random.default_rng(32)
         values = rng.uniform(-4, 4, size=(12, 3))
-        rows = tuple(
-            tuple(Interval(v, v) for v in row) for row in values
-        )
-        table = IntervalTable.from_rows(("Y", "X1", "X2"), rows, response_name="Y")
+        table = IntervalTable(("Y", "X1", "X2"), values, values, response_name="Y")
         crm = predict(fit(table, MethodSpec("crm")), table)
         cm = predict(fit(table, MethodSpec("cm")), table)
         assert np.array_equal(crm.lower, crm.upper)
@@ -363,9 +359,7 @@ class TestPredictValidation:
 
 class TestClamp:
     def test_swap_violations(self):
-        pred = IntervalPrediction.from_bounds(
-            np.array([1.0, 5.0, 2.0]), np.array([2.0, 3.0, 2.0])
-        )
+        pred = IntervalPrediction(np.array([1.0, 5.0, 2.0]), np.array([2.0, 3.0, 2.0]))
         assert pred.ordering_violations == 1
         fixed = swap_violations(pred)
         assert fixed.ordering_violations == 0
@@ -439,6 +433,28 @@ class TestSerialization:
         with pytest.raises(ModelFormatError):
             deserialize(broken)
 
+    @pytest.mark.parametrize("key, value, message", [
+        (None, None, "empty model text"),
+        ("method", "lasso-crm\nno colon here", "malformed line 'no colon here'"),
+        ("center.betas", "0 x", "malformed numeric list for 'center.betas': '0 x'"),
+        ("center.converged", "yes", "malformed boolean for 'center.converged': 'yes'"),
+        ("response", None, "missing field 'response'"),
+        ("method", "lasso-xyz", "unknown method 'lasso-xyz'; choose from cm, crm, "),
+        ("predictors", "Systolic", "center coefficient count does not match predictors"),
+        ("range.betas", "0 1", "range support is not nested in center support"),
+    ])
+    def test_a_malformed_model_file_is_rejected(self, cardio, key, value, message):
+        # at this weight the center model selects no variable (empty support)
+        text = serialize(fit(cardio, MethodSpec("crm", "lasso", lambda_center=1e6)))
+        if key is None:
+            broken = ""
+        else:
+            line = "" if value is None else f"{key}: {value}\n"
+            broken = re.sub(rf"^{re.escape(key)}: .*\n", lambda _: line, text, flags=re.M)
+            assert broken != text
+        with pytest.raises(ModelFormatError, match="^" + re.escape(message)):
+            deserialize(broken)
+
     def test_hand_built_minimal_model(self):
         text = "\n".join([
             "intervalreg-model/1",
@@ -457,7 +473,7 @@ class TestSerialization:
             "center.n_sweeps: 0",
         ])
         model = deserialize(text)
-        table = IntervalTable.from_rows(("X",), ((Interval(3.0, 5.0),),))
+        table = IntervalTable(("X",), [[3.0]], [[5.0]])
         pred = predict(model, table)
         assert pred.lower[0] == 1 + 2 * 3.0
         assert pred.upper[0] == 1 + 2 * 5.0

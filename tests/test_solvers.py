@@ -502,7 +502,7 @@ class TestRidge:
                 lams = (0.0,) if n > p + 1 else ()  # unpenalized needs n > p + 1
             else:
                 lams = (5.0, 0.5, 0.01)
-            for factor in (1e-6, 1e6):
+            for factor in (1e-6, 1e6, 1e-170, 1e160):
                 units[j] = factor
                 scaled = IntervalTable(table.variable_names, table.lower * units,
                                        table.upper * units, table.response_name)

@@ -11,7 +11,6 @@ from hypothesis import strategies as st
 
 from intervalreg import (
     CsvFormatError,
-    Interval,
     IntervalOrderError,
     IntervalTable,
     TableError,
@@ -67,20 +66,6 @@ def test_view_of_row_subset_is_subset_of_view(table, data):
     assert same_bits(sub.centers_y, full.centers_y[idx])
     assert same_bits(sub.halfranges_X, full.halfranges_X[idx])
     assert same_bits(sub.halfranges_y, full.halfranges_y[idx])
-
-
-@settings(max_examples=60, deadline=None)
-@given(tables())
-def test_from_rows_then_column_returns_the_same_intervals(table):
-    rows = [
-        [Interval(table.lower[i, j], table.upper[i, j]) for j in range(len(table.variable_names))]
-        for i in range(table.n_rows)
-    ]
-    rebuilt = IntervalTable.from_rows(table.variable_names, rows, table.response_name)
-    for j, name in enumerate(table.variable_names):
-        got = rebuilt.column(name)
-        assert got == tuple(row[j] for row in rows)
-        assert list(map(repr, got)) == [repr(row[j]) for row in rows]  # signed zeros too
 
 
 # ---------------------------------------------------------------------------

@@ -3,7 +3,6 @@ import pytest
 
 from intervalreg import (
     CsvFormatError,
-    Interval,
     IntervalOrderError,
     IntervalTable,
     TableError,
@@ -18,57 +17,33 @@ from intervalreg.tables import _read_interval_bulk, predictor_bounds, response_b
 from conftest import DATA_DIR, assert_same_table, make_cardio_table, random_interval_table
 
 
-class TestInterval:
-    def test_reversed_bounds_rejected(self):
-        with pytest.raises(IntervalOrderError):
-            Interval(68, 44)
-
-    def test_non_finite_rejected(self):
-        with pytest.raises(TableError):
-            Interval(float("nan"), 1.0)
-        with pytest.raises(TableError):
-            Interval(0.0, float("inf"))
-
-    def test_overflowing_midpoint_rejected(self):
-        with pytest.raises(TableError, match="overflows"):
-            Interval(1e308, 1.7e308)
-
-    def test_degenerate_is_legal(self):
-        iv = Interval(3.5, 3.5)
-        assert iv.midpoint == 3.5
-        assert iv.half_range == 0.0
-
-    def test_midpoint_half_range(self):
-        iv = Interval(44, 68)
-        assert iv.midpoint == 56.0
-        assert iv.half_range == 12.0
-
-
 class TestIntervalTable:
     def test_duplicate_names_rejected(self):
         with pytest.raises(TableError):
-            IntervalTable.from_rows(("A", "A"), ((Interval(0, 1), Interval(0, 1)),))
-
-    def test_ragged_rows_rejected(self):
-        with pytest.raises(TableError, match="row 0 has 1 cells, expected 2"):
-            IntervalTable.from_rows(("A", "B"), ((Interval(0, 1),),))
+            IntervalTable(("A", "A"), [[0.0, 0.0]], [[1.0, 1.0]])
 
     def test_empty_rejected(self):
         with pytest.raises(TableError):
-            IntervalTable.from_rows(("A",), ())
+            IntervalTable(("A",), np.zeros((0, 1)), np.zeros((0, 1)))
 
     def test_unknown_response_rejected(self):
         with pytest.raises(TableError):
-            IntervalTable.from_rows(("A",), ((Interval(0, 1),),), response_name="Z")
+            IntervalTable(("A",), [[0.0]], [[1.0]], response_name="Z")
 
     def test_response_needs_a_predictor(self):
         with pytest.raises(TableError):
-            IntervalTable.from_rows(("A",), ((Interval(0, 1),),), response_name="A")
+            IntervalTable(("A",), [[0.0]], [[1.0]], response_name="A")
 
-    def test_bad_cell_names_variable_and_row(self):
-        lower = np.array([[0.0, 1.0], [3.0, 2.0], [0.0, np.nan]])
-        upper = np.array([[1.0, 2.0], [3.0, 1.0], [1.0, 1.0]])
-        with pytest.raises(IntervalOrderError, match=r"variable 'B', row 1: .*exceeds"):
+    @pytest.mark.parametrize("lo, hi, error, message", [
+        (2.0, 1.0, IntervalOrderError, "exceeds"),
+        (np.nan, 1.0, TableError, "must be finite"),
+        (0.0, np.inf, TableError, "must be finite"),
+    ], ids=["reversed", "nan", "inf"])
+    def test_bad_cell_names_variable_and_row(self, lo, hi, error, message):
+        # row 2 is bad too: the first bad cell in row-major order is named
+        lower = np.array([[0.0, 1.0], [3.0, lo], [0.0, np.nan]])
+        upper = np.array([[1.0, 2.0], [3.0, hi], [1.0, 1.0]])
+        with pytest.raises(error, match=rf"variable 'B', row 1: .*{message}"):
             IntervalTable(("A", "B"), lower, upper)
 
     @pytest.mark.parametrize("lo, hi", [(1e308, 1.7e308), (-1e308, 1e308)])
@@ -118,10 +93,8 @@ class TestCenterRange:
         assert view.halfranges_X[0, 1] == 10.0
 
     def test_degenerate_table(self):
-        rows = tuple(
-            (Interval(v, v), Interval(2 * v, 2 * v)) for v in (1.0, 2.0, 3.0)
-        )
-        table = IntervalTable.from_rows(("Y", "X1"), rows, response_name="Y")
+        values = np.array([[1.0, 2.0], [2.0, 4.0], [3.0, 6.0]])
+        table = IntervalTable(("Y", "X1"), values, values, response_name="Y")
         view = to_center_range(table)
         assert np.array_equal(view.centers_y, [1.0, 2.0, 3.0])
         assert np.array_equal(view.halfranges_y, np.zeros(3))
@@ -131,12 +104,7 @@ class TestCenterRange:
         rng = np.random.default_rng(7)
         lo = rng.integers(-64, 64, size=(20, 3)) / 8.0
         width = rng.integers(0, 64, size=(20, 3)) / 8.0
-        hi = lo + width
-        rows = tuple(
-            tuple(Interval(lo[i, j], hi[i, j]) for j in range(3))
-            for i in range(20)
-        )
-        table = IntervalTable.from_rows(("Y", "X1", "X2"), rows, response_name="Y")
+        table = IntervalTable(("Y", "X1", "X2"), lo, lo + width, response_name="Y")
         view = to_center_range(table)
         x_lo, x_hi = predictor_bounds(table)
         assert np.array_equal(view.centers_X - view.halfranges_X, x_lo)
