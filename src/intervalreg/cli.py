@@ -15,6 +15,8 @@ import argparse
 import csv
 import sys
 
+import numpy as np
+
 from . import metrics, models, selection, tables
 from .solvers import SolverError
 
@@ -28,70 +30,81 @@ class _Parser(argparse.ArgumentParser):
         raise CliError(message)
 
 
-def _build_parser() -> _Parser:
+def _fit_arguments(p: _Parser) -> None:
+    p.add_argument("--method", required=True, choices=sorted(models.METHOD_NAMES))
+    p.add_argument("--train", required=True, help="training interval CSV")
+    p.add_argument("--response", required=True, help="response variable name")
+    p.add_argument("--lambda", dest="lam", default=None,
+                   help="penalty weight, or 'cv' to cross-validate")
+    p.add_argument("--lambda-range", dest="lam_range", type=float, default=None,
+                   help="separate penalty weight for the half-range fit (crm)")
+    p.add_argument("--alpha", type=float, default=None,
+                   help="elastic-net mixing weight in [0, 1]")
+    p.add_argument("--folds", type=int, default=None, help="cv fold count")
+    p.add_argument("--seed", type=int, default=None, help="cv shuffle seed")
+    p.add_argument("--one-se", action="store_true",
+                   help="pick lambda_1se instead of lambda_min in cv mode")
+    p.add_argument("--model-out", required=True, help="model file to write")
+
+
+def _predict_arguments(p: _Parser) -> None:
+    p.add_argument("--model", required=True)
+    p.add_argument("--data", required=True)
+    p.add_argument("--out", required=True, help="output CSV (yhat_lo,yhat_hi)")
+    p.add_argument("--clamp", action="store_true",
+                   help="swap endpoints on ordering violations")
+
+
+def _evaluate_arguments(p: _Parser) -> None:
+    p.add_argument("--model", required=True)
+    p.add_argument("--test", required=True)
+    p.add_argument("--csv", action="store_true", help="print one CSV row")
+
+
+def _cv_arguments(p: _Parser) -> None:
+    p.add_argument("--method", required=True, choices=sorted(models.METHOD_NAMES))
+    p.add_argument("--train", required=True)
+    p.add_argument("--response", required=True)
+    p.add_argument("--folds", type=int, required=True)
+    p.add_argument("--seed", type=int, required=True)
+    p.add_argument("--alpha", type=float, default=None)
+    p.add_argument("--alpha-grid", default=None,
+                   help="comma-separated alphas; sweeps instead of a single cv")
+    p.add_argument("--n-lambdas", type=int, default=100)
+    p.add_argument("--out", required=True, help="cv curve CSV")
+
+
+def _path_arguments(p: _Parser) -> None:
+    p.add_argument("--method", required=True, choices=sorted(models.METHOD_NAMES))
+    p.add_argument("--train", required=True)
+    p.add_argument("--response", required=True)
+    p.add_argument("--alpha", type=float, default=None)
+    p.add_argument("--n-lambdas", type=int, default=100)
+    p.add_argument("--component", choices=("center", "range"), default="center")
+    p.add_argument("--out", required=True, help="lambda x coefficient CSV")
+
+
+def _aggregate_arguments(p: _Parser) -> None:
+    p.add_argument("--input", required=True, help="classic CSV")
+    p.add_argument("--concept", required=True, help="grouping column")
+    p.add_argument("--columns", default=None,
+                   help="comma-separated value columns (default: all others)")
+    p.add_argument("--output", required=True, help="interval CSV to write")
+
+
+def _build_parser(command: str | None = None) -> _Parser:
+    """The parser of every subcommand, with the arguments of ``command`` only (all
+    of them when ``command`` is None): argparse reads no other subcommand's
+    arguments, so one command's parse need not build them."""
     parser = _Parser(
         prog="intervalreg",
         description="Linear regression for interval-valued data.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-    methods = sorted(models.METHOD_NAMES)
-
-    p_fit = sub.add_parser("fit", help="fit a method and write a model file")
-    p_fit.add_argument("--method", required=True, choices=methods)
-    p_fit.add_argument("--train", required=True, help="training interval CSV")
-    p_fit.add_argument("--response", required=True, help="response variable name")
-    p_fit.add_argument("--lambda", dest="lam", default=None,
-                       help="penalty weight, or 'cv' to cross-validate")
-    p_fit.add_argument("--lambda-range", dest="lam_range", type=float, default=None,
-                       help="separate penalty weight for the half-range fit (crm)")
-    p_fit.add_argument("--alpha", type=float, default=None,
-                       help="elastic-net mixing weight in [0, 1]")
-    p_fit.add_argument("--folds", type=int, default=None, help="cv fold count")
-    p_fit.add_argument("--seed", type=int, default=None, help="cv shuffle seed")
-    p_fit.add_argument("--one-se", action="store_true",
-                       help="pick lambda_1se instead of lambda_min in cv mode")
-    p_fit.add_argument("--model-out", required=True, help="model file to write")
-
-    p_pred = sub.add_parser("predict", help="predict intervals for a data file")
-    p_pred.add_argument("--model", required=True)
-    p_pred.add_argument("--data", required=True)
-    p_pred.add_argument("--out", required=True, help="output CSV (yhat_lo,yhat_hi)")
-    p_pred.add_argument("--clamp", action="store_true",
-                        help="swap endpoints on ordering violations")
-
-    p_eval = sub.add_parser("evaluate", help="score a model on a test file")
-    p_eval.add_argument("--model", required=True)
-    p_eval.add_argument("--test", required=True)
-    p_eval.add_argument("--csv", action="store_true", help="print one CSV row")
-
-    p_cv = sub.add_parser("cv", help="cross-validate the penalty weight")
-    p_cv.add_argument("--method", required=True, choices=methods)
-    p_cv.add_argument("--train", required=True)
-    p_cv.add_argument("--response", required=True)
-    p_cv.add_argument("--folds", type=int, required=True)
-    p_cv.add_argument("--seed", type=int, required=True)
-    p_cv.add_argument("--alpha", type=float, default=None)
-    p_cv.add_argument("--alpha-grid", default=None,
-                      help="comma-separated alphas; sweeps instead of a single cv")
-    p_cv.add_argument("--n-lambdas", type=int, default=100)
-    p_cv.add_argument("--out", required=True, help="cv curve CSV")
-
-    p_path = sub.add_parser("path", help="export a coefficient path")
-    p_path.add_argument("--method", required=True, choices=methods)
-    p_path.add_argument("--train", required=True)
-    p_path.add_argument("--response", required=True)
-    p_path.add_argument("--alpha", type=float, default=None)
-    p_path.add_argument("--n-lambdas", type=int, default=100)
-    p_path.add_argument("--component", choices=("center", "range"), default="center")
-    p_path.add_argument("--out", required=True, help="lambda x coefficient CSV")
-
-    p_agg = sub.add_parser("aggregate", help="classic table to interval table")
-    p_agg.add_argument("--input", required=True, help="classic CSV")
-    p_agg.add_argument("--concept", required=True, help="grouping column")
-    p_agg.add_argument("--columns", default=None,
-                       help="comma-separated value columns (default: all others)")
-    p_agg.add_argument("--output", required=True, help="interval CSV to write")
-
+    for name, (_, help_text, add_arguments) in _COMMANDS.items():
+        p = sub.add_parser(name, help=help_text)
+        if command is None or name == command:
+            add_arguments(p)
     return parser
 
 
@@ -161,12 +174,16 @@ def _cmd_fit(args) -> int:
     return 0
 
 
-def _write_csv(path: str, header: list[str], rows) -> None:
-    """Write ``header`` and then ``rows`` to ``path`` as CSV with LF line ends."""
+def _write_csv(path: str, header: list[str], columns) -> None:
+    """Write ``header`` and then a row per entry of the equal-length ``columns`` to
+    ``path`` as CSV with LF line ends.  The header goes through ``csv.writer``, which
+    quotes a name as needed; each row is one ``%``-format of its numbers, floats as
+    ``%.17g`` and integers as decimals, which ``csv.writer`` never quotes."""
+    columns = [np.asarray(c) for c in columns]
+    line = ",".join("%d" if c.dtype.kind in "iu" else "%.17g" for c in columns) + "\n"
     with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(header)
-        writer.writerows(rows)
+        csv.writer(fh, lineterminator="\n").writerow(header)
+        fh.writelines(line % row for row in zip(*(c.tolist() for c in columns)))
 
 
 def _load_model(path: str) -> models.FittedModel:
@@ -180,9 +197,7 @@ def _cmd_predict(args) -> int:
     pred = models.predict(model, table)
     print(f"ordering violations: {pred.ordering_violations}")
     out = models.swap_violations(pred) if args.clamp else pred
-    _write_csv(args.out, ["yhat_lo", "yhat_hi"], (
-        [format(lo, ".17g"), format(hi, ".17g")] for lo, hi in zip(out.lower, out.upper)
-    ))
+    _write_csv(args.out, ["yhat_lo", "yhat_hi"], (out.lower, out.upper))
     return 0
 
 
@@ -206,6 +221,11 @@ def _parse_float_list(text: str, flag: str) -> list[float]:
         raise CliError(f"{flag} must be a comma-separated number list, got {text!r}")
 
 
+def _curve(cv: selection.CvResult) -> tuple:
+    """The columns of a cv curve file: lambda, mean_loss, std_error and nonzero."""
+    return cv.grid.values, cv.mean_loss, cv.std_error, cv.nonzero
+
+
 def _cmd_cv(args) -> int:
     family, penalty = models.METHOD_NAMES[args.method]
     if penalty == "none":
@@ -221,14 +241,9 @@ def _cmd_cv(args) -> int:
             table, family, alphas, k=args.folds, seed=args.seed,
             n_points=args.n_lambdas,
         )
-        _write_csv(args.out, ["alpha", "lambda", "mean_loss", "std_error", "nonzero"], (
-            [format(alpha, ".17g"), format(lam, ".17g"),
-             format(loss, ".17g"), format(se, ".17g"), nz]
-            for alpha, cv in sweep.per_alpha
-            for lam, loss, se, nz in zip(
-                cv.grid.values, cv.mean_loss, cv.std_error, cv.nonzero
-            )
-        ))
+        per_alpha = [(np.full(len(cv.grid), alpha), *_curve(cv)) for alpha, cv in sweep.per_alpha]
+        _write_csv(args.out, ["alpha", "lambda", "mean_loss", "std_error", "nonzero"],
+                   [np.concatenate(column) for column in zip(*per_alpha)])
         _warn_nonconverged(sum(cv.nonconverged for _, cv in sweep.per_alpha))
         print(f"best alpha: {sweep.alpha:.17g}")
         print(f"best lambda: {sweep.lam:.17g}")
@@ -238,12 +253,7 @@ def _cmd_cv(args) -> int:
     result = selection.cross_validate(
         table, spec, k=args.folds, seed=args.seed, n_points=args.n_lambdas
     )
-    _write_csv(args.out, ["lambda", "mean_loss", "std_error", "nonzero"], (
-        [format(lam, ".17g"), format(loss, ".17g"), format(se, ".17g"), nz]
-        for lam, loss, se, nz in zip(
-            result.grid.values, result.mean_loss, result.std_error, result.nonzero
-        )
-    ))
+    _write_csv(args.out, ["lambda", "mean_loss", "std_error", "nonzero"], _curve(result))
     _warn_nonconverged(result.nonconverged)
     print(f"lambda_min: {result.lambda_min:.17g}")
     print(f"lambda_1se: {result.lambda_1se:.17g}")
@@ -259,11 +269,8 @@ def _cmd_path(args) -> int:
     grid = selection.lambda_grid(view.problem(args.component), spec.effective_alpha, args.n_lambdas)
     path = selection.coefficient_path(view, spec, grid, component=args.component)
     _warn_nonconverged(path.nonconverged)
-    _write_csv(args.out, ["lambda", "intercept", *path.predictor_names], (
-        [format(lam, ".17g"), format(path.intercepts[i], ".17g"),
-         *(format(b, ".17g") for b in path.coefficients[i])]
-        for i, lam in enumerate(grid.values)
-    ))
+    _write_csv(args.out, ["lambda", "intercept", *path.predictor_names],
+               [grid.values, path.intercepts, *path.coefficients.T])
     print(f"wrote {len(grid)} path points for {len(path.predictor_names)} predictors")
     return 0
 
@@ -278,21 +285,26 @@ def _cmd_aggregate(args) -> int:
     return 0
 
 
+#: subcommand -> (handler, help line, the function that adds its arguments)
 _COMMANDS = {
-    "fit": _cmd_fit,
-    "predict": _cmd_predict,
-    "evaluate": _cmd_evaluate,
-    "cv": _cmd_cv,
-    "path": _cmd_path,
-    "aggregate": _cmd_aggregate,
+    "fit": (_cmd_fit, "fit a method and write a model file", _fit_arguments),
+    "predict": (_cmd_predict, "predict intervals for a data file", _predict_arguments),
+    "evaluate": (_cmd_evaluate, "score a model on a test file", _evaluate_arguments),
+    "cv": (_cmd_cv, "cross-validate the penalty weight", _cv_arguments),
+    "path": (_cmd_path, "export a coefficient path", _path_arguments),
+    "aggregate": (_cmd_aggregate, "classic table to interval table", _aggregate_arguments),
 }
 
 
 def main(argv=None) -> int:
-    parser = _build_parser()
+    argv = sys.argv[1:] if argv is None else list(argv)
+    # the top-level parser has no option that takes a value, so its first
+    # positional argument, the subcommand, is the first word not led by "-"
+    command = next((a for a in argv if not a.startswith("-")), None)
+    parser = _build_parser(command)
     try:
         args = parser.parse_args(argv)
-        return _COMMANDS[args.command](args)
+        return _COMMANDS[args.command][0](args)
     except (metrics.ZeroVariance, selection.ZeroVarianceResponse, SolverError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -31,6 +31,7 @@ from .solvers import (
     CoefficientGrid,
     CoefficientSet,
     DesignProblem,
+    SingularDesign,
     fit_elastic_net_path,
     fit_ridge_path,
 )
@@ -246,6 +247,32 @@ def fit_design(
     return fit_elastic_net_path(problem, lams, spec.effective_alpha, tol, max_iter, warm)
 
 
+def fit_component(
+    view: CenterRangeView,
+    component: str,
+    spec: MethodSpec,
+    lams: Sequence[float],
+    tol: float = DEFAULT_TOL,
+    max_iter: int = DEFAULT_MAX_ITER,
+    warm: CoefficientSet | None = None,
+    mask: np.ndarray | None = None,
+) -> CoefficientGrid:
+    """:func:`fit_design` on the view's problem of ``component`` (and ``mask``).
+
+    A singular design is raised as :class:`~intervalreg.solvers.SingularDesign`
+    with the same ``pivot_index``, its message naming the predictor and the
+    regression: the midpoints or the half-ranges.
+    """
+    try:
+        return fit_design(view.problem(component, mask), spec, lams, tol, max_iter, warm)
+    except SingularDesign as exc:
+        part = "half-ranges" if component == "range" else "midpoints"
+        names = view.predictor_names  # a view built without names numbers them
+        name = names[exc.pivot_index] if names else exc.pivot_index
+        raise SingularDesign(exc.pivot_index, exc.pivot,
+                             f"the {part} of predictor {name!r}") from None
+
+
 @dataclass(frozen=True, eq=False)
 class GridFit:
     """One method's coefficients at every weight of a penalty grid, as arrays.
@@ -311,12 +338,12 @@ def fit_grid(
     warm_center = warm_range = None
     if warm_start is not None and warm_start.predictor_names == view.predictor_names:
         warm_center, warm_range = warm_start.center_coeffs, warm_start.range_coeffs
-    centers = fit_design(view.problem("center"), spec, lambdas, tol, max_iter, warm_center)
+    centers = fit_component(view, "center", spec, lambdas, tol, max_iter, warm_center)
     if spec.family == "cm":
         return GridFit(centers)
     if not spec.selects_variables:
-        return GridFit(centers, fit_design(view.problem("range"), spec, range_lambdas, tol,
-                                           max_iter, warm_range))
+        return GridFit(centers, fit_component(view, "range", spec, range_lambdas, tol,
+                                              max_iter, warm_range))
     masks = centers.slopes != 0.0
     bounds = [0, *(np.flatnonzero((masks[1:] != masks[:-1]).any(axis=1)) + 1), len(masks)]
     runs: list[CoefficientGrid] = []
@@ -325,8 +352,8 @@ def fit_grid(
         warm = runs[-1][-1] if runs else warm_range
         if warm is not None:  # the columns set to 0 start at 0, so they stay there
             warm = CoefficientSet(warm.intercept, np.where(mask, warm.betas, 0.0))
-        runs.append(fit_design(view.problem("range", mask), spec,
-                               range_lambdas[start:stop], tol, max_iter, warm))
+        runs.append(fit_component(view, "range", spec, range_lambdas[start:stop], tol,
+                                  max_iter, warm, mask))
     if len(runs) == 1:
         return GridFit(centers, runs[0])
     fields = zip(*((r.intercepts, r.slopes, r.converged, r.n_sweeps) for r in runs))

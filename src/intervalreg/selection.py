@@ -12,7 +12,7 @@ and upper endpoint errors, ``(RMSE_L^2 + RMSE_U^2) / 2``; for
 center-and-range methods one shared lambda drives both the midpoint and
 the half-range fit (independent range selection is available through
 ``component="range"``).  Coefficient paths fit one design along the grid
-with the same routine as the folds (:func:`~intervalreg.models.fit_design`),
+with the same routine as the folds (:func:`~intervalreg.models.fit_component`),
 on the view's problem that the grid's top was read from.
 """
 
@@ -23,7 +23,7 @@ from math import isfinite, sqrt
 
 import numpy as np
 
-from .models import GridFit, MethodSpec, fit_design, fit_grid
+from .models import GridFit, MethodSpec, fit_component, fit_grid
 from .solvers import DEFAULT_MAX_ITER, DEFAULT_TOL, DesignProblem
 from .tables import (
     CenterRangeView,
@@ -268,7 +268,7 @@ def coefficient_path(
 
     ``component`` picks the design: midpoints (default) or half-ranges.
     The view's problem for it (:meth:`~intervalreg.tables.CenterRangeView.problem`)
-    is fitted by :func:`~intervalreg.models.fit_design`, whose arrays are the
+    is fitted by :func:`~intervalreg.models.fit_component`, whose arrays are the
     path's: each lasso / elastic-net fit starts from the previous
     (larger-lambda) solution, and all ridge points are one solve.  Support
     restriction does not apply here, the path is the plain per-design
@@ -281,7 +281,7 @@ def coefficient_path(
     if component not in ("center", "range"):
         raise ValueError(f"component must be 'center' or 'range', got {component!r}")
     view = table if isinstance(table, CenterRangeView) else to_center_range(table)
-    fits = fit_design(view.problem(component), spec, grid.values, tol=tol, max_iter=max_iter)
+    fits = fit_component(view, component, spec, grid.values, tol=tol, max_iter=max_iter)
     return CoefficientPath(
         grid, fits.intercepts, fits.slopes, view.predictor_names,
         nonconverged=int(np.count_nonzero(~fits.converged)),

@@ -65,6 +65,10 @@ PIVOT_RTOL = 1e-12
 DEFAULT_TOL = 1e-7
 DEFAULT_MAX_ITER = 100_000
 
+#: weights in a batched attempt of :func:`fit_elastic_net_path`; the window
+#: doubles while attempts keep all of it, and is reset after any other end.
+RUN_WINDOW = 16
+
 
 class SolverError(Exception):
     """Numerical failure inside a fitting routine."""
@@ -74,15 +78,16 @@ class SingularDesign(SolverError):
     """Rank-deficient Gram matrix; ``pivot_index`` is the failing column.
 
     From a fit, the index counts the constant columns the solve leaves out.
-    The message states the broken rule rather than ``pivot``, whose value
-    is rounding noise that differs between LAPACK builds.
+    The message names the column as ``where`` says (default ``pivot
+    <pivot_index>``) and states the broken rule rather than ``pivot``, whose
+    value is rounding noise that differs between LAPACK builds.
     """
 
-    def __init__(self, pivot_index: int, pivot: float):
+    def __init__(self, pivot_index: int, pivot: float, where: str | None = None):
         self.pivot_index = pivot_index
         self.pivot = pivot
         super().__init__(
-            f"Gram matrix is numerically singular at pivot {pivot_index} "
+            f"Gram matrix is numerically singular at {where or f'pivot {pivot_index}'} "
             f"(pivot at most {PIVOT_RTOL:g} of the largest diagonal entry)"
         )
 
@@ -283,10 +288,17 @@ def _standardize(X: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
 
     A constant column (``max == min``) is centered on its value, so it reads
     exactly 0 and keeps scale 1 even where its mean rounds off the constant.
-    A column whose mean square overflows or falls below the smallest normal
-    double is divided by its largest magnitude before squaring.
+    A column whose sum overflows is divided by its largest magnitude before
+    averaging, and one whose mean square overflows or falls below the smallest
+    normal double before squaring.
     """
-    means = np.where(X.max(axis=0) == X.min(axis=0), X[0], X.mean(axis=0))
+    with np.errstate(over="ignore", invalid="ignore"):
+        means = X.mean(axis=0)
+    redo = ~np.isfinite(means)
+    if redo.any():
+        peak = np.abs(X[:, redo]).max(axis=0)
+        means[redo] = peak * (X[:, redo] / peak).mean(axis=0)
+    means = np.where(X.max(axis=0) == X.min(axis=0), X[0], means)
     Xc = X - means
     with np.errstate(over="ignore"):
         mean_sq = (Xc**2).mean(axis=0)
@@ -687,7 +699,12 @@ def fit_elastic_net_path(
     row, the row is the fit, ``converged`` with ``n_sweeps == 1``.  Otherwise
     the weight is one :func:`fit_elastic_net` call from the fit before it, and
     the next run starts from its fit; a step is never taken from a handed-back
-    point, so every run keeps a row or makes that call.  Every argument is checked,
+    point, so every run keeps a row or makes that call.  An L1 attempt is given
+    the next ``RUN_WINDOW`` weights, not the whole remainder, since most runs are
+    short and every row it forms past the run's end is discarded; an attempt
+    that keeps all of its window is followed by one from its last row with twice
+    the window, and any other end resets it.  Rows do not depend on the window
+    (:func:`_sign_fixed_rows` forms each on its own).  Every argument is checked,
     with :func:`fit_elastic_net`'s messages, before any fit.  A batched row is
     finite; a non-finite one ends its run, and its weight's fit raises
     :class:`NonFiniteEncountered`.
@@ -698,14 +715,16 @@ def fit_elastic_net_path(
     k = len(lams)
     intercepts, slopes = np.zeros(k), np.zeros((k, problem.p))
     converged, n_sweeps = np.ones(k, dtype=bool), np.zeros(k, dtype=int)
-    warm, i, stepped = warm_start, 0, None
+    warm, i, stepped, window = warm_start, 0, None, RUN_WINDOW
     while i < k:
-        entering = None
-        if stepped is not None:  # weight i's first step, taken by the attempt before
-            rows, entering = _sign_fixed_rows(std, lams[i:], alpha, tol, stepped)
-        elif lams[i] * alpha / 2.0 > 0.0:
-            start = np.zeros(problem.p) if warm is None else warm.betas * std.scales
-            rows, entering = _sign_fixed_rows(std, lams[i:], alpha, tol, start)
+        entering, whole = None, False
+        if stepped is not None or lams[i] * alpha / 2.0 > 0.0:
+            start = stepped  # weight i's first step, taken by the attempt before
+            if start is None:
+                start = np.zeros(problem.p) if warm is None else warm.betas * std.scales
+            rows, entering = _sign_fixed_rows(std, lams[i:i + window], alpha, tol, start)
+            whole = len(rows) == window
+            window = 2 * window if whole else RUN_WINDOW
         else:  # no L1 term: the warm start does not matter, and each row is one solve
             run = lams[i:i + _leading(lams[i:] * alpha / 2.0 == 0.0)]
             rows = _minimum_norm(std, run * (1.0 - alpha))
@@ -718,7 +737,7 @@ def fit_elastic_net_path(
             n_sweeps[i] = stepped is not None  # the step taken before row i's solve
         elif stepped is not None:  # a second step is coordinate descent's
             entering = None
-        if stop < k and entering is None:  # the weight that ends the run
+        if stop < k and entering is None and not whole:  # the weight that ends the run
             warm = fit_elastic_net(problem, float(lams[stop]), alpha, tol, max_iter, warm)
             intercepts[stop], slopes[stop] = warm.intercept, warm.betas
             converged[stop], n_sweeps[stop] = warm.converged, warm.n_sweeps
@@ -755,27 +774,30 @@ def _sign_fixed_rows(std: Standardized, lams: np.ndarray, alpha: float, tol: flo
     thresh = lams * alpha / 2.0
     ridge = lams * (1.0 - alpha)
     keep = thresh > 0.0
-    betas = np.repeat(start[None], len(lams), axis=0)
-    active = np.flatnonzero(start)
+    betas = np.empty((len(lams), len(start)))
+    betas[:] = start
+    active = start.nonzero()[0]
     if len(active):
         signs = np.sign(start[active])
         sub, w, V, _, null = _factor(std, active, ridge[:, None])
         solution = _shifted_solve(V, w, null, std.q[active] - thresh[:, None] * signs,
                                   ridge[:, None])
-        n = _leading(keep & ~null.any(axis=1) & np.all(solution * signs > 0.0, axis=1))
+        n = _leading(keep & ~null.any(axis=1) & (solution * signs > 0.0).all(axis=1))
         if n == 0:
             return betas[:0], None
         betas, thresh, ridge = betas[:n], thresh[:n], ridge[:n]
         betas[:, active] = solution[:n]
-        starts = np.concatenate([start[None], betas[:-1] / std.scales * std.scales])
+        starts = np.empty_like(betas)
+        starts[0] = start
+        starts[1:] = betas[:-1] / std.scales * std.scales
         b = starts[:, active]
         change = _step_change(sub, (std.q - _matvec(std.gram, starts))[:, active], b,
                               betas[:, active], thresh, ridge)
-        keep = np.all(b * signs > 0.0, axis=1) & ~(change > 0.0)
+        keep = (b * signs > 0.0).all(axis=1) & ~(change > 0.0)
     update = _exact_updates(std.q - _matvec(std.gram, betas), betas, std.gram_diag,
                             std.gram_diag + ridge[:, None], thresh[:, None])
     move = np.abs(update - betas)
-    m = _leading(keep & np.all(move <= tol, axis=1))
+    m = _leading(keep & (move <= tol).all(axis=1))
     if m == len(betas) or not (keep[m] and np.isfinite(move[m]).all()):
         return betas[:m], None
     entering = betas[m].copy()

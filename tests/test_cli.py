@@ -1,18 +1,19 @@
 import csv
 import functools
 import hashlib
+import io
 import re
 
 import numpy as np
 import pytest
 
-from intervalreg import IntervalTable, MethodSpec, models, selection, serialize
+from intervalreg import IntervalTable, MethodSpec, cli, models, selection, serialize
 from intervalreg.cli import main
 from intervalreg.models import FittedModel
 from intervalreg.solvers import CoefficientSet
-from intervalreg.tables import write_interval_csv
+from intervalreg.tables import to_center_range, write_interval_csv
 
-from conftest import DATA_DIR
+from conftest import DATA_DIR, random_interval_table
 
 CARDIO = DATA_DIR / "cardio.csv"
 
@@ -175,9 +176,56 @@ class TestFit:
         )
         assert code == 2
         assert err == (
-            "error: Gram matrix is numerically singular at pivot 1 "
+            "error: Gram matrix is numerically singular at the midpoints of predictor 'B' "
             "(pivot at most 1e-12 of the largest diagonal entry)\n"
         )
+
+    @pytest.mark.parametrize("method", ["crm", "ridge-crm"])
+    def test_equal_half_ranges_name_the_half_range_regression(self, capsys, tmp_path, method):
+        # A and B differ in their midpoints but share every half-range
+        rng = np.random.default_rng(5)
+        mid = rng.normal(size=(8, 3))
+        shared = np.abs(rng.normal(size=8)) + 0.1
+        half = np.column_stack([rng.uniform(0.1, 1.0, size=8), shared, shared])
+        table = IntervalTable(("Y", "A", "B"), mid - half, mid + half, "Y")
+        train = tmp_path / "t.csv"
+        write_interval_csv(table, train)
+        lam = ("--lambda", "0") if method == "ridge-crm" else ()
+        code, out, err = run(capsys, "fit", "--method", method, "--train", str(train),
+                             "--response", "Y", *lam, "--model-out", str(tmp_path / "m"))
+        assert (code, out) == (2, "")
+        assert err == (
+            "error: Gram matrix is numerically singular at the half-ranges of predictor 'B' "
+            "(pivot at most 1e-12 of the largest diagonal entry)\n"
+        )
+
+    @pytest.mark.filterwarnings("error")
+    def test_predictor_midpoints_whose_sum_overflows_are_fitted(self, capsys, tmp_path):
+        # three midpoints at 8e307 and three at -8e307: their sum overflows, each cell is fine
+        train = tmp_path / "big.csv"
+        mid = np.array([8e307] * 3 + [-8e307] * 3)
+        half = 1e306 * (1.0 + 0.1 * np.arange(6))
+        y = np.array([1.0, 2.3, 3.6, -0.9, -1.6, -2.3])
+        table = IntervalTable(("Y", "X"), np.column_stack([y - 0.5, mid - half]),
+                              np.column_stack([y + 0.5 + 0.1 * np.arange(6), mid + half]), "Y")
+        write_interval_csv(table, train)
+        for method in (("crm",), ("lasso-crm", "--lambda", "0.5")):
+            model = tmp_path / f"{method[0]}.model"
+            code, _, err = run(capsys, "fit", "--method", *method, "--train", str(train),
+                               "--response", "Y", "--model-out", str(model))
+            assert (code, err) == (0, "")
+            fitted = models.deserialize(model.read_text())
+            assert fitted.center_coeffs.betas[0] > 0.0
+            assert np.isfinite(fitted.center_coeffs.means).all()
+            pred = tmp_path / "pred.csv"
+            code, _, err = run(capsys, "predict", "--model", str(model), "--data", str(train),
+                               "--out", str(pred))
+            assert (code, err) == (0, "")
+            bounds = np.array(read_rows(pred)[1:], dtype=float)
+            assert np.isfinite(bounds).all()
+            # the midpoints predicted track the response's: up, then down
+            centers = bounds.mean(axis=1)
+            assert centers[:3].min() > centers[3:].max()
 
     def test_unpenalized_fit_fails_like_ridge_at_weight_0(self, capsys, tmp_path):
         bad = self.duplicated_column_csv(tmp_path)
@@ -387,6 +435,88 @@ class TestPathCommand:
         assert max(abs(v) for v in top) <= 1e-10
 
 
+class TestCsvFiles:
+    """Every CSV file the CLI writes is, byte for byte, what ``csv.writer`` writes for
+    its header and for its numbers formatted as ``format(x, ".17g")``."""
+
+    @staticmethod
+    def csv_writer_text(header, rows):
+        buf = io.StringIO()
+        writer = csv.writer(buf, lineterminator="\n")
+        writer.writerow(header)
+        writer.writerows([format(x, ".17g") if isinstance(x, float) else x for x in row]
+                         for row in rows)
+        return buf.getvalue()
+
+    @pytest.fixture
+    def quoted(self, tmp_path):
+        """A lasso table whose second predictor's name holds a double quote."""
+        rng = np.random.default_rng(12)
+        base = random_interval_table(rng, 16, 3)
+        table = IntervalTable(("A", 'X"q', "B", "Y"), base.lower, base.upper, "Y")
+        path = tmp_path / "quoted.csv"
+        write_interval_csv(table, path)
+        return table, path
+
+    def written(self, capsys, tmp_path, *argv):
+        out = tmp_path / "out.csv"
+        code, _, err = run(capsys, *argv, "--out", str(out))
+        assert code == 0, err
+        return out.read_bytes().decode("utf-8")
+
+    @pytest.mark.parametrize("component", ["center", "range"])
+    def test_path(self, capsys, tmp_path, quoted, component):
+        table, train = quoted
+        got = self.written(capsys, tmp_path, "path", "--method", "lasso-cm", "--train",
+                           str(train), "--response", "Y", "--n-lambdas", "25",
+                           "--component", component)
+        view = to_center_range(table)
+        grid = selection.lambda_grid(view.problem(component), 1.0, 25)
+        path = selection.coefficient_path(view, MethodSpec.from_name("lasso-cm", 1.0), grid,
+                                          component)
+        assert got.startswith('lambda,intercept,A,"X""q",B\n')
+        assert got == self.csv_writer_text(
+            ["lambda", "intercept", *path.predictor_names],
+            ([lam, path.intercepts[i], *path.coefficients[i]]
+             for i, lam in enumerate(grid.values)))
+
+    def test_cv_curve(self, capsys, tmp_path, quoted):
+        table, train = quoted
+        got = self.written(capsys, tmp_path, "cv", "--method", "lasso-crm", "--train",
+                           str(train), "--response", "Y", "--folds", "4", "--seed", "2",
+                           "--n-lambdas", "20")
+        cv = selection.cross_validate(table, MethodSpec.from_name("lasso-crm", 1.0), k=4,
+                                      seed=2, n_points=20)
+        assert got == self.csv_writer_text(
+            ["lambda", "mean_loss", "std_error", "nonzero"],
+            zip(cv.grid.values, cv.mean_loss, cv.std_error, cv.nonzero))
+
+    def test_alpha_sweep(self, capsys, tmp_path, quoted):
+        table, train = quoted
+        got = self.written(capsys, tmp_path, "cv", "--method", "net-crm", "--train",
+                           str(train), "--response", "Y", "--folds", "4", "--seed", "2",
+                           "--n-lambdas", "9", "--alpha-grid", "0,0.3,1")
+        sweep = selection.alpha_sweep(table, "crm", [0.0, 0.3, 1.0], k=4, seed=2, n_points=9)
+        assert got == self.csv_writer_text(
+            ["alpha", "lambda", "mean_loss", "std_error", "nonzero"],
+            ((alpha, *row) for alpha, cv in sweep.per_alpha
+             for row in zip(cv.grid.values, cv.mean_loss, cv.std_error, cv.nonzero)))
+
+    @pytest.mark.parametrize("clamp", [(), ("--clamp",)])
+    def test_predictions(self, capsys, tmp_path, quoted, clamp):
+        table, train = quoted
+        model_path = tmp_path / "m"
+        code, _, err = run(capsys, "fit", "--method", "crm", "--train", str(train),
+                           "--response", "Y", "--model-out", str(model_path))
+        assert code == 0, err
+        got = self.written(capsys, tmp_path, "predict", "--model", str(model_path),
+                           "--data", str(train), *clamp)
+        pred = models.predict(models.deserialize(model_path.read_text()), table)
+        if clamp:
+            pred = models.swap_violations(pred)
+        assert got == self.csv_writer_text(["yhat_lo", "yhat_hi"], zip(pred.lower, pred.upper))
+
+
 @pytest.mark.parametrize("argv", [
     ["cv", "--method", "lasso-cm", "--folds", "5", "--seed", "3", "--n-lambdas", "6"],
     ["cv", "--method", "net-cm", "--folds", "5", "--seed", "3",
@@ -591,6 +721,57 @@ def test_a_bad_flag_value_exits_1_with_its_message(capsys, tmp_path, cardio_csv,
                          out_flag, str(tmp_path / "out"))
     assert (code, out, err) == (1, "", f"error: {message}\n")
     assert not (tmp_path / "out").exists()
+
+
+class TestParser:
+    """``main`` builds the arguments of the subcommand it is given only; it parses,
+    prints and fails as the parser of every subcommand's arguments does."""
+
+    @staticmethod
+    def outcome(parse_args, argv, capsys):
+        """``(namespace, help exit code or error line; stdout; stderr)`` of a parse."""
+        try:
+            result = vars(parse_args(argv))
+        except SystemExit as done:
+            result = done.code
+        except cli.CliError as exc:
+            result = f"error: {exc}\n"
+        return (result, *capsys.readouterr())
+
+    @pytest.mark.parametrize("argv", [
+        ["--help"], ["-h", "fit"], *([c, "--help"] for c in cli._COMMANDS),
+        [], ["frobnicate"], ["cv"], ["fit", "--method", "zz"], ["--bogus", "fit"],
+        ["path", "--component", "mid"], ["aggregate", "--input", "a", "--concept", "c"],
+        ["cv", "--method", "lasso-cm", "--train", "t", "--response", "Y", "--folds", "x",
+         "--seed", "1", "--out", "o"],
+        ["cv", "--method", "net-cm", "--train", "t", "--response", "Y", "--folds", "5",
+         "--seed", "1", "--alpha-grid", "0,1", "--out", "o"],
+        ["fit", "--method", "lasso-crm", "--train", "t", "--response", "Y", "--lambda", "cv",
+         "--one-se", "--model-out", "m"],
+        ["predict", "--model", "m", "--data", "d", "--out", "o", "--clamp"],
+    ])
+    def test_main_parses_and_prints_as_the_full_parser(self, capsys, monkeypatch, argv):
+        monkeypatch.setenv("COLUMNS", "80")
+        want = self.outcome(cli._build_parser().parse_args, argv, capsys)
+        seen = []
+        monkeypatch.setattr(cli, "_COMMANDS", {
+            name: (lambda args: seen.append(vars(args)) or 0, *rest)
+            for name, (_, *rest) in cli._COMMANDS.items()
+        })
+        monkeypatch.setattr("sys.argv", ["intervalreg", *argv])  # as the console script
+        try:
+            code = main()
+        except SystemExit as done:
+            code = done.code
+        _, out, err = got = (code, *capsys.readouterr())
+        if isinstance(want[0], dict):
+            assert (code, seen, out, err) == (0, [want[0]], "", "")
+        elif isinstance(want[0], str):
+            assert (code, out, err) == (1, "", want[0])
+        else:
+            assert got == want
+        if argv[:2] in (["cv", "--help"], ["path", "--help"]):
+            assert "--n-lambdas" in out
 
 
 def test_unknown_command_exits_1(capsys):

@@ -5,6 +5,7 @@ import pytest
 
 from intervalreg import models, selection, solvers, tables
 from intervalreg import (
+    CenterRangeView,
     IntervalTable,
     LambdaGrid,
     MethodSpec,
@@ -13,6 +14,7 @@ from intervalreg import (
     coefficient_path,
     cross_validate,
     fit,
+    fit_grid,
     make_lambda_grid,
     predict,
 )
@@ -198,6 +200,13 @@ class TestCrossValidate:
             with pytest.raises(SingularDesign) as got:
                 cross_validate(table, MethodSpec.from_name(name, 1.0), grid, k=4, seed=0)
             assert got.value.pivot_index == want.value.pivot_index
+            assert "singular at the midpoints of predictor 'X4' (" in str(got.value)
+        # a view built without predictor names numbers the predictor instead
+        view = to_center_range(table)
+        unnamed = CenterRangeView(view.centers_X, view.centers_y, view.halfranges_X,
+                                  view.halfranges_y)
+        with pytest.raises(SingularDesign, match="singular at the midpoints of predictor 3 "):
+            fit_grid(unnamed, MethodSpec.from_name("ridge-cm", 1.0), grid.values)
 
     def test_component_losses_run(self):
         table = make_cardio_table()
@@ -357,8 +366,7 @@ def record_grid_rows(monkeypatch):
         rows.extend((std, lam, alpha, grid[i]) for i, lam in enumerate(a["lams"]))
         return grid
 
-    monkeypatch.setattr(models, "fit_design", recording)
-    monkeypatch.setattr(selection, "fit_design", recording)
+    monkeypatch.setattr(models, "fit_design", recording)  # paths reach it through fit_component
     return rows
 
 

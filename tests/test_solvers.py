@@ -276,6 +276,22 @@ class TestDesignProblem:
         for coeffs in (fit_ridge(problem, 1.0), fit_elastic_net(problem, 1.0, 0.5)):
             assert coeffs.betas[1:].tolist() == [0.0, 0.0]
 
+    @pytest.mark.filterwarnings("error")
+    def test_a_column_whose_sum_overflows_gets_a_finite_mean(self):
+        # three rows at 8e307 and three at -8e307: X.mean overflows; the column is
+        # divided by its largest magnitude first, and the other columns keep their bits
+        rng = np.random.default_rng(26)
+        X = np.column_stack([np.repeat([8e307, -8e307], 3), rng.normal(size=6),
+                             np.repeat([1.7e308, 1.6e308], 3)])
+        y = rng.normal(size=6)
+        std = DesignProblem(X, y).standardized()
+        assert std.means.tolist() == [0.0, X[:, 1].mean(), 1.65e308]
+        assert std.scales[1] == X[:, 1].std()
+        assert np.allclose(std.scales[[0, 2]], [8e307, 5e306], rtol=1e-15, atol=0.0)
+        assert np.allclose(std.gram_diag, 6.0, rtol=1e-15, atol=0.0)
+        fit = fit_ridge(DesignProblem(X[:, :2], y), 0.0)
+        assert np.isfinite(fit.betas).all() and np.isfinite(fit.intercept)
+
     def test_standardized_arrays_are_read_only(self):
         rng = np.random.default_rng(24)
         std = DesignProblem(rng.normal(size=(6, 3)), rng.normal(size=6)).standardized()
@@ -1142,6 +1158,59 @@ class TestElasticNetPath:
         path = fit_elastic_net_path(DesignProblem(X, y), lams, 1.0)
         assert path.converged.all()
         assert 0 < len(calls) < np.count_nonzero(path.n_sweeps == 1)
+
+    @staticmethod
+    def record_attempts(monkeypatch):
+        """``(weights given, rows kept, entering)`` of every batched attempt."""
+        attempts = []
+        original = solvers._sign_fixed_rows
+
+        def recording(std, lams, alpha, tol, start):
+            rows, entering = original(std, lams, alpha, tol, start)
+            attempts.append((len(lams), len(rows), entering))
+            return rows, entering
+
+        monkeypatch.setattr(solvers, "_sign_fixed_rows", recording)
+        return attempts
+
+    def test_a_long_run_spans_growing_windows(self, monkeypatch):
+        # three strong predictors: once all have entered, the support holds to the
+        # grid's end, so batched attempts keep their whole window and double it
+        rng = np.random.default_rng(41)
+        X = rng.normal(size=(30, 3))
+        y = X @ [3.0, -2.0, 1.0] + 0.1 * rng.normal(size=30)
+        lams = make_lambda_grid(X, y, 1.0, 200).values
+        fits = self.chain(DesignProblem(X, y), lams, 1.0)
+        supports = [tuple(f.support()) for f in fits]
+        assert supports[-40:] == [(True, True, True)] * 40
+        attempts = self.record_attempts(monkeypatch)
+        path = fit_elastic_net_path(DesignProblem(X, y), lams, 1.0)
+        self.assert_rows_equal(path, fits)
+        # the last run: windows of 16, 32 and 64 weights, each kept whole, then the
+        # rest of the grid
+        window = solvers.RUN_WINDOW
+        assert [(given, kept) for given, kept, _ in attempts[-4:-1]] == [
+            (window, window), (2 * window, 2 * window), (4 * window, 4 * window)]
+        assert attempts[-1][0] == attempts[-1][1] < 8 * window
+
+    def test_a_step_on_the_last_weight_of_a_window_is_taken_batched(self, monkeypatch):
+        # the first window's last weight is the first where a coordinate enters, and
+        # the next window's last weight the first where a second one does
+        X, y, fine = self.wide_design(3)
+        fine = np.geomspace(fine[0], fine[0] * 1e-3, 2000)
+        sizes = [np.count_nonzero(f.betas) for f in self.chain(DesignProblem(X, y), fine, 1.0)]
+        first, second = sizes.index(1), sizes.index(2)
+        window = solvers.RUN_WINDOW
+        lams = np.concatenate([np.geomspace(2.0 * fine[0], 1.01 * fine[0], window - 1),
+                               np.geomspace(fine[first], fine[second - 1], window - 1),
+                               fine[second:second + 30]])
+        fits = self.chain(DesignProblem(X, y), lams, 1.0)
+        attempts = self.record_attempts(monkeypatch)
+        path = fit_elastic_net_path(DesignProblem(X, y), lams, 1.0)
+        self.assert_rows_equal(path, fits)
+        assert [(given, kept, entering is not None) for given, kept, entering in attempts[:2]] \
+            == [(window, window - 1, True), (window, window - 1, True)]
+        assert path.n_sweeps[[window - 1, 2 * window - 2]].tolist() == [1, 1]
 
     def test_a_grid_without_an_l1_term_is_one_product(self, monkeypatch):
         # net-cm --alpha 0, down to weight 0 and on a design with more columns
