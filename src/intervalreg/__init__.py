@@ -36,14 +36,15 @@ from .selection import (
 from .solvers import (
     CoefficientGrid,
     CoefficientSet,
-    DesignProblem,
     NonFiniteEncountered,
     SingularDesign,
     SolverError,
+    Standardized,
     fit_elastic_net,
     fit_elastic_net_path,
     fit_ridge,
     fit_ridge_path,
+    standardize,
 )
 from .tables import (
     CenterRangeView,

@@ -266,7 +266,8 @@ def _cmd_path(args) -> int:
     table = tables.read_interval_csv(args.train, response=args.response)
     spec = models.MethodSpec.from_name(args.method, 1.0, None, args.alpha)
     view = tables.to_center_range(table)
-    grid = selection.lambda_grid(view.problem(args.component), spec.effective_alpha, args.n_lambdas)
+    std = view.standardized(args.component)
+    grid = selection.lambda_grid(std, spec.effective_alpha, args.n_lambdas)
     path = selection.coefficient_path(view, spec, grid, component=args.component)
     _warn_nonconverged(path.nonconverged)
     _write_csv(args.out, ["lambda", "intercept", *path.predictor_names],

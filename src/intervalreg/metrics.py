@@ -10,6 +10,7 @@ the correlation.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from math import isfinite
 
 import numpy as np
 
@@ -30,19 +31,31 @@ class EvalReport:
     ordering_violations: int
 
 
-def _rmse(observed: np.ndarray, predicted: np.ndarray) -> float:
-    return float(np.sqrt(np.mean((observed - predicted) ** 2)))
+#: the smallest normal double; a mean square below it has lost digits.
+_TINY = np.finfo(float).tiny
+
+
+def _rms(v: np.ndarray) -> float:
+    """``sqrt(mean(v**2))``.  Where that mean square overflows or falls below the
+    smallest normal double, ``v`` is divided by its largest magnitude before squaring."""
+    with np.errstate(over="ignore", under="ignore"):
+        mean_sq = np.mean(v**2)
+    if not (np.isfinite(mean_sq) and mean_sq >= _TINY) and (peak := np.max(np.abs(v))) > 0.0:
+        return float(peak * np.sqrt(np.mean((v / peak) ** 2)))
+    return float(np.sqrt(mean_sq))
 
 
 def _r_squared(observed: np.ndarray, predicted: np.ndarray, side: str) -> float:
-    s_obs = float(np.std(observed))
-    s_pred = float(np.std(predicted))
+    d_obs, d_pred = observed - observed.mean(), predicted - predicted.mean()
+    s_obs, s_pred = _rms(d_obs), _rms(d_pred)
     if s_obs == 0.0:
         raise ZeroVariance(f"observed {side} endpoints are constant, r^2 undefined")
     if s_pred == 0.0:
         raise ZeroVariance(f"predicted {side} endpoints are constant, r^2 undefined")
-    cov = float(np.mean((observed - observed.mean()) * (predicted - predicted.mean())))
-    r = cov / (s_obs * s_pred)
+    scale = s_obs * s_pred
+    if not (isfinite(scale) and scale >= _TINY):  # each series on its own scale first
+        d_obs, d_pred, scale = d_obs / s_obs, d_pred / s_pred, 1.0
+    r = float(np.mean(d_obs * d_pred)) / scale
     return min(r * r, 1.0)
 
 
@@ -62,8 +75,8 @@ def evaluate(observed: tuple[np.ndarray, np.ndarray], predicted: IntervalPredict
     if n < 2:
         raise ValueError("evaluation needs at least two rows")
     return EvalReport(
-        rmse_l=_rmse(y_lo, predicted.lower),
-        rmse_u=_rmse(y_hi, predicted.upper),
+        rmse_l=_rms(y_lo - predicted.lower),
+        rmse_u=_rms(y_hi - predicted.upper),
         r2_l=_r_squared(y_lo, predicted.lower, "lower"),
         r2_u=_r_squared(y_hi, predicted.upper, "upper"),
         n=n,

@@ -30,8 +30,8 @@ from .solvers import (
     DEFAULT_TOL,
     CoefficientGrid,
     CoefficientSet,
-    DesignProblem,
     SingularDesign,
+    Standardized,
     fit_elastic_net_path,
     fit_ridge_path,
 )
@@ -224,7 +224,7 @@ def swap_violations(prediction: IntervalPrediction) -> IntervalPrediction:
 # ---------------------------------------------------------------------------
 
 def fit_design(
-    problem: DesignProblem,
+    std: Standardized,
     spec: MethodSpec,
     lams: Sequence[float],
     tol: float = DEFAULT_TOL,
@@ -243,8 +243,8 @@ def fit_design(
     descent runs only at the other weights where the support changes.
     """
     if spec.penalty in ("none", "ridge"):
-        return fit_ridge_path(problem, np.zeros(len(lams)) if spec.penalty == "none" else lams)
-    return fit_elastic_net_path(problem, lams, spec.effective_alpha, tol, max_iter, warm)
+        return fit_ridge_path(std, np.zeros(len(lams)) if spec.penalty == "none" else lams)
+    return fit_elastic_net_path(std, lams, spec.effective_alpha, tol, max_iter, warm)
 
 
 def fit_component(
@@ -257,14 +257,14 @@ def fit_component(
     warm: CoefficientSet | None = None,
     mask: np.ndarray | None = None,
 ) -> CoefficientGrid:
-    """:func:`fit_design` on the view's problem of ``component`` (and ``mask``).
+    """:func:`fit_design` on the view's standardized ``component`` (and ``mask``).
 
     A singular design is raised as :class:`~intervalreg.solvers.SingularDesign`
     with the same ``pivot_index``, its message naming the predictor and the
     regression: the midpoints or the half-ranges.
     """
     try:
-        return fit_design(view.problem(component, mask), spec, lams, tol, max_iter, warm)
+        return fit_design(view.standardized(component, mask), spec, lams, tol, max_iter, warm)
     except SingularDesign as exc:
         part = "half-ranges" if component == "range" else "midpoints"
         names = view.predictor_names  # a view built without names numbers them
@@ -326,12 +326,12 @@ def fit_grid(
     weights), on the half-range design with, under lasso / elastic net, the
     columns outside the center support at that weight set to 0 (slope 0,
     mean 0, scale 1).  Only the spec's family, penalty and alpha are used.
-    Each design comes from :meth:`~intervalreg.tables.CenterRangeView.problem`
-    (half-ranges: one per distinct support), so every grid fitted on the same
-    view shares its standardization and factorizations.  Ridge solves all
-    of a design's weights in one product, and lasso / elastic-net fits are
-    warm-started down the grid, the first from ``warm_start`` (a model fit
-    on the same predictors).
+    Each design comes from :meth:`~intervalreg.tables.CenterRangeView.standardized`
+    (a support's half-ranges: a zeroed copy of the whole), so every grid fitted on
+    the same view shares one standardization per design and its factorizations.
+    Ridge solves all of a design's weights in one product, and lasso /
+    elastic-net fits are warm-started down the grid, the first from
+    ``warm_start`` (a model fit on the same predictors).
     """
     if range_lambdas is None:
         range_lambdas = lambdas

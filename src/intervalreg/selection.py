@@ -13,7 +13,7 @@ center-and-range methods one shared lambda drives both the midpoint and
 the half-range fit (independent range selection is available through
 ``component="range"``).  Coefficient paths fit one design along the grid
 with the same routine as the folds (:func:`~intervalreg.models.fit_component`),
-on the view's problem that the grid's top was read from.
+on the view's standardized design that the grid's top was read from.
 """
 
 from __future__ import annotations
@@ -24,7 +24,7 @@ from math import isfinite, sqrt
 import numpy as np
 
 from .models import GridFit, MethodSpec, fit_component, fit_grid
-from .solvers import DEFAULT_MAX_ITER, DEFAULT_TOL, DesignProblem
+from .solvers import DEFAULT_MAX_ITER, DEFAULT_TOL, Standardized, standardize
 from .tables import (
     CenterRangeView,
     IntervalTable,
@@ -71,19 +71,19 @@ def make_lambda_grid(X: np.ndarray, y: np.ndarray, alpha: float, n_points: int =
     solution when ``alpha=1``.  The bottom is ``eps`` times the top,
     ``eps = 1e-4`` when n > p, else ``1e-2``.
     """
-    return lambda_grid(DesignProblem(X, y), alpha, n_points)
+    return lambda_grid(standardize(X, y), alpha, n_points)
 
 
-def lambda_grid(problem: DesignProblem, alpha: float, n_points: int = 100) -> LambdaGrid:
-    """:func:`make_lambda_grid` of a built problem, read from its cached standardization."""
+def lambda_grid(std: Standardized, alpha: float, n_points: int = 100) -> LambdaGrid:
+    """:func:`make_lambda_grid` of a design already standardized."""
     if not (0.0 <= alpha <= 1.0):
         raise ValueError(f"alpha must lie in [0, 1], got {alpha}")
     if n_points < 2:
         raise ValueError(f"need at least 2 grid points, got {n_points}")
-    lam_max = 2.0 * float(np.max(np.abs(problem.standardized().q))) / max(alpha, 0.001)
+    lam_max = 2.0 * float(np.max(np.abs(std.q))) / max(alpha, 0.001)
     if lam_max <= 0.0:
         raise ZeroVarianceResponse("response has no variation around its mean (lambda_max = 0)")
-    eps = 1e-4 if problem.n > problem.p else 1e-2
+    eps = 1e-4 if std.n > len(std.q) else 1e-2
     return LambdaGrid(tuple(np.geomspace(lam_max, eps * lam_max, n_points)))
 
 
@@ -129,7 +129,7 @@ def _cv_run(table: IntervalTable, specs: list[MethodSpec], grid: LambdaGrid | No
             k: int | None, seed: int, n_points: int, component: str,
             tol: float = DEFAULT_TOL, max_iter: int = DEFAULT_MAX_ITER) -> list[CvResult]:
     """One :class:`CvResult` per spec from one set of folds: each fold's view and the
-    problems built on it serve every spec, and are released when the fold ends."""
+    designs it standardizes serve every spec, and are released when the fold ends."""
     if component not in COMPONENTS:
         raise ValueError(f"component must be one of {COMPONENTS}, got {component!r}")
     n = table.n_rows
@@ -138,7 +138,7 @@ def _cv_run(table: IntervalTable, specs: list[MethodSpec], grid: LambdaGrid | No
         raise ValueError(f"need 2 <= k <= n folds, got k={k}, n={n}")
     view = to_center_range(table)
     bounds = (*predictor_bounds(table), *response_bounds(table))
-    grids = [lambda_grid(view.problem(component), s.effective_alpha, n_points)
+    grids = [lambda_grid(view.standardized(component), s.effective_alpha, n_points)
              if grid is None else grid for s in specs]
     folds = np.array_split(np.random.default_rng(seed).permutation(n), k)
     losses = np.empty((len(specs), k, len(grids[0])))
@@ -267,14 +267,14 @@ def coefficient_path(
     """Coefficients along a descending grid, warm-started between points.
 
     ``component`` picks the design: midpoints (default) or half-ranges.
-    The view's problem for it (:meth:`~intervalreg.tables.CenterRangeView.problem`)
+    The view's standardized design (:meth:`~intervalreg.tables.CenterRangeView.standardized`)
     is fitted by :func:`~intervalreg.models.fit_component`, whose arrays are the
     path's: each lasso / elastic-net fit starts from the previous
     (larger-lambda) solution, and all ridge points are one solve.  Support
     restriction does not apply here, the path is the plain per-design
     solution.  ``table`` may be given as its center/range view
     (:func:`~intervalreg.tables.to_center_range`) by a caller that already
-    built it, and then shares that view's problem and its factorizations.
+    built it, and then shares that view's standardization and its factorizations.
     """
     if spec.penalty == "none":
         raise ValueError("coefficient paths need a penalized method")

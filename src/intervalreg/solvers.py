@@ -29,12 +29,14 @@ the common convention that divides the squared loss by 2n corresponds to
 ``2 * n * lambda`` here for the L1 term and ``n * lambda`` for the L2
 term.
 
-A :class:`DesignProblem` standardizes its design and forms the Gram
-matrix ``Xs'Xs``, ``Xs'yc`` and ``yc'yc`` once, into one
-:class:`Standardized` (:meth:`DesignProblem.standardized`); every ridge
-weight and every coordinate-descent fit of that design reads its sums and
-factorizations from it, so a penalty grid forms one Gram matrix per
-design, not one per weight.
+Every fit takes a design as one :class:`Standardized`: :func:`standardize`
+centers and scales it and forms the Gram matrix ``Xs'Xs``, ``Xs'yc`` and
+``yc'yc`` once, and every ridge weight and every coordinate-descent fit of
+that design reads its sums and factorizations from it, so a penalty grid
+forms one Gram matrix per design, not one per weight.  :func:`exclude`
+restricts a design to a subset of its columns by setting the others to 0
+in a copy that shares its factorizations, as glmnet's ``exclude`` argument
+does (Friedman, Hastie & Tibshirani, JSS 2010).
 
 A constant column has slope exactly 0 in every fit.  Least squares
 (``fit_ridge`` at weight 0) is solved on the other columns by LAPACK's
@@ -54,7 +56,7 @@ from __future__ import annotations
 
 import math
 from collections.abc import Sequence
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
@@ -97,14 +99,14 @@ class NonFiniteEncountered(SolverError):
 
 
 class Standardized(NamedTuple):
-    """A design on its standardized scale, the one input of
-    :func:`coordinate_descent`, :func:`duality_gap` and the solves they share.
+    """A design of ``n`` rows on its standardized scale, the one input of every fit,
+    :func:`duality_gap` and the solves they share, formed by :func:`standardize`.
 
     With ``Xs = (X - means) / scales`` and ``yc = y - y_mean``: ``gram =
-    Xs'Xs``, ``q = Xs'yc``, ``y_ss = yc'yc`` and ``gram_diag = diag(gram)``;
-    :meth:`DesignProblem.standardized` makes these arrays read-only.
-    ``factors`` caches the eigendecompositions of the sub-Grams the solvers
-    meet, keyed by active set (:func:`_factor`), for every fit of this design.
+    Xs'Xs``, ``q = Xs'yc``, ``y_ss = yc'yc`` and ``gram_diag = diag(gram)``,
+    all read-only.  ``factors`` caches the eigendecompositions of the sub-Grams
+    the solvers meet, keyed by active set (:func:`_factor`), for every fit of
+    this design and of its :func:`exclude` copies.
     """
 
     means: np.ndarray
@@ -115,67 +117,48 @@ class Standardized(NamedTuple):
     y_ss: float
     gram_diag: np.ndarray
     factors: dict
+    n: int
 
 
-@dataclass(frozen=True, eq=False)
-class DesignProblem:
-    """An unweighted regression problem: X (n x p, no intercept column), y (n)."""
+def standardize(X: np.ndarray, y: np.ndarray) -> Standardized:
+    """The :class:`Standardized` sums of the regression of ``y`` (n) on ``X`` (n x p,
+    no intercept column), with an empty ``factors`` cache."""
+    X = np.asarray(X, dtype=float)
+    y = np.asarray(y, dtype=float)
+    if X.ndim != 2:
+        raise ValueError(f"X must be a 2-d matrix, got shape {X.shape}")
+    if y.ndim != 1:
+        raise ValueError(f"y must be a vector, got shape {y.shape}")
+    n, p = X.shape
+    if n < 1 or p < 1:
+        raise ValueError(f"need n >= 1 and p >= 1, got X shape {X.shape}")
+    if y.shape[0] != n:
+        raise ValueError(f"X has {n} rows but y has {y.shape[0]}")
+    if not (np.isfinite(X).all() and np.isfinite(y).all()):
+        raise ValueError("X and y must be finite")
+    Xs, means, scales = _standardize(np.ascontiguousarray(X))  # a product's bits follow layout
+    y_mean = y.mean()
+    yc = y - y_mean
+    gram = Xs.T @ Xs
+    return _read_only(Standardized(means, scales, y_mean, gram, Xs.T @ yc, float(yc @ yc),
+                                   np.diag(gram).copy(), {}, n))
 
-    X: np.ndarray
-    y: np.ndarray
-    _standardized: Standardized | None = field(default=None, init=False, repr=False)
 
-    def __post_init__(self):
-        X = np.asarray(self.X, dtype=float)
-        y = np.asarray(self.y, dtype=float)
-        if X.ndim != 2:
-            raise ValueError(f"X must be a 2-d matrix, got shape {X.shape}")
-        if y.ndim != 1:
-            raise ValueError(f"y must be a vector, got shape {y.shape}")
-        n, p = X.shape
-        if n < 1 or p < 1:
-            raise ValueError(f"need n >= 1 and p >= 1, got X shape {X.shape}")
-        if y.shape[0] != n:
-            raise ValueError(f"X has {n} rows but y has {y.shape[0]}")
-        if not (np.isfinite(X).all() and np.isfinite(y).all()):
-            raise ValueError("X and y must be finite")
-        X = X.copy()
-        y = y.copy()
-        X.flags.writeable = False
-        y.flags.writeable = False
-        object.__setattr__(self, "X", X)
-        object.__setattr__(self, "y", y)
+def exclude(std: Standardized, mask: np.ndarray) -> Standardized:
+    """``std`` with the columns outside boolean ``mask`` set to 0 (slope 0, mean 0,
+    scale 1), bit for bit the :func:`standardize` of that zeroed design.  It shares
+    ``std.factors``: an active set inside ``mask`` has the same sub-Gram in both."""
+    return _read_only(std._replace(
+        means=np.where(mask, std.means, 0.0), scales=np.where(mask, std.scales, 1.0),
+        gram=np.where(mask[:, None] & mask, std.gram, 0.0), q=np.where(mask, std.q, 0.0),
+        gram_diag=np.where(mask, std.gram_diag, 0.0)))
 
-    @property
-    def n(self) -> int:
-        return self.X.shape[0]
 
-    @property
-    def p(self) -> int:
-        return self.X.shape[1]
-
-    def standardized(self) -> Standardized:
-        """The Gram and sums of the centered, unit-variance design.
-
-        Computed on first use and cached, so every fit of this problem
-        shares one standardization, one ``Xs'Xs`` and the factorizations of
-        its active sets (``factors``).
-        """
-        cached = self._standardized
-        if cached is None:
-            Xs, means, scales = _standardize(self.X)
-            y_mean = self.y.mean()
-            yc = self.y - y_mean
-            gram = Xs.T @ Xs
-            cached = Standardized(
-                means, scales, y_mean, gram, Xs.T @ yc, float(yc @ yc),
-                np.diag(gram).copy(), {},
-            )
-            for value in cached:
-                if isinstance(value, np.ndarray):
-                    value.flags.writeable = False
-            object.__setattr__(self, "_standardized", cached)
-        return cached
+def _read_only(std: Standardized) -> Standardized:
+    for value in std:
+        if isinstance(value, np.ndarray):
+            value.flags.writeable = False
+    return std
 
 
 @dataclass(frozen=True, eq=False)
@@ -223,7 +206,7 @@ class CoefficientGrid:
     """Fits at k penalty weights as arrays, row i at weight i: ``intercepts``,
     ``converged`` and ``n_sweeps`` ``(k,)``, original-scale ``slopes`` ``(k, p)``,
     and the ``means``/``scales`` ``(p,)`` all rows share (None if they share none:
-    half-range runs with different columns set to 0).  Indexing a row builds its
+    half-range runs of :func:`exclude` copies with different masks).  Indexing a row builds its
     :class:`CoefficientSet`."""
 
     intercepts: np.ndarray
@@ -316,12 +299,12 @@ def _standardize(X: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
 # Estimators
 # ---------------------------------------------------------------------------
 
-def fit_ridge(problem: DesignProblem, lam: float) -> CoefficientSet:
+def fit_ridge(std: Standardized, lam: float) -> CoefficientSet:
     """:func:`fit_ridge_path` at the one weight ``lam`` (0 is least squares)."""
-    return fit_ridge_path(problem, (lam,))[0]
+    return fit_ridge_path(std, (lam,))[0]
 
 
-def fit_ridge_path(problem: DesignProblem, lams: Sequence[float]) -> CoefficientGrid:
+def fit_ridge_path(std: Standardized, lams: Sequence[float]) -> CoefficientGrid:
     """Closed-form ridge at every penalty weight in ``lams``, row i at ``lams[i]``.
 
     Solves ``(Xs'Xs + lam*I) b = Xs'(y - mean(y))`` on centered,
@@ -336,8 +319,7 @@ def fit_ridge_path(problem: DesignProblem, lams: Sequence[float]) -> Coefficient
     """
     _check_weights(lams)
     lams = np.asarray(lams, dtype=float)
-    std = problem.standardized()
-    beta = np.zeros((len(lams), problem.p))
+    beta = np.zeros((len(lams), len(std.q)))
     positive = lams > 0.0
     if positive.any():
         beta[positive] = _minimum_norm(std, lams[positive])
@@ -630,7 +612,7 @@ def duality_gap(std: Standardized, beta: np.ndarray, lam: float, alpha: float) -
 
 
 def fit_elastic_net(
-    problem: DesignProblem,
+    std: Standardized,
     lam: float,
     alpha: float,
     tol: float = DEFAULT_TOL,
@@ -651,8 +633,7 @@ def fit_elastic_net(
     returned with ``converged=False``.  Without
     an L1 term it is one exact, minimum-norm solve with ``n_sweeps == 0``.
     """
-    _check_l1_fit(problem, (lam,), alpha, tol, max_iter, warm_start)
-    std = problem.standardized()
+    _check_l1_fit(std, (lam,), alpha, tol, max_iter, warm_start)
     beta0 = None
     if warm_start is not None:
         beta0 = warm_start.betas * std.scales  # back to the standardized scale
@@ -664,7 +645,7 @@ def fit_elastic_net(
                           converged, sweeps)
 
 
-def _check_l1_fit(problem: DesignProblem, lams: Sequence[float], alpha: float, tol: float,
+def _check_l1_fit(std: Standardized, lams: Sequence[float], alpha: float, tol: float,
                   max_iter: int, warm_start: CoefficientSet | None) -> None:
     _check_weights(lams)
     if not (0.0 <= alpha <= 1.0):
@@ -673,12 +654,12 @@ def _check_l1_fit(problem: DesignProblem, lams: Sequence[float], alpha: float, t
         raise ValueError(f"tol must be positive, got {tol}")
     if max_iter < 1:
         raise ValueError(f"max_iter must be >= 1, got {max_iter}")
-    if warm_start is not None and warm_start.p != problem.p:
-        raise ValueError(f"warm start has {warm_start.p} coefficients, problem has {problem.p}")
+    if warm_start is not None and warm_start.p != len(std.q):
+        raise ValueError(f"warm start has {warm_start.p} coefficients, problem has {len(std.q)}")
 
 
 def fit_elastic_net_path(
-    problem: DesignProblem,
+    std: Standardized,
     lams: Sequence[float],
     alpha: float,
     tol: float = DEFAULT_TOL,
@@ -709,11 +690,10 @@ def fit_elastic_net_path(
     finite; a non-finite one ends its run, and its weight's fit raises
     :class:`NonFiniteEncountered`.
     """
-    _check_l1_fit(problem, lams, alpha, tol, max_iter, warm_start)
+    _check_l1_fit(std, lams, alpha, tol, max_iter, warm_start)
     lams = np.asarray(lams, dtype=float)
-    std = problem.standardized()
-    k = len(lams)
-    intercepts, slopes = np.zeros(k), np.zeros((k, problem.p))
+    k, p = len(lams), len(std.q)
+    intercepts, slopes = np.zeros(k), np.zeros((k, p))
     converged, n_sweeps = np.ones(k, dtype=bool), np.zeros(k, dtype=int)
     warm, i, stepped, window = warm_start, 0, None, RUN_WINDOW
     while i < k:
@@ -721,7 +701,7 @@ def fit_elastic_net_path(
         if stepped is not None or lams[i] * alpha / 2.0 > 0.0:
             start = stepped  # weight i's first step, taken by the attempt before
             if start is None:
-                start = np.zeros(problem.p) if warm is None else warm.betas * std.scales
+                start = np.zeros(p) if warm is None else warm.betas * std.scales
             rows, entering = _sign_fixed_rows(std, lams[i:i + window], alpha, tol, start)
             whole = len(rows) == window
             window = 2 * window if whole else RUN_WINDOW
@@ -738,7 +718,7 @@ def fit_elastic_net_path(
         elif stepped is not None:  # a second step is coordinate descent's
             entering = None
         if stop < k and entering is None and not whole:  # the weight that ends the run
-            warm = fit_elastic_net(problem, float(lams[stop]), alpha, tol, max_iter, warm)
+            warm = fit_elastic_net(std, float(lams[stop]), alpha, tol, max_iter, warm)
             intercepts[stop], slopes[stop] = warm.intercept, warm.betas
             converged[stop], n_sweeps[stop] = warm.converged, warm.n_sweeps
             stop += 1

@@ -24,7 +24,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .solvers import DesignProblem
+from .solvers import Standardized, exclude, standardize
 
 
 class TableError(ValueError):
@@ -137,8 +137,8 @@ class CenterRangeView:
     ``centers_X[i, j] = (a_ij + b_ij) / 2`` and
     ``halfranges_X[i, j] = (b_ij - a_ij) / 2``; likewise for the response
     vectors.  Reconstructing ``[c - r, c + r]`` recovers the source
-    endpoints up to floating rounding of the (c, r) pair.  A view builds each
-    regression's problem once (:meth:`problem`); :meth:`take` cuts a fold's rows.
+    endpoints up to floating rounding of the (c, r) pair.  A view standardizes
+    each regression once (:meth:`standardized`); :meth:`take` cuts a fold's rows.
     """
 
     centers_X: np.ndarray
@@ -146,7 +146,7 @@ class CenterRangeView:
     halfranges_X: np.ndarray
     halfranges_y: np.ndarray
     predictor_names: tuple[str, ...] = ()
-    _problems: dict = field(default_factory=dict, init=False, repr=False)
+    _standardized: dict = field(default_factory=dict, init=False, repr=False)
 
     def __post_init__(self):
         for arr in (self.centers_X, self.centers_y, self.halfranges_X, self.halfranges_y):
@@ -158,17 +158,18 @@ class CenterRangeView:
             return self.halfranges_X, self.halfranges_y
         return self.centers_X, self.centers_y
 
-    def problem(self, component: str, mask: np.ndarray | None = None) -> DesignProblem:
-        """:meth:`design` as a problem cached on the view, per distinct boolean ``mask``
-        that sets the columns outside it to 0 (a crm support run's half-ranges)."""
+    def standardized(self, component: str, mask: np.ndarray | None = None) -> Standardized:
+        """:meth:`design`'s :func:`~intervalreg.solvers.standardize`, cached on the view;
+        a boolean ``mask`` gives its :func:`~intervalreg.solvers.exclude` copy (a crm
+        support run's half-ranges), cached per distinct mask."""
         key = (component == "range", None if mask is None else mask.tobytes())
-        if key not in self._problems:
-            X, y = self.design(component)
-            self._problems[key] = DesignProblem(X if mask is None else np.where(mask, X, 0.0), y)
-        return self._problems[key]
+        if key not in self._standardized:
+            self._standardized[key] = (standardize(*self.design(component)) if mask is None
+                                       else exclude(self.standardized(component), mask))
+        return self._standardized[key]
 
     def take(self, rows: np.ndarray) -> "CenterRangeView":
-        """The view of a row subset, in the given order, with no problem built yet."""
+        """The view of a row subset, in the given order, with nothing standardized yet."""
         arrays = (self.centers_X, self.centers_y, self.halfranges_X, self.halfranges_y)
         return CenterRangeView(*(a[rows] for a in arrays), self.predictor_names)
 

@@ -21,9 +21,9 @@ from intervalreg import (
     predict,
 )
 from intervalreg.solvers import (
-    DesignProblem,
     fit_elastic_net,
     fit_ridge,
+    standardize,
 )
 from intervalreg.tables import response_bounds, to_center_range
 
@@ -260,9 +260,9 @@ def test_criterion5b_kkt_suite():
         lam = float(rng.uniform(0.01, 1.5)) * max(
             2.0 * np.max(np.abs(X.T @ (y - y.mean()))), 1.0
         )
-        problem = DesignProblem(X, y)
-        coeffs = fit_elastic_net(problem, lam, alpha, tol=tol)
-        viol, scale = kkt_violations(problem, coeffs, lam, alpha)
+        std = standardize(X, y)
+        coeffs = fit_elastic_net(std, lam, alpha, tol=tol)
+        viol, scale = kkt_violations(X, y, coeffs, lam, alpha)
         worst_ratio = max(worst_ratio, float(np.max(viol / (10.0 * tol * scale))))
     check(
         "criterion 5b",
@@ -281,7 +281,7 @@ def test_criterion5c_ridge_oracle_suite():
         X = rng.normal(size=(n, p))
         y = rng.normal(size=n)
         lam = float(rng.uniform(0.01, 50.0))
-        coeffs = fit_ridge(DesignProblem(X, y), lam)
+        coeffs = fit_ridge(standardize(X, y), lam)
         intercept, slopes = ridge_oracle(X, y, lam)
         worst = max(
             worst,
@@ -332,9 +332,9 @@ def test_criterion5e_path_consistency():
             alpha=None if penalty == "lasso" else alpha,
         )
         path = coefficient_path(table, spec, grid)
-        problem = DesignProblem(view.centers_X, view.centers_y)
+        std = standardize(view.centers_X, view.centers_y)
         for i, lam in enumerate(grid.values):
-            cold = fit_elastic_net(problem, lam, alpha)
+            cold = fit_elastic_net(std, lam, alpha)
             worst = max(worst, float(np.max(np.abs(path.coefficients[i] - cold.betas))))
     check(
         "criterion 5e",

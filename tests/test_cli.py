@@ -471,7 +471,7 @@ class TestCsvFiles:
                            str(train), "--response", "Y", "--n-lambdas", "25",
                            "--component", component)
         view = to_center_range(table)
-        grid = selection.lambda_grid(view.problem(component), 1.0, 25)
+        grid = selection.lambda_grid(view.standardized(component), 1.0, 25)
         path = selection.coefficient_path(view, MethodSpec.from_name("lasso-cm", 1.0), grid,
                                           component)
         assert got.startswith('lambda,intercept,A,"X""q",B\n')

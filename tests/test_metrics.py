@@ -106,6 +106,24 @@ def test_rmse_shift_recomputation():
     assert shifted.rmse_l >= 0.0
 
 
+@pytest.mark.parametrize("scale", [1e300, 1e-170])
+def test_large_and_tiny_endpoints_score_like_unit_ones(scale):
+    # squares of 1e300 overflow and squares of 1e-170 underflow
+    rng = np.random.default_rng(54)
+    y_lo = 3.0 + rng.normal(size=40)
+    y_hi = y_lo + rng.uniform(0.1, 2.0, size=40)
+    p_lo = y_lo + rng.normal(scale=0.5, size=40)
+    p_hi = y_hi + rng.normal(scale=0.5, size=40)
+    base = evaluate(bounds(y_lo, y_hi), IntervalPrediction(p_lo, p_hi))
+    with np.errstate(all="raise"):
+        got = evaluate(bounds(y_lo * scale, y_hi * scale),
+                       IntervalPrediction(p_lo * scale, p_hi * scale))
+    assert got.r2_l == pytest.approx(base.r2_l, rel=1e-12)
+    assert got.r2_u == pytest.approx(base.r2_u, rel=1e-12)
+    assert got.rmse_l == pytest.approx(base.rmse_l * scale, rel=1e-12)
+    assert got.rmse_u == pytest.approx(base.rmse_u * scale, rel=1e-12)
+
+
 def test_zero_variance_is_an_error_not_nan():
     y = bounds([1.0, 2.0, 3.0], [2.0, 3.0, 4.0])
     constant = IntervalPrediction(np.full(3, 5.0), np.full(3, 6.0))

@@ -15,10 +15,11 @@ from intervalreg import (
     predict,
     serialize,
     swap_violations,
+    tables,
 )
 from intervalreg.models import FittedModel, IntervalPrediction
-from intervalreg.selection import make_lambda_grid
-from intervalreg.solvers import CoefficientSet, DesignProblem, fit_elastic_net, fit_ridge
+from intervalreg.selection import cross_validate, make_lambda_grid
+from intervalreg.solvers import CoefficientSet, exclude, fit_elastic_net, fit_ridge, standardize
 from intervalreg.tables import predictor_bounds, read_interval_csv, to_center_range
 
 from conftest import DATA_DIR, least_squares, random_interval_table
@@ -218,26 +219,43 @@ class TestShrinkageVariants:
         spec = MethodSpec("crm", "elastic_net", lambda_center=2.0, alpha=0.7)
         assert serialize(fit(cardio, spec)) == serialize(fit(cardio, spec))
 
-    def test_alpha_zero_grid_shares_one_factorization(self, monkeypatch):
+    def test_alpha_zero_grid_shares_one_factorization(self):
         # elastic net at alpha 0 is one exact solve per weight, all from the
         # one eigendecomposition of the design's Gram
-        problems = []
-
-        class Recorded(DesignProblem):
-            def __post_init__(self):
-                super().__post_init__()
-                problems.append(self)
-
-        monkeypatch.setattr(models, "DesignProblem", Recorded)
         rng = np.random.default_rng(37)
         X = rng.normal(size=(30, 6))
         X[:, 2] = 1.5  # a zero-variance column
         y = X[:, :2] @ [1.0, -2.0] + rng.normal(size=30)
         spec = MethodSpec("cm", "elastic_net", lambda_center=1.0, alpha=0.0)
-        fits = models.fit_design(models.DesignProblem(X, y), spec, np.geomspace(1e3, 1e-3, 100))
-        assert len(problems) == 1 and len(problems[0].standardized().factors) == 1
+        std = standardize(X, y)
+        fits = models.fit_design(std, spec, np.geomspace(1e3, 1e-3, 100))
+        assert len(std.factors) == 1
         assert all(f.converged and f.n_sweeps == 0 for f in fits)
         assert all(f.betas[2] == 0.0 for f in fits)
+
+    def test_crm_cv_standardizes_once_per_view_and_component(self, monkeypatch):
+        # every support's half-range design is an exclusion copy of its view's one
+        # standardization, however many distinct supports the grids meet
+        calls, masks = [], set()
+
+        def counted(X, y):
+            calls.append(X.shape)
+            return standardize(X, y)
+
+        def recorded(std, mask):
+            masks.add(mask.tobytes())
+            return exclude(std, mask)
+
+        monkeypatch.setattr(tables, "standardize", counted)
+        monkeypatch.setattr(tables, "exclude", recorded)
+        rng = np.random.default_rng(38)
+        table = random_interval_table(rng, 40, 60)
+        spec = MethodSpec.from_name("lasso-crm", 1.0)
+        result = cross_validate(table, spec, k=5, seed=1, n_points=30)
+        # the whole table's midpoints (grid top and path), and both designs of 5 folds
+        assert len(calls) == 1 + 5 * 2
+        assert calls.count((40, 60)) == 1 and len(set(calls) - {(40, 60)}) == 1
+        assert len(masks) > 10 and max(result.nonzero) > 1
 
     def test_warm_start_reaches_same_solution(self, cardio):
         big = fit(cardio, MethodSpec("cm", "lasso", lambda_center=50.0))
@@ -309,12 +327,12 @@ class TestGridArrays:
         for mask, lam in zip(masks, lams):
             intercept, slopes = float(np.mean(y)), np.zeros(5)
             if mask.any():
-                problem = DesignProblem(X[:, mask], y)
+                std = standardize(X[:, mask], y)
                 if spec.selects_variables:
                     start = CoefficientSet(0.0, warm[mask])
-                    sub = fit_elastic_net(problem, lam, spec.effective_alpha, warm_start=start)
+                    sub = fit_elastic_net(std, lam, spec.effective_alpha, warm_start=start)
                 else:
-                    sub = fit_ridge(problem, lam)
+                    sub = fit_ridge(std, lam)
                 intercept, slopes[mask] = sub.intercept, sub.betas
             want.append(intercept + X @ slopes)
             warm = slopes

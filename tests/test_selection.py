@@ -19,12 +19,12 @@ from intervalreg import (
     predict,
 )
 from intervalreg.solvers import (
-    DesignProblem,
     SingularDesign,
     duality_gap,
     fit_elastic_net,
     fit_ridge,
     fit_ridge_path,
+    standardize,
 )
 from intervalreg.tables import response_bounds, to_center_range
 
@@ -51,7 +51,7 @@ class TestLambdaGrid:
             y = X @ rng.normal(size=5) + rng.normal(size=25)
             grid = make_lambda_grid(X, y, alpha=1.0, n_points=10)
             coeffs = fit_elastic_net(
-                DesignProblem(X, y), grid.values[0], 1.0
+                standardize(X, y), grid.values[0], 1.0
             )
             assert not coeffs.support().any()
             # KKT: every gradient coordinate sits inside the subdifferential
@@ -158,28 +158,21 @@ class TestCrossValidate:
         assert hits >= 8
 
     @pytest.mark.parametrize("name", ["ridge-crm", "lasso-cm", "net-crm"])
-    def test_one_design_problem_on_the_whole_table(self, monkeypatch, name):
-        # the grid's top and the path behind ``nonzero`` share one standardized problem
-        problems = []
-
-        class Recorded(DesignProblem):
-            def __post_init__(self):
-                super().__post_init__()
-                problems.append(self)
-
-        monkeypatch.setattr(tables, "DesignProblem", Recorded)
+    def test_one_standardization_of_the_whole_table(self, monkeypatch, name):
+        # the grid's top and the path behind ``nonzero`` share one standardized design
+        designs = record_standardizations(monkeypatch)
         table = random_interval_table(np.random.default_rng(52), 30, 4)
         view = to_center_range(table)
         spec = MethodSpec.from_name(name, 1.0, None, 0.5 if name.startswith("net") else None)
         result = cross_validate(table, spec, k=5, seed=3, n_points=20)
-        whole = [pr for pr in problems if pr.n == table.n_rows]
-        assert len(whole) == 1 and np.array_equal(whole[0].X, view.centers_X)
-        # folds build their own: one center and (crm) at least one range design each
-        assert len(problems) >= 1 + 5 * (2 if spec.family == "crm" else 1)
-        problems.clear()
+        whole = [X for X, _ in designs if len(X) == table.n_rows]
+        assert len(whole) == 1 and np.array_equal(whole[0], view.centers_X)
+        # folds standardize their own: one center and (crm) one range design each
+        assert len(designs) == 1 + 5 * (2 if spec.family == "crm" else 1)
+        designs.clear()
         grid = make_lambda_grid(view.centers_X, view.centers_y, spec.effective_alpha, 20)
         path = coefficient_path(view, spec, grid)
-        assert len(problems) == 1 and path.nonzero == result.nonzero
+        assert len(designs) == 1 and path.nonzero == result.nonzero
 
     def test_terminal_zero_on_a_duplicated_column_raises_like_fit_ridge(self):
         base = random_interval_table(np.random.default_rng(50), 20, 3)
@@ -188,13 +181,13 @@ class TestCrossValidate:
             ("X1", "X2", "X3", "X4", "Y"),
             base.lower[:, columns], base.upper[:, columns], response_name="Y",
         )
-        problem = DesignProblem(*to_center_range(table).design("center"))
+        std = standardize(*to_center_range(table).design("center"))
         with pytest.raises(SingularDesign) as want:
-            fit_ridge(problem, 0.0)
+            fit_ridge(std, 0.0)
         assert want.value.pivot_index == 3
         grid = LambdaGrid((10.0, 1.0, 0.1, 0.0))
         with pytest.raises(SingularDesign) as got:
-            fit_ridge_path(problem, grid.values)
+            fit_ridge_path(std, grid.values)
         assert got.value.pivot_index == want.value.pivot_index
         for name in ("ridge-cm", "ridge-crm"):
             with pytest.raises(SingularDesign) as got:
@@ -260,17 +253,10 @@ class TestAlphaSweep:
 
     def test_sweep_builds_each_design_once(self, monkeypatch):
         # an 11-alpha, 5-fold cm sweep: the whole table's design and one per fold
-        problems = []
-
-        class Recorded(DesignProblem):
-            def __post_init__(self):
-                super().__post_init__()
-                problems.append(self)
-
-        monkeypatch.setattr(tables, "DesignProblem", Recorded)
+        designs = record_standardizations(monkeypatch)
         alphas = [round(0.1 * i, 1) for i in range(11)]
         alpha_sweep(make_cardio_table(), "cm", alphas, k=5, seed=4, n_points=6)
-        assert len(problems) == 6
+        assert len(designs) == 6
 
     def test_empty_alpha_list_rejected(self):
         with pytest.raises(ValueError):
@@ -309,9 +295,9 @@ class TestCoefficientPath:
                 alpha=None if alpha == 1.0 else alpha,
             )
             path = coefficient_path(table, spec, grid)
-            problem = DesignProblem(view.centers_X, view.centers_y)
+            std = standardize(view.centers_X, view.centers_y)
             for i, lam in enumerate(grid.values):
-                cold = fit_elastic_net(problem, lam, alpha)
+                cold = fit_elastic_net(std, lam, alpha)
                 assert np.max(np.abs(path.coefficients[i] - cold.betas)) <= 1e-6
 
     def test_range_component_uses_halfrange_design(self):
@@ -349,6 +335,18 @@ class TestExactSupport:
         assert path.nonzero == result.nonzero and path.nonzero[-1] == 3
 
 
+def record_standardizations(monkeypatch):
+    """The ``(X, y)`` of every design a view standardizes, appended as it is."""
+    designs = []
+
+    def recording(X, y):
+        designs.append((X, y))
+        return standardize(X, y)
+
+    monkeypatch.setattr(tables, "standardize", recording)
+    return designs
+
+
 def record_grid_rows(monkeypatch):
     """Every row of the grids ``models.fit_design`` returns, as ``(standardized sums,
     lambda, alpha, CoefficientSet)``, for cv (folds and path) and paths alike."""
@@ -361,7 +359,7 @@ def record_grid_rows(monkeypatch):
         bound = signature.bind(*args, **kwargs)
         bound.apply_defaults()
         a = bound.arguments
-        std = a["problem"].standardized()
+        std = a["std"]
         alpha = a["spec"].effective_alpha
         rows.extend((std, lam, alpha, grid[i]) for i, lam in enumerate(a["lams"]))
         return grid
@@ -517,14 +515,14 @@ def reference_cross_validate(table, spec, grid, k, seed, component):
                 loss = ((y_hi - y_lo) / 2.0 - (pred.upper - pred.lower) / 2.0) ** 2
             losses[fi, li] = np.mean(loss)
     # nonzero counts: the old per-weight path of the whole table's design
-    problem = DesignProblem(*to_center_range(table).design(component))
+    std = standardize(*to_center_range(table).design(component))
     nonzero, previous = [], None
     for lam in grid.values:
         if spec.penalty == "ridge":
-            c = fit_ridge(problem, lam)
+            c = fit_ridge(std, lam)
         else:
             c = previous = fit_elastic_net(
-                problem, lam, spec.effective_alpha, warm_start=previous
+                std, lam, spec.effective_alpha, warm_start=previous
             )
         nonzero.append(int(np.sum(c.betas != 0.0)))
     return losses.mean(axis=0), losses.std(axis=0, ddof=1) / np.sqrt(k), tuple(nonzero)

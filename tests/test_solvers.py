@@ -11,18 +11,19 @@ from intervalreg.models import METHOD_NAMES
 from intervalreg.solvers import (
     PIVOT_RTOL,
     CoefficientSet,
-    DesignProblem,
     NonFiniteEncountered,
     SingularDesign,
     Standardized,
     _standardize,
     coordinate_descent,
     duality_gap,
+    exclude,
     fit_elastic_net,
     fit_elastic_net_path,
     fit_ridge,
     fit_ridge_path,
     solve_spd,
+    standardize,
 )
 from intervalreg.selection import make_lambda_grid
 
@@ -68,9 +69,11 @@ def linear(coeffs, X):
 
 def sums_as_standardized(gram, q, y_ss):
     """Sums formed outside the library as the :class:`Standardized` the solvers take,
-    with an empty factor cache; the solvers read no means, scales or response mean."""
+    with an empty factor cache; the solvers read no means, scales, response mean or
+    row count (None here)."""
     p = len(q)
-    return Standardized(np.zeros(p), np.ones(p), 0.0, gram, q, y_ss, np.diag(gram).copy(), {})
+    return Standardized(np.zeros(p), np.ones(p), 0.0, gram, q, y_ss, np.diag(gram).copy(), {},
+                        None)
 
 
 def covariance_sums(Xs, yc):
@@ -93,7 +96,7 @@ def reference_singular_pivot(gram):
 
 
 def reference_coordinate_descent(Xs, yc, lam, alpha, tol, max_iter, beta0=None):
-    """Coordinate descent as it was before the Gram moved into DesignProblem.
+    """Coordinate descent as it was before the Gram moved into the standardized design.
 
     It forms ``Xs'Xs``, ``Xs'yc`` and ``yc'yc`` itself, indexes numpy
     scalars per coordinate and slices the restricted Gram with ``np.ix_``.
@@ -176,20 +179,20 @@ def reference_coordinate_descent(Xs, yc, lam, alpha, tol, max_iter, beta0=None):
     return beta, converged, sweeps
 
 
-def kkt_violations(problem, coeffs, lam, alpha):
+def kkt_violations(X, y, coeffs, lam, alpha):
     """Stationarity residuals of the penalized objective, plus their scale.
 
     Recomputed from scratch out of the returned coefficients; independent
     of the iterative path that produced them.
     """
-    Xs = (problem.X - coeffs.means) / coeffs.scales
-    yc = problem.y - problem.y.mean()
+    Xs = (X - coeffs.means) / coeffs.scales
+    yc = y - y.mean()
     beta = coeffs.betas * coeffs.scales
     r = yc - Xs @ beta
     grad = 2.0 * (Xs.T @ r)
     row_scale = 2.0 * (np.abs(Xs.T @ Xs).sum(axis=1) + lam * (1 - alpha))
-    viol = np.empty(problem.p)
-    for j in range(problem.p):
+    viol = np.empty(len(beta))
+    for j in range(len(beta)):
         if beta[j] != 0.0:
             viol[j] = abs(abs(grad[j] - 2 * lam * (1 - alpha) * beta[j]) - lam * alpha)
         else:
@@ -223,43 +226,73 @@ def exact_coordinate_updates(gram, q, gram_diag, beta, lam, alpha):
     return np.where(denominator > 0.0, shrunk / safe, 0.0)
 
 
-def penalized_objective(problem, beta, lam, alpha):
+def penalized_objective(X, y, beta, lam, alpha):
     """The elastic-net objective of standardized slopes ``beta``, from the raw design."""
-    Xs, yc = standardized(problem.X, problem.y)
+    Xs, yc = standardized(X, y)
     return np.sum((yc - Xs @ beta) ** 2) + lam * (
         alpha * np.abs(beta).sum() + (1.0 - alpha) * beta @ beta
     )
 
 
-class TestDesignProblem:
-    def test_rejects_non_finite(self):
-        with pytest.raises(ValueError):
-            DesignProblem(np.array([[1.0], [np.nan]]), np.array([1.0, 2.0]))
-        with pytest.raises(ValueError):
-            DesignProblem(np.ones((2, 1)), np.array([1.0, np.inf]))
+@st.composite
+def masked_designs(draw):
+    """``(X, y, mask)``: a seeded design with mixed column scales, perhaps a constant
+    column, and a boolean mask over its columns."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    n, p = draw(st.integers(3, 120)), draw(st.integers(2, 300))
+    X = rng.normal(size=(n, p)) * 10.0 ** rng.uniform(-3.0, 3.0, size=p)
+    if draw(st.booleans()):
+        X[:, rng.integers(p)] = rng.normal()
+    return X, rng.normal(size=n) * 10.0, rng.random(p) < draw(st.floats(0.0, 1.0))
 
-    def test_rejects_shape_mismatch(self):
-        with pytest.raises(ValueError):
-            DesignProblem(np.ones((3, 2)), np.ones(4))
 
-    def test_standardized_is_a_cached_fresh_standardization(self):
+class TestStandardize:
+    @pytest.mark.parametrize("X, y, message", [
+        (np.ones(3), np.ones(3), r"^X must be a 2-d matrix, got shape \(3,\)$"),
+        (np.ones((3, 2)), np.ones((3, 1)), r"^y must be a vector, got shape \(3, 1\)$"),
+        (np.ones((0, 2)), np.ones(0), r"^need n >= 1 and p >= 1, got X shape \(0, 2\)$"),
+        (np.ones((3, 0)), np.ones(3), r"^need n >= 1 and p >= 1, got X shape \(3, 0\)$"),
+        (np.ones((3, 2)), np.ones(4), "^X has 3 rows but y has 4$"),
+        (np.array([[1.0], [np.nan]]), np.array([1.0, 2.0]), "^X and y must be finite$"),
+        (np.ones((2, 1)), np.array([1.0, np.inf]), "^X and y must be finite$"),
+    ])
+    def test_rejects_malformed_input(self, X, y, message):
+        with pytest.raises(ValueError, match=message):
+            standardize(X, y)
+
+    def test_forms_the_sums_of_the_standardized_design(self):
         rng = np.random.default_rng(23)
         X = rng.normal(size=(9, 4)) * [1.0, 3.0, 0.1, 0.0]  # last column constant
         y = rng.normal(size=9)
-        problem = DesignProblem(X, y)
-        std = problem.standardized()
-        assert problem.standardized() is std
-        Xs, means, scales = _standardize(problem.X)
-        yc = problem.y - problem.y.mean()
+        std = standardize(X, y)
+        Xs, means, scales = _standardize(X)
+        yc = y - y.mean()
         for got, want in [
             (std.means, means), (std.scales, scales),
             (std.gram, Xs.T @ Xs), (std.q, Xs.T @ yc),
             (std.gram_diag, np.diag(Xs.T @ Xs)),
         ]:
             assert got.tobytes() == want.tobytes()
-        assert std.y_mean == problem.y.mean()
+        assert std.y_mean == y.mean()
         assert std.y_ss == float(yc @ yc)
+        assert std.n == 9 and std.factors == {}
         assert np.all(std.gram[3] == 0.0) and std.q[3] == 0.0
+
+    @settings(max_examples=60, deadline=None)
+    @given(masked_designs())
+    def test_exclude_is_the_standardization_of_the_zeroed_design(self, design):
+        # bit for bit, zero signs included, and sharing the unmasked design's factors
+        X, y, mask = design
+        std = standardize(X, y)
+        got, want = exclude(std, mask), standardize(np.where(mask, X, 0.0), y)
+        assert got.factors is std.factors
+        for name, a, b in zip(Standardized._fields, got, want):
+            if name == "factors":
+                continue
+            if isinstance(a, np.ndarray):
+                assert not a.flags.writeable, name
+            a, b = np.asarray(a), np.asarray(b)
+            assert a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes(), name
 
     @pytest.mark.parametrize("seed", range(5))
     def test_constant_columns_are_zero_variance_whatever_their_mean_rounds_to(self, seed):
@@ -267,13 +300,12 @@ class TestDesignProblem:
         rng = np.random.default_rng(seed)
         X = np.column_stack([rng.normal(size=10), np.full(10, 0.1), np.full(10, 0.5)])
         y = rng.normal(size=10) * 10 + 100
-        problem = DesignProblem(X, y)
-        std = problem.standardized()
+        std = standardize(X, y)
         assert np.all(std.gram[1:] == 0.0) and np.all(std.q[1:] == 0.0)
         assert std.scales[1:].tolist() == [1.0, 1.0]
         assert std.means[1:].tolist() == [0.1, 0.5]
         assert std.gram_diag[1:].tolist() == [0.0, 0.0]
-        for coeffs in (fit_ridge(problem, 1.0), fit_elastic_net(problem, 1.0, 0.5)):
+        for coeffs in (fit_ridge(std, 1.0), fit_elastic_net(std, 1.0, 0.5)):
             assert coeffs.betas[1:].tolist() == [0.0, 0.0]
 
     @pytest.mark.filterwarnings("error")
@@ -284,17 +316,17 @@ class TestDesignProblem:
         X = np.column_stack([np.repeat([8e307, -8e307], 3), rng.normal(size=6),
                              np.repeat([1.7e308, 1.6e308], 3)])
         y = rng.normal(size=6)
-        std = DesignProblem(X, y).standardized()
+        std = standardize(X, y)
         assert std.means.tolist() == [0.0, X[:, 1].mean(), 1.65e308]
         assert std.scales[1] == X[:, 1].std()
         assert np.allclose(std.scales[[0, 2]], [8e307, 5e306], rtol=1e-15, atol=0.0)
         assert np.allclose(std.gram_diag, 6.0, rtol=1e-15, atol=0.0)
-        fit = fit_ridge(DesignProblem(X[:, :2], y), 0.0)
+        fit = fit_ridge(standardize(X[:, :2], y), 0.0)
         assert np.isfinite(fit.betas).all() and np.isfinite(fit.intercept)
 
     def test_standardized_arrays_are_read_only(self):
         rng = np.random.default_rng(24)
-        std = DesignProblem(rng.normal(size=(6, 3)), rng.normal(size=6)).standardized()
+        std = standardize(rng.normal(size=(6, 3)), rng.normal(size=6))
         for value in std:
             if isinstance(value, np.ndarray):
                 assert not value.flags.writeable
@@ -305,43 +337,43 @@ class TestDesignProblem:
         rng = np.random.default_rng(25)
         X = rng.normal(size=(8, 12))
         y = X[:, :3] @ [1.0, -2.0, 0.5] + rng.normal(size=8)
-        problem = DesignProblem(X, y)
+        std = standardize(X, y)
         lams = (5.0, 1.0, 0.0)
-        first = [fit_elastic_net(problem, lam, 0.7) for lam in lams]
-        ridge = fit_ridge_path(problem, lams[:2])
-        factors = problem.standardized().factors
+        first = [fit_elastic_net(std, lam, 0.7) for lam in lams]
+        ridge = fit_ridge_path(std, lams[:2])
+        factors = std.factors
         factored = dict(factors)
-        again = [fit_elastic_net(problem, lam, 0.7) for lam in lams]
+        again = [fit_elastic_net(std, lam, 0.7) for lam in lams]
         # the refits meet the same active sets and reuse their factorizations
         assert factored and factors.keys() == factored.keys()
         assert all(factors[k] is v for k, v in factored.items())
-        fresh = [fit_elastic_net(DesignProblem(X, y), lam, 0.7) for lam in lams]
+        fresh = [fit_elastic_net(standardize(X, y), lam, 0.7) for lam in lams]
         for a, b, c in zip(first, again, fresh):
             assert a.betas.tobytes() == b.betas.tobytes() == c.betas.tobytes()
             assert a.intercept == b.intercept == c.intercept
             assert a.n_sweeps == b.n_sweeps == c.n_sweeps
-        ridge_again = fit_ridge_path(problem, lams[:2])
-        ridge_fresh = fit_ridge_path(DesignProblem(X, y), lams[:2])
+        ridge_again = fit_ridge_path(std, lams[:2])
+        ridge_fresh = fit_ridge_path(standardize(X, y), lams[:2])
         for a, b, c in zip(ridge, ridge_again, ridge_fresh):
             assert a.betas.tobytes() == b.betas.tobytes() == c.betas.tobytes()
             assert a.intercept == b.intercept == c.intercept
 
     def test_elastic_net_rejects_bad_penalty(self):
-        problem = DesignProblem(np.eye(3), np.ones(3))
+        std = standardize(np.eye(3), np.ones(3))
         for lam in (-1.0, float("inf"), float("nan")):
             with pytest.raises(ValueError, match=f"^lambda must be finite and >= 0, got {lam}$"):
-                fit_elastic_net(problem, lam, 0.5)
+                fit_elastic_net(std, lam, 0.5)
         for alpha in (-0.5, 1.5, float("nan")):
             with pytest.raises(ValueError, match=rf"^alpha must lie in \[0, 1\], got {alpha}$"):
-                fit_elastic_net(problem, 1.0, alpha)
+                fit_elastic_net(std, 1.0, alpha)
 
 
 class TestOls:
     """Least squares is ridge at weight 0 (:func:`fit_ridge` with ``lam=0``)."""
 
     def test_constant_response(self):
-        problem = DesignProblem(np.array([[1.0], [2.0], [5.0]]), np.full(3, 7.0))
-        coeffs = fit_ridge(problem, 0.0)
+        std = standardize(np.array([[1.0], [2.0], [5.0]]), np.full(3, 7.0))
+        coeffs = fit_ridge(std, 0.0)
         assert coeffs.intercept == pytest.approx(7.0, abs=1e-10)
         assert abs(coeffs.betas[0]) < 1e-12
 
@@ -350,7 +382,7 @@ class TestOls:
         for _ in range(10):
             X = rng.normal(size=(6, 3))
             y = rng.normal(size=6)
-            coeffs = fit_ridge(DesignProblem(X, y), 0.0)
+            coeffs = fit_ridge(standardize(X, y), 0.0)
             Xt = np.column_stack([np.ones(6), X])
             oracle = np.linalg.solve(Xt.T @ Xt, Xt.T @ y)
             assert abs(coeffs.intercept - oracle[0]) <= 1e-10
@@ -360,7 +392,7 @@ class TestOls:
         rng = np.random.default_rng(1)
         X = rng.normal(size=(15, 4))
         y = rng.normal(size=15)
-        coeffs = fit_ridge(DesignProblem(X, y), 0.0)
+        coeffs = fit_ridge(standardize(X, y), 0.0)
         Xt = np.column_stack([np.ones(15), X])
         beta = np.concatenate([[coeffs.intercept], coeffs.betas])
         lhs = Xt.T @ Xt @ beta - Xt.T @ y
@@ -370,7 +402,7 @@ class TestOls:
         rng = np.random.default_rng(2)
         X = rng.normal(size=(12, 3))
         y = rng.normal(size=12)
-        coeffs = fit_ridge(DesignProblem(X, y), 0.0)
+        coeffs = fit_ridge(standardize(X, y), 0.0)
         r = y - linear(coeffs, X)
         Xt = np.column_stack([np.ones(12), X])
         assert np.max(np.abs(Xt.T @ r)) <= 1e-8 * max(np.max(np.abs(Xt.T @ y)), 1.0)
@@ -378,20 +410,20 @@ class TestOls:
     def test_singular_design_reports_pivot(self):
         X = np.column_stack([np.arange(5.0), np.arange(5.0)])  # duplicated column
         with pytest.raises(SingularDesign) as err:
-            fit_ridge(DesignProblem(X, np.ones(5)), 0.0)
+            fit_ridge(standardize(X, np.ones(5)), 0.0)
         assert err.value.pivot_index == 1  # second copy; the intercept is no column
 
     def test_a_constant_column_gets_slope_0_and_counts_in_pivot_numbers(self):
         rng = np.random.default_rng(33)
         a, b, y = rng.normal(size=(3, 9))
         constant = np.full(9, 2.5)
-        coeffs = fit_ridge(DesignProblem(np.column_stack([constant, a, b]), y), 0.0)
+        coeffs = fit_ridge(standardize(np.column_stack([constant, a, b]), y), 0.0)
         intercept, betas = least_squares(np.column_stack([a, b]), y)
         assert coeffs.betas[0] == 0.0
         np.testing.assert_allclose(coeffs.betas[1:], betas, rtol=1e-10, atol=0)
         assert coeffs.intercept == pytest.approx(intercept, rel=1e-10)
         with pytest.raises(SingularDesign) as err:
-            fit_ridge(DesignProblem(np.column_stack([constant, a, a]), y), 0.0)
+            fit_ridge(standardize(np.column_stack([constant, a, a]), y), 0.0)
         assert err.value.pivot_index == 2  # the second copy of a, counting the constant column
 
     def test_column_rescaling_leaves_predictions_unchanged(self):
@@ -399,8 +431,8 @@ class TestOls:
         X = rng.normal(size=(12, 3))
         y = rng.normal(size=12)
         D = np.array([4.0, 0.25, 10.0])
-        a = fit_ridge(DesignProblem(X, y), 0.0)
-        b = fit_ridge(DesignProblem(X * D, y), 0.0)
+        a = fit_ridge(standardize(X, y), 0.0)
+        b = fit_ridge(standardize(X * D, y), 0.0)
         X_new = rng.normal(size=(6, 3))
         assert np.allclose(
             linear(a, X_new), linear(b, X_new * D),
@@ -466,7 +498,7 @@ class TestRidge:
         X = rng.normal(size=(10, 3))
         y = rng.normal(size=10)
         intercept, betas = least_squares(X, y)
-        ridge = fit_ridge(DesignProblem(X, y), 0.0)
+        ridge = fit_ridge(standardize(X, y), 0.0)
         assert abs(ridge.intercept - intercept) <= 1e-8
         assert np.max(np.abs(ridge.betas - betas)) <= 1e-8
 
@@ -474,7 +506,7 @@ class TestRidge:
         rng = np.random.default_rng(5)
         X = rng.normal(size=(9, 3))
         y = rng.normal(size=9) + 3.0
-        coeffs = fit_ridge(DesignProblem(X, y), 1e12)
+        coeffs = fit_ridge(standardize(X, y), 1e12)
         assert np.max(np.abs(coeffs.betas)) < 1e-6
         assert coeffs.intercept == pytest.approx(y.mean(), abs=1e-4)
 
@@ -484,7 +516,7 @@ class TestRidge:
             X = rng.normal(size=(8, 4))
             y = rng.normal(size=8)
             lam = 2.5
-            coeffs = fit_ridge(DesignProblem(X, y), lam)
+            coeffs = fit_ridge(standardize(X, y), lam)
             intercept, slopes = ridge_oracle(X, y, lam)
             assert abs(coeffs.intercept - intercept) <= 1e-9
             assert np.max(np.abs(coeffs.betas - slopes)) <= 1e-9
@@ -494,8 +526,8 @@ class TestRidge:
         X = rng.normal(size=(14, 3))
         y = rng.normal(size=14)
         D = np.array([2.0, 0.5, 30.0])
-        a = fit_ridge(DesignProblem(X, y), 3.0)
-        b = fit_ridge(DesignProblem(X * D, y), 3.0)
+        a = fit_ridge(standardize(X, y), 3.0)
+        b = fit_ridge(standardize(X * D, y), 3.0)
         X_new = rng.normal(size=(5, 3))
         assert np.allclose(
             linear(a, X_new), linear(b, X_new * D),
@@ -538,16 +570,16 @@ class TestRidge:
         rng = np.random.default_rng(22)
         X = rng.normal(size=(30, 6)) * rng.uniform(0.1, 10.0, size=6)
         y = X @ rng.normal(size=6) + rng.normal(size=30)
-        problem = DesignProblem(X, y)
+        std = standardize(X, y)
         lams = np.append(np.geomspace(1e3, 1e-3, 24), 0.0)
-        path = fit_ridge_path(problem, lams)
+        path = fit_ridge_path(std, lams)
         assert len(path) == len(lams)
         for lam, coeffs in zip(lams, path):
-            one = fit_ridge(problem, lam)
+            one = fit_ridge(std, lam)
             np.testing.assert_allclose(coeffs.betas, one.betas, rtol=1e-13, atol=0)
             assert coeffs.intercept == pytest.approx(one.intercept, rel=1e-13, abs=0)
             if lam > 0.0:  # a positive weight is the elastic net at alpha 0
-                net = fit_elastic_net(problem, lam, 0.0)
+                net = fit_elastic_net(std, lam, 0.0)
                 assert coeffs.betas.tobytes() == net.betas.tobytes()
                 assert coeffs.intercept == net.intercept
 
@@ -563,8 +595,8 @@ class TestRidge:
             Xs, yc = standardized(X, y)
             gram = Xs.T @ Xs
             lam = 1e-14 * float(np.max(np.diag(gram)))
-            problem = DesignProblem(X, y)
-            coeffs = fit_ridge(problem, lam)
+            std = standardize(X, y)
+            coeffs = fit_ridge(std, lam)
             assert coeffs.betas[0] == pytest.approx(coeffs.betas[1], rel=1e-12, abs=0)
             scales = np.sqrt(((X - X.mean(axis=0)) ** 2).mean(axis=0))
             bs = coeffs.betas * scales
@@ -574,7 +606,7 @@ class TestRidge:
                 y.mean() - coeffs.betas @ X.mean(axis=0), rel=1e-12, abs=1e-12
             )
             with pytest.raises(SingularDesign) as err:
-                fit_ridge(problem, 0.0)
+                fit_ridge(std, 0.0)
             assert err.value.pivot_index == 1
 
     @pytest.mark.parametrize("seed", range(12))
@@ -587,17 +619,17 @@ class TestRidge:
         X = rng.normal(size=(n, p)) * rng.uniform(0.1, 10.0, size=p)
         X = np.column_stack([X, X[:, 0], np.full(n, rng.normal())])
         y = X[:, :p] @ rng.normal(size=p) + rng.normal(size=n) + 3.0
-        problem = DesignProblem(X, y)
-        gram = problem.standardized().gram
+        std = standardize(X, y)
+        gram = std.gram
         top = float(np.max(np.diag(gram)))
         lams = top * np.geomspace(1e2, 1e-16, 37)
-        grid = fit_ridge_path(problem, lams)
+        grid = fit_ridge_path(std, lams)
         w = np.linalg.eigh(gram[:-1, :-1])[0]  # the constant column is left out
         null = [bool(np.any(w + lam <= PIVOT_RTOL * (top + lam))) for lam in lams]
         assert any(null) and not all(null)
         for i, lam in enumerate(lams):
             row = grid[i]
-            net = fit_elastic_net(problem, lam, 0.0)
+            net = fit_elastic_net(std, lam, 0.0)
             assert row.betas.tobytes() == net.betas.tobytes()
             assert row.intercept == net.intercept
             assert row.betas[-1] == 0.0
@@ -616,10 +648,10 @@ class TestRidge:
                                        atol=1e-10 * np.max(np.abs(oracle)))
 
     def test_path_rejects_a_bad_weight(self):
-        problem = DesignProblem(np.eye(3), np.ones(3))
+        std = standardize(np.eye(3), np.ones(3))
         for bad in (-1.0, float("inf"), float("nan")):
             with pytest.raises(ValueError, match="lambda must be finite"):
-                fit_ridge_path(problem, (1.0, bad))
+                fit_ridge_path(std, (1.0, bad))
 
 
 class TestElasticNet:
@@ -628,7 +660,7 @@ class TestElasticNet:
         X = rng.normal(size=(12, 4))
         y = rng.normal(size=12)
         intercept, betas = least_squares(X, y)
-        net = fit_elastic_net(DesignProblem(X, y), 0.0, 1.0)
+        net = fit_elastic_net(standardize(X, y), 0.0, 1.0)
         assert abs(net.intercept - intercept) <= 1e-6
         assert np.max(np.abs(net.betas - betas)) <= 1e-6
 
@@ -640,7 +672,7 @@ class TestElasticNet:
             X = rng.normal(size=(n, p))
             y = rng.normal(size=n)
             lam = float(rng.uniform(0.1, 20.0))
-            net = fit_elastic_net(DesignProblem(X, y), lam, 0.0)
+            net = fit_elastic_net(standardize(X, y), lam, 0.0)
             intercept, slopes = ridge_oracle(X, y, lam)
             assert abs(net.intercept - intercept) <= 1e-6
             assert np.max(np.abs(net.betas - slopes)) <= 1e-6
@@ -655,14 +687,14 @@ class TestElasticNet:
             assert lam_max == pytest.approx(make_lambda_grid(X, y, 1.0).values[0], rel=1e-12)
             # exactly at lam_max a last-ulp tie may leave rounding-level
             # coefficients; anything above is exactly zero
-            at_max = fit_elastic_net(DesignProblem(X, y), lam_max, 1.0)
+            at_max = fit_elastic_net(standardize(X, y), lam_max, 1.0)
             assert not at_max.support().any()
             assert np.max(np.abs(at_max.betas)) <= 1e-12
-            viol, _ = kkt_violations(DesignProblem(X, y), at_max, lam_max, 1.0)
+            viol, _ = kkt_violations(X, y, at_max, lam_max, 1.0)
             assert np.max(viol) <= 1e-9 * lam_max
-            above = fit_elastic_net(DesignProblem(X, y), 1.7 * lam_max, 1.0)
+            above = fit_elastic_net(standardize(X, y), 1.7 * lam_max, 1.0)
             assert np.all(above.betas == 0.0)
-            viol, _ = kkt_violations(DesignProblem(X, y), above, 1.7 * lam_max, 1.0)
+            viol, _ = kkt_violations(X, y, above, 1.7 * lam_max, 1.0)
             assert np.max(viol) == 0.0
 
     def test_kkt_stationarity_on_random_problems(self):
@@ -675,15 +707,14 @@ class TestElasticNet:
             y = X @ rng.normal(size=p) + rng.normal(size=n)
             alpha = float(rng.choice([0.0, 0.25, 0.5, 0.75, 1.0]))
             lam = float(rng.uniform(0.0, 2.0) * max(lambda_max(X, y, max(alpha, 0.5)), 1.0))
-            problem = DesignProblem(X, y)
-            coeffs = fit_elastic_net(problem, lam, alpha, tol=tol)
+            std = standardize(X, y)
+            coeffs = fit_elastic_net(std, lam, alpha, tol=tol)
             assert coeffs.converged
-            viol, scale = kkt_violations(problem, coeffs, lam, alpha)
+            viol, scale = kkt_violations(X, y, coeffs, lam, alpha)
             assert np.all(viol <= 10.0 * tol * scale)
-            std = problem.standardized()
             beta = coeffs.betas * coeffs.scales
             gap = duality_gap(std, beta, lam, alpha)
-            assert abs(gap) <= 1e-10 * penalized_objective(problem, beta, lam, alpha)
+            assert abs(gap) <= 1e-10 * penalized_objective(X, y, beta, lam, alpha)
 
     def test_duality_gap_bounds_the_distance_to_the_optimum(self):
         rng = np.random.default_rng(27)
@@ -693,13 +724,12 @@ class TestElasticNet:
             y = X @ rng.normal(size=p) + rng.normal(size=n)
             alpha = float(rng.choice([0.0, 0.4, 1.0]))
             lam = float(rng.uniform(0.1, 1.0) * lambda_max(X, y, max(alpha, 0.5)))
-            problem = DesignProblem(X, y)
-            std = problem.standardized()
-            best = fit_elastic_net(problem, lam, alpha, tol=1e-10)
-            optimum = penalized_objective(problem, best.betas * best.scales, lam, alpha)
+            std = standardize(X, y)
+            best = fit_elastic_net(std, lam, alpha, tol=1e-10)
+            optimum = penalized_objective(X, y, best.betas * best.scales, lam, alpha)
             for beta in (np.zeros(p), rng.normal(size=p), best.betas * best.scales * 1.1):
                 gap = duality_gap(std, beta, lam, alpha)
-                excess = penalized_objective(problem, beta, lam, alpha) - optimum
+                excess = penalized_objective(X, y, beta, lam, alpha) - optimum
                 assert gap >= excess - 1e-9 * optimum
 
     def test_objective_history_non_increasing(self):
@@ -792,7 +822,7 @@ class TestElasticNet:
         what those residuals allow along directions only the ridge term curves."""
         X, y, alpha = design
         rng = np.random.default_rng(seed)
-        std = DesignProblem(X, y).standardized()
+        std = standardize(X, y)
         tol = 1e-7
         lam_max = 2.0 * float(np.max(np.abs(std.q))) / max(alpha, 1e-3)
         assume(lam_max > 0.0)  # not every column constant
@@ -828,13 +858,13 @@ class TestElasticNet:
         X = rng.normal(size=(20, 3))
         X[:, 2] = 3.0
         y = 2.0 * X[:, 0] + rng.normal(size=20)
-        problem = DesignProblem(X, y)
-        cold = fit_elastic_net(problem, 5.0, 1.0)
+        std = standardize(X, y)
+        cold = fit_elastic_net(std, 5.0, 1.0)
         assert cold.betas[0] != 0.0 and cold.betas[2] == 0.0
         # far from the solution, and at it but for the constant column
         for start in ([1.0, 0.0, 0.7], [cold.betas[0], 0.0, 0.7]):
             warm = fit_elastic_net(
-                problem, 5.0, 1.0, warm_start=CoefficientSet(0.0, np.array(start))
+                std, 5.0, 1.0, warm_start=CoefficientSet(0.0, np.array(start))
             )
             assert warm.converged and warm.betas[2] == 0.0
             assert np.allclose(warm.betas, cold.betas, rtol=0.0, atol=1e-9)
@@ -864,7 +894,7 @@ class TestElasticNet:
         rng = np.random.default_rng(52680)
         X = rng.normal(size=(3, 12)) * rng.uniform(0.1, 10.0, size=12)
         y = X[:, :3] @ rng.uniform(-2.0, 2.0, size=3) + rng.normal(size=3)
-        std = DesignProblem(X, y).standardized()
+        std = standardize(X, y)
         alpha = 1.0 - 2.0**-53
         lam_max = 2.0 * float(np.max(np.abs(std.q))) / alpha
         start = np.random.default_rng(0).normal(size=12)
@@ -886,11 +916,11 @@ class TestElasticNet:
             X = rng.normal(size=(n, p))
             X[:, rng.integers(p)] = X[:, rng.integers(p)]
             y = X[:, :3] @ rng.normal(size=3) + 0.3 * rng.normal(size=n)
-            problem = DesignProblem(X, y)
-            lam_max = 2.0 * np.max(np.abs(problem.standardized().q))
+            std = standardize(X, y)
+            lam_max = 2.0 * np.max(np.abs(std.q))
             fit = None
             for lam in np.geomspace(lam_max, 1e-3 * lam_max, 30):
-                fit = fit_elastic_net(problem, lam, 1.0, warm_start=fit)
+                fit = fit_elastic_net(std, lam, 1.0, warm_start=fit)
                 assert fit.converged and fit.n_sweeps <= 50
 
     def test_paths_with_near_duplicate_columns_do_not_stall(self):
@@ -903,7 +933,7 @@ class TestElasticNet:
             X[:, -1] = X[:, 0] + 1e-6 * rng.normal(size=22)
             y = X[:, :3] @ rng.normal(size=3) + 0.3 * rng.normal(size=22)
             lams = make_lambda_grid(X, y, 1.0, 50).values
-            path = fit_elastic_net_path(DesignProblem(X, y), lams, 1.0, max_iter=2000)
+            path = fit_elastic_net_path(standardize(X, y), lams, 1.0, max_iter=2000)
             assert path.converged.all() and path.n_sweeps.max() <= 10
             # the bench oracle's bound: what a move of tol leaves in the gradient
             Xs, yc = standardized(X, y)
@@ -924,10 +954,9 @@ class TestElasticNet:
         X[:, -1] = X[:, 0] + 1e-5 * rng.normal(size=60)
         y = X[:, :3] @ rng.uniform(-2.0, 2.0, size=3) + rng.normal(size=60)
         lams = make_lambda_grid(X, y, 1.0, 40).values
-        problem = DesignProblem(X, y)
-        path = fit_elastic_net_path(problem, lams, 1.0)  # max_iter 100,000
+        std = standardize(X, y)
+        path = fit_elastic_net_path(std, lams, 1.0)  # max_iter 100,000
         assert not path.converged[9] and path.n_sweeps.max() <= 10
-        std = problem.standardized()
         for lam, slopes in zip(lams, path.slopes):
             b = slopes * path.scales
             primal = std.y_ss - 2.0 * std.q @ b + b @ std.gram @ b + lam * np.abs(b).sum()
@@ -943,7 +972,7 @@ class TestElasticNet:
             values = []
             l1_norms = []
             for lam in grid:
-                c = fit_elastic_net(DesignProblem(X, y), lam, alpha, tol=1e-10)
+                c = fit_elastic_net(standardize(X, y), lam, alpha, tol=1e-10)
                 beta = c.betas * c.scales
                 l1 = np.abs(beta).sum()
                 values.append(alpha * l1 + (1 - alpha) * (beta @ beta))
@@ -960,9 +989,9 @@ class TestElasticNet:
         X = np.column_stack([base, base + 1e-4 * rng.normal(size=(40, 1)),
                              rng.normal(size=(40, 2))])
         y = X @ np.array([1.0, -1.0, 2.0, -0.5]) + rng.normal(size=40)
-        problem = DesignProblem(X, y)
-        assert fit_elastic_net(problem, 1.0, 1.0).n_sweeps > 1
-        coeffs = fit_elastic_net(problem, 1.0, 1.0, max_iter=1)
+        std = standardize(X, y)
+        assert fit_elastic_net(std, 1.0, 1.0).n_sweeps > 1
+        coeffs = fit_elastic_net(std, 1.0, 1.0, max_iter=1)
         assert not coeffs.converged
         assert np.all(np.isfinite(coeffs.betas))
 
@@ -973,7 +1002,7 @@ class TestElasticNet:
         for _ in range(20):
             X = rng.normal(size=(10, 15))
             y = rng.normal(size=10)
-            coeffs = fit_elastic_net(DesignProblem(X, y), 0.0, 1.0)
+            coeffs = fit_elastic_net(standardize(X, y), 0.0, 1.0)
             assert coeffs.converged and coeffs.n_sweeps <= 3
             assert np.sum((y - linear(coeffs, X)) ** 2) < 1e-20
 
@@ -985,7 +1014,7 @@ class TestElasticNet:
             X = np.column_stack([base, base + 1e-4 * rng.normal(size=(30, 1)),
                                  rng.normal(size=(30, 2))])
             y = X @ rng.normal(size=4) + rng.normal(size=30)
-            coeffs = fit_elastic_net(DesignProblem(X, y), 0.0, 1.0)
+            coeffs = fit_elastic_net(standardize(X, y), 0.0, 1.0)
             assert coeffs.converged and coeffs.n_sweeps <= 3
 
     @pytest.mark.parametrize("alpha", [1.0, 0.5, 0.0])
@@ -998,10 +1027,9 @@ class TestElasticNet:
             X = np.column_stack([base, base + 1e-6 * rng.normal(size=(30, 1)),
                                  rng.normal(size=(30, 2))])
             y = X @ rng.normal(size=4) + rng.normal(size=30)
-            problem = DesignProblem(X, y)
-            coeffs = fit_elastic_net(problem, 0.0, alpha)
+            std = standardize(X, y)
+            coeffs = fit_elastic_net(std, 0.0, alpha)
             assert coeffs.converged and coeffs.n_sweeps == 0
-            std = problem.standardized()
             beta = coeffs.betas * coeffs.scales
             w, V = np.linalg.eigh(std.gram)
             kept = V[:, w > PIVOT_RTOL * np.max(std.gram_diag)]
@@ -1012,10 +1040,10 @@ class TestElasticNet:
         # p > n: every interpolating fit is optimal; the minimum-norm one is returned
         rng = np.random.default_rng(31)
         for _ in range(10):
-            problem = DesignProblem(rng.normal(size=(10, 15)), rng.normal(size=10))
-            cold = fit_elastic_net(problem, 0.0, 1.0)
+            std = standardize(rng.normal(size=(10, 15)), rng.normal(size=10))
+            cold = fit_elastic_net(std, 0.0, 1.0)
             warm = fit_elastic_net(
-                problem, 0.0, 1.0, warm_start=CoefficientSet(0.0, rng.normal(size=15))
+                std, 0.0, 1.0, warm_start=CoefficientSet(0.0, rng.normal(size=15))
             )
             assert warm.betas.tobytes() == cold.betas.tobytes()
             assert warm.intercept == cold.intercept
@@ -1025,11 +1053,11 @@ class TestElasticNet:
         rng = np.random.default_rng(32)
         y = rng.normal(size=6)
         for X in (np.full((6, 2), 3.0), np.column_stack([rng.normal(size=6), np.full(6, 3.0)])):
-            problem = DesignProblem(X, y)
+            std = standardize(X, y)
             start = CoefficientSet(0.0, np.array([1.0, -2.0]))
             for lam, alpha in ((0.0, 1.0), (0.0, 0.0), (2.0, 0.0), (2.0, 0.5), (2.0, 1.0)):
-                cold = fit_elastic_net(problem, lam, alpha)
-                warm = fit_elastic_net(problem, lam, alpha, warm_start=start)
+                cold = fit_elastic_net(std, lam, alpha)
+                warm = fit_elastic_net(std, lam, alpha, warm_start=start)
                 assert cold.betas[1] == warm.betas[1] == 0.0
                 assert np.allclose(linear(warm, X), linear(cold, X), rtol=0.0, atol=1e-12)
 
@@ -1039,14 +1067,14 @@ class TestElasticNet:
         y = rng.normal(size=10)
         warm = CoefficientSet(0.0, np.zeros(2))
         with pytest.raises(ValueError):
-            fit_elastic_net(DesignProblem(X, y), 1.0, 1.0, warm_start=warm)
+            fit_elastic_net(standardize(X, y), 1.0, 1.0, warm_start=warm)
 
     def test_determinism(self):
         rng = np.random.default_rng(16)
         X = rng.normal(size=(20, 5))
         y = rng.normal(size=20)
-        a = fit_elastic_net(DesignProblem(X, y), 2.0, 0.7)
-        b = fit_elastic_net(DesignProblem(X, y), 2.0, 0.7)
+        a = fit_elastic_net(standardize(X, y), 2.0, 0.7)
+        b = fit_elastic_net(standardize(X, y), 2.0, 0.7)
         assert a.intercept == b.intercept
         assert np.array_equal(a.betas, b.betas)
 
@@ -1080,7 +1108,7 @@ class TestElasticNetPath:
         if below_one:
             alpha = float(np.nextafter(1.0, 0.0))
         rng = np.random.default_rng(seed)
-        std = DesignProblem(X, y).standardized()
+        std = standardize(X, y)
         lam_max = 2.0 * float(np.max(np.abs(std.q))) / max(alpha, 1e-3)
         assume(lam_max > 0.0)
         lams = [*np.geomspace(lam_max, 1e-3 * lam_max, 12), 0.0]
@@ -1088,20 +1116,20 @@ class TestElasticNetPath:
         if start == "random":
             warm = CoefficientSet(0.0, rng.normal(size=X.shape[1]))
         elif start == "previous":
-            warm = fit_elastic_net(DesignProblem(X, y), 2.0 * lam_max, alpha)
-        fits = self.chain(DesignProblem(X, y), lams, alpha, warm)
-        path = fit_elastic_net_path(DesignProblem(X, y), lams, alpha, warm_start=warm)
+            warm = fit_elastic_net(standardize(X, y), 2.0 * lam_max, alpha)
+        fits = self.chain(standardize(X, y), lams, alpha, warm)
+        path = fit_elastic_net_path(standardize(X, y), lams, alpha, warm_start=warm)
         self.assert_rows_equal(path, fits)
 
     def test_stopped_fits_match_the_chain(self):
         rng = np.random.default_rng(31)
         X = rng.normal(size=(12, 9)) * rng.uniform(0.1, 10.0, size=9)
         y = X[:, :3] @ rng.normal(size=3) + rng.normal(size=12)
-        problem = DesignProblem(X, y)
+        std = standardize(X, y)
         lams = make_lambda_grid(X, y, 0.5, 30).values
         for max_iter in (1, 100_000):
-            path = fit_elastic_net_path(problem, lams, 0.5, max_iter=max_iter)
-            fits = self.chain(DesignProblem(X, y), lams, 0.5, max_iter=max_iter)
+            path = fit_elastic_net_path(std, lams, 0.5, max_iter=max_iter)
+            fits = self.chain(standardize(X, y), lams, 0.5, max_iter=max_iter)
             self.assert_rows_equal(path, fits)
             assert path.converged.all() == (max_iter > 1)
 
@@ -1115,8 +1143,8 @@ class TestElasticNetPath:
         y = X[:, :3] @ rng.uniform(-2.0, 2.0, size=3) + rng.normal(size=60)
         lams = make_lambda_grid(X, y, 1.0, 40).values
         for max_iter in (1, 2, solvers.DEFAULT_MAX_ITER):
-            path = fit_elastic_net_path(DesignProblem(X, y), lams, 1.0, max_iter=max_iter)
-            self.assert_rows_equal(path, self.chain(DesignProblem(X, y), lams, 1.0,
+            path = fit_elastic_net_path(standardize(X, y), lams, 1.0, max_iter=max_iter)
+            self.assert_rows_equal(path, self.chain(standardize(X, y), lams, 1.0,
                                                     max_iter=max_iter))
             assert not path.converged.all()
 
@@ -1131,7 +1159,7 @@ class TestElasticNetPath:
         # the attempt from the entering step keeps no row at one weight, whose
         # fit takes a second step
         X, y, lams = self.wide_design(7)
-        fits = self.chain(DesignProblem(X, y), lams, 1.0)
+        fits = self.chain(standardize(X, y), lams, 1.0)
         attempts = []
         original = solvers._sign_fixed_rows
 
@@ -1140,7 +1168,7 @@ class TestElasticNetPath:
             return attempts[-1][1]
 
         monkeypatch.setattr(solvers, "_sign_fixed_rows", recording)
-        path = fit_elastic_net_path(DesignProblem(X, y), lams, 1.0)
+        path = fit_elastic_net_path(standardize(X, y), lams, 1.0)
         self.assert_rows_equal(path, fits)
         assert 2 in path.n_sweeps
         assert any(start is entering and len(kept) == 0
@@ -1155,7 +1183,7 @@ class TestElasticNetPath:
             return fit_elastic_net(*args, **kwargs)
 
         monkeypatch.setattr(solvers, "fit_elastic_net", counted)
-        path = fit_elastic_net_path(DesignProblem(X, y), lams, 1.0)
+        path = fit_elastic_net_path(standardize(X, y), lams, 1.0)
         assert path.converged.all()
         assert 0 < len(calls) < np.count_nonzero(path.n_sweeps == 1)
 
@@ -1180,11 +1208,11 @@ class TestElasticNetPath:
         X = rng.normal(size=(30, 3))
         y = X @ [3.0, -2.0, 1.0] + 0.1 * rng.normal(size=30)
         lams = make_lambda_grid(X, y, 1.0, 200).values
-        fits = self.chain(DesignProblem(X, y), lams, 1.0)
+        fits = self.chain(standardize(X, y), lams, 1.0)
         supports = [tuple(f.support()) for f in fits]
         assert supports[-40:] == [(True, True, True)] * 40
         attempts = self.record_attempts(monkeypatch)
-        path = fit_elastic_net_path(DesignProblem(X, y), lams, 1.0)
+        path = fit_elastic_net_path(standardize(X, y), lams, 1.0)
         self.assert_rows_equal(path, fits)
         # the last run: windows of 16, 32 and 64 weights, each kept whole, then the
         # rest of the grid
@@ -1198,15 +1226,15 @@ class TestElasticNetPath:
         # the next window's last weight the first where a second one does
         X, y, fine = self.wide_design(3)
         fine = np.geomspace(fine[0], fine[0] * 1e-3, 2000)
-        sizes = [np.count_nonzero(f.betas) for f in self.chain(DesignProblem(X, y), fine, 1.0)]
+        sizes = [np.count_nonzero(f.betas) for f in self.chain(standardize(X, y), fine, 1.0)]
         first, second = sizes.index(1), sizes.index(2)
         window = solvers.RUN_WINDOW
         lams = np.concatenate([np.geomspace(2.0 * fine[0], 1.01 * fine[0], window - 1),
                                np.geomspace(fine[first], fine[second - 1], window - 1),
                                fine[second:second + 30]])
-        fits = self.chain(DesignProblem(X, y), lams, 1.0)
+        fits = self.chain(standardize(X, y), lams, 1.0)
         attempts = self.record_attempts(monkeypatch)
-        path = fit_elastic_net_path(DesignProblem(X, y), lams, 1.0)
+        path = fit_elastic_net_path(standardize(X, y), lams, 1.0)
         self.assert_rows_equal(path, fits)
         assert [(given, kept, entering is not None) for given, kept, entering in attempts[:2]] \
             == [(window, window - 1, True), (window, window - 1, True)]
@@ -1220,7 +1248,7 @@ class TestElasticNetPath:
             X = rng.normal(size=(n, p)) * rng.uniform(0.1, 10.0, size=p)
             y = X[:, :3] @ rng.normal(size=3) + rng.normal(size=n)
             lams = [*make_lambda_grid(X, y, 0.0, 20).values, 0.0]
-            fits = self.chain(DesignProblem(X, y), lams, 0.0)
+            fits = self.chain(standardize(X, y), lams, 0.0)
             calls = []
 
             def counted(*args, **kwargs):
@@ -1228,18 +1256,20 @@ class TestElasticNetPath:
                 return fit_elastic_net(*args, **kwargs)
 
             monkeypatch.setattr(solvers, "fit_elastic_net", counted)
-            path = fit_elastic_net_path(DesignProblem(X, y), lams, 0.0)
+            path = fit_elastic_net_path(standardize(X, y), lams, 0.0)
             monkeypatch.undo()
             self.assert_rows_equal(path, fits)
             assert calls == []
 
     def test_checks_every_argument_before_any_fit(self, monkeypatch):
-        problem = DesignProblem(np.eye(3), np.ones(3))
+        std = standardize(np.eye(3), np.ones(3))
 
         def no_fit(*args):
             raise AssertionError("a fit ran")
 
-        monkeypatch.setattr(solvers, "_standardize", no_fit)
+        # every fit forms exact updates or factors an active set
+        monkeypatch.setattr(solvers, "_exact_updates", no_fit)
+        monkeypatch.setattr(solvers, "_factor", no_fit)
         bad = [
             (((1.0, 0.5, float("nan")), 1.0, {}), "^lambda must be finite and >= 0, got nan$"),
             (((1.0, -1.0), 1.0, {}), "^lambda must be finite and >= 0, got -1.0$"),
@@ -1251,9 +1281,9 @@ class TestElasticNetPath:
         ]
         for (lams, alpha, kwargs), message in bad:
             with pytest.raises(ValueError, match=message):
-                fit_elastic_net_path(problem, lams, alpha, **kwargs)
+                fit_elastic_net_path(std, lams, alpha, **kwargs)
             with pytest.raises(ValueError, match=message):  # the one-weight fit's message
-                fit_elastic_net(problem, lams[-1], alpha, **kwargs)
+                fit_elastic_net(std, lams[-1], alpha, **kwargs)
 
     def test_a_non_finite_row_raises_like_the_one_weight_fits(self):
         # a response near the largest float overflows Xs'yc, so every batched row is
@@ -1261,13 +1291,13 @@ class TestElasticNetPath:
         X = np.random.default_rng(32).normal(size=(4, 3))
         y = np.array([1e308, -1e308, 1e308, -1e308])
         with np.errstate(all="ignore"):
-            problem = DesignProblem(X, y)
-            assert not np.isfinite(problem.standardized().q).all()
+            std = standardize(X, y)
+            assert not np.isfinite(std.q).all()
             for warm in (None, CoefficientSet(0.0, np.ones(3))):
                 with pytest.raises(NonFiniteEncountered):
-                    self.chain(problem, (2.0, 1.0), 1.0, warm, max_iter=5)
+                    self.chain(std, (2.0, 1.0), 1.0, warm, max_iter=5)
                 with pytest.raises(NonFiniteEncountered):
-                    fit_elastic_net_path(problem, (2.0, 1.0), 1.0, max_iter=5, warm_start=warm)
+                    fit_elastic_net_path(std, (2.0, 1.0), 1.0, max_iter=5, warm_start=warm)
 
 
 class TestLambdaZeroCollapse:
@@ -1279,8 +1309,8 @@ class TestLambdaZeroCollapse:
             X = rng.normal(size=(n, p))
             y = rng.normal(size=n)
             intercept, betas = least_squares(X, y)
-            ridge = fit_ridge(DesignProblem(X, y), 0.0)
-            net = fit_elastic_net(DesignProblem(X, y), 0.0, 0.3)
+            ridge = fit_ridge(standardize(X, y), 0.0)
+            net = fit_elastic_net(standardize(X, y), 0.0, 0.3)
             for other in (ridge, net):
                 assert abs(other.intercept - intercept) <= 1e-6
                 assert np.max(np.abs(other.betas - betas)) <= 1e-6
