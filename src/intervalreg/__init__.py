@@ -24,7 +24,6 @@ from .models import (
 )
 from .selection import (
     AlphaSweepResult,
-    CoefficientPath,
     CvResult,
     LambdaGrid,
     ZeroVarianceResponse,

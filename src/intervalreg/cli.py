@@ -269,10 +269,10 @@ def _cmd_path(args) -> int:
     std = view.standardized(args.component)
     grid = selection.lambda_grid(std, spec.effective_alpha, args.n_lambdas)
     path = selection.coefficient_path(view, spec, grid, component=args.component)
-    _warn_nonconverged(path.nonconverged)
-    _write_csv(args.out, ["lambda", "intercept", *path.predictor_names],
-               [grid.values, path.intercepts, *path.coefficients.T])
-    print(f"wrote {len(grid)} path points for {len(path.predictor_names)} predictors")
+    _warn_nonconverged(np.count_nonzero(~path.converged))
+    _write_csv(args.out, ["lambda", "intercept", *view.predictor_names],
+               [grid.values, path.intercepts, *path.slopes.T])
+    print(f"wrote {len(grid)} path points for {len(view.predictor_names)} predictors")
     return 0
 
 

@@ -15,6 +15,7 @@ from math import isfinite
 import numpy as np
 
 from .models import IntervalPrediction
+from .solvers import safe_mean
 
 
 class ZeroVariance(ValueError):
@@ -46,7 +47,7 @@ def _rms(v: np.ndarray) -> float:
 
 
 def _r_squared(observed: np.ndarray, predicted: np.ndarray, side: str) -> float:
-    d_obs, d_pred = observed - observed.mean(), predicted - predicted.mean()
+    d_obs, d_pred = observed - safe_mean(observed), predicted - safe_mean(predicted)
     s_obs, s_pred = _rms(d_obs), _rms(d_pred)
     if s_obs == 0.0:
         raise ZeroVariance(f"observed {side} endpoints are constant, r^2 undefined")

@@ -6,11 +6,12 @@ and the center-and-range method (a second regression on half-ranges,
 endpoint predictions center -/+ range), each either unpenalized or with
 a ridge, lasso, or elastic-net fit.
 
-Both regressions fit their whole design, where a constant predictor (say,
-one of constant half-range width) gets slope exactly 0.  Under lasso and
-elastic net, the half-range columns of the predictors the midpoint
-regression dropped are set to 0, so the range model's support is always
-nested in the center model's.
+Each regression is one design, which :func:`fit_component` fits with one
+solver at every weight of a grid: ridge (at weight 0 when unpenalized) or
+elastic net (lasso and net).  A constant predictor (say, one of constant
+half-range width) gets slope exactly 0.  Under lasso and elastic net, the
+half-range columns of the predictors the midpoint regression dropped are
+set to 0, so the range model's support is always nested in the center model's.
 
 Endpoint ordering of predictions is not guaranteed; rows with a
 predicted lower bound above the upper bound are counted, never silently
@@ -26,12 +27,9 @@ from math import isfinite
 import numpy as np
 
 from .solvers import (
-    DEFAULT_MAX_ITER,
-    DEFAULT_TOL,
     CoefficientGrid,
     CoefficientSet,
     SingularDesign,
-    Standardized,
     fit_elastic_net_path,
     fit_ridge_path,
 )
@@ -162,7 +160,6 @@ class FittedModel:
     response_name: str
     center_coeffs: CoefficientSet
     range_coeffs: CoefficientSet | None = None
-    empty_support: bool = False
 
     def __post_init__(self):
         object.__setattr__(self, "predictor_names", tuple(self.predictor_names))
@@ -183,6 +180,13 @@ class FittedModel:
             dropped = ~self.center_coeffs.support()
             if np.any(self.range_coeffs.betas[dropped] != 0.0):
                 raise ValueError("range support is not nested in center support")
+
+    @property
+    def empty_support(self) -> bool:
+        """True for a crm lasso or elastic-net model whose center model selected no
+        predictor, so that its range model is intercept-only."""
+        return (self.spec.family == "crm" and self.spec.selects_variables
+                and not self.center_coeffs.support().any())
 
 
 @dataclass(frozen=True, eq=False)
@@ -223,15 +227,16 @@ def swap_violations(prediction: IntervalPrediction) -> IntervalPrediction:
 # Fitting
 # ---------------------------------------------------------------------------
 
-def fit_design(
-    std: Standardized,
+def fit_component(
+    view: CenterRangeView,
+    component: str,
     spec: MethodSpec,
     lams: Sequence[float],
-    tol: float = DEFAULT_TOL,
-    max_iter: int = DEFAULT_MAX_ITER,
     warm: CoefficientSet | None = None,
+    mask: np.ndarray | None = None,
 ) -> CoefficientGrid:
-    """Fit one design with the spec's solver at each weight of a descending grid.
+    """Fit the view's standardized ``component`` design at each weight of a
+    descending grid; a boolean ``mask`` fits its :func:`~intervalreg.solvers.exclude` copy.
 
     Row i is the fit at ``lams[i]``.  Ridge fits all weights in one solve
     (:func:`~intervalreg.solvers.fit_ridge_path`); an unpenalized spec is
@@ -241,30 +246,16 @@ def fit_design(
     keeps its warm start's signs is one batched solve, a run that ends where
     one coordinate enters takes that step and stays batched, and coordinate
     descent runs only at the other weights where the support changes.
-    """
-    if spec.penalty in ("none", "ridge"):
-        return fit_ridge_path(std, np.zeros(len(lams)) if spec.penalty == "none" else lams)
-    return fit_elastic_net_path(std, lams, spec.effective_alpha, tol, max_iter, warm)
-
-
-def fit_component(
-    view: CenterRangeView,
-    component: str,
-    spec: MethodSpec,
-    lams: Sequence[float],
-    tol: float = DEFAULT_TOL,
-    max_iter: int = DEFAULT_MAX_ITER,
-    warm: CoefficientSet | None = None,
-    mask: np.ndarray | None = None,
-) -> CoefficientGrid:
-    """:func:`fit_design` on the view's standardized ``component`` (and ``mask``).
 
     A singular design is raised as :class:`~intervalreg.solvers.SingularDesign`
     with the same ``pivot_index``, its message naming the predictor and the
     regression: the midpoints or the half-ranges.
     """
+    std = view.standardized(component, mask)
     try:
-        return fit_design(view.standardized(component, mask), spec, lams, tol, max_iter, warm)
+        if spec.penalty in ("none", "ridge"):
+            return fit_ridge_path(std, np.zeros(len(lams)) if spec.penalty == "none" else lams)
+        return fit_elastic_net_path(std, lams, spec.effective_alpha, warm_start=warm)
     except SingularDesign as exc:
         part = "half-ranges" if component == "range" else "midpoints"
         names = view.predictor_names  # a view built without names numbers them
@@ -315,8 +306,6 @@ def fit_grid(
     spec: MethodSpec,
     lambdas: Sequence[float],
     range_lambdas: Sequence[float] | None = None,
-    tol: float = DEFAULT_TOL,
-    max_iter: int = DEFAULT_MAX_ITER,
     warm_start: FittedModel | None = None,
 ) -> GridFit:
     """Fit a method at every weight of a descending penalty grid.
@@ -326,24 +315,21 @@ def fit_grid(
     weights), on the half-range design with, under lasso / elastic net, the
     columns outside the center support at that weight set to 0 (slope 0,
     mean 0, scale 1).  Only the spec's family, penalty and alpha are used.
-    Each design comes from :meth:`~intervalreg.tables.CenterRangeView.standardized`
-    (a support's half-ranges: a zeroed copy of the whole), so every grid fitted on
-    the same view shares one standardization per design and its factorizations.
-    Ridge solves all of a design's weights in one product, and lasso /
-    elastic-net fits are warm-started down the grid, the first from
-    ``warm_start`` (a model fit on the same predictors).
+    Each design, a support's half-ranges included, is one :func:`fit_component`
+    call on the view, so every grid fitted on the same view shares one
+    standardization per design and its factorizations.  Lasso / elastic-net
+    fits start from ``warm_start`` (a model fit on the same predictors).
     """
     if range_lambdas is None:
         range_lambdas = lambdas
     warm_center = warm_range = None
     if warm_start is not None and warm_start.predictor_names == view.predictor_names:
         warm_center, warm_range = warm_start.center_coeffs, warm_start.range_coeffs
-    centers = fit_component(view, "center", spec, lambdas, tol, max_iter, warm_center)
+    centers = fit_component(view, "center", spec, lambdas, warm_center)
     if spec.family == "cm":
         return GridFit(centers)
     if not spec.selects_variables:
-        return GridFit(centers, fit_component(view, "range", spec, range_lambdas, tol,
-                                              max_iter, warm_range))
+        return GridFit(centers, fit_component(view, "range", spec, range_lambdas, warm_range))
     masks = centers.slopes != 0.0
     bounds = [0, *(np.flatnonzero((masks[1:] != masks[:-1]).any(axis=1)) + 1), len(masks)]
     runs: list[CoefficientGrid] = []
@@ -352,8 +338,7 @@ def fit_grid(
         warm = runs[-1][-1] if runs else warm_range
         if warm is not None:  # the columns set to 0 start at 0, so they stay there
             warm = CoefficientSet(warm.intercept, np.where(mask, warm.betas, 0.0))
-        runs.append(fit_component(view, "range", spec, range_lambdas[start:stop], tol,
-                                  max_iter, warm, mask))
+        runs.append(fit_component(view, "range", spec, range_lambdas[start:stop], warm, mask))
     if len(runs) == 1:
         return GridFit(centers, runs[0])
     fields = zip(*((r.intercepts, r.slopes, r.converged, r.n_sweeps) for r in runs))
@@ -363,8 +348,6 @@ def fit_grid(
 def fit(
     table: IntervalTable,
     spec: MethodSpec,
-    tol: float = DEFAULT_TOL,
-    max_iter: int = DEFAULT_MAX_ITER,
     warm_start: FittedModel | None = None,
 ) -> FittedModel:
     """Fit an interval regression method on a table with a designated response.
@@ -384,14 +367,9 @@ def fit(
             f"unpenalized fit needs more rows than free parameters: n={n}, p+1={p + 1}"
         )
     fits = fit_grid(view, spec, (spec.lambda_center,), (spec.effective_lambda_range,),
-                    tol, max_iter, warm_start)
-    center = fits.centers[0]
-    if spec.family == "cm":
-        return FittedModel(spec, view.predictor_names, table.response_name, center)
-    return FittedModel(
-        spec, view.predictor_names, table.response_name, center, fits.ranges[0],
-        empty_support=spec.selects_variables and not center.support().any(),
-    )
+                    warm_start)
+    ranges = None if fits.ranges is None else fits.ranges[0]
+    return FittedModel(spec, view.predictor_names, table.response_name, fits.centers[0], ranges)
 
 
 # ---------------------------------------------------------------------------
@@ -552,6 +530,10 @@ def deserialize(text: str) -> FittedModel:
     center = _parse_coeffs(kv, "center")
     rng = _parse_coeffs(kv, "range") if "range.intercept" in kv else None
     try:
-        return FittedModel(spec, predictors, response, center, rng, empty_support)
+        model = FittedModel(spec, predictors, response, center, rng)
     except ValueError as exc:
         raise ModelFormatError(str(exc)) from None
+    if model.empty_support != empty_support:
+        raise ModelFormatError(f"empty_support: {kv['empty_support']} contradicts the "
+                               "center coefficients")
+    return model

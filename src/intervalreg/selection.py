@@ -11,9 +11,10 @@ product per endpoint.  The held-out loss is the mean of squared lower
 and upper endpoint errors, ``(RMSE_L^2 + RMSE_U^2) / 2``; for
 center-and-range methods one shared lambda drives both the midpoint and
 the half-range fit (independent range selection is available through
-``component="range"``).  Coefficient paths fit one design along the grid
-with the same routine as the folds (:func:`~intervalreg.models.fit_component`),
-on the view's standardized design that the grid's top was read from.
+``component="range"``).  A coefficient path is the
+:class:`~intervalreg.solvers.CoefficientGrid` of one design along the grid, fitted
+by the folds' routine (:func:`~intervalreg.models.fit_component`) on the view's
+standardized design that the grid's top was read from.
 """
 
 from __future__ import annotations
@@ -24,7 +25,7 @@ from math import isfinite, sqrt
 import numpy as np
 
 from .models import GridFit, MethodSpec, fit_component, fit_grid
-from .solvers import DEFAULT_MAX_ITER, DEFAULT_TOL, Standardized, standardize
+from .solvers import CoefficientGrid, Standardized, standardize
 from .tables import (
     CenterRangeView,
     IntervalTable,
@@ -126,8 +127,7 @@ def _fold_losses(fits: GridFit, test: list[np.ndarray], component: str) -> np.nd
 
 
 def _cv_run(table: IntervalTable, specs: list[MethodSpec], grid: LambdaGrid | None,
-            k: int | None, seed: int, n_points: int, component: str,
-            tol: float = DEFAULT_TOL, max_iter: int = DEFAULT_MAX_ITER) -> list[CvResult]:
+            k: int | None, seed: int, n_points: int, component: str) -> list[CvResult]:
     """One :class:`CvResult` per spec from one set of folds: each fold's view and the
     designs it standardizes serve every spec, and are released when the fold ends."""
     if component not in COMPONENTS:
@@ -147,7 +147,7 @@ def _cv_run(table: IntervalTable, specs: list[MethodSpec], grid: LambdaGrid | No
         train = view.take(np.delete(np.arange(n), test_idx))
         test = [b[test_idx] for b in bounds]
         for si, (spec, g) in enumerate(zip(specs, grids)):
-            fits = fit_grid(train, spec, g.values, tol=tol, max_iter=max_iter)
+            fits = fit_grid(train, spec, g.values)
             nonconverged[si] += fits.nonconverged
             losses[si, fi] = _fold_losses(fits, test, component)
 
@@ -157,11 +157,11 @@ def _cv_run(table: IntervalTable, specs: list[MethodSpec], grid: LambdaGrid | No
         std_error = fold_losses.std(axis=0, ddof=1) / sqrt(k)
         i_min = int(np.argmin(mean_loss))  # ties resolve to the largest lambda
         i_1se = int(np.flatnonzero(mean_loss <= mean_loss[i_min] + std_error[i_min])[0])
-        path = coefficient_path(view, spec, g, "range" if component == "range" else "center",
-                                tol=tol, max_iter=max_iter)
+        path = coefficient_path(view, spec, g, "range" if component == "range" else "center")
         results.append(CvResult(
             g, mean_loss, std_error, g.values[i_min], g.values[i_1se], seed=seed, folds=k,
-            nonzero=path.nonzero, nonconverged=stopped + path.nonconverged,
+            nonzero=tuple(np.count_nonzero(path.slopes, axis=1).tolist()),
+            nonconverged=stopped + int(np.count_nonzero(~path.converged)),
         ))
     return results
 
@@ -174,8 +174,6 @@ def cross_validate(
     seed: int = 0,
     n_points: int = 100,
     component: str = "interval",
-    tol: float = DEFAULT_TOL,
-    max_iter: int = DEFAULT_MAX_ITER,
 ) -> CvResult:
     """k-fold cross-validation of the penalty weight for one method.
 
@@ -194,8 +192,7 @@ def cross_validate(
     """
     if spec.penalty == "none":
         raise ValueError("cross-validation needs a penalized method")
-    return _cv_run(table, [spec], grid, k, seed, n_points, component,
-                   tol=tol, max_iter=max_iter)[0]
+    return _cv_run(table, [spec], grid, k, seed, n_points, component)[0]
 
 
 @dataclass(frozen=True)
@@ -237,39 +234,19 @@ def alpha_sweep(
     return AlphaSweepResult(best[1], best[2], best[0], tuple(zip(alphas, results)))
 
 
-@dataclass(frozen=True, eq=False)
-class CoefficientPath:
-    """Per-lambda coefficients of one design, on the original predictor scale.
-
-    ``nonzero`` counts each point's nonzero coefficients, and ``nonconverged``
-    the points whose fit stopped without converging.
-    """
-
-    grid: LambdaGrid
-    intercepts: np.ndarray          # (len(grid),)
-    coefficients: np.ndarray        # (len(grid), p)
-    predictor_names: tuple[str, ...]
-    nonconverged: int = 0
-
-    @property
-    def nonzero(self) -> tuple[int, ...]:
-        return tuple(np.count_nonzero(self.coefficients, axis=1).tolist())
-
-
 def coefficient_path(
     table: IntervalTable | CenterRangeView,
     spec: MethodSpec,
     grid: LambdaGrid,
     component: str = "center",
-    tol: float = DEFAULT_TOL,
-    max_iter: int = DEFAULT_MAX_ITER,
-) -> CoefficientPath:
-    """Coefficients along a descending grid, warm-started between points.
+) -> CoefficientGrid:
+    """Coefficients along a descending grid, warm-started between points: row i
+    of the returned grid is the fit at ``grid.values[i]``.
 
     ``component`` picks the design: midpoints (default) or half-ranges.
     The view's standardized design (:meth:`~intervalreg.tables.CenterRangeView.standardized`)
-    is fitted by :func:`~intervalreg.models.fit_component`, whose arrays are the
-    path's: each lasso / elastic-net fit starts from the previous
+    is fitted by :func:`~intervalreg.models.fit_component`, whose grid is the
+    path: each lasso / elastic-net fit starts from the previous
     (larger-lambda) solution, and all ridge points are one solve.  Support
     restriction does not apply here, the path is the plain per-design
     solution.  ``table`` may be given as its center/range view
@@ -281,8 +258,4 @@ def coefficient_path(
     if component not in ("center", "range"):
         raise ValueError(f"component must be 'center' or 'range', got {component!r}")
     view = table if isinstance(table, CenterRangeView) else to_center_range(table)
-    fits = fit_component(view, component, spec, grid.values, tol=tol, max_iter=max_iter)
-    return CoefficientPath(
-        grid, fits.intercepts, fits.slopes, view.predictor_names,
-        nonconverged=int(np.count_nonzero(~fits.converged)),
-    )
+    return fit_component(view, component, spec, grid.values)

@@ -137,10 +137,13 @@ def standardize(X: np.ndarray, y: np.ndarray) -> Standardized:
     if not (np.isfinite(X).all() and np.isfinite(y).all()):
         raise ValueError("X and y must be finite")
     Xs, means, scales = _standardize(np.ascontiguousarray(X))  # a product's bits follow layout
-    y_mean = y.mean()
-    yc = y - y_mean
+    y_mean = safe_mean(y)
     gram = Xs.T @ Xs
-    return _read_only(Standardized(means, scales, y_mean, gram, Xs.T @ yc, float(yc @ yc),
+    # a y whose sums overflow gives a non-finite q, which CenterRangeView.standardized rejects
+    with np.errstate(over="ignore", invalid="ignore"):
+        yc = y - y_mean
+        q, y_ss = Xs.T @ yc, float(yc @ yc)
+    return _read_only(Standardized(means, scales, y_mean, gram, q, y_ss,
                                    np.diag(gram).copy(), {}, n))
 
 
@@ -266,6 +269,17 @@ def _failed_pivot(g: np.ndarray, threshold: float) -> SingularDesign:
             return SingularDesign(m, float(L[m, m] ** 2))
 
 
+def safe_mean(v: np.ndarray) -> np.ndarray:
+    """``v.mean(axis=0)`` of a finite ``v`` (a scalar for a vector).  Where a sum
+    overflows, the values are divided by their largest magnitude before averaging."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        mean = v.mean(axis=0)
+        if not np.isfinite(mean).all():
+            peak = np.abs(v).max(axis=0)
+            mean = np.where(np.isfinite(mean), mean, peak * (v / peak).mean(axis=0))[()]
+    return mean
+
+
 def _standardize(X: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Center columns and divide them by their population standard deviation.
 
@@ -275,13 +289,7 @@ def _standardize(X: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     averaging, and one whose mean square overflows or falls below the smallest
     normal double before squaring.
     """
-    with np.errstate(over="ignore", invalid="ignore"):
-        means = X.mean(axis=0)
-    redo = ~np.isfinite(means)
-    if redo.any():
-        peak = np.abs(X[:, redo]).max(axis=0)
-        means[redo] = peak * (X[:, redo] / peak).mean(axis=0)
-    means = np.where(X.max(axis=0) == X.min(axis=0), X[0], means)
+    means = np.where(X.max(axis=0) == X.min(axis=0), X[0], safe_mean(X))
     Xc = X - means
     with np.errstate(over="ignore"):
         mean_sq = (Xc**2).mean(axis=0)

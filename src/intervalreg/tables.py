@@ -24,7 +24,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .solvers import Standardized, exclude, standardize
+from .solvers import NonFiniteEncountered, Standardized, exclude, standardize
 
 
 class TableError(ValueError):
@@ -161,11 +161,18 @@ class CenterRangeView:
     def standardized(self, component: str, mask: np.ndarray | None = None) -> Standardized:
         """:meth:`design`'s :func:`~intervalreg.solvers.standardize`, cached on the view;
         a boolean ``mask`` gives its :func:`~intervalreg.solvers.exclude` copy (a crm
-        support run's half-ranges), cached per distinct mask."""
+        support run's half-ranges), cached per distinct mask.  A response whose sums
+        overflow (a non-finite ``q``) raises
+        :class:`~intervalreg.solvers.NonFiniteEncountered` naming the regression."""
         key = (component == "range", None if mask is None else mask.tobytes())
         if key not in self._standardized:
-            self._standardized[key] = (standardize(*self.design(component)) if mask is None
-                                       else exclude(self.standardized(component), mask))
+            std = (standardize(*self.design(component)) if mask is None
+                   else exclude(self.standardized(component), mask))
+            if not np.isfinite(std.q).all():
+                part = "half-ranges" if component == "range" else "midpoints"
+                raise NonFiniteEncountered(f"sums of the response's {part} overflow; "
+                                           "the regression on them cannot be fitted")
+            self._standardized[key] = std
         return self._standardized[key]
 
     def take(self, rows: np.ndarray) -> "CenterRangeView":

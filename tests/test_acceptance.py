@@ -335,7 +335,7 @@ def test_criterion5e_path_consistency():
         std = standardize(view.centers_X, view.centers_y)
         for i, lam in enumerate(grid.values):
             cold = fit_elastic_net(std, lam, alpha)
-            worst = max(worst, float(np.max(np.abs(path.coefficients[i] - cold.betas))))
+            worst = max(worst, float(np.max(np.abs(path.slopes[i] - cold.betas))))
     check(
         "criterion 5e",
         worst <= 1e-6,

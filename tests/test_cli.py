@@ -7,7 +7,7 @@ import re
 import numpy as np
 import pytest
 
-from intervalreg import IntervalTable, MethodSpec, cli, models, selection, serialize
+from intervalreg import IntervalTable, MethodSpec, cli, models, selection, serialize, solvers
 from intervalreg.cli import main
 from intervalreg.models import FittedModel
 from intervalreg.solvers import CoefficientSet
@@ -301,6 +301,18 @@ class TestPredictEvaluate:
         assert (code, out) == (1, "")
         assert err == "error: non-finite number in 'center.betas': 'nan 0.16985117364821131'\n"
 
+    def test_predict_rejects_a_flipped_empty_support_flag(self, capsys, tmp_path, cardio_csv):
+        model = self.fit_model(capsys, tmp_path, cardio_csv, "lasso-crm", "--lambda", "1")
+        text = model.read_text()
+        model.write_text(text.replace("empty_support: false", "empty_support: true"))
+        code, out, err = run(
+            capsys, "predict", "--model", str(model), "--data", str(cardio_csv),
+            "--out", str(tmp_path / "pred.csv"),
+        )
+        assert (code, out) == (1, "")
+        assert err == "error: empty_support: true contradicts the center coefficients\n"
+        assert not (tmp_path / "pred.csv").exists()
+
     def test_evaluate_text_report(self, capsys, tmp_path, cardio_csv):
         model = self.fit_model(capsys, tmp_path, cardio_csv, "crm")
         code, out, err = run(
@@ -435,6 +447,36 @@ class TestPathCommand:
         assert max(abs(v) for v in top) <= 1e-10
 
 
+class TestOverflowingResponse:
+    """A response whose midpoint or half-range sums pass the largest double is
+    rejected before any fit, naming the regression, and no file is written."""
+
+    TABLES = {
+        "midpoints": "8e307,8e307,1,2\n-8e307,-8e307,-2,-1\n" * 2,
+        "half-ranges": "-8e307,8e307,1,3\n1,1,-2,-1\n" * 8,  # a fold's 8 rows overflow too
+    }
+
+    @pytest.mark.parametrize("part", sorted(TABLES))
+    @pytest.mark.parametrize("command", ["fit", "cv", "path"])
+    def test_exits_2_naming_the_regression(self, capsys, tmp_path, part, command):
+        train = tmp_path / "train.csv"
+        train.write_text("Y_lo,Y_hi,A_lo,A_hi\n" + self.TABLES[part])
+        out = tmp_path / "out"
+        method = "lasso-crm" if command == "path" else "ridge-crm"
+        flags = {
+            "fit": ["--lambda", "1", "--model-out", str(out)],
+            "cv": ["--folds", "2", "--seed", "1", "--out", str(out)],
+            "path": ["--component", "center" if part == "midpoints" else "range",
+                     "--out", str(out)],
+        }[command]
+        code, stdout, err = run(capsys, command, "--method", method, "--train", str(train),
+                                "--response", "Y", *flags)
+        assert (code, stdout) == (2, "")
+        assert err == (f"error: sums of the response's {part} overflow; "
+                       "the regression on them cannot be fitted\n")
+        assert not out.exists()
+
+
 class TestCsvFiles:
     """Every CSV file the CLI writes is, byte for byte, what ``csv.writer`` writes for
     its header and for its numbers formatted as ``format(x, ".17g")``."""
@@ -476,8 +518,8 @@ class TestCsvFiles:
                                           component)
         assert got.startswith('lambda,intercept,A,"X""q",B\n')
         assert got == self.csv_writer_text(
-            ["lambda", "intercept", *path.predictor_names],
-            ([lam, path.intercepts[i], *path.coefficients[i]]
+            ["lambda", "intercept", *view.predictor_names],
+            ([lam, path.intercepts[i], *path.slopes[i]]
              for i, lam in enumerate(grid.values)))
 
     def test_cv_curve(self, capsys, tmp_path, quoted):
@@ -590,10 +632,8 @@ class TestNonConvergedWarning:
     ):
         code, out, err = self.run_command(capsys, tmp_path, wide_csv, command)
         assert code == 0 and err == ""
-        for name in ("cross_validate", "_cv_run", "coefficient_path"):
-            monkeypatch.setattr(
-                selection, name, functools.partial(getattr(selection, name), max_iter=1)
-            )
+        monkeypatch.setattr(models, "fit_elastic_net_path",
+                            functools.partial(solvers.fit_elastic_net_path, max_iter=1))
         code, capped_out, err = self.run_command(capsys, tmp_path, wide_csv, command)
         assert code == 0
         lines = err.splitlines()
@@ -621,7 +661,8 @@ class TestNonConvergedWarning:
         assert code == 0 and err == ""
         # a cold fit stopped after k steps has at most k nonzeros, and the range
         # fit sees only the midpoint fit's, so it needs a drop to stop as well
-        monkeypatch.setattr(models, "fit", functools.partial(models.fit, max_iter=3))
+        monkeypatch.setattr(models, "fit_elastic_net_path",
+                            functools.partial(solvers.fit_elastic_net_path, max_iter=3))
         code, capped_out, err = run(capsys, *argv)
         assert code == 0
         assert err == ("warning: 2 coordinate-descent fit(s) stopped without converging, "

@@ -1,5 +1,8 @@
 """Property tests of fitting, serialization, prediction repair and CV."""
 
+import functools
+from unittest import mock
+
 import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -18,6 +21,7 @@ from intervalreg import (
     swap_violations,
     to_center_range,
 )
+from intervalreg import models, solvers
 from intervalreg.models import METHOD_NAMES
 
 from conftest import random_interval_table
@@ -50,13 +54,20 @@ def close(a, b):
     return np.allclose(a, b, rtol=1e-6, atol=1e-8)
 
 
+def tight_fits():
+    """Coordinate descent at tolerance 1e-10 in every fit made inside the block."""
+    tight = functools.partial(solvers.fit_elastic_net_path, tol=1e-10)
+    return mock.patch.object(models, "fit_elastic_net_path", tight)
+
+
 @SETTINGS
 @given(fitting_problems(), st.data())
 def test_fit_is_invariant_to_row_order(problem, data):
     table, spec = problem
     perm = data.draw(st.permutations(range(table.n_rows)))
-    a = fit(table, spec, tol=1e-10)
-    b = fit(table.take(perm), spec, tol=1e-10)
+    with tight_fits():
+        a = fit(table, spec)
+        b = fit(table.take(perm), spec)
     assert close(coefficients(a), coefficients(b))
 
 
@@ -70,8 +81,9 @@ def test_shifting_the_response_moves_only_the_center_intercept(problem, shift):
     shifted = IntervalTable(
         table.variable_names, table.lower + offset, table.upper + offset, table.response_name
     )
-    a = fit(table, spec, tol=1e-10)
-    b = fit(shifted, spec, tol=1e-10)
+    with tight_fits():
+        a = fit(table, spec)
+        b = fit(shifted, spec)
     moved = coefficients(a)
     moved[0] += shift
     assert close(coefficients(b), moved)

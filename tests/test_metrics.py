@@ -106,9 +106,10 @@ def test_rmse_shift_recomputation():
     assert shifted.rmse_l >= 0.0
 
 
-@pytest.mark.parametrize("scale", [1e300, 1e-170])
+@pytest.mark.parametrize("scale", [1e300, 1e307, 1e-170])
 def test_large_and_tiny_endpoints_score_like_unit_ones(scale):
-    # squares of 1e300 overflow and squares of 1e-170 underflow
+    # squares of 1e300 overflow, sums of 1e307 overflow too, and squares of 1e-170
+    # underflow
     rng = np.random.default_rng(54)
     y_lo = 3.0 + rng.normal(size=40)
     y_hi = y_lo + rng.uniform(0.1, 2.0, size=40)

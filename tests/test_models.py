@@ -17,10 +17,17 @@ from intervalreg import (
     swap_violations,
     tables,
 )
-from intervalreg.models import FittedModel, IntervalPrediction
+from intervalreg.models import METHOD_NAMES, FittedModel, IntervalPrediction
 from intervalreg.selection import cross_validate, make_lambda_grid
-from intervalreg.solvers import CoefficientSet, exclude, fit_elastic_net, fit_ridge, standardize
-from intervalreg.tables import predictor_bounds, read_interval_csv, to_center_range
+from intervalreg.solvers import (
+    CoefficientSet,
+    NonFiniteEncountered,
+    exclude,
+    fit_elastic_net,
+    fit_ridge,
+    standardize,
+)
+from intervalreg.tables import CenterRangeView, predictor_bounds, read_interval_csv, to_center_range
 
 from conftest import DATA_DIR, least_squares, random_interval_table
 
@@ -227,9 +234,9 @@ class TestShrinkageVariants:
         X[:, 2] = 1.5  # a zero-variance column
         y = X[:, :2] @ [1.0, -2.0] + rng.normal(size=30)
         spec = MethodSpec("cm", "elastic_net", lambda_center=1.0, alpha=0.0)
-        std = standardize(X, y)
-        fits = models.fit_design(std, spec, np.geomspace(1e3, 1e-3, 100))
-        assert len(std.factors) == 1
+        view = CenterRangeView(X, y, X, y)
+        fits = models.fit_component(view, "center", spec, np.geomspace(1e3, 1e-3, 100))
+        assert len(view.standardized("center").factors) == 1
         assert all(f.converged and f.n_sweeps == 0 for f in fits)
         assert all(f.betas[2] == 0.0 for f in fits)
 
@@ -338,6 +345,39 @@ class TestGridArrays:
             warm = slopes
         got = fits.ranges.intercepts + X @ fits.ranges.slopes.T
         np.testing.assert_allclose(got, np.column_stack(want), rtol=1e-12, atol=0)
+
+
+@pytest.mark.parametrize("name", sorted(METHOD_NAMES))
+def test_a_response_whose_sums_overflow_is_not_fitted(name):
+    # the midpoints' mean is 0, but their products with the standardized predictor
+    # sum past the largest double
+    lower = np.array([[8e307, 1.0], [-8e307, -2.0]] * 2)
+    table = IntervalTable(("Y", "A"), lower, lower + [0.0, 1.0], response_name="Y")
+    spec = MethodSpec.from_name(name, 0.0 if name in ("cm", "crm") else 1.0, None,
+                                0.5 if name.startswith("net") else None)
+    with pytest.raises(NonFiniteEncountered, match="^sums of the response's midpoints overflow"):
+        fit(table, spec)
+
+
+@pytest.mark.parametrize("name", sorted(METHOD_NAMES))
+def test_a_response_whose_sum_overflows_is_fitted(name):
+    # five midpoints near 8.5e307 sum past the largest double; their mean and their
+    # deviations from it do not
+    lower = np.column_stack([[8.0e307, 8.2e307, 8.5e307, 8.8e307, 8.6e307],
+                             [1.0, 2.5, 2.75, 5.0, 3.6]])
+    table = IntervalTable(("Y", "A"), lower, lower + [0.0, 1.0], response_name="Y")
+    spec = MethodSpec.from_name(name, 0.0 if name in ("cm", "crm") else 1.0, None,
+                                0.5 if name.startswith("net") else None)
+    model = deserialize(serialize(fit(table, spec)))
+    pred = predict(model, table)
+    assert np.isfinite(pred.lower).all() and np.isfinite(pred.upper).all()
+    if spec.penalty == "none":
+        unit = fit(IntervalTable(("Y", "A"), lower / [1e307, 1.0], lower / [1e307, 1.0]
+                                 + [0.0, 1.0], response_name="Y"), spec)
+        assert model.center_coeffs.intercept == pytest.approx(
+            unit.center_coeffs.intercept * 1e307, rel=1e-12)
+        assert model.center_coeffs.betas[0] == pytest.approx(
+            unit.center_coeffs.betas[0] * 1e307, rel=1e-12)
 
 
 class TestPredictValidation:
@@ -460,6 +500,8 @@ class TestSerialization:
         ("method", "lasso-xyz", "unknown method 'lasso-xyz'; choose from cm, crm, "),
         ("predictors", "Systolic", "center coefficient count does not match predictors"),
         ("range.betas", "0 1", "range support is not nested in center support"),
+        ("empty_support", "maybe", "malformed boolean for 'empty_support': 'maybe'"),
+        ("empty_support", "false", "empty_support: false contradicts the center coefficients"),
     ])
     def test_a_malformed_model_file_is_rejected(self, cardio, key, value, message):
         # at this weight the center model selects no variable (empty support)

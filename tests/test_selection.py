@@ -1,4 +1,5 @@
-import inspect
+import functools
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -29,6 +30,11 @@ from intervalreg.solvers import (
 from intervalreg.tables import response_bounds, to_center_range
 
 from conftest import least_squares, make_cardio_table, random_interval_table
+
+
+def nonzero(path):
+    """Each path point's count of nonzero slopes."""
+    return tuple(np.count_nonzero(path.slopes, axis=1).tolist())
 
 
 class TestLambdaGrid:
@@ -172,7 +178,7 @@ class TestCrossValidate:
         designs.clear()
         grid = make_lambda_grid(view.centers_X, view.centers_y, spec.effective_alpha, 20)
         path = coefficient_path(view, spec, grid)
-        assert len(designs) == 1 and path.nonzero == result.nonzero
+        assert len(designs) == 1 and nonzero(path) == result.nonzero
 
     def test_terminal_zero_on_a_duplicated_column_raises_like_fit_ridge(self):
         base = random_interval_table(np.random.default_rng(50), 20, 3)
@@ -270,7 +276,7 @@ class TestCoefficientPath:
         grid = make_lambda_grid(view.centers_X, view.centers_y, 1.0, 20)
         spec = MethodSpec("cm", "lasso", lambda_center=1.0)
         path = coefficient_path(table, spec, grid)
-        assert path.nonzero[0] == 0
+        assert nonzero(path)[0] == 0
 
     def test_bottom_of_path_matches_ols(self):
         table = make_cardio_table()
@@ -279,7 +285,7 @@ class TestCoefficientPath:
         spec = MethodSpec("cm", "lasso", lambda_center=1.0)
         path = coefficient_path(table, spec, grid)
         intercept, betas = least_squares(view.centers_X, view.centers_y)
-        assert np.max(np.abs(path.coefficients[-1] - betas)) <= 1e-3
+        assert np.max(np.abs(path.slopes[-1] - betas)) <= 1e-3
         assert abs(path.intercepts[-1] - intercept) <= 1e-3 * max(abs(intercept), 1.0)
 
     def test_warm_start_matches_cold_start(self):
@@ -298,7 +304,7 @@ class TestCoefficientPath:
             std = standardize(view.centers_X, view.centers_y)
             for i, lam in enumerate(grid.values):
                 cold = fit_elastic_net(std, lam, alpha)
-                assert np.max(np.abs(path.coefficients[i] - cold.betas)) <= 1e-6
+                assert np.max(np.abs(path.slopes[i] - cold.betas)) <= 1e-6
 
     def test_range_component_uses_halfrange_design(self):
         table = make_cardio_table()
@@ -306,9 +312,28 @@ class TestCoefficientPath:
         grid = make_lambda_grid(view.halfranges_X, view.halfranges_y, 1.0, 10)
         spec = MethodSpec("crm", "lasso", lambda_center=1.0)
         path = coefficient_path(table, spec, grid, component="range")
-        assert path.nonzero[0] == 0
+        assert nonzero(path)[0] == 0
         _, betas = least_squares(view.halfranges_X, view.halfranges_y)
-        assert np.max(np.abs(path.coefficients[-1] - betas)) <= 1e-2
+        assert np.max(np.abs(path.slopes[-1] - betas)) <= 1e-2
+
+    @pytest.mark.parametrize(
+        "name", ["ridge-cm", "ridge-crm", "lasso-cm", "lasso-crm", "net-cm", "net-crm"]
+    )
+    def test_path_rows_are_the_grid_rows(self, name):
+        # a path is the grid fit of one design: the center path is fit_grid's centers,
+        # and where no support restricts the half-ranges (ridge-crm) the range path
+        # is its ranges, bit for bit
+        table = random_interval_table(np.random.default_rng(53), 20, 5)
+        view = to_center_range(table)
+        spec = MethodSpec.from_name(name, 1.0, None, 0.5 if name.startswith("net") else None)
+        grid = make_lambda_grid(view.centers_X, view.centers_y, spec.effective_alpha, 30)
+        fits = fit_grid(view, spec, grid.values)
+        pairs = [(coefficient_path(table, spec, grid, "center"), fits.centers)]
+        if name == "ridge-crm":
+            pairs.append((coefficient_path(table, spec, grid, "range"), fits.ranges))
+        for path, want in pairs:
+            for field in ("intercepts", "slopes", "converged", "n_sweeps"):
+                assert getattr(path, field).tobytes() == getattr(want, field).tobytes()
 
 
 class TestExactSupport:
@@ -332,7 +357,7 @@ class TestExactSupport:
         result = cross_validate(table, spec, k=5, seed=0, n_points=20)
         assert max(result.nonzero) == 3
         path = coefficient_path(table, spec, result.grid)
-        assert path.nonzero == result.nonzero and path.nonzero[-1] == 3
+        assert nonzero(path) == result.nonzero and nonzero(path)[-1] == 3
 
 
 def record_standardizations(monkeypatch):
@@ -348,24 +373,25 @@ def record_standardizations(monkeypatch):
 
 
 def record_grid_rows(monkeypatch):
-    """Every row of the grids ``models.fit_design`` returns, as ``(standardized sums,
-    lambda, alpha, CoefficientSet)``, for cv (folds and path) and paths alike."""
+    """Every row of the lasso / elastic-net grids ``models`` fits, as ``(standardized
+    sums, lambda, alpha, CoefficientSet)``, for cv (folds and path) and paths alike."""
     rows = []
-    original = models.fit_design
-    signature = inspect.signature(original)
+    original = models.fit_elastic_net_path
 
-    def recording(*args, **kwargs):
-        grid = original(*args, **kwargs)
-        bound = signature.bind(*args, **kwargs)
-        bound.apply_defaults()
-        a = bound.arguments
-        std = a["std"]
-        alpha = a["spec"].effective_alpha
-        rows.extend((std, lam, alpha, grid[i]) for i, lam in enumerate(a["lams"]))
+    def recording(std, lams, alpha, *args, **kwargs):
+        grid = original(std, lams, alpha, *args, **kwargs)
+        rows.extend((std, lam, alpha, grid[i]) for i, lam in enumerate(lams))
         return grid
 
-    monkeypatch.setattr(models, "fit_design", recording)  # paths reach it through fit_component
+    monkeypatch.setattr(models, "fit_elastic_net_path", recording)
     return rows
+
+
+def capped_steps(max_iter):
+    """Stop every coordinate-descent fit ``models`` makes inside the block after
+    ``max_iter`` steps."""
+    capped = functools.partial(models.fit_elastic_net_path, max_iter=max_iter)
+    return mock.patch.object(models, "fit_elastic_net_path", capped)
 
 
 class TestNonConvergedFits:
@@ -376,7 +402,8 @@ class TestNonConvergedFits:
         table = random_interval_table(np.random.default_rng(48), 20, 6)
         spec = MethodSpec.from_name(name, 1.0, None, 0.5 if name == "net-crm" else None)
         rows = record_grid_rows(monkeypatch)
-        result = cross_validate(table, spec, k=5, seed=1, n_points=12, max_iter=1)
+        with capped_steps(1):
+            result = cross_validate(table, spec, k=5, seed=1, n_points=12)
         flags = [c.converged for *_, c in rows]
         assert result.nonconverged == flags.count(False) > 0
         rows.clear()
@@ -389,13 +416,15 @@ class TestNonConvergedFits:
         grid = make_lambda_grid(view.centers_X, view.centers_y, 1.0, 12)
         rows = record_grid_rows(monkeypatch)
         spec = MethodSpec("cm", "lasso", lambda_center=1.0)
-        path = coefficient_path(table, spec, grid, max_iter=1)
+        with capped_steps(1):
+            path = coefficient_path(table, spec, grid)
         flags = [c.converged for *_, c in rows]
         assert len(flags) == len(grid)
-        assert path.nonconverged == flags.count(False) > 0
-        assert coefficient_path(table, spec, grid).nonconverged == 0
+        assert np.count_nonzero(~path.converged) == flags.count(False) > 0
+        assert coefficient_path(table, spec, grid).converged.all()
         ridge = MethodSpec("cm", "ridge", lambda_center=1.0)
-        assert coefficient_path(table, ridge, grid, max_iter=1).nonconverged == 0
+        with capped_steps(1):
+            assert coefficient_path(table, ridge, grid).converged.all()
 
 
 class TestCertifiedFits:
@@ -480,9 +509,8 @@ class TestViewsBuiltOnce:
         calls = self.count_views(monkeypatch)
         from_view = coefficient_path(view, spec, grid, component="range")
         assert calls == []
-        assert from_view.coefficients.tobytes() == from_table.coefficients.tobytes()
+        assert from_view.slopes.tobytes() == from_table.slopes.tobytes()
         assert from_view.intercepts.tobytes() == from_table.intercepts.tobytes()
-        assert from_view.predictor_names == from_table.predictor_names
 
 
 def reference_cross_validate(table, spec, grid, k, seed, component):
