@@ -25,7 +25,7 @@ from math import isfinite, sqrt
 import numpy as np
 
 from .models import GridFit, MethodSpec, fit_component, fit_grid
-from .solvers import CoefficientGrid, Standardized, standardize
+from .solvers import CoefficientGrid, NonFiniteEncountered, Standardized, standardize
 from .tables import (
     CenterRangeView,
     IntervalTable,
@@ -76,11 +76,16 @@ def make_lambda_grid(X: np.ndarray, y: np.ndarray, alpha: float, n_points: int =
 
 
 def lambda_grid(std: Standardized, alpha: float, n_points: int = 100) -> LambdaGrid:
-    """:func:`make_lambda_grid` of a design already standardized."""
+    """:func:`make_lambda_grid` of a design already standardized.  A response whose
+    sums overflow (a non-finite ``std.q``) raises
+    :class:`~intervalreg.solvers.NonFiniteEncountered`."""
     if not (0.0 <= alpha <= 1.0):
         raise ValueError(f"alpha must lie in [0, 1], got {alpha}")
     if n_points < 2:
         raise ValueError(f"need at least 2 grid points, got {n_points}")
+    if not np.isfinite(std.q).all():  # as CenterRangeView.standardized rejects it
+        raise NonFiniteEncountered("sums of the response overflow; "
+                                   "the regression on them cannot be fitted")
     lam_max = 2.0 * float(np.max(np.abs(std.q))) / max(alpha, 0.001)
     if lam_max <= 0.0:
         raise ZeroVarianceResponse("response has no variation around its mean (lambda_max = 0)")

@@ -11,8 +11,8 @@ column:
   coordinate at a time by its soft-thresholded update until no update moves;
   ``alpha=1`` is the lasso, ``alpha=0`` is ridge.  ``fit_elastic_net_path``
   fits a whole grid, warm-started down it, and solves every run of weights
-  that keeps its warm start's signs, or has no L1 term, in one product; a
-  run that ends where one coordinate enters hands that step to the next run.
+  that keeps its warm start's signs, or has no L1 term, in one product; a run
+  that ends where one coordinate enters or leaves hands that step on.
 
 The penalized objective is used exactly as written, with no ``1/n`` or
 ``1/(2n)`` factor:
@@ -343,9 +343,10 @@ def fit_ridge_path(std: Standardized, lams: Sequence[float]) -> CoefficientGrid:
 
 
 def _check_weights(lams: Sequence[float]) -> None:
-    for lam in lams:
-        if not (math.isfinite(lam) and lam >= 0.0):
-            raise ValueError(f"lambda must be finite and >= 0, got {lam}")
+    values = np.asarray(lams, dtype=float)
+    ok = np.isfinite(values) & (values >= 0.0)
+    if not ok.all():
+        raise ValueError(f"lambda must be finite and >= 0, got {lams[int(np.argmin(ok))]}")
 
 
 def _intercepts(std: Standardized, slopes: np.ndarray) -> np.ndarray:
@@ -421,6 +422,19 @@ def _exact_updates(grad: np.ndarray, beta: np.ndarray, gram_diag: np.ndarray,
     rho = grad + gram_diag * beta
     return np.divide(np.sign(rho) * np.maximum(np.abs(rho) - thresh, 0.0), denominator,
                      out=np.zeros(rho.shape), where=denominator > 0.0)
+
+
+def _first_zero(b: np.ndarray, direction: np.ndarray) -> np.ndarray | None:
+    """``b`` moved along ``direction`` until its first coefficient reaches 0, which is
+    set to exactly 0; None if none moves toward 0."""
+    toward = np.flatnonzero(b * direction < 0.0)
+    if not toward.size:
+        return None
+    t = -b[toward] / direction[toward]
+    first = int(np.argmin(t))
+    moved = b + t[first] * direction
+    moved[toward[first]] = 0.0
+    return moved
 
 
 def coordinate_descent(
@@ -524,18 +538,6 @@ def coordinate_descent(
         grad = q - gram @ beta
         return True
 
-    def first_zero(b: np.ndarray, direction: np.ndarray) -> np.ndarray | None:
-        """``b`` moved along ``direction`` until its first coefficient reaches 0,
-        which is set to exactly 0; None if none moves toward 0."""
-        toward = np.flatnonzero(b * direction < 0.0)
-        if not toward.size:
-            return None
-        t = -b[toward] / direction[toward]
-        first = int(np.argmin(t))
-        moved = b + t[first] * direction
-        moved[toward[first]] = 0.0
-        return moved
-
     def restricted_solve(active: np.ndarray) -> None:
         """Solve the sign-fixed problem on ``active`` exactly; commit if valid.
 
@@ -552,10 +554,10 @@ def coordinate_descent(
                 if not np.any(solution * signs < 0.0):
                     commit(active, sub, solution)
                     return
-                moved, curvature = first_zero(b, solution - b), 0.0
+                moved, curvature = _first_zero(b, solution - b), 0.0
             else:
                 v = V[:, 0]  # the objective's slope along v, halved
-                moved = first_zero(b, -v if thresh * (signs @ v) + ridge * (b @ v) > 0.0 else v)
+                moved = _first_zero(b, -v if thresh * (signs @ v) + ridge * (b @ v) > 0.0 else v)
                 curvature = PIVOT_RTOL * (top + ridge)
             if moved is None or not commit(active, sub, moved, curvature):
                 return
@@ -679,16 +681,19 @@ def fit_elastic_net_path(
 
     Equal bit for bit to that chain of calls, but solved in runs of weights,
     each run in one batched product whose rows pass :func:`coordinate_descent`'s
-    test with no step, ``converged`` with ``n_sweeps == 0``: a run on which the
-    warm start's support and signs hold (:func:`_sign_fixed_rows`), or a run
-    without an L1 term, whose every row is its one :func:`_minimum_norm` solve.
-    Where the weight that ends an L1 run fails only that test, the run hands
-    back the point :func:`coordinate_descent`'s first step reaches there, and
-    the next run starts at the same weight from it: if it keeps that weight's
-    row, the row is the fit, ``converged`` with ``n_sweeps == 1``.  Otherwise
-    the weight is one :func:`fit_elastic_net` call from the fit before it, and
-    the next run starts from its fit; a step is never taken from a handed-back
-    point, so every run keeps a row or makes that call.  An L1 attempt is given
+    test, ``converged``: a run on which the warm start's support and signs hold
+    (:func:`_sign_fixed_rows`), or a run without an L1 term, whose every row is
+    its one :func:`_minimum_norm` solve.  Where an L1 run ends, its attempt may
+    hand back the point coordinate descent reaches next at the weight that ends
+    it, and the next attempt starts at that weight from that point: an exit,
+    where the weight's solve flips a sign and the iterate stops at its first
+    zero, or an entering step, where the weight fails only the update test.  A
+    weight takes at most two entering steps this way, and never more than
+    ``max_iter``; its row counts them in ``n_sweeps``, and exits are no steps.
+    Every other end is one :func:`fit_elastic_net` call from the fit before the
+    weight, and the next run starts from its fit.  Coordinate descent's step
+    limit and unchanged-iterate stop act there, so a weight that cycles between
+    entering and leaving ends in that call too.  An L1 attempt is given
     the next ``RUN_WINDOW`` weights, not the whole remainder, since most runs are
     short and every row it forms past the run's end is discarded; an attempt
     that keeps all of its window is followed by one from its last row with twice
@@ -701,16 +706,14 @@ def fit_elastic_net_path(
     _check_l1_fit(std, lams, alpha, tol, max_iter, warm_start)
     lams = np.asarray(lams, dtype=float)
     k, p = len(lams), len(std.q)
-    intercepts, slopes = np.zeros(k), np.zeros((k, p))
+    slopes = np.zeros((k, p))
     converged, n_sweeps = np.ones(k, dtype=bool), np.zeros(k, dtype=int)
-    warm, i, stepped, window = warm_start, 0, None, RUN_WINDOW
+    start = np.zeros(p) if warm_start is None else warm_start.betas * std.scales
+    i, steps, window, handed = 0, 0, RUN_WINDOW, None  # steps: entering ones at weight i
     while i < k:
-        entering, whole = None, False
-        if stepped is not None or lams[i] * alpha / 2.0 > 0.0:
-            start = stepped  # weight i's first step, taken by the attempt before
-            if start is None:
-                start = np.zeros(p) if warm is None else warm.betas * std.scales
-            rows, entering = _sign_fixed_rows(std, lams[i:i + window], alpha, tol, start)
+        whole = False
+        if handed is not None or lams[i] * alpha / 2.0 > 0.0:
+            rows, handed = _sign_fixed_rows(std, lams[i:i + window], alpha, tol, start)
             whole = len(rows) == window
             window = 2 * window if whole else RUN_WINDOW
         else:  # no L1 term: the warm start does not matter, and each row is one solve
@@ -720,18 +723,19 @@ def fit_elastic_net_path(
         stop = i + len(rows)
         if stop > i:
             slopes[i:stop] = rows / std.scales
-            intercepts[i:stop] = _intercepts(std, slopes[i:stop])
-            warm = CoefficientSet(intercepts[stop - 1], slopes[stop - 1])
-            n_sweeps[i] = stepped is not None  # the step taken before row i's solve
-        elif stepped is not None:  # a second step is coordinate descent's
-            entering = None
-        if stop < k and entering is None and not whole:  # the weight that ends the run
-            warm = fit_elastic_net(std, float(lams[stop]), alpha, tol, max_iter, warm)
-            intercepts[stop], slopes[stop] = warm.intercept, warm.betas
-            converged[stop], n_sweeps[stop] = warm.converged, warm.n_sweeps
-            stop += 1
-        i, stepped = stop, entering
-    return CoefficientGrid(intercepts, slopes, converged, n_sweeps, std.means, std.scales)
+            n_sweeps[i], steps = steps, 0
+        if handed is not None and np.count_nonzero(handed) >= np.count_nonzero(start):
+            steps += 1  # an entering step; an exit leaves a smaller support and is no step
+            if steps > min(2, max_iter):
+                handed = None
+        if handed is None and stop < k and not whole:  # the weight that ends the run
+            warm = CoefficientSet(0.0, slopes[stop - 1]) if stop else warm_start
+            fit = fit_elastic_net(std, float(lams[stop]), alpha, tol, max_iter, warm)
+            slopes[stop], converged[stop], n_sweeps[stop] = fit.betas, fit.converged, fit.n_sweeps
+            stop, steps = stop + 1, 0
+        i, start = stop, handed if handed is not None else slopes[stop - 1] * std.scales
+    return CoefficientGrid(_intercepts(std, slopes), slopes, converged, n_sweeps,
+                           std.means, std.scales)
 
 
 def _sign_fixed_rows(std: Standardized, lams: np.ndarray, alpha: float, tol: float,
@@ -741,7 +745,7 @@ def _sign_fixed_rows(std: Standardized, lams: np.ndarray, alpha: float, tol: flo
     signs of ``start``, the first weight's warm start; each later weight starts
     from the fit before it, through the original scale as :func:`fit_elastic_net`
     hands it on.  Rows are bit for bit those fits, formed as one row each.
-    Returns ``(rows, entering)``.
+    Returns ``(rows, handed)``.
 
     On the active set ``A`` of ``start`` with signs ``s``, every weight's
     solution is the sign-fixed solve of ``q_A - thresh*s`` (:func:`_shifted_solve`).
@@ -752,12 +756,15 @@ def _sign_fixed_rows(std: Standardized, lams: np.ndarray, alpha: float, tol: flo
     coordinate update from its solution moves it by more than ``tol``
     (:func:`_exact_updates`).
 
-    ``entering`` is None unless the first weight not kept fails only that last
-    test with every update finite.  Then :func:`coordinate_descent` at that
-    weight commits the same solve, and its first step gives the coordinate
-    whose update moves furthest that update: ``entering`` is that point, the
-    active-set step of Osborne, Presnell & Turlach (IMA J. Numer. Anal. 2000),
-    on the standardized scale.
+    ``handed`` is None unless, at the first weight not kept, :func:`coordinate_descent`
+    next reaches a point that is one of two active-set steps (Osborne, Presnell &
+    Turlach, IMA J. Numer. Anal. 2000), on the standardized scale.  An exit, with a
+    smaller support than ``A``: the weight has an L1 term and its warm start the
+    signs ``s`` on a nonsingular ``A``, but its finite solution flips one, so the
+    solve steps toward it until its first coefficient reaches 0
+    (:func:`_first_zero`), if that does not raise the objective.  An
+    entering step, with a support at least as large: only the update test fails,
+    every update is finite, and the coordinate whose update moves furthest takes it.
     """
     thresh = lams * alpha / 2.0
     ridge = lams * (1.0 - alpha)
@@ -765,33 +772,41 @@ def _sign_fixed_rows(std: Standardized, lams: np.ndarray, alpha: float, tol: flo
     betas = np.empty((len(lams), len(start)))
     betas[:] = start
     active = start.nonzero()[0]
+    n = len(lams)
     if len(active):
         signs = np.sign(start[active])
         sub, w, V, _, null = _factor(std, active, ridge[:, None])
         solution = _shifted_solve(V, w, null, std.q[active] - thresh[:, None] * signs,
                                   ridge[:, None])
-        n = _leading(keep & ~null.any(axis=1) & (solution * signs > 0.0).all(axis=1))
-        if n == 0:
-            return betas[:0], None
-        betas, thresh, ridge = betas[:n], thresh[:n], ridge[:n]
-        betas[:, active] = solution[:n]
-        starts = np.empty_like(betas)
+        keep &= ~null.any(axis=1)
+        n = _leading(keep & (solution * signs > 0.0).all(axis=1))
+        betas[:n, active] = solution[:n]
+        starts = np.empty((min(n + 1, len(lams)), len(start)))  # row n's too, for an exit
         starts[0] = start
-        starts[1:] = betas[:-1] / std.scales * std.scales
+        starts[1:] = betas[:len(starts) - 1] / std.scales * std.scales
         b = starts[:, active]
-        change = _step_change(sub, (std.q - _matvec(std.gram, starts))[:, active], b,
-                              betas[:, active], thresh, ridge)
-        keep = (b * signs > 0.0).all(axis=1) & ~(change > 0.0)
+        keep[:len(starts)] &= (b * signs > 0.0).all(axis=1)
+        change = _step_change(sub, (std.q - _matvec(std.gram, starts[:n]))[:, active], b[:n],
+                              betas[:n, active], thresh[:n], ridge[:n])
+        keep[:n] &= ~(change > 0.0)
+    betas = betas[:n]
     update = _exact_updates(std.q - _matvec(std.gram, betas), betas, std.gram_diag,
-                            std.gram_diag + ridge[:, None], thresh[:, None])
+                            std.gram_diag + ridge[:n, None], thresh[:n, None])
     move = np.abs(update - betas)
-    m = _leading(keep & (move <= tol).all(axis=1))
-    if m == len(betas) or not (keep[m] and np.isfinite(move[m]).all()):
+    m = _leading(keep[:n] & (move <= tol).all(axis=1))
+    if (m == n < len(lams) and keep[n] and np.isfinite(solution[n]).all()
+            and (solution[n] * signs < 0.0).any()):  # coordinate descent's first solve step
+        moved = _first_zero(b[n], solution[n] - b[n])
+        grad = std.q - std.gram @ starts[n]
+        if _step_change(sub, grad[active], b[n], moved, thresh[n], ridge[n]) <= 0.0:
+            starts[n, active] = moved
+            return betas, starts[n]
+    if m == n or not (keep[m] and np.isfinite(move[m]).all()):
         return betas[:m], None
-    entering = betas[m].copy()
+    handed = betas[m].copy()
     j = int(np.argmax(move[m]))
-    entering[j] = update[m, j]
-    return betas[:m], entering
+    handed[j] = update[m, j]
+    return betas[:m], handed if np.count_nonzero(handed) >= len(active) else None
 
 
 def _leading(mask: np.ndarray) -> int:

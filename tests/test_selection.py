@@ -20,6 +20,7 @@ from intervalreg import (
     predict,
 )
 from intervalreg.solvers import (
+    NonFiniteEncountered,
     SingularDesign,
     duality_gap,
     fit_elastic_net,
@@ -84,6 +85,15 @@ class TestLambdaGrid:
         wide = rng.normal(size=(4, 6))
         grid = make_lambda_grid(wide, rng.normal(size=4), 0.5, n_points=2)
         assert grid.values[1] == pytest.approx(1e-2 * grid.values[0], rel=1e-12)
+
+    @pytest.mark.filterwarnings("error")
+    def test_a_response_whose_sums_overflow_is_rejected_before_the_grid(self):
+        # the 4-row table's midpoints, +/-8e307 against 1.5 and -1.5: Xs'yc overflows,
+        # so the grid top would be inf; no numpy warning is raised on the way
+        X = np.array([[1.5], [-1.5]] * 2)
+        y = np.array([8e307, -8e307] * 2)
+        with pytest.raises(NonFiniteEncountered, match="^sums of the response overflow"):
+            make_lambda_grid(X, y, 1.0)
 
     def test_zero_variance_response(self):
         X = np.random.default_rng(44).normal(size=(8, 2))
@@ -448,9 +458,10 @@ class TestCertifiedFits:
 
     def test_most_grid_rows_never_reach_coordinate_descent(self, monkeypatch):
         """A lasso-cm cv solves most weights of its grids in batched runs: a run that
-        ends where one coordinate enters takes that step and stays batched, so only
-        the other run ends call ``solvers.fit_elastic_net``.  The steps the grids
-        report are those calls' steps plus one per batched row that took a step."""
+        ends where one coordinate enters or leaves hands that step on and stays
+        batched, so only the other run ends call ``solvers.fit_elastic_net``.  The
+        steps the grids report are those calls' steps plus one per entering step
+        handed on; an exit is no step."""
         rows = record_grid_rows(monkeypatch)
         calls, attempts = [], []
         original_fit, original_rows = solvers.fit_elastic_net, solvers._sign_fixed_rows
@@ -469,12 +480,16 @@ class TestCertifiedFits:
         table = random_interval_table(np.random.default_rng(700), 10, 15)
         assert cross_validate(table, spec, seed=0).nonconverged == 0
         assert len(rows) == 1100
-        # an attempt that starts from the step the attempt before it returned
-        stepped = sum(len(kept) > 0 for (_, (_, entering)), (start, (kept, _))
-                      in zip(attempts, attempts[1:]) if start is entering)
+        # attempts that start from the point the attempt before them handed on: an
+        # entering step has a support at least as large as that attempt's start
+        handed_on = [np.count_nonzero(handed) >= np.count_nonzero(before)
+                     for (before, (_, handed)), (start, _) in zip(attempts, attempts[1:])
+                     if start is handed]
+        stepped = sum(handed_on)
         sweeps = sum(c.n_sweeps for *_, c in rows)
         assert stepped > 0 and sweeps == sum(c.n_sweeps for c in calls) + stepped
-        assert 0 < len(calls) <= 0.02 * len(rows) and len(calls) < stepped
+        assert stepped < len(handed_on)  # exits were handed on too
+        assert len(calls) <= 0.002 * len(rows) and len(calls) < stepped
 
 
 class TestViewsBuiltOnce:

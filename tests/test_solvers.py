@@ -1142,7 +1142,7 @@ class TestElasticNetPath:
         X[:, -1] = X[:, 0] + 1e-5 * rng.normal(size=60)
         y = X[:, :3] @ rng.uniform(-2.0, 2.0, size=3) + rng.normal(size=60)
         lams = make_lambda_grid(X, y, 1.0, 40).values
-        for max_iter in (1, 2, solvers.DEFAULT_MAX_ITER):
+        for max_iter in (1, 2, 3, solvers.DEFAULT_MAX_ITER):
             path = fit_elastic_net_path(standardize(X, y), lams, 1.0, max_iter=max_iter)
             self.assert_rows_equal(path, self.chain(standardize(X, y), lams, 1.0,
                                                     max_iter=max_iter))
@@ -1155,51 +1155,101 @@ class TestElasticNetPath:
         y = X[:, :3] @ rng.normal(size=3) + 0.5 * rng.normal(size=10)
         return X, y, make_lambda_grid(X, y, 1.0, 100).values
 
-    def test_a_run_end_that_steps_twice_falls_back_to_the_one_weight_fit(self, monkeypatch):
-        # the attempt from the entering step keeps no row at one weight, whose
-        # fit takes a second step
-        X, y, lams = self.wide_design(7)
-        fits = self.chain(standardize(X, y), lams, 1.0)
-        attempts = []
-        original = solvers._sign_fixed_rows
-
-        def recording(std, lams, alpha, tol, start):
-            attempts.append((start, original(std, lams, alpha, tol, start)))
-            return attempts[-1][1]
-
-        monkeypatch.setattr(solvers, "_sign_fixed_rows", recording)
-        path = fit_elastic_net_path(standardize(X, y), lams, 1.0)
-        self.assert_rows_equal(path, fits)
-        assert 2 in path.n_sweeps
-        assert any(start is entering and len(kept) == 0
-                   for (_, (_, entering)), (start, (kept, _)) in zip(attempts, attempts[1:]))
-
-    def test_run_ends_entering_one_coordinate_stay_batched(self, monkeypatch):
-        X, y, lams = self.wide_design(0)
-        calls = []
-
-        def counted(*args, **kwargs):
-            calls.append(args)
-            return fit_elastic_net(*args, **kwargs)
-
-        monkeypatch.setattr(solvers, "fit_elastic_net", counted)
-        path = fit_elastic_net_path(standardize(X, y), lams, 1.0)
-        assert path.converged.all()
-        assert 0 < len(calls) < np.count_nonzero(path.n_sweeps == 1)
-
     @staticmethod
     def record_attempts(monkeypatch):
-        """``(weights given, rows kept, entering)`` of every batched attempt."""
+        """``(start, weights given, (rows kept, point handed on))`` of every batched
+        attempt; a handed point is an exit if its support is smaller than ``start``'s."""
         attempts = []
         original = solvers._sign_fixed_rows
 
         def recording(std, lams, alpha, tol, start):
-            rows, entering = original(std, lams, alpha, tol, start)
-            attempts.append((len(lams), len(rows), entering))
-            return rows, entering
+            attempts.append((start, lams, original(std, lams, alpha, tol, start)))
+            return attempts[-1][2]
 
         monkeypatch.setattr(solvers, "_sign_fixed_rows", recording)
         return attempts
+
+    @staticmethod
+    def count_fits(monkeypatch):
+        """The weight of every ``solvers.fit_elastic_net`` call."""
+        weights = []
+
+        def counted(std, lam, *args, **kwargs):
+            weights.append(lam)
+            return fit_elastic_net(std, lam, *args, **kwargs)
+
+        monkeypatch.setattr(solvers, "fit_elastic_net", counted)
+        return weights
+
+    def test_a_run_end_that_steps_twice_stays_batched(self, monkeypatch):
+        # the attempt from the entering step keeps no row at one weight, whose fit
+        # takes a second step: that step is handed on too, and the attempt from it
+        # keeps the weight's row
+        X, y, lams = self.wide_design(7)
+        fits = self.chain(standardize(X, y), lams, 1.0)
+        attempts = self.record_attempts(monkeypatch)
+        path = fit_elastic_net_path(standardize(X, y), lams, 1.0)
+        self.assert_rows_equal(path, fits)
+        assert 2 in path.n_sweeps
+        assert any(
+            second is first_step and len(kept) == 0 and third is second_step and len(rows) > 0
+            and np.count_nonzero(second_step) > np.count_nonzero(first_step)
+            for (_, _, (_, first_step)), (second, _, (kept, second_step)), (third, _, (rows, _))
+            in zip(attempts, attempts[1:], attempts[2:]))
+
+    def test_run_ends_entering_one_coordinate_stay_batched(self, monkeypatch):
+        X, y, lams = self.wide_design(0)
+        calls = self.count_fits(monkeypatch)
+        path = fit_elastic_net_path(standardize(X, y), lams, 1.0)
+        assert path.converged.all()
+        assert len(calls) == 0 < np.count_nonzero(path.n_sweeps == 1)
+
+    @pytest.mark.parametrize("seed", [0, 7])
+    def test_run_ends_where_a_coefficient_leaves_stay_batched(self, monkeypatch, seed):
+        # columns that share one strong factor: along the path coefficients leave the
+        # support as well as enter it, and the attempt from an exit keeps rows
+        rng = np.random.default_rng(seed)
+        X = rng.normal(size=(10, 15)) + 2.0 * rng.normal(size=(10, 1))
+        y = X[:, :3] @ rng.normal(size=3) + 0.5 * rng.normal(size=10)
+        lams = make_lambda_grid(X, y, 1.0, 100).values
+        attempts = self.record_attempts(monkeypatch)
+        calls = self.count_fits(monkeypatch)
+        for max_iter in (1, 2, 3, solvers.DEFAULT_MAX_ITER):
+            attempts.clear()
+            calls.clear()
+            path = fit_elastic_net_path(standardize(X, y), lams, 1.0, max_iter=max_iter)
+            self.assert_rows_equal(path, self.chain(standardize(X, y), lams, 1.0,
+                                                    max_iter=max_iter))
+            assert any(start is point and len(rows) > 0  # an exit point
+                       and np.count_nonzero(point) < np.count_nonzero(before)
+                       for (before, _, (_, point)), (start, _, (rows, _))
+                       in zip(attempts, attempts[1:]))
+        assert calls == []
+
+    def test_an_enter_then_exit_cycle_at_one_weight_ends_in_the_one_weight_fit(
+            self, monkeypatch):
+        # a response in the 1e9s: rounding moves a coordinate's update by more than tol
+        # where the solve that follows sets it back, so at one weight coordinate
+        # descent enters, leaves and enters again up to its step limit
+        rng = np.random.default_rng(33)
+        X = rng.normal(size=(10, 15)) + 2.0 * rng.normal(size=(10, 1))
+        y = 1e9 * (X[:, :3] @ rng.normal(size=3) + 0.5 * rng.normal(size=10))
+        lams = make_lambda_grid(X, y, 1.0, 40).values
+        fits = self.chain(standardize(X, y), lams, 1.0, max_iter=50)
+        attempts = self.record_attempts(monkeypatch)
+        calls = self.count_fits(monkeypatch)
+        path = fit_elastic_net_path(standardize(X, y), lams, 1.0, max_iter=50)
+        self.assert_rows_equal(path, fits)
+        hand_offs = {}  # weight index: the kind of every point handed on at it
+        for start, given, (rows, handed) in attempts:
+            if handed is not None:
+                kind = "exit" if np.count_nonzero(handed) < np.count_nonzero(start) else "enter"
+                hand_offs.setdefault(lams.index(given[0]) + len(rows), []).append(kind)
+        cycles = [i for i, kinds in hand_offs.items() if "enter exit enter" in " ".join(kinds)]
+        assert cycles
+        for i in cycles:  # two steps are handed on and the third is refused
+            assert hand_offs[i].count("enter") == 3 and len(hand_offs[i]) <= 5
+            assert calls.count(lams[i]) == 1 and not path.converged[i]
 
     def test_a_long_run_spans_growing_windows(self, monkeypatch):
         # three strong predictors: once all have entered, the support holds to the
@@ -1217,9 +1267,10 @@ class TestElasticNetPath:
         # the last run: windows of 16, 32 and 64 weights, each kept whole, then the
         # rest of the grid
         window = solvers.RUN_WINDOW
-        assert [(given, kept) for given, kept, _ in attempts[-4:-1]] == [
+        sizes = [(len(given), len(kept)) for _, given, (kept, _) in attempts]
+        assert sizes[-4:-1] == [
             (window, window), (2 * window, 2 * window), (4 * window, 4 * window)]
-        assert attempts[-1][0] == attempts[-1][1] < 8 * window
+        assert sizes[-1][0] == sizes[-1][1] < 8 * window
 
     def test_a_step_on_the_last_weight_of_a_window_is_taken_batched(self, monkeypatch):
         # the first window's last weight is the first where a coordinate enters, and
@@ -1236,7 +1287,8 @@ class TestElasticNetPath:
         attempts = self.record_attempts(monkeypatch)
         path = fit_elastic_net_path(standardize(X, y), lams, 1.0)
         self.assert_rows_equal(path, fits)
-        assert [(given, kept, entering is not None) for given, kept, entering in attempts[:2]] \
+        assert [(len(given), len(kept), handed is not None)
+                for _, given, (kept, handed) in attempts[:2]] \
             == [(window, window - 1, True), (window, window - 1, True)]
         assert path.n_sweeps[[window - 1, 2 * window - 2]].tolist() == [1, 1]
 
