@@ -12,7 +12,6 @@ explicit ``--seed``.
 from __future__ import annotations
 
 import argparse
-import csv
 import sys
 
 import numpy as np
@@ -174,18 +173,6 @@ def _cmd_fit(args) -> int:
     return 0
 
 
-def _write_csv(path: str, header: list[str], columns) -> None:
-    """Write ``header`` and then a row per entry of the equal-length ``columns`` to
-    ``path`` as CSV with LF line ends.  The header goes through ``csv.writer``, which
-    quotes a name as needed; each row is one ``%``-format of its numbers, floats as
-    ``%.17g`` and integers as decimals, which ``csv.writer`` never quotes."""
-    columns = [np.asarray(c) for c in columns]
-    line = ",".join("%d" if c.dtype.kind in "iu" else "%.17g" for c in columns) + "\n"
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        csv.writer(fh, lineterminator="\n").writerow(header)
-        fh.writelines(line % row for row in zip(*(c.tolist() for c in columns)))
-
-
 def _load_model(path: str) -> models.FittedModel:
     with open(path, encoding="utf-8") as fh:
         return models.deserialize(fh.read())
@@ -197,7 +184,7 @@ def _cmd_predict(args) -> int:
     pred = models.predict(model, table)
     print(f"ordering violations: {pred.ordering_violations}")
     out = models.swap_violations(pred) if args.clamp else pred
-    _write_csv(args.out, ["yhat_lo", "yhat_hi"], (out.lower, out.upper))
+    tables.write_csv(args.out, ["yhat_lo", "yhat_hi"], (out.lower, out.upper), "%.17g")
     return 0
 
 
@@ -242,8 +229,8 @@ def _cmd_cv(args) -> int:
             n_points=args.n_lambdas,
         )
         per_alpha = [(np.full(len(cv.grid), alpha), *_curve(cv)) for alpha, cv in sweep.per_alpha]
-        _write_csv(args.out, ["alpha", "lambda", "mean_loss", "std_error", "nonzero"],
-                   [np.concatenate(column) for column in zip(*per_alpha)])
+        tables.write_csv(args.out, ["alpha", "lambda", "mean_loss", "std_error", "nonzero"],
+                         [np.concatenate(column) for column in zip(*per_alpha)], "%.17g")
         _warn_nonconverged(sum(cv.nonconverged for _, cv in sweep.per_alpha))
         print(f"best alpha: {sweep.alpha:.17g}")
         print(f"best lambda: {sweep.lam:.17g}")
@@ -253,7 +240,8 @@ def _cmd_cv(args) -> int:
     result = selection.cross_validate(
         table, spec, k=args.folds, seed=args.seed, n_points=args.n_lambdas
     )
-    _write_csv(args.out, ["lambda", "mean_loss", "std_error", "nonzero"], _curve(result))
+    tables.write_csv(args.out, ["lambda", "mean_loss", "std_error", "nonzero"], _curve(result),
+                     "%.17g")
     _warn_nonconverged(result.nonconverged)
     print(f"lambda_min: {result.lambda_min:.17g}")
     print(f"lambda_1se: {result.lambda_1se:.17g}")
@@ -270,8 +258,8 @@ def _cmd_path(args) -> int:
     grid = selection.lambda_grid(std, spec.effective_alpha, args.n_lambdas)
     path = selection.coefficient_path(view, spec, grid, component=args.component)
     _warn_nonconverged(np.count_nonzero(~path.converged))
-    _write_csv(args.out, ["lambda", "intercept", *view.predictor_names],
-               [grid.values, path.intercepts, *path.slopes.T])
+    tables.write_csv(args.out, ["lambda", "intercept", *view.predictor_names],
+                     [grid.values, path.intercepts, *path.slopes.T], "%.17g")
     print(f"wrote {len(grid)} path points for {len(view.predictor_names)} predictors")
     return 0
 

@@ -101,13 +101,5 @@ def format_report(report: EvalReport) -> str:
 
 def report_csv_row(method: str, report: EvalReport) -> str:
     """One CSV record: method, the four indexes, violation count."""
-    return ",".join(
-        [
-            method,
-            f"{report.rmse_l:.17g}",
-            f"{report.rmse_u:.17g}",
-            f"{report.r2_l:.17g}",
-            f"{report.r2_u:.17g}",
-            str(report.ordering_violations),
-        ]
-    )
+    return "%s,%.17g,%.17g,%.17g,%.17g,%d" % (
+        method, report.rmse_l, report.rmse_u, report.r2_l, report.r2_u, report.ordering_violations)

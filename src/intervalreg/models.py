@@ -33,7 +33,7 @@ from .solvers import (
     fit_elastic_net_path,
     fit_ridge_path,
 )
-from .tables import CenterRangeView, IntervalTable, to_center_range
+from .tables import CenterRangeView, IntervalTable, columns, to_center_range
 
 FAMILIES = ("cm", "crm")
 PENALTIES = ("none", "ridge", "lasso", "elastic_net")
@@ -387,8 +387,7 @@ def _align(table: IntervalTable, model: FittedModel) -> tuple[np.ndarray, np.nda
         raise SchemaMismatch(
             f"input has unexpected columns: {', '.join(sorted(extras))}"
         )
-    idx = [table.variable_names.index(n) for n in model.predictor_names]
-    return np.take(table.lower, idx, axis=1), np.take(table.upper, idx, axis=1)
+    return columns(table, model.predictor_names)
 
 
 def predict(model: FittedModel, table: IntervalTable) -> IntervalPrediction:

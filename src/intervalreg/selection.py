@@ -54,10 +54,8 @@ class LambdaGrid:
         for v in vals:
             if not (isfinite(v) and v >= 0.0):
                 raise ValueError(f"grid values must be finite and >= 0, got {v}")
-        if any(a <= b for a, b in zip(vals, vals[1:])):
+        if any(a <= b for a, b in zip(vals, vals[1:])):  # so only the last may be 0
             raise ValueError("grid must be strictly descending")
-        if any(v == 0.0 for v in vals[:-1]):
-            raise ValueError("only the terminal grid value may be zero")
         object.__setattr__(self, "values", vals)
 
     def __len__(self) -> int:

@@ -11,7 +11,9 @@ CSV layout: two columns per interval variable, suffixed ``_lo`` and
 header line, decimal point ``.``.  The readers parse a well-formed file
 in bulk with ``np.loadtxt`` and fall back to the csv module, record by
 record, for every other file; only that reader raises errors, so they
-name the faulty record.
+name the faulty record.  :func:`write_csv` writes every CSV file: interval
+tables in the shortest float text that reads back exactly, cv curves,
+coefficient paths and predictions as ``%.17g``.
 """
 
 from __future__ import annotations
@@ -194,10 +196,16 @@ def to_center_range(table: IntervalTable) -> CenterRangeView:
     )
 
 
+def columns(table: IntervalTable, names: Sequence[str]) -> tuple[np.ndarray, np.ndarray]:
+    """Lower and upper endpoint matrices of the named variables, in ``names`` order: C-order
+    ``np.take`` copies, so a matrix product with them rounds the same for every caller."""
+    idx = [table.variable_names.index(n) for n in names]
+    return np.take(table.lower, idx, axis=1), np.take(table.upper, idx, axis=1)
+
+
 def predictor_bounds(table: IntervalTable) -> tuple[np.ndarray, np.ndarray]:
     """Lower and upper endpoint matrices of the predictor columns (n x p)."""
-    pred = [j for j, n in enumerate(table.variable_names) if n != table.response_name]
-    return np.take(table.lower, pred, axis=1), np.take(table.upper, pred, axis=1)
+    return columns(table, table.predictor_names)
 
 
 def response_bounds(table: IntervalTable) -> tuple[np.ndarray, np.ndarray]:
@@ -441,11 +449,20 @@ def write_interval_csv(table: IntervalTable, path) -> None:
     The response designation is not part of the file format; it is chosen
     again when the file is read.  Endpoints round-trip exactly.
     """
-    pairs = np.stack((table.lower, table.upper), axis=2).reshape(table.n_rows, -1)
+    header = [f"{n}_{end}" for n in table.variable_names for end in ("lo", "hi")]
+    ends = [e[:, j] for j in range(len(table.variable_names)) for e in (table.lower, table.upper)]
+    write_csv(path, header, ends, "%r")
+
+
+def write_csv(path, header: Sequence[str], columns, float_format: str) -> None:
+    """Write ``header`` through ``csv.writer``, which quotes a name as needed, then a line
+    per entry of the equal-length ``columns``, LF-ended: one ``%``-format of its numbers,
+    integer columns as ``%d`` and float columns as ``float_format``."""
+    columns = [np.asarray(c) for c in columns]
+    line = ",".join("%d" if c.dtype.kind in "iu" else float_format for c in columns) + "\n"
     with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow([f"{n}_{end}" for n in table.variable_names for end in ("lo", "hi")])
-        writer.writerows(pairs.tolist())
+        csv.writer(fh, lineterminator="\n").writerow(header)
+        fh.writelines(line % row for row in zip(*(c.tolist() for c in columns)))
 
 
 def read_classic_csv(path) -> tuple[list[str], list[list[str]], np.ndarray]:

@@ -2,16 +2,21 @@ import csv
 import functools
 import hashlib
 import io
+import os
 import re
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import intervalreg
 from intervalreg import IntervalTable, MethodSpec, cli, models, selection, serialize, solvers
 from intervalreg.cli import main
 from intervalreg.models import FittedModel
 from intervalreg.solvers import CoefficientSet
-from intervalreg.tables import to_center_range, write_interval_csv
+from intervalreg.tables import read_interval_csv, to_center_range, write_interval_csv
 
 from conftest import DATA_DIR, random_interval_table
 
@@ -479,15 +484,17 @@ class TestOverflowingResponse:
 
 class TestCsvFiles:
     """Every CSV file the CLI writes is, byte for byte, what ``csv.writer`` writes for
-    its header and for its numbers formatted as ``format(x, ".17g")``."""
+    its header and for its numbers: curves, paths and predictions formatted as
+    ``format(x, ".17g")``, interval tables as the Python floats themselves."""
 
     @staticmethod
-    def csv_writer_text(header, rows):
+    def csv_writer_text(header, rows, float_format=".17g"):
+        """``csv.writer``'s text; floats are formatted first unless ``float_format`` is None."""
         buf = io.StringIO()
         writer = csv.writer(buf, lineterminator="\n")
         writer.writerow(header)
-        writer.writerows([format(x, ".17g") if isinstance(x, float) else x for x in row]
-                         for row in rows)
+        writer.writerows([format(x, float_format) if float_format and isinstance(x, float)
+                          else x for x in row] for row in rows)
         return buf.getvalue()
 
     @pytest.fixture
@@ -557,6 +564,33 @@ class TestCsvFiles:
         if clamp:
             pred = models.swap_violations(pred)
         assert got == self.csv_writer_text(["yhat_lo", "yhat_hi"], zip(pred.lower, pred.upper))
+
+
+    def test_aggregate(self, capsys, tmp_path):
+        classic, out = tmp_path / "classic.csv", tmp_path / "agg.csv"
+        classic.write_text('c,a,"b""q"\nx,1,-0.0\ny,0.1,1e-05\nx,3,1e+300\nz,5e-324,2\n')
+        code, _, err = run(capsys, "aggregate", "--input", str(classic), "--concept", "c",
+                           "--output", str(out))
+        assert code == 0, err
+        assert out.read_bytes().decode("utf-8") == self.csv_writer_text(
+            ["a_lo", "a_hi", 'b"q_lo', 'b"q_hi'],
+            [[1.0, 3.0, -0.0, 1e300], [0.1, 0.1, 1e-05, 1e-05], [5e-324, 5e-324, 2.0, 2.0]],
+            float_format=None)
+
+    def test_interval_table(self, tmp_path):
+        lower = np.array([[-0.0, 5e-324], [0.1, 1e-05]])
+        upper = np.array([[0.1, 1e300], [1e300, 0.1]])
+        table = IntervalTable(("A", 'X"q'), lower, upper)
+        path = tmp_path / "t.csv"
+        write_interval_csv(table, path)
+        assert path.read_bytes() == self.csv_writer_text(
+            ["A_lo", "A_hi", 'X"q_lo', 'X"q_hi'],
+            [[-0.0, 0.1, 5e-324, 1e300], [0.1, 1e300, 1e-05, 0.1]],
+            float_format=None).encode("utf-8")
+        back = read_interval_csv(path)
+        assert back.variable_names == table.variable_names
+        assert np.array_equal(back.lower, lower) and np.array_equal(back.upper, upper)
+        assert np.array_equal(np.signbit(back.lower), np.signbit(lower))
 
 
 @pytest.mark.parametrize("argv", [
@@ -813,6 +847,16 @@ class TestParser:
             assert got == want
         if argv[:2] in (["cv", "--help"], ["path", "--help"]):
             assert "--n-lambdas" in out
+
+
+def test_module_help_exits_0():
+    src = Path(intervalreg.__file__).parents[1]
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [str(src), os.environ.get("PYTHONPATH")])))
+    done = subprocess.run([sys.executable, "-m", "intervalreg.cli", "--help"], env=env,
+                          capture_output=True, text=True)
+    assert (done.returncode, done.stderr) == (0, "")
+    assert done.stdout.startswith("usage: intervalreg [-h]")
 
 
 def test_unknown_command_exits_1(capsys):

@@ -53,6 +53,20 @@ class TestMethodSpec:
         with pytest.raises(ValueError):
             MethodSpec("cm", "ridge", lambda_center=1.0, lambda_range=2.0)
 
+    @pytest.mark.parametrize("penalty, alpha, message", [
+        ("l0", None, "penalty must be one of ('none', 'ridge', 'lasso', 'elastic_net'), "
+                     "got 'l0'"),
+        ("elastic_net", -0.5, "alpha must lie in [0, 1], got -0.5"),
+        ("elastic_net", 1.5, "alpha must lie in [0, 1], got 1.5"),
+    ])
+    def test_a_bad_penalty_or_alpha_is_rejected(self, penalty, alpha, message):
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            MethodSpec("cm", penalty, lambda_center=1.0, alpha=alpha)
+
+    def test_an_unpenalized_spec_has_no_alpha(self):
+        with pytest.raises(ValueError, match="^no penalty, no alpha$"):
+            MethodSpec("crm").effective_alpha
+
     def test_shared_lambda_default(self):
         spec = MethodSpec("crm", "lasso", lambda_center=3.0)
         assert spec.effective_lambda_range == 3.0
@@ -413,6 +427,27 @@ class TestPredictValidation:
         )
         pred = predict(model, swapped)
         assert np.array_equal(pred.lower, predict(model, cardio).lower)
+
+
+class TestResultsChecked:
+    ONE = CoefficientSet(0.0, [1.0])
+
+    @pytest.mark.parametrize("family, range_coeffs, message", [
+        ("cm", ONE, "cm families carry no range coefficients"),
+        ("crm", None, "crm families need range coefficients"),
+        ("crm", CoefficientSet(0.0, [1.0, 2.0]),
+         "range coefficient count does not match predictors"),
+    ], ids=["cm-with-range", "crm-without-range", "range-too-long"])
+    def test_range_coefficients_match_the_family(self, family, range_coeffs, message):
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            FittedModel(MethodSpec(family), ("A",), "Y", self.ONE, range_coeffs)
+
+    @pytest.mark.parametrize("lower, upper", [
+        ([1.0, 2.0], [1.0]), ([[1.0]], [[2.0]]),
+    ], ids=["lengths", "matrices"])
+    def test_prediction_needs_equal_length_vectors(self, lower, upper):
+        with pytest.raises(ValueError, match="^lower and upper must be vectors of equal length$"):
+            IntervalPrediction(lower, upper)
 
 
 class TestClamp:

@@ -1,4 +1,5 @@
 import functools
+import re
 from unittest import mock
 
 import numpy as np
@@ -7,6 +8,7 @@ import pytest
 from intervalreg import models, selection, solvers, tables
 from intervalreg import (
     CenterRangeView,
+    CvResult,
     IntervalTable,
     LambdaGrid,
     MethodSpec,
@@ -50,6 +52,29 @@ class TestLambdaGrid:
             LambdaGrid((2.0, 0.0, 1.0))
         grid = LambdaGrid((2.0, 1.0, 0.0))
         assert grid.values[-1] == 0.0
+
+    @pytest.mark.parametrize("values, message", [
+        ((), "grid needs at least one value"),
+        ((2.0, np.nan), "grid values must be finite and >= 0, got nan"),
+        ((np.inf, 1.0), "grid values must be finite and >= 0, got inf"),
+        ((1.0, -1.0), "grid values must be finite and >= 0, got -1.0"),
+        # a zero before the last value always breaks the strict descent
+        ((2.0, 0.0, 1.0), "grid must be strictly descending"),
+        ((2.0, 0.0, 0.0), "grid must be strictly descending"),
+    ], ids=["empty", "nan", "inf", "negative", "zero-then-larger", "two-zeros"])
+    def test_bad_values_rejected_with_their_message(self, values, message):
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            LambdaGrid(values)
+
+    @pytest.mark.parametrize("alpha, n_points, message", [
+        (-0.1, 10, "alpha must lie in [0, 1], got -0.1"),
+        (1.5, 10, "alpha must lie in [0, 1], got 1.5"),
+        (1.0, 1, "need at least 2 grid points, got 1"),
+    ])
+    def test_bad_alpha_or_point_count_rejected(self, alpha, n_points, message):
+        X = np.random.default_rng(45).normal(size=(8, 2))
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            make_lambda_grid(X, X[:, 0] + 1.0, alpha, n_points)
 
     def test_grid_top_kills_every_slope(self):
         rng = np.random.default_rng(41)
@@ -154,6 +179,22 @@ class TestCrossValidate:
             cross_validate(table, spec, grid, k=1, seed=0)
         with pytest.raises(ValueError):
             cross_validate(table, spec, grid, k=table.n_rows + 1, seed=0)
+
+    def test_unknown_component_rejected(self):
+        table = make_cardio_table()
+        spec = MethodSpec("cm", "lasso", lambda_center=1.0)
+        message = "component must be one of ('interval', 'center', 'range'), got 'mid'"
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            cross_validate(table, spec, self.small_grid(table), k=5, seed=0, component="mid")
+
+    @pytest.mark.parametrize("std_error, lambda_1se, message", [
+        (np.zeros(1), 2.0, "loss vectors must match the grid length"),
+        (np.zeros(2), 1.0, "lambda_1se must be >= lambda_min"),
+    ])
+    def test_result_fields_checked(self, std_error, lambda_1se, message):
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            CvResult(LambdaGrid((2.0, 1.0)), np.zeros(2), std_error, lambda_min=2.0,
+                     lambda_1se=lambda_1se, seed=0, folds=2, nonzero=(0, 1))
 
     def test_unpenalized_method_rejected(self):
         table = make_cardio_table()
@@ -287,6 +328,15 @@ class TestCoefficientPath:
         spec = MethodSpec("cm", "lasso", lambda_center=1.0)
         path = coefficient_path(table, spec, grid)
         assert nonzero(path)[0] == 0
+
+    @pytest.mark.parametrize("spec, component, message", [
+        (MethodSpec("cm"), "center", "coefficient paths need a penalized method"),
+        (MethodSpec("cm", "lasso", lambda_center=1.0), "interval",
+         "component must be 'center' or 'range', got 'interval'"),
+    ])
+    def test_bad_spec_or_component_rejected(self, spec, component, message):
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            coefficient_path(make_cardio_table(), spec, LambdaGrid((2.0, 1.0)), component)
 
     def test_bottom_of_path_matches_ols(self):
         table = make_cardio_table()

@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 
@@ -25,6 +27,16 @@ class TestIntervalTable:
     def test_empty_rejected(self):
         with pytest.raises(TableError):
             IntervalTable(("A",), np.zeros((0, 1)), np.zeros((0, 1)))
+
+    @pytest.mark.parametrize("name", ["A,B", "A\nB"])
+    def test_a_name_with_a_comma_or_newline_is_rejected(self, name):
+        with pytest.raises(TableError, match=r"^variable name may not contain commas or "
+                                             rf"newlines: {re.escape(repr(name))}$"):
+            IntervalTable((name,), [[0.0]], [[1.0]])
+
+    def test_a_table_without_variables_is_rejected(self):
+        with pytest.raises(TableError, match="^table needs at least one variable$"):
+            IntervalTable((), np.zeros((1, 0)), np.zeros((1, 0)))
 
     def test_unknown_response_rejected(self):
         with pytest.raises(TableError):
@@ -91,6 +103,13 @@ class TestCenterRange:
         assert view.halfranges_X[0, 0] == 5.0
         assert view.centers_X[0, 1] == 60.0
         assert view.halfranges_X[0, 1] == 10.0
+
+    def test_a_table_without_a_response_has_no_view_or_response_bounds(self, cardio):
+        no_response = IntervalTable(cardio.variable_names, cardio.lower, cardio.upper)
+        with pytest.raises(TableError, match="^center/range view needs a designated response$"):
+            to_center_range(no_response)
+        with pytest.raises(TableError, match="^table has no designated response$"):
+            response_bounds(no_response)
 
     def test_degenerate_table(self):
         values = np.array([[1.0, 2.0], [2.0, 4.0], [3.0, 6.0]])
@@ -211,6 +230,12 @@ class TestIntervalCsv:
         with pytest.raises(CsvFormatError, match="state"):
             read_interval_csv(path)
 
+    def test_a_suffix_without_a_name(self, tmp_path):
+        path = tmp_path / "t.csv"
+        path.write_text("Y_lo,Y_hi,_lo,_hi\n1,2,3,4\n")
+        with pytest.raises(CsvFormatError, match="^column '_lo' has an empty variable name$"):
+            read_interval_csv(path)
+
     def test_duplicate_variable(self, tmp_path):
         path = tmp_path / "t.csv"
         path.write_text("Y_lo,Y_hi,Y_lo\n1,2,3\n")
@@ -247,6 +272,14 @@ class TestIntervalCsv:
         path.write_text("Y_lo,Y_hi,X_lo,X_hi\n1,2,3,4\n\n,,,\n1,2,4,3\n")
         with pytest.raises(IntervalOrderError, match=r"'X', row 4: lower bound 4.0"):
             read_interval_csv(path)
+
+    def test_a_blank_middle_record_is_skipped_by_the_exact_reader(self, tmp_path):
+        blank, plain = tmp_path / "blank.csv", tmp_path / "plain.csv"
+        blank.write_text("Y_lo,Y_hi,X_lo,X_hi\n1,2,3,4\n\n5,6,7,8\n")
+        plain.write_text("Y_lo,Y_hi,X_lo,X_hi\n1,2,3,4\n5,6,7,8\n")
+        with pytest.raises(ValueError, match="^a blank record$"):
+            _read_interval_bulk(blank, "Y")
+        assert_same_table(read_interval_csv(blank, "Y"), _read_interval_bulk(plain, "Y"))
 
     def test_round_trip_preserves_everything(self, tmp_path):
         rng = np.random.default_rng(3)
