@@ -242,10 +242,10 @@ def fit_component(
     (:func:`~intervalreg.solvers.fit_ridge_path`); an unpenalized spec is
     ridge at weight 0.  Lasso and elastic net are one
     :func:`~intervalreg.solvers.fit_elastic_net_path` call, warm-started down
-    the grid from ``warm`` (a fit of this design): each run of weights that
-    keeps its warm start's signs is one batched solve, a run that ends where
-    one coordinate enters takes that step and stays batched, and coordinate
-    descent runs only at the other weights where the support changes.
+    the grid from ``warm`` (a fit of this design): the lasso follows its
+    homotopy between breakpoints, the elastic net solves batched runs of
+    weights that keep their warm start's signs, and coordinate descent runs
+    only at the weights where neither holds.
 
     A singular design is raised as :class:`~intervalreg.solvers.SingularDesign`
     with the same ``pivot_index``, its message naming the predictor and the

@@ -116,17 +116,29 @@ class CvResult:
             raise ValueError("lambda_1se must be >= lambda_min")
 
 
-def _fold_losses(fits: GridFit, test: list[np.ndarray], component: str) -> np.ndarray:
-    """Held-out loss of every grid weight on test rows ``[X_lo, X_hi, y_lo, y_hi]``."""
+def _fold_losses(fits: GridFit, test: list[np.ndarray], component: str,
+                 scale: float) -> np.ndarray:
+    """Held-out loss of every grid weight on test rows ``[X_lo, X_hi, y_lo, y_hi]``, in
+    units of ``scale**2``: each error is divided by ``scale`` before it is squared."""
     lower, upper = fits.predict_bounds(test[0], test[1])
     y_lo, y_hi = test[2][:, None], test[3][:, None]
     if component == "interval":
-        loss = ((y_lo - lower) ** 2 + (y_hi - upper) ** 2) / 2.0
+        loss = (((y_lo - lower) / scale) ** 2 + ((y_hi - upper) / scale) ** 2) / 2.0
     elif component == "center":
-        loss = ((y_lo + y_hi) / 2.0 - (lower + upper) / 2.0) ** 2
+        loss = (((y_lo + y_hi) / 2.0 - (lower + upper) / 2.0) / scale) ** 2
     else:
-        loss = ((y_hi - y_lo) / 2.0 - (upper - lower) / 2.0) ** 2
+        loss = (((y_hi - y_lo) / 2.0 - (upper - lower) / 2.0) / scale) ** 2
     return loss.mean(axis=0)
+
+
+def _loss_scale(y_lo: np.ndarray, y_hi: np.ndarray) -> float:
+    """The largest power of two at most the response's largest magnitude, and at least
+    the smallest normal double (1/2 for an all-zero response).  Dividing by it and
+    multiplying back is exact where nothing overflows or underflows, so losses scored
+    in its units pick the weights that losses in the response's units pick, and errors
+    near 1e155 square without overflow."""
+    peak = max(float(np.max(np.abs(y_lo))), float(np.max(np.abs(y_hi))))
+    return float(np.ldexp(1.0, max(int(np.frexp(peak)[1]) - 1, -1022)))
 
 
 def _cv_run(table: IntervalTable, specs: list[MethodSpec], grid: LambdaGrid | None,
@@ -144,6 +156,7 @@ def _cv_run(table: IntervalTable, specs: list[MethodSpec], grid: LambdaGrid | No
     grids = [lambda_grid(view.standardized(component), s.effective_alpha, n_points)
              if grid is None else grid for s in specs]
     folds = np.array_split(np.random.default_rng(seed).permutation(n), k)
+    scale = _loss_scale(*bounds[2:])
     losses = np.empty((len(specs), k, len(grids[0])))
     nonconverged = [0] * len(specs)
     for fi, test_idx in enumerate(folds):
@@ -152,7 +165,7 @@ def _cv_run(table: IntervalTable, specs: list[MethodSpec], grid: LambdaGrid | No
         for si, (spec, g) in enumerate(zip(specs, grids)):
             fits = fit_grid(train, spec, g.values)
             nonconverged[si] += fits.nonconverged
-            losses[si, fi] = _fold_losses(fits, test, component)
+            losses[si, fi] = _fold_losses(fits, test, component, scale)
 
     results = []
     for spec, g, fold_losses, stopped in zip(specs, grids, losses, nonconverged):
@@ -160,6 +173,12 @@ def _cv_run(table: IntervalTable, specs: list[MethodSpec], grid: LambdaGrid | No
         std_error = fold_losses.std(axis=0, ddof=1) / sqrt(k)
         i_min = int(np.argmin(mean_loss))  # ties resolve to the largest lambda
         i_1se = int(np.flatnonzero(mean_loss <= mean_loss[i_min] + std_error[i_min])[0])
+        with np.errstate(over="ignore"):
+            mean_loss, std_error = mean_loss * scale * scale, std_error * scale * scale
+        if not (np.isfinite(mean_loss).all() and np.isfinite(std_error).all()):
+            raise NonFiniteEncountered(
+                f"held-out losses of response {table.response_name!r} overflow: its "
+                "errors are too large to square")
         path = coefficient_path(view, spec, g, "range" if component == "range" else "center")
         results.append(CvResult(
             g, mean_loss, std_error, g.values[i_min], g.values[i_1se], seed=seed, folds=k,

@@ -10,9 +10,12 @@ column:
 * ``fit_elastic_net`` exact solves on the active set, entering one
   coordinate at a time by its soft-thresholded update until no update moves;
   ``alpha=1`` is the lasso, ``alpha=0`` is ridge.  ``fit_elastic_net_path``
-  fits a whole grid, warm-started down it, and solves every run of weights
-  that keeps its warm start's signs, or has no L1 term, in one product; a run
-  that ends where one coordinate enters or leaves hands that step on.
+  fits a whole grid.  A lasso grid follows the homotopy between the lasso's
+  breakpoints, one solve per segment, and runs coordinate descent only at a
+  weight whose row fails the exact-update test.  An elastic-net grid is
+  warm-started down the weights and solves every run of them that keeps its
+  warm start's signs, or has no L1 term, in one product; a run that ends where
+  one coordinate enters or leaves hands that step on.
 
 The penalized objective is used exactly as written, with no ``1/n`` or
 ``1/(2n)`` factor:
@@ -49,11 +52,14 @@ steps along on singular sets.  Without an L1 term the fit is the solve
 With an L1 term and fixed signs ``s`` on an active set the fit is the same
 solve of ``Xs'yc - lambda*alpha/2 * s`` there (Osborne, Presnell & Turlach,
 IMA J. Numer. Anal. 2000), so the weights of a grid on which a warm start's
-support and signs hold are one product too.
+support and signs hold are one product too.  For the lasso that solve is
+linear in ``lambda``, and the homotopy finds the weights where the support
+changes instead of trying them.
 """
 
 from __future__ import annotations
 
+import bisect
 import math
 from collections.abc import Sequence
 from dataclasses import dataclass
@@ -70,6 +76,10 @@ DEFAULT_MAX_ITER = 100_000
 #: weights in a batched attempt of :func:`fit_elastic_net_path`; the window
 #: doubles while attempts keep all of it, and is reset after any other end.
 RUN_WINDOW = 16
+
+#: the signs an inactive lasso coefficient enters with when its correlation reaches
+#: ``+t`` or ``-t`` on :func:`_homotopy`'s segment, as a column over its two rows.
+ENTER_SIGNS = np.array([[1.0], [-1.0]])
 
 
 class SolverError(Exception):
@@ -679,32 +689,62 @@ def fit_elastic_net_path(
     """:func:`fit_elastic_net` at every weight in ``lams``, row i at ``lams[i]``, each
     warm-started from the fit before it (the first from ``warm_start``).
 
-    Equal bit for bit to that chain of calls, but solved in runs of weights,
-    each run in one batched product whose rows pass :func:`coordinate_descent`'s
-    test, ``converged``: a run on which the warm start's support and signs hold
-    (:func:`_sign_fixed_rows`), or a run without an L1 term, whose every row is
-    its one :func:`_minimum_norm` solve.  Where an L1 run ends, its attempt may
-    hand back the point coordinate descent reaches next at the weight that ends
-    it, and the next attempt starts at that weight from that point: an exit,
-    where the weight's solve flips a sign and the iterate stops at its first
-    zero, or an entering step, where the weight fails only the update test.  A
-    weight takes at most two entering steps this way, and never more than
-    ``max_iter``; its row counts them in ``n_sweeps``, and exits are no steps.
-    Every other end is one :func:`fit_elastic_net` call from the fit before the
-    weight, and the next run starts from its fit.  Coordinate descent's step
-    limit and unchanged-iterate stop act there, so a weight that cycles between
-    entering and leaving ends in that call too.  An L1 attempt is given
-    the next ``RUN_WINDOW`` weights, not the whole remainder, since most runs are
-    short and every row it forms past the run's end is discarded; an attempt
-    that keeps all of its window is followed by one from its last row with twice
-    the window, and any other end resets it.  Rows do not depend on the window
-    (:func:`_sign_fixed_rows` forms each on its own).  Every argument is checked,
-    with :func:`fit_elastic_net`'s messages, before any fit.  A batched row is
-    finite; a non-finite one ends its run, and its weight's fit raises
-    :class:`NonFiniteEncountered`.
+    At ``alpha=1`` most rows are homotopy rows (:func:`_lasso_rows`): the exact
+    lasso solutions on the active sets and signs the breakpoints give, one
+    :func:`_shifted_solve` per segment between breakpoints, kept where they pass
+    :func:`coordinate_descent`'s test.  They are ``converged``, count their entering
+    breakpoints since the row before in ``n_sweeps`` (an exit is no step), and equal
+    the chain of one-weight fits to rounding, not bit for bit.  Coordinate descent
+    fits the rest, by one :func:`fit_elastic_net` call from the row before: the
+    first row of a warm-started grid, a weight above the one before it, and a row
+    that fails the test, meets a singular active set or needs more than
+    ``max_iter`` entering breakpoints since the row before.  A weight of 0 is the
+    one-weight fit's :func:`_minimum_norm` solve.
+
+    At ``alpha < 1`` rows equal that chain of calls bit for bit, and are solved in
+    batched runs of weights, with coordinate descent where a run ends
+    (:func:`_net_rows`).
+
+    Every argument is checked, with :func:`fit_elastic_net`'s messages, before any
+    fit.  A batched or homotopy row is finite; a non-finite one fails its test,
+    and its weight's fit raises :class:`NonFiniteEncountered`.
     """
     _check_l1_fit(std, lams, alpha, tol, max_iter, warm_start)
     lams = np.asarray(lams, dtype=float)
+    if alpha == 1.0:
+        slopes, converged, n_sweeps = _lasso_rows(std, lams, tol, max_iter, warm_start)
+    else:
+        slopes, converged, n_sweeps = _net_rows(std, lams, alpha, tol, max_iter, warm_start)
+    return CoefficientGrid(_intercepts(std, slopes), slopes, converged, n_sweeps,
+                           std.means, std.scales)
+
+
+def _net_rows(std: Standardized, lams: np.ndarray, alpha: float, tol: float, max_iter: int,
+              warm_start: CoefficientSet | None) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The original-scale ``(slopes, converged, n_sweeps)`` of
+    :func:`fit_elastic_net_path` at ``alpha < 1``, equal bit for bit to the chain of
+    one-weight fits, solved in runs of weights.
+
+    Each run is one batched product whose rows pass :func:`coordinate_descent`'s
+    test, ``converged``: a run on which the warm start's support and signs hold
+    (:func:`_sign_fixed_rows`), or a run without an L1 term, whose every row is its
+    one :func:`_minimum_norm` solve.  Where an L1 run ends, its attempt may hand
+    back the point coordinate descent reaches next at the weight that ends it, and
+    the next attempt starts at that weight from that point: an exit, where the
+    weight's solve flips a sign and the iterate stops at its first zero, or an
+    entering step, where the weight fails only the update test.  A weight takes at
+    most two entering steps this way, and never more than ``max_iter``; its row
+    counts them in ``n_sweeps``, and exits are no steps.  Every other end is one
+    :func:`fit_elastic_net` call from the fit before the weight, and the next run
+    starts from its fit.  Coordinate descent's step limit and unchanged-iterate
+    stop act there, so a weight that cycles between entering and leaving ends in
+    that call too.  An L1 attempt is given the next ``RUN_WINDOW`` weights, not the
+    whole remainder, since most runs are short and every row it forms past the
+    run's end is discarded; an attempt that keeps all of its window is followed by
+    one from its last row with twice the window, and any other end resets it.
+    Rows do not depend on the window (:func:`_sign_fixed_rows` forms each on its
+    own).
+    """
     k, p = len(lams), len(std.q)
     slopes = np.zeros((k, p))
     converged, n_sweeps = np.ones(k, dtype=bool), np.zeros(k, dtype=int)
@@ -734,8 +774,108 @@ def fit_elastic_net_path(
             slopes[stop], converged[stop], n_sweeps[stop] = fit.betas, fit.converged, fit.n_sweeps
             stop, steps = stop + 1, 0
         i, start = stop, handed if handed is not None else slopes[stop - 1] * std.scales
-    return CoefficientGrid(_intercepts(std, slopes), slopes, converged, n_sweeps,
-                           std.means, std.scales)
+    return slopes, converged, n_sweeps
+
+
+def _lasso_rows(std: Standardized, lams: np.ndarray, tol: float, max_iter: int,
+                warm_start: CoefficientSet | None) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The original-scale ``(slopes, converged, n_sweeps)`` of
+    :func:`fit_elastic_net_path` at ``alpha = 1``: :func:`_homotopy` rows, tested
+    for all of a descending stretch of positive weights at once, and a
+    :func:`fit_elastic_net` call wherever one is missing or fails, after which the
+    homotopy starts again from that fit.  Weights of 0 are one
+    :func:`_minimum_norm` solve, as the one-weight fit makes them."""
+    k, p = len(lams), len(std.q)
+    slopes = np.zeros((k, p))
+    converged, n_sweeps = np.ones(k, dtype=bool), np.zeros(k, dtype=int)
+    ts = lams / 2.0
+    # top: the weight the homotopy starts below; a warm start's first row, below
+    # none, is fitted by coordinate descent
+    i, start, top = 0, np.zeros(p), (np.inf if warm_start is None else -np.inf)
+    while i < len(ts):
+        run = ts[i:][:_leading((ts[i:] > 0.0) & (ts[i:] <= np.append(top, ts[i:-1])))]
+        rows, steps = _homotopy(std, start, top, run, max_iter)
+        update = _exact_updates(std.q - rows @ std.gram, rows, std.gram_diag, std.gram_diag,
+                                run[:len(rows), None])
+        m = _leading((np.abs(update - rows) <= tol).all(axis=1))
+        slopes[i:i + m], n_sweeps[i:i + m] = rows[:m] / std.scales, steps[:m]
+        i += m
+        if i == len(ts):
+            break
+        if ts[i] == 0.0:  # the rows of weight 0 that follow, whatever the start
+            zeros = _leading(ts[i:] == 0.0)
+            slopes[i:i + zeros] = _minimum_norm(std, np.zeros(1)) / std.scales
+            i, start, top = i + zeros, slopes[i], 0.0
+            continue
+        warm = CoefficientSet(0.0, slopes[i - 1]) if i else warm_start
+        fit = fit_elastic_net(std, float(lams[i]), 1.0, tol, max_iter, warm)
+        slopes[i], converged[i], n_sweeps[i] = fit.betas, fit.converged, fit.n_sweeps
+        i, start, top = i + 1, fit.betas, ts[i]
+    return slopes, converged, n_sweeps
+
+
+def _homotopy(std: Standardized, start: np.ndarray, top: float, ts: np.ndarray,
+              max_iter: int) -> tuple[np.ndarray, np.ndarray]:
+    """``(rows, steps)``: the standardized lasso solutions at the leading thresholds
+    ``ts = lam/2`` (positive, descending from ``top``) on the homotopy from the
+    support and signs of ``start``, where that is the fit at ``top`` (zeros and
+    ``top = inf`` for a cold start), and per row its entering events since the row
+    before (Osborne, Presnell & Turlach, IMA J. Numer. Anal. 2000; LARS with drops,
+    Efron et al., Ann. Statist. 2004).
+
+    On an active set ``A`` with signs ``s`` the solution is ``b_A(t) = b0 - t*u``
+    with ``G_AA b0 = q_A`` and ``G_AA u = s``, one :func:`_shifted_solve` of both, and
+    every correlation ``c(t) = q - G_:A b_A(t)`` is linear in ``t``.  The segment ends
+    at the largest ``t`` below its top where an active coefficient reaches 0 (it
+    leaves) or an inactive ``|c_j(t)|`` reaches ``t`` (j enters with the sign of
+    ``c_j``).  The event just taken, which rounding can put again just below the new
+    top, is no candidate on the next segment: a column that entered does not leave
+    at once, nor does one that left re-enter with its old sign.  Columns with
+    ``gram_diag == 0`` never enter.  Rows stop before a singular ``A`` (as
+    :func:`_factor` counts it) and before a row that needs more than ``max_iter``
+    entering events; the rows are solutions only if ``start`` was, so callers test them.
+    """
+    q, gram = std.q, std.gram
+    frozen = std.gram_diag == 0.0
+    signs = np.sign(start)  # 0 off the active set
+    below = (-ts).tolist()  # ascending: the rows at or above a time t are a bisection
+    rows, steps = np.zeros((len(ts), len(q))), np.zeros(len(ts), dtype=int)
+    i = entered = 0
+    repeat = None  # the time of the event just taken, recomputed on the new segment
+    with np.errstate(divide="ignore", invalid="ignore"):
+        while i < len(ts):
+            active = np.flatnonzero(signs)
+            b0 = u = np.zeros(0)
+            times = q / ENTER_SIGNS  # where c_j(t) = c0_j + t*d_j reaches +t, -t
+            if len(active):
+                _, w, V, _, null = _factor(std, active, 0.0)
+                if null.any():
+                    break
+                b0, u = _shifted_solve(V, w, null, np.array((q[active], signs[active])), 0.0)
+                at = gram[:, active]
+                times = (q - at @ b0) / (ENTER_SIGNS - at @ u)
+                times[0, active] = b0 / u  # where an active coefficient reaches 0
+                times[1, active] = 0.0
+            times[:, frozen] = 0.0
+            if repeat is not None:
+                times.flat[repeat] = 0.0
+            times[~((times > 0.0) & (times < top))] = 0.0
+            kind, j = divmod(int(np.argmax(times)), len(q))
+            top = times[kind, j]
+            n = bisect.bisect_right(below, -top, i) - i
+            if n:
+                rows[i:i + n, active] = b0 - ts[i:i + n, None] * u
+                steps[i], i, entered = entered, i + n, 0
+            if i == len(ts):
+                break
+            if signs[j]:  # j leaves; it re-enters with its sign only past the next event
+                repeat, signs[j] = j + len(q) * (signs[j] < 0.0), 0.0
+            else:  # j enters; it leaves only past the next event
+                entered += 1
+                if entered > max_iter:
+                    break
+                repeat, signs[j] = j, ENTER_SIGNS[kind, 0]
+    return rows[:i], steps[:i]
 
 
 def _sign_fixed_rows(std: Standardized, lams: np.ndarray, alpha: float, tol: float,

@@ -482,6 +482,64 @@ class TestOverflowingResponse:
         assert not out.exists()
 
 
+class TestHeldOutLossOverflow:
+    """A 12-row, one-predictor table whose response cells are near ``scale``: cv scores
+    held-out errors in a power of two near the response's largest magnitude, so near
+    1e153 the curve is finite, and where the losses themselves pass the largest double
+    the run exits 2 naming the response, with no file written."""
+
+    @staticmethod
+    def table(path, scale):
+        rng = np.random.default_rng(3)
+        x = rng.uniform(-5.0, 5.0, 12)
+        y = scale * (0.7 * x + rng.normal(size=12))
+        half = scale * rng.uniform(0.1, 1.0, 12)
+        write_interval_csv(IntervalTable(("X", "Y"), np.column_stack([x - 0.5, y - half]),
+                                         np.column_stack([x + 0.5, y + half]),
+                                         response_name="Y"), path)
+        return path
+
+    @pytest.mark.parametrize("scale", [1e155, 1e160])
+    @pytest.mark.parametrize("command", ["cv", "fit"])
+    def test_losses_that_overflow_exit_2_naming_the_response(self, capsys, tmp_path, scale,
+                                                             command):
+        train = self.table(tmp_path / "train.csv", scale)
+        out = tmp_path / "out"
+        flags = {"cv": ["--out", str(out)],
+                 "fit": ["--lambda", "cv", "--model-out", str(out)]}[command]
+        code, stdout, err = run(capsys, command, "--method", "ridge-crm", "--train", str(train),
+                                "--response", "Y", "--folds", "3", "--seed", "1", *flags)
+        assert (code, stdout) == (2, "")
+        assert err == ("error: held-out losses of response 'Y' overflow: its errors are too "
+                       "large to square\n")
+        assert not out.exists()
+
+    @pytest.mark.parametrize("command", ["cv", "fit"])
+    def test_near_1e153_the_curve_and_its_standard_errors_are_finite(self, capsys, tmp_path,
+                                                                     command):
+        # the fold losses near 1e306 square again in their standard deviation
+        train = self.table(tmp_path / "train.csv", 1e153)
+        out = tmp_path / "out"
+        flags = {"cv": ["--out", str(out)],
+                 "fit": ["--lambda", "cv", "--model-out", str(out)]}[command]
+        code, stdout, err = run(capsys, command, "--method", "ridge-crm", "--train", str(train),
+                                "--response", "Y", "--folds", "3", "--seed", "1", *flags)
+        assert (code, err) == (0, "")
+        if command == "cv":
+            curve = np.loadtxt(out, delimiter=",", skiprows=1)
+            assert np.isfinite(curve).all() and (curve[:, 2] > 0.0).all()
+
+    def test_a_lasso_cv_that_overflows_ends_without_a_traceback(self, tmp_path):
+        # in a child process: numpy's overflow warnings on the way, which this suite
+        # turns into errors, go to stderr there as they do from the command line
+        train = self.table(tmp_path / "train.csv", 1e160)
+        done = run_module("cv", "--method", "lasso-cm", "--train", str(train), "--response", "Y",
+                          "--folds", "3", "--seed", "1", "--out", str(tmp_path / "curve.csv"))
+        assert done.returncode == 2 and "Traceback" not in done.stderr
+        assert done.stderr.endswith("error: held-out losses of response 'Y' overflow: its "
+                                    "errors are too large to square\n")
+
+
 class TestCsvFiles:
     """Every CSV file the CLI writes is, byte for byte, what ``csv.writer`` writes for
     its header and for its numbers: curves, paths and predictions formatted as
@@ -849,12 +907,17 @@ class TestParser:
             assert "--n-lambdas" in out
 
 
-def test_module_help_exits_0():
+def run_module(*args):
+    """``python -m intervalreg.cli *args`` in a child process, on this package."""
     src = Path(intervalreg.__file__).parents[1]
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         filter(None, [str(src), os.environ.get("PYTHONPATH")])))
-    done = subprocess.run([sys.executable, "-m", "intervalreg.cli", "--help"], env=env,
+    return subprocess.run([sys.executable, "-m", "intervalreg.cli", *args], env=env,
                           capture_output=True, text=True)
+
+
+def test_module_help_exits_0():
+    done = run_module("--help")
     assert (done.returncode, done.stderr) == (0, "")
     assert done.stdout.startswith("usage: intervalreg [-h]")
 

@@ -238,3 +238,75 @@ def test_a_constant_column_has_slope_0_in_every_fit(problem):
         for center, rng in fits:
             assert center.betas[jc] == 0.0
             assert rng is None or rng.betas[jr] == 0.0
+
+
+@st.composite
+def reflection_problems(draw):
+    """``(table, spec, k)``: a random table, wider than tall for a penalized method,
+    a spec of any of the eight methods, and a predictor index ``k``."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    name = draw(st.sampled_from(sorted(METHOD_NAMES)))
+    p = draw(st.integers(1, 8))
+    penalized = METHOD_NAMES[name][1] != "none"
+    table = random_interval_table(rng, draw(st.integers(4 if penalized else p + 3, 20)), p)
+    if not penalized:
+        return table, MethodSpec.from_name(name), draw(st.integers(0, p - 1))
+    alpha = draw(st.floats(0.1, 0.9)) if name.startswith("net") else None
+    spec = MethodSpec.from_name(name, draw(st.floats(0.01, 20.0)), None, alpha)
+    return table, spec, draw(st.integers(0, p - 1))
+
+
+def reflected(table, j):
+    """``table`` with variable ``j``'s intervals reflected, ``[lo, hi] -> [-hi, -lo]``:
+    its midpoints negated and its half-ranges kept, both exactly."""
+    lower, upper = table.lower.copy(), table.upper.copy()
+    lower[:, j], upper[:, j] = -table.upper[:, j], -table.lower[:, j]
+    return IntervalTable(table.variable_names, lower, upper, table.response_name)
+
+
+def assert_same_selection(table, flipped, spec):
+    """``cv`` of a penalized ``spec`` picks the same weights and supports on both
+    tables.  A cm fit predicts each endpoint from the same endpoint of the
+    predictors, which a reflection swaps, so its interval loss changes; its midpoint
+    loss (``component="center"``) does not, and is the one compared."""
+    if spec.penalty == "none":
+        return
+    component = "center" if spec.family == "cm" else "interval"
+    a, b = (cross_validate(t, spec, k=4, seed=3, n_points=12, component=component)
+            for t in (table, flipped))
+    assert (a.lambda_min, a.lambda_1se, a.nonzero) == (b.lambda_min, b.lambda_1se, b.nonzero)
+
+
+@SETTINGS
+@given(reflection_problems())
+def test_reflecting_a_predictor_negates_only_its_center_slope(problem):
+    """Exactly, through ``fit`` and ``cv``: the reflected predictor's midpoints are
+    negated, so its standardized column is, and every fit is the same up to that
+    slope's sign; its half-ranges, and so every range fit, are unchanged."""
+    table, spec, k = problem
+    flipped = reflected(table, k)  # predictors X1..Xp come first
+    a, b = fit(table, spec), fit(flipped, spec)
+    sign = np.ones(a.center_coeffs.p)
+    sign[k] = -1.0
+    assert b.center_coeffs.intercept == a.center_coeffs.intercept
+    assert np.array_equal(b.center_coeffs.betas, sign * a.center_coeffs.betas)
+    if a.range_coeffs is not None:
+        assert b.range_coeffs.intercept == a.range_coeffs.intercept
+        assert b.range_coeffs.betas.tobytes() == a.range_coeffs.betas.tobytes()
+    assert_same_selection(table, flipped, spec)
+
+
+@SETTINGS
+@given(reflection_problems())
+def test_reflecting_the_response_negates_the_center_fit_only(problem):
+    """Exactly, through ``fit`` and ``cv``: the center intercept and slopes are
+    negated, and the range fit and the selected weights and supports are unchanged."""
+    table, spec, _ = problem
+    flipped = reflected(table, table.variable_names.index(table.response_name))
+    a, b = fit(table, spec), fit(flipped, spec)
+    assert b.center_coeffs.intercept == -a.center_coeffs.intercept
+    assert np.array_equal(b.center_coeffs.betas, -a.center_coeffs.betas)
+    if a.range_coeffs is not None:
+        assert b.range_coeffs.intercept == a.range_coeffs.intercept
+        assert b.range_coeffs.betas.tobytes() == a.range_coeffs.betas.tobytes()
+    assert_same_selection(table, flipped, spec)

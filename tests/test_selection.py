@@ -507,39 +507,52 @@ class TestCertifiedFits:
         assert sum(c.n_sweeps == 0 for *_, c in records) >= 0.8 * len(records)
 
     def test_most_grid_rows_never_reach_coordinate_descent(self, monkeypatch):
-        """A lasso-cm cv solves most weights of its grids in batched runs: a run that
-        ends where one coordinate enters or leaves hands that step on and stays
-        batched, so only the other run ends call ``solvers.fit_elastic_net``.  The
-        steps the grids report are those calls' steps plus one per entering step
-        handed on; an exit is no step."""
+        """A lasso-cm cv follows the lasso homotopy down its grids, and calls
+        ``solvers.fit_elastic_net`` for at most 0.2% of their rows: those where a
+        homotopy row fails the exact-update test.  A homotopy row's steps are its
+        entering events since the row before, and an exit is no step, so a grid from
+        zero reports at least one step per coefficient its last row holds."""
         rows = record_grid_rows(monkeypatch)
-        calls, attempts = [], []
-        original_fit, original_rows = solvers.fit_elastic_net, solvers._sign_fixed_rows
+        calls = []
+        original_fit = solvers.fit_elastic_net
 
         def recording_fit(*args, **kwargs):
             calls.append(original_fit(*args, **kwargs))
             return calls[-1]
 
-        def recording_rows(std, lams, alpha, tol, start):
-            attempts.append((start, original_rows(std, lams, alpha, tol, start)))
-            return attempts[-1][1]
-
         monkeypatch.setattr(solvers, "fit_elastic_net", recording_fit)
-        monkeypatch.setattr(solvers, "_sign_fixed_rows", recording_rows)
         spec = MethodSpec("cm", "lasso", lambda_center=1.0)
         table = random_interval_table(np.random.default_rng(700), 10, 15)
         assert cross_validate(table, spec, seed=0).nonconverged == 0
         assert len(rows) == 1100
-        # attempts that start from the point the attempt before them handed on: an
-        # entering step has a support at least as large as that attempt's start
-        handed_on = [np.count_nonzero(handed) >= np.count_nonzero(before)
-                     for (before, (_, handed)), (start, _) in zip(attempts, attempts[1:])
-                     if start is handed]
-        stepped = sum(handed_on)
-        sweeps = sum(c.n_sweeps for *_, c in rows)
-        assert stepped > 0 and sweeps == sum(c.n_sweeps for c in calls) + stepped
-        assert stepped < len(handed_on)  # exits were handed on too
-        assert len(calls) <= 0.002 * len(rows) and len(calls) < stepped
+        assert len(calls) <= 0.002 * len(rows)
+        for start in range(0, len(rows), 100):  # ten folds' grids and the path's
+            grid = [c for *_, c in rows[start:start + 100]]
+            assert sum(c.n_sweeps for c in grid) >= np.count_nonzero(grid[-1].betas) > 0
+
+
+class TestLossScale:
+    @pytest.mark.parametrize("name", ["ridge-crm", "lasso-cm", "net-crm"])
+    def test_losses_in_a_power_of_two_scale_change_no_bit(self, monkeypatch, name):
+        """Dividing each held-out error by a power of two and multiplying the curve
+        back is exact here, so curves and weights are those of unscaled losses."""
+        for table in (make_cardio_table(), random_interval_table(np.random.default_rng(51), 20, 6)):
+            spec = MethodSpec.from_name(name, 1.0, None, 0.5 if name == "net-crm" else None)
+            scaled = cross_validate(table, spec, k=5, seed=1)
+            assert selection._loss_scale(*response_bounds(table)) != 1.0
+            monkeypatch.setattr(selection, "_loss_scale", lambda y_lo, y_hi: 1.0)
+            plain = cross_validate(table, spec, k=5, seed=1)
+            monkeypatch.undo()
+            assert scaled.mean_loss.tobytes() == plain.mean_loss.tobytes()
+            assert scaled.std_error.tobytes() == plain.std_error.tobytes()
+            assert (scaled.lambda_min, scaled.lambda_1se) == (plain.lambda_min, plain.lambda_1se)
+
+    @pytest.mark.parametrize("peak", [0.0, 5e-324, 1e-300, 0.75, 1.0, 3.0, 1e155, 1.7e308])
+    def test_the_scale_is_a_normal_power_of_two_at_most_the_peak(self, peak):
+        scale = selection._loss_scale(np.array([peak, -peak / 2.0]), np.array([0.0, 0.0]))
+        mantissa, _ = np.frexp(scale)
+        assert mantissa == 0.5 and scale >= np.finfo(float).tiny
+        assert scale <= max(peak, np.finfo(float).tiny) < 2.0 * scale or peak == 0.0
 
 
 class TestViewsBuiltOnce:

@@ -1,5 +1,6 @@
 import json
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -10,6 +11,7 @@ from intervalreg import IntervalTable, MethodSpec, fit, predict, solvers
 from intervalreg.models import METHOD_NAMES
 from intervalreg.solvers import (
     PIVOT_RTOL,
+    CoefficientGrid,
     CoefficientSet,
     NonFiniteEncountered,
     SingularDesign,
@@ -1080,6 +1082,10 @@ class TestElasticNet:
 
 
 class TestElasticNetPath:
+    #: alpha one ulp below 1: an elastic net with the lasso's supports whose grids,
+    #: unlike the lasso's homotopy, take the batched runs and their hand-offs
+    BELOW_ONE = float(np.nextafter(1.0, 0.0))
+
     @staticmethod
     def chain(problem, lams, alpha, warm=None, **kwargs):
         """One warm-started ``fit_elastic_net`` per weight, down the grid."""
@@ -1097,13 +1103,67 @@ class TestElasticNetPath:
         assert path.converged.tolist() == [c.converged for c in fits]
         assert path.n_sweeps.tolist() == [c.n_sweeps for c in fits]
 
+    @staticmethod
+    def lasso_path(std, lams, **kwargs):
+        """``(grid, fallbacks)``: ``fit_elastic_net_path`` at alpha 1 and the weights at
+        which it called ``solvers.fit_elastic_net``, the rows found by coordinate descent."""
+        fallbacks = []
+
+        def recording(std, lam, *args, **kwargs):
+            fallbacks.append(lam)
+            return fit_elastic_net(std, lam, *args, **kwargs)
+
+        with mock.patch.object(solvers, "fit_elastic_net", recording):
+            return fit_elastic_net_path(std, lams, 1.0, **kwargs), fallbacks
+
+    @staticmethod
+    def assert_rows_certified(std, lams, path, fits, fallbacks, tol=1e-7):
+        """The lasso grid's contract against the chain ``fits``.
+
+        Rows stop where the chain's fits stop.  They have the chain's supports and
+        lie within 1e-10 of its rows, relative to the grid's largest coefficient;
+        where two standardized columns are equal or opposite, the split between them
+        is free, and that holds for the fitted values ``Xs'Xs b`` instead.  A converged row at a positive weight
+        passes the exact-update test at ``tol`` (:func:`solvers._exact_updates`), and
+        one of the homotopy (not at a weight in ``fallbacks``) has a duality gap of at
+        most 1e-12 of ``y_ss``, the objective at zero and so at least the row's, or
+        twice the chain's fit's gap where that is larger: a homotopy segment from a
+        coordinate-descent row keeps that row's support.  The gap's own rounding
+        reaches 3e-13 of ``y_ss`` on nearly collinear 3-row designs, where a row's
+        objective may be a fifth of ``y_ss``.  A row at weight 0 is the chain's
+        minimum-norm fit bit for bit."""
+        chain = np.array([c.betas for c in fits])
+        assert len(path) == len(fits)
+        assert path.converged.tolist() == [c.converged for c in fits]
+        norms = np.sqrt(np.outer(std.gram_diag, std.gram_diag))
+        parallel = (np.abs(std.gram) >= (1.0 - 1e-9) * norms) & (norms > 0.0)
+        if np.count_nonzero(parallel) > np.count_nonzero(std.gram_diag):  # off the diagonal
+            path_fit, chain_fit = (path.slopes * path.scales) @ std.gram, (chain * path.scales) @ std.gram
+            assert np.all(np.abs(path_fit - chain_fit) <= 1e-10 * np.max(np.abs(chain_fit)))
+        else:
+            assert np.array_equal(path.slopes != 0.0, chain != 0.0)
+            assert np.all(np.abs(path.slopes - chain) <= 1e-10 * np.max(np.abs(chain), initial=0.0))
+
+        for lam, slopes, converged, fit in zip(lams, path.slopes, path.converged, fits):
+            if lam == 0.0:
+                assert slopes.tobytes() == fit.betas.tobytes()
+            elif converged:
+                b = slopes * path.scales
+                update = solvers._exact_updates(std.q - std.gram @ b, b, std.gram_diag,
+                                                std.gram_diag, lam / 2.0)
+                assert np.all(np.abs(update - b) <= tol)
+                chain_gap = duality_gap(std, fit.betas * fit.scales, lam, 1.0)
+                assert (lam in fallbacks
+                        or duality_gap(std, b, lam, 1.0) <= max(1e-12 * std.y_ss, 2.0 * chain_gap))
+
     @settings(max_examples=150, deadline=None)
     @given(l1_designs(), st.booleans(), st.sampled_from(["cold", "random", "previous"]),
            st.integers(0, 2**32 - 1))
     def test_equals_the_chain_of_one_weight_fits(self, design, below_one, start, seed):
         """Every row, batched or not, is the warm-started one-weight fit bit for bit:
         down a grid that ends at 0, from a cold, a random and a previous fit's start,
-        with alpha one ulp below 1 (the tiny ridge term that makes sets singular)."""
+        with alpha one ulp below 1 (the tiny ridge term that makes sets singular).
+        At alpha 1 the rows follow the lasso homotopy and are certified instead."""
         X, y, alpha = design
         if below_one:
             alpha = float(np.nextafter(1.0, 0.0))
@@ -1119,7 +1179,137 @@ class TestElasticNetPath:
             warm = fit_elastic_net(standardize(X, y), 2.0 * lam_max, alpha)
         fits = self.chain(standardize(X, y), lams, alpha, warm)
         path = fit_elastic_net_path(standardize(X, y), lams, alpha, warm_start=warm)
-        self.assert_rows_equal(path, fits)
+        if alpha == 1.0:
+            path, fallbacks = self.lasso_path(standardize(X, y), lams, warm_start=warm)
+            self.assert_rows_certified(standardize(X, y), lams, path, fits, fallbacks)
+        else:
+            self.assert_rows_equal(path, fits)
+
+    @settings(max_examples=150, deadline=None)
+    @given(l1_designs(), st.sampled_from(["cold", "random", "previous"]),
+           st.integers(0, 2**32 - 1))
+    def test_lasso_rows_are_certified_against_the_chain(self, design, start, seed):
+        """At alpha 1, down a grid that ends at 0 and from a cold, a random and a
+        previous fit's start, the homotopy's rows and its fallbacks meet the lasso
+        contract of :meth:`assert_rows_certified`."""
+        X, y, _ = design
+        rng = np.random.default_rng(seed)
+        std = standardize(X, y)
+        lam_max = 2.0 * float(np.max(np.abs(std.q)))
+        assume(lam_max > 0.0)
+        lams = [*np.geomspace(lam_max, 1e-3 * lam_max, 12), 0.0]
+        warm = None
+        if start == "random":
+            warm = CoefficientSet(0.0, rng.normal(size=X.shape[1]))
+        elif start == "previous":
+            warm = fit_elastic_net(standardize(X, y), 2.0 * lam_max, 1.0)
+        fits = self.chain(standardize(X, y), lams, 1.0, warm)
+        path, fallbacks = self.lasso_path(std, lams, warm_start=warm)
+        self.assert_rows_certified(std, lams, path, fits, fallbacks)
+        assert path.slopes[-1].tobytes() == fit_elastic_net(std, 0.0, 1.0).betas.tobytes()
+
+    def test_a_lasso_grid_on_an_exclude_copy_never_enters_a_zeroed_column(self):
+        # a crm support's design: the masked-out columns have gram_diag 0 and stay 0,
+        # and the rows are certified against the chain on the same copy
+        rng = np.random.default_rng(34)
+        X = rng.normal(size=(12, 9))
+        y = X[:, :4] @ rng.normal(size=4) + 0.3 * rng.normal(size=12)
+        mask = np.array([True, False, True, True, False, True, False, True, True])
+        std = exclude(standardize(X, y), mask)
+        lams = [*np.geomspace(2.0 * np.max(np.abs(std.q)), 1e-4, 30), 0.0]
+        path, fallbacks = self.lasso_path(std, lams)
+        assert not path.slopes[:, ~mask].any() and path.slopes[-2].all(where=mask)
+        self.assert_rows_certified(std, lams, path, self.chain(std, lams, 1.0), fallbacks)
+        assert fallbacks == [] and path.converged.all()
+
+    def test_a_lasso_grid_ending_at_zero_ends_in_the_minimum_norm_fit(self):
+        # more columns than rows: at weight 0 every interpolating fit is optimal, and
+        # the row is the one-weight fit's minimum-norm solve, whatever came before it
+        X, y, lams = self.wide_design(5)
+        std = standardize(X, y)
+        lams = [*lams, 0.0, 0.0]
+        path, fallbacks = self.lasso_path(std, lams)
+        zero = fit_elastic_net(std, 0.0, 1.0)
+        assert path.slopes[-1].tobytes() == path.slopes[-2].tobytes() == zero.betas.tobytes()
+        assert path.converged.all() and path.n_sweeps[-2:].tolist() == [0, 0]
+        assert fallbacks == []
+
+    def test_a_singular_active_set_falls_back_to_coordinate_descent(self, monkeypatch):
+        # the lasso_stall fold (rank 8 of 15) with a copy of one of its columns: from
+        # the stall's warm start, and cold, the homotopy meets active sets holding both
+        # copies, which are singular; the weight that needs one is fitted by
+        # coordinate descent from the row before, and the homotopy starts again there
+        data = json.loads((DATA_DIR / "lasso_stall.json").read_text())
+        gram, q = np.array(data["gram"]), np.array(data["q"])
+        singular = []  # whether each active set the homotopy factored was singular
+        homotopy, factor = solvers._homotopy, solvers._factor
+
+        def recording_homotopy(*args):
+            monkeypatch.setattr(solvers, "_factor", recording_factor)
+            try:
+                return homotopy(*args)
+            finally:
+                monkeypatch.setattr(solvers, "_factor", factor)
+
+        def recording_factor(std, active, ridge):
+            factored = factor(std, active, ridge)
+            singular.append(bool(factored[-1].any()))
+            return factored
+
+        monkeypatch.setattr(solvers, "_homotopy", recording_homotopy)
+        met = 0
+        for j in range(len(q)):
+            copied = np.append(np.arange(len(q)), j)
+            std = sums_as_standardized(gram[np.ix_(copied, copied)], q[copied], data["y_ss"])
+            for warm, top in ((None, 2.0 * np.max(np.abs(q))),
+                              (CoefficientSet(0.0, np.append(data["beta0"], 0.0)), data["lam"])):
+                lams = np.geomspace(top, data["lam"] / 4.0, 40)
+                singular.clear()
+                path, fallbacks = self.lasso_path(std, lams, warm_start=warm)
+                if any(singular):  # the weight after it is a coordinate-descent fit
+                    met += 1
+                    assert len(fallbacks) > (warm is not None)
+                self.assert_rows_certified(std, lams, path, self.chain(std, lams, 1.0, warm),
+                                           fallbacks)
+                assert path.converged.all()
+        assert met > 0
+
+    def test_max_iter_caps_the_entering_events_between_rows(self):
+        # columns that share one strong factor, so that coefficients enter and leave,
+        # on a coarse grid and at its last weight alone: a row whose homotopy needs
+        # more than max_iter entering events since the row before (or, for the first
+        # row, from zero) is the one-weight fit capped at max_iter, which stops where
+        # the chain does
+        rng = np.random.default_rng(0)
+        X = rng.normal(size=(10, 15)) + 2.0 * rng.normal(size=(10, 1))
+        y = X[:, :3] @ rng.normal(size=3) + 0.5 * rng.normal(size=10)
+        coarse = make_lambda_grid(X, y, 1.0, 8).values
+        for lams in (coarse, coarse[-1:]):
+            uncapped, _ = self.lasso_path(standardize(X, y), lams)
+            assert uncapped.n_sweeps.max() >= 3 and uncapped.converged.all()
+            for max_iter in (1, 2, 3):
+                std = standardize(X, y)
+                path, fallbacks = self.lasso_path(std, lams, max_iter=max_iter)
+                fits = self.chain(std, lams, 1.0, max_iter=max_iter)
+                over = [lam for lam, steps in zip(lams, uncapped.n_sweeps) if steps > max_iter]
+                assert set(over) <= set(fallbacks) and path.n_sweeps.max() <= max_iter
+                # the entering events a row needs are not coordinate descent's steps: a
+                # row may pass the test where the chain stops, never the other way round
+                ok = np.array([c.converged for c in fits])
+                assert not (ok & ~path.converged).any()
+                if ok.any():
+                    kept = CoefficientGrid(path.intercepts[ok], path.slopes[ok],
+                                           path.converged[ok], path.n_sweeps[ok], path.means,
+                                           path.scales)
+                    self.assert_rows_certified(std, np.asarray(lams)[ok], kept,
+                                               [c for c in fits if c.converged], fallbacks)
+                for i in np.flatnonzero(~ok & path.converged):
+                    b = path.slopes[i] * path.scales
+                    update = solvers._exact_updates(std.q - std.gram @ b, b, std.gram_diag,
+                                                    std.gram_diag, lams[i] / 2.0)
+                    assert np.all(np.abs(update - b) <= 1e-7)
+            if len(lams) == 1:  # from zero, more entering events than 3 and a stopped fit
+                assert uncapped.n_sweeps[0] > 3 and not path.converged[0]
 
     def test_stopped_fits_match_the_chain(self):
         rng = np.random.default_rng(31)
@@ -1143,9 +1333,9 @@ class TestElasticNetPath:
         y = X[:, :3] @ rng.uniform(-2.0, 2.0, size=3) + rng.normal(size=60)
         lams = make_lambda_grid(X, y, 1.0, 40).values
         for max_iter in (1, 2, 3, solvers.DEFAULT_MAX_ITER):
-            path = fit_elastic_net_path(standardize(X, y), lams, 1.0, max_iter=max_iter)
-            self.assert_rows_equal(path, self.chain(standardize(X, y), lams, 1.0,
-                                                    max_iter=max_iter))
+            path, fallbacks = self.lasso_path(standardize(X, y), lams, max_iter=max_iter)
+            self.assert_rows_certified(standardize(X, y), lams, path, self.chain(
+                standardize(X, y), lams, 1.0, max_iter=max_iter), fallbacks)
             assert not path.converged.all()
 
     @staticmethod
@@ -1186,9 +1376,9 @@ class TestElasticNetPath:
         # takes a second step: that step is handed on too, and the attempt from it
         # keeps the weight's row
         X, y, lams = self.wide_design(7)
-        fits = self.chain(standardize(X, y), lams, 1.0)
+        fits = self.chain(standardize(X, y), lams, self.BELOW_ONE)
         attempts = self.record_attempts(monkeypatch)
-        path = fit_elastic_net_path(standardize(X, y), lams, 1.0)
+        path = fit_elastic_net_path(standardize(X, y), lams, self.BELOW_ONE)
         self.assert_rows_equal(path, fits)
         assert 2 in path.n_sweeps
         assert any(
@@ -1217,8 +1407,9 @@ class TestElasticNetPath:
         for max_iter in (1, 2, 3, solvers.DEFAULT_MAX_ITER):
             attempts.clear()
             calls.clear()
-            path = fit_elastic_net_path(standardize(X, y), lams, 1.0, max_iter=max_iter)
-            self.assert_rows_equal(path, self.chain(standardize(X, y), lams, 1.0,
+            path = fit_elastic_net_path(standardize(X, y), lams, self.BELOW_ONE,
+                                        max_iter=max_iter)
+            self.assert_rows_equal(path, self.chain(standardize(X, y), lams, self.BELOW_ONE,
                                                     max_iter=max_iter))
             assert any(start is point and len(rows) > 0  # an exit point
                        and np.count_nonzero(point) < np.count_nonzero(before)
@@ -1226,19 +1417,39 @@ class TestElasticNetPath:
                        in zip(attempts, attempts[1:]))
         assert calls == []
 
-    def test_an_enter_then_exit_cycle_at_one_weight_ends_in_the_one_weight_fit(
-            self, monkeypatch):
+    def test_an_enter_then_exit_cycle_at_one_weight_ends_in_the_one_weight_fit(self):
         # a response in the 1e9s: rounding moves a coordinate's update by more than tol
         # where the solve that follows sets it back, so at one weight coordinate
-        # descent enters, leaves and enters again up to its step limit
+        # descent enters, leaves and enters again up to its step limit; no homotopy row
+        # passes the test there, and the weight's row is its one-weight fit
         rng = np.random.default_rng(33)
         X = rng.normal(size=(10, 15)) + 2.0 * rng.normal(size=(10, 1))
         y = 1e9 * (X[:, :3] @ rng.normal(size=3) + 0.5 * rng.normal(size=10))
         lams = make_lambda_grid(X, y, 1.0, 40).values
         fits = self.chain(standardize(X, y), lams, 1.0, max_iter=50)
+        std = standardize(X, y)
+        path, fallbacks = self.lasso_path(std, lams, max_iter=50)
+        # slopes read back through the original scale round by more than tol here, so
+        # the updates are tested at tol relative to the response's scale
+        self.assert_rows_certified(std, lams, path, fits, fallbacks,
+                                   1e-7 * math.sqrt(std.y_ss / std.n))
+        stopped = [lam for lam, fit in zip(lams, fits) if not fit.converged]
+        assert len(stopped) > 1 and all(fallbacks.count(lam) == 1 for lam in stopped)
+
+    def test_a_net_enter_then_exit_cycle_hands_on_two_steps_then_calls_the_one_weight_fit(
+            self, monkeypatch):
+        # a response in the 1e9s: rounding moves a coordinate's update by more than tol
+        # where the solve that follows sets it back, so at one weight coordinate
+        # descent enters, leaves and enters again up to its step limit; the batched runs
+        # hand on two of those steps
+        rng = np.random.default_rng(33)
+        X = rng.normal(size=(10, 15)) + 2.0 * rng.normal(size=(10, 1))
+        y = 1e9 * (X[:, :3] @ rng.normal(size=3) + 0.5 * rng.normal(size=10))
+        lams = make_lambda_grid(X, y, 1.0, 40).values
+        fits = self.chain(standardize(X, y), lams, self.BELOW_ONE, max_iter=50)
         attempts = self.record_attempts(monkeypatch)
         calls = self.count_fits(monkeypatch)
-        path = fit_elastic_net_path(standardize(X, y), lams, 1.0, max_iter=50)
+        path = fit_elastic_net_path(standardize(X, y), lams, self.BELOW_ONE, max_iter=50)
         self.assert_rows_equal(path, fits)
         hand_offs = {}  # weight index: the kind of every point handed on at it
         for start, given, (rows, handed) in attempts:
@@ -1258,11 +1469,11 @@ class TestElasticNetPath:
         X = rng.normal(size=(30, 3))
         y = X @ [3.0, -2.0, 1.0] + 0.1 * rng.normal(size=30)
         lams = make_lambda_grid(X, y, 1.0, 200).values
-        fits = self.chain(standardize(X, y), lams, 1.0)
+        fits = self.chain(standardize(X, y), lams, self.BELOW_ONE)
         supports = [tuple(f.support()) for f in fits]
         assert supports[-40:] == [(True, True, True)] * 40
         attempts = self.record_attempts(monkeypatch)
-        path = fit_elastic_net_path(standardize(X, y), lams, 1.0)
+        path = fit_elastic_net_path(standardize(X, y), lams, self.BELOW_ONE)
         self.assert_rows_equal(path, fits)
         # the last run: windows of 16, 32 and 64 weights, each kept whole, then the
         # rest of the grid
@@ -1277,15 +1488,15 @@ class TestElasticNetPath:
         # the next window's last weight the first where a second one does
         X, y, fine = self.wide_design(3)
         fine = np.geomspace(fine[0], fine[0] * 1e-3, 2000)
-        sizes = [np.count_nonzero(f.betas) for f in self.chain(standardize(X, y), fine, 1.0)]
+        sizes = [np.count_nonzero(f.betas) for f in self.chain(standardize(X, y), fine, self.BELOW_ONE)]
         first, second = sizes.index(1), sizes.index(2)
         window = solvers.RUN_WINDOW
         lams = np.concatenate([np.geomspace(2.0 * fine[0], 1.01 * fine[0], window - 1),
                                np.geomspace(fine[first], fine[second - 1], window - 1),
                                fine[second:second + 30]])
-        fits = self.chain(standardize(X, y), lams, 1.0)
+        fits = self.chain(standardize(X, y), lams, self.BELOW_ONE)
         attempts = self.record_attempts(monkeypatch)
-        path = fit_elastic_net_path(standardize(X, y), lams, 1.0)
+        path = fit_elastic_net_path(standardize(X, y), lams, self.BELOW_ONE)
         self.assert_rows_equal(path, fits)
         assert [(len(given), len(kept), handed is not None)
                 for _, given, (kept, handed) in attempts[:2]] \
