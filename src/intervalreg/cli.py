@@ -92,18 +92,17 @@ def _aggregate_arguments(p: _Parser) -> None:
 
 
 def _build_parser(command: str | None = None) -> _Parser:
-    """The parser of every subcommand, with the arguments of ``command`` only (all
-    of them when ``command`` is None): argparse reads no other subcommand's
-    arguments, so one command's parse need not build them."""
+    """The parser of every subcommand, or of ``command`` alone when it is given:
+    argparse reads no subcommand but the one named, so a command's parse need not
+    build the others."""
     parser = _Parser(
         prog="intervalreg",
         description="Linear regression for interval-valued data.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-    for name, (_, help_text, add_arguments) in _COMMANDS.items():
-        p = sub.add_parser(name, help=help_text)
-        if command is None or name == command:
-            add_arguments(p)
+    for name in _COMMANDS if command is None else (command,):
+        _, help_text, add_arguments = _COMMANDS[name]
+        add_arguments(sub.add_parser(name, help=help_text))
     return parser
 
 
@@ -287,10 +286,9 @@ _COMMANDS = {
 
 def main(argv=None) -> int:
     argv = sys.argv[1:] if argv is None else list(argv)
-    # the top-level parser has no option that takes a value, so its first
-    # positional argument, the subcommand, is the first word not led by "-"
-    command = next((a for a in argv if not a.startswith("-")), None)
-    parser = _build_parser(command)
+    # a subcommand in first place is the only one argparse reads; any other argv (help
+    # or an option first, an unknown word, none) meets every subcommand's parser
+    parser = _build_parser(argv[0] if argv and argv[0] in _COMMANDS else None)
     try:
         args = parser.parse_args(argv)
         return _COMMANDS[args.command][0](args)

@@ -374,8 +374,9 @@ def _factor(
     key = active.tobytes()
     found = std.factors.get(key)
     if found is None:
-        sub = std.gram[active][:, active]
-        top = float(np.max(np.diag(sub), initial=0.0))  # 0 when every column is constant
+        # gram[active][:, active] in its memory order, which a product's bits follow
+        sub = std.gram.T.take(active, 0).take(active, 1).T
+        top = float(sub.diagonal().max(initial=0.0))  # 0 when every column is constant
         found = std.factors[key] = (sub, *np.linalg.eigh(sub), top)
     sub, w, V, top = found
     return sub, w, V, top, w + ridge <= PIVOT_RTOL * (top + ridge)
@@ -418,10 +419,12 @@ def _step_change(sub: np.ndarray, grad: np.ndarray, b: np.ndarray, values: np.nd
 
     The L1 term changes by ``signs'step``; the change is formed from the step
     itself, since the rounding of two whole objective values can exceed a short
-    step's decrease."""
-    step = values - b
-    return (_dot(step, _matvec(sub, step)) - 2.0 * _dot(step, grad)
-            + 2.0 * thresh * _dot(np.sign(b), step) + ridge * _dot(step, b + values))
+    step's decrease.  Terms that overflow give an infinite or NaN change, and a NaN
+    change counts as no rise (a response near 1e155 squares past the largest double)."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        step = values - b
+        return (_dot(step, _matvec(sub, step)) - 2.0 * _dot(step, grad)
+                + 2.0 * thresh * _dot(np.sign(b), step) + ridge * _dot(step, b + values))
 
 
 def _exact_updates(grad: np.ndarray, beta: np.ndarray, gram_diag: np.ndarray,
@@ -824,43 +827,51 @@ def _homotopy(std: Standardized, start: np.ndarray, top: float, ts: np.ndarray,
     Efron et al., Ann. Statist. 2004).
 
     On an active set ``A`` with signs ``s`` the solution is ``b_A(t) = b0 - t*u``
-    with ``G_AA b0 = q_A`` and ``G_AA u = s``, one :func:`_shifted_solve` of both, and
-    every correlation ``c(t) = q - G_:A b_A(t)`` is linear in ``t``.  The segment ends
-    at the largest ``t`` below its top where an active coefficient reaches 0 (it
-    leaves) or an inactive ``|c_j(t)|`` reaches ``t`` (j enters with the sign of
-    ``c_j``).  The event just taken, which rounding can put again just below the new
-    top, is no candidate on the next segment: a column that entered does not leave
-    at once, nor does one that left re-enter with its old sign.  Columns with
-    ``gram_diag == 0`` never enter.  Rows stop before a singular ``A`` (as
-    :func:`_factor` counts it) and before a row that needs more than ``max_iter``
-    entering events; the rows are solutions only if ``start`` was, so callers test them.
+    with ``G_AA b0 = q_A`` and ``G_AA u = s``, one :func:`_shifted_solve` of both (its
+    products, written out), and every correlation ``c(t) = q - G_:A b_A(t)`` is
+    linear in ``t``.  The segment ends at the largest ``t`` below its top where an
+    active coefficient reaches 0 (it leaves) or an inactive ``|c_j(t)|`` reaches
+    ``t`` (j enters with the sign of ``c_j``).  The event just taken, which rounding
+    can put again just below the new top, is no candidate on the next segment: a
+    column that entered does not leave at once, nor does one that left re-enter with
+    its old sign.  Columns with ``gram_diag == 0`` never enter.  Rows stop before a
+    singular ``A`` (as :func:`_factor` counts it) and before a row that needs more
+    than ``max_iter`` entering events; the rows are solutions only if ``start`` was,
+    so callers test them.
     """
-    q, gram = std.q, std.gram
-    frozen = std.gram_diag == 0.0
-    signs = np.sign(start)  # 0 off the active set
+    q, gram_t, p = std.q, std.gram.T, len(std.q)
+    frozen = (std.gram_diag == 0.0).nonzero()[0]
+    # q over the signs (0 off the active set): a segment's right-hand sides are one take
+    sums = np.array((q, np.sign(start)))
+    signs = sums[1]
+    cold = q / ENTER_SIGNS  # the empty set's times: where c_j(t) = q_j reaches +t, -t
     below = (-ts).tolist()  # ascending: the rows at or above a time t are a bisection
-    rows, steps = np.zeros((len(ts), len(q))), np.zeros(len(ts), dtype=int)
+    rows, steps = np.zeros((len(ts), p)), np.zeros(len(ts), dtype=int)
     i = entered = 0
     repeat = None  # the time of the event just taken, recomputed on the new segment
     with np.errstate(divide="ignore", invalid="ignore"):
         while i < len(ts):
-            active = np.flatnonzero(signs)
-            b0 = u = np.zeros(0)
-            times = q / ENTER_SIGNS  # where c_j(t) = c0_j + t*d_j reaches +t, -t
+            active = signs.nonzero()[0]
             if len(active):
                 _, w, V, _, null = _factor(std, active, 0.0)
-                if null.any():
+                if null[0]:  # eigh's eigenvalues ascend, so the smallest is null if any is
                     break
-                b0, u = _shifted_solve(V, w, null, np.array((q[active], signs[active])), 0.0)
-                at = gram[:, active]
+                # _shifted_solve's products; nothing is null, and w + 0.0 is w
+                b0, u = _matvec(V, _matvec(V.T, sums.take(active, 1)) / w)
+                at = gram_t.take(active, 0).T  # gram[:, active] in its memory order
+                # where c_j(t) = c0_j + t*d_j reaches +t, -t
                 times = (q - at @ b0) / (ENTER_SIGNS - at @ u)
-                times[0, active] = b0 / u  # where an active coefficient reaches 0
-                times[1, active] = 0.0
-            times[:, frozen] = 0.0
+                times[0].put(active, b0 / u)  # where an active coefficient reaches 0
+                times[1].put(active, 0.0)
+            else:
+                b0 = u = np.zeros(0)
+                times = cold.copy()
+            if len(frozen):
+                times[:, frozen] = 0.0
             if repeat is not None:
                 times.flat[repeat] = 0.0
             times[~((times > 0.0) & (times < top))] = 0.0
-            kind, j = divmod(int(np.argmax(times)), len(q))
+            kind, j = divmod(int(times.argmax()), p)
             top = times[kind, j]
             n = bisect.bisect_right(below, -top, i) - i
             if n:
@@ -869,7 +880,7 @@ def _homotopy(std: Standardized, start: np.ndarray, top: float, ts: np.ndarray,
             if i == len(ts):
                 break
             if signs[j]:  # j leaves; it re-enters with its sign only past the next event
-                repeat, signs[j] = j + len(q) * (signs[j] < 0.0), 0.0
+                repeat, signs[j] = j + p * (signs[j] < 0.0), 0.0
             else:  # j enters; it leaves only past the next event
                 entered += 1
                 if entered > max_iter:

@@ -1,3 +1,4 @@
+import argparse
 import csv
 import functools
 import hashlib
@@ -529,15 +530,22 @@ class TestHeldOutLossOverflow:
             curve = np.loadtxt(out, delimiter=",", skiprows=1)
             assert np.isfinite(curve).all() and (curve[:, 2] > 0.0).all()
 
-    def test_a_lasso_cv_that_overflows_ends_without_a_traceback(self, tmp_path):
-        # in a child process: numpy's overflow warnings on the way, which this suite
-        # turns into errors, go to stderr there as they do from the command line
-        train = self.table(tmp_path / "train.csv", 1e160)
-        done = run_module("cv", "--method", "lasso-cm", "--train", str(train), "--response", "Y",
-                          "--folds", "3", "--seed", "1", "--out", str(tmp_path / "curve.csv"))
-        assert done.returncode == 2 and "Traceback" not in done.stderr
-        assert done.stderr.endswith("error: held-out losses of response 'Y' overflow: its "
-                                    "errors are too large to square\n")
+    @pytest.mark.parametrize("scale", [1e155, 1e160])
+    @pytest.mark.parametrize("command", ["cv", "fit"])
+    @pytest.mark.parametrize("method", ["lasso-cm", "lasso-crm"])
+    def test_a_lasso_cv_that_overflows_exits_2_without_warnings(self, capsys, tmp_path, scale,
+                                                                command, method):
+        # coordinate descent's objective changes overflow on the way; numpy's warnings,
+        # which this suite turns into errors, must not reach stderr before the error line
+        train = self.table(tmp_path / "train.csv", scale)
+        out = tmp_path / "out"
+        flags = {"cv": ["--out", str(out)],
+                 "fit": ["--lambda", "cv", "--model-out", str(out)]}[command]
+        code, stdout, err = run(capsys, command, "--method", method, "--train", str(train),
+                                "--response", "Y", "--folds", "3", "--seed", "1", *flags)
+        assert (code, stdout, err) == (2, "", "error: held-out losses of response 'Y' overflow: "
+                                              "its errors are too large to square\n")
+        assert not out.exists()
 
 
 class TestCsvFiles:
@@ -905,6 +913,39 @@ class TestParser:
             assert got == want
         if argv[:2] in (["cv", "--help"], ["path", "--help"]):
             assert "--n-lambdas" in out
+
+
+class TestSubparsersBuilt:
+    """``main`` adds one subparser for a subcommand in first place, and every
+    subcommand's for any other argv."""
+
+    @staticmethod
+    def added(monkeypatch, capsys, argv):
+        """``(exit code, the names main added subparsers for)``."""
+        names, add_parser = [], argparse._SubParsersAction.add_parser
+
+        def counting(self, name, **kwargs):
+            names.append(name)
+            return add_parser(self, name, **kwargs)
+
+        monkeypatch.setattr(argparse._SubParsersAction, "add_parser", counting)
+        try:
+            code = main(argv)
+        except SystemExit as done:
+            code = done.code
+        capsys.readouterr()
+        return code, names
+
+    def test_a_valid_command_adds_its_own_subparser_only(self, monkeypatch, capsys, cardio_csv,
+                                                          tmp_path):
+        argv = ["cv", "--method", "lasso-cm", "--train", str(cardio_csv), "--response", "Pulse",
+                "--folds", "5", "--seed", "1", "--out", str(tmp_path / "curve.csv")]
+        assert self.added(monkeypatch, capsys, argv) == (0, ["cv"])
+
+    @pytest.mark.parametrize("argv", [["-h", "fit"], ["--bogus", "fit"], ["frobnicate"], []])
+    def test_any_other_argv_adds_every_subparser(self, monkeypatch, capsys, argv):
+        _, names = self.added(monkeypatch, capsys, argv)
+        assert names == list(cli._COMMANDS)
 
 
 def run_module(*args):

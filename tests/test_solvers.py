@@ -1274,6 +1274,43 @@ class TestElasticNetPath:
                 assert path.converged.all()
         assert met > 0
 
+    @pytest.mark.parametrize("n", [10, 9])
+    @pytest.mark.parametrize("warm", [False, True])
+    def test_homotopy_rows_are_their_segments_solve_bit_for_bit(self, monkeypatch, n, warm):
+        # a seeded n x 15 design, cold and from a one-weight fit: every segment factors
+        # its nonempty active set once, so consecutive factored sets differ by the one
+        # column that entered or left; and a row nonzero on all of its segment's set A
+        # is b0 - t*u, bit for bit, with b0 and u the _shifted_solve of (q_A, s_A) on
+        # the set's _factor
+        rng = np.random.default_rng(41 + n)
+        X = rng.normal(size=(n, 15)) + rng.normal(size=(n, 1))
+        y = X[:, :3] @ rng.normal(size=3) + 0.5 * rng.normal(size=n)
+        std = standardize(X, y)
+        ts = np.geomspace(np.max(np.abs(std.q)), 1e-4, 200)
+        start, top = np.zeros(15), np.inf
+        if warm:  # as _lasso_rows hands on a coordinate-descent row
+            start, top, ts = fit_elastic_net(std, 2.0 * ts[20], 1.0).betas, ts[20], ts[21:]
+        factored, factor = [], solvers._factor
+
+        def recording(std, active, ridge):
+            factored.append(active.tolist())
+            return factor(std, active, ridge)
+
+        monkeypatch.setattr(solvers, "_factor", recording)
+        rows, _ = solvers._homotopy(std, start, top, ts, 100_000)
+        monkeypatch.undo()
+        assert factored[0] == (np.flatnonzero(start).tolist() if warm else factored[0][:1])
+        assert all(len(set(a) ^ set(b)) == 1 for a, b in zip(factored, factored[1:]))
+        assert len(rows) == len(ts) and any(len(b) < len(a) for a, b in zip(factored, factored[1:]))
+        for t, row in zip(ts, rows):
+            A = np.flatnonzero(row)
+            if len(A):
+                assert A.tolist() in factored
+                _, w, V, _, null = solvers._factor(std, A, 0.0)
+                b0, u = solvers._shifted_solve(V, w, null, np.array((std.q[A], np.sign(row[A]))),
+                                               0.0)
+                assert row[A].tobytes() == (b0 - t * u).tobytes()
+
     def test_max_iter_caps_the_entering_events_between_rows(self):
         # columns that share one strong factor, so that coefficients enter and leave,
         # on a coarse grid and at its last weight alone: a row whose homotopy needs
