@@ -281,6 +281,13 @@ class GridFit:
         grids = (g for g in (self.centers, self.ranges) if g is not None)
         return sum(int(np.count_nonzero(~g.converged)) for g in grids)
 
+    @classmethod
+    def stack(cls, fits: Sequence["GridFit"]) -> "GridFit":
+        """The fits of one method on the grids of m folds as one, every array with a
+        leading fold axis."""
+        grids = ([f.centers for f in fits], [f.ranges for f in fits])
+        return cls(*(None if g[0] is None else _join(g, np.stack) for g in grids))
+
     def predict_bounds(
         self, X_lo: np.ndarray, X_hi: np.ndarray
     ) -> tuple[np.ndarray, np.ndarray]:
@@ -290,15 +297,23 @@ class GridFit:
         crm predicts the midpoint and half-range from theirs and returns
         center -/+ range.  One matrix product per endpoint (cm) or per
         design (crm) covers the whole grid; :func:`predict` is the one-weight
-        case.
+        case.  A :meth:`stack` of folds predicts ``(folds, m, p)`` predictor
+        stacks, each fold's rows from its own fit, as ``(folds, m, k)``.
         """
         c = self.centers
+        c_top, c_slopes = c.intercepts[..., None, :], c.slopes.swapaxes(-1, -2)
         if self.ranges is None:
-            return c.intercepts + X_lo @ c.slopes.T, c.intercepts + X_hi @ c.slopes.T
+            return c_top + X_lo @ c_slopes, c_top + X_hi @ c_slopes
         r = self.ranges
-        y_center = c.intercepts + ((X_lo + X_hi) / 2.0) @ c.slopes.T
-        y_range = r.intercepts + ((X_hi - X_lo) / 2.0) @ r.slopes.T
+        y_center = c_top + ((X_lo + X_hi) / 2.0) @ c_slopes
+        y_range = r.intercepts[..., None, :] + ((X_hi - X_lo) / 2.0) @ r.slopes.swapaxes(-1, -2)
         return y_center - y_range, y_center + y_range
+
+
+def _join(grids: Sequence[CoefficientGrid], combine) -> CoefficientGrid:
+    """One grid of the rows (``np.concatenate``) or folds (``np.stack``) of ``grids``."""
+    fields = zip(*((g.intercepts, g.slopes, g.converged, g.n_sweeps) for g in grids))
+    return CoefficientGrid(*(combine(f) for f in fields))
 
 
 def fit_grid(
@@ -339,10 +354,7 @@ def fit_grid(
         if warm is not None:  # the columns set to 0 start at 0, so they stay there
             warm = CoefficientSet(warm.intercept, np.where(mask, warm.betas, 0.0))
         runs.append(fit_component(view, "range", spec, range_lambdas[start:stop], warm, mask))
-    if len(runs) == 1:
-        return GridFit(centers, runs[0])
-    fields = zip(*((r.intercepts, r.slopes, r.converged, r.n_sweeps) for r in runs))
-    return GridFit(centers, CoefficientGrid(*(np.concatenate(f) for f in fields)))
+    return GridFit(centers, runs[0] if len(runs) == 1 else _join(runs, np.concatenate))
 
 
 def fit(

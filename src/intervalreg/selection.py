@@ -3,11 +3,15 @@
 Cross-validation shuffles row indices with a seeded PCG64 generator
 (``numpy.random.default_rng``), so a fixed seed makes the whole
 procedure reproducible.  A CV run builds the table's center/range view
-once; a fold's training view is a row slice of it, whose designs every
-method of the run (each alpha of :func:`alpha_sweep`) shares.  The fold
-fits each method's whole lambda grid once (:func:`~intervalreg.models.fit_grid`)
-and scores every lambda on its held-out rows with one matrix
-product per endpoint.  The held-out loss is the mean of squared lower
+once and cuts the folds of one size from it as a stack: one row gather
+per array and one stacked :func:`~intervalreg.solvers.standardize` per
+design give each fold a training view whose standardized designs every
+method of the run (each alpha of :func:`alpha_sweep`) shares.
+:data:`STACK_CELLS` caps a stack's training cells, so a large table goes
+one fold at a time.  Each fold fits each method's whole lambda grid once
+(:func:`~intervalreg.models.fit_grid`), and the stack scores every lambda
+of its folds on their held-out rows in one pass, one matrix product per
+endpoint.  The held-out loss is the mean of squared lower
 and upper endpoint errors, ``(RMSE_L^2 + RMSE_U^2) / 2``; for
 center-and-range methods one shared lambda drives both the midpoint and
 the half-range fit (independent range selection is available through
@@ -20,6 +24,7 @@ standardized design that the grid's top was read from.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import groupby
 from math import isfinite, sqrt
 
 import numpy as np
@@ -35,6 +40,10 @@ from .tables import (
 )
 
 COMPONENTS = ("interval", "center", "range")
+
+#: training cells (rows x predictors) of the folds one stack of :func:`cross_validate`
+#: gathers and standardizes at once; a fold larger than this is a stack of its own.
+STACK_CELLS = 1 << 16
 
 
 class ZeroVarianceResponse(ValueError):
@@ -119,16 +128,18 @@ class CvResult:
 def _fold_losses(fits: GridFit, test: list[np.ndarray], component: str,
                  scale: float) -> np.ndarray:
     """Held-out loss of every grid weight on test rows ``[X_lo, X_hi, y_lo, y_hi]``, in
-    units of ``scale**2``: each error is divided by ``scale`` before it is squared."""
+    units of ``scale**2``: each error is divided by ``scale`` before it is squared.
+    A :meth:`~intervalreg.models.GridFit.stack` of folds scores a stack of their test
+    rows, ``(folds, m, p)`` and ``(folds, m)``, as one ``(folds, k)`` array."""
     lower, upper = fits.predict_bounds(test[0], test[1])
-    y_lo, y_hi = test[2][:, None], test[3][:, None]
+    y_lo, y_hi = test[2][..., None], test[3][..., None]
     if component == "interval":
         loss = (((y_lo - lower) / scale) ** 2 + ((y_hi - upper) / scale) ** 2) / 2.0
     elif component == "center":
         loss = (((y_lo + y_hi) / 2.0 - (lower + upper) / 2.0) / scale) ** 2
     else:
         loss = (((y_hi - y_lo) / 2.0 - (upper - lower) / 2.0) / scale) ** 2
-    return loss.mean(axis=0)
+    return loss.mean(axis=-2)
 
 
 def _loss_scale(y_lo: np.ndarray, y_hi: np.ndarray) -> float:
@@ -144,7 +155,10 @@ def _loss_scale(y_lo: np.ndarray, y_hi: np.ndarray) -> float:
 def _cv_run(table: IntervalTable, specs: list[MethodSpec], grid: LambdaGrid | None,
             k: int | None, seed: int, n_points: int, component: str) -> list[CvResult]:
     """One :class:`CvResult` per spec from one set of folds: each fold's view and the
-    designs it standardizes serve every spec, and are released when the fold ends."""
+    designs it standardizes serve every spec.  Folds of one size go as stacks of at
+    most :data:`STACK_CELLS` training cells, in fold order: one row gather, one
+    standardization per design and one scoring pass per spec serve a stack, which is
+    released when its folds end."""
     if component not in COMPONENTS:
         raise ValueError(f"component must be one of {COMPONENTS}, got {component!r}")
     n = table.n_rows
@@ -159,13 +173,25 @@ def _cv_run(table: IntervalTable, specs: list[MethodSpec], grid: LambdaGrid | No
     scale = _loss_scale(*bounds[2:])
     losses = np.empty((len(specs), k, len(grids[0])))
     nonconverged = [0] * len(specs)
-    for fi, test_idx in enumerate(folds):
-        train = view.take(np.delete(np.arange(n), test_idx))
-        test = [b[test_idx] for b in bounds]
-        for si, (spec, g) in enumerate(zip(specs, grids)):
-            fits = fit_grid(train, spec, g.values)
-            nonconverged[si] += fits.nonconverged
-            losses[si, fi] = _fold_losses(fits, test, component, scale)
+    designs = ("center", "range") if any(s.family == "crm" for s in specs) else ("center",)
+    fi = 0
+    for size, group in groupby(folds, len):  # array_split's larger folds come first
+        group = np.array(list(group))
+        per_stack = max(1, STACK_CELLS // ((n - size) * view.centers_X.shape[1]))
+        for test_idx in np.array_split(group, range(per_stack, len(group), per_stack)):
+            m = len(test_idx)
+            train = np.ones((m, n), dtype=bool)
+            train[np.arange(m)[:, None], test_idx] = False
+            views = view.take(np.nonzero(train)[1].reshape(m, n - size), designs)
+            fits = [[fit_grid(fold, spec, g.values) for spec, g in zip(specs, grids)]
+                    for fold in views]
+            del views  # free the stack's rows and designs before the next one is gathered
+            test = [b[test_idx] for b in bounds]
+            for si, spec_fits in enumerate(zip(*fits)):
+                nonconverged[si] += sum(f.nonconverged for f in spec_fits)
+                losses[si, fi:fi + m] = _fold_losses(GridFit.stack(spec_fits), test,
+                                                     component, scale)
+            fi += m
 
     results = []
     for spec, g, fold_losses, stopped in zip(specs, grids, losses, nonconverged):
@@ -200,11 +226,12 @@ def cross_validate(
     """k-fold cross-validation of the penalty weight for one method.
 
     Rows are shuffled by a generator seeded with ``seed`` and split into k
-    near-equal folds.  Each fold's training view is a row slice of the
+    near-equal folds.  Each fold's training view is a row subset of the
     table's, and fits the whole grid with :func:`~intervalreg.models.fit_grid`
     (ridge: every lambda in one solve; lasso / elastic net: warm-started
-    down the grid), then scores every lambda on its held-out rows with one
-    matrix product per endpoint.  Only the family, penalty and alpha of ``spec``
+    down the grid); the folds of one size are gathered, standardized and
+    scored on their held-out rows as one stack, one matrix product per
+    endpoint.  Only the family, penalty and alpha of ``spec``
     are used; one shared lambda drives the midpoint and half-range fits.
     ``k=None`` means 10 folds, reduced to n on small tables.
     ``lambda_min`` minimizes the mean loss and ``lambda_1se`` is the

@@ -36,7 +36,9 @@ Every fit takes a design as one :class:`Standardized`: :func:`standardize`
 centers and scales it and forms the Gram matrix ``Xs'Xs``, ``Xs'yc`` and
 ``yc'yc`` once, and every ridge weight and every coordinate-descent fit of
 that design reads its sums and factorizations from it, so a penalty grid
-forms one Gram matrix per design, not one per weight.  :func:`exclude`
+forms one Gram matrix per design, not one per weight.  A stack of designs
+of one shape (cross-validation's folds of one size) is standardized in one
+call, each design bit for bit as it would be alone.  :func:`exclude`
 restricts a design to a subset of its columns by setting the others to 0
 in a copy that shares its factorizations, as glmnet's ``exclude`` argument
 does (Friedman, Hastie & Tibshirani, JSS 2010).
@@ -130,31 +132,45 @@ class Standardized(NamedTuple):
     n: int
 
 
-def standardize(X: np.ndarray, y: np.ndarray) -> Standardized:
+def standardize(X: np.ndarray, y: np.ndarray) -> Standardized | list[Standardized]:
     """The :class:`Standardized` sums of the regression of ``y`` (n) on ``X`` (n x p,
-    no intercept column), with an empty ``factors`` cache."""
+    no intercept column), with an empty ``factors`` cache.
+
+    A stack of m designs, ``X`` of shape ``(m, n, p)`` and ``y`` of ``(m, n)``, gives
+    the list of their m :class:`Standardized`, element i bit for bit
+    ``standardize(X[i], y[i])``: every step is one call on the stack.  A single
+    design is the stack of one.
+    """
     X = np.asarray(X, dtype=float)
     y = np.asarray(y, dtype=float)
-    if X.ndim != 2:
+    if X.ndim not in (2, 3):
         raise ValueError(f"X must be a 2-d matrix, got shape {X.shape}")
-    if y.ndim != 1:
-        raise ValueError(f"y must be a vector, got shape {y.shape}")
-    n, p = X.shape
+    if y.ndim != X.ndim - 1:
+        kind = "a stack of vectors" if X.ndim == 3 else "a vector"
+        raise ValueError(f"y must be {kind}, got shape {y.shape}")
+    n, p = X.shape[-2:]
     if n < 1 or p < 1:
         raise ValueError(f"need n >= 1 and p >= 1, got X shape {X.shape}")
-    if y.shape[0] != n:
-        raise ValueError(f"X has {n} rows but y has {y.shape[0]}")
+    if y.shape[-1] != n:
+        raise ValueError(f"X has {n} rows but y has {y.shape[-1]}")
+    if y.shape[:-1] != X.shape[:-2]:
+        raise ValueError(f"X stacks {X.shape[0]} designs but y stacks {y.shape[0]}")
     if not (np.isfinite(X).all() and np.isfinite(y).all()):
         raise ValueError("X and y must be finite")
+    stack = X.ndim == 3
+    X, y = (X, y) if stack else (X[None], y[None])
     Xs, means, scales = _standardize(np.ascontiguousarray(X))  # a product's bits follow layout
-    y_mean = safe_mean(y)
-    gram = Xs.T @ Xs
+    y_mean = safe_mean(y, axis=-1)
+    Xt = Xs.transpose(0, 2, 1)
+    gram = Xt @ Xs
     # a y whose sums overflow gives a non-finite q, which CenterRangeView.standardized rejects
     with np.errstate(over="ignore", invalid="ignore"):
-        yc = y - y_mean
-        q, y_ss = Xs.T @ yc, float(yc @ yc)
-    return _read_only(Standardized(means, scales, y_mean, gram, q, y_ss,
-                                   np.diag(gram).copy(), {}, n))
+        yc = y - y_mean[:, None]
+        q, y_ss = (Xt @ yc[..., None])[..., 0], (yc[:, None, :] @ yc[..., None])[:, 0, 0]
+    diag = np.diagonal(gram, axis1=1, axis2=2).copy()
+    stds = [_read_only(Standardized(*fields, {}, n)) for fields in
+            zip(means, scales, y_mean, gram, q, y_ss.tolist(), diag)]
+    return stds if stack else stds[0]
 
 
 def exclude(std: Standardized, mask: np.ndarray) -> Standardized:
@@ -279,19 +295,21 @@ def _failed_pivot(g: np.ndarray, threshold: float) -> SingularDesign:
             return SingularDesign(m, float(L[m, m] ** 2))
 
 
-def safe_mean(v: np.ndarray) -> np.ndarray:
-    """``v.mean(axis=0)`` of a finite ``v`` (a scalar for a vector).  Where a sum
+def safe_mean(v: np.ndarray, axis: int = 0) -> np.ndarray:
+    """``v.mean(axis)`` of a finite ``v`` (a scalar for a vector).  Where a sum
     overflows, the values are divided by their largest magnitude before averaging."""
     with np.errstate(over="ignore", invalid="ignore"):
-        mean = v.mean(axis=0)
+        mean = v.mean(axis=axis)
         if not np.isfinite(mean).all():
-            peak = np.abs(v).max(axis=0)
-            mean = np.where(np.isfinite(mean), mean, peak * (v / peak).mean(axis=0))[()]
+            peak = np.abs(v).max(axis=axis, keepdims=True)
+            rescaled = np.squeeze(peak * (v / peak).mean(axis=axis, keepdims=True), axis)
+            mean = np.where(np.isfinite(mean), mean, rescaled)[()]
     return mean
 
 
 def _standardize(X: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Center columns and divide them by their population standard deviation.
+    """Center columns and divide them by their population standard deviation, of one
+    n x p design or of each design of an ``(m, n, p)`` stack.
 
     A constant column (``max == min``) is centered on its value, so it reads
     exactly 0 and keeps scale 1 even where its mean rounds off the constant.
@@ -299,18 +317,19 @@ def _standardize(X: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     averaging, and one whose mean square overflows or falls below the smallest
     normal double before squaring.
     """
-    means = np.where(X.max(axis=0) == X.min(axis=0), X[0], safe_mean(X))
-    Xc = X - means
+    means = np.where(X.max(axis=-2) == X.min(axis=-2), X[..., 0, :], safe_mean(X, axis=-2))
+    Xc = X - means[..., None, :]
     with np.errstate(over="ignore"):
-        mean_sq = (Xc**2).mean(axis=0)
+        mean_sq = (Xc**2).mean(axis=-2)
     scales = np.sqrt(mean_sq)
     redo = ~(np.isfinite(mean_sq) & (mean_sq >= np.finfo(float).tiny))
-    if redo.any():
-        peak = np.abs(Xc[:, redo]).max(axis=0)
+    for d in map(tuple, np.argwhere(redo.any(axis=-1))):  # the designs that need it
+        cols = redo[d]
+        peak = np.abs(Xc[d][:, cols]).max(axis=0)
         peak[peak == 0.0] = 1.0  # a constant column keeps scale 0 here, 1 below
-        scales[redo] = peak * np.sqrt(((Xc[:, redo] / peak) ** 2).mean(axis=0))
+        scales[d + (cols,)] = peak * np.sqrt(((Xc[d][:, cols] / peak) ** 2).mean(axis=0))
     scales = np.where(scales == 0.0, 1.0, scales)
-    return Xc / scales, means, scales
+    return Xc / scales[..., None, :], means, scales
 
 
 # ---------------------------------------------------------------------------
@@ -544,7 +563,8 @@ def coordinate_descent(
         if change > 0.0:
             step = values - b
             bound = curvature * float(step @ step)
-            rss = std.y_ss - float(beta @ q) - float(beta @ grad)
+            with np.errstate(over="ignore", invalid="ignore"):  # an inf or NaN rejects nothing
+                rss = std.y_ss - float(beta @ q) - float(beta @ grad)
             if change > bound + 2.0 * math.sqrt(bound * max(rss, 0.0)):
                 return False
         beta[active] = values

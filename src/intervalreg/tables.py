@@ -165,22 +165,34 @@ class CenterRangeView:
         a boolean ``mask`` gives its :func:`~intervalreg.solvers.exclude` copy (a crm
         support run's half-ranges), cached per distinct mask.  A response whose sums
         overflow (a non-finite ``q``) raises
-        :class:`~intervalreg.solvers.NonFiniteEncountered` naming the regression."""
+        :class:`~intervalreg.solvers.NonFiniteEncountered` naming the regression, on
+        every read, so a design :meth:`take` standardized raises when it is first used."""
         key = (component == "range", None if mask is None else mask.tobytes())
-        if key not in self._standardized:
+        std = self._standardized.get(key)
+        if std is None:
             std = (standardize(*self.design(component)) if mask is None
                    else exclude(self.standardized(component), mask))
-            if not np.isfinite(std.q).all():
-                part = "half-ranges" if component == "range" else "midpoints"
-                raise NonFiniteEncountered(f"sums of the response's {part} overflow; "
-                                           "the regression on them cannot be fitted")
             self._standardized[key] = std
-        return self._standardized[key]
+        if not np.isfinite(std.q).all():
+            part = "half-ranges" if component == "range" else "midpoints"
+            raise NonFiniteEncountered(f"sums of the response's {part} overflow; "
+                                       "the regression on them cannot be fitted")
+        return std
 
-    def take(self, rows: np.ndarray) -> "CenterRangeView":
-        """The view of a row subset, in the given order, with nothing standardized yet."""
-        arrays = (self.centers_X, self.centers_y, self.halfranges_X, self.halfranges_y)
-        return CenterRangeView(*(a[rows] for a in arrays), self.predictor_names)
+    def take(self, rows: np.ndarray, components: Sequence[str]) -> list["CenterRangeView"]:
+        """The views of the row subsets ``rows[i]`` of an ``(m, r)`` index array, each in
+        its given order.  Each array is gathered for all m views at once, and the
+        :meth:`design` of each of ``components`` is standardized in one stacked
+        :func:`~intervalreg.solvers.standardize` call whose element i view i's cache holds."""
+        arrays = [a[rows] for a in (self.centers_X, self.centers_y,
+                                    self.halfranges_X, self.halfranges_y)]
+        views = [CenterRangeView(*(a[i] for a in arrays), self.predictor_names)
+                 for i in range(len(rows))]
+        for component in components:
+            X, y = arrays[2:] if component == "range" else arrays[:2]
+            for view, std in zip(views, standardize(X, y)):
+                view._standardized[(component == "range", None)] = std
+        return views
 
 
 def to_center_range(table: IntervalTable) -> CenterRangeView:

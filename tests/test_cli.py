@@ -548,6 +548,61 @@ class TestHeldOutLossOverflow:
         assert not out.exists()
 
 
+class TestOverflowingObjective:
+    """The 12-row table near 1e155 with a second predictor ``Z``: at ``lambda=1e150``
+    the lasso's ``yc'yc`` overflows, and the residual sum coordinate descent forms to
+    bound a null-space step is inf or NaN, which rejects no step.  numpy's overflow
+    warnings, which this suite turns into errors, must not reach stderr."""
+
+    ROWS = [(2.25, 3.23), (-1.79, -0.53), (1.76, 3.28), (1.27, 3.19), (2.69, 3.41),
+            (3.30, 4.66), (2.15, 3.61), (5.01, 5.73), (5.33, 5.53), (9.34, 11.30),
+            (7.56, 8.30), (7.67, 8.43)]
+    NONCONVERGED = ("warning: 1 coordinate-descent fit(s) stopped without converging, at "
+                    "the step limit or at a step that left the iterate unchanged; their "
+                    "last iterates were used\n")
+    OVERFLOW = "error: held-out losses of response 'Y' overflow: its errors are too large to square\n"
+
+    @classmethod
+    def table(cls, path):
+        lines = ["X_lo,X_hi,Y_lo,Y_hi,Z_lo,Z_hi"]
+        for i, (lo, hi) in enumerate(cls.ROWS):
+            z = (7 * i) % 5
+            lines.append(f"{i + 1},{i + 2},{lo}e155,{hi}e155,{z},{z + 1}")
+        path.write_text("\n".join(lines) + "\n")
+        return path
+
+    @pytest.mark.parametrize("method, columns", [
+        ("lasso-cm", ["                    center",
+                      "(intercept)  -8.89481e+154",
+                      "X             7.57527e+154",
+                      "Z             1.36253e+153"]),
+        ("lasso-crm", ["                    center          range",
+                       "(intercept)  -8.89481e+154   5.66667e+154",
+                       "X             7.57527e+154              0",
+                       "Z             1.36253e+153              0"]),
+    ])
+    def test_fit_exits_0_with_only_the_nonconverged_warning(self, capsys, tmp_path, method,
+                                                             columns):
+        train, model = self.table(tmp_path / "train.csv"), tmp_path / "model"
+        code, stdout, err = run(capsys, "fit", "--method", method, "--lambda", "1e150",
+                                "--train", str(train), "--response", "Y",
+                                "--model-out", str(model))
+        assert (code, stdout, err) == (0, "\n".join([f"method: {method}", *columns]) + "\n",
+                                       self.NONCONVERGED)
+        assert model.exists()
+
+    @pytest.mark.parametrize("command", ["cv", "fit"])
+    @pytest.mark.parametrize("method", ["lasso-cm", "lasso-crm"])
+    def test_cv_exits_2_with_only_the_overflow_line(self, capsys, tmp_path, command, method):
+        train, out = self.table(tmp_path / "train.csv"), tmp_path / "out"
+        flags = {"cv": ["--out", str(out)],
+                 "fit": ["--lambda", "cv", "--model-out", str(out)]}[command]
+        code, stdout, err = run(capsys, command, "--method", method, "--train", str(train),
+                                "--response", "Y", "--folds", "3", "--seed", "1", *flags)
+        assert (code, stdout, err) == (2, "", self.OVERFLOW)
+        assert not out.exists()
+
+
 class TestCsvFiles:
     """Every CSV file the CLI writes is, byte for byte, what ``csv.writer`` writes for
     its header and for its numbers: curves, paths and predictions formatted as

@@ -23,6 +23,7 @@ from intervalreg import (
 )
 from intervalreg import models, solvers
 from intervalreg.models import METHOD_NAMES
+from intervalreg.tables import response_bounds
 
 from conftest import random_interval_table
 
@@ -310,3 +311,36 @@ def test_reflecting_the_response_negates_the_center_fit_only(problem):
         assert b.range_coeffs.intercept == a.range_coeffs.intercept
         assert b.range_coeffs.betas.tobytes() == a.range_coeffs.betas.tobytes()
     assert_same_selection(table, flipped, spec)
+
+
+@st.composite
+def split_problems(draw):
+    """``(table, spec, k, seed)``: a random table of up to 8 predictors, a penalized
+    spec, and a fold count that need not divide its rows."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    name = draw(st.sampled_from(["ridge-cm", "ridge-crm", "lasso-cm", "lasso-crm",
+                                 "net-cm", "net-crm"]))
+    table = random_interval_table(rng, draw(st.integers(4, 25)), draw(st.integers(1, 8)))
+    alpha = draw(st.floats(0.1, 0.9)) if name.startswith("net") else None
+    k = draw(st.integers(2, min(table.n_rows, 10)))
+    return table, MethodSpec.from_name(name, 1.0, None, alpha), k, draw(st.integers(0, 99))
+
+
+@SETTINGS
+@given(split_problems())
+def test_the_interval_loss_is_the_center_loss_plus_the_range_loss(problem):
+    """Per weight, on one grid: a row's endpoint errors are ``e_c -/+ e_r``, and
+    ``((e_c - e_r)^2 + (e_c + e_r)^2) / 2 = e_c^2 + e_r^2``.  The three curves score
+    the same predictions, and each error is formed from them and the response in a
+    few roundings of at most eps times the row's largest magnitude, itself at most
+    the response's largest ``Y`` plus the error.  Squared and averaged, that moves a
+    curve by a few eps times ``L + Y * sqrt(L)`` for the interval loss ``L``; the
+    bound allows 64 eps of it."""
+    table, spec, k, seed = problem
+    view = to_center_range(table)
+    grid = make_lambda_grid(view.centers_X, view.centers_y, spec.effective_alpha, 12)
+    interval, center, half = (cross_validate(table, spec, grid, k=k, seed=seed, component=c)
+                              for c in ("interval", "center", "range"))
+    top = float(np.max(np.abs(response_bounds(table))))
+    bound = 64 * np.spacing(1.0) * (interval.mean_loss + top * np.sqrt(interval.mean_loss))
+    assert np.all(np.abs(interval.mean_loss - (center.mean_loss + half.mean_loss)) <= bound)

@@ -421,11 +421,12 @@ class TestExactSupport:
 
 
 def record_standardizations(monkeypatch):
-    """The ``(X, y)`` of every design a view standardizes, appended as it is."""
+    """The ``(X, y)`` of every design a view standardizes, appended as it is, each
+    design of a stacked call on its own."""
     designs = []
 
     def recording(X, y):
-        designs.append((X, y))
+        designs.extend(zip(X, y) if X.ndim == 3 else [(X, y)])
         return standardize(X, y)
 
     monkeypatch.setattr(tables, "standardize", recording)
@@ -661,3 +662,60 @@ class TestCrossValidateMatchesPerFitLoop:
             assert got.lambda_min == got.grid.values[i_min]
             assert got.lambda_1se == got.grid.values[i_1se]
             assert got.nonzero == nonzero
+
+
+class TestFoldStacks:
+    """cv gathers, standardizes and scores the folds of one size as one stack; with
+    the cap at one fold per stack every output is the same bytes."""
+
+    TABLES = {
+        "cardio": make_cardio_table,  # 11 rows in 5 folds: sizes 3, 2, 2, 2, 2
+        "seeded": lambda: random_interval_table(np.random.default_rng(61), 23, 4),
+    }
+
+    @staticmethod
+    def runs(table, name):
+        """Every cv result of one method: a cross-validation per component, and for
+        an elastic net an alpha sweep as well."""
+        alpha = 0.5 if name.startswith("net") else None
+        spec = MethodSpec.from_name(name, 1.0, None, alpha)
+        results = [cross_validate(table, spec, k=5, seed=8, n_points=20, component=c)
+                   for c in ("interval", "center", "range")]
+        if alpha is not None:
+            sweep = alpha_sweep(table, spec.family, [0.0, 0.5, 1.0], k=5, seed=8, n_points=20)
+            results += [cv for _, cv in sweep.per_alpha]
+            results.append((sweep.alpha, sweep.lam, sweep.loss))
+        return results
+
+    @staticmethod
+    def fields(result):
+        if isinstance(result, tuple):
+            return result
+        return (result.grid.values, result.mean_loss.tobytes(), result.std_error.tobytes(),
+                result.lambda_min, result.lambda_1se, result.nonzero, result.nonconverged)
+
+    @pytest.mark.parametrize("table_name", sorted(TABLES))
+    @pytest.mark.parametrize(
+        "name", ["ridge-cm", "lasso-cm", "net-cm", "ridge-crm", "lasso-crm", "net-crm"]
+    )
+    def test_one_fold_per_stack_gives_the_same_bytes(self, monkeypatch, table_name, name):
+        table = self.TABLES[table_name]()
+        stacks = []
+        original = tables.standardize
+
+        def recording(X, y):
+            stacks.extend([len(X)] if X.ndim == 3 else [])
+            return original(X, y)
+
+        monkeypatch.setattr(tables, "standardize", recording)
+        stacked = self.runs(table, name)
+        designs = 2 if "crm" in name else 1
+        # the default stacks every fold of one size: 3-row and 2-row folds of cardio,
+        # 5-row and 4-row folds of the 23-row table
+        sizes = [1, 4] if table_name == "cardio" else [3, 2]
+        assert stacks[:2 * designs] == [s for s in sizes for _ in range(designs)]
+        stacks.clear()
+        monkeypatch.setattr(selection, "STACK_CELLS", 1)
+        single = self.runs(table, name)
+        assert set(stacks) == {1}
+        assert [self.fields(r) for r in single] == [self.fields(r) for r in stacked]

@@ -1,10 +1,12 @@
 import json
 import math
+import operator
+from fractions import Fraction
 from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from intervalreg import IntervalTable, MethodSpec, fit, predict, solvers
@@ -228,6 +230,26 @@ def exact_coordinate_updates(gram, q, gram_diag, beta, lam, alpha):
     return np.where(denominator > 0.0, shrunk / safe, 0.0)
 
 
+def exact_duality_gap(std, beta, lam, alpha):
+    """:func:`solvers.duality_gap`'s formula evaluated in exact rational arithmetic
+    from the design's float sums ``std.gram``, ``std.q``, ``std.y_ss`` and the float
+    ``beta``, so the gaps of two iterates compare without their own rounding."""
+    b = [Fraction(v) for v in np.asarray(beta, dtype=float).tolist()]
+    lam, alpha = Fraction(lam), Fraction(alpha)
+    ridge, thresh = lam * (1 - alpha), lam * alpha / 2
+    gram_b = [sum(map(operator.mul, map(Fraction, row), b)) for row in std.gram.tolist()]
+    grad = [Fraction(qj) - gb for qj, gb in zip(std.q.tolist(), gram_b)]
+    penalty = lam * (alpha * sum(map(abs, b)) + (1 - alpha) * sum(v * v for v in b))
+    if ridge > 0:
+        c, conjugate = 1, sum(max(abs(g) - thresh, 0) ** 2 for g in grad) / ridge
+    else:
+        top = max(map(abs, grad), default=Fraction(0))
+        c, conjugate = (1 if top <= thresh else thresh / top), 0
+    q_b = sum(map(operator.mul, map(Fraction, std.q.tolist()), b))
+    rss = Fraction(std.y_ss) - 2 * q_b + sum(map(operator.mul, b, gram_b))
+    return penalty + conjugate - 2 * c * sum(map(operator.mul, b, grad)) + (1 - c) ** 2 * rss
+
+
 def penalized_objective(X, y, beta, lam, alpha):
     """The elastic-net objective of standardized slopes ``beta``, from the raw design."""
     Xs, yc = standardized(X, y)
@@ -248,6 +270,27 @@ def masked_designs(draw):
     return X, rng.normal(size=n) * 10.0, rng.random(p) < draw(st.floats(0.0, 1.0))
 
 
+@st.composite
+def design_stacks(draw):
+    """``(X, y)``: a stack of 1 to 6 seeded designs of one shape, each column plain,
+    constant, near 1e307 (its sum overflows) or near 1e-170 (its squares underflow),
+    and perhaps a response near 1e307."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    m, n, p = draw(st.integers(1, 6)), draw(st.integers(1, 9)), draw(st.integers(1, 5))
+    X = rng.normal(size=(m, n, p)) * 10.0 ** rng.uniform(-3.0, 3.0, size=p)
+    kinds = draw(st.lists(st.sampled_from(["plain", "constant", "huge", "tiny"]),
+                          min_size=p, max_size=p))
+    for j, kind in enumerate(kinds):
+        if kind == "constant":
+            X[:, :, j] = rng.normal(size=(m, 1))
+        elif kind == "huge":
+            X[:, :, j] = rng.uniform(0.5, 1.0, size=(m, n)) * 8e307
+        elif kind == "tiny":
+            X[:, :, j] = rng.normal(size=(m, n)) * 1e-170
+    y = rng.uniform(-1.0, 1.0, size=(m, n)) * (8e307 if draw(st.booleans()) else 10.0)
+    return X, y
+
+
 class TestStandardize:
     @pytest.mark.parametrize("X, y, message", [
         (np.ones(3), np.ones(3), r"^X must be a 2-d matrix, got shape \(3,\)$"),
@@ -255,6 +298,9 @@ class TestStandardize:
         (np.ones((0, 2)), np.ones(0), r"^need n >= 1 and p >= 1, got X shape \(0, 2\)$"),
         (np.ones((3, 0)), np.ones(3), r"^need n >= 1 and p >= 1, got X shape \(3, 0\)$"),
         (np.ones((3, 2)), np.ones(4), "^X has 3 rows but y has 4$"),
+        (np.ones((2, 3, 2)), np.ones(3), r"^y must be a stack of vectors, got shape \(3,\)$"),
+        (np.ones((2, 3, 2)), np.ones((2, 4)), "^X has 3 rows but y has 4$"),
+        (np.ones((2, 3, 2)), np.ones((3, 3)), "^X stacks 2 designs but y stacks 3$"),
         (np.array([[1.0], [np.nan]]), np.array([1.0, 2.0]), "^X and y must be finite$"),
         (np.ones((2, 1)), np.array([1.0, np.inf]), "^X and y must be finite$"),
     ])
@@ -279,6 +325,25 @@ class TestStandardize:
         assert std.y_ss == float(yc @ yc)
         assert std.n == 9 and std.factors == {}
         assert np.all(std.gram[3] == 0.0) and std.q[3] == 0.0
+
+    @settings(max_examples=60, deadline=None)
+    @given(design_stacks())
+    def test_a_stack_is_its_designs_standardized_one_at_a_time(self, stack):
+        # bit for bit, each with its own empty factors cache
+        X, y = stack
+        stds = standardize(X, y)
+        assert len(stds) == len(X)
+        for i, got in enumerate(stds):
+            want = standardize(X[i], y[i])
+            assert got.factors == {} and all(got.factors is not s.factors for s in stds[:i])
+            for name, a, b in zip(Standardized._fields, got, want):
+                if name == "factors":
+                    continue
+                if isinstance(a, np.ndarray):
+                    assert not a.flags.writeable, name
+                assert type(a) is type(b), name
+                a, b = np.asarray(a), np.asarray(b)
+                assert a.shape == b.shape and a.tobytes() == b.tobytes(), name
 
     @settings(max_examples=60, deadline=None)
     @given(masked_designs())
@@ -734,6 +799,23 @@ class TestElasticNet:
                 excess = penalized_objective(X, y, beta, lam, alpha) - optimum
                 assert gap >= excess - 1e-9 * optimum
 
+    def test_the_exact_gap_is_the_float_gap_without_its_rounding(self):
+        # the test-side rational evaluation of the same formula, at the optimum
+        # and away from it, without and with a ridge term
+        rng = np.random.default_rng(28)
+        for _ in range(20):
+            n, p = int(rng.integers(3, 20)), int(rng.integers(1, 8))
+            X = rng.normal(size=(n, p))
+            y = X @ rng.normal(size=p) + rng.normal(size=n)
+            alpha = float(rng.choice([0.0, 0.4, 1.0]))
+            lam = float(rng.uniform(0.1, 1.0) * lambda_max(X, y, max(alpha, 0.5)))
+            std = standardize(X, y)
+            best = fit_elastic_net(std, lam, alpha).betas * std.scales
+            for beta in (np.zeros(p), rng.normal(size=p), best):
+                gap = duality_gap(std, beta, lam, alpha)
+                primal = penalized_objective(X, y, beta, lam, alpha)
+                assert abs(float(exact_duality_gap(std, beta, lam, alpha)) - gap) <= 1e-12 * primal
+
     def test_objective_history_non_increasing(self):
         rng = np.random.default_rng(12)
         for _ in range(10):
@@ -1128,10 +1210,11 @@ class TestElasticNetPath:
         one of the homotopy (not at a weight in ``fallbacks``) has a duality gap of at
         most 1e-12 of ``y_ss``, the objective at zero and so at least the row's, or
         twice the chain's fit's gap where that is larger: a homotopy segment from a
-        coordinate-descent row keeps that row's support.  The gap's own rounding
-        reaches 3e-13 of ``y_ss`` on nearly collinear 3-row designs, where a row's
-        objective may be a fifth of ``y_ss``.  A row at weight 0 is the chain's
-        minimum-norm fit bit for bit."""
+        coordinate-descent row keeps that row's support.  Both gaps are evaluated
+        exactly (:func:`exact_duality_gap`): on nearly collinear 3-row designs, where
+        a row's objective may be a fifth of ``y_ss``, the float evaluations of two
+        gaps near 1e-12 of ``y_ss`` differ by up to 1.4x from their own rounding.  A
+        row at weight 0 is the chain's minimum-norm fit bit for bit."""
         chain = np.array([c.betas for c in fits])
         assert len(path) == len(fits)
         assert path.converged.tolist() == [c.converged for c in fits]
@@ -1152,9 +1235,9 @@ class TestElasticNetPath:
                 update = solvers._exact_updates(std.q - std.gram @ b, b, std.gram_diag,
                                                 std.gram_diag, lam / 2.0)
                 assert np.all(np.abs(update - b) <= tol)
-                chain_gap = duality_gap(std, fit.betas * fit.scales, lam, 1.0)
-                assert (lam in fallbacks
-                        or duality_gap(std, b, lam, 1.0) <= max(1e-12 * std.y_ss, 2.0 * chain_gap))
+                chain_gap = exact_duality_gap(std, fit.betas * fit.scales, lam, 1.0)
+                gap = exact_duality_gap(std, b, lam, 1.0)
+                assert lam in fallbacks or gap <= max(1e-12 * std.y_ss, 2 * chain_gap)
 
     @settings(max_examples=150, deadline=None)
     @given(l1_designs(), st.booleans(), st.sampled_from(["cold", "random", "previous"]),
@@ -1188,6 +1271,9 @@ class TestElasticNetPath:
     @settings(max_examples=150, deadline=None)
     @given(l1_designs(), st.sampled_from(["cold", "random", "previous"]),
            st.integers(0, 2**32 - 1))
+    @example((np.array([[-2.13559188, 4.88661686], [-5.64099313, 4.53228005],
+                        [-2.16369577, 4.89034061]]),
+              np.array([5.52091243, 4.77851498, 3.90548361]), 1.0), "cold", 0)
     def test_lasso_rows_are_certified_against_the_chain(self, design, start, seed):
         """At alpha 1, down a grid that ends at 0 and from a cold, a random and a
         previous fit's start, the homotopy's rows and its fallbacks meet the lasso
