@@ -228,13 +228,13 @@ def swap_violations(prediction: IntervalPrediction) -> IntervalPrediction:
 # ---------------------------------------------------------------------------
 
 def fit_component(
-    view: CenterRangeView,
+    views: CenterRangeView | Sequence[CenterRangeView],
     component: str,
     spec: MethodSpec,
     lams: Sequence[float],
     warm: CoefficientSet | None = None,
     mask: np.ndarray | None = None,
-) -> CoefficientGrid:
+) -> CoefficientGrid | list[CoefficientGrid]:
     """Fit the view's standardized ``component`` design at each weight of a
     descending grid; a boolean ``mask`` fits its :func:`~intervalreg.solvers.exclude` copy.
 
@@ -245,23 +245,31 @@ def fit_component(
     the grid from ``warm`` (a fit of this design): the lasso follows its
     homotopy between breakpoints, the elastic net solves batched runs of
     weights that keep their warm start's signs, and coordinate descent runs
-    only at the weights where neither holds.
+    only at the weights where neither holds.  A list of views of one table's
+    predictors (a stack of cross-validation folds) gives the list of their grids,
+    each bit for bit its view's alone: the lasso's homotopies run in lockstep.
 
     A singular design is raised as :class:`~intervalreg.solvers.SingularDesign`
     with the same ``pivot_index``, its message naming the predictor and the
     regression: the midpoints or the half-ranges.
     """
-    std = view.standardized(component, mask)
+    stack = not isinstance(views, CenterRangeView)
+    views = list(views) if stack else [views]
+    stds = [view.standardized(component, mask) for view in views]
     try:
         if spec.penalty in ("none", "ridge"):
-            return fit_ridge_path(std, np.zeros(len(lams)) if spec.penalty == "none" else lams)
-        return fit_elastic_net_path(std, lams, spec.effective_alpha, warm_start=warm)
+            weights = np.zeros(len(lams)) if spec.penalty == "none" else lams
+            grids = [fit_ridge_path(std, weights) for std in stds]
+        else:
+            grids = fit_elastic_net_path(stds, lams, spec.effective_alpha,
+                                         warm_start=[warm] * len(stds))
     except SingularDesign as exc:
         part = "half-ranges" if component == "range" else "midpoints"
-        names = view.predictor_names  # a view built without names numbers them
+        names = views[0].predictor_names  # a view built without names numbers them
         name = names[exc.pivot_index] if names else exc.pivot_index
         raise SingularDesign(exc.pivot_index, exc.pivot,
                              f"the {part} of predictor {name!r}") from None
+    return grids if stack else grids[0]
 
 
 @dataclass(frozen=True, eq=False)
@@ -317,12 +325,12 @@ def _join(grids: Sequence[CoefficientGrid], combine) -> CoefficientGrid:
 
 
 def fit_grid(
-    view: CenterRangeView,
+    views: CenterRangeView | Sequence[CenterRangeView],
     spec: MethodSpec,
     lambdas: Sequence[float],
     range_lambdas: Sequence[float] | None = None,
     warm_start: FittedModel | None = None,
-) -> GridFit:
+) -> GridFit | list[GridFit]:
     """Fit a method at every weight of a descending penalty grid.
 
     The midpoint regression is fitted at each of ``lambdas``; for crm the
@@ -333,28 +341,45 @@ def fit_grid(
     Each design, a support's half-ranges included, is one :func:`fit_component`
     call on the view, so every grid fitted on the same view shares one
     standardization per design and its factorizations.  Lasso / elastic-net
-    fits start from ``warm_start`` (a model fit on the same predictors).
+    fits start from ``warm_start`` (a model fit on the same predictors).  A list of
+    views (a stack of cross-validation folds) gives the list of their fits: each
+    design is one :func:`fit_component` call on the whole stack, except a crm
+    support's half-ranges, which are one call on their own view.
     """
+    stack = not isinstance(views, CenterRangeView)
+    views = list(views) if stack else [views]
     if range_lambdas is None:
         range_lambdas = lambdas
     warm_center = warm_range = None
-    if warm_start is not None and warm_start.predictor_names == view.predictor_names:
+    if warm_start is not None and warm_start.predictor_names == views[0].predictor_names:
         warm_center, warm_range = warm_start.center_coeffs, warm_start.range_coeffs
-    centers = fit_component(view, "center", spec, lambdas, warm_center)
+    centers = fit_component(views, "center", spec, lambdas, warm_center)
     if spec.family == "cm":
-        return GridFit(centers)
-    if not spec.selects_variables:
-        return GridFit(centers, fit_component(view, "range", spec, range_lambdas, warm_range))
+        fits = [GridFit(c) for c in centers]
+    elif not spec.selects_variables:
+        ranges = fit_component(views, "range", spec, range_lambdas, warm_range)
+        fits = [GridFit(c, r) for c, r in zip(centers, ranges)]
+    else:
+        fits = [GridFit(c, _support_runs(view, c, spec, range_lambdas, warm_range))
+                for view, c in zip(views, centers)]
+    return fits if stack else fits[0]
+
+
+def _support_runs(view: CenterRangeView, centers: CoefficientGrid, spec: MethodSpec,
+                  lams: Sequence[float], warm: CoefficientSet | None) -> CoefficientGrid:
+    """The half-range grid of a crm lasso / elastic net: one :func:`fit_component` call
+    on the view's design with the columns outside the center support set to 0 per run
+    of weights with equal center supports, each warm-started from the run before."""
     masks = centers.slopes != 0.0
     bounds = [0, *(np.flatnonzero((masks[1:] != masks[:-1]).any(axis=1)) + 1), len(masks)]
     runs: list[CoefficientGrid] = []
     for start, stop in zip(bounds, bounds[1:]):  # one design per run of equal supports
         mask = masks[start]
-        warm = runs[-1][-1] if runs else warm_range
-        if warm is not None:  # the columns set to 0 start at 0, so they stay there
-            warm = CoefficientSet(warm.intercept, np.where(mask, warm.betas, 0.0))
-        runs.append(fit_component(view, "range", spec, range_lambdas[start:stop], warm, mask))
-    return GridFit(centers, runs[0] if len(runs) == 1 else _join(runs, np.concatenate))
+        start_fit = runs[-1][-1] if runs else warm
+        if start_fit is not None:  # the columns set to 0 start at 0, so they stay there
+            start_fit = CoefficientSet(start_fit.intercept, np.where(mask, start_fit.betas, 0.0))
+        runs.append(fit_component(view, "range", spec, lams[start:stop], start_fit, mask))
+    return runs[0] if len(runs) == 1 else _join(runs, np.concatenate)
 
 
 def fit(

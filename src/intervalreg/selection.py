@@ -158,7 +158,8 @@ def _cv_run(table: IntervalTable, specs: list[MethodSpec], grid: LambdaGrid | No
     designs it standardizes serve every spec.  Folds of one size go as stacks of at
     most :data:`STACK_CELLS` training cells, in fold order: one row gather, one
     standardization per design and one scoring pass per spec serve a stack, which is
-    released when its folds end."""
+    released when its folds end.  A cm spec's whole-table path fits with the first
+    stack, as one more design of it."""
     if component not in COMPONENTS:
         raise ValueError(f"component must be one of {COMPONENTS}, got {component!r}")
     n = table.n_rows
@@ -174,6 +175,9 @@ def _cv_run(table: IntervalTable, specs: list[MethodSpec], grid: LambdaGrid | No
     losses = np.empty((len(specs), k, len(grids[0])))
     nonconverged = [0] * len(specs)
     designs = ("center", "range") if any(s.family == "crm" for s in specs) else ("center",)
+    # a cm spec's path (for nonzero) is the center grid of the whole table's view, which
+    # joins the first stack's folds; other paths are fitted alone at the end
+    paths = [None] * len(specs)
     fi = 0
     for size, group in groupby(folds, len):  # array_split's larger folds come first
         group = np.array(list(group))
@@ -183,18 +187,22 @@ def _cv_run(table: IntervalTable, specs: list[MethodSpec], grid: LambdaGrid | No
             train = np.ones((m, n), dtype=bool)
             train[np.arange(m)[:, None], test_idx] = False
             views = view.take(np.nonzero(train)[1].reshape(m, n - size), designs)
-            fits = [[fit_grid(fold, spec, g.values) for spec, g in zip(specs, grids)]
-                    for fold in views]
+            fits = []
+            for si, (spec, g) in enumerate(zip(specs, grids)):
+                joined = not fi and spec.family == "cm" and component != "range"
+                fits.append(fit_grid([*views, view] if joined else views, spec, g.values))
+                if joined:
+                    paths[si] = fits[-1].pop().centers
             del views  # free the stack's rows and designs before the next one is gathered
             test = [b[test_idx] for b in bounds]
-            for si, spec_fits in enumerate(zip(*fits)):
+            for si, spec_fits in enumerate(fits):
                 nonconverged[si] += sum(f.nonconverged for f in spec_fits)
                 losses[si, fi:fi + m] = _fold_losses(GridFit.stack(spec_fits), test,
                                                      component, scale)
             fi += m
 
     results = []
-    for spec, g, fold_losses, stopped in zip(specs, grids, losses, nonconverged):
+    for spec, g, fold_losses, stopped, path in zip(specs, grids, losses, nonconverged, paths):
         mean_loss = fold_losses.mean(axis=0)
         std_error = fold_losses.std(axis=0, ddof=1) / sqrt(k)
         i_min = int(np.argmin(mean_loss))  # ties resolve to the largest lambda
@@ -205,7 +213,8 @@ def _cv_run(table: IntervalTable, specs: list[MethodSpec], grid: LambdaGrid | No
             raise NonFiniteEncountered(
                 f"held-out losses of response {table.response_name!r} overflow: its "
                 "errors are too large to square")
-        path = coefficient_path(view, spec, g, "range" if component == "range" else "center")
+        if path is None:
+            path = coefficient_path(view, spec, g, "range" if component == "range" else "center")
         results.append(CvResult(
             g, mean_loss, std_error, g.values[i_min], g.values[i_1se], seed=seed, folds=k,
             nonzero=tuple(np.count_nonzero(path.slopes, axis=1).tolist()),

@@ -56,7 +56,11 @@ solve of ``Xs'yc - lambda*alpha/2 * s`` there (Osborne, Presnell & Turlach,
 IMA J. Numer. Anal. 2000), so the weights of a grid on which a warm start's
 support and signs hold are one product too.  For the lasso that solve is
 linear in ``lambda``, and the homotopy finds the weights where the support
-changes instead of trying them.
+changes instead of trying them.  The lasso grids of a stack of designs of
+one width (cross-validation's folds) follow their homotopies in lockstep:
+one stacked ``eigh`` per active-set size factors the stack's new sets at
+each step, and each design's rows are bit for bit those of the design
+alone, which is the stack of one.
 """
 
 from __future__ import annotations
@@ -78,6 +82,9 @@ DEFAULT_MAX_ITER = 100_000
 #: weights in a batched attempt of :func:`fit_elastic_net_path`; the window
 #: doubles while attempts keep all of it, and is reset after any other end.
 RUN_WINDOW = 16
+
+#: the rows of a stack's ``(m, 2, p)`` right-hand sides, as a fancy index column.
+PAIR = np.arange(2)[:, None]
 
 #: the signs an inactive lasso coefficient enters with when its correlation reaches
 #: ``+t`` or ``-t`` on :func:`_homotopy`'s segment, as a column over its two rows.
@@ -390,15 +397,32 @@ def _factor(
     with ``w`` ascending (factored once per active set into ``std.factors``), its
     largest diagonal entry, and which eigenvalues of ``sub + ridge*I`` count
     as 0 (at most ``PIVOT_RTOL`` of ``top + ridge``), per row of a ``(k, 1)`` ``ridge``."""
-    key = active.tobytes()
-    found = std.factors.get(key)
+    found = std.factors.get(active.tobytes())
     if found is None:
-        # gram[active][:, active] in its memory order, which a product's bits follow
-        sub = std.gram.T.take(active, 0).take(active, 1).T
-        top = float(sub.diagonal().max(initial=0.0))  # 0 when every column is constant
-        found = std.factors[key] = (sub, *np.linalg.eigh(sub), top)
+        (found,), _, _ = _factored([std], [active])
     sub, w, V, top = found
     return sub, w, V, top, w + ridge <= PIVOT_RTOL * (top + ridge)
+
+
+def _factored(stds: Sequence[Standardized], active: Sequence[np.ndarray]
+              ) -> tuple[list[tuple], np.ndarray | None, np.ndarray | None]:
+    """``(entries, w, V)``: the ``(sub, w, V, top)`` of :func:`_factor` of each design of a
+    stack on its set in ``active`` (all of one size), read from the design's ``factors``
+    cache or, for the sets no cache holds, from one stacked ``eigh``, each set bit for bit
+    as alone, then cached; and where that ``eigh`` made them all, its stacked ``w`` and
+    ``V`` (else None)."""
+    keys = [row.tobytes() for row in active]
+    found = [std.factors.get(key) for std, key in zip(stds, keys)]
+    new = [r for r, entry in enumerate(found) if entry is None]
+    if not new:
+        return found, None, None
+    # gram[active][:, active] in its memory order, which a product's bits follow
+    subs = [stds[r].gram.T.take(active[r], 0).take(active[r], 1).T for r in new]
+    w, V = np.linalg.eigh(np.stack(subs)) if len(subs) > 1 else np.linalg.eigh(subs[0][None])
+    for r, sub, wr, Vr in zip(new, subs, w, V):
+        top = float(sub.diagonal().max(initial=0.0))  # 0 when every column is constant
+        found[r] = stds[r].factors[keys[r]] = (sub, wr, Vr, top)
+    return (found, w, V) if len(new) == len(found) else (found, None, None)
 
 
 def _minimum_norm(std: Standardized, ridges: np.ndarray) -> np.ndarray:
@@ -702,13 +726,13 @@ def _check_l1_fit(std: Standardized, lams: Sequence[float], alpha: float, tol: f
 
 
 def fit_elastic_net_path(
-    std: Standardized,
+    std: Standardized | Sequence[Standardized],
     lams: Sequence[float],
     alpha: float,
     tol: float = DEFAULT_TOL,
     max_iter: int = DEFAULT_MAX_ITER,
-    warm_start: CoefficientSet | None = None,
-) -> CoefficientGrid:
+    warm_start: CoefficientSet | None | Sequence[CoefficientSet | None] = None,
+) -> CoefficientGrid | list[CoefficientGrid]:
     """:func:`fit_elastic_net` at every weight in ``lams``, row i at ``lams[i]``, each
     warm-started from the fit before it (the first from ``warm_start``).
 
@@ -728,18 +752,35 @@ def fit_elastic_net_path(
     batched runs of weights, with coordinate descent where a run ends
     (:func:`_net_rows`).
 
+    A stack of designs of one width (cross-validation's folds), with a sequence of
+    one warm start (or None) per design, gives the list of their grids, grid i bit
+    for bit the path of design i alone: the stack's lasso homotopies run in
+    lockstep.  A single design is the stack of one.
+
     Every argument is checked, with :func:`fit_elastic_net`'s messages, before any
     fit.  A batched or homotopy row is finite; a non-finite one fails its test,
     and its weight's fit raises :class:`NonFiniteEncountered`.
     """
-    _check_l1_fit(std, lams, alpha, tol, max_iter, warm_start)
+    stack = not isinstance(std, Standardized)
+    stds = list(std) if stack else [std]
+    warms = list(warm_start or [None] * len(stds)) if stack else [warm_start]
+    if len(warms) != len(stds):
+        raise ValueError(f"{len(stds)} designs but {len(warms)} warm starts")
+    for one, warm in zip(stds, warms):
+        if len(one.q) != len(stds[0].q):
+            raise ValueError(f"a stack's designs need one width, got {len(stds[0].q)} "
+                             f"and {len(one.q)} columns")
+        _check_l1_fit(one, lams, alpha, tol, max_iter, warm)
     lams = np.asarray(lams, dtype=float)
     if alpha == 1.0:
-        slopes, converged, n_sweeps = _lasso_rows(std, lams, tol, max_iter, warm_start)
+        found = _lasso_rows(stds, lams, tol, max_iter, warms)
     else:
-        slopes, converged, n_sweeps = _net_rows(std, lams, alpha, tol, max_iter, warm_start)
-    return CoefficientGrid(_intercepts(std, slopes), slopes, converged, n_sweeps,
-                           std.means, std.scales)
+        found = [_net_rows(one, lams, alpha, tol, max_iter, warm)
+                 for one, warm in zip(stds, warms)]
+    grids = [CoefficientGrid(_intercepts(one, slopes), slopes, converged, n_sweeps,
+                             one.means, one.scales)
+             for one, (slopes, converged, n_sweeps) in zip(stds, found)]
+    return grids if stack else grids[0]
 
 
 def _net_rows(std: Standardized, lams: np.ndarray, alpha: float, tol: float, max_iter: int,
@@ -800,51 +841,76 @@ def _net_rows(std: Standardized, lams: np.ndarray, alpha: float, tol: float, max
     return slopes, converged, n_sweeps
 
 
-def _lasso_rows(std: Standardized, lams: np.ndarray, tol: float, max_iter: int,
-                warm_start: CoefficientSet | None) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """The original-scale ``(slopes, converged, n_sweeps)`` of
-    :func:`fit_elastic_net_path` at ``alpha = 1``: :func:`_homotopy` rows, tested
-    for all of a descending stretch of positive weights at once, and a
-    :func:`fit_elastic_net` call wherever one is missing or fails, after which the
-    homotopy starts again from that fit.  Weights of 0 are one
-    :func:`_minimum_norm` solve, as the one-weight fit makes them."""
-    k, p = len(lams), len(std.q)
-    slopes = np.zeros((k, p))
-    converged, n_sweeps = np.ones(k, dtype=bool), np.zeros(k, dtype=int)
+def _lasso_rows(stds: list[Standardized], lams: np.ndarray, tol: float, max_iter: int,
+                warm_starts: list[CoefficientSet | None]) -> list[tuple]:
+    """Per design of a stack, the original-scale ``(slopes, converged, n_sweeps)`` of
+    :func:`fit_elastic_net_path` at ``alpha = 1``: :func:`_homotopy` rows, tested for all
+    of a descending stretch of positive weights at once, and a :func:`fit_elastic_net`
+    call wherever one is missing or fails, after which the homotopy starts again from
+    that fit.  Each round runs every design's next stretch in one :func:`_homotopy`
+    call.  A restarted stretch is tested segment by segment there, so that it stops at
+    its first failing row instead of running down the rest of the grid.  Weights of 0
+    are one :func:`_minimum_norm` solve, as the one-weight fit makes them."""
+    k, p = len(lams), len(stds[0].q)
+    found = [(np.zeros((k, p)), np.ones(k, dtype=bool), np.zeros(k, dtype=int)) for _ in stds]
     ts = lams / 2.0
-    # top: the weight the homotopy starts below; a warm start's first row, below
+    # a stretch from row i ends at the first later row that is 0 or above the one before
+    breaks = [*(np.flatnonzero(~((ts[1:] > 0.0) & (ts[1:] <= ts[:-1]))) + 1).tolist(), k]
+    # top: the weight a design's homotopy starts below; a warm start's first row, below
     # none, is fitted by coordinate descent
-    i, start, top = 0, np.zeros(p), (np.inf if warm_start is None else -np.inf)
-    while i < len(ts):
-        run = ts[i:][:_leading((ts[i:] > 0.0) & (ts[i:] <= np.append(top, ts[i:-1])))]
-        rows, steps = _homotopy(std, start, top, run, max_iter)
-        update = _exact_updates(std.q - rows @ std.gram, rows, std.gram_diag, std.gram_diag,
-                                run[:len(rows), None])
-        m = _leading((np.abs(update - rows) <= tol).all(axis=1))
-        slopes[i:i + m], n_sweeps[i:i + m] = rows[:m] / std.scales, steps[:m]
-        i += m
-        if i == len(ts):
-            break
-        if ts[i] == 0.0:  # the rows of weight 0 that follow, whatever the start
-            zeros = _leading(ts[i:] == 0.0)
-            slopes[i:i + zeros] = _minimum_norm(std, np.zeros(1)) / std.scales
-            i, start, top = i + zeros, slopes[i], 0.0
-            continue
-        warm = CoefficientSet(0.0, slopes[i - 1]) if i else warm_start
-        fit = fit_elastic_net(std, float(lams[i]), 1.0, tol, max_iter, warm)
-        slopes[i], converged[i], n_sweeps[i] = fit.betas, fit.converged, fit.n_sweeps
-        i, start, top = i + 1, fit.betas, ts[i]
-    return slopes, converged, n_sweeps
+    at = [0] * len(stds)
+    starts = [np.zeros(p)] * len(stds)
+    tops = [np.inf if warm is None else -np.inf for warm in warm_starts]
+    restarted = [False] * len(stds)
+    live = list(range(len(stds)))
+    while live:
+        spans = [(at[d], breaks[bisect.bisect_right(breaks, at[d])]
+                  if 0.0 < ts[at[d]] <= tops[d] else at[d]) for d in live]
+        stretches = _homotopy([stds[d] for d in live], [starts[d] for d in live],
+                              [tops[d] for d in live], spans, ts, max_iter, tol,
+                              [restarted[d] for d in live])
+        still = []
+        for d, (rows, steps) in zip(live, stretches):
+            std, (slopes, converged, n_sweeps), i = stds[d], found[d], at[d]
+            m = len(rows) if restarted[d] else _leading(
+                _certified(std, rows, ts[i:i + len(rows)], tol))
+            slopes[i:i + m], n_sweeps[i:i + m] = rows[:m] / std.scales, steps[:m]
+            i += m
+            if i == k:
+                continue
+            if ts[i] == 0.0:  # the rows of weight 0 that follow, whatever the start
+                zeros = _leading(ts[i:] == 0.0)
+                slopes[i:i + zeros] = _minimum_norm(std, np.zeros(1)) / std.scales
+                at[d], starts[d], tops[d] = i + zeros, slopes[i], 0.0
+            else:
+                warm = CoefficientSet(0.0, slopes[i - 1]) if i else warm_starts[d]
+                fit = fit_elastic_net(std, float(lams[i]), 1.0, tol, max_iter, warm)
+                slopes[i], converged[i], n_sweeps[i] = fit.betas, fit.converged, fit.n_sweeps
+                at[d], starts[d], tops[d], restarted[d] = i + 1, fit.betas, ts[i], True
+            if at[d] < k:
+                still.append(d)
+        live = still
+    return found
 
 
-def _homotopy(std: Standardized, start: np.ndarray, top: float, ts: np.ndarray,
-              max_iter: int) -> tuple[np.ndarray, np.ndarray]:
-    """``(rows, steps)``: the standardized lasso solutions at the leading thresholds
-    ``ts = lam/2`` (positive, descending from ``top``) on the homotopy from the
-    support and signs of ``start``, where that is the fit at ``top`` (zeros and
-    ``top = inf`` for a cold start), and per row its entering events since the row
-    before (Osborne, Presnell & Turlach, IMA J. Numer. Anal. 2000; LARS with drops,
-    Efron et al., Ann. Statist. 2004).
+def _certified(std: Standardized, rows: np.ndarray, ts: np.ndarray, tol: float) -> np.ndarray:
+    """Which standardized ``rows``, at thresholds ``ts = lam/2``, :func:`coordinate_descent`
+    certifies before any step: no exact coordinate update (:func:`_exact_updates`) moves
+    one by more than ``tol``."""
+    update = _exact_updates(std.q - rows @ std.gram, rows, std.gram_diag, std.gram_diag,
+                            ts[:, None])
+    return (np.abs(update - rows) <= tol).all(axis=1)
+
+
+def _homotopy(stds: list[Standardized], starts: list[np.ndarray], tops: list[float],
+              spans: list[tuple[int, int]], ts: np.ndarray, max_iter: int, tol: float,
+              tested: list[bool]) -> list[tuple[np.ndarray, np.ndarray]]:
+    """``(rows, steps)`` of each design of a stack of one width: the standardized lasso
+    solutions at the thresholds ``ts[first:end]`` of its span (``ts = lam/2``, positive,
+    descending from its ``top``) on the homotopy from the support and signs of its
+    ``start``, where that is the fit at ``top`` (zeros and ``top = inf`` for a cold
+    start), and per row its entering events since the row before (Osborne, Presnell &
+    Turlach, IMA J. Numer. Anal. 2000; LARS with drops, Efron et al., Ann. Statist. 2004).
 
     On an active set ``A`` with signs ``s`` the solution is ``b_A(t) = b0 - t*u``
     with ``G_AA b0 = q_A`` and ``G_AA u = s``, one :func:`_shifted_solve` of both (its
@@ -857,56 +923,130 @@ def _homotopy(std: Standardized, start: np.ndarray, top: float, ts: np.ndarray,
     its old sign.  Columns with ``gram_diag == 0`` never enter.  Rows stop before a
     singular ``A`` (as :func:`_factor` counts it) and before a row that needs more
     than ``max_iter`` entering events; the rows are solutions only if ``start`` was,
-    so callers test them.
+    so callers test them.  A design marked in ``tested`` has each segment's rows tested
+    as they are found (:func:`_certified` at ``tol``), and stops before its first failing
+    row.
+
+    The designs run in lockstep.  Each iteration groups them by active-set size.  A
+    group's new sets are factored by one stacked ``eigh`` (:func:`_factored`), and its
+    solves and breakpoint times are stacked products, each still one matrix-vector
+    product per design in a design's own memory order; a group of one forms them on the
+    design's own arrays, where stacking costs more than it saves.  Every design's rows
+    are thus bit for bit those of its stack of one.  The masking of the times and their
+    argmax run once for the stack, and each design then takes its own event and fills
+    its segment's rows.
     """
-    q, gram_t, p = std.q, std.gram.T, len(std.q)
-    frozen = (std.gram_diag == 0.0).nonzero()[0]
+    m, p = len(stds), len(stds[0].q)
     # q over the signs (0 off the active set): a segment's right-hand sides are one take
-    sums = np.array((q, np.sign(start)))
-    signs = sums[1]
-    cold = q / ENTER_SIGNS  # the empty set's times: where c_j(t) = q_j reaches +t, -t
+    sums = np.array([(std.q, np.sign(start)) for std, start in zip(stds, starts)])
+    signs = sums[:, 1]
+    grams_t = np.stack([std.gram for std in stds]).transpose(0, 2, 1) if m > 1 else None
+    cold = sums[:, :1] / ENTER_SIGNS  # the empty set's times: where c_j(t) = q_j reaches +t, -t
+    times = np.empty((m, 2, p))  # row d: design d's event times on its segment
+    flat = times.reshape(m, 2 * p)
+    limit = np.array(tops, dtype=float)[:, None]  # row d: the top of design d's segment
+    frozen = np.array([std.gram_diag == 0.0 for std in stds])
+    frozen = np.concatenate((frozen, frozen), axis=1) if frozen.any() else None
+    offsets = np.arange(0, 2 * p * m, 2 * p)[:, None]  # the first time of each row of a group
     below = (-ts).tolist()  # ascending: the rows at or above a time t are a bisection
-    rows, steps = np.zeros((len(ts), p)), np.zeros(len(ts), dtype=int)
-    i = entered = 0
-    repeat = None  # the time of the event just taken, recomputed on the new segment
+    at = [first for first, _ in spans]
+    rows = [np.zeros((end - first, p)) for first, end in spans]
+    steps = [np.zeros(end - first, dtype=int) for first, end in spans]
+    entered = [0] * m
+    repeat = [None] * m  # the time of the event just taken, recomputed on the new segment
+    live = [d for d, (first, end) in enumerate(spans) if first < end]
     with np.errstate(divide="ignore", invalid="ignore"):
-        while i < len(ts):
-            active = signs.nonzero()[0]
-            if len(active):
-                _, w, V, _, null = _factor(std, active, 0.0)
-                if null[0]:  # eigh's eigenvalues ascend, so the smallest is null if any is
-                    break
-                # _shifted_solve's products; nothing is null, and w + 0.0 is w
-                b0, u = _matvec(V, _matvec(V.T, sums.take(active, 1)) / w)
-                at = gram_t.take(active, 0).T  # gram[:, active] in its memory order
-                # where c_j(t) = c0_j + t*d_j reaches +t, -t
-                times = (q - at @ b0) / (ENTER_SIGNS - at @ u)
-                times[0].put(active, b0 / u)  # where an active coefficient reaches 0
-                times[1].put(active, 0.0)
-            else:
-                b0 = u = np.zeros(0)
-                times = cold.copy()
-            if len(frozen):
-                times[:, frozen] = 0.0
-            if repeat is not None:
-                times.flat[repeat] = 0.0
-            times[~((times > 0.0) & (times < top))] = 0.0
-            kind, j = divmod(int(times.argmax()), p)
-            top = times[kind, j]
-            n = bisect.bisect_right(below, -top, i) - i
-            if n:
-                rows[i:i + n, active] = b0 - ts[i:i + n, None] * u
-                steps[i], i, entered = entered, i + n, 0
-            if i == len(ts):
-                break
-            if signs[j]:  # j leaves; it re-enters with its sign only past the next event
-                repeat, signs[j] = j + p * (signs[j] < 0.0), 0.0
-            else:  # j enters; it leaves only past the next event
-                entered += 1
-                if entered > max_iter:
-                    break
-                repeat, signs[j] = j, ENTER_SIGNS[kind, 0]
-    return rows[:i], steps[:i]
+        while live:
+            groups = {}
+            for d in live:
+                active = signs[d].nonzero()[0]
+                groups.setdefault(len(active), []).append((d, active))
+            solved = {}  # per design: (active, b0, u), or () for the empty set
+            for a, group in groups.items():
+                if not a:
+                    for d, _ in group:
+                        times[d], solved[d] = cold[d], ()
+                    continue
+                ds, active = zip(*group)
+                found, w, V = _factored([stds[d] for d in ds], active)
+                # a singular set ends its design's rows; eigh's eigenvalues ascend, so the
+                # smallest is null if any is
+                ok = [not entry[1][0] <= PIVOT_RTOL * entry[3] for entry in found]
+                if not all(ok):
+                    kept = [(pair, entry) for pair, entry, keep in zip(group, found, ok) if keep]
+                    ds, active = zip(*(pair for pair, _ in kept)) if kept else ((), ())
+                    found, w = [entry for _, entry in kept], None
+                # _shifted_solve's products (nothing is null, and w + 0.0 is w); then G_:A b0
+                # and G_:A u, with gram[:, A] in its memory order, and where c_j(t) = c0_j +
+                # t*d_j reaches +t, -t and where an active b_j reaches 0
+                if len(ds) == 1:
+                    (d,), (active,), ((_, w, V, _),) = ds, active, found
+                    b0, u = _matvec(V, _matvec(V.T, sums[d].take(active, 1)) / w)
+                    cols = stds[d].gram.T.take(active, 0).T
+                    times[d] = (sums[d, 0] - cols @ b0) / (ENTER_SIGNS - cols @ u)
+                    times[d, 0].put(active, b0 / u)
+                    times[d, 1].put(active, 0.0)
+                    solved[d] = (active, b0, u)
+                elif ds:
+                    if w is None:
+                        w, V = (np.stack([entry[i] for entry in found]) for i in (1, 2))
+                    idx, active = np.array(ds), np.array(active)
+                    rhs = sums[idx[:, None, None], PAIR, active[:, None, :]]
+                    b0u = _matvec(V[:, None],
+                                  _matvec(V.transpose(0, 2, 1)[:, None], rhs) / w[:, None])
+                    c = _matvec(grams_t[idx[:, None], active].transpose(0, 2, 1)[:, None], b0u)
+                    group_times = (sums[idx, :1] - c[:, :1]) / (ENTER_SIGNS - c[:, 1:])
+                    on = offsets[:len(ds)] + active
+                    group_times.put(on, b0u[:, 0] / b0u[:, 1])
+                    group_times.put(on + p, 0.0)
+                    times[idx] = group_times
+                    solved.update(zip(ds, zip(active, b0u[:, 0], b0u[:, 1])))
+            for d in live:
+                if repeat[d] is not None:
+                    flat[d, repeat[d]] = 0.0
+            if frozen is not None:
+                flat[frozen] = 0.0
+            flat[~((flat > 0.0) & (flat < limit))] = 0.0
+            events = flat.argmax(axis=1).tolist()
+            still = []
+            for d in live:
+                if d not in solved:
+                    continue
+                event, i, (first, end) = events[d], at[d], spans[d]
+                top = flat.item(d, event)
+                n = bisect.bisect_right(below, -top, i, end) - i
+                if n:
+                    if solved[d]:
+                        active, b0, u = solved[d]
+                        rows[d][i - first:i - first + n, active] = b0 - ts[i:i + n, None] * u
+                    steps[d][i - first], entered[d] = entered[d], 0
+                    if tested[d]:
+                        # a lone row's product would be a matrix-vector product, which
+                        # rounds unlike a stretch's matrix product: test it beside another
+                        lo, hi = i - first, i - first + n
+                        if n == 1 < end - first:
+                            lo, hi = (lo - 1, hi) if lo else (lo, hi + 1)
+                        ok = _certified(stds[d], rows[d][lo:hi], ts[first + lo:first + hi], tol)
+                        passed = _leading(ok[i - first - lo:][:n])
+                        if passed < n:
+                            at[d] += passed
+                            continue
+                    at[d] = i = i + n
+                    if i == end:
+                        continue
+                kind, j = divmod(event, p)
+                if signs[d, j]:  # j leaves; it re-enters with its sign only past the next event
+                    repeat[d], signs[d, j] = j + p * (signs[d, j] < 0.0), 0.0
+                else:  # j enters; it leaves only past the next event
+                    entered[d] += 1
+                    if entered[d] > max_iter:
+                        continue
+                    repeat[d], signs[d, j] = j, ENTER_SIGNS[kind, 0]
+                limit[d, 0] = top
+                still.append(d)
+            live = still
+    return [(rows[d][:at[d] - first], steps[d][:at[d] - first])
+            for d, (first, _) in enumerate(spans)]
 
 
 def _sign_fixed_rows(std: Standardized, lams: np.ndarray, alpha: float, tol: float,

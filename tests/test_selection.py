@@ -435,14 +435,16 @@ def record_standardizations(monkeypatch):
 
 def record_grid_rows(monkeypatch):
     """Every row of the lasso / elastic-net grids ``models`` fits, as ``(standardized
-    sums, lambda, alpha, CoefficientSet)``, for cv (folds and path) and paths alike."""
+    sums, lambda, alpha, CoefficientSet)``, for cv (folds and path) and paths alike,
+    each design of a stacked call on its own."""
     rows = []
     original = models.fit_elastic_net_path
 
     def recording(std, lams, alpha, *args, **kwargs):
-        grid = original(std, lams, alpha, *args, **kwargs)
-        rows.extend((std, lam, alpha, grid[i]) for i, lam in enumerate(lams))
-        return grid
+        grids = original(std, lams, alpha, *args, **kwargs)
+        for one, grid in zip(std, grids) if isinstance(grids, list) else [(std, grids)]:
+            rows.extend((one, lam, alpha, grid[i]) for i, lam in enumerate(lams))
+        return grids
 
     monkeypatch.setattr(models, "fit_elastic_net_path", recording)
     return rows

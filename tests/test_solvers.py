@@ -219,6 +219,64 @@ def l1_designs(draw):
     return X, y, draw(st.floats(0.0, 1.0, exclude_min=True))
 
 
+@st.composite
+def lasso_stacks(draw):
+    """``(designs, lams, warms, max_iter)``: a stack of 1 to 12 lasso designs of one width,
+    each a function that builds it afresh (an empty factor cache), the grid they share
+    (perhaps ending at 0), one warm start per design (None, random slopes or a fit at a
+    larger weight) and a step limit of 1 to 3 or the default.  The designs are seeded and
+    may hold a constant column, a copy of a column or be an ``exclude`` copy; or they are
+    the ``tests/data/lasso_stall.json`` fold, whose columns are near duplicates, with a
+    copy of one of its columns."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    m = draw(st.integers(1, 12))
+    designs = []
+    if draw(st.booleans()):
+        data = json.loads((DATA_DIR / "lasso_stall.json").read_text())
+        gram, q = np.array(data["gram"]), np.array(data["q"])
+        for j in rng.integers(len(q), size=m):
+            copied = np.append(np.arange(len(q)), j)
+            designs.append(lambda copied=copied: sums_as_standardized(
+                gram[np.ix_(copied, copied)], q[copied], data["y_ss"]))
+    else:
+        p = draw(st.integers(2, 12))
+        for _ in range(m):
+            n = int(rng.integers(3, 16))
+            X = rng.normal(size=(n, p)) * rng.uniform(0.1, 10.0, size=p)
+            if rng.random() < 0.3:
+                X[:, rng.integers(p)] = rng.normal()
+            if rng.random() < 0.3:
+                X[:, rng.integers(p)] = X[:, rng.integers(p)]
+            y = X[:, : min(p, 3)] @ rng.uniform(-2.0, 2.0, size=min(p, 3)) + rng.normal(size=n)
+            mask = rng.random(p) < 0.7 if rng.random() < 0.3 else None
+            designs.append(lambda X=X, y=y, mask=mask: standardize(X, y) if mask is None
+                           else exclude(standardize(X, y), mask))
+    lam_max = max(2.0 * float(np.max(np.abs(make().q))) for make in designs)
+    assume(lam_max > 0.0)
+    lams = [*np.geomspace(lam_max, lam_max * 10.0 ** -rng.uniform(1.0, 4.0),
+                          draw(st.integers(2, 30)))]
+    if draw(st.booleans()):
+        lams.append(0.0)
+    warms = []
+    for make in designs:
+        start = draw(st.sampled_from(["cold", "random", "previous"]))
+        p = len(make().q)
+        warms.append(None if start == "cold" else CoefficientSet(0.0, rng.normal(size=p))
+                     if start == "random" else
+                     fit_elastic_net(make(), lam_max * rng.uniform(0.05, 2.0), 1.0))
+    return designs, lams, warms, draw(st.sampled_from([1, 2, 3, solvers.DEFAULT_MAX_ITER]))
+
+
+#: ``(X, y, alpha)`` of two nearly collinear 3 x 2 lasso designs on which the exact gap of
+#: a homotopy row exceeded 1e-12 of ``y_ss`` by the row's own rounding
+NEARLY_COLLINEAR = [
+    (np.array([[-2.13559188, 4.88661686], [-5.64099313, 4.53228005], [-2.16369577, 4.89034061]]),
+     np.array([5.52091243, 4.77851498, 3.90548361]), 1.0),
+    (np.array([[-2.1355827, 4.88661172], [-5.64100207, 4.53227929], [-2.16368846, 4.89035415]]),
+     np.array([5.52139924, 4.77815326, 3.90483317]), 1.0),
+]
+
+
 def exact_coordinate_updates(gram, q, gram_diag, beta, lam, alpha):
     """Every coordinate's exact update from ``beta``: ``S(rho_j, lam*alpha/2) /
     (g_jj + ridge)``, 0 where the denominator is 0."""
@@ -1199,22 +1257,51 @@ class TestElasticNetPath:
             return fit_elastic_net_path(std, lams, 1.0, **kwargs), fallbacks
 
     @staticmethod
-    def assert_rows_certified(std, lams, path, fits, fallbacks, tol=1e-7):
+    def gap_and_bound(std, lam, b, chain_b):
+        """``(gap, bound)``: the exact duality gap (:func:`exact_duality_gap`) of a lasso
+        row ``b`` (standardized) at ``lam``, and the bound :meth:`assert_rows_certified`
+        derives for it, given the chain's fit ``chain_b`` at that weight."""
+        t = lam / 2.0
+        active = np.flatnonzero(b)
+        rounding = 0.0
+        if len(active):
+            sub = std.gram[np.ix_(active, active)]
+            b0, u = np.linalg.solve(sub, np.array([std.q[active], np.sign(b[active])]).T).T
+            size = np.abs(sub) @ (np.abs(b0) + t * np.abs(u)) + np.abs(std.q[active]) + t
+            rounding = 4.0 * np.finfo(float).eps * float(np.abs(b).sum()) * float(size.max())
+        chain_gap = exact_duality_gap(std, chain_b, lam, 1.0)
+        bound = max(Fraction(1e-12 * std.y_ss), 2 * chain_gap) + Fraction(rounding)
+        return exact_duality_gap(std, b, lam, 1.0), bound
+
+    @classmethod
+    def assert_rows_certified(cls, std, lams, path, fits, fallbacks, tol=1e-7):
         """The lasso grid's contract against the chain ``fits``.
 
         Rows stop where the chain's fits stop.  They have the chain's supports and
         lie within 1e-10 of its rows, relative to the grid's largest coefficient;
         where two standardized columns are equal or opposite, the split between them
         is free, and that holds for the fitted values ``Xs'Xs b`` instead.  A converged row at a positive weight
-        passes the exact-update test at ``tol`` (:func:`solvers._exact_updates`), and
-        one of the homotopy (not at a weight in ``fallbacks``) has a duality gap of at
-        most 1e-12 of ``y_ss``, the objective at zero and so at least the row's, or
-        twice the chain's fit's gap where that is larger: a homotopy segment from a
-        coordinate-descent row keeps that row's support.  Both gaps are evaluated
-        exactly (:func:`exact_duality_gap`): on nearly collinear 3-row designs, where
-        a row's objective may be a fifth of ``y_ss``, the float evaluations of two
-        gaps near 1e-12 of ``y_ss`` differ by up to 1.4x from their own rounding.  A
-        row at weight 0 is the chain's minimum-norm fit bit for bit."""
+        passes the exact-update test at ``tol`` (:func:`solvers._exact_updates`).  A row
+        at weight 0 is the chain's minimum-norm fit bit for bit.
+
+        A converged row of the homotopy (not at a weight in ``fallbacks``) has an exact
+        duality gap (:meth:`gap_and_bound`) of at most 1e-12 of ``y_ss``, the objective
+        at zero and so at least the row's, or twice the gap of the chain's fit where that
+        is larger (a homotopy segment from a coordinate-descent row keeps that row's
+        support), plus the row's own rounding, derived as follows.  Let ``A`` be the
+        row's support, ``s`` its signs and ``t = lam/2``.  Where no correlation ``|g_j|``
+        of ``g = q - G b`` exceeds ``t``, the gap is ``2t|b|_1 - 2b'g = -2 b_A'r`` exactly,
+        with ``r = q_A - t s - G_AA b_A`` the row's residual on its own active set, 0 for
+        the exact solution.  The homotopy forms the row as ``b0 - t*u`` from float solves
+        of ``G_AA b0 = q_A`` and ``G_AA u = s``, so ``r`` carries their rounding: each
+        ``|r_j|`` is a few eps times ``(|G_AA| (|b0| + t|u|) + |q_A| + t)_j``, and
+        ``|gap| <= 2 |b|_1 max_j |r_j|``, about ``2 |Xs'Xs d| |b|_1`` for the row's rounding
+        ``d``.  The bound adds ``4 eps |b|_1 max_j (|G_AA| (|b0| + t|u|) + |q_A| + t)_j``,
+        with ``b0`` and ``u`` solved again here (their sizes are all it reads); a
+        correlation above ``t`` by rounding adds a term of the same size.  On nearly
+        collinear 3-row designs ``|b|_1`` can reach a hundred times ``|y|``, so this term
+        is what exceeds 1e-12 of ``y_ss`` there, and a row moved by 1e-9 of itself still
+        fails (:meth:`test_the_gap_bound_rejects_a_row_moved_by_1e_9`)."""
         chain = np.array([c.betas for c in fits])
         assert len(path) == len(fits)
         assert path.converged.tolist() == [c.converged for c in fits]
@@ -1235,9 +1322,9 @@ class TestElasticNetPath:
                 update = solvers._exact_updates(std.q - std.gram @ b, b, std.gram_diag,
                                                 std.gram_diag, lam / 2.0)
                 assert np.all(np.abs(update - b) <= tol)
-                chain_gap = exact_duality_gap(std, fit.betas * fit.scales, lam, 1.0)
-                gap = exact_duality_gap(std, b, lam, 1.0)
-                assert lam in fallbacks or gap <= max(1e-12 * std.y_ss, 2 * chain_gap)
+                if lam not in fallbacks:
+                    gap, bound = cls.gap_and_bound(std, lam, b, fit.betas * fit.scales)
+                    assert gap <= bound
 
     @settings(max_examples=150, deadline=None)
     @given(l1_designs(), st.booleans(), st.sampled_from(["cold", "random", "previous"]),
@@ -1271,9 +1358,8 @@ class TestElasticNetPath:
     @settings(max_examples=150, deadline=None)
     @given(l1_designs(), st.sampled_from(["cold", "random", "previous"]),
            st.integers(0, 2**32 - 1))
-    @example((np.array([[-2.13559188, 4.88661686], [-5.64099313, 4.53228005],
-                        [-2.16369577, 4.89034061]]),
-              np.array([5.52091243, 4.77851498, 3.90548361]), 1.0), "cold", 0)
+    @example(NEARLY_COLLINEAR[0], "cold", 0)
+    @example(NEARLY_COLLINEAR[1], "cold", 0)
     def test_lasso_rows_are_certified_against_the_chain(self, design, start, seed):
         """At alpha 1, down a grid that ends at 0 and from a cold, a random and a
         previous fit's start, the homotopy's rows and its fallbacks meet the lasso
@@ -1293,6 +1379,29 @@ class TestElasticNetPath:
         path, fallbacks = self.lasso_path(std, lams, warm_start=warm)
         self.assert_rows_certified(std, lams, path, fits, fallbacks)
         assert path.slopes[-1].tobytes() == fit_elastic_net(std, 0.0, 1.0).betas.tobytes()
+
+    @pytest.mark.parametrize("design", NEARLY_COLLINEAR)
+    def test_the_gap_bound_rejects_a_row_moved_by_1e_9(self, design):
+        # nearly collinear 3 x 2 designs whose rows' exact gaps exceed 1e-12 of y_ss by
+        # their own rounding: every homotopy row that fits at least a hundredth of y_ss is
+        # within the bound, and the same row moved by 1e-9 of itself is not
+        X, y, _ = design
+        std = standardize(X, y)
+        lam_max = 2.0 * float(np.max(np.abs(std.q)))
+        lams = [*np.geomspace(lam_max, 1e-3 * lam_max, 12), 0.0]
+        fits = self.chain(standardize(X, y), lams, 1.0)
+        path, fallbacks = self.lasso_path(std, lams)
+        checked = 0
+        for lam, slopes, fit in zip(lams, path.slopes, fits):
+            b = slopes * path.scales
+            if lam == 0.0 or lam in fallbacks or b @ std.gram @ b < 1e-2 * std.y_ss:
+                continue
+            gap, bound = self.gap_and_bound(std, lam, b, fit.betas * fit.scales)
+            assert gap <= bound
+            moved, bound = self.gap_and_bound(std, lam, b * (1.0 + 1e-9), fit.betas * fit.scales)
+            assert moved > bound
+            checked += 1
+        assert checked >= 5
 
     def test_a_lasso_grid_on_an_exclude_copy_never_enters_a_zeroed_column(self):
         # a crm support's design: the masked-out columns have gram_diag 0 and stay 0,
@@ -1328,19 +1437,19 @@ class TestElasticNetPath:
         data = json.loads((DATA_DIR / "lasso_stall.json").read_text())
         gram, q = np.array(data["gram"]), np.array(data["q"])
         singular = []  # whether each active set the homotopy factored was singular
-        homotopy, factor = solvers._homotopy, solvers._factor
+        homotopy, factored = solvers._homotopy, solvers._factored
 
         def recording_homotopy(*args):
-            monkeypatch.setattr(solvers, "_factor", recording_factor)
+            monkeypatch.setattr(solvers, "_factored", recording_factored)
             try:
                 return homotopy(*args)
             finally:
-                monkeypatch.setattr(solvers, "_factor", factor)
+                monkeypatch.setattr(solvers, "_factored", factored)
 
-        def recording_factor(std, active, ridge):
-            factored = factor(std, active, ridge)
-            singular.append(bool(factored[-1].any()))
-            return factored
+        def recording_factored(stds, active):
+            found = factored(stds, active)
+            singular.extend(bool(w[0] <= PIVOT_RTOL * top) for _, w, _, top in found[0])
+            return found
 
         monkeypatch.setattr(solvers, "_homotopy", recording_homotopy)
         met = 0
@@ -1376,14 +1485,15 @@ class TestElasticNetPath:
         start, top = np.zeros(15), np.inf
         if warm:  # as _lasso_rows hands on a coordinate-descent row
             start, top, ts = fit_elastic_net(std, 2.0 * ts[20], 1.0).betas, ts[20], ts[21:]
-        factored, factor = [], solvers._factor
+        factored, factor = [], solvers._factored
 
-        def recording(std, active, ridge):
-            factored.append(active.tolist())
-            return factor(std, active, ridge)
+        def recording(stds, active):
+            factored.extend(a.tolist() for a in active)
+            return factor(stds, active)
 
-        monkeypatch.setattr(solvers, "_factor", recording)
-        rows, _ = solvers._homotopy(std, start, top, ts, 100_000)
+        monkeypatch.setattr(solvers, "_factored", recording)
+        (rows, _), = solvers._homotopy([std], [start], [top], [(0, len(ts))], ts, 100_000,
+                                       1e-7, [False])
         monkeypatch.undo()
         assert factored[0] == (np.flatnonzero(start).tolist() if warm else factored[0][:1])
         assert all(len(set(a) ^ set(b)) == 1 for a, b in zip(factored, factored[1:]))
@@ -1559,6 +1669,27 @@ class TestElasticNetPath:
         stopped = [lam for lam, fit in zip(lams, fits) if not fit.converged]
         assert len(stopped) > 1 and all(fallbacks.count(lam) == 1 for lam in stopped)
 
+    def test_a_restarted_stretch_stops_at_its_first_failing_row(self, monkeypatch):
+        # the design above: after each coordinate-descent row the homotopy starts again,
+        # and most of its rows fail the test; a restarted stretch is tested segment by
+        # segment, so the homotopy forms no row past the first that fails, instead of
+        # the rest of the grid each time
+        rng = np.random.default_rng(33)
+        X = rng.normal(size=(10, 15)) + 2.0 * rng.normal(size=(10, 1))
+        y = 1e9 * (X[:, :3] @ rng.normal(size=3) + 0.5 * rng.normal(size=10))
+        lams = make_lambda_grid(X, y, 1.0, 40).values
+        restarted, homotopy = [], solvers._homotopy
+
+        def recording(stds, starts, tops, spans, ts, max_iter, tol, tested):
+            found = homotopy(stds, starts, tops, spans, ts, max_iter, tol, tested)
+            restarted.extend(len(rows) for (rows, _), again in zip(found, tested) if again)
+            return found
+
+        monkeypatch.setattr(solvers, "_homotopy", recording)
+        _, fallbacks = self.lasso_path(standardize(X, y), lams, max_iter=50)
+        assert len(restarted) > 10 and len(fallbacks) > 10
+        assert sum(restarted) <= len(lams) - len(fallbacks)
+
     def test_a_net_enter_then_exit_cycle_hands_on_two_steps_then_calls_the_one_weight_fit(
             self, monkeypatch):
         # a response in the 1e9s: rounding moves a coordinate's update by more than tol
@@ -1670,6 +1801,28 @@ class TestElasticNetPath:
                 fit_elastic_net_path(std, lams, alpha, **kwargs)
             with pytest.raises(ValueError, match=message):  # the one-weight fit's message
                 fit_elastic_net(std, lams[-1], alpha, **kwargs)
+
+    @settings(max_examples=100, deadline=None)
+    @given(lasso_stacks())
+    def test_a_stack_is_its_designs_fitted_one_at_a_time(self, stack):
+        """The lasso grids of a stack of designs, whose homotopies run in lockstep, are
+        each design's grid as a stack of one, bit for bit: rows, ``converged`` and
+        ``n_sweeps``."""
+        designs, lams, warms, max_iter = stack
+        grids = fit_elastic_net_path([make() for make in designs], lams, 1.0,
+                                     max_iter=max_iter, warm_start=warms)
+        assert len(grids) == len(designs)
+        for make, warm, grid in zip(designs, warms, grids):
+            alone = fit_elastic_net_path(make(), lams, 1.0, max_iter=max_iter, warm_start=warm)
+            self.assert_rows_equal(grid, [alone[i] for i in range(len(alone))])
+
+    def test_a_stack_needs_one_width_and_a_warm_start_per_design(self):
+        stack = [standardize(np.eye(3), np.arange(3.0)), standardize(np.eye(4), np.arange(4.0))]
+        with pytest.raises(ValueError,
+                           match="^a stack's designs need one width, got 3 and 4 columns$"):
+            fit_elastic_net_path(stack, (1.0,), 1.0)
+        with pytest.raises(ValueError, match="^2 designs but 1 warm starts$"):
+            fit_elastic_net_path(stack[:1] * 2, (1.0,), 1.0, warm_start=[None])
 
     def test_a_non_finite_row_raises_like_the_one_weight_fits(self):
         # a response near the largest float overflows Xs'yc, so every batched row is
