@@ -228,14 +228,14 @@ def swap_violations(prediction: IntervalPrediction) -> IntervalPrediction:
 # ---------------------------------------------------------------------------
 
 def fit_component(
-    views: CenterRangeView | Sequence[CenterRangeView],
+    views: Sequence[CenterRangeView],
     component: str,
     spec: MethodSpec,
     lams: Sequence[float],
     warm: CoefficientSet | None = None,
     mask: np.ndarray | None = None,
-) -> CoefficientGrid | list[CoefficientGrid]:
-    """Fit the view's standardized ``component`` design at each weight of a
+) -> list[CoefficientGrid]:
+    """Fit each view's standardized ``component`` design at each weight of a
     descending grid; a boolean ``mask`` fits its :func:`~intervalreg.solvers.exclude` copy.
 
     Row i is the fit at ``lams[i]``.  Ridge fits all weights in one solve
@@ -245,16 +245,15 @@ def fit_component(
     the grid from ``warm`` (a fit of this design): the lasso follows its
     homotopy between breakpoints, the elastic net solves batched runs of
     weights that keep their warm start's signs, and coordinate descent runs
-    only at the weights where neither holds.  A list of views of one table's
-    predictors (a stack of cross-validation folds) gives the list of their grids,
-    each bit for bit its view's alone: the lasso's homotopies run in lockstep.
+    only at the weights where neither holds.  The views are of one table's
+    predictors (one view, or a stack of cross-validation folds), and the list of
+    their grids holds each bit for bit as its view's alone: the lasso's homotopies
+    run in lockstep.
 
     A singular design is raised as :class:`~intervalreg.solvers.SingularDesign`
     with the same ``pivot_index``, its message naming the predictor and the
     regression: the midpoints or the half-ranges.
     """
-    stack = not isinstance(views, CenterRangeView)
-    views = list(views) if stack else [views]
     stds = [view.standardized(component, mask) for view in views]
     try:
         if spec.penalty in ("none", "ridge"):
@@ -269,7 +268,7 @@ def fit_component(
         name = names[exc.pivot_index] if names else exc.pivot_index
         raise SingularDesign(exc.pivot_index, exc.pivot,
                              f"the {part} of predictor {name!r}") from None
-    return grids if stack else grids[0]
+    return grids
 
 
 @dataclass(frozen=True, eq=False)
@@ -325,29 +324,38 @@ def _join(grids: Sequence[CoefficientGrid], combine) -> CoefficientGrid:
 
 
 def fit_grid(
-    views: CenterRangeView | Sequence[CenterRangeView],
+    view: CenterRangeView,
     spec: MethodSpec,
     lambdas: Sequence[float],
     range_lambdas: Sequence[float] | None = None,
     warm_start: FittedModel | None = None,
-) -> GridFit | list[GridFit]:
-    """Fit a method at every weight of a descending penalty grid.
+) -> GridFit:
+    """Fit a method at every weight of a descending penalty grid: :func:`fit_grids`
+    of the one view."""
+    return fit_grids([view], spec, lambdas, range_lambdas, warm_start)[0]
+
+
+def fit_grids(
+    views: Sequence[CenterRangeView],
+    spec: MethodSpec,
+    lambdas: Sequence[float],
+    range_lambdas: Sequence[float] | None = None,
+    warm_start: FittedModel | None = None,
+) -> list[GridFit]:
+    """Fit a method at every weight of a descending penalty grid, on each of the
+    views of one table's predictors (one view, or a stack of cross-validation folds).
 
     The midpoint regression is fitted at each of ``lambdas``; for crm the
     half-range regression at each of ``range_lambdas`` (default: the same
     weights), on the half-range design with, under lasso / elastic net, the
     columns outside the center support at that weight set to 0 (slope 0,
     mean 0, scale 1).  Only the spec's family, penalty and alpha are used.
-    Each design, a support's half-ranges included, is one :func:`fit_component`
-    call on the view, so every grid fitted on the same view shares one
-    standardization per design and its factorizations.  Lasso / elastic-net
-    fits start from ``warm_start`` (a model fit on the same predictors).  A list of
-    views (a stack of cross-validation folds) gives the list of their fits: each
-    design is one :func:`fit_component` call on the whole stack, except a crm
-    support's half-ranges, which are one call on their own view.
+    Each design is one :func:`fit_component` call on all the views, except a crm
+    support's half-ranges, which are one call on their own view, so every grid
+    fitted on the same view shares one standardization per design and its
+    factorizations.  Lasso / elastic-net fits start from ``warm_start`` (a model fit
+    on the same predictors).
     """
-    stack = not isinstance(views, CenterRangeView)
-    views = list(views) if stack else [views]
     if range_lambdas is None:
         range_lambdas = lambdas
     warm_center = warm_range = None
@@ -362,7 +370,7 @@ def fit_grid(
     else:
         fits = [GridFit(c, _support_runs(view, c, spec, range_lambdas, warm_range))
                 for view, c in zip(views, centers)]
-    return fits if stack else fits[0]
+    return fits
 
 
 def _support_runs(view: CenterRangeView, centers: CoefficientGrid, spec: MethodSpec,
@@ -378,7 +386,7 @@ def _support_runs(view: CenterRangeView, centers: CoefficientGrid, spec: MethodS
         start_fit = runs[-1][-1] if runs else warm
         if start_fit is not None:  # the columns set to 0 start at 0, so they stay there
             start_fit = CoefficientSet(start_fit.intercept, np.where(mask, start_fit.betas, 0.0))
-        runs.append(fit_component(view, "range", spec, lams[start:stop], start_fit, mask))
+        runs.append(fit_component([view], "range", spec, lams[start:stop], start_fit, mask)[0])
     return runs[0] if len(runs) == 1 else _join(runs, np.concatenate)
 
 

@@ -8,8 +8,8 @@ per array and one stacked :func:`~intervalreg.solvers.standardize` per
 design give each fold a training view whose standardized designs every
 method of the run (each alpha of :func:`alpha_sweep`) shares.
 :data:`STACK_CELLS` caps a stack's training cells, so a large table goes
-one fold at a time.  Each fold fits each method's whole lambda grid once
-(:func:`~intervalreg.models.fit_grid`), and the stack scores every lambda
+one fold at a time.  Each stack fits each method's whole lambda grid once on
+all its folds (:func:`~intervalreg.models.fit_grids`), and scores every lambda
 of its folds on their held-out rows in one pass, one matrix product per
 endpoint.  The held-out loss is the mean of squared lower
 and upper endpoint errors, ``(RMSE_L^2 + RMSE_U^2) / 2``; for
@@ -29,8 +29,14 @@ from math import isfinite, sqrt
 
 import numpy as np
 
-from .models import GridFit, MethodSpec, fit_component, fit_grid
-from .solvers import CoefficientGrid, NonFiniteEncountered, Standardized, standardize
+from .models import GridFit, MethodSpec, fit_component, fit_grids
+from .solvers import (
+    CoefficientGrid,
+    NonFiniteEncountered,
+    SolverError,
+    Standardized,
+    standardize,
+)
 from .tables import (
     CenterRangeView,
     IntervalTable,
@@ -159,7 +165,8 @@ def _cv_run(table: IntervalTable, specs: list[MethodSpec], grid: LambdaGrid | No
     most :data:`STACK_CELLS` training cells, in fold order: one row gather, one
     standardization per design and one scoring pass per spec serve a stack, which is
     released when its folds end.  A cm spec's whole-table path fits with the first
-    stack, as one more design of it."""
+    stack, as one more design of it.  A failing fit raises what fitting fold by fold,
+    each fold's specs in turn and the paths last, raises first."""
     if component not in COMPONENTS:
         raise ValueError(f"component must be one of {COMPONENTS}, got {component!r}")
     n = table.n_rows
@@ -187,12 +194,21 @@ def _cv_run(table: IntervalTable, specs: list[MethodSpec], grid: LambdaGrid | No
             train = np.ones((m, n), dtype=bool)
             train[np.arange(m)[:, None], test_idx] = False
             views = view.take(np.nonzero(train)[1].reshape(m, n - size), designs)
-            fits = []
-            for si, (spec, g) in enumerate(zip(specs, grids)):
-                joined = not fi and spec.family == "cm" and component != "range"
-                fits.append(fit_grid([*views, view] if joined else views, spec, g.values))
-                if joined:
-                    paths[si] = fits[-1].pop().centers
+            try:
+                fits = []
+                for si, (spec, g) in enumerate(zip(specs, grids)):
+                    joined = not fi and spec.family == "cm" and component != "range"
+                    fits.append(fit_grids([*views, view] if joined else views, spec, g.values))
+                    if joined:
+                        paths[si] = fits[-1].pop().centers
+            except SolverError:
+                # the error a fold-by-fold run raises first: the first failing fold's, each
+                # fold's specs in turn, or, where every fold fits, the whole-table path's,
+                # from coefficient_path below after the loss check
+                paths = [None] * len(specs)
+                fits = [list(spec_fits) for spec_fits in zip(*(
+                    [fit_grids([fold], spec, g.values)[0] for spec, g in zip(specs, grids)]
+                    for fold in views))]
             del views  # free the stack's rows and designs before the next one is gathered
             test = [b[test_idx] for b in bounds]
             for si, spec_fits in enumerate(fits):
@@ -236,7 +252,7 @@ def cross_validate(
 
     Rows are shuffled by a generator seeded with ``seed`` and split into k
     near-equal folds.  Each fold's training view is a row subset of the
-    table's, and fits the whole grid with :func:`~intervalreg.models.fit_grid`
+    table's, and fits the whole grid with :func:`~intervalreg.models.fit_grids`
     (ridge: every lambda in one solve; lasso / elastic net: warm-started
     down the grid); the folds of one size are gathered, standardized and
     scored on their held-out rows as one stack, one matrix product per
@@ -316,4 +332,4 @@ def coefficient_path(
     if component not in ("center", "range"):
         raise ValueError(f"component must be 'center' or 'range', got {component!r}")
     view = table if isinstance(table, CenterRangeView) else to_center_range(table)
-    return fit_component(view, component, spec, grid.values)
+    return fit_component([view], component, spec, grid.values)[0]

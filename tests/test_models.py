@@ -249,7 +249,7 @@ class TestShrinkageVariants:
         y = X[:, :2] @ [1.0, -2.0] + rng.normal(size=30)
         spec = MethodSpec("cm", "elastic_net", lambda_center=1.0, alpha=0.0)
         view = CenterRangeView(X, y, X, y)
-        fits = models.fit_component(view, "center", spec, np.geomspace(1e3, 1e-3, 100))
+        fits = models.fit_component([view], "center", spec, np.geomspace(1e3, 1e-3, 100))[0]
         assert len(view.standardized("center").factors) == 1
         assert all(f.converged and f.n_sweeps == 0 for f in fits)
         assert all(f.betas[2] == 0.0 for f in fits)

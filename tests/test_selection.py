@@ -436,14 +436,14 @@ def record_standardizations(monkeypatch):
 def record_grid_rows(monkeypatch):
     """Every row of the lasso / elastic-net grids ``models`` fits, as ``(standardized
     sums, lambda, alpha, CoefficientSet)``, for cv (folds and path) and paths alike,
-    each design of a stacked call on its own."""
+    each design of a stack on its own."""
     rows = []
     original = models.fit_elastic_net_path
 
-    def recording(std, lams, alpha, *args, **kwargs):
-        grids = original(std, lams, alpha, *args, **kwargs)
-        for one, grid in zip(std, grids) if isinstance(grids, list) else [(std, grids)]:
-            rows.extend((one, lam, alpha, grid[i]) for i, lam in enumerate(lams))
+    def recording(stds, lams, alpha, *args, **kwargs):
+        grids = original(stds, lams, alpha, *args, **kwargs)
+        for std, grid in zip(stds, grids):
+            rows.extend((std, lam, alpha, grid[i]) for i, lam in enumerate(lams))
         return grids
 
     monkeypatch.setattr(models, "fit_elastic_net_path", recording)
@@ -695,6 +695,51 @@ class TestFoldStacks:
             return result
         return (result.grid.values, result.mean_loss.tobytes(), result.std_error.tobytes(),
                 result.lambda_min, result.lambda_1se, result.nonzero, result.nonconverged)
+
+    @pytest.mark.parametrize("failing, first", [
+        ("every design", "fold 0"),
+        ("the whole table", "overflow"),
+        ("fold 0 below the fifth weight, fold 1 and the whole table", "fold 0"),
+    ])
+    def test_a_failing_fit_raises_what_fold_by_fold_fitting_raises_first(
+            self, monkeypatch, failing, first):
+        # near 1e155 every lasso row fails the update test, so every design's grid calls
+        # the one-weight fit, here made to raise naming its design.  The folds of a stack
+        # and the whole-table path fit together, yet the error is the first a fold-by-fold
+        # run meets: the folds in order, then the held-out losses, which overflow, then
+        # the whole-table path
+        rng = np.random.default_rng(3)
+        x = rng.uniform(-5.0, 5.0, 12)
+        y = 1e155 * (0.7 * x + rng.normal(size=12))
+        half = 1e155 * rng.uniform(0.1, 1.0, 12)
+        table = IntervalTable(("X", "Y"), np.column_stack([x - 0.5, y - half]),
+                              np.column_stack([x + 0.5, y + half]), response_name="Y")
+        view = to_center_range(table)
+        folds = np.array_split(np.random.default_rng(1).permutation(12), 3)
+        q0 = {f"fold {i}": view.take(np.setdiff1d(np.arange(12), fold)[None], ["center"])[0]
+              .standardized("center").q[0] for i, fold in enumerate(folds)}
+        q0["whole table"] = view.standardized("center").q[0]
+        grid = selection.lambda_grid(view.standardized("center"), 1.0, 20).values
+        fails = {
+            "every design": lambda q, lam: True,
+            "the whole table": lambda q, lam: q == q0["whole table"],
+            "fold 0 below the fifth weight, fold 1 and the whole table": lambda q, lam:
+                q in (q0["fold 1"], q0["whole table"]) or (q == q0["fold 0"] and lam < grid[4]),
+        }[failing]
+        original = solvers.fit_elastic_net
+
+        def raising(std, lam, *args, **kwargs):
+            if fails(std.q[0], lam):
+                name = next(name for name, q in q0.items() if q == std.q[0])
+                raise NonFiniteEncountered(f"the fit of {name}")
+            return original(std, lam, *args, **kwargs)
+
+        monkeypatch.setattr(solvers, "fit_elastic_net", raising)
+        message = ("held-out losses of response 'Y' overflow: its errors are too large to square"
+                   if first == "overflow" else f"the fit of {first}")
+        with pytest.raises(NonFiniteEncountered, match=f"^{re.escape(message)}$"):
+            cross_validate(table, MethodSpec.from_name("lasso-cm", 1.0), k=3, seed=1,
+                           n_points=20)
 
     @pytest.mark.parametrize("table_name", sorted(TABLES))
     @pytest.mark.parametrize(

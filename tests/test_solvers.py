@@ -1492,8 +1492,7 @@ class TestElasticNetPath:
             return factor(stds, active)
 
         monkeypatch.setattr(solvers, "_factored", recording)
-        (rows, _), = solvers._homotopy([std], [start], [top], [(0, len(ts))], ts, 100_000,
-                                       1e-7, [False])
+        (rows, _), = solvers._homotopy([std], [start], [top], [(0, len(ts))], ts, 100_000)
         monkeypatch.undo()
         assert factored[0] == (np.flatnonzero(start).tolist() if warm else factored[0][:1])
         assert all(len(set(a) ^ set(b)) == 1 for a, b in zip(factored, factored[1:]))
@@ -1668,27 +1667,6 @@ class TestElasticNetPath:
                                    1e-7 * math.sqrt(std.y_ss / std.n))
         stopped = [lam for lam, fit in zip(lams, fits) if not fit.converged]
         assert len(stopped) > 1 and all(fallbacks.count(lam) == 1 for lam in stopped)
-
-    def test_a_restarted_stretch_stops_at_its_first_failing_row(self, monkeypatch):
-        # the design above: after each coordinate-descent row the homotopy starts again,
-        # and most of its rows fail the test; a restarted stretch is tested segment by
-        # segment, so the homotopy forms no row past the first that fails, instead of
-        # the rest of the grid each time
-        rng = np.random.default_rng(33)
-        X = rng.normal(size=(10, 15)) + 2.0 * rng.normal(size=(10, 1))
-        y = 1e9 * (X[:, :3] @ rng.normal(size=3) + 0.5 * rng.normal(size=10))
-        lams = make_lambda_grid(X, y, 1.0, 40).values
-        restarted, homotopy = [], solvers._homotopy
-
-        def recording(stds, starts, tops, spans, ts, max_iter, tol, tested):
-            found = homotopy(stds, starts, tops, spans, ts, max_iter, tol, tested)
-            restarted.extend(len(rows) for (rows, _), again in zip(found, tested) if again)
-            return found
-
-        monkeypatch.setattr(solvers, "_homotopy", recording)
-        _, fallbacks = self.lasso_path(standardize(X, y), lams, max_iter=50)
-        assert len(restarted) > 10 and len(fallbacks) > 10
-        assert sum(restarted) <= len(lams) - len(fallbacks)
 
     def test_a_net_enter_then_exit_cycle_hands_on_two_steps_then_calls_the_one_weight_fit(
             self, monkeypatch):
