@@ -58,9 +58,9 @@ support and signs hold are one product too.  For the lasso that solve is
 linear in ``lambda``, and the homotopy finds the weights where the support
 changes instead of trying them.  The lasso grids of a stack of designs of
 one width (cross-validation's folds) follow their homotopies in lockstep:
-one stacked ``eigh`` per active-set size factors the stack's new sets at
-each step, and each design's rows are bit for bit those of the design
-alone, which is the stack of one.
+at each step one gather from the stacked Grams and one stacked ``eigh`` per
+active-set size factor the stack's new sets, and each design's rows are bit
+for bit those of the design alone, which is the stack of one.
 """
 
 from __future__ import annotations
@@ -397,32 +397,35 @@ def _factor(
     with ``w`` ascending (factored once per active set into ``std.factors``), its
     largest diagonal entry, and which eigenvalues of ``sub + ridge*I`` count
     as 0 (at most ``PIVOT_RTOL`` of ``top + ridge``), per row of a ``(k, 1)`` ``ridge``."""
-    found = std.factors.get(active.tobytes())
-    if found is None:
-        (found,), _, _ = _factored([std], [active])
-    sub, w, V, top = found
+    key = active.tobytes()
+    if key not in std.factors:
+        _factored([std], std.gram.T[None], [0], active[None])
+    w, V, top = std.factors[key]
+    # gram[active][:, active] in its memory order, which a product's bits follow
+    sub = std.gram.T.take(active, 0).take(active, 1).T
     return sub, w, V, top, w + ridge <= PIVOT_RTOL * (top + ridge)
 
 
-def _factored(stds: Sequence[Standardized], active: Sequence[np.ndarray]
-              ) -> tuple[list[tuple], np.ndarray | None, np.ndarray | None]:
-    """``(entries, w, V)``: the ``(sub, w, V, top)`` of :func:`_factor` of each design of a
-    stack on its set in ``active`` (all of one size), read from the design's ``factors``
-    cache or, for the sets no cache holds, from one stacked ``eigh``, each set bit for bit
-    as alone, then cached; and where that ``eigh`` made them all, its stacked ``w`` and
-    ``V`` (else None)."""
+def _factored(stds: Sequence[Standardized], grams_t: np.ndarray, ds: list[int],
+              active: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """``(w, V, top)`` of :func:`_factor` of each design ``stds[d]`` of a stack, ``d`` in
+    ``ds``, on its row of ``active`` (sets of one size), stacked.  ``grams_t`` holds the
+    stack's Grams, transposed.  A set is read from its design's ``factors`` cache; the sets
+    no cache holds are one gather from ``grams_t`` (each sub-Gram in the memory order of
+    ``gram[A][:, A]``) and one stacked ``eigh``, each set bit for bit as alone, then cached."""
     keys = [row.tobytes() for row in active]
-    found = [std.factors.get(key) for std, key in zip(stds, keys)]
-    new = [r for r, entry in enumerate(found) if entry is None]
-    if not new:
-        return found, None, None
-    # gram[active][:, active] in its memory order, which a product's bits follow
-    subs = [stds[r].gram.T.take(active[r], 0).take(active[r], 1).T for r in new]
-    w, V = np.linalg.eigh(np.stack(subs)) if len(subs) > 1 else np.linalg.eigh(subs[0][None])
-    for r, sub, wr, Vr in zip(new, subs, w, V):
-        top = float(sub.diagonal().max(initial=0.0))  # 0 when every column is constant
-        found[r] = stds[r].factors[keys[r]] = (sub, wr, Vr, top)
-    return (found, w, V) if len(new) == len(found) else (found, None, None)
+    found = [stds[d].factors.get(key) for d, key in zip(ds, keys)]
+    new = [i for i, entry in enumerate(found) if entry is None]
+    if new:
+        d, A = (ds, active) if len(new) == len(found) else ([ds[i] for i in new], active[new])
+        subs = grams_t[np.array(d)[:, None, None], A[:, :, None], A[:, None, :]].transpose(0, 2, 1)
+        w, V = np.linalg.eigh(subs)
+        top = np.maximum.reduce(subs.diagonal(0, 1, 2), axis=1, initial=0.0)  # 0: all constant
+        for i, entry in zip(new, zip(w, V, top.tolist())):
+            found[i] = stds[ds[i]].factors[keys[i]] = entry
+        if len(new) == len(found):
+            return w, V, top
+    return tuple(map(np.array, zip(*found)))
 
 
 def _minimum_norm(std: Standardized, ridges: np.ndarray) -> np.ndarray:
@@ -864,18 +867,19 @@ def _lasso_rows(stds: list[Standardized], lams: np.ndarray, tol: float, max_iter
     while live:
         spans = [(at[d], breaks[bisect.bisect_right(breaks, at[d])]
                   if 0.0 < ts[at[d]] <= tops[d] else at[d]) for d in live]
-        stretches = _homotopy([stds[d] for d in live], [starts[d] for d in live],
-                              [tops[d] for d in live], spans, ts, max_iter)
+        rows, steps, ends = _homotopy([stds[d] for d in live], [starts[d] for d in live],
+                                      [tops[d] for d in live], spans, ts, max_iter)
         still = []
-        for d, (rows, steps) in zip(live, stretches):
-            std, (slopes, converged, n_sweeps), i = stds[d], found[d], at[d]
+        for r, (d, (i, _), end) in enumerate(zip(live, spans, ends)):
+            std, (slopes, converged, n_sweeps) = stds[d], found[d]
             # one product for the stretch's rows: a row's bits, and so where a verdict
             # decided by rounding falls, depend on how the rows are grouped
-            update = _exact_updates(std.q - rows @ std.gram, rows, std.gram_diag,
-                                    std.gram_diag, ts[i:i + len(rows), None])
-            m = _leading((np.abs(update - rows) <= tol).all(axis=1))
-            slopes[i:i + m], n_sweeps[i:i + m] = rows[:m] / std.scales, steps[:m]
-            i += m
+            stretch = rows[r, i:end]
+            update = _exact_updates(std.q - stretch @ std.gram, stretch, std.gram_diag,
+                                    std.gram_diag, ts[i:end, None])
+            n = _leading((np.abs(update - stretch) <= tol).all(axis=1))
+            slopes[i:i + n], n_sweeps[i:i + n] = stretch[:n] / std.scales, steps[r, i:i + n]
+            i += n
             if i == k:
                 continue
             if ts[i] == 0.0:  # the rows of weight 0 that follow, whatever the start
@@ -895,13 +899,14 @@ def _lasso_rows(stds: list[Standardized], lams: np.ndarray, tol: float, max_iter
 
 def _homotopy(stds: list[Standardized], starts: list[np.ndarray], tops: list[float],
               spans: list[tuple[int, int]], ts: np.ndarray, max_iter: int
-              ) -> list[tuple[np.ndarray, np.ndarray]]:
-    """``(rows, steps)`` of each design of a stack of one width: the standardized lasso
-    solutions at the thresholds ``ts[first:end]`` of its span (``ts = lam/2``, positive,
-    descending from its ``top``) on the homotopy from the support and signs of its
-    ``start``, where that is the fit at ``top`` (zeros and ``top = inf`` for a cold
-    start), and per row its entering events since the row before (Osborne, Presnell &
-    Turlach, IMA J. Numer. Anal. 2000; LARS with drops, Efron et al., Ann. Statist. 2004).
+              ) -> tuple[np.ndarray, np.ndarray, list[int]]:
+    """``(rows, steps, at)`` of a stack of designs of one width: for design ``d`` and ``r``
+    in its span ``[first, at[d])``, ``rows[d, r]`` is the standardized lasso solution at
+    the threshold ``ts[r]`` (``ts = lam/2``, positive, descending within the span from its
+    ``top``) on the homotopy from the support and signs of its ``start``, where that is
+    the fit at ``top`` (zeros and ``top = inf`` for a cold start), and ``steps[d, r]`` the
+    row's entering events since the row before (Osborne, Presnell & Turlach, IMA J.
+    Numer. Anal. 2000; LARS with drops, Efron et al., Ann. Statist. 2004).
 
     On an active set ``A`` with signs ``s`` the solution is ``b_A(t) = b0 - t*u``
     with ``G_AA b0 = q_A`` and ``G_AA u = s``, one :func:`_shifted_solve` of both (its
@@ -916,116 +921,115 @@ def _homotopy(stds: list[Standardized], starts: list[np.ndarray], tops: list[flo
     than ``max_iter`` entering events; the rows are solutions only if ``start`` was,
     so callers test them.
 
-    The designs run in lockstep.  Each iteration groups them by active-set size.  A
-    group's new sets are factored by one stacked ``eigh`` (:func:`_factored`), and its
-    solves and breakpoint times are stacked products, each one matrix-vector product per
-    design in a lone design's memory order, so every design's rows are bit for bit those
-    of its stack of one.  A group of one forms the same products on the design's own
-    arrays: through the stacked gathers, the homotopy of a lone cv fold design took 1.27x
-    as long, and ``intervalreg path`` 1.06x.  The masking of the times and their argmax
-    run once for the stack, and each design then takes its own event and fills its
-    segment's rows.
+    The designs run in lockstep.  Each iteration groups them by active-set size; a
+    group's new sets are factored by one gather and one stacked ``eigh``
+    (:func:`_factored`), and its solves and breakpoint times are stacked products, each
+    one matrix-vector product per design in a lone design's memory order, so every
+    design's rows are bit for bit those of its stack of one.  A group of one forms the
+    same products on the design's own arrays: the stacked form took 1.24x as long for a
+    lone cv fold design.  The times' masking, argmax and event times run once for the
+    stack; each design then bisects its span for the rows its event leaves behind, a
+    segment's ``b0`` and ``u`` are copied to them, and ``b0 - t*u`` is formed at the end.
     """
-    m, p = len(stds), len(stds[0].q)
-    # q over the signs (0 off the active set): a segment's right-hand sides are one take
+    m, p, k = len(stds), len(stds[0].q), len(ts)
+    design = np.arange(m)
+    grams_t = (np.stack([std.gram for std in stds]) if m > 1 else stds[0].gram[None]
+               ).transpose(0, 2, 1)
+    # q over the signs (0 off the active set): a group's right-hand sides are one gather
     sums = np.array([(std.q, np.sign(start)) for std, start in zip(stds, starts)])
     signs = sums[:, 1]
-    grams_t = np.stack([std.gram for std in stds]).transpose(0, 2, 1) if m > 1 else None
-    cold = sums[:, :1] / ENTER_SIGNS  # the empty set's times: where c_j(t) = q_j reaches +t, -t
-    times = np.empty((m, 2, p))  # row d: design d's event times on its segment
-    flat = times.reshape(m, 2 * p)
+    # row d: design d's event times on its segment, then a time no event reads, which
+    # stands for the event just taken of a design that took none
+    padded = np.zeros((m, 2 * p + 1))
+    flat = padded[:, :-1]
+    times = flat.reshape(m, 2, p)
     limit = np.array(tops, dtype=float)[:, None]  # row d: the top of design d's segment
     frozen = np.array([std.gram_diag == 0.0 for std in stds])
-    frozen = np.concatenate((frozen, frozen), axis=1) if frozen.any() else None
-    offsets = np.arange(0, 2 * p * m, 2 * p)[:, None]  # the first time of each row of a group
-    below = (-ts).tolist()  # ascending: the rows at or above a time t are a bisection
+    frozen = np.hstack((frozen, frozen)) if frozen.any() else None
+    solved = np.zeros((m, 2, p))  # row d: b0 and u of design d's segment, 0 off its active set
+    segments = np.zeros((m, k, 2, p))  # per row of a design, the solved of its segment
+    steps = np.zeros((m, k), dtype=int)
+    below = (-ts).tolist()  # ascending within a span: the rows at or above a time bisect it
     at = [first for first, _ in spans]
-    rows = [np.zeros((end - first, p)) for first, end in spans]
-    steps = [np.zeros(end - first, dtype=int) for first, end in spans]
+    sizes = (signs != 0.0).sum(axis=1).tolist()
     entered = [0] * m
-    repeat = [None] * m  # the time of the event just taken, recomputed on the new segment
+    repeat = np.full(m, 2 * p)  # the event just taken, recomputed on the new segment
     live = [d for d, (first, end) in enumerate(spans) if first < end]
     with np.errstate(divide="ignore", invalid="ignore"):
         while live:
             groups = {}
             for d in live:
-                active = signs[d].nonzero()[0]
-                groups.setdefault(len(active), []).append((d, active))
-            solved = {}  # per design: (active, b0, u), or () for the empty set
-            for a, group in groups.items():
+                groups.setdefault(sizes[d], []).append(d)
+            for a, ds in groups.items():
                 if not a:
-                    for d, _ in group:
-                        times[d], solved[d] = cold[d], ()
+                    times[ds] = sums[ds, :1] / ENTER_SIGNS  # where c_j(t) = q_j reaches +t, -t
                     continue
-                ds, active = zip(*group)
-                found, w, V = _factored([stds[d] for d in ds], active)
-                # a singular set ends its design's rows; eigh's eigenvalues ascend, so the
-                # smallest is null if any is
-                ok = [not entry[1][0] <= PIVOT_RTOL * entry[3] for entry in found]
-                if not all(ok):
-                    kept = [(pair, entry) for pair, entry, keep in zip(group, found, ok) if keep]
-                    ds, active = zip(*(pair for pair, _ in kept)) if kept else ((), ())
-                    found, w = [entry for _, entry in kept], None
                 # _shifted_solve's products (nothing is null, and w + 0.0 is w); then G_:A b0
-                # and G_:A u, with gram[:, A] in its memory order, and where c_j(t) = c0_j +
-                # t*d_j reaches +t, -t and where an active b_j reaches 0
+                # and G_:A u, with each gram[:, A] in its memory order, and where c_j(t) =
+                # c0_j + t*d_j reaches +t, -t and where an active b_j reaches 0.  A singular
+                # set ends its design's rows.
                 if len(ds) == 1:
-                    (d,), (active,), ((_, w, V, _),) = ds, active, found
-                    b0, u = _matvec(V, _matvec(V.T, sums[d].take(active, 1)) / w)
-                    cols = stds[d].gram.T.take(active, 0).T
-                    times[d] = (sums[d, 0] - cols @ b0) / (ENTER_SIGNS - cols @ u)
-                    times[d, 0].put(active, b0 / u)
+                    d, = ds
+                    active = signs[d].nonzero()[0]
+                    found = stds[d].factors.get(active.tobytes())
+                    # a set no cache holds: the one row of a stacked factorization
+                    w, V, top = found or next(zip(*_factored(stds, grams_t, ds, active[None])))
+                    if w[0] <= PIVOT_RTOL * top:  # eigh's eigenvalues ascend: the least is null
+                        live.remove(d)
+                        continue
+                    b0u = _matvec(V, _matvec(V.T, sums[d].take(active, 1)) / w)
+                    solved[d][:, active] = b0u
+                    cols = grams_t[d].take(active, 0).T
+                    times[d] = (sums[d, 0] - cols @ b0u[0]) / (ENTER_SIGNS - cols @ b0u[1])
+                    times[d, 0].put(active, b0u[0] / b0u[1])
                     times[d, 1].put(active, 0.0)
-                    solved[d] = (active, b0, u)
-                elif ds:
-                    if w is None:
-                        w, V = (np.stack([entry[i] for entry in found]) for i in (1, 2))
-                    idx, active = np.array(ds), np.array(active)
-                    rhs = sums[idx[:, None, None], PAIR, active[:, None, :]]
-                    b0u = _matvec(V[:, None],
-                                  _matvec(V.transpose(0, 2, 1)[:, None], rhs) / w[:, None])
-                    c = _matvec(grams_t[idx[:, None], active].transpose(0, 2, 1)[:, None], b0u)
-                    group_times = (sums[idx, :1] - c[:, :1]) / (ENTER_SIGNS - c[:, 1:])
-                    on = offsets[:len(ds)] + active
-                    group_times.put(on, b0u[:, 0] / b0u[:, 1])
-                    group_times.put(on + p, 0.0)
-                    times[idx] = group_times
-                    solved.update(zip(ds, zip(active, b0u[:, 0], b0u[:, 1])))
-            for d in live:
-                if repeat[d] is not None:
-                    flat[d, repeat[d]] = 0.0
+                    continue
+                active = signs[ds].nonzero()[1].reshape(len(ds), a)
+                w, V, top = _factored(stds, grams_t, ds, active)
+                idx, keep = np.array(ds), ~(w[:, 0] <= PIVOT_RTOL * top)
+                if not keep.all():
+                    gone, idx, active = set(idx[~keep].tolist()), idx[keep], active[keep]
+                    live, w, V = [d for d in live if d not in gone], w[keep], V[keep]
+                pairs = idx[:, None, None], PAIR, active[:, None, :]
+                b0u = _matvec(V[:, None], _matvec(V.transpose(0, 2, 1)[:, None], sums[pairs])
+                              / w[:, None])
+                solved[pairs] = b0u
+                c = _matvec(grams_t[idx[:, None], active].transpose(0, 2, 1)[:, None], b0u)
+                times[idx] = (sums[idx, :1] - c[:, :1]) / (ENTER_SIGNS - c[:, 1:])
+                times[idx[:, None], 0, active] = b0u[:, 0] / b0u[:, 1]
+                times[idx[:, None], 1, active] = 0.0
+            padded[design, repeat] = 0.0
             if frozen is not None:
                 flat[frozen] = 0.0
-            flat[~((flat > 0.0) & (flat < limit))] = 0.0
-            events = flat.argmax(axis=1).tolist()
+            # a time at or below 0 is never taken: where none is positive, the largest is at
+            # most 0, and the segment runs to the end of the span
+            flat[~(flat < limit)] = 0.0
+            events = flat.argmax(axis=1)
+            times_at = flat[design, events].tolist()
+            events = events.tolist()
             still = []
             for d in live:
-                if d not in solved:
-                    continue
-                event, i, (first, end) = events[d], at[d], spans[d]
-                top = flat.item(d, event)
+                event, i, (first, end), top = events[d], at[d], spans[d], times_at[d]
                 n = bisect.bisect_right(below, -top, i, end) - i
                 if n:
-                    if solved[d]:
-                        active, b0, u = solved[d]
-                        rows[d][i - first:i - first + n, active] = b0 - ts[i:i + n, None] * u
-                    steps[d][i - first], entered[d] = entered[d], 0
+                    segments[d, i:i + n] = solved[d]
+                    steps[d, i], entered[d] = entered[d], 0
                     at[d] = i = i + n
                     if i == end:
                         continue
                 kind, j = divmod(event, p)
                 if signs[d, j]:  # j leaves; it re-enters with its sign only past the next event
-                    repeat[d], signs[d, j] = j + p * (signs[d, j] < 0.0), 0.0
+                    repeat[d], signs[d, j], solved[d, :, j] = j + p * (signs[d, j] < 0.0), 0.0, 0.0
                 else:  # j enters; it leaves only past the next event
                     entered[d] += 1
                     if entered[d] > max_iter:
                         continue
                     repeat[d], signs[d, j] = j, ENTER_SIGNS[kind, 0]
+                sizes[d] += 1 if signs[d, j] else -1
                 limit[d, 0] = top
                 still.append(d)
             live = still
-    return [(rows[d][:at[d] - first], steps[d][:at[d] - first])
-            for d, (first, _) in enumerate(spans)]
+    return segments[:, :, 0] - ts[:, None] * segments[:, :, 1], steps, at
 
 
 def _sign_fixed_rows(std: Standardized, lams: np.ndarray, alpha: float, tol: float,

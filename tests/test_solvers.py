@@ -223,14 +223,19 @@ def l1_designs(draw):
 def lasso_stacks(draw):
     """``(designs, lams, warms, max_iter)``: a stack of 1 to 12 lasso designs of one width,
     each a function that builds it afresh (an empty factor cache), the grid they share
-    (perhaps ending at 0), one warm start per design (None, random slopes or a fit at a
-    larger weight) and a step limit of 1 to 3 or the default.  The designs are seeded and
-    may hold a constant column, a copy of a column or be an ``exclude`` copy; or they are
-    the ``tests/data/lasso_stall.json`` fold, whose columns are near duplicates, with a
-    copy of one of its columns."""
+    (perhaps ending at 0, and perhaps rising at one or two weights in a row, so that it
+    descends only within each stretch, and a design fitted by coordinate descent at the
+    first of two rises has an empty span at the second, as a warm-started design has at
+    the first weight), one warm start per design (None, random slopes or a fit at a larger
+    weight) and a step limit of 1 to 3 or the default (100 near 1e9).  The designs are
+    seeded, have 2 to 20 columns, may hold a constant column, a copy of a column or be an
+    ``exclude`` copy, and may all have their responses scaled by about 1e9, where rows
+    fail the exact-update test by rounding and the designs start again at different rows;
+    or they are the ``tests/data/lasso_stall.json`` fold, whose columns are near
+    duplicates, with a copy of one of its columns."""
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     m = draw(st.integers(1, 12))
-    designs = []
+    designs, scale = [], 1.0
     if draw(st.booleans()):
         data = json.loads((DATA_DIR / "lasso_stall.json").read_text())
         gram, q = np.array(data["gram"]), np.array(data["q"])
@@ -239,7 +244,7 @@ def lasso_stacks(draw):
             designs.append(lambda copied=copied: sums_as_standardized(
                 gram[np.ix_(copied, copied)], q[copied], data["y_ss"]))
     else:
-        p = draw(st.integers(2, 12))
+        p, scale = draw(st.integers(2, 20)), draw(st.sampled_from([1.0, 1e9]))
         for _ in range(m):
             n = int(rng.integers(3, 16))
             X = rng.normal(size=(n, p)) * rng.uniform(0.1, 10.0, size=p)
@@ -248,6 +253,7 @@ def lasso_stacks(draw):
             if rng.random() < 0.3:
                 X[:, rng.integers(p)] = X[:, rng.integers(p)]
             y = X[:, : min(p, 3)] @ rng.uniform(-2.0, 2.0, size=min(p, 3)) + rng.normal(size=n)
+            y *= scale * rng.uniform(0.5, 2.0)
             mask = rng.random(p) < 0.7 if rng.random() < 0.3 else None
             designs.append(lambda X=X, y=y, mask=mask: standardize(X, y) if mask is None
                            else exclude(standardize(X, y), mask))
@@ -255,6 +261,9 @@ def lasso_stacks(draw):
     assume(lam_max > 0.0)
     lams = [*np.geomspace(lam_max, lam_max * 10.0 ** -rng.uniform(1.0, 4.0),
                           draw(st.integers(2, 30)))]
+    rise = draw(st.integers(1, len(lams) - 1))
+    for r in range(rise, min(rise + draw(st.integers(0, 2)), len(lams))):
+        lams[r] = lams[r - 1] * rng.uniform(1.1, 4.0)  # a weight above the one before it
     if draw(st.booleans()):
         lams.append(0.0)
     warms = []
@@ -264,7 +273,9 @@ def lasso_stacks(draw):
         warms.append(None if start == "cold" else CoefficientSet(0.0, rng.normal(size=p))
                      if start == "random" else
                      fit_elastic_net(make(), lam_max * rng.uniform(0.05, 2.0), 1.0))
-    return designs, lams, warms, draw(st.sampled_from([1, 2, 3, solvers.DEFAULT_MAX_ITER]))
+    # near 1e9, coordinate descent can cycle at a weight until its step limit
+    limits = [1, 2, 3, 100 if scale > 1.0 else solvers.DEFAULT_MAX_ITER]
+    return designs, lams, warms, draw(st.sampled_from(limits))
 
 
 #: ``(X, y, alpha)`` of two nearly collinear 3 x 2 lasso designs on which the exact gap of
@@ -1446,10 +1457,10 @@ class TestElasticNetPath:
             finally:
                 monkeypatch.setattr(solvers, "_factored", factored)
 
-        def recording_factored(stds, active):
-            found = factored(stds, active)
-            singular.extend(bool(w[0] <= PIVOT_RTOL * top) for _, w, _, top in found[0])
-            return found
+        def recording_factored(*args):
+            w, V, top = factored(*args)
+            singular.extend((w[:, 0] <= PIVOT_RTOL * top).tolist())
+            return w, V, top
 
         monkeypatch.setattr(solvers, "_homotopy", recording_homotopy)
         met = 0
@@ -1471,9 +1482,9 @@ class TestElasticNetPath:
 
     @pytest.mark.parametrize("n", [10, 9])
     @pytest.mark.parametrize("warm", [False, True])
-    def test_homotopy_rows_are_their_segments_solve_bit_for_bit(self, monkeypatch, n, warm):
-        # a seeded n x 15 design, cold and from a one-weight fit: every segment factors
-        # its nonempty active set once, so consecutive factored sets differ by the one
+    def test_homotopy_rows_are_their_segments_solve_bit_for_bit(self, n, warm):
+        # a seeded n x 15 design, cold and from a one-weight fit: every segment reads the
+        # factors of its nonempty active set once, so consecutive sets differ by the one
         # column that entered or left; and a row nonzero on all of its segment's set A
         # is b0 - t*u, bit for bit, with b0 and u the _shifted_solve of (q_A, s_A) on
         # the set's _factor
@@ -1485,15 +1496,19 @@ class TestElasticNetPath:
         start, top = np.zeros(15), np.inf
         if warm:  # as _lasso_rows hands on a coordinate-descent row
             start, top, ts = fit_elastic_net(std, 2.0 * ts[20], 1.0).betas, ts[20], ts[21:]
-        factored, factor = [], solvers._factored
+        factored = []
 
-        def recording(stds, active):
-            factored.extend(a.tolist() for a in active)
-            return factor(stds, active)
+        class Recording(dict):
+            def get(self, key, default=None):  # a set not yet factored is read twice in a row
+                read = np.frombuffer(key, dtype=np.intp).tolist()
+                if not factored or factored[-1] != read:
+                    factored.append(read)
+                return super().get(key, default)
 
-        monkeypatch.setattr(solvers, "_factored", recording)
-        (rows, _), = solvers._homotopy([std], [start], [top], [(0, len(ts))], ts, 100_000)
-        monkeypatch.undo()
+        std = std._replace(factors=Recording())
+        (rows,), _, (end,) = solvers._homotopy([std], [start], [top], [(0, len(ts))], ts,
+                                               100_000)
+        rows, std = rows[:end], std._replace(factors=dict(std.factors))
         assert factored[0] == (np.flatnonzero(start).tolist() if warm else factored[0][:1])
         assert all(len(set(a) ^ set(b)) == 1 for a, b in zip(factored, factored[1:]))
         assert len(rows) == len(ts) and any(len(b) < len(a) for a, b in zip(factored, factored[1:]))
