@@ -393,17 +393,15 @@ def _intercepts(std: Standardized, slopes: np.ndarray) -> np.ndarray:
 def _factor(
     std: Standardized, active: np.ndarray, ridge: float | np.ndarray
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray, float, np.ndarray]:
-    """``(sub, w, V, top, null)``: the sub-Gram of ``active``, ``sub = V diag(w) V'``
-    with ``w`` ascending (factored once per active set into ``std.factors``), its
-    largest diagonal entry, and which eigenvalues of ``sub + ridge*I`` count
-    as 0 (at most ``PIVOT_RTOL`` of ``top + ridge``), per row of a ``(k, 1)`` ``ridge``."""
+    """``(w, V, top, null)``: the sub-Gram of ``active`` is ``V diag(w) V'`` with ``w``
+    ascending (factored once per active set into ``std.factors``), ``top`` is its largest
+    diagonal entry, and ``null`` marks which eigenvalues of the sub-Gram plus ``ridge*I``
+    count as 0 (at most ``PIVOT_RTOL`` of ``top + ridge``), per row of a ``(k, 1)`` ``ridge``."""
     key = active.tobytes()
     if key not in std.factors:
         _factored([std], std.gram.T[None], [0], active[None])
     w, V, top = std.factors[key]
-    # gram[active][:, active] in its memory order, which a product's bits follow
-    sub = std.gram.T.take(active, 0).take(active, 1).T
-    return sub, w, V, top, w + ridge <= PIVOT_RTOL * (top + ridge)
+    return w, V, top, w + ridge <= PIVOT_RTOL * (top + ridge)
 
 
 def _factored(stds: Sequence[Standardized], grams_t: np.ndarray, ds: list[int],
@@ -433,7 +431,7 @@ def _minimum_norm(std: Standardized, ridges: np.ndarray) -> np.ndarray:
     ``ridges``: ``V diag(1/(w + ridge)) V'q`` over the non-constant columns, 0 in the
     others and along directions :func:`_factor` counts as 0.  Rows do not depend on k."""
     active = np.flatnonzero(std.gram_diag)
-    _, w, V, _, null = _factor(std, active, ridges[:, None])
+    w, V, _, null = _factor(std, active, ridges[:, None])
     beta = np.zeros((len(ridges), len(std.q)))
     beta[:, active] = _shifted_solve(V, w, null, std.q[active], ridges[:, None])
     return beta
@@ -458,15 +456,18 @@ def _shifted_solve(V: np.ndarray, w: np.ndarray, null: np.ndarray, rhs: np.ndarr
     return _matvec(V, _matvec(V.T, rhs) / np.where(null, np.inf, w + ridge))
 
 
-def _step_change(sub: np.ndarray, grad: np.ndarray, b: np.ndarray, values: np.ndarray,
-                 thresh: float | np.ndarray, ridge: float | np.ndarray) -> np.ndarray:
-    """The objective's change when an active set with sub-Gram ``sub`` moves from ``b``
-    (gradient ``grad`` there) to ``values`` that keep its signs or are 0, per row.
+def _step_change(std: Standardized, active: np.ndarray, grad: np.ndarray, b: np.ndarray,
+                 values: np.ndarray, thresh: float | np.ndarray,
+                 ridge: float | np.ndarray) -> np.ndarray:
+    """The objective's change when the coefficients of ``std`` on ``active`` move from
+    ``b`` (gradient ``grad`` there) to ``values`` that keep their signs or are 0, per row.
 
     The L1 term changes by ``signs'step``; the change is formed from the step
     itself, since the rounding of two whole objective values can exceed a short
     step's decrease.  Terms that overflow give an infinite or NaN change, and a NaN
     change counts as no rise (a response near 1e155 squares past the largest double)."""
+    # gram[active][:, active] in its memory order, which a product's bits follow
+    sub = std.gram.T.take(active, 0).take(active, 1).T
     with np.errstate(over="ignore", invalid="ignore"):
         step = values - b
         return (_dot(step, _matvec(sub, step)) - 2.0 * _dot(step, grad)
@@ -575,8 +576,7 @@ def coordinate_descent(
     beta = np.zeros(len(q)) if beta0 is None else np.asarray(beta0, dtype=float).copy()
     grad = q - gram @ beta  # grad[j] = sum_i x_ij r_i at the current beta
 
-    def commit(active: np.ndarray, sub: np.ndarray, values: np.ndarray,
-               curvature: float = 0.0) -> bool:
+    def commit(active: np.ndarray, values: np.ndarray, curvature: float = 0.0) -> bool:
         """Set ``beta[active] = values`` unless that raises the objective
         (:func:`_step_change`; ``values`` keep the signs of ``beta[active]`` or
         are 0).  A step in a null space, along which the singularity rule
@@ -586,7 +586,7 @@ def coordinate_descent(
         """
         nonlocal grad
         b = beta[active]
-        change = float(_step_change(sub, grad[active], b, values, thresh, ridge))
+        change = float(_step_change(std, active, grad[active], b, values, thresh, ridge))
         if change > 0.0:
             step = values - b
             bound = curvature * float(step @ step)
@@ -606,20 +606,20 @@ def coordinate_descent(
         the solve is retried on the smaller set.
         """
         while len(active):
-            sub, w, V, top, null = _factor(std, active, ridge)
+            w, V, top, null = _factor(std, active, ridge)
             b = beta[active]
             signs = np.sign(b)
             if not null.any():
                 solution = _shifted_solve(V, w, null, q[active] - thresh * signs, ridge)
                 if not np.any(solution * signs < 0.0):
-                    commit(active, sub, solution)
+                    commit(active, solution)
                     return
                 moved, curvature = _first_zero(b, solution - b), 0.0
             else:
                 v = V[:, 0]  # the objective's slope along v, halved
                 moved = _first_zero(b, -v if thresh * (signs @ v) + ridge * (b @ v) > 0.0 else v)
                 curvature = PIVOT_RTOL * (top + ridge)
-            if moved is None or not commit(active, sub, moved, curvature):
+            if moved is None or not commit(active, moved, curvature):
                 return
             active = np.flatnonzero(beta)
 
@@ -1069,7 +1069,7 @@ def _sign_fixed_rows(std: Standardized, lams: np.ndarray, alpha: float, tol: flo
     n = len(lams)
     if len(active):
         signs = np.sign(start[active])
-        sub, w, V, _, null = _factor(std, active, ridge[:, None])
+        w, V, _, null = _factor(std, active, ridge[:, None])
         solution = _shifted_solve(V, w, null, std.q[active] - thresh[:, None] * signs,
                                   ridge[:, None])
         keep &= ~null.any(axis=1)
@@ -1080,8 +1080,8 @@ def _sign_fixed_rows(std: Standardized, lams: np.ndarray, alpha: float, tol: flo
         starts[1:] = betas[:len(starts) - 1] / std.scales * std.scales
         b = starts[:, active]
         keep[:len(starts)] &= (b * signs > 0.0).all(axis=1)
-        change = _step_change(sub, (std.q - _matvec(std.gram, starts[:n]))[:, active], b[:n],
-                              betas[:n, active], thresh[:n], ridge[:n])
+        change = _step_change(std, active, (std.q - _matvec(std.gram, starts[:n]))[:, active],
+                              b[:n], betas[:n, active], thresh[:n], ridge[:n])
         keep[:n] &= ~(change > 0.0)
     betas = betas[:n]
     update = _exact_updates(std.q - _matvec(std.gram, betas), betas, std.gram_diag,
@@ -1092,7 +1092,7 @@ def _sign_fixed_rows(std: Standardized, lams: np.ndarray, alpha: float, tol: flo
             and (solution[n] * signs < 0.0).any()):  # coordinate descent's first solve step
         moved = _first_zero(b[n], solution[n] - b[n])
         grad = std.q - std.gram @ starts[n]
-        if _step_change(sub, grad[active], b[n], moved, thresh[n], ridge[n]) <= 0.0:
+        if _step_change(std, active, grad[active], b[n], moved, thresh[n], ridge[n]) <= 0.0:
             starts[n, active] = moved
             return betas, starts[n]
     if m == n or not (keep[m] and np.isfinite(move[m]).all()):

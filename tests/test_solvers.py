@@ -1516,7 +1516,7 @@ class TestElasticNetPath:
             A = np.flatnonzero(row)
             if len(A):
                 assert A.tolist() in factored
-                _, w, V, _, null = solvers._factor(std, A, 0.0)
+                w, V, _, null = solvers._factor(std, A, 0.0)
                 b0, u = solvers._shifted_solve(V, w, null, np.array((std.q[A], np.sign(row[A]))),
                                                0.0)
                 assert row[A].tobytes() == (b0 - t * u).tobytes()
