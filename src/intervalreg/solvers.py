@@ -392,7 +392,7 @@ def _intercepts(std: Standardized, slopes: np.ndarray) -> np.ndarray:
 
 def _factor(
     std: Standardized, active: np.ndarray, ridge: float | np.ndarray
-) -> tuple[np.ndarray, np.ndarray, np.ndarray, float, np.ndarray]:
+) -> tuple[np.ndarray, np.ndarray, float, np.ndarray]:
     """``(w, V, top, null)``: the sub-Gram of ``active`` is ``V diag(w) V'`` with ``w``
     ascending (factored once per active set into ``std.factors``), ``top`` is its largest
     diagonal entry, and ``null`` marks which eigenvalues of the sub-Gram plus ``ridge*I``
@@ -863,7 +863,7 @@ def _lasso_rows(stds: list[Standardized], lams: np.ndarray, tol: float, max_iter
     at = [0] * len(stds)
     starts = [np.zeros(p)] * len(stds)
     tops = [np.inf if warm is None else -np.inf for warm in warm_starts]
-    live = list(range(len(stds)))
+    live = list(range(len(stds))) if k else []
     while live:
         spans = [(at[d], breaks[bisect.bisect_right(breaks, at[d])]
                   if 0.0 < ts[at[d]] <= tops[d] else at[d]) for d in live]
@@ -951,9 +951,9 @@ def _homotopy(stds: list[Standardized], starts: list[np.ndarray], tops: list[flo
     steps = np.zeros((m, k), dtype=int)
     below = (-ts).tolist()  # ascending within a span: the rows at or above a time bisect it
     at = [first for first, _ in spans]
-    sizes = (signs != 0.0).sum(axis=1).tolist()
+    sizes = [np.count_nonzero(start) for start in starts]
     entered = [0] * m
-    repeat = np.full(m, 2 * p)  # the event just taken, recomputed on the new segment
+    repeat = np.array([2 * p] * m)  # the event just taken, recomputed on the new segment
     live = [d for d, (first, end) in enumerate(spans) if first < end]
     with np.errstate(divide="ignore", invalid="ignore"):
         while live:

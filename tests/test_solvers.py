@@ -1817,6 +1817,13 @@ class TestElasticNetPath:
         with pytest.raises(ValueError, match="^2 designs but 1 warm starts$"):
             fit_elastic_net_path(stack[:1] * 2, (1.0,), 1.0, warm_start=[None])
 
+    def test_an_empty_grid_is_an_empty_grid_at_every_alpha(self):
+        std = standardize(np.random.default_rng(3).normal(size=(6, 2)), np.arange(6.0))
+        for alpha in (0.5, 1.0):
+            for grids in ([fit_elastic_net_path(std, [], alpha)],
+                          fit_elastic_net_path([std, std], [], alpha)):
+                assert [g.slopes.shape for g in grids] == [(0, 2)] * len(grids)
+
     def test_a_non_finite_row_raises_like_the_one_weight_fits(self):
         # a response near the largest float overflows Xs'yc, so every batched row is
         # non-finite: from zeros and on a warm start's active set
