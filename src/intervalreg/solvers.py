@@ -1009,7 +1009,7 @@ def _homotopy(stds: list[Standardized], starts: list[np.ndarray], tops: list[flo
             events = events.tolist()
             still = []
             for d in live:
-                event, i, (first, end), top = events[d], at[d], spans[d], times_at[d]
+                event, i, (_, end), top = events[d], at[d], spans[d], times_at[d]
                 n = bisect.bisect_right(below, -top, i, end) - i
                 if n:
                     segments[d, i:i + n] = solved[d]
