@@ -59,8 +59,8 @@ linear in ``lambda``, and the homotopy finds the weights where the support
 changes instead of trying them.  The lasso grids of a stack of designs of
 one width (cross-validation's folds) follow their homotopies in lockstep:
 at each step one gather from the stacked Grams and one stacked ``eigh`` per
-active-set size factor the stack's new sets, and each design's rows are bit
-for bit those of the design alone, which is the stack of one.
+shared active-set size factor the stack's new sets, and each design's rows
+are bit for bit those of the design alone, which is the stack of one.
 """
 
 from __future__ import annotations
@@ -390,6 +390,11 @@ def _intercepts(std: Standardized, slopes: np.ndarray) -> np.ndarray:
     return std.y_mean - (slopes[:, None, :] @ std.means)[:, 0]
 
 
+def _sub_gram(std: Standardized, active: np.ndarray) -> np.ndarray:
+    """``gram[active][:, active]`` in the memory order a product's bits follow, one gather."""
+    return std.gram.T[active[:, None], active].T
+
+
 def _factor(
     std: Standardized, active: np.ndarray, ridge: float | np.ndarray
 ) -> tuple[np.ndarray, np.ndarray, float, np.ndarray]:
@@ -399,7 +404,8 @@ def _factor(
     count as 0 (at most ``PIVOT_RTOL`` of ``top + ridge``), per row of a ``(k, 1)`` ``ridge``."""
     key = active.tobytes()
     if key not in std.factors:
-        _factored([std], std.gram.T[None], [0], active[None])
+        sub = _sub_gram(std, active)
+        std.factors[key] = *np.linalg.eigh(sub), float(sub.diagonal().max(initial=0.0))
     w, V, top = std.factors[key]
     return w, V, top, w + ridge <= PIVOT_RTOL * (top + ridge)
 
@@ -409,8 +415,8 @@ def _factored(stds: Sequence[Standardized], grams_t: np.ndarray, ds: list[int],
     """``(w, V, top)`` of :func:`_factor` of each design ``stds[d]`` of a stack, ``d`` in
     ``ds``, on its row of ``active`` (sets of one size), stacked.  ``grams_t`` holds the
     stack's Grams, transposed.  A set is read from its design's ``factors`` cache; the sets
-    no cache holds are one gather from ``grams_t`` (each sub-Gram in the memory order of
-    ``gram[A][:, A]``) and one stacked ``eigh``, each set bit for bit as alone, then cached."""
+    no cache holds are one gather from ``grams_t`` (each in :func:`_sub_gram`'s memory
+    order) and one stacked ``eigh``, each bit for bit as :func:`_factor`'s, then cached."""
     keys = [row.tobytes() for row in active]
     found = [stds[d].factors.get(key) for d, key in zip(ds, keys)]
     new = [i for i, entry in enumerate(found) if entry is None]
@@ -456,18 +462,15 @@ def _shifted_solve(V: np.ndarray, w: np.ndarray, null: np.ndarray, rhs: np.ndarr
     return _matvec(V, _matvec(V.T, rhs) / np.where(null, np.inf, w + ridge))
 
 
-def _step_change(std: Standardized, active: np.ndarray, grad: np.ndarray, b: np.ndarray,
-                 values: np.ndarray, thresh: float | np.ndarray,
-                 ridge: float | np.ndarray) -> np.ndarray:
-    """The objective's change when the coefficients of ``std`` on ``active`` move from
+def _step_change(sub: np.ndarray, grad: np.ndarray, b: np.ndarray, values: np.ndarray,
+                 thresh: float | np.ndarray, ridge: float | np.ndarray) -> np.ndarray:
+    """The objective's change when the coefficients on a set with sub-Gram ``sub`` move from
     ``b`` (gradient ``grad`` there) to ``values`` that keep their signs or are 0, per row.
 
-    The L1 term changes by ``signs'step``; the change is formed from the step
-    itself, since the rounding of two whole objective values can exceed a short
-    step's decrease.  Terms that overflow give an infinite or NaN change, and a NaN
-    change counts as no rise (a response near 1e155 squares past the largest double)."""
-    # gram[active][:, active] in its memory order, which a product's bits follow
-    sub = std.gram.T.take(active, 0).take(active, 1).T
+    The L1 term changes by ``signs'step``; the change is formed from the step itself, since
+    the rounding of two whole objective values can exceed a short step's decrease.  Terms
+    that overflow give an infinite or NaN change, and a NaN change counts as no rise (a
+    response near 1e155 squares past the largest double)."""
     with np.errstate(over="ignore", invalid="ignore"):
         step = values - b
         return (_dot(step, _matvec(sub, step)) - 2.0 * _dot(step, grad)
@@ -585,8 +588,8 @@ def coordinate_descent(
         quadratic term and ``2*|Xs step|*|r|`` in the linear one.
         """
         nonlocal grad
-        b = beta[active]
-        change = float(_step_change(std, active, grad[active], b, values, thresh, ridge))
+        sub, b = _sub_gram(std, active), beta[active]
+        change = float(_step_change(sub, grad[active], b, values, thresh, ridge))
         if change > 0.0:
             step = values - b
             bound = curvature * float(step @ step)
@@ -869,16 +872,16 @@ def _lasso_rows(stds: list[Standardized], lams: np.ndarray, tol: float, max_iter
                   if 0.0 < ts[at[d]] <= tops[d] else at[d]) for d in live]
         rows, steps, ends = _homotopy([stds[d] for d in live], [starts[d] for d in live],
                                       [tops[d] for d in live], spans, ts, max_iter)
-        still = []
+        lo, still = min(i for i, _ in spans), []  # rows[:, r - lo] is row r
         for r, (d, (i, _), end) in enumerate(zip(live, spans, ends)):
             std, (slopes, converged, n_sweeps) = stds[d], found[d]
             # one product for the stretch's rows: a row's bits, and so where a verdict
             # decided by rounding falls, depend on how the rows are grouped
-            stretch = rows[r, i:end]
+            stretch, counts = rows[r, i - lo:end - lo], steps[r, i - lo:]
             update = _exact_updates(std.q - stretch @ std.gram, stretch, std.gram_diag,
                                     std.gram_diag, ts[i:end, None])
             n = _leading((np.abs(update - stretch) <= tol).all(axis=1))
-            slopes[i:i + n], n_sweeps[i:i + n] = stretch[:n] / std.scales, steps[r, i:i + n]
+            slopes[i:i + n], n_sweeps[i:i + n] = stretch[:n] / std.scales, counts[:n]
             i += n
             if i == k:
                 continue
@@ -901,12 +904,12 @@ def _homotopy(stds: list[Standardized], starts: list[np.ndarray], tops: list[flo
               spans: list[tuple[int, int]], ts: np.ndarray, max_iter: int
               ) -> tuple[np.ndarray, np.ndarray, list[int]]:
     """``(rows, steps, at)`` of a stack of designs of one width: for design ``d`` and ``r``
-    in its span ``[first, at[d])``, ``rows[d, r]`` is the standardized lasso solution at
-    the threshold ``ts[r]`` (``ts = lam/2``, positive, descending within the span from its
-    ``top``) on the homotopy from the support and signs of its ``start``, where that is
-    the fit at ``top`` (zeros and ``top = inf`` for a cold start), and ``steps[d, r]`` the
-    row's entering events since the row before (Osborne, Presnell & Turlach, IMA J.
-    Numer. Anal. 2000; LARS with drops, Efron et al., Ann. Statist. 2004).
+    in its span ``[first, at[d])``, ``rows[d, r - lo]`` (``lo``: the least ``first``) is
+    the standardized lasso solution at ``ts[r]`` (``ts = lam/2``, positive, descending
+    within the span from its ``top``) on the homotopy from the support and signs of its
+    ``start``, the fit at ``top`` (zeros and ``top = inf`` for a cold start), and ``steps[d,
+    r - lo]`` the row's entering events since the row before (Osborne, Presnell & Turlach,
+    IMA J. Numer. Anal. 2000; LARS with drops, Efron et al., Ann. Statist. 2004).
 
     On an active set ``A`` with signs ``s`` the solution is ``b_A(t) = b0 - t*u``
     with ``G_AA b0 = q_A`` and ``G_AA u = s``, one :func:`_shifted_solve` of both (its
@@ -925,16 +928,15 @@ def _homotopy(stds: list[Standardized], starts: list[np.ndarray], tops: list[flo
     group's new sets are factored by one gather and one stacked ``eigh``
     (:func:`_factored`), and its solves and breakpoint times are stacked products, each
     one matrix-vector product per design in a lone design's memory order, so every
-    design's rows are bit for bit those of its stack of one.  A group of one forms the
-    same products on the design's own arrays: the stacked form took 1.24x as long for a
-    lone cv fold design.  The times' masking, argmax and event times run once for the
-    stack; each design then bisects its span for the rows its event leaves behind, a
-    segment's ``b0`` and ``u`` are copied to them, and ``b0 - t*u`` is formed at the end.
+    design's rows are bit for bit those of its stack of one.  A group of one reads its
+    set through :func:`_factor` and forms the same products on its own arrays (1.46x as
+    long stacked, for a lone cv fold design).  The times' masking and argmax run once for
+    the stack; each design then bisects its span for the rows its event leaves behind,
+    its segment's ``b0`` and ``u`` are copied to them, and ``b0 - t*u`` is formed at the end.
     """
-    m, p, k = len(stds), len(stds[0].q), len(ts)
+    m, p = len(stds), len(stds[0].q)
     design = np.arange(m)
-    grams_t = (np.stack([std.gram for std in stds]) if m > 1 else stds[0].gram[None]
-               ).transpose(0, 2, 1)
+    grams_t = np.stack([std.gram for std in stds]).transpose(0, 2, 1) if m > 1 else None
     # q over the signs (0 off the active set): a group's right-hand sides are one gather
     sums = np.array([(std.q, np.sign(start)) for std, start in zip(stds, starts)])
     signs = sums[:, 1]
@@ -947,8 +949,9 @@ def _homotopy(stds: list[Standardized], starts: list[np.ndarray], tops: list[flo
     frozen = np.array([std.gram_diag == 0.0 for std in stds])
     frozen = np.hstack((frozen, frozen)) if frozen.any() else None
     solved = np.zeros((m, 2, p))  # row d: b0 and u of design d's segment, 0 off its active set
-    segments = np.zeros((m, k, 2, p))  # per row of a design, the solved of its segment
-    steps = np.zeros((m, k), dtype=int)
+    lo, hi = min(first for first, _ in spans), max(end for _, end in spans)
+    segments = np.zeros((m, hi - lo, 2, p))  # per row r of a design, at r - lo: its solved
+    steps = np.zeros((m, hi - lo), dtype=int)
     below = (-ts).tolist()  # ascending within a span: the rows at or above a time bisect it
     at = [first for first, _ in spans]
     sizes = [np.count_nonzero(start) for start in starts]
@@ -971,15 +974,13 @@ def _homotopy(stds: list[Standardized], starts: list[np.ndarray], tops: list[flo
                 if len(ds) == 1:
                     d, = ds
                     active = signs[d].nonzero()[0]
-                    found = stds[d].factors.get(active.tobytes())
-                    # a set no cache holds: the one row of a stacked factorization
-                    w, V, top = found or next(zip(*_factored(stds, grams_t, ds, active[None])))
-                    if w[0] <= PIVOT_RTOL * top:  # eigh's eigenvalues ascend: the least is null
+                    w, V, _, null = _factor(stds[d], active, 0.0)
+                    if null[0]:  # eigh's eigenvalues ascend: the least is null if any is
                         live.remove(d)
                         continue
                     b0u = _matvec(V, _matvec(V.T, sums[d].take(active, 1)) / w)
                     solved[d][:, active] = b0u
-                    cols = grams_t[d].take(active, 0).T
+                    cols = stds[d].gram.T.take(active, 0).T
                     times[d] = (sums[d, 0] - cols @ b0u[0]) / (ENTER_SIGNS - cols @ b0u[1])
                     times[d, 0].put(active, b0u[0] / b0u[1])
                     times[d, 1].put(active, 0.0)
@@ -1004,16 +1005,15 @@ def _homotopy(stds: list[Standardized], starts: list[np.ndarray], tops: list[flo
             # a time at or below 0 is never taken: where none is positive, the largest is at
             # most 0, and the segment runs to the end of the span
             flat[~(flat < limit)] = 0.0
-            events = flat.argmax(axis=1)
-            times_at = flat[design, events].tolist()
-            events = events.tolist()
+            events = flat.argmax(axis=1).tolist()
             still = []
             for d in live:
-                event, i, (_, end), top = events[d], at[d], spans[d], times_at[d]
+                event, i, (_, end) = events[d], at[d], spans[d]
+                top = flat.item(d, event)
                 n = bisect.bisect_right(below, -top, i, end) - i
                 if n:
-                    segments[d, i:i + n] = solved[d]
-                    steps[d, i], entered[d] = entered[d], 0
+                    segments[d, i - lo:i - lo + n] = solved[d]
+                    steps[d, i - lo], entered[d] = entered[d], 0
                     at[d] = i = i + n
                     if i == end:
                         continue
@@ -1029,7 +1029,7 @@ def _homotopy(stds: list[Standardized], starts: list[np.ndarray], tops: list[flo
                 limit[d, 0] = top
                 still.append(d)
             live = still
-    return segments[:, :, 0] - ts[:, None] * segments[:, :, 1], steps, at
+    return segments[:, :, 0] - ts[lo:hi, None] * segments[:, :, 1], steps, at
 
 
 def _sign_fixed_rows(std: Standardized, lams: np.ndarray, alpha: float, tol: float,
@@ -1078,10 +1078,10 @@ def _sign_fixed_rows(std: Standardized, lams: np.ndarray, alpha: float, tol: flo
         starts = np.empty((min(n + 1, len(lams)), len(start)))  # row n's too, for an exit
         starts[0] = start
         starts[1:] = betas[:len(starts) - 1] / std.scales * std.scales
-        b = starts[:, active]
+        b, sub = starts[:, active], _sub_gram(std, active)
         keep[:len(starts)] &= (b * signs > 0.0).all(axis=1)
-        change = _step_change(std, active, (std.q - _matvec(std.gram, starts[:n]))[:, active],
-                              b[:n], betas[:n, active], thresh[:n], ridge[:n])
+        change = _step_change(sub, (std.q - _matvec(std.gram, starts[:n]))[:, active], b[:n],
+                              betas[:n, active], thresh[:n], ridge[:n])
         keep[:n] &= ~(change > 0.0)
     betas = betas[:n]
     update = _exact_updates(std.q - _matvec(std.gram, betas), betas, std.gram_diag,
@@ -1092,7 +1092,7 @@ def _sign_fixed_rows(std: Standardized, lams: np.ndarray, alpha: float, tol: flo
             and (solution[n] * signs < 0.0).any()):  # coordinate descent's first solve step
         moved = _first_zero(b[n], solution[n] - b[n])
         grad = std.q - std.gram @ starts[n]
-        if _step_change(std, active, grad[active], b[n], moved, thresh[n], ridge[n]) <= 0.0:
+        if _step_change(sub, grad[active], b[n], moved, thresh[n], ridge[n]) <= 0.0:
             starts[n, active] = moved
             return betas, starts[n]
     if m == n or not (keep[m] and np.isfinite(move[m]).all()):

@@ -1447,26 +1447,37 @@ class TestElasticNetPath:
         # coordinate descent from the row before, and the homotopy starts again there
         data = json.loads((DATA_DIR / "lasso_stall.json").read_text())
         gram, q = np.array(data["gram"]), np.array(data["q"])
-        singular = []  # whether each active set the homotopy factored was singular
-        homotopy, factored = solvers._homotopy, solvers._factored
+        singular = []  # whether each active set the homotopy read or factored was singular
+        homotopy, inside = solvers._homotopy, []
 
         def recording_homotopy(*args):
-            monkeypatch.setattr(solvers, "_factored", recording_factored)
+            inside.append(True)
             try:
                 return homotopy(*args)
             finally:
-                monkeypatch.setattr(solvers, "_factored", factored)
+                inside.pop()
 
-        def recording_factored(*args):
-            w, V, top = factored(*args)
-            singular.extend((w[:, 0] <= PIVOT_RTOL * top).tolist())
-            return w, V, top
+        class Recording(dict):  # a cached set read by a lone design or a group, or a new one
+            def get(self, key, default=None):
+                return self.record(super().get(key, default))
+
+            def __getitem__(self, key):
+                return self.record(super().__getitem__(key))
+
+            def __setitem__(self, key, entry):
+                super().__setitem__(key, self.record(entry))
+
+            def record(self, entry):
+                if inside and entry is not None:
+                    singular.append(bool(entry[0][0] <= PIVOT_RTOL * entry[2]))
+                return entry
 
         monkeypatch.setattr(solvers, "_homotopy", recording_homotopy)
         met = 0
         for j in range(len(q)):
             copied = np.append(np.arange(len(q)), j)
             std = sums_as_standardized(gram[np.ix_(copied, copied)], q[copied], data["y_ss"])
+            std = std._replace(factors=Recording())  # one cache for the cold and warm grids
             for warm, top in ((None, 2.0 * np.max(np.abs(q))),
                               (CoefficientSet(0.0, np.append(data["beta0"], 0.0)), data["lam"])):
                 lams = np.geomspace(top, data["lam"] / 4.0, 40)
@@ -1499,11 +1510,9 @@ class TestElasticNetPath:
         factored = []
 
         class Recording(dict):
-            def get(self, key, default=None):  # a set not yet factored is read twice in a row
-                read = np.frombuffer(key, dtype=np.intp).tolist()
-                if not factored or factored[-1] != read:
-                    factored.append(read)
-                return super().get(key, default)
+            def __getitem__(self, key):  # once per segment of a lone design, by _factor
+                factored.append(np.frombuffer(key, dtype=np.intp).tolist())
+                return super().__getitem__(key)
 
         std = std._replace(factors=Recording())
         (rows,), _, (end,) = solvers._homotopy([std], [start], [top], [(0, len(ts))], ts,
