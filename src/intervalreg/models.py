@@ -244,8 +244,9 @@ def fit_component(
     :func:`~intervalreg.solvers.fit_elastic_net_path` call, warm-started down
     the grid from ``warm`` (a fit of this design): the lasso follows its
     homotopy between breakpoints, the elastic net solves batched runs of
-    weights that keep their warm start's signs, and coordinate descent runs
-    only at the weights where neither holds.  The views are of one table's
+    weights on one support and signs and starts a failing weight again from
+    its exact-update point, and coordinate descent runs only at the weights
+    whose rows neither certifies.  The views are of one table's
     predictors (one view, or a stack of cross-validation folds), and the list of
     their grids holds each bit for bit as its view's alone: the lasso's homotopies
     run in lockstep.

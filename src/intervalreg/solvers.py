@@ -12,10 +12,11 @@ column:
   ``alpha=1`` is the lasso, ``alpha=0`` is ridge.  ``fit_elastic_net_path``
   fits a whole grid.  A lasso grid follows the homotopy between the lasso's
   breakpoints, one solve per segment, and runs coordinate descent only at a
-  weight whose row fails the exact-update test.  An elastic-net grid is
-  warm-started down the weights and solves every run of them that keeps its
-  warm start's signs, or has no L1 term, in one product; a run that ends where
-  one coordinate enters or leaves hands that step on.
+  weight whose row fails the exact-update test.  An elastic-net grid solves
+  each run of weights on its start's support and signs, or without an L1 term,
+  in one product and keeps the rows that pass that test; a failing weight is
+  started again once from its exact-update point before coordinate descent
+  runs there.
 
 The penalized objective is used exactly as written, with no ``1/n`` or
 ``1/(2n)`` factor:
@@ -79,8 +80,8 @@ PIVOT_RTOL = 1e-12
 DEFAULT_TOL = 1e-7
 DEFAULT_MAX_ITER = 100_000
 
-#: weights in a batched attempt of :func:`fit_elastic_net_path`; the window
-#: doubles while attempts keep all of it, and is reset after any other end.
+#: the most weights in one batched attempt of :func:`_net_rows`: most runs are short, and
+#: every row an attempt forms past its run's end is discarded.
 RUN_WINDOW = 16
 
 #: the rows of a stack's ``(m, 2, p)`` right-hand sides, as a fancy index column.
@@ -122,10 +123,10 @@ class Standardized(NamedTuple):
     :func:`duality_gap` and the solves they share, formed by :func:`standardize`.
 
     With ``Xs = (X - means) / scales`` and ``yc = y - y_mean``: ``gram =
-    Xs'Xs``, ``q = Xs'yc``, ``y_ss = yc'yc`` and ``gram_diag = diag(gram)``,
-    all read-only.  ``factors`` caches the eigendecompositions of the sub-Grams
-    the solvers meet, keyed by active set (:func:`_factor`), for every fit of
-    this design and of its :func:`exclude` copies.
+    Xs'Xs`` (exactly symmetric), ``q = Xs'yc``, ``y_ss = yc'yc`` and ``gram_diag =
+    diag(gram)``, all read-only.  ``factors`` caches the eigendecompositions of the
+    sub-Grams the solvers meet, keyed by active set (:func:`_factor`), for every fit
+    of this design and of its :func:`exclude` copies.
     """
 
     means: np.ndarray
@@ -169,7 +170,9 @@ def standardize(X: np.ndarray, y: np.ndarray) -> Standardized | list[Standardize
     Xs, means, scales = _standardize(np.ascontiguousarray(X))  # a product's bits follow layout
     y_mean = safe_mean(y, axis=-1)
     Xt = Xs.transpose(0, 2, 1)
+    # symmetric by construction, so that a column of the Gram is read as its row
     gram = Xt @ Xs
+    gram = np.where(np.tri(p, k=-1, dtype=bool), gram.transpose(0, 2, 1), gram)
     # a y whose sums overflow gives a non-finite q, which CenterRangeView.standardized rejects
     with np.errstate(over="ignore", invalid="ignore"):
         yc = y - y_mean[:, None]
@@ -392,7 +395,7 @@ def _intercepts(std: Standardized, slopes: np.ndarray) -> np.ndarray:
 
 def _sub_gram(std: Standardized, active: np.ndarray) -> np.ndarray:
     """``gram[active][:, active]`` in the memory order a product's bits follow, one gather."""
-    return std.gram.T[active[:, None], active].T
+    return std.gram[active[:, None], active].T
 
 
 def _factor(
@@ -410,19 +413,19 @@ def _factor(
     return w, V, top, w + ridge <= PIVOT_RTOL * (top + ridge)
 
 
-def _factored(stds: Sequence[Standardized], grams_t: np.ndarray, ds: list[int],
+def _factored(stds: Sequence[Standardized], grams: np.ndarray, ds: list[int],
               active: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """``(w, V, top)`` of :func:`_factor` of each design ``stds[d]`` of a stack, ``d`` in
-    ``ds``, on its row of ``active`` (sets of one size), stacked.  ``grams_t`` holds the
-    stack's Grams, transposed.  A set is read from its design's ``factors`` cache; the sets
-    no cache holds are one gather from ``grams_t`` (each in :func:`_sub_gram`'s memory
-    order) and one stacked ``eigh``, each bit for bit as :func:`_factor`'s, then cached."""
+    ``ds``, on its row of ``active`` (sets of one size), stacked.  ``grams`` holds the
+    stack's Grams.  A set is read from its design's ``factors`` cache; the sets no cache
+    holds are one gather from ``grams`` (each in :func:`_sub_gram`'s memory order) and one
+    stacked ``eigh``, each bit for bit as :func:`_factor`'s, then cached."""
     keys = [row.tobytes() for row in active]
     found = [stds[d].factors.get(key) for d, key in zip(ds, keys)]
     new = [i for i, entry in enumerate(found) if entry is None]
     if new:
         d, A = (ds, active) if len(new) == len(found) else ([ds[i] for i in new], active[new])
-        subs = grams_t[np.array(d)[:, None, None], A[:, :, None], A[:, None, :]].transpose(0, 2, 1)
+        subs = grams[np.array(d)[:, None, None], A[:, :, None], A[:, None, :]].transpose(0, 2, 1)
         w, V = np.linalg.eigh(subs)
         top = np.maximum.reduce(subs.diagonal(0, 1, 2), axis=1, initial=0.0)  # 0: all constant
         for i, entry in zip(new, zip(w, V, top.tolist())):
@@ -754,9 +757,12 @@ def fit_elastic_net_path(
     ``max_iter`` entering breakpoints since the row before.  A weight of 0 is the
     one-weight fit's :func:`_minimum_norm` solve.
 
-    At ``alpha < 1`` rows equal that chain of calls bit for bit, and are solved in
-    batched runs of weights, with coordinate descent where a run ends
-    (:func:`_net_rows`).
+    At ``alpha < 1`` most rows are batched sign-fixed solves (:func:`_net_rows`), kept
+    where they pass the same test.  They are ``converged`` and equal the chain to
+    rounding too.  A weight whose row fails starts again from its exact-update point,
+    and its row counts the coordinates that point entered in ``n_sweeps`` (an exit is
+    no step).  Coordinate descent fits a weight whose point enters more than
+    ``max_iter`` coordinates or whose restart keeps no row.
 
     A stack of designs of one width (cross-validation's folds), with a sequence of
     one warm start (or None) per design, gives the list of their grids, grid i bit
@@ -792,58 +798,51 @@ def fit_elastic_net_path(
 def _net_rows(std: Standardized, lams: np.ndarray, alpha: float, tol: float, max_iter: int,
               warm_start: CoefficientSet | None) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """The original-scale ``(slopes, converged, n_sweeps)`` of
-    :func:`fit_elastic_net_path` at ``alpha < 1``, equal bit for bit to the chain of
-    one-weight fits, solved in runs of weights.
+    :func:`fit_elastic_net_path` at ``alpha < 1``, solved in runs of weights.
 
-    Each run is one batched product whose rows pass :func:`coordinate_descent`'s
-    test, ``converged``: a run on which the warm start's support and signs hold
-    (:func:`_sign_fixed_rows`), or a run without an L1 term, whose every row is its
-    one :func:`_minimum_norm` solve.  Where an L1 run ends, its attempt may hand
-    back the point coordinate descent reaches next at the weight that ends it, and
-    the next attempt starts at that weight from that point: an exit, where the
-    weight's solve flips a sign and the iterate stops at its first zero, or an
-    entering step, where the weight fails only the update test.  A weight takes at
-    most two entering steps this way, and never more than ``max_iter``; its row
-    counts them in ``n_sweeps``, and exits are no steps.  Every other end is one
-    :func:`fit_elastic_net` call from the fit before the weight, and the next run
-    starts from its fit.  Coordinate descent's step limit and unchanged-iterate
-    stop act there, so a weight that cycles between entering and leaving ends in
-    that call too.  An L1 attempt is given the next ``RUN_WINDOW`` weights, not the
-    whole remainder, since most runs are short and every row it forms past the
-    run's end is discarded; an attempt that keeps all of its window is followed by
-    one from its last row with twice the window, and any other end resets it.
-    Rows do not depend on the window (:func:`_sign_fixed_rows` forms each on its
-    own).
+    A run of weights with an L1 term is one batched sign-fixed solve on its start's
+    support and signs over at most ``RUN_WINDOW`` weights (:func:`_sign_fixed_rows`),
+    kept while its rows pass :func:`coordinate_descent`'s test; a run without one is a
+    :func:`_minimum_norm` solve per weight, in one product, whatever its start.  Kept
+    rows are ``converged``, and the next run starts from the last of them.  A weight
+    whose row fails is restarted once, from its exact-update point, if that point is
+    finite and enters at most ``max_iter`` coordinates; a row the restart keeps counts
+    them in ``n_sweeps`` (an exit is no step, as for homotopy rows).  Any other failing
+    weight, and a restart that keeps no row, is one :func:`fit_elastic_net` call from
+    the row before, whose step limit and unchanged-iterate stop act there, and the next
+    run starts from its fit.  Rows equal the chain of one-weight fits to rounding, not
+    bit for bit.
     """
     k, p = len(lams), len(std.q)
     slopes = np.zeros((k, p))
     converged, n_sweeps = np.ones(k, dtype=bool), np.zeros(k, dtype=int)
     start = np.zeros(p) if warm_start is None else warm_start.betas * std.scales
-    i, steps, window, handed = 0, 0, RUN_WINDOW, None  # steps: entering ones at weight i
+    i, entered = 0, None  # entered: the coordinates weight i's restart entered
     while i < k:
-        whole = False
-        if handed is not None or lams[i] * alpha / 2.0 > 0.0:
-            rows, handed = _sign_fixed_rows(std, lams[i:i + window], alpha, tol, start)
-            whole = len(rows) == window
-            window = 2 * window if whole else RUN_WINDOW
-        else:  # no L1 term: the warm start does not matter, and each row is one solve
-            run = lams[i:i + _leading(lams[i:] * alpha / 2.0 == 0.0)]
-            rows = _minimum_norm(std, run * (1.0 - alpha))
+        l1 = lams[i:] * alpha / 2.0 > 0.0
+        if l1[0]:
+            given = lams[i:i + min(_leading(l1), RUN_WINDOW)]
+            rows, point = _sign_fixed_rows(std, given, alpha, tol, start)
+        else:  # no L1 term: the start does not matter, and each row is one solve
+            given = lams[i:i + _leading(~l1)]
+            rows, point = _minimum_norm(std, given * (1.0 - alpha)), None
             rows = rows[:_leading(np.isfinite(rows).all(axis=1))]
         stop = i + len(rows)
-        if stop > i:
-            slopes[i:stop] = rows / std.scales
-            n_sweeps[i], steps = steps, 0
-        if handed is not None and np.count_nonzero(handed) >= np.count_nonzero(start):
-            steps += 1  # an entering step; an exit leaves a smaller support and is no step
-            if steps > min(2, max_iter):
-                handed = None
-        if handed is None and stop < k and not whole:  # the weight that ends the run
-            warm = CoefficientSet(0.0, slopes[stop - 1]) if stop else warm_start
-            fit = fit_elastic_net(std, float(lams[stop]), alpha, tol, max_iter, warm)
-            slopes[stop], converged[stop], n_sweeps[stop] = fit.betas, fit.converged, fit.n_sweeps
-            stop, steps = stop + 1, 0
-        i, start = stop, handed if handed is not None else slopes[stop - 1] * std.scales
+        slopes[i:stop] = rows / std.scales
+        if len(rows):
+            n_sweeps[i], start, entered = entered or 0, rows[-1], None
+        if stop == i + len(given):
+            i = stop
+            continue
+        if entered is None and point is not None:  # weight stop fails: restart it once
+            entered = np.count_nonzero(point[start == 0.0])
+            if entered <= max_iter:
+                i, start = stop, point
+                continue
+        warm = CoefficientSet(0.0, slopes[stop - 1]) if stop else warm_start
+        fit = fit_elastic_net(std, float(lams[stop]), alpha, tol, max_iter, warm)
+        slopes[stop], converged[stop], n_sweeps[stop] = fit.betas, fit.converged, fit.n_sweeps
+        i, start, entered = stop + 1, fit.betas * std.scales, None
     return slopes, converged, n_sweeps
 
 
@@ -936,7 +935,7 @@ def _homotopy(stds: list[Standardized], starts: list[np.ndarray], tops: list[flo
     """
     m, p = len(stds), len(stds[0].q)
     design = np.arange(m)
-    grams_t = np.stack([std.gram for std in stds]).transpose(0, 2, 1) if m > 1 else None
+    grams = np.stack([std.gram for std in stds]) if m > 1 else None
     # q over the signs (0 off the active set): a group's right-hand sides are one gather
     sums = np.array([(std.q, np.sign(start)) for std, start in zip(stds, starts)])
     signs = sums[:, 1]
@@ -968,9 +967,9 @@ def _homotopy(stds: list[Standardized], starts: list[np.ndarray], tops: list[flo
                     times[ds] = sums[ds, :1] / ENTER_SIGNS  # where c_j(t) = q_j reaches +t, -t
                     continue
                 # _shifted_solve's products (nothing is null, and w + 0.0 is w); then G_:A b0
-                # and G_:A u, with each gram[:, A] in its memory order, and where c_j(t) =
-                # c0_j + t*d_j reaches +t, -t and where an active b_j reaches 0.  A singular
-                # set ends its design's rows.
+                # and G_:A u, each gram[:, A] read as the rows gram[A] in its memory order,
+                # and where c_j(t) = c0_j + t*d_j reaches +t, -t and where an active b_j
+                # reaches 0.  A singular set ends its design's rows.
                 if len(ds) == 1:
                     d, = ds
                     active = signs[d].nonzero()[0]
@@ -980,13 +979,13 @@ def _homotopy(stds: list[Standardized], starts: list[np.ndarray], tops: list[flo
                         continue
                     b0u = _matvec(V, _matvec(V.T, sums[d].take(active, 1)) / w)
                     solved[d][:, active] = b0u
-                    cols = stds[d].gram.T.take(active, 0).T
+                    cols = stds[d].gram.take(active, 0).T
                     times[d] = (sums[d, 0] - cols @ b0u[0]) / (ENTER_SIGNS - cols @ b0u[1])
                     times[d, 0].put(active, b0u[0] / b0u[1])
                     times[d, 1].put(active, 0.0)
                     continue
                 active = signs[ds].nonzero()[1].reshape(len(ds), a)
-                w, V, top = _factored(stds, grams_t, ds, active)
+                w, V, top = _factored(stds, grams, ds, active)
                 idx, keep = np.array(ds), ~(w[:, 0] <= PIVOT_RTOL * top)
                 if not keep.all():
                     gone, idx, active = set(idx[~keep].tolist()), idx[keep], active[keep]
@@ -995,7 +994,7 @@ def _homotopy(stds: list[Standardized], starts: list[np.ndarray], tops: list[flo
                 b0u = _matvec(V[:, None], _matvec(V.transpose(0, 2, 1)[:, None], sums[pairs])
                               / w[:, None])
                 solved[pairs] = b0u
-                c = _matvec(grams_t[idx[:, None], active].transpose(0, 2, 1)[:, None], b0u)
+                c = _matvec(grams[idx[:, None], active].transpose(0, 2, 1)[:, None], b0u)
                 times[idx] = (sums[idx, :1] - c[:, :1]) / (ENTER_SIGNS - c[:, 1:])
                 times[idx[:, None], 0, active] = b0u[:, 0] / b0u[:, 1]
                 times[idx[:, None], 1, active] = 0.0
@@ -1034,73 +1033,31 @@ def _homotopy(stds: list[Standardized], starts: list[np.ndarray], tops: list[flo
 
 def _sign_fixed_rows(std: Standardized, lams: np.ndarray, alpha: float, tol: float,
                      start: np.ndarray) -> tuple[np.ndarray, np.ndarray | None]:
-    """The standardized fits at the leading weights of ``lams`` that
-    :func:`coordinate_descent` certifies before any step on the support and
-    signs of ``start``, the first weight's warm start; each later weight starts
-    from the fit before it, through the original scale as :func:`fit_elastic_net`
-    hands it on.  Rows are bit for bit those fits, formed as one row each.
-    Returns ``(rows, handed)``.
+    """``(rows, point)``: the standardized fits at the leading weights of ``lams``, each
+    with an L1 term, on the support ``A`` and signs ``s`` of ``start``, and the
+    exact-update point of the first weight not kept (None if every weight is kept or
+    that point is not finite).
 
-    On the active set ``A`` of ``start`` with signs ``s``, every weight's
-    solution is the sign-fixed solve of ``q_A - thresh*s`` (:func:`_shifted_solve`).
-    A weight is kept while it has an L1 term, ``A`` is nonsingular at its
-    ridge term, its solution and its warm start keep the signs ``s`` strictly
-    (so the next weight starts on ``A`` too), the step from its warm start
-    does not raise the objective (:func:`_step_change`) and no exact
-    coordinate update from its solution moves it by more than ``tol``
-    (:func:`_exact_updates`).
-
-    ``handed`` is None unless, at the first weight not kept, :func:`coordinate_descent`
-    next reaches a point that is one of two active-set steps (Osborne, Presnell &
-    Turlach, IMA J. Numer. Anal. 2000), on the standardized scale.  An exit, with a
-    smaller support than ``A``: the weight has an L1 term and its warm start the
-    signs ``s`` on a nonsingular ``A``, but its finite solution flips one, so the
-    solve steps toward it until its first coefficient reaches 0
-    (:func:`_first_zero`), if that does not raise the objective.  An
-    entering step, with a support at least as large: only the update test fails,
-    every update is finite, and the coordinate whose update moves furthest takes it.
+    Every weight's row is the sign-fixed solve of ``q_A - thresh*s`` at its ridge term
+    (:func:`_shifted_solve`, one product for all weights), 0 off ``A``.  A row is kept
+    while ``A`` is nonsingular at its ridge term and no exact coordinate update from it
+    moves a coefficient by more than ``tol`` (:func:`_exact_updates`): that test, not
+    the signs the row holds, certifies it.  A failing row's exact-update point is every
+    coordinate's exact update from it, taken at once: it enters the coordinates whose
+    correlations exceed the L1 term, and drops or flips a coefficient whose sign the
+    solve flipped.
     """
-    thresh = lams * alpha / 2.0
-    ridge = lams * (1.0 - alpha)
-    keep = thresh > 0.0
-    betas = np.empty((len(lams), len(start)))
-    betas[:] = start
+    thresh, ridge = lams[:, None] * alpha / 2.0, lams[:, None] * (1.0 - alpha)
     active = start.nonzero()[0]
-    n = len(lams)
-    if len(active):
-        signs = np.sign(start[active])
-        w, V, _, null = _factor(std, active, ridge[:, None])
-        solution = _shifted_solve(V, w, null, std.q[active] - thresh[:, None] * signs,
-                                  ridge[:, None])
-        keep &= ~null.any(axis=1)
-        n = _leading(keep & (solution * signs > 0.0).all(axis=1))
-        betas[:n, active] = solution[:n]
-        starts = np.empty((min(n + 1, len(lams)), len(start)))  # row n's too, for an exit
-        starts[0] = start
-        starts[1:] = betas[:len(starts) - 1] / std.scales * std.scales
-        b, sub = starts[:, active], _sub_gram(std, active)
-        keep[:len(starts)] &= (b * signs > 0.0).all(axis=1)
-        change = _step_change(sub, (std.q - _matvec(std.gram, starts[:n]))[:, active], b[:n],
-                              betas[:n, active], thresh[:n], ridge[:n])
-        keep[:n] &= ~(change > 0.0)
-    betas = betas[:n]
-    update = _exact_updates(std.q - _matvec(std.gram, betas), betas, std.gram_diag,
-                            std.gram_diag + ridge[:n, None], thresh[:n, None])
-    move = np.abs(update - betas)
-    m = _leading(keep[:n] & (move <= tol).all(axis=1))
-    if (m == n < len(lams) and keep[n] and np.isfinite(solution[n]).all()
-            and (solution[n] * signs < 0.0).any()):  # coordinate descent's first solve step
-        moved = _first_zero(b[n], solution[n] - b[n])
-        grad = std.q - std.gram @ starts[n]
-        if _step_change(sub, grad[active], b[n], moved, thresh[n], ridge[n]) <= 0.0:
-            starts[n, active] = moved
-            return betas, starts[n]
-    if m == n or not (keep[m] and np.isfinite(move[m]).all()):
-        return betas[:m], None
-    handed = betas[m].copy()
-    j = int(np.argmax(move[m]))
-    handed[j] = update[m, j]
-    return betas[:m], handed if np.count_nonzero(handed) >= len(active) else None
+    w, V, _, null = _factor(std, active, ridge)
+    rows = np.zeros((len(lams), len(start)))
+    rows[:, active] = _shifted_solve(V, w, null, std.q[active] - thresh * np.sign(start[active]),
+                                     ridge)
+    update = _exact_updates(std.q - _matvec(std.gram, rows), rows, std.gram_diag,
+                            std.gram_diag + ridge, thresh)
+    n = _leading(~null.any(axis=1) & (np.abs(update - rows) <= tol).all(axis=1))
+    point = update[n] if n < len(lams) and np.isfinite(update[n]).all() else None
+    return rows[:n], point
 
 
 def _leading(mask: np.ndarray) -> int:

@@ -405,6 +405,7 @@ class TestStandardize:
         for i, got in enumerate(stds):
             want = standardize(X[i], y[i])
             assert got.factors == {} and all(got.factors is not s.factors for s in stds[:i])
+            assert got.gram.tobytes() == got.gram.T.tobytes()  # symmetric, bit for bit
             for name, a, b in zip(Standardized._fields, got, want):
                 if name == "factors":
                     continue
@@ -1234,7 +1235,7 @@ class TestElasticNet:
 
 class TestElasticNetPath:
     #: alpha one ulp below 1: an elastic net with the lasso's supports whose grids,
-    #: unlike the lasso's homotopy, take the batched runs and their hand-offs
+    #: unlike the lasso's homotopy, take the batched sign-fixed runs and their restarts
     BELOW_ONE = float(np.nextafter(1.0, 0.0))
 
     @staticmethod
@@ -1255,8 +1256,8 @@ class TestElasticNetPath:
         assert path.n_sweeps.tolist() == [c.n_sweeps for c in fits]
 
     @staticmethod
-    def lasso_path(std, lams, **kwargs):
-        """``(grid, fallbacks)``: ``fit_elastic_net_path`` at alpha 1 and the weights at
+    def fit_path(std, lams, alpha=1.0, **kwargs):
+        """``(grid, fallbacks)``: ``fit_elastic_net_path`` at ``alpha`` and the weights at
         which it called ``solvers.fit_elastic_net``, the rows found by coordinate descent."""
         fallbacks = []
 
@@ -1265,41 +1266,65 @@ class TestElasticNetPath:
             return fit_elastic_net(std, lam, *args, **kwargs)
 
         with mock.patch.object(solvers, "fit_elastic_net", recording):
-            return fit_elastic_net_path(std, lams, 1.0, **kwargs), fallbacks
+            return fit_elastic_net_path(std, lams, alpha, **kwargs), fallbacks
 
     @staticmethod
-    def gap_and_bound(std, lam, b, chain_b):
-        """``(gap, bound)``: the exact duality gap (:func:`exact_duality_gap`) of a lasso
-        row ``b`` (standardized) at ``lam``, and the bound :meth:`assert_rows_certified`
-        derives for it, given the chain's fit ``chain_b`` at that weight."""
-        t = lam / 2.0
+    def gap_and_bound(std, lam, b, chain_b, alpha=1.0):
+        """``(gap, bound)``: the exact duality gap (:func:`exact_duality_gap`) of a row
+        ``b`` (standardized) at ``lam`` and ``alpha``, and the bound
+        :meth:`assert_rows_certified` derives for it, given the chain's fit ``chain_b`` at
+        that weight."""
+        ridge, t = lam * (1.0 - alpha), lam * alpha / 2.0
         active = np.flatnonzero(b)
         rounding = 0.0
-        if len(active):
+        if len(active) and alpha < 1.0:
+            sub = std.gram[np.ix_(active, active)] + ridge * np.eye(len(active))
+            size = np.abs(sub) @ np.abs(b[active]) + np.abs(std.q[active]) + t
+            off = np.delete(std.gram[:, active], active, axis=0)
+            spread = 1.0 + np.linalg.norm(off @ np.linalg.inv(sub), 2) if len(off) else 1.0
+            residual = spread * math.sqrt(len(active)) * 4.0 * np.finfo(float).eps * size.max()
+            rounding = 2.0 * float(residual) ** 2 / ridge
+        elif len(active):
             sub = std.gram[np.ix_(active, active)]
             b0, u = np.linalg.solve(sub, np.array([std.q[active], np.sign(b[active])]).T).T
             size = np.abs(sub) @ (np.abs(b0) + t * np.abs(u)) + np.abs(std.q[active]) + t
             rounding = 4.0 * np.finfo(float).eps * float(np.abs(b).sum()) * float(size.max())
-        chain_gap = exact_duality_gap(std, chain_b, lam, 1.0)
+        chain_gap = exact_duality_gap(std, chain_b, lam, alpha)
         bound = max(Fraction(1e-12 * std.y_ss), 2 * chain_gap) + Fraction(rounding)
-        return exact_duality_gap(std, b, lam, 1.0), bound
+        return exact_duality_gap(std, b, lam, alpha), bound
 
     @classmethod
-    def assert_rows_certified(cls, std, lams, path, fits, fallbacks, tol=1e-7):
-        """The lasso grid's contract against the chain ``fits``.
+    def assert_rows_certified(cls, std, lams, path, fits, fallbacks, tol=1e-7, alpha=1.0):
+        """The contract of a grid at ``alpha`` against the chain ``fits``.
 
-        Rows stop where the chain's fits stop.  They have the chain's supports and
-        lie within 1e-10 of its rows, relative to the grid's largest coefficient;
-        where two standardized columns are equal or opposite, the split between them
-        is free, and that holds for the fitted values ``Xs'Xs b`` instead.  A converged row at a positive weight
-        passes the exact-update test at ``tol`` (:func:`solvers._exact_updates`).  A row
-        at weight 0 is the chain's minimum-norm fit bit for bit.
+        Rows stop where the chain's fits stop.  They lie within 1e-10 of its rows,
+        relative to the grid's largest coefficient, and have the chain's supports, except
+        that below alpha 1 a coefficient within rounding of 0 (16 eps of the grid's
+        largest standardized coefficient) may be 0 in one of them; where two standardized
+        columns are equal or opposite, the split between them is free, and that holds for
+        the fitted values ``Xs'Xs b`` instead.  A converged row at a positive weight passes
+        the exact-update test at ``tol`` (:func:`solvers._exact_updates`, with the ridge
+        term in its denominator).  A row at weight 0 is the chain's minimum-norm fit bit
+        for bit.
 
-        A converged row of the homotopy (not at a weight in ``fallbacks``) has an exact
-        duality gap (:meth:`gap_and_bound`) of at most 1e-12 of ``y_ss``, the objective
-        at zero and so at least the row's, or twice the gap of the chain's fit where that
-        is larger (a homotopy segment from a coordinate-descent row keeps that row's
-        support), plus the row's own rounding, derived as follows.  Let ``A`` be the
+        A converged row of the homotopy or of a batched net run (not at a weight in
+        ``fallbacks``) has an exact duality gap (:meth:`gap_and_bound`) of at most 1e-12
+        of ``y_ss``, the objective at zero and so at least the row's, or twice the gap of
+        the chain's fit where that is larger (a homotopy segment from a coordinate-descent
+        row keeps that row's support), plus the row's own rounding.
+
+        Below alpha 1, with ``mu = lam*(1-alpha)`` and ``t = lam*alpha/2``, the gap of a
+        row whose correlations keep its signs is ``|v|^2 / mu`` exactly: on the row's
+        support ``A`` (signs ``s``) ``v`` is the residual ``r`` of its sign-fixed system
+        ``(G_AA + mu I) b_A = q_A - t s``, and off it the amount by which each ``|g_j|``
+        exceeds ``t``.  The exact solution has ``r = 0``; the float row's ``|r|`` is at
+        most ``4 eps sqrt(|A|) max_j (|G_AA + mu I| |b_A| + |q_A| + t)_j``, and it moves
+        the correlations off ``A`` by at most ``|G_offA (G_AA + mu I)^-1|`` times that.
+        So ``v`` is within ``rho``, that bound times ``1 + |G_offA (G_AA + mu I)^-1|``, of
+        the exact solution's, and the gap is at most twice the exact solution's, taken as
+        the chain's, plus ``2 rho^2 / mu``, the rounding term.
+
+        At alpha 1 the rounding term is derived as follows.  Let ``A`` be the
         row's support, ``s`` its signs and ``t = lam/2``.  Where no correlation ``|g_j|``
         of ``g = q - G b`` exceeds ``t``, the gap is ``2t|b|_1 - 2b'g = -2 b_A'r`` exactly,
         with ``r = q_A - t s - G_AA b_A`` the row's residual on its own active set, 0 for
@@ -1322,8 +1347,11 @@ class TestElasticNetPath:
             path_fit, chain_fit = (path.slopes * path.scales) @ std.gram, (chain * path.scales) @ std.gram
             assert np.all(np.abs(path_fit - chain_fit) <= 1e-10 * np.max(np.abs(chain_fit)))
         else:
-            assert np.array_equal(path.slopes != 0.0, chain != 0.0)
             assert np.all(np.abs(path.slopes - chain) <= 1e-10 * np.max(np.abs(chain), initial=0.0))
+            differ = (path.slopes != 0.0) != (chain != 0.0)
+            zero = 0.0 if alpha == 1.0 else 16 * np.finfo(float).eps * np.max(
+                np.abs(chain * path.scales), initial=0.0)
+            assert np.all(np.abs((path.slopes - chain) * path.scales)[differ] <= zero)
 
         for lam, slopes, converged, fit in zip(lams, path.slopes, path.converged, fits):
             if lam == 0.0:
@@ -1331,20 +1359,22 @@ class TestElasticNetPath:
             elif converged:
                 b = slopes * path.scales
                 update = solvers._exact_updates(std.q - std.gram @ b, b, std.gram_diag,
-                                                std.gram_diag, lam / 2.0)
+                                                std.gram_diag + lam * (1.0 - alpha),
+                                                lam * alpha / 2.0)
                 assert np.all(np.abs(update - b) <= tol)
                 if lam not in fallbacks:
-                    gap, bound = cls.gap_and_bound(std, lam, b, fit.betas * fit.scales)
+                    gap, bound = cls.gap_and_bound(std, lam, b, fit.betas * fit.scales, alpha)
                     assert gap <= bound
 
     @settings(max_examples=150, deadline=None)
     @given(l1_designs(), st.booleans(), st.sampled_from(["cold", "random", "previous"]),
            st.integers(0, 2**32 - 1))
     def test_equals_the_chain_of_one_weight_fits(self, design, below_one, start, seed):
-        """Every row, batched or not, is the warm-started one-weight fit bit for bit:
-        down a grid that ends at 0, from a cold, a random and a previous fit's start,
-        with alpha one ulp below 1 (the tiny ridge term that makes sets singular).
-        At alpha 1 the rows follow the lasso homotopy and are certified instead."""
+        """Every row, found by coordinate descent or not, meets the contract of
+        :meth:`assert_rows_certified` against the warm-started one-weight fits: down a
+        grid that ends at 0, from a cold, a random and a previous fit's start, with alpha
+        one ulp below 1 (the tiny ridge term that makes sets singular).  At alpha 1 the
+        rows follow the lasso homotopy, below it the batched sign-fixed runs."""
         X, y, alpha = design
         if below_one:
             alpha = float(np.nextafter(1.0, 0.0))
@@ -1359,12 +1389,8 @@ class TestElasticNetPath:
         elif start == "previous":
             warm = fit_elastic_net(standardize(X, y), 2.0 * lam_max, alpha)
         fits = self.chain(standardize(X, y), lams, alpha, warm)
-        path = fit_elastic_net_path(standardize(X, y), lams, alpha, warm_start=warm)
-        if alpha == 1.0:
-            path, fallbacks = self.lasso_path(standardize(X, y), lams, warm_start=warm)
-            self.assert_rows_certified(standardize(X, y), lams, path, fits, fallbacks)
-        else:
-            self.assert_rows_equal(path, fits)
+        path, fallbacks = self.fit_path(standardize(X, y), lams, alpha, warm_start=warm)
+        self.assert_rows_certified(standardize(X, y), lams, path, fits, fallbacks, alpha=alpha)
 
     @settings(max_examples=150, deadline=None)
     @given(l1_designs(), st.sampled_from(["cold", "random", "previous"]),
@@ -1387,7 +1413,7 @@ class TestElasticNetPath:
         elif start == "previous":
             warm = fit_elastic_net(standardize(X, y), 2.0 * lam_max, 1.0)
         fits = self.chain(standardize(X, y), lams, 1.0, warm)
-        path, fallbacks = self.lasso_path(std, lams, warm_start=warm)
+        path, fallbacks = self.fit_path(std, lams, warm_start=warm)
         self.assert_rows_certified(std, lams, path, fits, fallbacks)
         assert path.slopes[-1].tobytes() == fit_elastic_net(std, 0.0, 1.0).betas.tobytes()
 
@@ -1401,7 +1427,7 @@ class TestElasticNetPath:
         lam_max = 2.0 * float(np.max(np.abs(std.q)))
         lams = [*np.geomspace(lam_max, 1e-3 * lam_max, 12), 0.0]
         fits = self.chain(standardize(X, y), lams, 1.0)
-        path, fallbacks = self.lasso_path(std, lams)
+        path, fallbacks = self.fit_path(std, lams)
         checked = 0
         for lam, slopes, fit in zip(lams, path.slopes, fits):
             b = slopes * path.scales
@@ -1423,7 +1449,7 @@ class TestElasticNetPath:
         mask = np.array([True, False, True, True, False, True, False, True, True])
         std = exclude(standardize(X, y), mask)
         lams = [*np.geomspace(2.0 * np.max(np.abs(std.q)), 1e-4, 30), 0.0]
-        path, fallbacks = self.lasso_path(std, lams)
+        path, fallbacks = self.fit_path(std, lams)
         assert not path.slopes[:, ~mask].any() and path.slopes[-2].all(where=mask)
         self.assert_rows_certified(std, lams, path, self.chain(std, lams, 1.0), fallbacks)
         assert fallbacks == [] and path.converged.all()
@@ -1434,7 +1460,7 @@ class TestElasticNetPath:
         X, y, lams = self.wide_design(5)
         std = standardize(X, y)
         lams = [*lams, 0.0, 0.0]
-        path, fallbacks = self.lasso_path(std, lams)
+        path, fallbacks = self.fit_path(std, lams)
         zero = fit_elastic_net(std, 0.0, 1.0)
         assert path.slopes[-1].tobytes() == path.slopes[-2].tobytes() == zero.betas.tobytes()
         assert path.converged.all() and path.n_sweeps[-2:].tolist() == [0, 0]
@@ -1482,7 +1508,7 @@ class TestElasticNetPath:
                               (CoefficientSet(0.0, np.append(data["beta0"], 0.0)), data["lam"])):
                 lams = np.geomspace(top, data["lam"] / 4.0, 40)
                 singular.clear()
-                path, fallbacks = self.lasso_path(std, lams, warm_start=warm)
+                path, fallbacks = self.fit_path(std, lams, warm_start=warm)
                 if any(singular):  # the weight after it is a coordinate-descent fit
                     met += 1
                     assert len(fallbacks) > (warm is not None)
@@ -1541,11 +1567,11 @@ class TestElasticNetPath:
         y = X[:, :3] @ rng.normal(size=3) + 0.5 * rng.normal(size=10)
         coarse = make_lambda_grid(X, y, 1.0, 8).values
         for lams in (coarse, coarse[-1:]):
-            uncapped, _ = self.lasso_path(standardize(X, y), lams)
+            uncapped, _ = self.fit_path(standardize(X, y), lams)
             assert uncapped.n_sweeps.max() >= 3 and uncapped.converged.all()
             for max_iter in (1, 2, 3):
                 std = standardize(X, y)
-                path, fallbacks = self.lasso_path(std, lams, max_iter=max_iter)
+                path, fallbacks = self.fit_path(std, lams, max_iter=max_iter)
                 fits = self.chain(std, lams, 1.0, max_iter=max_iter)
                 over = [lam for lam, steps in zip(lams, uncapped.n_sweeps) if steps > max_iter]
                 assert set(over) <= set(fallbacks) and path.n_sweeps.max() <= max_iter
@@ -1574,9 +1600,9 @@ class TestElasticNetPath:
         std = standardize(X, y)
         lams = make_lambda_grid(X, y, 0.5, 30).values
         for max_iter in (1, 100_000):
-            path = fit_elastic_net_path(std, lams, 0.5, max_iter=max_iter)
+            path, fallbacks = self.fit_path(std, lams, 0.5, max_iter=max_iter)
             fits = self.chain(standardize(X, y), lams, 0.5, max_iter=max_iter)
-            self.assert_rows_equal(path, fits)
+            self.assert_rows_certified(std, lams, path, fits, fallbacks, alpha=0.5)
             assert path.converged.all() == (max_iter > 1)
 
     @pytest.mark.parametrize("seed", [4, 6, 9, 14])
@@ -1589,7 +1615,7 @@ class TestElasticNetPath:
         y = X[:, :3] @ rng.uniform(-2.0, 2.0, size=3) + rng.normal(size=60)
         lams = make_lambda_grid(X, y, 1.0, 40).values
         for max_iter in (1, 2, 3, solvers.DEFAULT_MAX_ITER):
-            path, fallbacks = self.lasso_path(standardize(X, y), lams, max_iter=max_iter)
+            path, fallbacks = self.fit_path(standardize(X, y), lams, max_iter=max_iter)
             self.assert_rows_certified(standardize(X, y), lams, path, self.chain(
                 standardize(X, y), lams, 1.0, max_iter=max_iter), fallbacks)
             assert not path.converged.all()
@@ -1603,8 +1629,8 @@ class TestElasticNetPath:
 
     @staticmethod
     def record_attempts(monkeypatch):
-        """``(start, weights given, (rows kept, point handed on))`` of every batched
-        attempt; a handed point is an exit if its support is smaller than ``start``'s."""
+        """``(start, weights given, (rows kept, exact-update point))`` of every batched
+        attempt."""
         attempts = []
         original = solvers._sign_fixed_rows
 
@@ -1616,62 +1642,83 @@ class TestElasticNetPath:
         return attempts
 
     @staticmethod
-    def count_fits(monkeypatch):
-        """The weight of every ``solvers.fit_elastic_net`` call."""
-        weights = []
+    def three_predictors():
+        """Three strong predictors of 30 rows and a lasso grid of 200 weights."""
+        rng = np.random.default_rng(41)
+        X = rng.normal(size=(30, 3))
+        y = X @ [3.0, -2.0, 1.0] + 0.1 * rng.normal(size=30)
+        return X, y, make_lambda_grid(X, y, 1.0, 200).values
 
-        def counted(std, lam, *args, **kwargs):
-            weights.append(lam)
-            return fit_elastic_net(std, lam, *args, **kwargs)
+    def assert_net_certified(self, X, y, lams, alpha, **kwargs):
+        """``(grid, fallbacks)`` of :meth:`fit_path` at ``alpha < 1``, certified against the
+        chain of one-weight fits."""
+        std = standardize(X, y)
+        path, fallbacks = self.fit_path(std, lams, alpha, **kwargs)
+        fits = self.chain(standardize(X, y), lams, alpha, **kwargs)
+        self.assert_rows_certified(std, lams, path, fits, fallbacks, alpha=alpha)
+        return path, fallbacks
 
-        monkeypatch.setattr(solvers, "fit_elastic_net", counted)
-        return weights
-
-    def test_a_run_end_that_steps_twice_stays_batched(self, monkeypatch):
-        # the attempt from the entering step keeps no row at one weight, whose fit
-        # takes a second step: that step is handed on too, and the attempt from it
-        # keeps the weight's row
-        X, y, lams = self.wide_design(7)
-        fits = self.chain(standardize(X, y), lams, self.BELOW_ONE)
+    @pytest.mark.parametrize("design", ["wide", "shared factor"])
+    def test_exits_and_entries_restart_without_coordinate_descent(self, monkeypatch, design):
+        # at alpha 0.9, on a wide design and on columns that share one strong factor
+        # (coefficients leave the support as well as enter it): every weight whose row
+        # fails restarts from its exact-update point and keeps its row, from points with
+        # fewer and with more nonzeros than the run before, so no weight calls coordinate
+        # descent, whatever the step limit on the shared factor
+        limits = [solvers.DEFAULT_MAX_ITER]
+        if design == "wide":
+            X, y, lams = self.wide_design(0)
+        else:
+            rng = np.random.default_rng(0)
+            X = rng.normal(size=(10, 15)) + 2.0 * rng.normal(size=(10, 1))
+            y = X[:, :3] @ rng.normal(size=3) + 0.5 * rng.normal(size=10)
+            lams = make_lambda_grid(X, y, 1.0, 100).values
+            limits = [1, 2, 3, *limits]
         attempts = self.record_attempts(monkeypatch)
-        path = fit_elastic_net_path(standardize(X, y), lams, self.BELOW_ONE)
-        self.assert_rows_equal(path, fits)
-        assert 2 in path.n_sweeps
-        assert any(
-            second is first_step and len(kept) == 0 and third is second_step and len(rows) > 0
-            and np.count_nonzero(second_step) > np.count_nonzero(first_step)
-            for (_, _, (_, first_step)), (second, _, (kept, second_step)), (third, _, (rows, _))
-            in zip(attempts, attempts[1:], attempts[2:]))
+        for max_iter in limits:
+            attempts.clear()
+            path, fallbacks = self.assert_net_certified(X, y, lams, 0.9, max_iter=max_iter)
+            assert fallbacks == [] and path.converged.all() and path.n_sweeps.max() >= 1
+            kinds = {np.sign(np.count_nonzero(start) - np.count_nonzero(before))
+                     for (before, _, (_, point)), (start, _, (rows, _))
+                     in zip(attempts, attempts[1:]) if start is point and len(rows)}
+            assert kinds >= {-1, 1}
 
-    def test_run_ends_entering_one_coordinate_stay_batched(self, monkeypatch):
+    def test_a_restart_enters_every_coordinate_its_point_moves(self, monkeypatch):
+        # the exact-update point enters every coordinate whose correlation exceeds the
+        # L1 term: at one weight of this grid it enters two, and the restart keeps that
+        # weight's row, which counts both as steps
+        X, y, lams = self.wide_design(7)
+        path, fallbacks = self.assert_net_certified(X, y, lams, self.BELOW_ONE)
+        assert fallbacks == [] and 2 in path.n_sweeps
+        i = path.n_sweeps.tolist().index(2)
+        assert np.count_nonzero((path.slopes[i] != 0.0) & (path.slopes[i - 1] == 0.0)) == 2
+
+    def test_a_restart_entering_more_than_max_iter_coordinates_calls_coordinate_descent(self):
+        # a grid's second weight far below its first, where the exact-update point enters
+        # all three predictors: from a step limit of 3 the weight restarts from it and
+        # counts three steps; below that it is the one-weight fit from the row before,
+        # which stops at the limit
+        X, y, lams = self.three_predictors()
+        lams = [lams[0], lams[40]]
+        std = standardize(X, y)
+        for max_iter in (1, 2, 3, solvers.DEFAULT_MAX_ITER):
+            path, fallbacks = self.fit_path(std, lams, self.BELOW_ONE, max_iter=max_iter)
+            if max_iter < 3:
+                fit = fit_elastic_net(std, lams[1], self.BELOW_ONE, max_iter=max_iter,
+                                      warm_start=path[0])
+                assert fallbacks == [lams[1]] and not path.converged[1]
+                assert path.slopes[1].tobytes() == fit.betas.tobytes()
+                assert path.n_sweeps[1] == max_iter
+            else:
+                assert fallbacks == [] and path.converged.all()
+                assert path.n_sweeps.tolist() == [0, 3]
+
+    def test_run_ends_entering_one_coordinate_stay_batched(self):
         X, y, lams = self.wide_design(0)
-        calls = self.count_fits(monkeypatch)
-        path = fit_elastic_net_path(standardize(X, y), lams, 1.0)
+        path, calls = self.fit_path(standardize(X, y), lams)
         assert path.converged.all()
         assert len(calls) == 0 < np.count_nonzero(path.n_sweeps == 1)
-
-    @pytest.mark.parametrize("seed", [0, 7])
-    def test_run_ends_where_a_coefficient_leaves_stay_batched(self, monkeypatch, seed):
-        # columns that share one strong factor: along the path coefficients leave the
-        # support as well as enter it, and the attempt from an exit keeps rows
-        rng = np.random.default_rng(seed)
-        X = rng.normal(size=(10, 15)) + 2.0 * rng.normal(size=(10, 1))
-        y = X[:, :3] @ rng.normal(size=3) + 0.5 * rng.normal(size=10)
-        lams = make_lambda_grid(X, y, 1.0, 100).values
-        attempts = self.record_attempts(monkeypatch)
-        calls = self.count_fits(monkeypatch)
-        for max_iter in (1, 2, 3, solvers.DEFAULT_MAX_ITER):
-            attempts.clear()
-            calls.clear()
-            path = fit_elastic_net_path(standardize(X, y), lams, self.BELOW_ONE,
-                                        max_iter=max_iter)
-            self.assert_rows_equal(path, self.chain(standardize(X, y), lams, self.BELOW_ONE,
-                                                    max_iter=max_iter))
-            assert any(start is point and len(rows) > 0  # an exit point
-                       and np.count_nonzero(point) < np.count_nonzero(before)
-                       for (before, _, (_, point)), (start, _, (rows, _))
-                       in zip(attempts, attempts[1:]))
-        assert calls == []
 
     def test_an_enter_then_exit_cycle_at_one_weight_ends_in_the_one_weight_fit(self):
         # a response in the 1e9s: rounding moves a coordinate's update by more than tol
@@ -1684,7 +1731,7 @@ class TestElasticNetPath:
         lams = make_lambda_grid(X, y, 1.0, 40).values
         fits = self.chain(standardize(X, y), lams, 1.0, max_iter=50)
         std = standardize(X, y)
-        path, fallbacks = self.lasso_path(std, lams, max_iter=50)
+        path, fallbacks = self.fit_path(std, lams, max_iter=50)
         # slopes read back through the original scale round by more than tol here, so
         # the updates are tested at tol relative to the response's scale
         self.assert_rows_certified(std, lams, path, fits, fallbacks,
@@ -1692,56 +1739,41 @@ class TestElasticNetPath:
         stopped = [lam for lam, fit in zip(lams, fits) if not fit.converged]
         assert len(stopped) > 1 and all(fallbacks.count(lam) == 1 for lam in stopped)
 
-    def test_a_net_enter_then_exit_cycle_hands_on_two_steps_then_calls_the_one_weight_fit(
-            self, monkeypatch):
-        # a response in the 1e9s: rounding moves a coordinate's update by more than tol
-        # where the solve that follows sets it back, so at one weight coordinate
-        # descent enters, leaves and enters again up to its step limit; the batched runs
-        # hand on two of those steps
+    def test_a_net_enter_then_exit_cycle_ends_in_the_one_weight_fit(self):
+        # the same design at alpha one ulp below 1: no restart keeps a row where the
+        # one-weight fit cycles, and each such weight's row is that fit, called once
         rng = np.random.default_rng(33)
         X = rng.normal(size=(10, 15)) + 2.0 * rng.normal(size=(10, 1))
         y = 1e9 * (X[:, :3] @ rng.normal(size=3) + 0.5 * rng.normal(size=10))
         lams = make_lambda_grid(X, y, 1.0, 40).values
         fits = self.chain(standardize(X, y), lams, self.BELOW_ONE, max_iter=50)
-        attempts = self.record_attempts(monkeypatch)
-        calls = self.count_fits(monkeypatch)
-        path = fit_elastic_net_path(standardize(X, y), lams, self.BELOW_ONE, max_iter=50)
-        self.assert_rows_equal(path, fits)
-        hand_offs = {}  # weight index: the kind of every point handed on at it
-        for start, given, (rows, handed) in attempts:
-            if handed is not None:
-                kind = "exit" if np.count_nonzero(handed) < np.count_nonzero(start) else "enter"
-                hand_offs.setdefault(lams.index(given[0]) + len(rows), []).append(kind)
-        cycles = [i for i, kinds in hand_offs.items() if "enter exit enter" in " ".join(kinds)]
-        assert cycles
-        for i in cycles:  # two steps are handed on and the third is refused
-            assert hand_offs[i].count("enter") == 3 and len(hand_offs[i]) <= 5
-            assert calls.count(lams[i]) == 1 and not path.converged[i]
+        std = standardize(X, y)
+        path, fallbacks = self.fit_path(std, lams, self.BELOW_ONE, max_iter=50)
+        self.assert_rows_certified(std, lams, path, fits, fallbacks,
+                                   1e-7 * math.sqrt(std.y_ss / std.n), self.BELOW_ONE)
+        stopped = [lam for lam, fit in zip(lams, fits) if not fit.converged]
+        assert len(stopped) > 1 and all(fallbacks.count(lam) == 1 for lam in stopped)
 
-    def test_a_long_run_spans_growing_windows(self, monkeypatch):
-        # three strong predictors: once all have entered, the support holds to the
-        # grid's end, so batched attempts keep their whole window and double it
-        rng = np.random.default_rng(41)
-        X = rng.normal(size=(30, 3))
-        y = X @ [3.0, -2.0, 1.0] + 0.1 * rng.normal(size=30)
-        lams = make_lambda_grid(X, y, 1.0, 200).values
-        fits = self.chain(standardize(X, y), lams, self.BELOW_ONE)
-        supports = [tuple(f.support()) for f in fits]
-        assert supports[-40:] == [(True, True, True)] * 40
+    def test_a_long_run_spans_windows(self, monkeypatch):
+        # once all three predictors have entered, the support holds to the grid's end:
+        # each attempt keeps its whole window of RUN_WINDOW weights and the next starts
+        # from its last row, and the last keeps the rest of the grid
+        X, y, lams = self.three_predictors()
         attempts = self.record_attempts(monkeypatch)
-        path = fit_elastic_net_path(standardize(X, y), lams, self.BELOW_ONE)
-        self.assert_rows_equal(path, fits)
-        # the last run: windows of 16, 32 and 64 weights, each kept whole, then the
-        # rest of the grid
+        path, fallbacks = self.assert_net_certified(X, y, lams, self.BELOW_ONE)
+        assert fallbacks == [] and path.slopes[-40:].all()
         window = solvers.RUN_WINDOW
-        sizes = [(len(given), len(kept)) for _, given, (kept, _) in attempts]
-        assert sizes[-4:-1] == [
-            (window, window), (2 * window, 2 * window), (4 * window, 4 * window)]
-        assert sizes[-1][0] == sizes[-1][1] < 8 * window
+        tail = attempts[-3:]
+        sizes = [(len(given), len(kept)) for _, given, (kept, _) in tail[:2]]
+        assert sizes == [(window, window)] * 2
+        assert len(tail[2][1]) == len(tail[2][2][0]) <= window
+        for (_, _, (kept, _)), (start, _, _) in zip(tail, tail[1:]):
+            assert start.tobytes() == kept[-1].tobytes()
 
-    def test_a_step_on_the_last_weight_of_a_window_is_taken_batched(self, monkeypatch):
+    def test_a_failing_weight_at_the_end_of_a_window_restarts(self, monkeypatch):
         # the first window's last weight is the first where a coordinate enters, and
-        # the next window's last weight the first where a second one does
+        # the next window's last weight the first where a second one does: each attempt
+        # keeps all but its last weight, which the next attempt restarts from its point
         X, y, fine = self.wide_design(3)
         fine = np.geomspace(fine[0], fine[0] * 1e-3, 2000)
         sizes = [np.count_nonzero(f.betas) for f in self.chain(standardize(X, y), fine, self.BELOW_ONE)]
@@ -1750,13 +1782,14 @@ class TestElasticNetPath:
         lams = np.concatenate([np.geomspace(2.0 * fine[0], 1.01 * fine[0], window - 1),
                                np.geomspace(fine[first], fine[second - 1], window - 1),
                                fine[second:second + 30]])
-        fits = self.chain(standardize(X, y), lams, self.BELOW_ONE)
         attempts = self.record_attempts(monkeypatch)
-        path = fit_elastic_net_path(standardize(X, y), lams, self.BELOW_ONE)
-        self.assert_rows_equal(path, fits)
-        assert [(len(given), len(kept), handed is not None)
-                for _, given, (kept, handed) in attempts[:2]] \
+        path, fallbacks = self.assert_net_certified(X, y, lams, self.BELOW_ONE)
+        assert fallbacks == []
+        assert [(len(given), len(kept), point is not None)
+                for _, given, (kept, point) in attempts[:2]] \
             == [(window, window - 1, True), (window, window - 1, True)]
+        assert all(start is point
+                   for (_, _, (_, point)), (start, _, _) in zip(attempts, attempts[1:3]))
         assert path.n_sweeps[[window - 1, 2 * window - 2]].tolist() == [1, 1]
 
     def test_a_grid_without_an_l1_term_is_one_product(self, monkeypatch):
