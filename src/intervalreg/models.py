@@ -10,8 +10,8 @@ Each regression is one design, which :func:`fit_component` fits with one
 solver at every weight of a grid: ridge (at weight 0 when unpenalized) or
 elastic net (lasso and net).  A constant predictor (say, one of constant
 half-range width) gets slope exactly 0.  Under lasso and elastic net, the
-half-range columns of the predictors the midpoint regression dropped are
-set to 0, so the range model's support is always nested in the center model's.
+half-range regression is fitted on the predictors the midpoint regression kept
+alone, so the range model's support is always nested in the center model's.
 
 Endpoint ordering of predictions is not guaranteed; rows with a
 predicted lower bound above the upper bound are counted, never silently
@@ -32,6 +32,7 @@ from .solvers import (
     SingularDesign,
     fit_elastic_net_path,
     fit_ridge_path,
+    restrict,
 )
 from .tables import CenterRangeView, IntervalTable, columns, to_center_range
 
@@ -233,10 +234,9 @@ def fit_component(
     spec: MethodSpec,
     lams: Sequence[float],
     warm: CoefficientSet | None = None,
-    mask: np.ndarray | None = None,
 ) -> list[CoefficientGrid]:
     """Fit each view's standardized ``component`` design at each weight of a
-    descending grid; a boolean ``mask`` fits its :func:`~intervalreg.solvers.exclude` copy.
+    descending grid.
 
     Row i is the fit at ``lams[i]``.  Ridge fits all weights in one solve
     (:func:`~intervalreg.solvers.fit_ridge_path`); an unpenalized spec is
@@ -255,7 +255,7 @@ def fit_component(
     with the same ``pivot_index``, its message naming the predictor and the
     regression: the midpoints or the half-ranges.
     """
-    stds = [view.standardized(component, mask) for view in views]
+    stds = [view.standardized(component) for view in views]
     try:
         if spec.penalty in ("none", "ridge"):
             weights = np.zeros(len(lams)) if spec.penalty == "none" else lams
@@ -294,7 +294,8 @@ class GridFit:
         """The fits of one method on the grids of m folds as one, every array with a
         leading fold axis."""
         grids = ([f.centers for f in fits], [f.ranges for f in fits])
-        return cls(*(None if g[0] is None else _join(g, np.stack) for g in grids))
+        return cls(*(None if g[0] is None else CoefficientGrid(*map(np.stack, zip(
+            *((c.intercepts, c.slopes, c.converged, c.n_sweeps) for c in g)))) for g in grids))
 
     def predict_bounds(
         self, X_lo: np.ndarray, X_hi: np.ndarray
@@ -316,12 +317,6 @@ class GridFit:
         y_center = c_top + ((X_lo + X_hi) / 2.0) @ c_slopes
         y_range = r.intercepts[..., None, :] + ((X_hi - X_lo) / 2.0) @ r.slopes.swapaxes(-1, -2)
         return y_center - y_range, y_center + y_range
-
-
-def _join(grids: Sequence[CoefficientGrid], combine) -> CoefficientGrid:
-    """One grid of the rows (``np.concatenate``) or folds (``np.stack``) of ``grids``."""
-    fields = zip(*((g.intercepts, g.slopes, g.converged, g.n_sweeps) for g in grids))
-    return CoefficientGrid(*(combine(f) for f in fields))
 
 
 def fit_grid(
@@ -348,14 +343,13 @@ def fit_grids(
 
     The midpoint regression is fitted at each of ``lambdas``; for crm the
     half-range regression at each of ``range_lambdas`` (default: the same
-    weights), on the half-range design with, under lasso / elastic net, the
-    columns outside the center support at that weight set to 0 (slope 0,
-    mean 0, scale 1).  Only the spec's family, penalty and alpha are used.
-    Each design is one :func:`fit_component` call on all the views, except a crm
-    support's half-ranges, which are one call on their own view, so every grid
-    fitted on the same view shares one standardization per design and its
-    factorizations.  Lasso / elastic-net fits start from ``warm_start`` (a model fit
-    on the same predictors).
+    weights), under lasso / elastic net on the columns of the center support at
+    that weight alone, with slope 0 elsewhere (:func:`_support_runs`).  Only the
+    spec's family, penalty and alpha are used.  Each design is one
+    :func:`fit_component` call on all the views, except a crm lasso / elastic net's
+    half-ranges, which are fitted view by view, so every grid fitted on the same view
+    shares one standardization per design.  Lasso / elastic-net fits start from
+    ``warm_start`` (a model fit on the same predictors).
     """
     if range_lambdas is None:
         range_lambdas = lambdas
@@ -376,19 +370,30 @@ def fit_grids(
 
 def _support_runs(view: CenterRangeView, centers: CoefficientGrid, spec: MethodSpec,
                   lams: Sequence[float], warm: CoefficientSet | None) -> CoefficientGrid:
-    """The half-range grid of a crm lasso / elastic net: one :func:`fit_component` call
-    on the view's design with the columns outside the center support set to 0 per run
-    of weights with equal center supports, each warm-started from the run before."""
+    """The half-range grid of a crm lasso / elastic net: per run of weights with equal
+    center supports, one :func:`~intervalreg.solvers.fit_elastic_net_path` call (a stack
+    of one) on the view's half-range design restricted to the support's columns
+    (:func:`~intervalreg.solvers.restrict`), warm-started from the row before; a run on
+    an empty support is intercept-only, ``converged``, with no step.  The slopes are
+    scattered back to p columns, and the grid records the view's ``means``/``scales``."""
+    std = view.standardized("range")
     masks = centers.slopes != 0.0
-    bounds = [0, *(np.flatnonzero((masks[1:] != masks[:-1]).any(axis=1)) + 1), len(masks)]
-    runs: list[CoefficientGrid] = []
+    slopes, k = np.zeros(masks.shape), len(masks)
+    converged, n_sweeps = np.ones(k, dtype=bool), np.zeros(k, dtype=int)
+    bounds = [0, *(np.flatnonzero((masks[1:] != masks[:-1]).any(axis=1)) + 1), k]
     for start, stop in zip(bounds, bounds[1:]):  # one design per run of equal supports
-        mask = masks[start]
-        start_fit = runs[-1][-1] if runs else warm
-        if start_fit is not None:  # the columns set to 0 start at 0, so they stay there
-            start_fit = CoefficientSet(start_fit.intercept, np.where(mask, start_fit.betas, 0.0))
-        runs.append(fit_component([view], "range", spec, lams[start:stop], start_fit, mask)[0])
-    return runs[0] if len(runs) == 1 else _join(runs, np.concatenate)
+        cols = np.flatnonzero(masks[start])
+        before = slopes[start - 1] if start else None if warm is None else warm.betas
+        if len(cols):  # the rows of an empty support keep slope 0
+            grid = fit_elastic_net_path(
+                [restrict(std, cols)], lams[start:stop], spec.effective_alpha,
+                warm_start=[None if before is None else CoefficientSet(0.0, before[cols])])[0]
+            slopes[start:stop, cols] = grid.slopes
+            converged[start:stop], n_sweeps[start:stop] = grid.converged, grid.n_sweeps
+    # each row's intercept by its own dot product over all p columns, as the whole
+    # design's fits form theirs
+    intercepts = std.y_mean - (slopes[:, None, :] @ std.means)[:, 0]
+    return CoefficientGrid(intercepts, slopes, converged, n_sweeps, std.means, std.scales)
 
 
 def fit(

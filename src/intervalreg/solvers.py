@@ -39,10 +39,10 @@ centers and scales it and forms the Gram matrix ``Xs'Xs``, ``Xs'yc`` and
 that design reads its sums and factorizations from it, so a penalty grid
 forms one Gram matrix per design, not one per weight.  A stack of designs
 of one shape (cross-validation's folds of one size) is standardized in one
-call, each design bit for bit as it would be alone.  :func:`exclude`
-restricts a design to a subset of its columns by setting the others to 0
-in a copy that shares its factorizations, as glmnet's ``exclude`` argument
-does (Friedman, Hastie & Tibshirani, JSS 2010).
+call, each design bit for bit as it would be alone.  :func:`restrict`
+gathers the sums of a subset of a design's columns from the design's, so a
+fit that leaves the other columns out, as glmnet's ``exclude`` argument does
+(Friedman, Hastie & Tibshirani, JSS 2010), standardizes nothing again.
 
 A constant column has slope exactly 0 in every fit.  Least squares
 (``fit_ridge`` at weight 0) is solved on the other columns by LAPACK's
@@ -126,7 +126,7 @@ class Standardized(NamedTuple):
     Xs'Xs`` (exactly symmetric), ``q = Xs'yc``, ``y_ss = yc'yc`` and ``gram_diag =
     diag(gram)``, all read-only.  ``factors`` caches the eigendecompositions of the
     sub-Grams the solvers meet, keyed by active set (:func:`_factor`), for every fit
-    of this design and of its :func:`exclude` copies.
+    of this design; a :func:`restrict` of it has a cache of its own.
     """
 
     means: np.ndarray
@@ -183,14 +183,11 @@ def standardize(X: np.ndarray, y: np.ndarray) -> Standardized | list[Standardize
     return stds if stack else stds[0]
 
 
-def exclude(std: Standardized, mask: np.ndarray) -> Standardized:
-    """``std`` with the columns outside boolean ``mask`` set to 0 (slope 0, mean 0,
-    scale 1), bit for bit the :func:`standardize` of that zeroed design.  It shares
-    ``std.factors``: an active set inside ``mask`` has the same sub-Gram in both."""
-    return _read_only(std._replace(
-        means=np.where(mask, std.means, 0.0), scales=np.where(mask, std.scales, 1.0),
-        gram=np.where(mask[:, None] & mask, std.gram, 0.0), q=np.where(mask, std.q, 0.0),
-        gram_diag=np.where(mask, std.gram_diag, 0.0)))
+def restrict(std: Standardized, cols: np.ndarray) -> Standardized:
+    """The design of ``std``'s columns ``cols`` (an index array) alone: its sums gathered
+    from ``std``'s, read-only, with an empty ``factors`` cache of its own."""
+    gathered = {name: getattr(std, name)[cols] for name in ("means", "scales", "q", "gram_diag")}
+    return _read_only(std._replace(gram=std.gram[cols[:, None], cols], factors={}, **gathered))
 
 
 def _read_only(std: Standardized) -> Standardized:
@@ -244,9 +241,8 @@ class CoefficientSet:
 class CoefficientGrid:
     """Fits at k penalty weights as arrays, row i at weight i: ``intercepts``,
     ``converged`` and ``n_sweeps`` ``(k,)``, original-scale ``slopes`` ``(k, p)``,
-    and the ``means``/``scales`` ``(p,)`` all rows share (None if they share none:
-    half-range runs of :func:`exclude` copies with different masks).  Indexing a row builds its
-    :class:`CoefficientSet`."""
+    and the ``means``/``scales`` ``(p,)`` all rows share (None in a stack of folds'
+    grids, whose rows share none).  Indexing a row builds its :class:`CoefficientSet`."""
 
     intercepts: np.ndarray
     slopes: np.ndarray

@@ -26,7 +26,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .solvers import NonFiniteEncountered, Standardized, exclude, standardize
+from .solvers import NonFiniteEncountered, Standardized, standardize
 
 
 class TableError(ValueError):
@@ -160,19 +160,16 @@ class CenterRangeView:
             return self.halfranges_X, self.halfranges_y
         return self.centers_X, self.centers_y
 
-    def standardized(self, component: str, mask: np.ndarray | None = None) -> Standardized:
-        """:meth:`design`'s :func:`~intervalreg.solvers.standardize`, cached on the view;
-        a boolean ``mask`` gives its :func:`~intervalreg.solvers.exclude` copy (a crm
-        support run's half-ranges), cached per distinct mask.  A response whose sums
-        overflow (a non-finite ``q``) raises
+    def standardized(self, component: str) -> Standardized:
+        """:meth:`design`'s :func:`~intervalreg.solvers.standardize`, cached on the view
+        (a crm support run's half-ranges are a :func:`~intervalreg.solvers.restrict` of
+        it).  A response whose sums overflow (a non-finite ``q``) raises
         :class:`~intervalreg.solvers.NonFiniteEncountered` naming the regression, on
         every read, so a design :meth:`take` standardized raises when it is first used."""
-        key = (component == "range", None if mask is None else mask.tobytes())
+        key = component == "range"
         std = self._standardized.get(key)
         if std is None:
-            std = (standardize(*self.design(component)) if mask is None
-                   else exclude(self.standardized(component), mask))
-            self._standardized[key] = std
+            std = self._standardized[key] = standardize(*self.design(component))
         if not np.isfinite(std.q).all():
             part = "half-ranges" if component == "range" else "midpoints"
             raise NonFiniteEncountered(f"sums of the response's {part} overflow; "
@@ -191,7 +188,7 @@ class CenterRangeView:
         for component in components:
             X, y = arrays[2:] if component == "range" else arrays[:2]
             for view, std in zip(views, standardize(X, y)):
-                view._standardized[(component == "range", None)] = std
+                view._standardized[component == "range"] = std
         return views
 
 

@@ -22,9 +22,9 @@ from intervalreg.selection import cross_validate, make_lambda_grid
 from intervalreg.solvers import (
     CoefficientSet,
     NonFiniteEncountered,
-    exclude,
     fit_elastic_net,
     fit_ridge,
+    restrict,
     standardize,
 )
 from intervalreg.tables import CenterRangeView, predictor_bounds, read_interval_csv, to_center_range
@@ -255,20 +255,20 @@ class TestShrinkageVariants:
         assert all(f.betas[2] == 0.0 for f in fits)
 
     def test_crm_cv_standardizes_once_per_view_and_component(self, monkeypatch):
-        # every support's half-range design is an exclusion copy of its view's one
+        # every support run's half-range design is a restriction of its fold's one
         # standardization, however many distinct supports the grids meet
-        calls, masks = [], set()
+        calls, restricted = [], []
 
         def counted(X, y):  # each design of a stacked call counts once
             calls.extend([X.shape[1:]] * len(X) if X.ndim == 3 else [X.shape])
             return standardize(X, y)
 
-        def recorded(std, mask):
-            masks.add(mask.tobytes())
-            return exclude(std, mask)
+        def recorded(std, cols):
+            restricted.append((std, cols.tobytes()))
+            return restrict(std, cols)
 
         monkeypatch.setattr(tables, "standardize", counted)
-        monkeypatch.setattr(tables, "exclude", recorded)
+        monkeypatch.setattr(models, "restrict", recorded)
         rng = np.random.default_rng(38)
         table = random_interval_table(rng, 40, 60)
         spec = MethodSpec.from_name("lasso-crm", 1.0)
@@ -276,7 +276,9 @@ class TestShrinkageVariants:
         # the whole table's midpoints (grid top and path), and both designs of 5 folds
         assert len(calls) == 1 + 5 * 2
         assert calls.count((40, 60)) == 1 and len(set(calls) - {(40, 60)}) == 1
-        assert len(masks) > 10 and max(result.nonzero) > 1
+        # one restriction per run of a nonempty support, each of one fold's half-ranges
+        assert len({id(std) for std, _ in restricted}) == 5
+        assert len({cols for _, cols in restricted}) > 10 and max(result.nonzero) > 1
 
     def test_warm_start_reaches_same_solution(self, cardio):
         big = fit(cardio, MethodSpec("cm", "lasso", lambda_center=50.0))
@@ -359,6 +361,14 @@ class TestGridArrays:
             warm = slopes
         got = fits.ranges.intercepts + X @ fits.ranges.slopes.T
         np.testing.assert_allclose(got, np.column_stack(want), rtol=1e-12, atol=0)
+        # every row records the view's one half-range standardization, and a row whose
+        # center support is empty is intercept-only without a step
+        std = view.standardized("range")
+        assert fits.ranges.means.tobytes() == std.means.tobytes()
+        assert fits.ranges.scales.tobytes() == std.scales.tobytes()
+        empty = ~(fits.centers.slopes != 0.0).any(axis=1)
+        assert empty.any() == spec.selects_variables
+        assert fits.ranges.converged[empty].all() and not fits.ranges.n_sweeps[empty].any()
 
 
 @pytest.mark.parametrize("name", sorted(METHOD_NAMES))

@@ -21,11 +21,11 @@ from intervalreg.solvers import (
     _standardize,
     coordinate_descent,
     duality_gap,
-    exclude,
     fit_elastic_net,
     fit_elastic_net_path,
     fit_ridge,
     fit_ridge_path,
+    restrict,
     solve_spd,
     standardize,
 )
@@ -228,8 +228,9 @@ def lasso_stacks(draw):
     first of two rises has an empty span at the second, as a warm-started design has at
     the first weight), one warm start per design (None, random slopes or a fit at a larger
     weight) and a step limit of 1 to 3 or the default (100 near 1e9).  The designs are
-    seeded, have 2 to 20 columns, may hold a constant column, a copy of a column or be an
-    ``exclude`` copy, and may all have their responses scaled by about 1e9, where rows
+    seeded, have 2 to 20 columns, may hold a constant column or a copy of a column, may
+    all be a ``restrict`` of one random subset of their columns (as a crm support run's
+    half-ranges are), and may all have their responses scaled by about 1e9, where rows
     fail the exact-update test by rounding and the designs start again at different rows;
     or they are the ``tests/data/lasso_stall.json`` fold, whose columns are near
     duplicates, with a copy of one of its columns."""
@@ -245,6 +246,8 @@ def lasso_stacks(draw):
                 gram[np.ix_(copied, copied)], q[copied], data["y_ss"]))
     else:
         p, scale = draw(st.integers(2, 20)), draw(st.sampled_from([1.0, 1e9]))
+        cols = (np.sort(rng.choice(p, int(rng.integers(1, p + 1)), replace=False))
+                if rng.random() < 0.3 else None)
         for _ in range(m):
             n = int(rng.integers(3, 16))
             X = rng.normal(size=(n, p)) * rng.uniform(0.1, 10.0, size=p)
@@ -254,9 +257,8 @@ def lasso_stacks(draw):
                 X[:, rng.integers(p)] = X[:, rng.integers(p)]
             y = X[:, : min(p, 3)] @ rng.uniform(-2.0, 2.0, size=min(p, 3)) + rng.normal(size=n)
             y *= scale * rng.uniform(0.5, 2.0)
-            mask = rng.random(p) < 0.7 if rng.random() < 0.3 else None
-            designs.append(lambda X=X, y=y, mask=mask: standardize(X, y) if mask is None
-                           else exclude(standardize(X, y), mask))
+            designs.append(lambda X=X, y=y: standardize(X, y) if cols is None
+                           else restrict(standardize(X, y), cols))
     lam_max = max(2.0 * float(np.max(np.abs(make().q))) for make in designs)
     assume(lam_max > 0.0)
     lams = [*np.geomspace(lam_max, lam_max * 10.0 ** -rng.uniform(1.0, 4.0),
@@ -417,18 +419,23 @@ class TestStandardize:
 
     @settings(max_examples=60, deadline=None)
     @given(masked_designs())
-    def test_exclude_is_the_standardization_of_the_zeroed_design(self, design):
-        # bit for bit, zero signs included, and sharing the unmasked design's factors
+    def test_restrict_gathers_the_kept_columns_sums(self, design):
+        # bit for bit from the design's sums, read-only, with a factors cache of its own
         X, y, mask = design
         std = standardize(X, y)
-        got, want = exclude(std, mask), standardize(np.where(mask, X, 0.0), y)
-        assert got.factors is std.factors
-        for name, a, b in zip(Standardized._fields, got, want):
+        std.factors["full design"] = None
+        cols = np.flatnonzero(mask)
+        got = restrict(std, cols)
+        assert got.factors == {} and std.factors == {"full design": None}
+        gathered = {"means": std.means[cols], "scales": std.scales[cols],
+                    "gram": std.gram[cols][:, cols], "q": std.q[cols],
+                    "gram_diag": std.gram_diag[cols]}
+        for name, a, b in zip(Standardized._fields, got, std):
             if name == "factors":
                 continue
             if isinstance(a, np.ndarray):
                 assert not a.flags.writeable, name
-            a, b = np.asarray(a), np.asarray(b)
+            a, b = np.asarray(a), np.asarray(gathered.get(name, b))
             assert a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes(), name
 
     @pytest.mark.parametrize("seed", range(5))
@@ -1439,20 +1446,6 @@ class TestElasticNetPath:
             assert moved > bound
             checked += 1
         assert checked >= 5
-
-    def test_a_lasso_grid_on_an_exclude_copy_never_enters_a_zeroed_column(self):
-        # a crm support's design: the masked-out columns have gram_diag 0 and stay 0,
-        # and the rows are certified against the chain on the same copy
-        rng = np.random.default_rng(34)
-        X = rng.normal(size=(12, 9))
-        y = X[:, :4] @ rng.normal(size=4) + 0.3 * rng.normal(size=12)
-        mask = np.array([True, False, True, True, False, True, False, True, True])
-        std = exclude(standardize(X, y), mask)
-        lams = [*np.geomspace(2.0 * np.max(np.abs(std.q)), 1e-4, 30), 0.0]
-        path, fallbacks = self.fit_path(std, lams)
-        assert not path.slopes[:, ~mask].any() and path.slopes[-2].all(where=mask)
-        self.assert_rows_certified(std, lams, path, self.chain(std, lams, 1.0), fallbacks)
-        assert fallbacks == [] and path.converged.all()
 
     def test_a_lasso_grid_ending_at_zero_ends_in_the_minimum_norm_fit(self):
         # more columns than rows: at weight 0 every interpolating fit is optimal, and
