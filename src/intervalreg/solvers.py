@@ -14,9 +14,9 @@ column:
   breakpoints, one solve per segment, and runs coordinate descent only at a
   weight whose row fails the exact-update test.  An elastic-net grid solves
   each run of weights on its start's support and signs, or without an L1 term,
-  in one product and keeps the rows that pass that test; a failing weight is
-  started again once from its exact-update point before coordinate descent
-  runs there.
+  in one product and keeps the rows that keep their signs and pass that test;
+  a failing weight is started again once from its exact-update point before
+  coordinate descent runs there.
 
 The penalized objective is used exactly as written, with no ``1/n`` or
 ``1/(2n)`` factor:
@@ -754,7 +754,7 @@ def fit_elastic_net_path(
     one-weight fit's :func:`_minimum_norm` solve.
 
     At ``alpha < 1`` most rows are batched sign-fixed solves (:func:`_net_rows`), kept
-    where they pass the same test.  They are ``converged`` and equal the chain to
+    where they keep their signs and pass the same test.  They are ``converged`` and equal the chain to
     rounding too.  A weight whose row fails starts again from its exact-update point,
     and its row counts the coordinates that point entered in ``n_sweeps`` (an exit is
     no step).  Coordinate descent fits a weight whose point enters more than
@@ -798,8 +798,9 @@ def _net_rows(std: Standardized, lams: np.ndarray, alpha: float, tol: float, max
 
     A run of weights with an L1 term is one batched sign-fixed solve on its start's
     support and signs over at most ``RUN_WINDOW`` weights (:func:`_sign_fixed_rows`),
-    kept while its rows pass :func:`coordinate_descent`'s test; a run without one is a
-    :func:`_minimum_norm` solve per weight, in one product, whatever its start.  Kept
+    kept while its rows keep their signs and pass :func:`coordinate_descent`'s test; a
+    run without one is a :func:`_minimum_norm` solve per weight, in one product,
+    whatever its start.  Kept
     rows are ``converged``, and the next run starts from the last of them.  A weight
     whose row fails is restarted once, from its exact-update point, if that point is
     finite and enters at most ``max_iter`` coordinates; a row the restart keeps counts
@@ -1036,12 +1037,16 @@ def _sign_fixed_rows(std: Standardized, lams: np.ndarray, alpha: float, tol: flo
 
     Every weight's row is the sign-fixed solve of ``q_A - thresh*s`` at its ridge term
     (:func:`_shifted_solve`, one product for all weights), 0 off ``A``.  A row is kept
-    while ``A`` is nonsingular at its ridge term and no exact coordinate update from it
-    moves a coefficient by more than ``tol`` (:func:`_exact_updates`): that test, not
-    the signs the row holds, certifies it.  A failing row's exact-update point is every
-    coordinate's exact update from it, taken at once: it enters the coordinates whose
-    correlations exceed the L1 term, and drops or flips a coefficient whose sign the
-    solve flipped.
+    while ``A`` is nonsingular at its ridge term, the solve flips no sign of ``s`` and
+    no exact coordinate update from it moves a coefficient by more than ``tol``
+    (:func:`_exact_updates`).  The sign test is needed where the L1 term is below
+    ``tol``: a flipped coefficient then moves the row by about ``thresh``, which the
+    update test lets through.  A failing row's exact-update point is every exact
+    coordinate update from it that moves a coefficient by more than ``tol``, taken at
+    once, the rest of the row kept: it enters those coordinates whose correlations
+    exceed the L1 term, and drops or flips a coefficient whose sign the solve flipped.
+    Like :func:`coordinate_descent`, which takes no step of ``tol`` or less, it enters
+    no coordinate whose exact value is too small to fail the test.
     """
     thresh, ridge = lams[:, None] * alpha / 2.0, lams[:, None] * (1.0 - alpha)
     active = start.nonzero()[0]
@@ -1051,8 +1056,12 @@ def _sign_fixed_rows(std: Standardized, lams: np.ndarray, alpha: float, tol: flo
                                      ridge)
     update = _exact_updates(std.q - _matvec(std.gram, rows), rows, std.gram_diag,
                             std.gram_diag + ridge, thresh)
-    n = _leading(~null.any(axis=1) & (np.abs(update - rows) <= tol).all(axis=1))
-    point = update[n] if n < len(lams) and np.isfinite(update[n]).all() else None
+    flipped = (rows[:, active] * np.sign(start[active]) < 0.0).any(axis=1)
+    n = _leading(~null.any(axis=1) & ~flipped & (np.abs(update - rows) <= tol).all(axis=1))
+    point = None
+    if n < len(lams):
+        point = np.where(np.abs(update[n] - rows[n]) > tol, update[n], rows[n])
+        point = point if np.isfinite(point).all() else None
     return rows[:n], point
 
 

@@ -289,6 +289,26 @@ NEARLY_COLLINEAR = [
      np.array([5.52139924, 4.77815326, 3.90483317]), 1.0),
 ]
 
+#: ``(X, y, alpha)`` of a 3 x 3 net design whose L1 term is below ``tol`` along its
+#: grid: a sign-fixed solve that flips a sign there still passes the exact-update test
+#: and lies about 1e-8 from the chain's rows
+TINY_L1 = (np.array([[2.50084636, -10.15406374, 2.18068978],
+                     [-0.69571819, -1.79844765, -1.12449612],
+                     [-2.47519606, -0.92150423, -4.5127159]]),
+           np.array([-2.53558681, -1.01920264, -4.16483507]), 1e-8)
+
+#: ``(X, y, alpha)`` of a 3 x 7 net design at an L1 fraction near 0, whose grid shrinks
+#: one coefficient below ``tol``: from a cold start its first weight's exact-update point
+#: moves that coordinate by 5e-8, and a restart that entered it would keep a row about
+#: 3e-8 from the chain's, which leaves it at 0
+TINY_ALPHA = (np.array([[3.46236625, -2.07989683, -3.67267739, -0.36989559, -8.04157661,
+                         2.56060429, -4.70594923],
+                        [-1.74233753, -1.3731713, 1.37620158, 0.35241213, 2.58638227,
+                         10.3971344, -11.55051561],
+                        [-5.06630979, -7.6211407, -1.04303796, 0.41695598, -4.147278,
+                         2.92349372, 6.78085601]]),
+              np.array([-3.91931191, -0.10131016, -1.66732117]), 2.632853492340481e-155)
+
 
 def exact_coordinate_updates(gram, q, gram_diag, beta, lam, alpha):
     """Every coordinate's exact update from ``beta``: ``S(rho_j, lam*alpha/2) /
@@ -1376,6 +1396,8 @@ class TestElasticNetPath:
     @settings(max_examples=150, deadline=None)
     @given(l1_designs(), st.booleans(), st.sampled_from(["cold", "random", "previous"]),
            st.integers(0, 2**32 - 1))
+    @example(TINY_L1, False, "cold", 0)
+    @example(TINY_ALPHA, False, "cold", 0)
     def test_equals_the_chain_of_one_weight_fits(self, design, below_one, start, seed):
         """Every row, found by coordinate descent or not, meets the contract of
         :meth:`assert_rows_certified` against the warm-started one-weight fits: down a
@@ -1398,6 +1420,34 @@ class TestElasticNetPath:
         fits = self.chain(standardize(X, y), lams, alpha, warm)
         path, fallbacks = self.fit_path(standardize(X, y), lams, alpha, warm_start=warm)
         self.assert_rows_certified(standardize(X, y), lams, path, fits, fallbacks, alpha=alpha)
+
+    def test_a_sign_flip_under_a_tiny_l1_term_is_not_kept(self, monkeypatch):
+        # at alpha 1e-8 the L1 term is below tol along the grid, so a batched row whose
+        # solve flips a sign of its start passes the exact-update test: no kept row
+        # flips one, and the grid is certified against the chain
+        X, y, alpha = TINY_L1
+        std = standardize(X, y)
+        lam_max = 2.0 * float(np.max(np.abs(std.q))) / max(alpha, 1e-3)
+        lams = [*np.geomspace(lam_max, 1e-3 * lam_max, 12), 0.0]
+        attempts = self.record_attempts(monkeypatch)
+        self.assert_net_certified(X, y, lams, alpha)
+        assert attempts
+        for start, _, (rows, _) in attempts:
+            assert (rows * np.sign(start) >= 0.0).all()
+
+    def test_a_restart_enters_no_coordinate_moved_by_tol_or_less(self, monkeypatch):
+        # the cold first weight of a grid near alpha 0 fails, and its exact-update point
+        # leaves at 0 the one coordinate it would move by less than tol, as coordinate
+        # descent does: the restart keeps the chain's support and rows
+        X, y, alpha = TINY_ALPHA
+        std = standardize(X, y)
+        lam_max = 2.0 * float(np.max(np.abs(std.q))) / max(alpha, 1e-3)
+        lams = [*np.geomspace(lam_max, 1e-3 * lam_max, 12), 0.0]
+        attempts = self.record_attempts(monkeypatch)
+        path, fallbacks = self.assert_net_certified(X, y, lams, alpha)
+        assert fallbacks == [] and path.slopes[0, 1] == 0.0
+        (_, _, (rows, point)), (start, _, _) = attempts[:2]
+        assert len(rows) == 0 and start is point and np.count_nonzero(point) == 6
 
     @settings(max_examples=150, deadline=None)
     @given(l1_designs(), st.sampled_from(["cold", "random", "previous"]),
