@@ -390,10 +390,7 @@ def _support_runs(view: CenterRangeView, centers: CoefficientGrid, spec: MethodS
                 warm_start=[None if before is None else CoefficientSet(0.0, before[cols])])[0]
             slopes[start:stop, cols] = grid.slopes
             converged[start:stop], n_sweeps[start:stop] = grid.converged, grid.n_sweeps
-    # each row's intercept by its own dot product over all p columns, as the whole
-    # design's fits form theirs
-    intercepts = std.y_mean - (slopes[:, None, :] @ std.means)[:, 0]
-    return CoefficientGrid(intercepts, slopes, converged, n_sweeps, std.means, std.scales)
+    return CoefficientGrid.of(std, slopes, converged, n_sweeps)  # intercepts over all p columns
 
 
 def fit(

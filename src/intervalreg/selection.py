@@ -291,9 +291,11 @@ def alpha_sweep(
     """Cross-validate an elastic net per alpha; return the best (alpha, lambda).
 
     All alphas share one CV run: the same folds and, on each fold, the same
-    designs, standardizations and factorizations; each alpha's
-    :class:`CvResult` equals :func:`cross_validate` at that alpha.  Ties in
-    mean loss break toward larger alpha, then larger lambda.
+    designs and standardizations, whose factor caches serve the fits that revisit
+    active sets (the nets' runs and coordinate descent; alpha 1's homotopy factors
+    its own sets once and caches none); each alpha's :class:`CvResult` equals
+    :func:`cross_validate` at that alpha.  Ties in mean loss break toward larger
+    alpha, then larger lambda.
     """
     alphas = [float(a) for a in alphas]
     if not alphas:

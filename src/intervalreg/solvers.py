@@ -35,9 +35,10 @@ term.
 
 Every fit takes a design as one :class:`Standardized`: :func:`standardize`
 centers and scales it and forms the Gram matrix ``Xs'Xs``, ``Xs'yc`` and
-``yc'yc`` once, and every ridge weight and every coordinate-descent fit of
-that design reads its sums and factorizations from it, so a penalty grid
-forms one Gram matrix per design, not one per weight.  A stack of designs
+``yc'yc`` once, and every fit of that design reads its sums from it, so a
+penalty grid forms one Gram matrix per design, not one per weight.  Fits that
+revisit active sets read their factorizations from the design's cache; the
+lasso homotopy factors each of its sets once and caches none.  A stack of designs
 of one shape (cross-validation's folds of one size) is standardized in one
 call, each design bit for bit as it would be alone.  :func:`restrict`
 gathers the sums of a subset of a design's columns from the design's, so a
@@ -60,7 +61,7 @@ linear in ``lambda``, and the homotopy finds the weights where the support
 changes instead of trying them.  The lasso grids of a stack of designs of
 one width (cross-validation's folds) follow their homotopies in lockstep:
 at each step one gather from the stacked Grams and one stacked ``eigh`` per
-shared active-set size factor the stack's new sets, and each design's rows
+shared active-set size factor the stack's sets, and each design's rows
 are bit for bit those of the design alone, which is the stack of one.
 """
 
@@ -124,9 +125,10 @@ class Standardized(NamedTuple):
 
     With ``Xs = (X - means) / scales`` and ``yc = y - y_mean``: ``gram =
     Xs'Xs`` (exactly symmetric), ``q = Xs'yc``, ``y_ss = yc'yc`` and ``gram_diag =
-    diag(gram)``, all read-only.  ``factors`` caches the eigendecompositions of the
-    sub-Grams the solvers meet, keyed by active set (:func:`_factor`), for every fit
-    of this design; a :func:`restrict` of it has a cache of its own.
+    diag(gram)``, all read-only.  ``factors`` caches, by active set, the sub-Grams'
+    eigendecompositions that :func:`_factor` forms for every fit of this design that
+    revisits sets (ridge, coordinate descent, the batched net runs); :func:`_homotopy`
+    caches none, and a :func:`restrict` of the design has a cache of its own.
     """
 
     means: np.ndarray
@@ -252,6 +254,15 @@ class CoefficientGrid:
     scales: np.ndarray | None = None
 
     @classmethod
+    def of(cls, std: Standardized, slopes: np.ndarray, converged: np.ndarray,
+           n_sweeps: np.ndarray) -> "CoefficientGrid":
+        """The grid of original-scale ``slopes`` fitted on ``std``, with ``std``'s
+        ``means``/``scales``: each row's intercept is its own dot product, as
+        :func:`fit_elastic_net` forms one."""
+        intercepts = std.y_mean - (slopes[:, None, :] @ std.means)[:, 0]
+        return cls(intercepts, slopes, converged, n_sweeps, std.means, std.scales)
+
+    @classmethod
     def stack(cls, sets: Sequence[CoefficientSet]) -> "CoefficientGrid":
         """The grid whose row i is ``sets[i]``, sets of one standardization."""
         rows = [(c.intercept, c.betas, c.converged, c.n_sweeps) for c in sets]
@@ -372,9 +383,8 @@ def fit_ridge_path(std: Standardized, lams: Sequence[float]) -> CoefficientGrid:
             beta[np.ix_(~positive, active)] = solve_spd(std.gram[active][:, active], std.q[active])
         except SingularDesign as exc:  # the pivot's number among all columns
             raise SingularDesign(int(active[exc.pivot_index]), exc.pivot) from None
-    slopes = beta / std.scales
-    return CoefficientGrid(_intercepts(std, slopes), slopes, np.ones(len(lams), dtype=bool),
-                           np.zeros(len(lams), dtype=int), std.means, std.scales)
+    return CoefficientGrid.of(std, beta / std.scales, np.ones(len(lams), dtype=bool),
+                              np.zeros(len(lams), dtype=int))
 
 
 def _check_weights(lams: Sequence[float]) -> None:
@@ -382,11 +392,6 @@ def _check_weights(lams: Sequence[float]) -> None:
     ok = np.isfinite(values) & (values >= 0.0)
     if not ok.all():
         raise ValueError(f"lambda must be finite and >= 0, got {lams[int(np.argmin(ok))]}")
-
-
-def _intercepts(std: Standardized, slopes: np.ndarray) -> np.ndarray:
-    """Each row's intercept by its own dot product, as :func:`fit_elastic_net` forms one."""
-    return std.y_mean - (slopes[:, None, :] @ std.means)[:, 0]
 
 
 def _sub_gram(std: Standardized, active: np.ndarray) -> np.ndarray:
@@ -398,7 +403,8 @@ def _factor(
     std: Standardized, active: np.ndarray, ridge: float | np.ndarray
 ) -> tuple[np.ndarray, np.ndarray, float, np.ndarray]:
     """``(w, V, top, null)``: the sub-Gram of ``active`` is ``V diag(w) V'`` with ``w``
-    ascending (factored once per active set into ``std.factors``), ``top`` is its largest
+    ascending (factored once per active set into ``std.factors`` for the fits that
+    revisit sets; :func:`_homotopy` factors each of its own once), ``top`` is its largest
     diagonal entry, and ``null`` marks which eigenvalues of the sub-Gram plus ``ridge*I``
     count as 0 (at most ``PIVOT_RTOL`` of ``top + ridge``), per row of a ``(k, 1)`` ``ridge``."""
     key = active.tobytes()
@@ -407,28 +413,6 @@ def _factor(
         std.factors[key] = *np.linalg.eigh(sub), float(sub.diagonal().max(initial=0.0))
     w, V, top = std.factors[key]
     return w, V, top, w + ridge <= PIVOT_RTOL * (top + ridge)
-
-
-def _factored(stds: Sequence[Standardized], grams: np.ndarray, ds: list[int],
-              active: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """``(w, V, top)`` of :func:`_factor` of each design ``stds[d]`` of a stack, ``d`` in
-    ``ds``, on its row of ``active`` (sets of one size), stacked.  ``grams`` holds the
-    stack's Grams.  A set is read from its design's ``factors`` cache; the sets no cache
-    holds are one gather from ``grams`` (each in :func:`_sub_gram`'s memory order) and one
-    stacked ``eigh``, each bit for bit as :func:`_factor`'s, then cached."""
-    keys = [row.tobytes() for row in active]
-    found = [stds[d].factors.get(key) for d, key in zip(ds, keys)]
-    new = [i for i, entry in enumerate(found) if entry is None]
-    if new:
-        d, A = (ds, active) if len(new) == len(found) else ([ds[i] for i in new], active[new])
-        subs = grams[np.array(d)[:, None, None], A[:, :, None], A[:, None, :]].transpose(0, 2, 1)
-        w, V = np.linalg.eigh(subs)
-        top = np.maximum.reduce(subs.diagonal(0, 1, 2), axis=1, initial=0.0)  # 0: all constant
-        for i, entry in zip(new, zip(w, V, top.tolist())):
-            found[i] = stds[ds[i]].factors[keys[i]] = entry
-        if len(new) == len(found):
-            return w, V, top
-    return tuple(map(np.array, zip(*found)))
 
 
 def _minimum_norm(std: Standardized, ridges: np.ndarray) -> np.ndarray:
@@ -705,7 +689,7 @@ def fit_elastic_net(
     returned with ``converged=False``.  Without
     an L1 term it is one exact, minimum-norm solve with ``n_sweeps == 0``.
     """
-    _check_l1_fit(std, (lam,), alpha, tol, max_iter, warm_start)
+    _check_l1_fit([std], (lam,), alpha, tol, max_iter, [warm_start])
     beta0 = None
     if warm_start is not None:
         beta0 = warm_start.betas * std.scales  # back to the standardized scale
@@ -717,8 +701,8 @@ def fit_elastic_net(
                           converged, sweeps)
 
 
-def _check_l1_fit(std: Standardized, lams: Sequence[float], alpha: float, tol: float,
-                  max_iter: int, warm_start: CoefficientSet | None) -> None:
+def _check_l1_fit(stds: list[Standardized], lams: Sequence[float], alpha: float, tol: float,
+                  max_iter: int, warm_starts: list[CoefficientSet | None]) -> None:
     _check_weights(lams)
     if not (0.0 <= alpha <= 1.0):
         raise ValueError(f"alpha must lie in [0, 1], got {alpha}")
@@ -726,8 +710,12 @@ def _check_l1_fit(std: Standardized, lams: Sequence[float], alpha: float, tol: f
         raise ValueError(f"tol must be positive, got {tol}")
     if max_iter < 1:
         raise ValueError(f"max_iter must be >= 1, got {max_iter}")
-    if warm_start is not None and warm_start.p != len(std.q):
-        raise ValueError(f"warm start has {warm_start.p} coefficients, problem has {len(std.q)}")
+    for std, warm in zip(stds, warm_starts):
+        if len(std.q) != len(stds[0].q):
+            raise ValueError(f"a stack's designs need one width, got {len(stds[0].q)} "
+                             f"and {len(std.q)} columns")
+        if warm is not None and warm.p != len(std.q):
+            raise ValueError(f"warm start has {warm.p} coefficients, problem has {len(std.q)}")
 
 
 def fit_elastic_net_path(
@@ -761,9 +749,10 @@ def fit_elastic_net_path(
     ``max_iter`` coordinates or whose restart keeps no row.
 
     A stack of designs of one width (cross-validation's folds), with a sequence of
-    one warm start (or None) per design, gives the list of their grids, grid i bit
-    for bit the path of design i alone: the stack's lasso homotopies run in
-    lockstep.  A single design is the stack of one.
+    one warm start (or None) per design, or None for none, gives the list of their
+    grids, grid i bit for bit the path of design i alone: the stack's lasso
+    homotopies run in lockstep.  A single design is the stack of one, and an empty
+    stack gives an empty list.
 
     Every argument is checked, with :func:`fit_elastic_net`'s messages, before any
     fit.  A batched or homotopy row is finite; a non-finite one fails its test,
@@ -771,23 +760,17 @@ def fit_elastic_net_path(
     """
     stack = not isinstance(std, Standardized)
     stds = list(std) if stack else [std]
-    warms = list(warm_start or [None] * len(stds)) if stack else [warm_start]
+    warms = [warm_start] * len(stds) if warm_start is None or not stack else list(warm_start)
     if len(warms) != len(stds):
         raise ValueError(f"{len(stds)} designs but {len(warms)} warm starts")
-    for one, warm in zip(stds, warms):
-        if len(one.q) != len(stds[0].q):
-            raise ValueError(f"a stack's designs need one width, got {len(stds[0].q)} "
-                             f"and {len(one.q)} columns")
-        _check_l1_fit(one, lams, alpha, tol, max_iter, warm)
+    _check_l1_fit(stds, lams, alpha, tol, max_iter, warms)
     lams = np.asarray(lams, dtype=float)
     if alpha == 1.0:
         found = _lasso_rows(stds, lams, tol, max_iter, warms)
     else:
         found = [_net_rows(one, lams, alpha, tol, max_iter, warm)
                  for one, warm in zip(stds, warms)]
-    grids = [CoefficientGrid(_intercepts(one, slopes), slopes, converged, n_sweeps,
-                             one.means, one.scales)
-             for one, (slopes, converged, n_sweeps) in zip(stds, found)]
+    grids = [CoefficientGrid.of(one, *rows) for one, rows in zip(stds, found)]
     return grids if stack else grids[0]
 
 
@@ -852,15 +835,16 @@ def _lasso_rows(stds: list[Standardized], lams: np.ndarray, tol: float, max_iter
     that fit.  Each round runs every design's next stretch in one :func:`_homotopy`
     call.  Weights of 0 are one :func:`_minimum_norm` solve, as the one-weight fit makes
     them."""
-    k, p = len(lams), len(stds[0].q)
-    found = [(np.zeros((k, p)), np.ones(k, dtype=bool), np.zeros(k, dtype=int)) for _ in stds]
+    k = len(lams)
+    found = [(np.zeros((k, len(std.q))), np.ones(k, dtype=bool), np.zeros(k, dtype=int))
+             for std in stds]
     ts = lams / 2.0
     # a stretch from row i ends at the first later row that is 0 or above the one before
     breaks = [*(np.flatnonzero(~((ts[1:] > 0.0) & (ts[1:] <= ts[:-1]))) + 1).tolist(), k]
     # top: the weight a design's homotopy starts below; a warm start's first row, below
     # none, is fitted by coordinate descent
     at = [0] * len(stds)
-    starts = [np.zeros(p)] * len(stds)
+    starts = [np.zeros(len(std.q)) for std in stds]
     tops = [np.inf if warm is None else -np.inf for warm in warm_starts]
     live = list(range(len(stds))) if k else []
     while live:
@@ -916,19 +900,21 @@ def _homotopy(stds: list[Standardized], starts: list[np.ndarray], tops: list[flo
     can put again just below the new top, is no candidate on the next segment: a
     column that entered does not leave at once, nor does one that left re-enter with
     its old sign.  Columns with ``gram_diag == 0`` never enter.  Rows stop before a
-    singular ``A`` (as :func:`_factor` counts it) and before a row that needs more
-    than ``max_iter`` entering events; the rows are solutions only if ``start`` was,
-    so callers test them.
+    singular ``A`` (as :func:`_factor` counts it at no ridge) and before a row that
+    needs more than ``max_iter`` entering events; the rows are solutions only if
+    ``start`` was, so callers test them.
 
+    Each segment's set is factored once, by ``eigh``, and dropped: the homotopy reads
+    and writes no design's ``factors``, since its sets are new from segment to segment.
     The designs run in lockstep.  Each iteration groups them by active-set size; a
-    group's new sets are factored by one gather and one stacked ``eigh``
-    (:func:`_factored`), and its solves and breakpoint times are stacked products, each
-    one matrix-vector product per design in a lone design's memory order, so every
-    design's rows are bit for bit those of its stack of one.  A group of one reads its
-    set through :func:`_factor` and forms the same products on its own arrays (1.46x as
-    long stacked, for a lone cv fold design).  The times' masking and argmax run once for
-    the stack; each design then bisects its span for the rows its event leaves behind,
-    its segment's ``b0`` and ``u`` are copied to them, and ``b0 - t*u`` is formed at the end.
+    group's sets are one gather from the stacked Grams and one stacked ``eigh``, and its
+    solves and breakpoint times are stacked products, each one matrix-vector product
+    per design in a lone design's memory order, so every design's rows are bit for bit
+    those of its stack of one.  A group of one factors its :func:`_sub_gram` and forms
+    the same products on its own arrays (1.46x as long stacked, for a lone cv fold
+    design).  The times' masking and argmax run once for the stack; each design then
+    bisects its span for the rows its event leaves behind, its segment's ``b0`` and
+    ``u`` are copied to them, and ``b0 - t*u`` is formed at the end.
     """
     m, p = len(stds), len(stds[0].q)
     design = np.arange(m)
@@ -970,8 +956,9 @@ def _homotopy(stds: list[Standardized], starts: list[np.ndarray], tops: list[flo
                 if len(ds) == 1:
                     d, = ds
                     active = signs[d].nonzero()[0]
-                    w, V, _, null = _factor(stds[d], active, 0.0)
-                    if null[0]:  # eigh's eigenvalues ascend: the least is null if any is
+                    sub = _sub_gram(stds[d], active)
+                    w, V = np.linalg.eigh(sub)
+                    if w[0] <= PIVOT_RTOL * sub.diagonal().max(initial=0.0):  # w ascends
                         live.remove(d)
                         continue
                     b0u = _matvec(V, _matvec(V.T, sums[d].take(active, 1)) / w)
@@ -981,9 +968,12 @@ def _homotopy(stds: list[Standardized], starts: list[np.ndarray], tops: list[flo
                     times[d, 0].put(active, b0u[0] / b0u[1])
                     times[d, 1].put(active, 0.0)
                     continue
-                active = signs[ds].nonzero()[1].reshape(len(ds), a)
-                w, V, top = _factored(stds, grams, ds, active)
-                idx, keep = np.array(ds), ~(w[:, 0] <= PIVOT_RTOL * top)
+                idx, active = np.array(ds), signs[ds].nonzero()[1].reshape(len(ds), a)
+                # each sub-Gram in _sub_gram's memory order, so that eigh's bits are a lone
+                # design's
+                subs = grams[idx[:, None, None], active[:, :, None], active[:, None, :]]
+                w, V = np.linalg.eigh(subs.transpose(0, 2, 1))
+                keep = ~(w[:, 0] <= PIVOT_RTOL * subs.diagonal(0, 1, 2).max(axis=1, initial=0.0))
                 if not keep.all():
                     gone, idx, active = set(idx[~keep].tolist()), idx[keep], active[keep]
                     live, w, V = [d for d in live if d not in gone], w[keep], V[keep]

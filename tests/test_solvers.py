@@ -1516,8 +1516,8 @@ class TestElasticNetPath:
         # coordinate descent from the row before, and the homotopy starts again there
         data = json.loads((DATA_DIR / "lasso_stall.json").read_text())
         gram, q = np.array(data["gram"]), np.array(data["q"])
-        singular = []  # whether each active set the homotopy read or factored was singular
-        homotopy, inside = solvers._homotopy, []
+        singular = []  # whether each active set the homotopy factored was singular
+        homotopy, eigh, inside = solvers._homotopy, np.linalg.eigh, []
 
         def recording_homotopy(*args):
             inside.append(True)
@@ -1526,27 +1526,19 @@ class TestElasticNetPath:
             finally:
                 inside.pop()
 
-        class Recording(dict):  # a cached set read by a lone design or a group, or a new one
-            def get(self, key, default=None):
-                return self.record(super().get(key, default))
-
-            def __getitem__(self, key):
-                return self.record(super().__getitem__(key))
-
-            def __setitem__(self, key, entry):
-                super().__setitem__(key, self.record(entry))
-
-            def record(self, entry):
-                if inside and entry is not None:
-                    singular.append(bool(entry[0][0] <= PIVOT_RTOL * entry[2]))
-                return entry
+        def recording_eigh(subs):  # a lone design's sub-Gram, or a group's stacked
+            w, V = eigh(subs)
+            if inside:
+                top = subs.diagonal(0, -2, -1).max(axis=-1, initial=0.0)
+                singular.extend(np.atleast_1d(w[..., 0] <= PIVOT_RTOL * top).tolist())
+            return w, V
 
         monkeypatch.setattr(solvers, "_homotopy", recording_homotopy)
+        monkeypatch.setattr(np.linalg, "eigh", recording_eigh)
         met = 0
         for j in range(len(q)):
             copied = np.append(np.arange(len(q)), j)
             std = sums_as_standardized(gram[np.ix_(copied, copied)], q[copied], data["y_ss"])
-            std = std._replace(factors=Recording())  # one cache for the cold and warm grids
             for warm, top in ((None, 2.0 * np.max(np.abs(q))),
                               (CoefficientSet(0.0, np.append(data["beta0"], 0.0)), data["lam"])):
                 lams = np.geomspace(top, data["lam"] / 4.0, 40)
@@ -1562,12 +1554,12 @@ class TestElasticNetPath:
 
     @pytest.mark.parametrize("n", [10, 9])
     @pytest.mark.parametrize("warm", [False, True])
-    def test_homotopy_rows_are_their_segments_solve_bit_for_bit(self, n, warm):
-        # a seeded n x 15 design, cold and from a one-weight fit: every segment reads the
-        # factors of its nonempty active set once, so consecutive sets differ by the one
-        # column that entered or left; and a row nonzero on all of its segment's set A
-        # is b0 - t*u, bit for bit, with b0 and u the _shifted_solve of (q_A, s_A) on
-        # the set's _factor
+    def test_homotopy_rows_are_their_segments_solve_bit_for_bit(self, n, warm, monkeypatch):
+        # a seeded n x 15 design, cold and from a one-weight fit: every segment factors
+        # the sub-Gram of its nonempty active set once, consecutive sets differ by the
+        # one column that entered or left, and the design's factors stay empty; and a
+        # row nonzero on all of its segment's set A is b0 - t*u, bit for bit, with b0
+        # and u the _shifted_solve of (q_A, s_A) on the set's _factor
         rng = np.random.default_rng(41 + n)
         X = rng.normal(size=(n, 15)) + rng.normal(size=(n, 1))
         y = X[:, :3] @ rng.normal(size=3) + 0.5 * rng.normal(size=n)
@@ -1576,17 +1568,19 @@ class TestElasticNetPath:
         start, top = np.zeros(15), np.inf
         if warm:  # as _lasso_rows hands on a coordinate-descent row
             start, top, ts = fit_elastic_net(std, 2.0 * ts[20], 1.0).betas, ts[20], ts[21:]
-        factored = []
+        std = std._replace(factors={})  # the fit above cached its sets
+        factored, sub_gram = [], solvers._sub_gram
 
-        class Recording(dict):
-            def __getitem__(self, key):  # once per segment of a lone design, by _factor
-                factored.append(np.frombuffer(key, dtype=np.intp).tolist())
-                return super().__getitem__(key)
+        def recording(std, active):  # once per segment of a lone design
+            factored.append(active.tolist())
+            return sub_gram(std, active)
 
-        std = std._replace(factors=Recording())
+        monkeypatch.setattr(solvers, "_sub_gram", recording)
         (rows,), _, (end,) = solvers._homotopy([std], [start], [top], [(0, len(ts))], ts,
                                                100_000)
-        rows, std = rows[:end], std._replace(factors=dict(std.factors))
+        monkeypatch.undo()
+        rows = rows[:end]
+        assert std.factors == {}
         assert factored[0] == (np.flatnonzero(start).tolist() if warm else factored[0][:1])
         assert all(len(set(a) ^ set(b)) == 1 for a, b in zip(factored, factored[1:]))
         assert len(rows) == len(ts) and any(len(b) < len(a) for a, b in zip(factored, factored[1:]))
@@ -1598,6 +1592,27 @@ class TestElasticNetPath:
                 b0, u = solvers._shifted_solve(V, w, null, np.array((std.q[A], np.sign(row[A]))),
                                                0.0)
                 assert row[A].tobytes() == (b0 - t * u).tobytes()
+
+    def test_the_homotopy_caches_no_active_set(self):
+        # a cold lasso grid, a lockstep stack of four fold designs and a stack of one,
+        # none of whose rows falls back to coordinate descent, leave every design's
+        # factors empty: the homotopy factors each of its sets once and drops it.  A
+        # coordinate-descent fit (a warm-started grid's first row) still caches its sets
+        rng = np.random.default_rng(7)
+        X = rng.normal(size=(12, 15)) + rng.normal(size=(12, 1))
+        y = X[:, :3] @ rng.normal(size=3) + 0.5 * rng.normal(size=12)
+        lams = make_lambda_grid(X, y, 1.0, 40).values
+        folds = np.array([np.setdiff1d(np.arange(12), np.arange(i, 12, 4)) for i in range(4)])
+        for stds in ([standardize(X, y)], standardize(X[folds], y[folds]), standardize(X, y)):
+            grids, fallbacks = self.fit_path(stds, lams)
+            assert fallbacks == []
+            stds, grids = (stds, grids) if isinstance(grids, list) else ([stds], [grids])
+            assert all(std.factors == {} for std in stds)
+            assert all(grid.converged.all() and grid.slopes.any() for grid in grids)
+        std = standardize(X, y)
+        grid, fallbacks = self.fit_path(std, lams[20:], warm_start=grids[0][19])
+        assert fallbacks == [lams[20]] and grids[0][19].support().any()
+        assert std.factors and grid.converged.all()
 
     def test_max_iter_caps_the_entering_events_between_rows(self):
         # columns that share one strong factor, so that coefficients enter and leave,
@@ -1901,6 +1916,24 @@ class TestElasticNetPath:
             fit_elastic_net_path(stack, (1.0,), 1.0)
         with pytest.raises(ValueError, match="^2 designs but 1 warm starts$"):
             fit_elastic_net_path(stack[:1] * 2, (1.0,), 1.0, warm_start=[None])
+        for alpha in (0.5, 1.0):  # [] is a list of no warm starts, not "no warm starts"
+            with pytest.raises(ValueError, match="^2 designs but 0 warm starts$"):
+                fit_elastic_net_path(stack[:1] * 2, (1.0,), alpha, warm_start=[])
+
+    def test_an_empty_stack_is_an_empty_list_at_every_alpha_after_the_checks(self):
+        # as standardize's empty stack is []
+        assert standardize(np.zeros((0, 4, 2)), np.zeros((0, 4))) == []
+        for alpha in (0.0, 0.5, 1.0):
+            assert fit_elastic_net_path([], (2.0, 1.0, 0.0), alpha) == []
+            assert fit_elastic_net_path([], (), alpha, warm_start=[]) == []
+            for args, kwargs, message in [
+                (((1.0, -1.0), alpha), {}, "^lambda must be finite and >= 0, got -1.0$"),
+                (((1.0,), 1.5), {}, r"^alpha must lie in \[0, 1\], got 1.5$"),
+                (((1.0,), alpha), {"tol": 0.0}, "^tol must be positive, got 0.0$"),
+                (((1.0,), alpha), {"max_iter": 0}, "^max_iter must be >= 1, got 0$"),
+            ]:
+                with pytest.raises(ValueError, match=message):
+                    fit_elastic_net_path([], *args, **kwargs)
 
     def test_an_empty_grid_is_an_empty_grid_at_every_alpha(self):
         std = standardize(np.random.default_rng(3).normal(size=(6, 2)), np.arange(6.0))
