@@ -124,27 +124,19 @@ class MethodSpec:
 
     @property
     def name(self) -> str:
-        for name, (family, penalty) in METHOD_NAMES.items():
-            if (family, penalty) == (self.family, self.penalty):
-                return name
-        raise AssertionError("unreachable")
+        return next(name for name, kind in METHOD_NAMES.items()
+                    if kind == (self.family, self.penalty))
 
     @property
     def effective_alpha(self) -> float:
         """L1 fraction handed to the coordinate-descent solver."""
-        if self.penalty == "ridge":
-            return 0.0
-        if self.penalty == "lasso":
-            return 1.0
-        if self.penalty == "elastic_net":
-            return float(self.alpha)  # type: ignore[arg-type]
-        raise ValueError("no penalty, no alpha")
+        if self.penalty == "none":
+            raise ValueError("no penalty, no alpha")
+        return float({"ridge": 0.0, "lasso": 1.0}.get(self.penalty, self.alpha))
 
     @property
     def effective_lambda_range(self) -> float:
-        if self.lambda_range is not None:
-            return self.lambda_range
-        return self.lambda_center
+        return self.lambda_center if self.lambda_range is None else self.lambda_range
 
     @property
     def selects_variables(self) -> bool:
@@ -163,8 +155,14 @@ class FittedModel:
     range_coeffs: CoefficientSet | None = None
 
     def __post_init__(self):
-        object.__setattr__(self, "predictor_names", tuple(self.predictor_names))
-        p = len(self.predictor_names)
+        names = tuple(self.predictor_names)
+        object.__setattr__(self, "predictor_names", names)
+        fault = ("an empty name" if not all(name.strip() for name in names) else
+                 "a repeated name" if len(set(names)) < len(names) else
+                 f"the response {self.response_name!r}" if self.response_name in names else None)
+        if fault:
+            raise ValueError(f"predictors: {','.join(names)!r} has {fault}")
+        p = len(names)
         if self.center_coeffs.p != p:
             raise ValueError("center coefficient count does not match predictors")
         if self.spec.family == "cm":
@@ -498,8 +496,9 @@ def serialize(model: FittedModel) -> str:
     return "\n".join(lines) + "\n"
 
 
-def _parse_vec(text: str, key: str) -> np.ndarray | None:
-    if text == "-":
+def _parse_vec(text: str, key: str, size: int | None = None) -> np.ndarray | None:
+    """Finite numbers; with a ``size``, ``-`` (None) is allowed and a list needs ``size``."""
+    if text == "-" and size is not None:
         return None
     try:
         values = np.array([float(tok) for tok in text.split()])
@@ -507,6 +506,8 @@ def _parse_vec(text: str, key: str) -> np.ndarray | None:
         raise ModelFormatError(f"malformed numeric list for {key!r}: {text!r}") from None
     if not np.isfinite(values).all():
         raise ModelFormatError(f"non-finite number in {key!r}: {text!r}")
+    if size is not None and len(values) != size:
+        raise ModelFormatError(f"{key!r} needs {size} numbers, got {len(values)}: {text!r}")
     return values
 
 
@@ -517,6 +518,8 @@ def _parse_number(text: str, key: str, kind: type = float) -> float:
         raise ModelFormatError(f"malformed number for {key!r}: {text!r}") from None
     if not isfinite(value):
         raise ModelFormatError(f"non-finite number in {key!r}: {text!r}")
+    if kind is int and value < 0:
+        raise ModelFormatError(f"negative number in {key!r}: {text!r}")
     return value
 
 
@@ -530,11 +533,12 @@ def _parse_bool(text: str, key: str) -> bool:
 
 def _parse_coeffs(kv: dict[str, str], prefix: str) -> CoefficientSet:
     try:
+        betas = _parse_vec(kv[f"{prefix}.betas"], f"{prefix}.betas")
         return CoefficientSet(
             intercept=_parse_number(kv[f"{prefix}.intercept"], f"{prefix}.intercept"),
-            betas=_parse_vec(kv[f"{prefix}.betas"], f"{prefix}.betas"),
-            means=_parse_vec(kv[f"{prefix}.means"], f"{prefix}.means"),
-            scales=_parse_vec(kv[f"{prefix}.scales"], f"{prefix}.scales"),
+            betas=betas,
+            means=_parse_vec(kv[f"{prefix}.means"], f"{prefix}.means", len(betas)),
+            scales=_parse_vec(kv[f"{prefix}.scales"], f"{prefix}.scales", len(betas)),
             converged=_parse_bool(kv[f"{prefix}.converged"], f"{prefix}.converged"),
             n_sweeps=_parse_number(kv[f"{prefix}.n_sweeps"], f"{prefix}.n_sweeps", int),
         )

@@ -291,11 +291,9 @@ def alpha_sweep(
     """Cross-validate an elastic net per alpha; return the best (alpha, lambda).
 
     All alphas share one CV run: the same folds and, on each fold, the same
-    designs and standardizations, whose factor caches serve the fits that revisit
-    active sets (the nets' runs and coordinate descent; alpha 1's homotopy factors
-    its own sets once and caches none); each alpha's :class:`CvResult` equals
-    :func:`cross_validate` at that alpha.  Ties in mean loss break toward larger
-    alpha, then larger lambda.
+    designs and standardizations, which no fit changes; each alpha's
+    :class:`CvResult` equals :func:`cross_validate` at that alpha.  Ties in mean
+    loss break toward larger alpha, then larger lambda.
     """
     alphas = [float(a) for a in alphas]
     if not alphas:
@@ -327,7 +325,7 @@ def coefficient_path(
     restriction does not apply here, the path is the plain per-design
     solution.  ``table`` may be given as its center/range view
     (:func:`~intervalreg.tables.to_center_range`) by a caller that already
-    built it, and then shares that view's standardization and its factorizations.
+    built it, and then shares that view's standardization.
     """
     if spec.penalty == "none":
         raise ValueError("coefficient paths need a penalized method")

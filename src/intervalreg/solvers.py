@@ -36,11 +36,11 @@ term.
 Every fit takes a design as one :class:`Standardized`: :func:`standardize`
 centers and scales it and forms the Gram matrix ``Xs'Xs``, ``Xs'yc`` and
 ``yc'yc`` once, and every fit of that design reads its sums from it, so a
-penalty grid forms one Gram matrix per design, not one per weight.  Fits that
-revisit active sets read their factorizations from the design's cache; the
-lasso homotopy factors each of its sets once and caches none.  A stack of designs
-of one shape (cross-validation's folds of one size) is standardized in one
-call, each design bit for bit as it would be alone.  :func:`restrict`
+penalty grid forms one Gram matrix per design, not one per weight.  A design is a
+read-only value that no fit changes: each fit factors the active sets it meets, and
+only coordinate descent keeps them, for the one call whose enter/exit cycles revisit
+them.  A stack of designs of one shape (cross-validation's folds of one size) is
+standardized in one call, each design bit for bit as it would be alone.  :func:`restrict`
 gathers the sums of a subset of a design's columns from the design's, so a
 fit that leaves the other columns out, as glmnet's ``exclude`` argument does
 (Friedman, Hastie & Tibshirani, JSS 2010), standardizes nothing again.
@@ -125,10 +125,7 @@ class Standardized(NamedTuple):
 
     With ``Xs = (X - means) / scales`` and ``yc = y - y_mean``: ``gram =
     Xs'Xs`` (exactly symmetric), ``q = Xs'yc``, ``y_ss = yc'yc`` and ``gram_diag =
-    diag(gram)``, all read-only.  ``factors`` caches, by active set, the sub-Grams'
-    eigendecompositions that :func:`_factor` forms for every fit of this design that
-    revisits sets (ridge, coordinate descent, the batched net runs); :func:`_homotopy`
-    caches none, and a :func:`restrict` of the design has a cache of its own.
+    diag(gram)``, all read-only: a value that no fit changes or adds to.
     """
 
     means: np.ndarray
@@ -138,13 +135,12 @@ class Standardized(NamedTuple):
     q: np.ndarray
     y_ss: float
     gram_diag: np.ndarray
-    factors: dict
     n: int
 
 
 def standardize(X: np.ndarray, y: np.ndarray) -> Standardized | list[Standardized]:
     """The :class:`Standardized` sums of the regression of ``y`` (n) on ``X`` (n x p,
-    no intercept column), with an empty ``factors`` cache.
+    no intercept column).
 
     A stack of m designs, ``X`` of shape ``(m, n, p)`` and ``y`` of ``(m, n)``, gives
     the list of their m :class:`Standardized`, element i bit for bit
@@ -180,16 +176,16 @@ def standardize(X: np.ndarray, y: np.ndarray) -> Standardized | list[Standardize
         yc = y - y_mean[:, None]
         q, y_ss = (Xt @ yc[..., None])[..., 0], (yc[:, None, :] @ yc[..., None])[:, 0, 0]
     diag = np.diagonal(gram, axis1=1, axis2=2).copy()
-    stds = [_read_only(Standardized(*fields, {}, n)) for fields in
+    stds = [_read_only(Standardized(*fields, n)) for fields in
             zip(means, scales, y_mean, gram, q, y_ss.tolist(), diag)]
     return stds if stack else stds[0]
 
 
 def restrict(std: Standardized, cols: np.ndarray) -> Standardized:
     """The design of ``std``'s columns ``cols`` (an index array) alone: its sums gathered
-    from ``std``'s, read-only, with an empty ``factors`` cache of its own."""
+    from ``std``'s, read-only."""
     gathered = {name: getattr(std, name)[cols] for name in ("means", "scales", "q", "gram_diag")}
-    return _read_only(std._replace(gram=std.gram[cols[:, None], cols], factors={}, **gathered))
+    return _read_only(std._replace(gram=std.gram[cols[:, None], cols], **gathered))
 
 
 def _read_only(std: Standardized) -> Standardized:
@@ -367,9 +363,9 @@ def fit_ridge_path(std: Standardized, lams: Sequence[float]) -> CoefficientGrid:
     A constant column has slope 0 at every weight.  Weight 0 is least
     squares by :func:`solve_spd` on the other columns, which raises
     :class:`SingularDesign` on a rank-deficient design.  All positive
-    weights are one vectorized :func:`_minimum_norm` solve from the design's
-    cached eigendecomposition, each row equal to :func:`fit_elastic_net` at
-    ``alpha=0`` bit for bit; the back-transform runs once.
+    weights are one vectorized :func:`_minimum_norm` solve from one
+    eigendecomposition of the design's Gram matrix, each row equal to
+    :func:`fit_elastic_net` at ``alpha=0`` bit for bit; the back-transform runs once.
     """
     _check_weights(lams)
     lams = np.asarray(lams, dtype=float)
@@ -403,15 +399,12 @@ def _factor(
     std: Standardized, active: np.ndarray, ridge: float | np.ndarray
 ) -> tuple[np.ndarray, np.ndarray, float, np.ndarray]:
     """``(w, V, top, null)``: the sub-Gram of ``active`` is ``V diag(w) V'`` with ``w``
-    ascending (factored once per active set into ``std.factors`` for the fits that
-    revisit sets; :func:`_homotopy` factors each of its own once), ``top`` is its largest
-    diagonal entry, and ``null`` marks which eigenvalues of the sub-Gram plus ``ridge*I``
-    count as 0 (at most ``PIVOT_RTOL`` of ``top + ridge``), per row of a ``(k, 1)`` ``ridge``."""
-    key = active.tobytes()
-    if key not in std.factors:
-        sub = _sub_gram(std, active)
-        std.factors[key] = *np.linalg.eigh(sub), float(sub.diagonal().max(initial=0.0))
-    w, V, top = std.factors[key]
+    ascending, by one ``eigh``, ``top`` is its largest diagonal entry, and ``null`` marks
+    which eigenvalues of the sub-Gram plus ``ridge*I`` count as 0 (at most ``PIVOT_RTOL``
+    of ``top + ridge``), per row of a ``(k, 1)`` ``ridge``.  Nothing is kept."""
+    sub = _sub_gram(std, active)
+    w, V = np.linalg.eigh(sub)
+    top = float(sub.diagonal().max(initial=0.0))
     return w, V, top, w + ridge <= PIVOT_RTOL * (top + ridge)
 
 
@@ -501,7 +494,7 @@ def coordinate_descent(
 
     where ``r^(j)`` is the partial residual excluding j and
     ``S(z, g) = sign(z) * max(|z| - g, 0)``.  The design is ``std``, whose
-    sums and factorizations every fit of it shares (:class:`Standardized`).
+    sums every fit of it shares (:class:`Standardized`).
 
     The start's nonzero set (on a warm start, the previous weight's
     support) is first solved exactly as below.  Then one loop repeats: form
@@ -523,9 +516,10 @@ def coordinate_descent(
     ``beta0``, and ``(beta, True, 0)`` is returned.
 
     With its signs fixed, the problem restricted to the nonzero set is a
-    plain quadratic.  Each active set's sub-Gram is factored once, by
-    ``eigh``, into ``std.factors`` (:func:`_factor`), so every weight of a
-    grid shares it; the ridge term only shifts its eigenvalues.  A set is
+    plain quadratic.  Each active set's sub-Gram is factored once per call,
+    by ``eigh`` (:func:`_factor`), and kept until the call returns, since a
+    step that enters a coordinate and a solve that drops it again revisit
+    sets; the ridge term only shifts its eigenvalues.  A set is
     singular when its smallest shifted eigenvalue is at most ``PIVOT_RTOL``
     of its largest shifted diagonal entry.  Every solve below is committed only if it does
     not raise the objective, beyond what the curvature counted as 0 allows
@@ -561,6 +555,7 @@ def coordinate_descent(
         return _minimum_norm(std, np.array([ridge]))[0], True, 0
     beta = np.zeros(len(q)) if beta0 is None else np.asarray(beta0, dtype=float).copy()
     grad = q - gram @ beta  # grad[j] = sum_i x_ij r_i at the current beta
+    factors = {}  # this call's active sets, by their index bytes
 
     def commit(active: np.ndarray, values: np.ndarray, curvature: float = 0.0) -> bool:
         """Set ``beta[active] = values`` unless that raises the objective
@@ -592,7 +587,10 @@ def coordinate_descent(
         the solve is retried on the smaller set.
         """
         while len(active):
-            w, V, top, null = _factor(std, active, ridge)
+            key = active.tobytes()
+            if key not in factors:
+                factors[key] = _factor(std, active, ridge)
+            w, V, top, null = factors[key]
             b = beta[active]
             signs = np.sign(b)
             if not null.any():
@@ -904,14 +902,13 @@ def _homotopy(stds: list[Standardized], starts: list[np.ndarray], tops: list[flo
     needs more than ``max_iter`` entering events; the rows are solutions only if
     ``start`` was, so callers test them.
 
-    Each segment's set is factored once, by ``eigh``, and dropped: the homotopy reads
-    and writes no design's ``factors``, since its sets are new from segment to segment.
-    The designs run in lockstep.  Each iteration groups them by active-set size; a
-    group's sets are one gather from the stacked Grams and one stacked ``eigh``, and its
-    solves and breakpoint times are stacked products, each one matrix-vector product
-    per design in a lone design's memory order, so every design's rows are bit for bit
-    those of its stack of one.  A group of one factors its :func:`_sub_gram` and forms
-    the same products on its own arrays (1.46x as long stacked, for a lone cv fold
+    Each segment's set is factored once, by ``eigh``, and dropped: the next set differs
+    by a column.  The designs run in lockstep.  Each iteration groups them by active-set
+    size; a group's sets are one gather from the stacked Grams and one stacked ``eigh``,
+    and its solves and breakpoint times are stacked products, each one matrix-vector
+    product per design in a lone design's memory order, so every design's rows are bit
+    for bit those of its stack of one.  A group of one factors its :func:`_sub_gram` and
+    forms the same products on its own arrays (1.46x as long stacked, for a lone cv fold
     design).  The times' masking and argmax run once for the stack; each design then
     bisects its span for the rows its event leaves behind, its segment's ``b0`` and
     ``u`` are copied to them, and ``b0 - t*u`` is formed at the end.

@@ -319,6 +319,20 @@ class TestPredictEvaluate:
         assert err == "error: empty_support: true contradicts the center coefficients\n"
         assert not (tmp_path / "pred.csv").exists()
 
+    def test_predict_rejects_means_of_the_wrong_length(self, capsys, tmp_path, cardio_csv):
+        # a model file is outside input: three means for two slopes exit 1 naming the
+        # field, where predict would otherwise ignore them and write bounds
+        model = self.fit_model(capsys, tmp_path, cardio_csv, "crm")
+        text = model.read_text()
+        model.write_text(re.sub(r"^center\.means: .*$", "center.means: 1 2 3", text, flags=re.M))
+        code, out, err = run(
+            capsys, "predict", "--model", str(model), "--data", str(cardio_csv),
+            "--out", str(tmp_path / "pred.csv"),
+        )
+        assert (code, out) == (1, "")
+        assert err == "error: 'center.means' needs 2 numbers, got 3: '1 2 3'\n"
+        assert not (tmp_path / "pred.csv").exists()
+
     def test_evaluate_text_report(self, capsys, tmp_path, cardio_csv):
         model = self.fit_model(capsys, tmp_path, cardio_csv, "crm")
         code, out, err = run(

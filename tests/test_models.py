@@ -240,7 +240,7 @@ class TestShrinkageVariants:
         spec = MethodSpec("crm", "elastic_net", lambda_center=2.0, alpha=0.7)
         assert serialize(fit(cardio, spec)) == serialize(fit(cardio, spec))
 
-    def test_alpha_zero_grid_shares_one_factorization(self):
+    def test_alpha_zero_grid_shares_one_factorization(self, monkeypatch):
         # elastic net at alpha 0 is one exact solve per weight, all from the
         # one eigendecomposition of the design's Gram
         rng = np.random.default_rng(37)
@@ -249,8 +249,15 @@ class TestShrinkageVariants:
         y = X[:, :2] @ [1.0, -2.0] + rng.normal(size=30)
         spec = MethodSpec("cm", "elastic_net", lambda_center=1.0, alpha=0.0)
         view = CenterRangeView(X, y, X, y)
+        calls, eigh = [], np.linalg.eigh
+
+        def counted(a):
+            calls.append(a.shape)
+            return eigh(a)
+
+        monkeypatch.setattr(np.linalg, "eigh", counted)
         fits = models.fit_component([view], "center", spec, np.geomspace(1e3, 1e-3, 100))[0]
-        assert len(view.standardized("center").factors) == 1
+        assert calls == [(5, 5)]  # the Gram of the five non-constant columns
         assert all(f.converged and f.n_sweeps == 0 for f in fits)
         assert all(f.betas[2] == 0.0 for f in fits)
 
@@ -547,6 +554,13 @@ class TestSerialization:
         ("range.betas", "0 1", "range support is not nested in center support"),
         ("empty_support", "maybe", "malformed boolean for 'empty_support': 'maybe'"),
         ("empty_support", "false", "empty_support: false contradicts the center coefficients"),
+        ("center.betas", "-", "malformed numeric list for 'center.betas': '-'"),
+        ("center.means", "1 2 3", "'center.means' needs 2 numbers, got 3: '1 2 3'"),
+        ("range.scales", "1", "'range.scales' needs 2 numbers, got 1: '1'"),
+        ("center.n_sweeps", "-1", "negative number in 'center.n_sweeps': '-1'"),
+        ("predictors", "Systolic,Systolic", "predictors: 'Systolic,Systolic' has a repeated name"),
+        ("predictors", "Systolic,", "predictors: 'Systolic,' has an empty name"),
+        ("predictors", "Systolic,Pulse", "predictors: 'Systolic,Pulse' has the response 'Pulse'"),
     ])
     def test_a_malformed_model_file_is_rejected(self, cardio, key, value, message):
         # at this weight the center model selects no variable (empty support)

@@ -72,12 +72,10 @@ def linear(coeffs, X):
 
 
 def sums_as_standardized(gram, q, y_ss):
-    """Sums formed outside the library as the :class:`Standardized` the solvers take,
-    with an empty factor cache; the solvers read no means, scales, response mean or
-    row count (None here)."""
+    """Sums formed outside the library as the :class:`Standardized` the solvers take;
+    the solvers read no means, scales, response mean or row count (None here)."""
     p = len(q)
-    return Standardized(np.zeros(p), np.ones(p), 0.0, gram, q, y_ss, np.diag(gram).copy(), {},
-                        None)
+    return Standardized(np.zeros(p), np.ones(p), 0.0, gram, q, y_ss, np.diag(gram).copy(), None)
 
 
 def covariance_sums(Xs, yc):
@@ -414,23 +412,23 @@ class TestStandardize:
             assert got.tobytes() == want.tobytes()
         assert std.y_mean == y.mean()
         assert std.y_ss == float(yc @ yc)
-        assert std.n == 9 and std.factors == {}
+        assert std.n == 9
+        # the sums and nothing else: no fit adds to a design
+        assert Standardized._fields == ("means", "scales", "y_mean", "gram", "q", "y_ss",
+                                        "gram_diag", "n")
         assert np.all(std.gram[3] == 0.0) and std.q[3] == 0.0
 
     @settings(max_examples=60, deadline=None)
     @given(design_stacks())
     def test_a_stack_is_its_designs_standardized_one_at_a_time(self, stack):
-        # bit for bit, each with its own empty factors cache
+        # bit for bit
         X, y = stack
         stds = standardize(X, y)
         assert len(stds) == len(X)
         for i, got in enumerate(stds):
             want = standardize(X[i], y[i])
-            assert got.factors == {} and all(got.factors is not s.factors for s in stds[:i])
             assert got.gram.tobytes() == got.gram.T.tobytes()  # symmetric, bit for bit
             for name, a, b in zip(Standardized._fields, got, want):
-                if name == "factors":
-                    continue
                 if isinstance(a, np.ndarray):
                     assert not a.flags.writeable, name
                 assert type(a) is type(b), name
@@ -440,19 +438,15 @@ class TestStandardize:
     @settings(max_examples=60, deadline=None)
     @given(masked_designs())
     def test_restrict_gathers_the_kept_columns_sums(self, design):
-        # bit for bit from the design's sums, read-only, with a factors cache of its own
+        # bit for bit from the design's sums, read-only
         X, y, mask = design
         std = standardize(X, y)
-        std.factors["full design"] = None
         cols = np.flatnonzero(mask)
         got = restrict(std, cols)
-        assert got.factors == {} and std.factors == {"full design": None}
         gathered = {"means": std.means[cols], "scales": std.scales[cols],
                     "gram": std.gram[cols][:, cols], "q": std.q[cols],
                     "gram_diag": std.gram_diag[cols]}
         for name, a, b in zip(Standardized._fields, got, std):
-            if name == "factors":
-                continue
             if isinstance(a, np.ndarray):
                 assert not a.flags.writeable, name
             a, b = np.asarray(a), np.asarray(gathered.get(name, b))
@@ -505,12 +499,7 @@ class TestStandardize:
         lams = (5.0, 1.0, 0.0)
         first = [fit_elastic_net(std, lam, 0.7) for lam in lams]
         ridge = fit_ridge_path(std, lams[:2])
-        factors = std.factors
-        factored = dict(factors)
         again = [fit_elastic_net(std, lam, 0.7) for lam in lams]
-        # the refits meet the same active sets and reuse their factorizations
-        assert factored and factors.keys() == factored.keys()
-        assert all(factors[k] is v for k, v in factored.items())
         fresh = [fit_elastic_net(standardize(X, y), lam, 0.7) for lam in lams]
         for a, b, c in zip(first, again, fresh):
             assert a.betas.tobytes() == b.betas.tobytes() == c.betas.tobytes()
@@ -1068,6 +1057,24 @@ class TestElasticNet:
         stalled = objective(np.array(data["beta_96791"]))
         assert objective(beta) == pytest.approx(stalled, rel=1e-12, abs=0.0)
 
+    def test_a_cycling_fit_factors_each_active_set_once(self, monkeypatch):
+        # a response in the 1e9s: at every step rounding enters a coordinate that the
+        # solve that follows drops again, so the fit revisits its few active sets up to
+        # its step limit; each set's sub-Gram goes to eigh once in the call
+        rng = np.random.default_rng(3)
+        X = rng.normal(size=(30, 8))
+        std = standardize(X, 1e9 * (X @ rng.normal(size=8) + rng.normal(size=30)))
+        factored, eigh = [], np.linalg.eigh
+
+        def recording(sub):
+            factored.append((sub.shape, sub.tobytes()))
+            return eigh(sub)
+
+        monkeypatch.setattr(np.linalg, "eigh", recording)
+        _, converged, steps = coordinate_descent(std, 0.2 * np.max(np.abs(std.q)), 1.0, 1e-7, 20)
+        assert not converged and steps == 20
+        assert len(set(factored)) == len(factored) < steps
+
     def test_a_ridge_term_below_the_eigenvalue_rule_steps_like_the_lasso(self):
         # one ulp below alpha 1 the ridge term is about 1e-16 of lam, so an active
         # set of this 3 x 12 design with more than 3 columns counts as singular;
@@ -1556,10 +1563,10 @@ class TestElasticNetPath:
     @pytest.mark.parametrize("warm", [False, True])
     def test_homotopy_rows_are_their_segments_solve_bit_for_bit(self, n, warm, monkeypatch):
         # a seeded n x 15 design, cold and from a one-weight fit: every segment factors
-        # the sub-Gram of its nonempty active set once, consecutive sets differ by the
-        # one column that entered or left, and the design's factors stay empty; and a
-        # row nonzero on all of its segment's set A is b0 - t*u, bit for bit, with b0
-        # and u the _shifted_solve of (q_A, s_A) on the set's _factor
+        # the sub-Gram of its nonempty active set once, and consecutive sets differ by
+        # the one column that entered or left; and a row nonzero on all of its segment's
+        # set A is b0 - t*u, bit for bit, with b0 and u the _shifted_solve of (q_A, s_A)
+        # on the set's _factor
         rng = np.random.default_rng(41 + n)
         X = rng.normal(size=(n, 15)) + rng.normal(size=(n, 1))
         y = X[:, :3] @ rng.normal(size=3) + 0.5 * rng.normal(size=n)
@@ -1568,7 +1575,6 @@ class TestElasticNetPath:
         start, top = np.zeros(15), np.inf
         if warm:  # as _lasso_rows hands on a coordinate-descent row
             start, top, ts = fit_elastic_net(std, 2.0 * ts[20], 1.0).betas, ts[20], ts[21:]
-        std = std._replace(factors={})  # the fit above cached its sets
         factored, sub_gram = [], solvers._sub_gram
 
         def recording(std, active):  # once per segment of a lone design
@@ -1580,7 +1586,6 @@ class TestElasticNetPath:
                                                100_000)
         monkeypatch.undo()
         rows = rows[:end]
-        assert std.factors == {}
         assert factored[0] == (np.flatnonzero(start).tolist() if warm else factored[0][:1])
         assert all(len(set(a) ^ set(b)) == 1 for a, b in zip(factored, factored[1:]))
         assert len(rows) == len(ts) and any(len(b) < len(a) for a, b in zip(factored, factored[1:]))
@@ -1593,11 +1598,10 @@ class TestElasticNetPath:
                                                0.0)
                 assert row[A].tobytes() == (b0 - t * u).tobytes()
 
-    def test_the_homotopy_caches_no_active_set(self):
-        # a cold lasso grid, a lockstep stack of four fold designs and a stack of one,
-        # none of whose rows falls back to coordinate descent, leave every design's
-        # factors empty: the homotopy factors each of its sets once and drops it.  A
-        # coordinate-descent fit (a warm-started grid's first row) still caches its sets
+    def test_the_homotopy_rows_need_no_fallback_cold_stacked_or_alone(self):
+        # a cold lasso grid, a lockstep stack of four fold designs and a stack of one:
+        # every row is a converged homotopy row, and none is all zero.  A warm-started
+        # grid's first row is a coordinate-descent fit, and the homotopy takes the rest
         rng = np.random.default_rng(7)
         X = rng.normal(size=(12, 15)) + rng.normal(size=(12, 1))
         y = X[:, :3] @ rng.normal(size=3) + 0.5 * rng.normal(size=12)
@@ -1606,13 +1610,11 @@ class TestElasticNetPath:
         for stds in ([standardize(X, y)], standardize(X[folds], y[folds]), standardize(X, y)):
             grids, fallbacks = self.fit_path(stds, lams)
             assert fallbacks == []
-            stds, grids = (stds, grids) if isinstance(grids, list) else ([stds], [grids])
-            assert all(std.factors == {} for std in stds)
+            grids = grids if isinstance(grids, list) else [grids]
             assert all(grid.converged.all() and grid.slopes.any() for grid in grids)
-        std = standardize(X, y)
-        grid, fallbacks = self.fit_path(std, lams[20:], warm_start=grids[0][19])
+        grid, fallbacks = self.fit_path(standardize(X, y), lams[20:], warm_start=grids[0][19])
         assert fallbacks == [lams[20]] and grids[0][19].support().any()
-        assert std.factors and grid.converged.all()
+        assert grid.converged.all()
 
     def test_max_iter_caps_the_entering_events_between_rows(self):
         # columns that share one strong factor, so that coefficients enter and leave,
