@@ -157,6 +157,8 @@ class FittedModel:
     def __post_init__(self):
         names = tuple(self.predictor_names)
         object.__setattr__(self, "predictor_names", names)
+        if not self.response_name.strip():
+            raise ValueError(f"response: {self.response_name!r} is an empty name")
         fault = ("an empty name" if not all(name.strip() for name in names) else
                  "a repeated name" if len(set(names)) < len(names) else
                  f"the response {self.response_name!r}" if self.response_name in names else None)
@@ -455,44 +457,38 @@ def predict(model: FittedModel, table: IntervalTable) -> IntervalPrediction:
 
 FORMAT_TAG = "intervalreg-model/1"
 
+#: The model file's fields in file order, each with the kind of its text: the
+#: header, then one coefficient set under ``center.`` and, for the crm
+#: families, one under ``range.``.  A kind ending in ``?`` reads ``-`` as None.
+_HEADER_FIELDS = {"method": "name", "alpha": "number?", "lambda_center": "number",
+                  "lambda_range": "number?", "response": "name", "predictors": "name",
+                  "empty_support": "bool"}
+_COEFF_FIELDS = {"intercept": "number", "betas": "numbers", "means": "numbers?",
+                 "scales": "numbers?", "converged": "bool", "n_sweeps": "count"}
 
-def _fmt(x: float) -> str:
-    return format(float(x), ".17g")
 
-
-def _fmt_vec(v: np.ndarray | None) -> str:
-    if v is None:
+def _text(value, kind: str) -> str:
+    if value is None:
         return "-"
-    return " ".join(_fmt(x) for x in v)
-
-
-def _coeff_lines(prefix: str, c: CoefficientSet) -> list[str]:
-    return [
-        f"{prefix}.intercept: {_fmt(c.intercept)}",
-        f"{prefix}.betas: {_fmt_vec(c.betas)}",
-        f"{prefix}.means: {_fmt_vec(c.means)}",
-        f"{prefix}.scales: {_fmt_vec(c.scales)}",
-        f"{prefix}.converged: {'true' if c.converged else 'false'}",
-        f"{prefix}.n_sweeps: {c.n_sweeps}",
-    ]
+    if kind == "bool":
+        return "true" if value else "false"
+    if kind in ("name", "count"):
+        return str(value)
+    return " ".join(format(float(x), ".17g") for x in np.atleast_1d(value))
 
 
 def serialize(model: FittedModel) -> str:
-    """Render a fitted model as versioned key/value text (17 significant digits)."""
+    """Render a fitted model as versioned text, one ``key: value`` line per field of
+    the field table (numbers with 17 significant digits, so the round trip is exact)."""
     spec = model.spec
-    lines = [
-        FORMAT_TAG,
-        f"method: {spec.name}",
-        f"alpha: {_fmt(spec.alpha) if spec.alpha is not None else '-'}",
-        f"lambda_center: {_fmt(spec.lambda_center)}",
-        f"lambda_range: {_fmt(spec.lambda_range) if spec.lambda_range is not None else '-'}",
-        f"response: {model.response_name}",
-        f"predictors: {','.join(model.predictor_names)}",
-        f"empty_support: {'true' if model.empty_support else 'false'}",
-    ]
-    lines += _coeff_lines("center", model.center_coeffs)
-    if model.range_coeffs is not None:
-        lines += _coeff_lines("range", model.range_coeffs)
+    header = (spec.name, spec.alpha, spec.lambda_center, spec.lambda_range,
+              model.response_name, ",".join(model.predictor_names), model.empty_support)
+    lines = [FORMAT_TAG] + [f"{key}: {_text(value, kind)}"
+                            for (key, kind), value in zip(_HEADER_FIELDS.items(), header)]
+    for prefix, coeffs in (("center", model.center_coeffs), ("range", model.range_coeffs)):
+        if coeffs is not None:
+            lines += [f"{prefix}.{name}: {_text(getattr(coeffs, name), kind)}"
+                      for name, kind in _COEFF_FIELDS.items()]
     return "\n".join(lines) + "\n"
 
 
@@ -516,7 +512,7 @@ def _parse_number(text: str, key: str, kind: type = float) -> float:
         value = kind(text)
     except ValueError:
         raise ModelFormatError(f"malformed number for {key!r}: {text!r}") from None
-    if not isfinite(value):
+    if kind is float and not isfinite(value):  # a count is finite even past the largest float
         raise ModelFormatError(f"non-finite number in {key!r}: {text!r}")
     if kind is int and value < 0:
         raise ModelFormatError(f"negative number in {key!r}: {text!r}")
@@ -531,23 +527,13 @@ def _parse_bool(text: str, key: str) -> bool:
     raise ModelFormatError(f"malformed boolean for {key!r}: {text!r}")
 
 
-def _parse_coeffs(kv: dict[str, str], prefix: str) -> CoefficientSet:
-    try:
-        betas = _parse_vec(kv[f"{prefix}.betas"], f"{prefix}.betas")
-        return CoefficientSet(
-            intercept=_parse_number(kv[f"{prefix}.intercept"], f"{prefix}.intercept"),
-            betas=betas,
-            means=_parse_vec(kv[f"{prefix}.means"], f"{prefix}.means", len(betas)),
-            scales=_parse_vec(kv[f"{prefix}.scales"], f"{prefix}.scales", len(betas)),
-            converged=_parse_bool(kv[f"{prefix}.converged"], f"{prefix}.converged"),
-            n_sweeps=_parse_number(kv[f"{prefix}.n_sweeps"], f"{prefix}.n_sweeps", int),
-        )
-    except KeyError as exc:
-        raise ModelFormatError(f"missing field {exc.args[0]!r}") from None
-
-
 def deserialize(text: str) -> FittedModel:
-    """Parse text produced by :func:`serialize`; the round trip is the identity."""
+    """Parse text produced by :func:`serialize`; the round trip is the identity.
+
+    Each field of the table is read once and checked by its kind; a missing or repeated
+    field is a :class:`ModelFormatError` that names it.  Unknown keys are ignored, so
+    that a reader accepts a later optional key under the same format tag.
+    """
     lines = [ln for ln in text.splitlines() if ln.strip()]
     if not lines:
         raise ModelFormatError("empty model text")
@@ -560,28 +546,41 @@ def deserialize(text: str) -> FittedModel:
         key, sep, value = ln.partition(":")
         if not sep:
             raise ModelFormatError(f"malformed line {ln!r}")
-        kv[key.strip()] = value.strip()
-    try:
-        method = kv["method"]
-        alpha = None if kv["alpha"] == "-" else _parse_number(kv["alpha"], "alpha")
-        lam_c = _parse_number(kv["lambda_center"], "lambda_center")
-        lam_r = (
-            None if kv["lambda_range"] == "-"
-            else _parse_number(kv["lambda_range"], "lambda_range")
-        )
-        response = kv["response"]
-        predictors = tuple(kv["predictors"].split(","))
-        empty_support = _parse_bool(kv["empty_support"], "empty_support")
-    except KeyError as exc:
-        raise ModelFormatError(f"missing field {exc.args[0]!r}") from None
+        if (key := key.strip()) in kv:
+            raise ModelFormatError(f"repeated field {key!r}")
+        kv[key] = value.strip()
+
+    def field(key: str, kind: str, size: int = 0):
+        """The value of ``key``; a ``numbers?`` list needs ``size`` numbers."""
+        if key not in kv:
+            raise ModelFormatError(f"missing field {key!r}")
+        text = kv[key]
+        if kind == "name":
+            return text
+        if kind == "bool":
+            return _parse_bool(text, key)
+        if kind.startswith("numbers"):
+            return _parse_vec(text, key, size if kind == "numbers?" else None)
+        if text == "-" and kind == "number?":
+            return None
+        return _parse_number(text, key, int if kind == "count" else float)
+
+    def coefficients(prefix: str) -> CoefficientSet:
+        values: dict = {}  # means and scales follow betas, which sets their size
+        for name, kind in _COEFF_FIELDS.items():
+            values[name] = field(f"{prefix}.{name}", kind, len(values.get("betas", ())))
+        return CoefficientSet(**values)
+
+    method, alpha, lam_c, lam_r, response, predictors, empty_support = (
+        field(key, kind) for key, kind in _HEADER_FIELDS.items())
     try:
         spec = MethodSpec.from_name(method, lam_c, lam_r, alpha)
     except ValueError as exc:
         raise ModelFormatError(str(exc)) from None
-    center = _parse_coeffs(kv, "center")
-    rng = _parse_coeffs(kv, "range") if "range.intercept" in kv else None
+    center = coefficients("center")
+    rng = coefficients("range") if "range.intercept" in kv else None
     try:
-        model = FittedModel(spec, predictors, response, center, rng)
+        model = FittedModel(spec, predictors.split(","), response, center, rng)
     except ValueError as exc:
         raise ModelFormatError(str(exc)) from None
     if model.empty_support != empty_support:

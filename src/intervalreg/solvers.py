@@ -897,10 +897,12 @@ def _homotopy(stds: list[Standardized], starts: list[np.ndarray], tops: list[flo
     ``t`` (j enters with the sign of ``c_j``).  The event just taken, which rounding
     can put again just below the new top, is no candidate on the next segment: a
     column that entered does not leave at once, nor does one that left re-enter with
-    its old sign.  Columns with ``gram_diag == 0`` never enter.  Rows stop before a
-    singular ``A`` (as :func:`_factor` counts it at no ridge) and before a row that
-    needs more than ``max_iter`` entering events; the rows are solutions only if
-    ``start`` was, so callers test them.
+    its old sign.  Columns with ``gram_diag == 0`` never enter: a constant column
+    standardizes to exact zeros, so its Gram row and ``q`` entry are 0, its two times
+    are +/-0, and a time at or below 0 is never taken.  Rows stop before a singular
+    ``A`` (as :func:`_factor` counts it at no ridge) and before a row that needs more
+    than ``max_iter`` entering events; the rows are solutions only if ``start`` was, so
+    callers test them.
 
     Each segment's set is factored once, by ``eigh``, and dropped: the next set differs
     by a column.  The designs run in lockstep.  Each iteration groups them by active-set
@@ -925,8 +927,6 @@ def _homotopy(stds: list[Standardized], starts: list[np.ndarray], tops: list[flo
     flat = padded[:, :-1]
     times = flat.reshape(m, 2, p)
     limit = np.array(tops, dtype=float)[:, None]  # row d: the top of design d's segment
-    frozen = np.array([std.gram_diag == 0.0 for std in stds])
-    frozen = np.hstack((frozen, frozen)) if frozen.any() else None
     solved = np.zeros((m, 2, p))  # row d: b0 and u of design d's segment, 0 off its active set
     lo, hi = min(first for first, _ in spans), max(end for _, end in spans)
     segments = np.zeros((m, hi - lo, 2, p))  # per row r of a design, at r - lo: its solved
@@ -983,8 +983,6 @@ def _homotopy(stds: list[Standardized], starts: list[np.ndarray], tops: list[flo
                 times[idx[:, None], 0, active] = b0u[:, 0] / b0u[:, 1]
                 times[idx[:, None], 1, active] = 0.0
             padded[design, repeat] = 0.0
-            if frozen is not None:
-                flat[frozen] = 0.0
             # a time at or below 0 is never taken: where none is positive, the largest is at
             # most 0, and the segment runs to the end of the span
             flat[~(flat < limit)] = 0.0

@@ -333,6 +333,18 @@ class TestPredictEvaluate:
         assert err == "error: 'center.means' needs 2 numbers, got 3: '1 2 3'\n"
         assert not (tmp_path / "pred.csv").exists()
 
+    def test_predict_rejects_a_repeated_field(self, capsys, tmp_path, cardio_csv):
+        # a second intercept line would otherwise shift every predicted bound
+        model = self.fit_model(capsys, tmp_path, cardio_csv)
+        model.write_text(model.read_text() + "center.intercept: 99\n")
+        code, out, err = run(
+            capsys, "predict", "--model", str(model), "--data", str(cardio_csv),
+            "--out", str(tmp_path / "pred.csv"),
+        )
+        assert (code, out) == (1, "")
+        assert err == "error: repeated field 'center.intercept'\n"
+        assert not (tmp_path / "pred.csv").exists()
+
     def test_evaluate_text_report(self, capsys, tmp_path, cardio_csv):
         model = self.fit_model(capsys, tmp_path, cardio_csv, "crm")
         code, out, err = run(

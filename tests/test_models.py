@@ -484,10 +484,16 @@ class TestSerialization:
             MethodSpec("cm"),
             MethodSpec("crm"),
             MethodSpec("cm", "ridge", lambda_center=1.25),
+            MethodSpec("crm", "ridge", lambda_center=2.0, lambda_range=0.5),
+            MethodSpec("cm", "lasso", lambda_center=0.5),
             MethodSpec("crm", "lasso", lambda_center=0.875906),
+            MethodSpec("crm", "lasso", lambda_center=1e6),  # an empty center support
+            MethodSpec("cm", "elastic_net", lambda_center=1.5, alpha=0.3),
             MethodSpec("crm", "elastic_net", lambda_center=2.0,
                        lambda_range=1.0, alpha=0.9),
         ]
+        assert {spec.name for spec in specs} == set(METHOD_NAMES)
+        assert fit(cardio, specs[6]).empty_support
         for spec in specs:
             model = fit(cardio, spec)
             text = serialize(model)
@@ -561,6 +567,9 @@ class TestSerialization:
         ("predictors", "Systolic,Systolic", "predictors: 'Systolic,Systolic' has a repeated name"),
         ("predictors", "Systolic,", "predictors: 'Systolic,' has an empty name"),
         ("predictors", "Systolic,Pulse", "predictors: 'Systolic,Pulse' has the response 'Pulse'"),
+        ("response", "", "response: '' is an empty name"),
+        ("center.intercept", "21\ncenter.intercept: 99", "repeated field 'center.intercept'"),
+        ("range.betas", "0 0\n range.betas : 0 0", "repeated field 'range.betas'"),
     ])
     def test_a_malformed_model_file_is_rejected(self, cardio, key, value, message):
         # at this weight the center model selects no variable (empty support)
@@ -574,7 +583,16 @@ class TestSerialization:
         with pytest.raises(ModelFormatError, match="^" + re.escape(message)):
             deserialize(broken)
 
-    def test_hand_built_minimal_model(self):
+    def test_an_unknown_key_is_ignored(self, cardio):
+        # a later file under the same format tag may carry an optional key
+        text = serialize(fit(cardio, MethodSpec("crm", "lasso", lambda_center=1.0)))
+        extended = text.replace("center.n_sweeps:", "center.gap: 1e-12\ncenter.n_sweeps:")
+        assert extended != text
+        assert serialize(deserialize(extended + "trace: fit.jsonl\n")) == text
+
+    @pytest.mark.parametrize("n_sweeps", ["0", "123456789012345678901", "1" + "0" * 400],
+                             ids=["0", "21 digits", "401 digits"])
+    def test_hand_built_minimal_model(self, n_sweeps):
         text = "\n".join([
             "intervalreg-model/1",
             "method: cm",
@@ -589,9 +607,11 @@ class TestSerialization:
             "center.means: -",
             "center.scales: -",
             "center.converged: true",
-            "center.n_sweeps: 0",
+            f"center.n_sweeps: {n_sweeps}",
         ])
         model = deserialize(text)
+        assert model.center_coeffs.n_sweeps == int(n_sweeps)
+        assert serialize(model) == text + "\n"  # a count stays an integer
         table = IntervalTable(("X",), [[3.0]], [[5.0]])
         pred = predict(model, table)
         assert pred.lower[0] == 1 + 2 * 3.0
